@@ -1,20 +1,24 @@
-"""Closed-form SIR coverage expressions and the interference quadrature kernel.
+"""Closed-form SIR coverage expressions and their interference factor.
 
 All thresholds are linear power ratios here; dB conversion belongs to the CLI
 boundary. Every coverage function returns a probability in [0, 1].
+
+Every expression is exact and evaluated without quadrature. The interference
+factor is the Gauss hypergeometric form
+``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)``; the proportional-distance
+variant with ratio ``rho`` is the same function at ``T * rho**a``; and the
+reflector intensity uses the floored moment ``E[r1**-2 ; r1 >= eps]`` from
+:func:`riscov.geometry.expected_inv_r1_pow`.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from scipy import integrate
+from scipy import special
 
-from . import channel, geometry
-from .errors import NumericalError, ParameterError
-
-INTERFERENCE_ABS_TOL = 1e-9
+from . import channel
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -53,77 +57,18 @@ class CoverageQuery:
         )
 
 
-@dataclass(frozen=True)
-class InterferenceIntegral:
-    """Value of the interference factor plus the quadrature error achieved."""
+def interference_factor(T: float, alpha: float) -> float:
+    """``T**(2/a) * int_{T**(-2/a)}^inf du / (1 + u**(a/2))`` in closed form.
 
-    value: float
-    abs_tolerance: float
-
-
-def _tail_integral(lower: float, alpha: float, rho: float = 1.0) -> tuple[float, float]:
-    """``int_lower^inf rho**a / (rho**a + u**(a/2)) du`` with an algebraic stretch.
-
-    Maps the semi-infinite range through ``u = lower + t / (1 - t)``; the
-    integrand decays like ``u**(-a/2)`` so the transform leaves at worst an
-    integrable endpoint weight at ``t = 1``.
-    """
-    rho_a = rho**alpha
-
-    def transformed(t):
-        u = lower + t / (1.0 - t)
-        return rho_a / (rho_a + u ** (0.5 * alpha)) / (1.0 - t) ** 2
-
-    # for alpha < 4 the stretched integrand keeps an integrable endpoint
-    # weight; we ask for more than needed, silence QUADPACK's advisory, and
-    # let our explicit abserr gate decide whether the result is usable
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, abserr = integrate.quad(
-            transformed, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=300
-        )
-    return value, abserr
-
-
-def interference_factor(
-    T: float, alpha: float, method: str = "auto"
-) -> InterferenceIntegral:
-    """``T**(2/a) * int_{T**(-2/a)}^inf du / (1 + u**(a/2))``.
-
-    ``method='auto'`` takes the arctangent closed form at ``alpha == 4`` and
-    adaptive quadrature otherwise; ``method='quadrature'`` forces the general
-    path (useful for cross-checking the closed form).
+    Equals ``2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli & Ganti,
+    IEEE TCOM 2011), which at ``alpha == 4`` is ``sqrt(T) * atan(sqrt(T))``.
     """
     if not T > 0:
         raise ParameterError(f"T must be positive, got {T!r}")
     if not alpha > 2:
         raise ParameterError(f"alpha must exceed 2, got {alpha!r}")
-    if method not in ("auto", "quadrature"):
-        raise ParameterError(f"unknown method {method!r}")
-    if method == "auto" and alpha == 4.0:
-        value = math.sqrt(T) * math.atan(math.sqrt(T))
-        return InterferenceIntegral(value=value, abs_tolerance=4e-16 * max(1.0, value))
-    lower = T ** (-2.0 / alpha)
-    raw, abserr = _tail_integral(lower, alpha)
-    scale = T ** (2.0 / alpha)
-    if abserr * scale > INTERFERENCE_ABS_TOL:
-        raise NumericalError(
-            "interference_factor quadrature did not reach the requested tolerance",
-            achieved_tolerance=abserr * scale,
-        )
-    return InterferenceIntegral(value=scale * raw, abs_tolerance=abserr * scale)
-
-
-def _rho_interference_factor(T: float, alpha: float, rho: float) -> float:
-    """The path-B variant ``T**(2/a) * int rho**a / (rho**a + u**(a/2)) du``."""
-    if rho == 1.0:
-        return interference_factor(T, alpha).value
-    if alpha == 4.0:
-        lower = T**-0.5
-        return math.sqrt(T) * rho**2 * math.atan(rho**2 / lower)
-    lower = T ** (-2.0 / alpha)
-    raw, _ = _tail_integral(lower, alpha, rho=rho)
-    return T ** (2.0 / alpha) * raw
+    delta = 2.0 / alpha
+    return float(2.0 * T / (alpha - 2.0) * special.hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -T))
 
 
 # ---------------------------------------------------------------------------
@@ -132,29 +77,13 @@ def _rho_interference_factor(T: float, alpha: float, rho: float) -> float:
 
 def coverage_baseline(q: CoverageQuery) -> float:
     """Single-beam coverage ``1 / (1 + I(T, a) / sqrt(N))``."""
-    i_factor = interference_factor(q.threshold, q.alpha).value
+    i_factor = interference_factor(q.threshold, q.alpha)
     return 1.0 / (1.0 + i_factor / math.sqrt(q.n_elements))
-
-
-def coverage_baseline_general(q: CoverageQuery) -> float:
-    """Pre-substitution baseline form with explicit converted intensities.
-
-    Mathematically identical to :func:`coverage_baseline`; exists so the
-    power/density independence can be asserted on the un-simplified ratio.
-    """
-    beam = channel.BeamModel(q.n_elements, channel.SINGLE_BEAM)
-    lam_bs_t = channel.power_density_convert(q.lambda_bs, q.p_s, q.mu, q.alpha)
-    lam_i_t = channel.power_density_convert(
-        channel.interferer_intensity(q.lambda_bs, beam), q.p_s, q.mu, q.alpha
-    )
-    i_factor = interference_factor(q.threshold, q.alpha).value
-    num = lam_bs_t.converted_intensity
-    return num / (num + lam_i_t.converted_intensity * i_factor)
 
 
 def coverage_path_a(q: CoverageQuery) -> float:
     """Split-beam direct-path coverage ``1 / (1 + sqrt(2/N) * I(T, a))``."""
-    i_factor = interference_factor(q.threshold, q.alpha).value
+    i_factor = interference_factor(q.threshold, q.alpha)
     return 1.0 / (1.0 + math.sqrt(2.0 / q.n_elements) * i_factor)
 
 
@@ -205,7 +134,9 @@ def coverage_path_b_approx1(q: CoverageQuery) -> float:
     distance, which tightens as the reflector density grows.
     """
     conv = path_b_intensities(q)
-    i_rho = _rho_interference_factor(q.threshold, q.alpha, conv.rho)
+    # T**(2/a) * int rho**a / (rho**a + u**(a/2)) du over u >= T**(-2/a);
+    # substituting u = rho**2 * v turns it into I(T * rho**a, a)
+    i_rho = interference_factor(q.threshold * conv.rho**q.alpha, q.alpha)
     denom = conv.lambda_ris_tilde + conv.lambda_i_tilde / conv.rho**2 * i_rho
     return conv.lambda_ris_tilde / denom
 
@@ -213,29 +144,10 @@ def coverage_path_b_approx1(q: CoverageQuery) -> float:
 def coverage_path_b_approx2(q: CoverageQuery) -> float:
     """Lower-bound reflected-path coverage for dense reflector deployments."""
     conv = path_b_intensities(q)
-    i_factor = interference_factor(q.threshold, q.alpha).value
+    i_factor = interference_factor(q.threshold, q.alpha)
     return conv.lambda_ris_tilde / (
         conv.lambda_ris_tilde + conv.lambda_i_tilde * i_factor
     )
-
-
-def coverage_path_b_restated(q: CoverageQuery) -> float:
-    """Algebraic restatement of the lower bound in raw deployment parameters.
-
-    Splits the bound into a reflector term ``lambda_ris * M**(4/a) * F1`` and
-    an interference term ``sqrt(2/N) * lambda_bs * F2``; must agree with
-    :func:`coverage_path_b_approx2` to floating-point accuracy.
-    """
-    eff = channel.quantization_efficiency(q.phase_bits)
-    f1 = (
-        (q.beta * eff / q.mu) ** (2.0 / q.alpha)
-        * channel.fade_fractional_moment(1.0, q.alpha)
-        * geometry.expected_inv_r1_squared(q.lambda_bs, q.lambda_ris, q.epsilon_floor)
-    )
-    f2 = interference_factor(q.threshold, q.alpha).value
-    signal = q.lambda_ris * q.m_elements ** (4.0 / q.alpha) * f1
-    interference = math.sqrt(2.0 / q.n_elements) * q.lambda_bs * f2
-    return signal / (signal + interference)
 
 
 def coverage_selection(q: CoverageQuery, approx: int = 2) -> float:

@@ -17,26 +17,6 @@ SPLIT_BEAM = "split_beam"
 
 
 @dataclass(frozen=True)
-class FadingModel:
-    """Exponential small-scale power gain with mean ``1 / rate_mu``."""
-
-    rate_mu: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.rate_mu) or self.rate_mu <= 0:
-            raise ParameterError(f"rate_mu must be positive, got {self.rate_mu!r}")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate_mu
-
-
-def sample_fade(model: FadingModel, rng: np.random.Generator, size=None):
-    """Exponential gain draw(s); deterministic given the stream."""
-    return rng.exponential(scale=model.mean, size=size)
-
-
-@dataclass(frozen=True)
 class BeamModel:
     """Planar-array beam: one full-power beam, or two half-power beams."""
 
@@ -200,7 +180,6 @@ class ReflectionModel:
     m_elements: int
     beta_attenuation: float = 0.9
     phase_bits: int | str = IDEAL_PHASES
-    element_spacing: float = 0.005
 
     def __post_init__(self):
         if int(self.m_elements) != self.m_elements or self.m_elements < 1:
@@ -255,7 +234,7 @@ def reflected_power_raw_moment(
     prefactor = (
         model.m_elements**2 * model.beta_attenuation * eff * p_s / (2.0 * mu**2)
     ) ** (2.0 / alpha)
-    inv_sq = geometry.expected_inv_r1_squared(lambda_bs, lambda_ris, epsilon_floor)
+    inv_sq = geometry.expected_inv_r1_pow(2.0, lambda_bs, lambda_ris, epsilon_floor)
     return float(prefactor * special.gamma(2.0 / alpha + 1.0) * inv_sq)
 
 

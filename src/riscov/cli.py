@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -388,11 +389,9 @@ def main():
 @_config_options
 def analytic_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation):
     """Evaluate the closed-form coverage curves."""
-    try:
+    with _typed_exits():
         cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
         rows = run_analytic(cfg)
-    except ConfigError as exc:
-        _fail_config(exc)
     path = _write(out_dir, "analytic.csv", rows_to_csv(rows))
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
@@ -404,11 +403,8 @@ def analytic_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orien
               help="Also emit a histogram CSV for this quantity (repeatable).")
 def simulate_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation, hist_quantities):
     """Run the Monte-Carlo engine and emit empirical coverage curves."""
-    try:
+    with _typed_exits():
         cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-    except ConfigError as exc:
-        _fail_config(exc)
-    try:
         rows, records = run_simulate(cfg)
         path = _write(out_dir, "simulate.csv", rows_to_csv(rows))
         click.echo(f"wrote {path} ({len(rows)} rows)")
@@ -417,29 +413,17 @@ def simulate_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orien
             h = montecarlo.empirical_histogram(spec, quantity, records=records)
             hpath = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
             click.echo(f"wrote {hpath}")
-    except EmptyScenarioError as exc:
-        click.echo(f"simulation failed: {exc}", err=True)
-        sys.exit(EXIT_SIMULATION_ERROR)
 
 
 @main.command("compare")
 @_config_options
 def compare_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation):
     """Run both engines, join them, and gate the gaps; nonzero exit on failure."""
-    try:
+    with _typed_exits():
         cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-    except ConfigError as exc:
-        _fail_config(exc)
-    try:
         analytic_rows = run_analytic(cfg)
         mc_rows, _ = run_simulate(cfg)
         report = build_comparison(cfg, analytic_rows, mc_rows)
-    except EmptyScenarioError as exc:
-        click.echo(f"simulation failed: {exc}", err=True)
-        sys.exit(EXIT_SIMULATION_ERROR)
-    except RiscovError as exc:
-        click.echo(f"pipeline error: {exc}", err=True)
-        sys.exit(EXIT_PIPELINE_ERROR)
     _write(out_dir, "compare.csv", rows_to_csv(analytic_rows + mc_rows))
     _write(out_dir, "compare_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     for g in report["gates"]:
@@ -466,18 +450,13 @@ def compare_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orient
 def sweep_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation,
               axis, grid, metric, with_mc):
     """Evaluate engines along one parameter axis."""
-    try:
+    with _typed_exits():
         cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
         try:
             grid_values = [float(v) for v in grid.split(",") if v.strip()]
         except ValueError:
             raise ConfigError([f"grid: could not parse {grid!r} as numbers"])
         rows = run_sweep(cfg, axis, grid_values, metric=metric, with_mc=with_mc)
-    except ConfigError as exc:
-        _fail_config(exc)
-    except EmptyScenarioError as exc:
-        click.echo(f"simulation failed: {exc}", err=True)
-        sys.exit(EXIT_SIMULATION_ERROR)
     path = _write(out_dir, "sweep.csv", rows_to_csv(rows))
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
@@ -488,24 +467,30 @@ def sweep_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientat
 @click.option("--bins", default=60, type=int)
 def hist_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""
-    try:
+    with _typed_exits():
         cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-    except ConfigError as exc:
-        _fail_config(exc)
-    try:
         spec = montecarlo.RunSpec.from_config(cfg)
         h = montecarlo.empirical_histogram(spec, quantity, bins=bins)
-    except EmptyScenarioError as exc:
-        click.echo(f"simulation failed: {exc}", err=True)
-        sys.exit(EXIT_SIMULATION_ERROR)
-    path = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
+        text = histogram_csv(cfg, h)
+    path = _write(out_dir, f"hist_{quantity}.csv", text)
     click.echo(f"wrote {path}")
 
 
-def _fail_config(exc: ConfigError):
-    for err in exc.errors:
-        click.echo(f"config error: {err}", err=True)
-    sys.exit(EXIT_CONFIG_ERROR)
+@contextmanager
+def _typed_exits():
+    """Turn package errors into one stderr line and their documented exit code."""
+    try:
+        yield
+    except ConfigError as exc:
+        for err in exc.errors:
+            click.echo(f"config error: {err}", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
+    except EmptyScenarioError as exc:
+        click.echo(f"simulation failed: {exc}", err=True)
+        sys.exit(EXIT_SIMULATION_ERROR)
+    except RiscovError as exc:
+        click.echo(f"pipeline error: {exc}", err=True)
+        sys.exit(EXIT_PIPELINE_ERROR)
 
 
 if __name__ == "__main__":

@@ -128,6 +128,8 @@ class NetworkConfig:
             for t in self.thresholds_db
         ):
             errs.append(f"thresholds_db: must be a list of finite dB values, got {self.thresholds_db!r}")
+        elif len(set(self.thresholds_db)) != len(self.thresholds_db):
+            errs.append(f"thresholds_db: must not repeat a value, got {list(self.thresholds_db)!r}")
         if self.orientation not in ORIENTATION_MODES:
             errs.append(f"orientation: must be one of {ORIENTATION_MODES}, got {self.orientation!r}")
         for name in ("conditional_path_b", "shared_ris_fade"):

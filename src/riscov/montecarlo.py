@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,6 +307,8 @@ def worker_count() -> int:
     try:
         return max(1, int(raw))
     except ValueError:
+        print(f"warning: {WORKERS_ENV_VAR}={raw!r} is not an integer; using 1 worker",
+              file=sys.stderr)
         return 1
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
+from restated_forms import coverage_baseline_general, coverage_path_b_restated
 from riscov import analytic, geometry
 from riscov.errors import ParameterError
 
@@ -30,19 +32,29 @@ def make_query(T, **kw):
 class TestInterferenceFactor:
     @pytest.mark.parametrize("T", [0.01, 0.1, 1.0, 10.0, 100.0])
     def test_quadrature_matches_alpha4_closed_form(self, T):
-        quad_route = analytic.interference_factor(T, 4.0, method="quadrature")
-        assert abs(quad_route.value - closed_form_alpha4(T)) < 1e-9
-        auto_route = analytic.interference_factor(T, 4.0)
-        assert abs(auto_route.value - closed_form_alpha4(T)) < 1e-12
+        quad_value, _ = interference_quadrature(T, 4.0)
+        assert abs(quad_value - closed_form_alpha4(T)) < 1e-9
+        assert abs(analytic.interference_factor(T, 4.0) - closed_form_alpha4(T)) < 1e-12
+
+    def test_hypergeometric_matches_quadrature_oracle(self):
+        checked = 0
+        for alpha in (2.5, 3.0, 3.5, 4.0, 5.0):
+            for T in np.logspace(-2, 4, 19):
+                quad_value, abs_err = interference_quadrature(T, alpha)
+                if abs_err > INTERFERENCE_ABS_TOL:
+                    continue  # the oracle itself did not converge here
+                checked += 1
+                assert abs(analytic.interference_factor(T, alpha) - quad_value) <= 1e-9
+        assert checked >= 80
 
     def test_reference_values(self):
-        assert analytic.interference_factor(1.0, 4.0).value == pytest.approx(math.pi / 4, abs=1e-12)
-        assert analytic.interference_factor(10.0, 4.0).value == pytest.approx(
+        assert analytic.interference_factor(1.0, 4.0) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert analytic.interference_factor(10.0, 4.0) == pytest.approx(
             math.sqrt(10) * math.atan(math.sqrt(10)), abs=1e-9
         )
 
     def test_vanishes_with_threshold(self):
-        assert analytic.interference_factor(1e-8, 4.0).value < 1e-4
+        assert analytic.interference_factor(1e-8, 4.0) < 1e-4
 
     def test_general_alpha_against_direct_quadrature(self):
         # oracle: finite-range quadrature plus a two-term series tail,
@@ -61,12 +73,8 @@ class TestInterferenceFactor:
                     )[0]
                     for a, b in zip(edges[:-1], edges[1:])
                 )
-                got = analytic.interference_factor(T, alpha).value
+                got = analytic.interference_factor(T, alpha)
                 assert got == pytest.approx(T ** (2 / alpha) * (finite + tail), rel=1e-8)
-
-    def test_reports_achieved_tolerance(self):
-        res = analytic.interference_factor(3.0, 3.3)
-        assert res.abs_tolerance < 1e-9
 
     def test_preconditions(self):
         with pytest.raises(ParameterError):
@@ -88,8 +96,8 @@ class TestBaselineCoverage:
         # the pre-substitution ratio must not move when the deployment scales
         base = make_query(2.0)
         scaled = make_query(2.0, lambda_bs=10 * LAM_BS, p_s=7 * 2.0)
-        a = analytic.coverage_baseline_general(base)
-        b = analytic.coverage_baseline_general(scaled)
+        a = coverage_baseline_general(base)
+        b = coverage_baseline_general(scaled)
         assert abs(a - b) <= 1e-12
         assert a == pytest.approx(analytic.coverage_baseline(base), rel=1e-12)
 
@@ -136,20 +144,24 @@ class TestPathACoverage:
 
 class TestPathBCoverage:
     def test_rho_one_collapses_to_plain_factor(self):
+        # the rho-weighted integral is the plain factor at T * rho**alpha;
+        # at rho = 1 it is the plain factor itself
         for T in (0.1, 1.0, 10.0):
             for alpha in (3.0, 4.0):
-                assert analytic._rho_interference_factor(T, alpha, 1.0) == pytest.approx(
-                    analytic.interference_factor(T, alpha).value, rel=1e-9
-                )
+                for rho in (1.0, 0.3, 2.0):
+                    quad_value, _ = interference_quadrature(T, alpha, rho=rho)
+                    assert analytic.interference_factor(T * rho**alpha, alpha) == pytest.approx(
+                        quad_value, rel=1e-9
+                    )
 
     def test_approx1_with_unit_rho_equals_approx2_form(self):
         # algebraic identity: at rho = 1 the approximations share one formula
         q = make_query(2.0)
         conv = analytic.path_b_intensities(q)
-        i_factor = analytic.interference_factor(q.threshold, q.alpha).value
+        i_factor = analytic.interference_factor(q.threshold, q.alpha)
+        i_rho1, _ = interference_quadrature(q.threshold, q.alpha, rho=1.0)
         rho1_value = conv.lambda_ris_tilde / (
-            conv.lambda_ris_tilde
-            + conv.lambda_i_tilde * analytic._rho_interference_factor(q.threshold, q.alpha, 1.0)
+            conv.lambda_ris_tilde + conv.lambda_i_tilde * i_rho1
         )
         assert rho1_value == pytest.approx(
             conv.lambda_ris_tilde / (conv.lambda_ris_tilde + conv.lambda_i_tilde * i_factor),
@@ -172,7 +184,7 @@ class TestPathBCoverage:
         target = conv.lambda_ris_tilde / conv.lambda_i_tilde
 
         def excess(log_t):
-            return analytic.interference_factor(math.exp(log_t), q0.alpha).value - target
+            return analytic.interference_factor(math.exp(log_t), q0.alpha) - target
 
         log_t_star = optimize.brentq(excess, math.log(1e-6), math.log(1e12), xtol=1e-13)
         q_star = make_query(math.exp(log_t_star))
@@ -186,7 +198,7 @@ class TestPathBCoverage:
             for lam_ris in (5e-4, 1e-3, 5e-3, 1e-2, 5e-2):
                 q = make_query(T, lambda_ris=lam_ris)
                 a = analytic.coverage_path_b_approx2(q)
-                b = analytic.coverage_path_b_restated(q)
+                b = coverage_path_b_restated(q)
                 assert abs(a - b) <= 1e-9
 
     def test_restated_trends(self):
@@ -196,12 +208,12 @@ class TestPathBCoverage:
         ]
         assert all(a < b for a, b in zip(by_ris, by_ris[1:]))
         by_bs = [
-            analytic.coverage_path_b_restated(make_query(10**0.5, lambda_bs=lb))
+            coverage_path_b_restated(make_query(10**0.5, lambda_bs=lb))
             for lb in (1e-5, 2.5e-5, 1e-4, 4e-4)
         ]
         assert all(a >= b for a, b in zip(by_bs, by_bs[1:]))
         by_m = [
-            analytic.coverage_path_b_restated(make_query(10**0.5, m_elements=m))
+            coverage_path_b_restated(make_query(10**0.5, m_elements=m))
             for m in (10, 100, 1000)
         ]
         assert all(a < b for a, b in zip(by_m, by_m[1:]))
@@ -212,7 +224,7 @@ class TestPathBCoverage:
         assert all(a < b for a, b in zip(by_n, by_n[1:]))
 
     def test_reflector_count_limit(self):
-        assert analytic.coverage_path_b_restated(make_query(10**0.5, m_elements=10**6)) > 0.999
+        assert coverage_path_b_restated(make_query(10**0.5, m_elements=10**6)) > 0.999
 
     def test_monotone_in_threshold_and_bounded(self):
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):

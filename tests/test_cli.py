@@ -7,8 +7,10 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from riscov import analytic, cli
-from riscov.config import NetworkConfig
+from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
+from riscov import analytic, cli, geometry
+from riscov.config import NetworkConfig, load_config
+from riscov.errors import NumericalError
 
 
 @pytest.fixture()
@@ -52,6 +54,41 @@ class TestAnalyticCommand:
         result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == cli.EXIT_CONFIG_ERROR
         assert "alpha" in result.output
+
+    @pytest.mark.parametrize(
+        "yaml_text", ["alpha: 2.2\n", "alpha: 2.5\nthresholds_db: [30]\n"],
+        ids=["alpha2.2", "alpha2.5-30dB"],
+    )
+    def test_low_alpha_rows_match_quadrature_oracle(self, runner, tmp_path, yaml_text):
+        # the interference quadrature used to miss its tolerance at these
+        # exponents and abort the command with a traceback
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml_text)
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        cfg = load_config(cfg_path)
+        rows = read_rows(tmp_path / "analytic.csv")
+        assert len(rows) == len(cli.ANALYTIC_ENGINES) * len(cfg.thresholds_db)
+        checked = 0
+        for row in rows:
+            value = float(row["value"])
+            assert 0.0 < value < 1.0
+            q = cli._query(cfg, 10.0 ** (float(row["T_db"]) / 10.0))
+            conv = analytic.path_b_intensities(q)
+            rho = conv.rho if row["engine"] == "approx1" else 1.0
+            i_factor, abs_err = interference_quadrature(q.threshold, q.alpha, rho=rho)
+            if abs_err > INTERFERENCE_ABS_TOL:
+                continue  # the oracle itself did not converge here
+            expected = {
+                "analytic_q2": 1.0 / (1.0 + i_factor / math.sqrt(q.n_elements)),
+                "analytic_q23": 1.0 / (1.0 + math.sqrt(2.0 / q.n_elements) * i_factor),
+            }.get(row["engine"])
+            if expected is None:  # approx1 and approx2 share one form up to rho
+                lam_ris_t = conv.lambda_ris_tilde
+                expected = lam_ris_t / (lam_ris_t + conv.lambda_i_tilde / rho**2 * i_factor)
+            assert value == pytest.approx(expected, abs=1e-8)
+            checked += 1
+        assert checked > 0
 
     def test_header_is_exact(self, runner, tmp_path):
         runner.invoke(cli.main, ["analytic", "--out", str(tmp_path)], catch_exceptions=False)
@@ -239,6 +276,24 @@ class TestHistCommand:
         assert lines[0].startswith("quantity,bin_left,bin_right,density,count,analytic_pdf")
         first = lines[1].split(",")
         assert float(first[5]) > 0  # analytic overlay populated
+
+
+class TestTypedExits:
+    @pytest.mark.parametrize("target,argv", [
+        ((geometry, "expected_r1"),
+         ["sweep", "--axis", "lambda_ris", "--grid", "500,1000", "--metric", "e_r1"]),
+        ((analytic, "interference_factor"), ["analytic"]),
+        ((geometry, "pdf_r1_marginal"), ["hist", "--quantity", "r1", "--trials", "1000"]),
+    ], ids=["sweep", "analytic", "hist"])
+    def test_numerical_error_is_pipeline_error(self, runner, tmp_path, monkeypatch, target, argv):
+        def boom(*args, **kwargs):
+            raise NumericalError("quadrature did not converge", achieved_tolerance=1e-3)
+
+        monkeypatch.setattr(*target, boom)
+        result = runner.invoke(cli.main, argv + ["--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == ["pipeline error: quadrature did not converge"]
 
 
 class TestRowFormatting:

@@ -37,6 +37,13 @@ class TestValidation:
             NetworkConfig.from_mapping({"lambda_bss": 10})
         assert "unknown config key" in str(exc.value)
 
+    def test_duplicate_thresholds_rejected(self):
+        # repeated thresholds would collapse into one row of the simulation output
+        errs = NetworkConfig(thresholds_db=(0.0, 5.0, 0.0)).validate()
+        assert any(e.startswith("thresholds_db:") for e in errs)
+        with pytest.raises(ConfigError):
+            NetworkConfig.from_mapping({"thresholds_db": [5, 5.0]})
+
     def test_orientation_values(self):
         with pytest.raises(ConfigError):
             NetworkConfig(orientation="sideways").require_valid()

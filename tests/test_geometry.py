@@ -254,9 +254,10 @@ class TestR1Marginal:
     def test_matches_bessel_route(self):
         # independent closed-form route: Rice mixture over the serving distance
         from oracle_helpers import bessel_marginal
-        for r1 in (5.0, 30.0, 80.0, 120.0, 200.0):
-            quad_val = geometry.pdf_r1_marginal(r1, LAM_BS, LAM_RIS)
-            assert quad_val == pytest.approx(bessel_marginal(r1, LAM_BS, LAM_RIS), rel=1e-8)
+        for lam_ris in (LAM_RIS, 5e-2):
+            for r1 in (5.0, 30.0, 80.0, 120.0, 200.0):
+                val = geometry.pdf_r1_marginal(r1, LAM_BS, lam_ris)
+                assert val == pytest.approx(bessel_marginal(r1, LAM_BS, lam_ris), rel=1e-8)
 
     def test_normalizes(self):
         val, _ = integrate.quad(
@@ -335,16 +336,16 @@ def _plain_pairs_oracle(power, lam_bs, lam_ris, eps, seed, n_pairs=100_000, n_an
 
 class TestInverseMoments:
     def test_positive_and_finite(self):
-        val = geometry.expected_inv_r1_squared(LAM_BS, LAM_RIS, 1.0)
+        val = geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
         assert 0.0 < val < math.inf
 
     def test_increasing_in_ris_density(self):
         grid = [5e-4, 1e-3, 1e-2, 5e-2]
-        vals = [geometry.expected_inv_r1_squared(LAM_BS, lr, 1.0) for lr in grid]
+        vals = [geometry.expected_inv_r1_pow(2.0, LAM_BS, lr, 1.0) for lr in grid]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_inverse_square_against_scenario_draws(self):
-        analytic = geometry.expected_inv_r1_squared(LAM_BS, LAM_RIS, 1.0)
+        analytic = geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
         oracle = _plain_pairs_oracle(2.0, LAM_BS, LAM_RIS, 1.0, seed=11)
         assert abs(analytic - oracle) / oracle < 0.05
 
@@ -361,25 +362,49 @@ class TestInverseMoments:
         # deterministic cross-check: integrate r^-p against the closed-form
         # (Rice mixture) marginal instead of nesting over (r0, r2)
         from oracle_helpers import floored_inv_pow_bessel
-        if power == 2.0:
-            analytic = geometry.expected_inv_r1_squared(LAM_BS, LAM_RIS, 1.0)
-        else:
-            analytic = geometry.expected_inv_r1_pow(power, LAM_BS, LAM_RIS, 1.0)
+        analytic = geometry.expected_inv_r1_pow(power, LAM_BS, LAM_RIS, 1.0)
         route = floored_inv_pow_bessel(power, LAM_BS, LAM_RIS, 1.0)
         assert analytic == pytest.approx(route, rel=1e-3)
 
+    @pytest.mark.parametrize("power", [2.0, 2.5, 3.0, 4.0, 5.0])
+    def test_closed_form_matches_nested_quadrature(self, power):
+        # the oracle truncates both radii at the 1 - 1e-6 quantile, which
+        # bounds the agreement to about that size
+        from oracle_helpers import floored_inv_pow_nested
+        route, abs_err = floored_inv_pow_nested(power, LAM_BS, LAM_RIS, 1.0)
+        assert abs_err < 1e-6 * route
+        closed = geometry.expected_inv_r1_pow(power, LAM_BS, LAM_RIS, 1.0)
+        assert closed == pytest.approx(route, rel=1e-5)
+
+    @pytest.mark.parametrize("power", [2.5, 8.0, 200.0])
+    def test_closed_form_matches_rayleigh_quadrature(self, power):
+        # r1 is Rayleigh at lambda_eff: integrate r**-p against that density
+        # directly, in s = r / eps; large powers must not overflow
+        lam = LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)
+        eps = 0.5
+        x = math.pi * lam * eps**2
+        def f(s):
+            return s ** (1 - power) * math.exp(-x * s * s)
+
+        near, _ = integrate.quad(f, 1.0, 2.0, epsabs=0.0, epsrel=1e-12)
+        far, _ = integrate.quad(f, 2.0, np.inf, epsabs=1e-12 * near, epsrel=1e-12, limit=200)
+        expected = 2 * math.pi * lam * eps ** (2 - power) * (near + far)
+        got = geometry.expected_inv_r1_pow(power, LAM_BS, LAM_RIS, eps)
+        assert got == pytest.approx(expected, rel=1e-9)
+
     def test_inner_moment_routes_agree(self):
+        from oracle_helpers import conditional_inv_pow_moment, conditional_inv_sq_moment
         rng = np.random.default_rng(3)
         for _ in range(200):
             r0, r2 = rng.uniform(0.5, 50.0, 2)
             eps = rng.uniform(0.1, 3.0)
-            exact = geometry._conditional_inv_sq_moment(r0, r2, eps)
-            panel = geometry._conditional_inv_pow_moment(r0, r2, 2.0, eps)
+            exact = conditional_inv_sq_moment(r0, r2, eps)
+            panel = conditional_inv_pow_moment(r0, r2, 2.0, eps)
             assert panel == pytest.approx(exact, rel=1e-9, abs=1e-15)
 
     def test_floor_must_be_positive(self):
         with pytest.raises(ParameterError):
-            geometry.expected_inv_r1_squared(LAM_BS, LAM_RIS, 0.0)
+            geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 0.0)
 
 
 class TestDistanceLawFacade:

@@ -240,6 +240,16 @@ class TestEstimateCoverage:
         three = montecarlo.estimate_coverage(spec, [0.5, 1.0, 2.0])
         assert one == three
 
+    def test_malformed_worker_count_warns(self, monkeypatch, capsys):
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "four")
+        assert montecarlo.worker_count() == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert montecarlo.WORKERS_ENV_VAR in err and "four" in err
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "3")
+        assert montecarlo.worker_count() == 3
+        assert capsys.readouterr().err == ""
+
     def test_gamma_b_conditions_on_engagement(self):
         spec = small_spec(n_trials=2000, lambda_ris=100.0)
         rec = montecarlo.simulate(spec)
