@@ -1,7 +1,8 @@
 """Experiment orchestration: analytic curves, simulation runs, comparison gates.
 
 Subcommands: ``analytic``, ``simulate``, ``compare``, ``sweep``, ``hist``.
-dB-vs-linear and km^2-vs-m^2 conversions happen here and nowhere else.
+Each command hands one :class:`riscov.config.NetworkConfig` to the engines;
+its accessors do the dB-vs-linear and km^2-vs-m^2 conversions.
 
 Exit codes: 0 success, 1 comparison gate failed, 2 config error,
 3 simulation failure, 4 pipeline error.
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import analytic, channel, geometry, montecarlo
-from .config import ConfigError, NetworkConfig, load_config
+from .config import ORIENTATION_MODES, ConfigError, NetworkConfig, load_config
 from .errors import EmptyScenarioError, RiscovError
 
 CSV_HEADER = "engine,metric,T_db,axis_name,axis_value,value,ci_half_width,n_trials,config_hash,seed"
@@ -35,6 +37,8 @@ ANALYTIC_ENGINES = {
     "approx1": "gamma_b",
     "approx2": "gamma_b",
 }
+
+SWEEP_METRICS = ("coverage", "e_r1", "e_p_ris")
 
 SWEEP_AXES = {
     "lambda_ris": "lambda_ris_per_km2",
@@ -103,22 +107,6 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _query(cfg: NetworkConfig, threshold_linear: float) -> analytic.CoverageQuery:
-    return analytic.CoverageQuery(
-        threshold=threshold_linear,
-        alpha=cfg.alpha,
-        n_elements=cfg.n_elements,
-        lambda_bs=cfg.lambda_bs_m2,
-        lambda_ris=cfg.lambda_ris_m2,
-        m_elements=cfg.m_elements,
-        beta=cfg.beta,
-        p_s=cfg.p_s,
-        mu=cfg.mu,
-        epsilon_floor=cfg.epsilon_floor,
-        phase_bits=cfg.phase_bits,
-    )
-
-
 def run_analytic(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> list[ResultRow]:
     """Evaluate every closed form at every configured threshold."""
     cfg.require_valid()
@@ -129,25 +117,24 @@ def run_analytic(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> li
         "approx1": analytic.coverage_path_b_approx1,
         "approx2": analytic.coverage_path_b_approx2,
     }
-    rows = []
-    for t_db, t_lin in zip(cfg.thresholds_db, cfg.thresholds_linear):
-        q = _query(cfg, t_lin)
-        for engine, metric in ANALYTIC_ENGINES.items():
-            rows.append(
-                ResultRow(
-                    engine=engine,
-                    metric=metric,
-                    t_db=float(t_db),
-                    axis_name=axis_name,
-                    axis_value=axis_value,
-                    value=evaluators[engine](q),
-                    ci_half_width=None,
-                    n_trials=None,
-                    config_hash=chash,
-                    seed=cfg.master_seed,
-                )
-            )
-    return rows
+    thresholds = np.asarray(cfg.thresholds_linear, dtype=float)
+    values = {engine: fn(cfg, thresholds) for engine, fn in evaluators.items()}
+    return [
+        ResultRow(
+            engine=engine,
+            metric=metric,
+            t_db=float(t_db),
+            axis_name=axis_name,
+            axis_value=axis_value,
+            value=float(values[engine][i]),
+            ci_half_width=None,
+            n_trials=None,
+            config_hash=chash,
+            seed=cfg.master_seed,
+        )
+        for i, t_db in enumerate(cfg.thresholds_db)
+        for engine, metric in ANALYTIC_ENGINES.items()
+    ]
 
 
 def run_simulate(
@@ -158,10 +145,9 @@ def run_simulate(
 ) -> tuple[list[ResultRow], montecarlo.TrialRecords]:
     """Simulate the configured run and reduce it to coverage rows."""
     cfg.require_valid()
-    spec = montecarlo.RunSpec.from_config(cfg)
     if records is None:
-        records = montecarlo.simulate(spec)
-    estimates = montecarlo.estimate_coverage(spec, cfg.thresholds_linear, records=records)
+        records = montecarlo.simulate(cfg)
+    estimates = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear, records=records)
     chash = cfg.config_hash()
     db_of = {t_lin: t_db for t_db, t_lin in zip(cfg.thresholds_db, cfg.thresholds_linear)}
     rows = [
@@ -256,8 +242,8 @@ def run_sweep(
         raise ConfigError([f"axis: must be one of {sorted(SWEEP_AXES)}, got {axis!r}"])
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(["grid: must be nonempty and strictly increasing"])
-    if metric not in ("coverage", "e_r1", "e_p_ris"):
-        raise ConfigError([f"metric: must be coverage, e_r1 or e_p_ris, got {metric!r}"])
+    if metric not in SWEEP_METRICS:
+        raise ConfigError([f"metric: must be one of {SWEEP_METRICS}, got {metric!r}"])
     if axis == "T" and metric != "coverage":
         raise ConfigError(["metric: moment metrics do not depend on the threshold axis"])
     axis_name = SWEEP_AXES[axis]
@@ -265,10 +251,10 @@ def run_sweep(
     for value in grid:
         if axis == "T":
             point_cfg = cfg.replace(thresholds_db=(float(value),))
-        elif axis == "N":
-            point_cfg = cfg.replace(n_elements=int(value))
-        elif axis == "M":
-            point_cfg = cfg.replace(m_elements=int(value))
+        elif axis in ("N", "M"):
+            # a fractional count reaches validation as a float and is rejected
+            count = int(value) if float(value).is_integer() else value
+            point_cfg = cfg.replace(**{"n_elements" if axis == "N" else "m_elements": count})
         else:
             point_cfg = cfg.replace(**{axis: float(value)})
         if metric == "coverage":
@@ -282,15 +268,12 @@ def run_sweep(
 
 
 def _moment_row(cfg: NetworkConfig, metric: str, axis_name: str, axis_value) -> ResultRow:
-    model = channel.ReflectionModel(
-        m_elements=cfg.m_elements, beta_attenuation=cfg.beta, phase_bits=cfg.phase_bits
-    )
     if metric == "e_r1":
         value = geometry.expected_r1(cfg.lambda_bs_m2, cfg.lambda_ris_m2)
     else:
         value = channel.mean_reflected_power(
-            cfg.lambda_bs_m2, cfg.lambda_ris_m2, model, cfg.p_s, cfg.mu, cfg.alpha,
-            cfg.epsilon_floor,
+            cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.reflection_model(), cfg.p_s, cfg.mu,
+            cfg.alpha, cfg.epsilon_floor,
         )
     return ResultRow(
         engine="analytic_moment",
@@ -363,7 +346,7 @@ def _config_options(fn):
     fn = click.option("--trials", "n_trials", type=int, default=None, help="Override trial count.")(fn)
     fn = click.option("--mode", "path_b_mode", type=click.Choice(["conditional", "unconditional"]),
                       default=None, help="Engage the reflector only when closer than the base, or always.")(fn)
-    fn = click.option("--orientation", type=click.Choice(["thinning", "explicit"]), default=None,
+    fn = click.option("--orientation", type=click.Choice(list(ORIENTATION_MODES)), default=None,
                       help="Interferer beam model: intensity thinning or explicit main lobes.")(fn)
     return fn
 
@@ -408,9 +391,8 @@ def simulate_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orien
         rows, records = run_simulate(cfg)
         path = _write(out_dir, "simulate.csv", rows_to_csv(rows))
         click.echo(f"wrote {path} ({len(rows)} rows)")
-        spec = montecarlo.RunSpec.from_config(cfg)
         for quantity in hist_quantities:
-            h = montecarlo.empirical_histogram(spec, quantity, records=records)
+            h = montecarlo.empirical_histogram(cfg, quantity, records=records)
             hpath = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
             click.echo(f"wrote {hpath}")
 
@@ -445,7 +427,7 @@ def compare_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orient
 @_config_options
 @click.option("--axis", required=True, type=click.Choice(list(SWEEP_AXES)))
 @click.option("--grid", required=True, help="Comma-separated, strictly increasing values.")
-@click.option("--metric", default="coverage", type=click.Choice(["coverage", "e_r1", "e_p_ris"]))
+@click.option("--metric", default="coverage", type=click.Choice(list(SWEEP_METRICS)))
 @click.option("--with-mc", is_flag=True, default=False, help="Also simulate at every grid point.")
 def sweep_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation,
               axis, grid, metric, with_mc):
@@ -469,8 +451,7 @@ def hist_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientati
     """Emit a normalized histogram of one per-trial quantity."""
     with _typed_exits():
         cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-        spec = montecarlo.RunSpec.from_config(cfg)
-        h = montecarlo.empirical_histogram(spec, quantity, bins=bins)
+        h = montecarlo.empirical_histogram(cfg, quantity, bins=bins)
         text = histogram_csv(cfg, h)
     path = _write(out_dir, f"hist_{quantity}.csv", text)
     click.echo(f"wrote {path}")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import yaml
 
+from . import channel
 from .errors import RiscovError
 
 KM2_TO_M2 = 1e-6
@@ -87,6 +88,13 @@ class NetworkConfig:
     @property
     def thresholds_linear(self) -> tuple[float, ...]:
         return tuple(10.0 ** (t / 10.0) for t in self.thresholds_db)
+
+    def reflection_model(self) -> channel.ReflectionModel:
+        return channel.ReflectionModel(
+            m_elements=self.m_elements,
+            beta_attenuation=self.beta,
+            phase_bits=self.phase_bits,
+        )
 
     # -- schema ------------------------------------------------------------
     def validate(self) -> list[str]:
@@ -174,10 +182,15 @@ class NetworkConfig:
             raise ConfigError([f"unknown config key: {k}" for k in unknown])
         kwargs = dict(mapping)
         if "thresholds_db" in kwargs:
+            thresholds = kwargs["thresholds_db"]
+            error = ConfigError([f"thresholds_db: must be a list of numbers, got {thresholds!r}"])
+            # a bare string or number is not a list: "10" would become (1.0, 0.0)
+            if not isinstance(thresholds, (list, tuple)):
+                raise error
             try:
-                kwargs["thresholds_db"] = tuple(float(t) for t in kwargs["thresholds_db"])
+                kwargs["thresholds_db"] = tuple(float(t) for t in thresholds)
             except (TypeError, ValueError):
-                raise ConfigError([f"thresholds_db: must be a list of numbers, got {kwargs['thresholds_db']!r}"])
+                raise error
         if "compare_tolerances" in kwargs:
             sub = kwargs["compare_tolerances"]
             if not isinstance(sub, dict):

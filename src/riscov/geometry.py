@@ -377,9 +377,17 @@ def expected_inv_r1_pow(
     )
     # (pi*lambda_eff)**(p/2) * Gamma(1 - p/2, x) with x = pi*lambda_eff*eps**2
     scale = math.pi * _r1_intensity(lambda_bs, lambda_ris)
-    return scale * epsilon_floor ** (2.0 - power) * _scaled_upper_gamma(
-        1.0 - 0.5 * power, scale * epsilon_floor**2
-    )
+    try:
+        value = scale * epsilon_floor ** (2.0 - power) * _scaled_upper_gamma(
+            1.0 - 0.5 * power, scale * epsilon_floor**2
+        )
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"E[r1**-{power:g}] with floor {epsilon_floor:g} m exceeds the float range"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

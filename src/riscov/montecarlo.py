@@ -2,9 +2,10 @@
 
 One trial drops both point processes around a user at the origin, identifies
 the serving base and the engaged reflector, applies beam thinning and fading,
-and evaluates the per-path SIRs. Every trial is a pure function of
-``(master_seed, trial_index)``; results are therefore independent of chunking
-and of how many workers execute the chunks.
+and evaluates the per-path SIRs. One :class:`riscov.config.NetworkConfig`
+describes a run, trial count, seed and model flags included. Every trial is a
+pure function of ``(master_seed, trial_index)``; results are therefore
+independent of chunking and of how many workers execute the chunks.
 """
 from __future__ import annotations
 
@@ -25,45 +26,6 @@ CHUNK_TRIALS = 1024  # fixed chunking keeps merges identical for any worker coun
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything needed to reproduce a simulation run bit-for-bit."""
-
-    config: NetworkConfig
-    n_trials: int
-    master_seed: int
-    conditional_path_b: bool = True
-    orientation: str = "thinning"
-    shared_ris_fade: bool = True
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ParameterError(f"n_trials must be >= 1, got {self.n_trials!r}")
-        if self.orientation not in ("thinning", "explicit"):
-            raise ParameterError(f"unknown orientation mode {self.orientation!r}")
-
-    @classmethod
-    def from_config(cls, config: NetworkConfig, **overrides) -> "RunSpec":
-        kwargs = dict(
-            config=config,
-            n_trials=config.n_trials,
-            master_seed=config.master_seed,
-            conditional_path_b=config.conditional_path_b,
-            orientation=config.orientation,
-            shared_ris_fade=config.shared_ris_fade,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
-    def reflection_model(self) -> channel.ReflectionModel:
-        cfg = self.config
-        return channel.ReflectionModel(
-            m_elements=cfg.m_elements,
-            beta_attenuation=cfg.beta,
-            phase_bits=cfg.phase_bits,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +60,14 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index)))
 
 
-def drop_scenario(spec: RunSpec, trial_index: int) -> Scenario:
+def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
     """Sample one scenario: processes, associations, thinning, fades.
 
     The draw order (base count/radii/angles, reflector count/radii/angles,
     orientation draws, base fades, reflector-link fades, user-link fade) is
     part of the reproducibility contract.
     """
-    cfg = spec.config
-    rng = trial_rng(spec.master_seed, trial_index)
+    rng = trial_rng(cfg.master_seed, trial_index)
 
     lam_bs = cfg.lambda_bs_m2
     lam_ris = cfg.lambda_ris_m2
@@ -117,7 +78,7 @@ def drop_scenario(spec: RunSpec, trial_index: int) -> Scenario:
     ris = geometry.sample_ppp(lam_ris, geometry.window_radius(lam_ris), rng)
 
     n_bs = len(bs)
-    if spec.orientation == "thinning":
+    if cfg.orientation == "thinning":
         # independent thinning at exactly the analysis' retention probability
         u = rng.random(n_bs)
         single = u < 1.0 / math.sqrt(cfg.n_elements)
@@ -133,7 +94,7 @@ def drop_scenario(spec: RunSpec, trial_index: int) -> Scenario:
         split = off <= psi_split / 2.0
 
     g = rng.exponential(1.0 / cfg.mu, n_bs)
-    if spec.shared_ris_fade:
+    if cfg.shared_ris_fade:
         f1 = float(rng.exponential(1.0 / cfg.mu))
     else:
         # per-element amplitude fades, coherently combined
@@ -153,7 +114,7 @@ def drop_scenario(spec: RunSpec, trial_index: int) -> Scenario:
         nearest_ris, r2, r1 = None, math.nan, math.nan
 
     engaged = nearest_ris
-    if engaged is not None and spec.conditional_path_b and not (r2 < r0):
+    if engaged is not None and cfg.conditional_path_b and not (r2 < r0):
         engaged = None
 
     return Scenario(
@@ -261,9 +222,8 @@ class TrialRecords:
 
 
 def _simulate_chunk(args) -> dict:
-    spec, start, stop = args
-    cfg = spec.config
-    reflection = spec.reflection_model()
+    cfg, start, stop = args
+    reflection = cfg.reflection_model()
     n = stop - start
     cols = {
         name: np.empty(n)
@@ -275,7 +235,7 @@ def _simulate_chunk(args) -> dict:
     n_int_single = np.empty(n, dtype=np.int32)
     n_int_split = np.empty(n, dtype=np.int32)
     for k in range(n):
-        s = drop_scenario(spec, start + k)
+        s = drop_scenario(cfg, start + k)
         cols["sir_o"][k] = sir_baseline(s, cfg.alpha)
         cols["sir_a"][k] = sir_path_a(s, cfg.alpha)
         b = sir_path_b(s, cfg.alpha, reflection)
@@ -312,16 +272,17 @@ def worker_count() -> int:
         return 1
 
 
-def simulate(spec: RunSpec) -> TrialRecords:
+def simulate(cfg: NetworkConfig) -> TrialRecords:
     """Run all trials; output independent of the worker count.
 
     Trials are split into fixed-size chunks; each chunk seeds its own trials
     from ``(master_seed, trial_index)``, so the merge (a concatenation in
     chunk order) is associative and scheduling-free.
     """
+    cfg.require_valid()
     chunks = [
-        (spec, start, min(start + CHUNK_TRIALS, spec.n_trials))
-        for start in range(0, spec.n_trials, CHUNK_TRIALS)
+        (cfg, start, min(start + CHUNK_TRIALS, cfg.n_trials))
+        for start in range(0, cfg.n_trials, CHUNK_TRIALS)
     ]
     workers = worker_count()
     if workers == 1 or len(chunks) == 1:
@@ -358,7 +319,7 @@ def _binomial_ci(p: float, n: int) -> float:
 
 
 def estimate_coverage(
-    spec: RunSpec,
+    cfg: NetworkConfig,
     thresholds,
     records: TrialRecords | None = None,
 ) -> list[CoverageEstimate]:
@@ -367,10 +328,10 @@ def estimate_coverage(
     ``gamma_b`` conditions on an engaged reflector being present; the other
     metrics use every trial. Pass precomputed ``records`` to reuse a run.
     """
-    if spec.n_trials < 100:
+    if cfg.n_trials < 100:
         raise ParameterError("estimate_coverage needs at least 100 trials")
     if records is None:
-        records = simulate(spec)
+        records = simulate(cfg)
     out = []
     for metric in METRICS:
         values = records.metric_values(metric)
@@ -411,7 +372,7 @@ class Histogram:
 
 
 def empirical_histogram(
-    spec: RunSpec,
+    cfg: NetworkConfig,
     quantity: str,
     bins: int = 60,
     value_range: tuple[float, float] | None = None,
@@ -425,12 +386,12 @@ def empirical_histogram(
     """
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
-    if spec.n_trials < 1000:
+    if cfg.n_trials < 1000:
         raise ParameterError("empirical_histogram needs at least 1000 trials")
     if records is None:
-        records = simulate(spec)
+        records = simulate(cfg)
     if quantity == "p_ris":
-        values = 0.5 * spec.config.p_s * records.reflect_gain
+        values = 0.5 * cfg.p_s * records.reflect_gain
     else:
         values = getattr(records, quantity)
     values = values[np.isfinite(values)]

@@ -16,23 +16,23 @@ ACCEPT_SEED = 20260810
 
 
 class TimedRun:
-    def __init__(self, spec: montecarlo.RunSpec):
-        self.spec = spec
+    def __init__(self, cfg: NetworkConfig):
+        self.cfg = cfg
         t0 = time.perf_counter()
-        self.records = montecarlo.simulate(spec)
+        self.records = montecarlo.simulate(cfg)
         self.duration_s = time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def dense_run() -> TimedRun:
     """1e5 trials at the default dense-reflector operating point."""
-    cfg = NetworkConfig(n_trials=100_000, master_seed=ACCEPT_SEED)
-    return TimedRun(montecarlo.RunSpec.from_config(cfg))
+    return TimedRun(NetworkConfig(n_trials=100_000, master_seed=ACCEPT_SEED))
 
 
 @pytest.fixture(scope="session")
 def sparse_run() -> TimedRun:
     """1e5 trials at the distance-distribution benchmark densities
     (1000 reflectors and 25 bases per km^2)."""
-    cfg = NetworkConfig(lambda_ris=1000.0, n_trials=100_000, master_seed=ACCEPT_SEED + 1)
-    return TimedRun(montecarlo.RunSpec.from_config(cfg))
+    return TimedRun(
+        NetworkConfig(lambda_ris=1000.0, n_trials=100_000, master_seed=ACCEPT_SEED + 1)
+    )

@@ -38,17 +38,14 @@ def report(cid: int, description: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {cid}: {description} {detail}"
 
 
-def coverage_by(spec, thresholds, records):
-    ests = montecarlo.estimate_coverage(spec, thresholds, records=records)
+def coverage_by(cfg, thresholds, records):
+    ests = montecarlo.estimate_coverage(cfg, thresholds, records=records)
     return {(e.metric, e.threshold): e for e in ests}
 
 
-def make_query(T, **kw):
-    defaults = dict(threshold=T, alpha=4.0, n_elements=16, lambda_bs=2.5e-5,
-                    lambda_ris=5e-2, m_elements=100, beta=0.9, p_s=2.0, mu=1.0,
-                    epsilon_floor=1.0)
-    defaults.update(kw)
-    return analytic.CoverageQuery(**defaults)
+def make_cfg(**kw) -> NetworkConfig:
+    """The default deployment; overrides in config units (per km^2)."""
+    return NetworkConfig().replace(**kw)
 
 
 def test_c01_interference_factor_closed_form():
@@ -68,12 +65,13 @@ def test_c01_interference_factor_closed_form():
 
 
 def test_c02_baseline_analytic_vs_simulation(dense_run):
-    cfg = dense_run.spec.config
-    cov = coverage_by(dense_run.spec, cfg.thresholds_linear, dense_run.records)
+    cfg = dense_run.cfg
+    cov = coverage_by(cfg, cfg.thresholds_linear, dense_run.records)
     gaps = []
     for t_db, t_lin in zip(cfg.thresholds_db, cfg.thresholds_linear):
-        q = make_query(t_lin)
-        gaps.append(abs(cov[("gamma_o", t_lin)].probability - analytic.coverage_baseline(q)))
+        gaps.append(
+            abs(cov[("gamma_o", t_lin)].probability - analytic.coverage_baseline(cfg, t_lin))
+        )
     # the 0 dB point also pins the classic reference value
     zero_db = cov[("gamma_o", 1.0)].probability
     assert abs(zero_db - 16 / (16 + math.pi)) <= 0.005
@@ -85,15 +83,15 @@ def test_c02_baseline_analytic_vs_simulation(dense_run):
 
 
 def test_c03_power_density_independence():
-    base = make_query(2.0)
-    scaled = make_query(2.0, lambda_bs=2.5e-4, p_s=14.0)
+    base = make_cfg()
+    scaled = make_cfg(lambda_bs=250.0, p_s=14.0)
     analytic_dev = abs(
-        coverage_baseline_general(base) - coverage_baseline_general(scaled)
+        coverage_baseline_general(base, 2.0) - coverage_baseline_general(scaled, 2.0)
     )
     cfg_a = NetworkConfig(n_trials=1000, master_seed=404, p_s=2.0)
     cfg_b = NetworkConfig(n_trials=1000, master_seed=404, p_s=14.0)
-    rec_a = montecarlo.simulate(montecarlo.RunSpec.from_config(cfg_a))
-    rec_b = montecarlo.simulate(montecarlo.RunSpec.from_config(cfg_b))
+    rec_a = montecarlo.simulate(cfg_a)
+    rec_b = montecarlo.simulate(cfg_b)
     bit_identical = all(
         np.array_equal(getattr(rec_a, f), getattr(rec_b, f), equal_nan=True)
         for f in ("sir_o", "sir_a", "sir_b")
@@ -107,13 +105,13 @@ def test_c03_power_density_independence():
 
 def test_c04_path_a_ordering(dense_run):
     grid_ok = all(
-        analytic.coverage_path_a(make_query(t, n_elements=n))
-        <= analytic.coverage_baseline(make_query(t, n_elements=n))
+        analytic.coverage_path_a(make_cfg(n_elements=n), t)
+        <= analytic.coverage_baseline(make_cfg(n_elements=n), t)
         for t in np.logspace(-2, 2, 9)
         for n in (4, 16, 64, 256)
     )
-    cfg = dense_run.spec.config
-    cov = coverage_by(dense_run.spec, cfg.thresholds_linear, dense_run.records)
+    cfg = dense_run.cfg
+    cov = coverage_by(cfg, cfg.thresholds_linear, dense_run.records)
     mc_ok = all(
         cov[("gamma_a", t)].probability <= cov[("gamma_o", t)].probability
         for t in cfg.thresholds_linear
@@ -127,10 +125,8 @@ def test_c04_path_a_ordering(dense_run):
 
 
 def test_c05_r1_marginal_reproduction(sparse_run):
-    cfg = sparse_run.spec.config
-    hist = montecarlo.empirical_histogram(
-        sparse_run.spec, "r1", bins=50, records=sparse_run.records
-    )
+    cfg = sparse_run.cfg
+    hist = montecarlo.empirical_histogram(cfg, "r1", bins=50, records=sparse_run.records)
     lam_b, lam_r = cfg.lambda_bs_m2, cfg.lambda_ris_m2
     l1 = 0.0
     for left, right, dens in zip(hist.edges[:-1], hist.edges[1:], hist.density):
@@ -148,7 +144,7 @@ def test_c05_r1_marginal_reproduction(sparse_run):
 
 
 def test_c06_engaged_probability(sparse_run):
-    cfg = sparse_run.spec.config
+    cfg = sparse_run.cfg
     expected = geometry.prob_ris_closer(cfg.lambda_ris_m2, cfg.lambda_bs_m2)
     empirical = float(sparse_run.records.engaged.mean())
     gap = abs(empirical - expected)
@@ -209,9 +205,9 @@ def test_c09_array_factor():
 
 
 def test_c10_approx1_high_density_agreement(dense_run):
-    cov = coverage_by(dense_run.spec, [T5DB], dense_run.records)
+    cov = coverage_by(dense_run.cfg, [T5DB], dense_run.records)
     mc = cov[("gamma_b", T5DB)].probability
-    a1 = analytic.coverage_path_b_approx1(make_query(T5DB))
+    a1 = analytic.coverage_path_b_approx1(dense_run.cfg, T5DB)
     gap = abs(a1 - mc)
     report(
         10, "proportional-distance approximation agrees with simulation",
@@ -221,9 +217,9 @@ def test_c10_approx1_high_density_agreement(dense_run):
 
 
 def test_c11_approx2_lower_bound_direction(dense_run):
-    cov = coverage_by(dense_run.spec, [T5DB], dense_run.records)
+    cov = coverage_by(dense_run.cfg, [T5DB], dense_run.records)
     mc = cov[("gamma_b", T5DB)].probability
-    a2 = analytic.coverage_path_b_approx2(make_query(T5DB))
+    a2 = analytic.coverage_path_b_approx2(dense_run.cfg, T5DB)
     margin = mc - (a2 - TOL["approx2_margin"])
     report(
         11, "simulation does not undershoot the dense-deployment bound",
@@ -236,8 +232,7 @@ def _gamma_b_estimate(lambda_ris_km2, lambda_bs_km2, seed):
         lambda_ris=lambda_ris_km2, lambda_bs=lambda_bs_km2,
         n_trials=20_000, master_seed=seed, thresholds_db=(5.0,),
     )
-    spec = montecarlo.RunSpec.from_config(cfg)
-    ests = montecarlo.estimate_coverage(spec, [T5DB])
+    ests = montecarlo.estimate_coverage(cfg, [T5DB])
     return next(e for e in ests if e.metric == "gamma_b")
 
 
@@ -306,9 +301,9 @@ def test_c12_trend_suite():
 
 
 def test_c13_asymptotics():
-    big_bank = analytic.coverage_path_b_approx2(make_query(T5DB, m_elements=10**6))
-    dense_ris = analytic.coverage_path_b_approx2(make_query(T5DB, lambda_ris=1.0))
-    huge_array = analytic.coverage_baseline(make_query(1.0, n_elements=10**12))
+    big_bank = analytic.coverage_path_b_approx2(make_cfg(m_elements=10**6), T5DB)
+    dense_ris = analytic.coverage_path_b_approx2(make_cfg(lambda_ris=1e6), T5DB)
+    huge_array = analytic.coverage_baseline(make_cfg(n_elements=10**12), 1.0)
     ok = big_bank > 0.99 and dense_ris > 0.99 and huge_array > 1 - 1e-5
     report(
         13, "saturation limits: giant reflector banks, dense reflectors, huge arrays",

@@ -10,6 +10,7 @@ from scipy import integrate, optimize
 from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
 from riscov import analytic, geometry
+from riscov.config import NetworkConfig
 from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5
@@ -20,13 +21,9 @@ def closed_form_alpha4(T):
     return math.sqrt(T) * (math.pi / 2 - math.atan(T**-0.5))
 
 
-def make_query(T, **kw):
-    defaults = dict(
-        threshold=T, alpha=4.0, n_elements=16, lambda_bs=LAM_BS, lambda_ris=LAM_RIS,
-        m_elements=100, beta=0.9, p_s=2.0, mu=1.0, epsilon_floor=1.0,
-    )
-    defaults.update(kw)
-    return analytic.CoverageQuery(**defaults)
+def make_cfg(**kw) -> NetworkConfig:
+    """The default deployment (densities LAM_BS, LAM_RIS); overrides in config units."""
+    return NetworkConfig().replace(**kw)
 
 
 class TestInterferenceFactor:
@@ -55,6 +52,22 @@ class TestInterferenceFactor:
 
     def test_vanishes_with_threshold(self):
         assert analytic.interference_factor(1e-8, 4.0) < 1e-4
+
+    def test_array_threshold_matches_scalars(self):
+        thresholds = np.logspace(-2, 4, 13)
+        cfg = make_cfg(alpha=3.0)
+        assert np.array_equal(
+            analytic.interference_factor(thresholds, 3.0),
+            [analytic.interference_factor(t, 3.0) for t in thresholds],
+        )
+        for fn in (
+            analytic.coverage_baseline, analytic.coverage_path_a,
+            analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2,
+            analytic.coverage_selection,
+        ):
+            values = fn(cfg, thresholds)
+            assert values.shape == thresholds.shape
+            assert np.array_equal(values, [fn(cfg, t) for t in thresholds])
 
     def test_general_alpha_against_direct_quadrature(self):
         # oracle: finite-range quadrature plus a two-term series tail,
@@ -85,61 +98,61 @@ class TestInterferenceFactor:
 
 class TestBaselineCoverage:
     def test_reference_value(self):
-        q = make_query(1.0)
-        assert analytic.coverage_baseline(q) == pytest.approx(16 / (16 + math.pi), rel=1e-12)
+        assert analytic.coverage_baseline(make_cfg(), 1.0) == pytest.approx(
+            16 / (16 + math.pi), rel=1e-12
+        )
 
     def test_large_array_limit(self):
-        q = make_query(1.0, n_elements=10**12)
-        assert analytic.coverage_baseline(q) > 1 - 1e-5
+        assert analytic.coverage_baseline(make_cfg(n_elements=10**12), 1.0) > 1 - 1e-5
 
     def test_power_density_independence(self):
         # the pre-substitution ratio must not move when the deployment scales
-        base = make_query(2.0)
-        scaled = make_query(2.0, lambda_bs=10 * LAM_BS, p_s=7 * 2.0)
-        a = coverage_baseline_general(base)
-        b = coverage_baseline_general(scaled)
+        base = make_cfg()
+        scaled = make_cfg(lambda_bs=10 * base.lambda_bs, p_s=7 * 2.0)
+        a = coverage_baseline_general(base, 2.0)
+        b = coverage_baseline_general(scaled, 2.0)
         assert abs(a - b) <= 1e-12
-        assert a == pytest.approx(analytic.coverage_baseline(base), rel=1e-12)
+        assert a == pytest.approx(analytic.coverage_baseline(base, 2.0), rel=1e-12)
 
     def test_double_quadrature_oracle(self):
         # integrate the serving-distance law against the interferer Laplace
         # exponent directly; the closed form collapses this integral
+        cfg = make_cfg()
         for T in (0.25, 1.0, 8.0):
-            q = make_query(T)
-            lam_i = LAM_BS / math.sqrt(q.n_elements)
-            lower = T ** (-2 / q.alpha)
+            lam_i = LAM_BS / math.sqrt(cfg.n_elements)
+            lower = T ** (-2 / cfg.alpha)
             tail, _ = integrate.quad(
-                lambda u: 1.0 / (1.0 + u ** (q.alpha / 2)), lower, np.inf,
+                lambda u: 1.0 / (1.0 + u ** (cfg.alpha / 2)), lower, np.inf,
                 epsabs=1e-13, epsrel=1e-12,
             )
             def integrand(r):
                 return geometry.pdf_r0(r, LAM_BS) * math.exp(
-                    -math.pi * lam_i * r * r * T ** (2 / q.alpha) * tail
+                    -math.pi * lam_i * r * r * T ** (2 / cfg.alpha) * tail
                 )
             direct, _ = integrate.quad(integrand, 0, np.inf, epsabs=1e-12, epsrel=1e-10)
-            assert abs(direct - analytic.coverage_baseline(q)) < 1e-6
+            assert abs(direct - analytic.coverage_baseline(cfg, T)) < 1e-6
 
     def test_monotone_in_threshold(self):
         thresholds = np.logspace(-2, 3, 30)
-        vals = [analytic.coverage_baseline(make_query(t)) for t in thresholds]
+        vals = [analytic.coverage_baseline(make_cfg(), t) for t in thresholds]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
 
 class TestPathACoverage:
     def test_reference_value(self):
-        assert analytic.coverage_path_a(make_query(1.0)) == pytest.approx(
+        assert analytic.coverage_path_a(make_cfg(), 1.0) == pytest.approx(
             1.0 / (1.0 + math.pi / 4 * math.sqrt(1 / 8)), rel=1e-12
         )
 
     def test_never_beats_baseline(self):
         for T in np.logspace(-2, 2, 9):
             for n in (4, 16, 64, 256):
-                q = make_query(T, n_elements=n)
-                assert analytic.coverage_path_a(q) <= analytic.coverage_baseline(q)
+                cfg = make_cfg(n_elements=n)
+                assert analytic.coverage_path_a(cfg, T) <= analytic.coverage_baseline(cfg, T)
 
     def test_large_array_limit(self):
-        assert analytic.coverage_path_a(make_query(1.0, n_elements=10**12)) > 1 - 1e-5
+        assert analytic.coverage_path_a(make_cfg(n_elements=10**12), 1.0) > 1 - 1e-5
 
 
 class TestPathBCoverage:
@@ -156,10 +169,10 @@ class TestPathBCoverage:
 
     def test_approx1_with_unit_rho_equals_approx2_form(self):
         # algebraic identity: at rho = 1 the approximations share one formula
-        q = make_query(2.0)
-        conv = analytic.path_b_intensities(q)
-        i_factor = analytic.interference_factor(q.threshold, q.alpha)
-        i_rho1, _ = interference_quadrature(q.threshold, q.alpha, rho=1.0)
+        cfg, T = make_cfg(), 2.0
+        conv = analytic.path_b_intensities(cfg)
+        i_factor = analytic.interference_factor(T, cfg.alpha)
+        i_rho1, _ = interference_quadrature(T, cfg.alpha, rho=1.0)
         rho1_value = conv.lambda_ris_tilde / (
             conv.lambda_ris_tilde + conv.lambda_i_tilde * i_rho1
         )
@@ -170,8 +183,8 @@ class TestPathBCoverage:
 
     def test_approx1_monotone_in_ris_density(self):
         vals = [
-            analytic.coverage_path_b_approx1(make_query(10**0.5, lambda_ris=lr))
-            for lr in (5e-4, 1e-3, 1e-2, 5e-2)
+            analytic.coverage_path_b_approx1(make_cfg(lambda_ris=lr), 10**0.5)
+            for lr in (500.0, 1000.0, 1e4, 5e4)
         ]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
         assert all(0 <= v <= 1 for v in vals)
@@ -179,61 +192,62 @@ class TestPathBCoverage:
     def test_approx2_balance_point(self):
         # solve for the threshold where interference weight equals the
         # reflector weight; coverage must sit exactly at one half
-        q0 = make_query(1.0)
-        conv = analytic.path_b_intensities(q0)
+        cfg = make_cfg()
+        conv = analytic.path_b_intensities(cfg)
         target = conv.lambda_ris_tilde / conv.lambda_i_tilde
 
         def excess(log_t):
-            return analytic.interference_factor(math.exp(log_t), q0.alpha) - target
+            return analytic.interference_factor(math.exp(log_t), cfg.alpha) - target
 
         log_t_star = optimize.brentq(excess, math.log(1e-6), math.log(1e12), xtol=1e-13)
-        q_star = make_query(math.exp(log_t_star))
-        assert analytic.coverage_path_b_approx2(q_star) == pytest.approx(0.5, abs=1e-9)
+        assert analytic.coverage_path_b_approx2(cfg, math.exp(log_t_star)) == pytest.approx(
+            0.5, abs=1e-9
+        )
 
     def test_approx2_dense_ris_limit(self):
-        assert analytic.coverage_path_b_approx2(make_query(10**0.5, lambda_ris=1.0)) > 0.99
+        assert analytic.coverage_path_b_approx2(make_cfg(lambda_ris=1e6), 10**0.5) > 0.99
 
     def test_restatement_is_identical(self):
         for T in (0.1, 0.5, 1.0, 10**0.5, 10.0):
-            for lam_ris in (5e-4, 1e-3, 5e-3, 1e-2, 5e-2):
-                q = make_query(T, lambda_ris=lam_ris)
-                a = analytic.coverage_path_b_approx2(q)
-                b = coverage_path_b_restated(q)
+            for lam_ris in (500.0, 1000.0, 5000.0, 1e4, 5e4):
+                cfg = make_cfg(lambda_ris=lam_ris)
+                a = analytic.coverage_path_b_approx2(cfg, T)
+                b = coverage_path_b_restated(cfg, T)
                 assert abs(a - b) <= 1e-9
 
     def test_restated_trends(self):
         by_ris = [
-            analytic.coverage_path_b_approx2(make_query(10**0.5, lambda_ris=lr))
-            for lr in (5e-4, 1e-3, 1e-2, 5e-2)
+            analytic.coverage_path_b_approx2(make_cfg(lambda_ris=lr), 10**0.5)
+            for lr in (500.0, 1000.0, 1e4, 5e4)
         ]
         assert all(a < b for a, b in zip(by_ris, by_ris[1:]))
         by_bs = [
-            coverage_path_b_restated(make_query(10**0.5, lambda_bs=lb))
-            for lb in (1e-5, 2.5e-5, 1e-4, 4e-4)
+            coverage_path_b_restated(make_cfg(lambda_bs=lb), 10**0.5)
+            for lb in (10.0, 25.0, 100.0, 400.0)
         ]
         assert all(a >= b for a, b in zip(by_bs, by_bs[1:]))
         by_m = [
-            coverage_path_b_restated(make_query(10**0.5, m_elements=m))
+            coverage_path_b_restated(make_cfg(m_elements=m), 10**0.5)
             for m in (10, 100, 1000)
         ]
         assert all(a < b for a, b in zip(by_m, by_m[1:]))
         by_n = [
-            analytic.coverage_path_b_approx2(make_query(10**0.5, n_elements=n))
+            analytic.coverage_path_b_approx2(make_cfg(n_elements=n), 10**0.5)
             for n in (4, 16, 64)
         ]
         assert all(a < b for a, b in zip(by_n, by_n[1:]))
 
     def test_reflector_count_limit(self):
-        assert coverage_path_b_restated(make_query(10**0.5, m_elements=10**6)) > 0.999
+        assert coverage_path_b_restated(make_cfg(m_elements=10**6), 10**0.5) > 0.999
 
     def test_monotone_in_threshold_and_bounded(self):
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
-            vals = [fn(make_query(t)) for t in np.logspace(-2, 4, 25)]
+            vals = [fn(make_cfg(), t) for t in np.logspace(-2, 4, 25)]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
             assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_intensities_carry_floor_provenance(self):
-        conv = analytic.path_b_intensities(make_query(1.0, epsilon_floor=2.5))
+        conv = analytic.path_b_intensities(make_cfg(epsilon_floor=2.5))
         assert conv.epsilon_floor == 2.5
         assert conv.rho == pytest.approx(
             math.sqrt(conv.lambda_bs_tilde / conv.lambda_ris_tilde), rel=1e-12
@@ -242,15 +256,15 @@ class TestPathBCoverage:
 
 class TestSelectionCoverage:
     def test_combination_identity_and_dominance(self):
+        cfg = make_cfg()
         for T in (0.1, 1.0, 10.0, 1000.0):
-            q = make_query(T)
-            cov_a = analytic.coverage_path_a(q)
+            cov_a = analytic.coverage_path_a(cfg, T)
             for approx in (1, 2):
                 cov_b = (
-                    analytic.coverage_path_b_approx1(q)
-                    if approx == 1 else analytic.coverage_path_b_approx2(q)
+                    analytic.coverage_path_b_approx1(cfg, T)
+                    if approx == 1 else analytic.coverage_path_b_approx2(cfg, T)
                 )
-                sel = analytic.coverage_selection(q, approx=approx)
+                sel = analytic.coverage_selection(cfg, T, approx=approx)
                 assert sel == pytest.approx(1 - (1 - cov_a) * (1 - cov_b), rel=1e-12)
                 assert sel >= max(cov_a, cov_b) - 1e-15
                 assert 0.0 <= sel <= 1.0
@@ -258,25 +272,28 @@ class TestSelectionCoverage:
     def test_degenerate_endpoints(self):
         # vanishing path coverages push the combination to zero; a certain
         # path B pushes it to one
-        q = make_query(1e12)
-        assert analytic.coverage_selection(q, approx=2) < 1e-3
-        q_dense = make_query(0.1, lambda_ris=1.0, m_elements=10**6)
-        assert analytic.coverage_selection(q_dense, approx=2) > 1 - 1e-6
+        assert analytic.coverage_selection(make_cfg(), 1e12, approx=2) < 1e-3
+        dense = make_cfg(lambda_ris=1e6, m_elements=10**6)
+        assert analytic.coverage_selection(dense, 0.1, approx=2) > 1 - 1e-6
 
     def test_rejects_unknown_approx(self):
         with pytest.raises(ParameterError):
-            analytic.coverage_selection(make_query(1.0), approx=3)
+            analytic.coverage_selection(make_cfg(), 1.0, approx=3)
 
 
 class TestQueryValidation:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ParameterError):
-            make_query(0.0)
+            analytic.coverage_baseline(make_cfg(), 0.0)
+        with pytest.raises(ParameterError):
+            analytic.coverage_path_b_approx2(make_cfg(), np.array([1.0, -1.0]))
+
+    # a config built without validation still cannot reach a wrong number
 
     def test_rejects_alpha_at_two(self):
         with pytest.raises(ParameterError):
-            make_query(1.0, alpha=2.0)
+            analytic.coverage_baseline(NetworkConfig(alpha=2.0), 1.0)
 
     def test_rejects_fractional_elements(self):
         with pytest.raises(ParameterError):
-            make_query(1.0, n_elements=2.5)
+            analytic.coverage_path_b_approx1(NetworkConfig(n_elements=2.5), 1.0)

@@ -73,15 +73,15 @@ class TestAnalyticCommand:
         for row in rows:
             value = float(row["value"])
             assert 0.0 < value < 1.0
-            q = cli._query(cfg, 10.0 ** (float(row["T_db"]) / 10.0))
-            conv = analytic.path_b_intensities(q)
+            threshold = 10.0 ** (float(row["T_db"]) / 10.0)
+            conv = analytic.path_b_intensities(cfg)
             rho = conv.rho if row["engine"] == "approx1" else 1.0
-            i_factor, abs_err = interference_quadrature(q.threshold, q.alpha, rho=rho)
+            i_factor, abs_err = interference_quadrature(threshold, cfg.alpha, rho=rho)
             if abs_err > INTERFERENCE_ABS_TOL:
                 continue  # the oracle itself did not converge here
             expected = {
-                "analytic_q2": 1.0 / (1.0 + i_factor / math.sqrt(q.n_elements)),
-                "analytic_q23": 1.0 / (1.0 + math.sqrt(2.0 / q.n_elements) * i_factor),
+                "analytic_q2": 1.0 / (1.0 + i_factor / math.sqrt(cfg.n_elements)),
+                "analytic_q23": 1.0 / (1.0 + math.sqrt(2.0 / cfg.n_elements) * i_factor),
             }.get(row["engine"])
             if expected is None:  # approx1 and approx2 share one form up to rho
                 lam_ris_t = conv.lambda_ris_tilde
@@ -89,6 +89,17 @@ class TestAnalyticCommand:
             assert value == pytest.approx(expected, abs=1e-8)
             checked += 1
         assert checked > 0
+
+    def test_string_thresholds_exit_config_error(self, runner, tmp_path):
+        # a bare string used to be split into characters: "10" ran at 1 dB and 0 dB
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text('thresholds_db: "10"\n')
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.splitlines() == [
+            "config error: thresholds_db: must be a list of numbers, got '10'"
+        ]
+        assert not (tmp_path / "analytic.csv").exists()
 
     def test_header_is_exact(self, runner, tmp_path):
         runner.invoke(cli.main, ["analytic", "--out", str(tmp_path)], catch_exceptions=False)
@@ -255,6 +266,41 @@ class TestSweep:
         assert result.exit_code == 0
         vals = [float(r["value"]) for r in read_rows(tmp_path / "sweep.csv")]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("axis", ["N", "M"])
+    def test_fractional_count_rejected(self, runner, tmp_path, axis):
+        # int() used to truncate 8.5 to 8 while the row kept the label 8.5
+        result = runner.invoke(
+            cli.main,
+            ["sweep", "--out", str(tmp_path), "--axis", axis, "--grid", "8.5,16"],
+        )
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert "8.5" in result.stderr
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_integral_float_counts_accepted(self, runner, tmp_path):
+        result = runner.invoke(
+            cli.main,
+            ["sweep", "--out", str(tmp_path), "--axis", "N", "--grid", "4.0,16"],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0
+        rows = read_rows(tmp_path / "sweep.csv")
+        assert {r["axis_value"] for r in rows} == {"4", "16"}
+
+    def test_moment_overflow_is_pipeline_error(self, runner, tmp_path):
+        # E[r1**-alpha] above the float range used to escape as an OverflowError
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("alpha: 5000\nlambda_ris: 1000\nepsilon_floor: 0.5\n")
+        result = runner.invoke(
+            cli.main,
+            ["sweep", "-c", str(cfg), "--out", str(tmp_path), "--axis", "lambda_ris",
+             "--grid", "1000", "--metric", "e_p_ris"],
+        )
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("pipeline error: E[r1**-5000]")
 
     def test_nonincreasing_grid_rejected(self, runner, tmp_path):
         result = runner.invoke(

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from riscov import channel, geometry, montecarlo
-from riscov.config import NetworkConfig
+from riscov.config import ConfigError, NetworkConfig
 from riscov.errors import ParameterError
 
 
-def small_spec(**cfg_kw) -> montecarlo.RunSpec:
+def small_cfg(**cfg_kw) -> NetworkConfig:
     defaults = dict(n_trials=2000, master_seed=77)
     defaults.update(cfg_kw)
-    return montecarlo.RunSpec.from_config(NetworkConfig(**defaults))
+    return NetworkConfig(**defaults)
 
 
 def hand_scenario(
@@ -62,9 +62,9 @@ def hand_scenario(
 
 class TestDropScenario:
     def test_same_seed_and_trial_is_byte_identical(self):
-        spec = small_spec()
-        a = montecarlo.drop_scenario(spec, 5)
-        b = montecarlo.drop_scenario(spec, 5)
+        cfg = small_cfg()
+        a = montecarlo.drop_scenario(cfg, 5)
+        b = montecarlo.drop_scenario(cfg, 5)
         assert np.array_equal(a.bs_points.points, b.bs_points.points)
         assert np.array_equal(a.ris_points.points, b.ris_points.points)
         assert np.array_equal(a.fades.g, b.fades.g)
@@ -75,15 +75,15 @@ class TestDropScenario:
         )
 
     def test_different_trials_differ(self):
-        spec = small_spec()
-        a = montecarlo.drop_scenario(spec, 0)
-        b = montecarlo.drop_scenario(spec, 1)
+        cfg = small_cfg()
+        a = montecarlo.drop_scenario(cfg, 0)
+        b = montecarlo.drop_scenario(cfg, 1)
         assert a.r0 != b.r0
 
     def test_structure_invariants(self):
-        spec = small_spec()
+        cfg = small_cfg()
         for idx in range(20):
-            s = montecarlo.drop_scenario(spec, idx)
+            s = montecarlo.drop_scenario(cfg, idx)
             radii = s.bs_points.radii()
             assert s.r0 == radii.min()
             assert not s.retained_single[s.serving_bs_index]
@@ -93,36 +93,34 @@ class TestDropScenario:
             if s.nearest_ris_index is not None:
                 lo, hi = abs(s.r0 - s.r2), s.r0 + s.r2
                 assert lo - 1e-9 <= s.r1 <= hi + 1e-9
-            if spec.conditional_path_b and s.engaged_ris_index is not None:
+            if cfg.conditional_path_b and s.engaged_ris_index is not None:
                 assert s.r2 < s.r0
 
     def test_single_beam_retention_fraction(self):
         # thinning keeps 1/sqrt(N) of the non-serving bases
-        rec = montecarlo.simulate(small_spec(n_trials=10_000, n_elements=16))
+        rec = montecarlo.simulate(small_cfg(n_trials=10_000, n_elements=16))
         fraction = rec.n_interferers_single.sum() / (rec.n_bs.sum() - len(rec))
         assert abs(fraction - 0.25) < 0.01
         split_fraction = rec.n_interferers_split.sum() / (rec.n_bs.sum() - len(rec))
         assert abs(split_fraction - math.sqrt(2 / 16)) < 0.01
 
     def test_explicit_orientation_matches_thinning_rate(self):
-        spec = montecarlo.RunSpec.from_config(
+        rec = montecarlo.simulate(
             NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
         )
-        rec = montecarlo.simulate(spec)
         fraction = rec.n_interferers_single.sum() / (rec.n_bs.sum() - len(rec))
         assert abs(fraction - 0.25) < 0.01
 
     def test_engaged_fraction_tracks_density_ratio(self):
-        rec = montecarlo.simulate(small_spec(n_trials=10_000, lambda_ris=100.0))
+        rec = montecarlo.simulate(small_cfg(n_trials=10_000, lambda_ris=100.0))
         expected = 100.0 / 125.0
         se = math.sqrt(expected * (1 - expected) / 10_000)
         assert abs(rec.engaged.mean() - expected) < 4 * se
 
     def test_unconditional_mode_always_engages(self):
-        spec = montecarlo.RunSpec.from_config(
+        rec = montecarlo.simulate(
             NetworkConfig(n_trials=500, master_seed=9, conditional_path_b=False)
         )
-        rec = montecarlo.simulate(spec)
         assert rec.engaged.all()
 
 
@@ -209,8 +207,8 @@ class TestPerTrialSirs:
 
 class TestTransmitPowerInvariance:
     def test_records_bit_identical_under_power_rescale(self):
-        rec_a = montecarlo.simulate(small_spec(n_trials=1000, p_s=2.0))
-        rec_b = montecarlo.simulate(small_spec(n_trials=1000, p_s=14.0))
+        rec_a = montecarlo.simulate(small_cfg(n_trials=1000, p_s=2.0))
+        rec_b = montecarlo.simulate(small_cfg(n_trials=1000, p_s=14.0))
         for field in ("sir_o", "sir_a", "sir_b", "reflect_gain", "r0", "r1", "r2"):
             assert np.array_equal(
                 getattr(rec_a, field), getattr(rec_b, field), equal_nan=True
@@ -219,25 +217,24 @@ class TestTransmitPowerInvariance:
 
 class TestEstimateCoverage:
     def test_tiny_threshold_gives_certain_coverage(self):
-        spec = small_spec(n_trials=500)
-        ests = montecarlo.estimate_coverage(spec, [1e-12])
+        ests = montecarlo.estimate_coverage(small_cfg(n_trials=500), [1e-12])
         for e in ests:
             assert e.probability == 1.0
 
     def test_requires_minimum_trials(self):
         with pytest.raises(ParameterError):
-            montecarlo.estimate_coverage(small_spec(n_trials=50), [1.0])
+            montecarlo.estimate_coverage(small_cfg(n_trials=50), [1.0])
 
     def test_requires_positive_threshold(self):
         with pytest.raises(ParameterError):
-            montecarlo.estimate_coverage(small_spec(n_trials=200), [0.0])
+            montecarlo.estimate_coverage(small_cfg(n_trials=200), [0.0])
 
     def test_worker_count_does_not_change_estimates(self, monkeypatch):
-        spec = small_spec(n_trials=3000)
+        cfg = small_cfg(n_trials=3000)
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "1")
-        one = montecarlo.estimate_coverage(spec, [0.5, 1.0, 2.0])
+        one = montecarlo.estimate_coverage(cfg, [0.5, 1.0, 2.0])
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "3")
-        three = montecarlo.estimate_coverage(spec, [0.5, 1.0, 2.0])
+        three = montecarlo.estimate_coverage(cfg, [0.5, 1.0, 2.0])
         assert one == three
 
     def test_malformed_worker_count_warns(self, monkeypatch, capsys):
@@ -251,23 +248,21 @@ class TestEstimateCoverage:
         assert capsys.readouterr().err == ""
 
     def test_gamma_b_conditions_on_engagement(self):
-        spec = small_spec(n_trials=2000, lambda_ris=100.0)
-        rec = montecarlo.simulate(spec)
-        ests = montecarlo.estimate_coverage(spec, [1.0], records=rec)
+        cfg = small_cfg(n_trials=2000, lambda_ris=100.0)
+        rec = montecarlo.simulate(cfg)
+        ests = montecarlo.estimate_coverage(cfg, [1.0], records=rec)
         by_metric = {e.metric: e for e in ests}
         assert by_metric["gamma_b"].n_trials == int(rec.engaged.sum())
         assert by_metric["gamma_o"].n_trials == len(rec)
 
     def test_ci_formula(self):
-        spec = small_spec(n_trials=1000)
-        est = montecarlo.estimate_coverage(spec, [1.0])[0]
+        est = montecarlo.estimate_coverage(small_cfg(n_trials=1000), [1.0])[0]
         p, n = est.probability, est.n_trials
         assert est.ci_half_width == pytest.approx(1.96 * math.sqrt(p * (1 - p) / n))
 
     def test_coverage_nonincreasing_in_threshold(self):
-        spec = small_spec(n_trials=3000)
         thresholds = [0.1, 0.5, 1.0, 5.0, 20.0]
-        ests = montecarlo.estimate_coverage(spec, thresholds)
+        ests = montecarlo.estimate_coverage(small_cfg(n_trials=3000), thresholds)
         for metric in montecarlo.METRICS:
             vals = [e.probability for e in ests if e.metric == metric]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -275,10 +270,8 @@ class TestEstimateCoverage:
     def test_selection_dominates_paths_with_matched_denominators(self):
         # unconditional mode keeps every trial in every metric, making the
         # pointwise-max dominance exact at the coverage level
-        spec = montecarlo.RunSpec.from_config(
-            NetworkConfig(n_trials=2000, master_seed=31, conditional_path_b=False)
-        )
-        ests = montecarlo.estimate_coverage(spec, [0.5, 1.0, 5.0])
+        cfg = NetworkConfig(n_trials=2000, master_seed=31, conditional_path_b=False)
+        ests = montecarlo.estimate_coverage(cfg, [0.5, 1.0, 5.0])
         by = {(e.metric, e.threshold): e.probability for e in ests}
         for t in (0.5, 1.0, 5.0):
             assert by[("gamma_s", t)] >= max(by[("gamma_a", t)], by[("gamma_b", t)])
@@ -286,14 +279,12 @@ class TestEstimateCoverage:
 
 class TestHistograms:
     def test_mass_sums_to_one(self, sparse_run):
-        h = montecarlo.empirical_histogram(sparse_run.spec, "r1", records=sparse_run.records)
+        h = montecarlo.empirical_histogram(sparse_run.cfg, "r1", records=sparse_run.records)
         assert float(np.sum(h.density * h.widths)) == pytest.approx(1.0, abs=1e-12)
 
     def test_r0_histogram_matches_analytic_law(self, sparse_run):
-        cfg = sparse_run.spec.config
-        h = montecarlo.empirical_histogram(
-            sparse_run.spec, "r0", bins=50, records=sparse_run.records
-        )
+        cfg = sparse_run.cfg
+        h = montecarlo.empirical_histogram(cfg, "r0", bins=50, records=sparse_run.records)
         masses = np.array([
             geometry.DistanceLaw("r0", {"lambda_bs": cfg.lambda_bs_m2}).cdf(b)
             - geometry.DistanceLaw("r0", {"lambda_bs": cfg.lambda_bs_m2}).cdf(a)
@@ -303,45 +294,29 @@ class TestHistograms:
         assert float(np.abs(emp - masses).sum()) < 0.05
 
     def test_p_ris_scales_with_transmit_power(self):
-        spec = small_spec(n_trials=1500)
-        rec = montecarlo.simulate(spec)
-        h = montecarlo.empirical_histogram(spec, "p_ris", records=rec)
+        cfg = small_cfg(n_trials=1500)
+        rec = montecarlo.simulate(cfg)
+        h = montecarlo.empirical_histogram(cfg, "p_ris", records=rec)
         finite = rec.reflect_gain[np.isfinite(rec.reflect_gain)]
-        assert h.edges[-1] == pytest.approx(float(finite.max()) * spec.config.p_s / 2)
+        assert h.edges[-1] == pytest.approx(float(finite.max()) * cfg.p_s / 2)
 
     def test_unknown_quantity_rejected(self):
         with pytest.raises(ParameterError):
-            montecarlo.empirical_histogram(small_spec(), "r9")
+            montecarlo.empirical_histogram(small_cfg(), "r9")
 
     def test_requires_enough_trials(self):
         with pytest.raises(ParameterError):
-            montecarlo.empirical_histogram(small_spec(n_trials=10), "r0")
+            montecarlo.empirical_histogram(small_cfg(n_trials=10), "r0")
 
 
-class TestRunSpec:
-    def test_from_config_carries_flags(self):
-        cfg = NetworkConfig(n_trials=123, master_seed=9, orientation="explicit",
-                            conditional_path_b=False, shared_ris_fade=False)
-        spec = montecarlo.RunSpec.from_config(cfg)
-        assert (spec.n_trials, spec.master_seed) == (123, 9)
-        assert spec.orientation == "explicit"
-        assert not spec.conditional_path_b and not spec.shared_ris_fade
-
-    def test_overrides(self):
-        spec = montecarlo.RunSpec.from_config(NetworkConfig(), n_trials=11, master_seed=2)
-        assert (spec.n_trials, spec.master_seed) == (11, 2)
-
+class TestRunConfig:
     def test_rejects_zero_trials(self):
-        with pytest.raises(ParameterError):
-            montecarlo.RunSpec.from_config(NetworkConfig(), n_trials=0)
+        with pytest.raises(ConfigError):
+            montecarlo.simulate(NetworkConfig(n_trials=0))
 
     def test_independent_fade_mode_changes_reflection_only(self):
-        shared = montecarlo.RunSpec.from_config(
-            NetworkConfig(n_trials=400, master_seed=55, shared_ris_fade=True)
-        )
-        indep = montecarlo.RunSpec.from_config(
-            NetworkConfig(n_trials=400, master_seed=55, shared_ris_fade=False)
-        )
+        shared = NetworkConfig(n_trials=400, master_seed=55, shared_ris_fade=True)
+        indep = NetworkConfig(n_trials=400, master_seed=55, shared_ris_fade=False)
         rec_s = montecarlo.simulate(shared)
         rec_i = montecarlo.simulate(indep)
         # geometry draws precede the fade draws, so distances agree
