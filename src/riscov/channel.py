@@ -8,7 +8,7 @@ import numpy as np
 from scipy import special
 
 from . import geometry
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 
 WAVE_SPEED = 299792458.0
 
@@ -189,17 +189,34 @@ class ReflectionModel:
         _check_phase_bits(self.phase_bits)
 
 
-def reflection_gain(model: ReflectionModel, fade_f1: float, r1: float, alpha: float) -> float:
+def array_gain(model: ReflectionModel) -> float:
+    """Coherent power gain of the reflector bank: ``M**2 * beta`` times the phase efficiency.
+
+    Raises :class:`NumericalError` when it exceeds the float range; ``M`` is
+    an unbounded integer, so this happens for any ``M`` beyond about 1e154.
+    """
+    eff = quantization_efficiency(model.phase_bits)
+    try:
+        gain = float(model.m_elements) ** 2 * model.beta_attenuation * eff
+    except OverflowError:
+        gain = math.inf
+    if not math.isfinite(gain):
+        raise NumericalError(
+            f"reflector gain M**2 * beta exceeds the float range (M={model.m_elements})"
+        )
+    return gain
+
+
+def reflection_gain(model: ReflectionModel, fade_f1, r1, alpha: float):
     """Reflected power per unit of per-beam transmit power: ``M**2 * beta * f1 * r1**-alpha``.
 
     This is the power-free core of the reflection chain; the simulator uses it
     directly so transmit power never enters (and hence exactly cancels in) any
-    simulated ratio.
+    simulated ratio. ``fade_f1`` and ``r1`` may be scalars or arrays.
     """
-    if r1 <= 0:
+    if np.any(np.asarray(r1) <= 0):
         raise ParameterError(f"r1 must be positive, got {r1!r}")
-    eff = quantization_efficiency(model.phase_bits)
-    return model.m_elements**2 * model.beta_attenuation * eff * fade_f1 * path_loss(r1, alpha)
+    return array_gain(model) * fade_f1 * path_loss(r1, alpha)
 
 
 def peak_reflection_power(
@@ -230,10 +247,7 @@ def reflected_power_raw_moment(
         raise ParameterError("p_s and mu must be positive")
     if alpha <= 2:
         raise ParameterError(f"alpha must exceed 2, got {alpha!r}")
-    eff = quantization_efficiency(model.phase_bits)
-    prefactor = (
-        model.m_elements**2 * model.beta_attenuation * eff * p_s / (2.0 * mu**2)
-    ) ** (2.0 / alpha)
+    prefactor = (array_gain(model) * p_s / (2.0 * mu**2)) ** (2.0 / alpha)
     inv_sq = geometry.expected_inv_r1_pow(2.0, lambda_bs, lambda_ris, epsilon_floor)
     return float(prefactor * special.gamma(2.0 / alpha + 1.0) * inv_sq)
 
@@ -252,6 +266,5 @@ def mean_reflected_power(
         raise ParameterError("p_s and mu must be positive")
     if alpha <= 2:
         raise ParameterError(f"alpha must exceed 2, got {alpha!r}")
-    eff = quantization_efficiency(model.phase_bits)
     inv_alpha = geometry.expected_inv_r1_pow(alpha, lambda_bs, lambda_ris, epsilon_floor)
-    return model.m_elements**2 * model.beta_attenuation * eff * p_s / (2.0 * mu) * inv_alpha
+    return array_gain(model) * p_s / (2.0 * mu) * inv_alpha

@@ -24,6 +24,10 @@ KM2_TO_M2 = 1e-6
 
 ORIENTATION_MODES = ("thinning", "explicit")
 
+# Layout of the Monte-Carlo random streams (see riscov.montecarlo). It enters
+# every config hash, so outputs of different stream layouts never share one.
+STREAM_VERSION = 2
+
 
 class ConfigError(RiscovError, ValueError):
     """Raised on schema violations; ``errors`` lists field-level messages."""
@@ -164,9 +168,13 @@ class NetworkConfig:
         d["thresholds_db"] = list(self.thresholds_db)
         return d
 
+    def canonical_mapping(self) -> dict:
+        """What :meth:`config_hash` digests: every field plus the stream version."""
+        return {**self.to_mapping(), "stream_version": STREAM_VERSION}
+
     def config_hash(self) -> str:
         """Digest of every semantically meaningful field (comments never enter)."""
-        canonical = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.canonical_mapping(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
     def replace(self, **changes) -> "NetworkConfig":

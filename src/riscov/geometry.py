@@ -1,4 +1,4 @@
-"""Poisson point process sampling and analytic distance distributions.
+"""Analytic distance distributions of the Poisson network model.
 
 Everything here is expressed in SI units (meters, points per square meter).
 The nearest-neighbor distance of a homogeneous PPP of intensity ``lam`` is
@@ -30,7 +30,6 @@ from scipy import integrate, special
 
 from .errors import (
     DomainError,
-    EmptyScenarioError,
     NumericalError,
     ParameterError,
     SingularPointError,
@@ -39,12 +38,6 @@ from .errors import (
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
 # the outer integration limit is the 1 - TAIL_MASS quantile.
 TAIL_MASS = 1e-6
-
-# Expected point count of a sampling window. The interference from beyond the
-# window is dropped: about 2% of the mean at alpha = 3, more as alpha nears 2.
-WINDOW_TARGET_POINTS = 2000.0
-
-MAX_EMPTY_REDRAWS = 100
 
 
 def _check_positive(**kwargs: float) -> None:
@@ -57,101 +50,6 @@ def rayleigh_tail_radius(intensity: float, tail: float = TAIL_MASS) -> float:
     """Radius below which a nearest-neighbor distance falls with prob. 1 - tail."""
     _check_positive(intensity=intensity)
     return math.sqrt(-math.log(tail) / (math.pi * intensity))
-
-
-def window_radius(intensity: float) -> float:
-    """Sampling disc radius for a process of the given intensity.
-
-    The larger of 10x the mean nearest-neighbor distance ``1/(2*sqrt(lam))``
-    and the radius giving an expected ``WINDOW_TARGET_POINTS`` points.
-    """
-    _check_positive(intensity=intensity)
-    by_mean_distance = 10.0 * 0.5 / math.sqrt(intensity)
-    by_point_count = math.sqrt(WINDOW_TARGET_POINTS / (math.pi * intensity))
-    return max(by_mean_distance, by_point_count)
-
-
-@dataclass(frozen=True, eq=False)
-class PointSet:
-    """One realization of a planar point process on a disc around the origin.
-
-    ``points`` is an (n, 2) float array; every point lies within
-    ``window_radius`` of the origin. Origin distances are precomputed once;
-    they are the quantity every consumer needs.
-    """
-
-    points: np.ndarray
-    intensity: float
-    window_radius: float
-
-    def __post_init__(self):
-        _check_positive(intensity=self.intensity, window_radius=self.window_radius)
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "points", pts)
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        object.__setattr__(self, "_origin_radii", radii)
-        # 1 ulp of slack for points sampled exactly on the rim
-        if len(pts) and radii.max() > self.window_radius * (1 + 1e-12):
-            raise ParameterError("point outside the sampling window")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def radii(self, origin=None) -> np.ndarray:
-        if origin is None:
-            return self._origin_radii
-        d = self.points - np.asarray(origin, dtype=float)
-        return np.hypot(d[:, 0], d[:, 1])
-
-
-def sample_ppp(intensity: float, window_radius: float, rng: np.random.Generator) -> PointSet:
-    """Draw a homogeneous PPP on the disc of the given radius.
-
-    The count is Poisson with mean ``intensity * pi * radius**2`` and the
-    positions are uniform on the disc; fully determined by ``rng``'s state.
-    """
-    _check_positive(intensity=intensity, window_radius=window_radius)
-    mean_count = intensity * math.pi * window_radius**2
-    n = int(rng.poisson(mean_count))
-    # uniform on the disc: radius via sqrt of a uniform, independent angle
-    r = window_radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    pts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    return PointSet(points=pts, intensity=intensity, window_radius=window_radius)
-
-
-def sample_ppp_nonempty(
-    intensity: float,
-    window_radius: float,
-    rng: np.random.Generator,
-    max_redraws: int = MAX_EMPTY_REDRAWS,
-) -> PointSet:
-    """Like :func:`sample_ppp` but redraws (bounded) on an empty realization."""
-    for _ in range(max_redraws + 1):
-        ps = sample_ppp(intensity, window_radius, rng)
-        if len(ps):
-            return ps
-    raise EmptyScenarioError(
-        f"point process still empty after {max_redraws} redraws "
-        f"(intensity={intensity}, window_radius={window_radius}); enlarge the window"
-    )
-
-
-def nearest_point(point_set: PointSet, origin=None) -> tuple[int, float]:
-    """Index and distance of the point closest to ``origin`` (default: UE at 0).
-
-    Exact ties (measure zero) break toward the lowest insertion index, which
-    is what ``argmin`` does.
-    """
-    if not len(point_set):
-        raise EmptyScenarioError("nearest_point on an empty point set")
-    radii = point_set.radii(origin)
-    idx = int(np.argmin(radii))
-    return idx, float(radii[idx])
-
-
-def nearest_distance(point_set: PointSet, origin=None) -> float:
-    return nearest_point(point_set, origin)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,49 @@
-"""End-to-end stochastic simulator and independent oracle for the closed forms.
+"""Vectorized stochastic simulator and independent oracle for the closed forms.
 
-One trial drops both point processes around a user at the origin, identifies
-the serving base and the engaged reflector, applies beam thinning and fading,
-and evaluates the per-path SIRs. One :class:`riscov.config.NetworkConfig`
-describes a run, trial count, seed and model flags included. Every trial is a
-pure function of ``(master_seed, trial_index)``; results are therefore
-independent of chunking and of how many workers execute the chunks.
+One trial places the user at the origin, draws the serving base, the
+interferers that survive beam thinning and the nearest reflector, applies
+fading, and evaluates the per-path SIRs. One
+:class:`riscov.config.NetworkConfig` describes a run, trial count, seed and
+model flags included.
+
+Sampling rests on two facts about a Poisson field of intensity ``lam`` seen
+from the origin. Its ordered squared distances are Poisson arrivals,
+``pi * lam * r_k**2 = Gamma_k`` with unit-rate gaps (Haenggi, "On distances
+in uniformly random networks", IEEE T-IT 2005). And the position of its
+nearest point is one isotropic Gaussian with variance ``1/(2*pi*lam)`` per
+coordinate. Hence, per trial:
+
+* the serving base sits at ``r0**2 = E / (pi * lambda_bs)`` with ``E`` a
+  standard exponential, placed on the positive x-axis (the law is isotropic);
+* the other bases form a Poisson field beyond ``r0``. Interferer beams point
+  at random, so a base interferes iff its main lobe covers the user. Its
+  off-boresight angle is uniform on ``[0, pi]`` and independent of its
+  position, and the lobe half-width over ``pi`` is ``1/sqrt(N)`` (single
+  beam) or ``sqrt(2/N)`` (split beam), capped at 1. So ``orientation:
+  explicit`` and ``orientation: thinning`` are the same thinning, and the
+  single-beam survivors are a nested sub-thinning of the split-beam ones with
+  probability ``p_single / p_split``. Only the split-beam survivors are
+  drawn: ``K = ceil(TRUNCATION_BASES * p_split)`` arrivals at
+  ``r_k**2 = r0**2 + Gamma_k / (pi * lambda_bs * p_split)``, which covers the
+  disc holding ``TRUNCATION_BASES`` base stations on average;
+* the interference beyond the last arrival ``r_K`` enters as its conditional
+  mean ``2*pi*lambda_bs*p*E[g] * r_K**(2-alpha) / (alpha-2)`` for each
+  retention probability ``p``;
+* the nearest reflector is one Gaussian draw; ``r2`` is its distance to the
+  user and ``r1 = hypot(x - r0, y)`` its distance to the serving base.
+
+Random streams (``riscov.config.STREAM_VERSION`` 2). Trials are cut into
+chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from one generator seeded by
+``(master_seed, c)``, in this order: the serving-distance exponentials of
+the chunk, its reflector positions (trial-major ``(n, 2)`` standard
+normals), then for each block of at most ``BLOCK_TRIALS`` trials the arrival
+gaps, the interferer fades and the sub-thinning uniforms (each a trial-major
+``(block, K)`` array), and last the serving fades, the reflector-to-user
+fades and the base-to-reflector fades of the chunk. With
+``shared_ris_fade: false`` the last are ``M`` per trial, drawn in slices of
+``FADE_SLICE`` values. Since the fades come last, the flag changes nothing
+but the reflected path. Output depends on ``(master_seed, n_trials)`` and
+the config, never on how many workers run the chunks.
 """
 from __future__ import annotations
 
@@ -17,173 +55,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, geometry
+from . import channel
 from .config import NetworkConfig
-from .errors import EmptyScenarioError, ParameterError
+from .errors import ParameterError
 
 WORKERS_ENV_VAR = "RISCOV_WORKERS"
 CHUNK_TRIALS = 1024  # fixed chunking keeps merges identical for any worker count
+BLOCK_TRIALS = 128   # trials whose (trial, interferer) arrays are held at once
+FADE_SLICE = 1 << 16  # per-element fades drawn at once with shared_ris_fade: false
+
+# Expected base stations (before thinning) inside the disc whose interferers
+# are drawn one by one; the rest of the plane enters as its mean.
+TRUNCATION_BASES = 2000.0
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
 
-
-@dataclass(frozen=True, eq=False)
-class Fades:
-    """Per-link exponential power gains of one trial."""
-
-    g: np.ndarray  # one per base station; index of the serving base is g0
-    f1: float      # base-to-reflector (effective, see shared_ris_fade)
-    h: float       # reflector-to-user
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """One realized drop; all downstream SIRs are deterministic given this."""
-
-    bs_points: geometry.PointSet
-    ris_points: geometry.PointSet
-    serving_bs_index: int
-    nearest_ris_index: int | None
-    engaged_ris_index: int | None
-    r0: float
-    r2: float  # nan when the reflector process is empty
-    r1: float  # nan when the reflector process is empty
-    fades: Fades
-    retained_single: np.ndarray  # interferers surviving single-beam thinning
-    retained_split: np.ndarray   # interferers surviving split-beam thinning
-    trial_index: int
-
-
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent substream for one trial, stable across chunking/workers."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index)))
-
-
-def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
-    """Sample one scenario: processes, associations, thinning, fades.
-
-    The draw order (base count/radii/angles, reflector count/radii/angles,
-    orientation draws, base fades, reflector-link fades, user-link fade) is
-    part of the reproducibility contract.
-    """
-    rng = trial_rng(cfg.master_seed, trial_index)
-
-    lam_bs = cfg.lambda_bs_m2
-    lam_ris = cfg.lambda_ris_m2
-    try:
-        bs = geometry.sample_ppp_nonempty(lam_bs, geometry.window_radius(lam_bs), rng)
-    except EmptyScenarioError as exc:
-        raise EmptyScenarioError(f"trial {trial_index}: {exc}") from exc
-    ris = geometry.sample_ppp(lam_ris, geometry.window_radius(lam_ris), rng)
-
-    n_bs = len(bs)
-    if cfg.orientation == "thinning":
-        # independent thinning at exactly the analysis' retention probability
-        u = rng.random(n_bs)
-        single = u < 1.0 / math.sqrt(cfg.n_elements)
-        split = u < math.sqrt(2.0 / cfg.n_elements)
-    else:
-        # explicit main lobes: retained iff the beam covers the user
-        boresight = 2.0 * math.pi * rng.random(n_bs)
-        to_user = np.arctan2(-bs.points[:, 1], -bs.points[:, 0])
-        off = np.abs((boresight - to_user + math.pi) % (2.0 * math.pi) - math.pi)
-        psi_single = channel.BeamModel(cfg.n_elements, channel.SINGLE_BEAM).beamwidth
-        psi_split = channel.BeamModel(cfg.n_elements, channel.SPLIT_BEAM).beamwidth
-        single = off <= psi_single / 2.0
-        split = off <= psi_split / 2.0
-
-    g = rng.exponential(1.0 / cfg.mu, n_bs)
-    if cfg.shared_ris_fade:
-        f1 = float(rng.exponential(1.0 / cfg.mu))
-    else:
-        # per-element amplitude fades, coherently combined
-        f_m = rng.exponential(1.0 / cfg.mu, cfg.m_elements)
-        f1 = float(np.sqrt(f_m).mean() ** 2)
-    h = float(rng.exponential(1.0 / cfg.mu))
-
-    serving, r0 = geometry.nearest_point(bs)
-    single[serving] = False
-    split[serving] = False
-
-    if len(ris):
-        nearest_ris, r2 = geometry.nearest_point(ris)
-        d = bs.points[serving] - ris.points[nearest_ris]
-        r1 = float(np.hypot(d[0], d[1]))
-    else:
-        nearest_ris, r2, r1 = None, math.nan, math.nan
-
-    engaged = nearest_ris
-    if engaged is not None and cfg.conditional_path_b and not (r2 < r0):
-        engaged = None
-
-    return Scenario(
-        bs_points=bs,
-        ris_points=ris,
-        serving_bs_index=serving,
-        nearest_ris_index=nearest_ris,
-        engaged_ris_index=engaged,
-        r0=r0,
-        r2=r2,
-        r1=r1,
-        fades=Fades(g=g, f1=f1, h=h),
-        retained_single=single,
-        retained_split=split,
-        trial_index=trial_index,
-    )
-
-
-# ---------------------------------------------------------------------------
-# per-trial SIRs
-# ---------------------------------------------------------------------------
-#
-# Transmit power never appears below: it cancels identically between signal
-# and interference, so simulated SIRs are bit-identical under power rescaling.
-
-def _interference(s: Scenario, mask: np.ndarray, alpha: float) -> float:
-    radii = s.bs_points.radii()[mask]
-    if radii.size == 0:
-        return 0.0
-    return float(np.sum(s.fades.g[mask] * radii**-alpha))
-
-def sir_baseline(s: Scenario, alpha: float) -> float:
-    """Single-beam SIR; +inf when no interferer survived thinning."""
-    i_sum = _interference(s, s.retained_single, alpha)
-    signal = s.fades.g[s.serving_bs_index] * s.r0**-alpha
-    return signal / i_sum if i_sum > 0 else math.inf
-
-
-def sir_path_a(s: Scenario, alpha: float) -> float:
-    """Split-beam direct-path SIR over the wider retained interferer set."""
-    i_sum = _interference(s, s.retained_split, alpha)
-    signal = s.fades.g[s.serving_bs_index] * s.r0**-alpha
-    return signal / i_sum if i_sum > 0 else math.inf
-
-
-def sir_path_b(
-    s: Scenario, alpha: float, reflection: channel.ReflectionModel
-) -> float | None:
-    """Reflected-path SIR, or None when no reflector is engaged."""
-    if s.engaged_ris_index is None:
-        return None
-    gain = channel.reflection_gain(reflection, s.fades.f1, s.r1, alpha)
-    i_sum = _interference(s, s.retained_split, alpha)
-    signal = gain * s.fades.h * s.r2**-alpha
-    return signal / i_sum if i_sum > 0 else math.inf
-
-
-def sir_selection(
-    s: Scenario, alpha: float, reflection: channel.ReflectionModel
-) -> float:
-    """Selection diversity: the stronger of the two paths."""
-    a = sir_path_a(s, alpha)
-    b = sir_path_b(s, alpha, reflection)
-    return a if b is None else max(a, b)
-
-
-# ---------------------------------------------------------------------------
-# batch execution
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class TrialRecords:
@@ -192,13 +79,12 @@ class TrialRecords:
     sir_o: np.ndarray
     sir_a: np.ndarray
     sir_b: np.ndarray          # nan where no engaged reflector
-    reflect_gain: np.ndarray   # reflected power per unit per-beam power; nan w/o reflector
+    reflect_gain: np.ndarray   # reflected power per unit per-beam power
     r0: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
+    r_far: np.ndarray          # radius of the last drawn interferer
     engaged: np.ndarray        # bool
-    n_bs: np.ndarray
-    n_ris: np.ndarray
     n_interferers_single: np.ndarray
     n_interferers_split: np.ndarray
 
@@ -221,45 +107,97 @@ class TrialRecords:
         raise ParameterError(f"unknown metric {metric!r}")
 
 
+def _retention_probabilities(n_elements: int) -> tuple[float, float]:
+    """Probabilities that a random single beam / split beam covers the user."""
+    return tuple(
+        min(1.0, channel.BeamModel(n_elements, mode).retention_probability)
+        for mode in (channel.SINGLE_BEAM, channel.SPLIT_BEAM)
+    )
+
+
+def _interference_block(cfg, rng, r0_sq, loss, power):
+    """Interference sums of one block; returns (single, split, r_far, n_single).
+
+    ``loss`` and ``power`` are ``(block, K)`` scratch buffers, overwritten.
+    """
+    p_single, p_split = _retention_probabilities(cfg.n_elements)
+    lam, alpha, mean_fade = cfg.lambda_bs_m2, cfg.alpha, 1.0 / cfg.mu
+    # squared radii of the split-beam survivors, then their path loss
+    rng.standard_exponential(out=loss)
+    np.cumsum(loss, axis=1, out=loss)
+    loss *= 1.0 / (math.pi * lam * p_split)
+    loss += r0_sq[:, None]
+    r_far_sq = loss[:, -1].copy()
+    np.power(loss, -0.5 * alpha, out=loss)
+    rng.standard_exponential(out=power)
+    power *= mean_fade
+    power *= loss
+    kept = rng.random(out=loss) < p_single / p_split
+    split = power.sum(axis=1)
+    # same summation tree as `split`, so single <= split holds exactly
+    single = np.multiply(power, kept, out=loss).sum(axis=1)
+    tail = 2.0 * math.pi * lam * mean_fade * r_far_sq ** (1.0 - 0.5 * alpha) / (alpha - 2.0)
+    single += p_single * tail
+    split += p_split * tail
+    return single, split, np.sqrt(r_far_sq), np.count_nonzero(kept, axis=1)
+
+
+def _coherent_fades(rng, cfg, n):
+    """Effective base-to-reflector fades with per-element amplitudes: (mean sqrt f_m)**2."""
+    m = cfg.m_elements
+    sums = np.zeros(n)
+    for start in range(0, n * m, FADE_SLICE):
+        stop = min(start + FADE_SLICE, n * m)
+        amplitude = np.sqrt(rng.exponential(1.0 / cfg.mu, stop - start))
+        trial = np.arange(start, stop) // m
+        first = start // m
+        sums[first:trial[-1] + 1] += np.bincount(trial - first, weights=amplitude)
+    return (sums / m) ** 2
+
+
 def _simulate_chunk(args) -> dict:
-    cfg, start, stop = args
-    reflection = cfg.reflection_model()
-    n = stop - start
-    cols = {
-        name: np.empty(n)
-        for name in ("sir_o", "sir_a", "sir_b", "reflect_gain", "r0", "r1", "r2")
+    cfg, chunk_index, n = args
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
+    alpha = cfg.alpha
+    _, p_split = _retention_probabilities(cfg.n_elements)
+    n_arrivals = math.ceil(TRUNCATION_BASES * p_split)
+
+    r0_sq = rng.standard_exponential(n) / (math.pi * cfg.lambda_bs_m2)
+    ris_xy = rng.standard_normal((n, 2)) * math.sqrt(1.0 / (2.0 * math.pi * cfg.lambda_ris_m2))
+
+    i_single, i_split, r_far = np.empty(n), np.empty(n), np.empty(n)
+    n_single = np.empty(n, dtype=np.int32)
+    buffers = np.empty((2, min(n, BLOCK_TRIALS), n_arrivals))
+    for lo in range(0, n, BLOCK_TRIALS):
+        hi = min(lo + BLOCK_TRIALS, n)
+        i_single[lo:hi], i_split[lo:hi], r_far[lo:hi], n_single[lo:hi] = _interference_block(
+            cfg, rng, r0_sq[lo:hi], *buffers[:, : hi - lo]
+        )
+
+    g0 = rng.exponential(1.0 / cfg.mu, n)
+    h = rng.exponential(1.0 / cfg.mu, n)
+    f1 = rng.exponential(1.0 / cfg.mu, n) if cfg.shared_ris_fade else _coherent_fades(rng, cfg, n)
+
+    r0 = np.sqrt(r0_sq)
+    r1 = np.hypot(ris_xy[:, 0] - r0, ris_xy[:, 1])
+    r2 = np.hypot(ris_xy[:, 0], ris_xy[:, 1])
+    engaged = r2 < r0 if cfg.conditional_path_b else np.ones(n, dtype=bool)
+    signal = g0 * r0_sq ** (-0.5 * alpha)
+    reflect_gain = channel.reflection_gain(cfg.reflection_model(), f1, r1, alpha)
+    sir_b = reflect_gain * h * r2 ** -alpha / i_split
+    return {
+        "sir_o": signal / i_single,
+        "sir_a": signal / i_split,
+        "sir_b": np.where(engaged, sir_b, math.nan),
+        "reflect_gain": reflect_gain,
+        "r0": r0,
+        "r1": r1,
+        "r2": r2,
+        "r_far": r_far,
+        "engaged": engaged,
+        "n_interferers_single": n_single,
+        "n_interferers_split": np.full(n, n_arrivals, dtype=np.int32),
     }
-    engaged = np.empty(n, dtype=bool)
-    n_bs = np.empty(n, dtype=np.int32)
-    n_ris = np.empty(n, dtype=np.int32)
-    n_int_single = np.empty(n, dtype=np.int32)
-    n_int_split = np.empty(n, dtype=np.int32)
-    for k in range(n):
-        s = drop_scenario(cfg, start + k)
-        cols["sir_o"][k] = sir_baseline(s, cfg.alpha)
-        cols["sir_a"][k] = sir_path_a(s, cfg.alpha)
-        b = sir_path_b(s, cfg.alpha, reflection)
-        cols["sir_b"][k] = math.nan if b is None else b
-        if s.nearest_ris_index is None:
-            cols["reflect_gain"][k] = math.nan
-        else:
-            cols["reflect_gain"][k] = channel.reflection_gain(
-                reflection, s.fades.f1, s.r1, cfg.alpha
-            )
-        cols["r0"][k] = s.r0
-        cols["r1"][k] = s.r1
-        cols["r2"][k] = s.r2
-        engaged[k] = s.engaged_ris_index is not None
-        n_bs[k] = len(s.bs_points)
-        n_ris[k] = len(s.ris_points)
-        n_int_single[k] = int(np.count_nonzero(s.retained_single))
-        n_int_split[k] = int(np.count_nonzero(s.retained_split))
-    cols["engaged"] = engaged
-    cols["n_bs"] = n_bs
-    cols["n_ris"] = n_ris
-    cols["n_interferers_single"] = n_int_single
-    cols["n_interferers_split"] = n_int_split
-    return cols
 
 
 def worker_count() -> int:
@@ -275,14 +213,15 @@ def worker_count() -> int:
 def simulate(cfg: NetworkConfig) -> TrialRecords:
     """Run all trials; output independent of the worker count.
 
-    Trials are split into fixed-size chunks; each chunk seeds its own trials
-    from ``(master_seed, trial_index)``, so the merge (a concatenation in
-    chunk order) is associative and scheduling-free.
+    Trials are split into fixed-size chunks; each chunk draws from its own
+    stream keyed by ``(master_seed, chunk_index)``, so the merge (a
+    concatenation in chunk order) is associative and scheduling-free.
     """
     cfg.require_valid()
+    channel.array_gain(cfg.reflection_model())  # an overflowing bank fails before any draw
     chunks = [
-        (cfg, start, min(start + CHUNK_TRIALS, cfg.n_trials))
-        for start in range(0, cfg.n_trials, CHUNK_TRIALS)
+        (cfg, index, min(CHUNK_TRIALS, cfg.n_trials - start))
+        for index, start in enumerate(range(0, cfg.n_trials, CHUNK_TRIALS))
     ]
     workers = worker_count()
     if workers == 1 or len(chunks) == 1:

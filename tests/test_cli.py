@@ -101,6 +101,16 @@ class TestAnalyticCommand:
         ]
         assert not (tmp_path / "analytic.csv").exists()
 
+    def test_huge_reflector_bank_is_pipeline_error(self, runner, tmp_path):
+        # M is an unbounded integer, so M**2 can leave the float range
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("m_elements: 1" + "0" * 160 + "\n")
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("pipeline error: reflector gain")
+
     def test_header_is_exact(self, runner, tmp_path):
         runner.invoke(cli.main, ["analytic", "--out", str(tmp_path)], catch_exceptions=False)
         first = (tmp_path / "analytic.csv").read_text().splitlines()[0]
@@ -301,6 +311,17 @@ class TestSweep:
         assert isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("pipeline error: E[r1**-5000]")
+
+    def test_huge_reflector_bank_is_pipeline_error(self, runner, tmp_path):
+        result = runner.invoke(
+            cli.main,
+            ["sweep", "--out", str(tmp_path), "--axis", "M", "--grid", "1e160",
+             "--metric", "e_p_ris"],
+        )
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("pipeline error: reflector gain")
 
     def test_nonincreasing_grid_rejected(self, runner, tmp_path):
         result = runner.invoke(

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from riscov import config
 from riscov.config import CompareTolerances, ConfigError, NetworkConfig, load_config
 
 
@@ -68,6 +69,14 @@ class TestHashing:
 
     def test_hash_is_stable(self):
         assert NetworkConfig().config_hash() == NetworkConfig().config_hash()
+
+    def test_canonical_mapping_carries_stream_version(self, monkeypatch):
+        cfg = NetworkConfig()
+        assert cfg.canonical_mapping()["stream_version"] == config.STREAM_VERSION == 2
+        assert "stream_version" not in cfg.to_mapping()
+        before = cfg.config_hash()
+        monkeypatch.setattr(config, "STREAM_VERSION", 3)
+        assert cfg.config_hash() != before
 
     def test_comments_do_not_change_hash(self, tmp_path):
         plain = tmp_path / "a.yaml"

