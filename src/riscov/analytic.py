@@ -48,15 +48,24 @@ def interference_factor(T, alpha: float):
 # ---------------------------------------------------------------------------
 
 def coverage_baseline(cfg: NetworkConfig, T):
-    """Single-beam coverage ``1 / (1 + I(T, a) / sqrt(N))``."""
+    """Single-beam coverage ``1 / (1 + I(T, a) / sqrt(N))``.
+
+    The single-beam retention ``1/sqrt(N)`` never exceeds 1, so no cap
+    applies; dividing by ``sqrt(N)`` rather than multiplying by the rounded
+    retention keeps every value bit-identical to earlier releases.
+    """
     i_factor = interference_factor(T, cfg.alpha)
     return 1.0 / (1.0 + i_factor / math.sqrt(cfg.n_elements))
 
 
 def coverage_path_a(cfg: NetworkConfig, T):
-    """Split-beam direct-path coverage ``1 / (1 + sqrt(2/N) * I(T, a))``."""
-    i_factor = interference_factor(T, cfg.alpha)
-    return 1.0 / (1.0 + math.sqrt(2.0 / cfg.n_elements) * i_factor)
+    """Split-beam direct-path coverage ``1 / (1 + p * I(T, a))``.
+
+    ``p = min(1, sqrt(2/N))`` is the split-beam retention of
+    :class:`riscov.channel.BeamModel`, so at ``N = 1`` this equals the baseline.
+    """
+    retention = channel.BeamModel(cfg.n_elements, channel.SPLIT_BEAM).retention_probability
+    return 1.0 / (1.0 + retention * interference_factor(T, cfg.alpha))
 
 
 # ---------------------------------------------------------------------------

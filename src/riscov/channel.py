@@ -37,10 +37,15 @@ class BeamModel:
 
     @property
     def retention_probability(self) -> float:
-        """Fraction of interferers whose random main lobe covers the user."""
+        """Fraction of interferers whose random main lobe covers the user.
+
+        The lobe half-width over ``pi`` is ``1/sqrt(N)`` (single beam) or
+        ``sqrt(2/N)`` (split beam); a lobe wider than the full circle (the
+        split beam at ``N = 1``) retains every base, hence the cap at 1.
+        """
         if self.mode == SINGLE_BEAM:
             return 1.0 / math.sqrt(self.n_elements)
-        return math.sqrt(2.0 / self.n_elements)
+        return min(1.0, math.sqrt(2.0 / self.n_elements))
 
     def per_beam_power(self, p_s: float) -> float:
         return p_s if self.mode == SINGLE_BEAM else 0.5 * p_s

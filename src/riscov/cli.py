@@ -40,6 +40,9 @@ ANALYTIC_ENGINES = {
 
 SWEEP_METRICS = ("coverage", "e_r1", "e_p_ris")
 
+# a threshold this close (in dB) to `gamma_b_gate_t_db` gets the gamma_b gates
+GATE_T_DB_ABS_TOL = 1e-9
+
 SWEEP_AXES = {
     "lambda_ris": "lambda_ris_per_km2",
     "lambda_bs": "lambda_bs_per_km2",
@@ -217,7 +220,7 @@ def build_comparison(
         add_gate("gamma_a", t_db, "analytic_q23", "absolute", tol.gamma_a)
         # the reflected-path approximations are gated at their advertised
         # operating point only
-        if t_db == float(tol.gamma_b_gate_t_db):
+        if math.isclose(t_db, float(tol.gamma_b_gate_t_db), abs_tol=GATE_T_DB_ABS_TOL):
             add_gate("gamma_b", t_db, "approx1", "absolute", tol.gamma_b_approx1)
             add_gate("gamma_b", t_db, "approx2", "lower_bound", tol.gamma_b_approx2_margin)
 

@@ -17,7 +17,9 @@ Gamma(1 - p/2, pi*lambda_eff*eps**2)``. Two quantities are still integrated
 numerically: the ``r1`` law restricted to realizations with the reflector
 closer than the base (not Gaussian), and ``expected_r1``, kept as a
 truncated quadrature so its output matches earlier releases (the exact value
-is ``0.5 / sqrt(lambda_eff)``).
+is ``0.5 / sqrt(lambda_eff)``). Both load SciPy's integrators on first use:
+``scipy.integrate`` drags in ``scipy.optimize`` and costs about 0.4 s to
+import, which no other code path needs to pay.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (
     DomainError,
@@ -189,6 +191,8 @@ def pdf_r1_marginal(
     if mode == "unconditional":
         return _rayleigh_pdf(r1, _r1_intensity(lambda_bs, lambda_ris))
 
+    from scipy import integrate  # deferred, see the module docstring
+
     def outer(r0):
         # r2 < r0 caps the base-station angle at arccos(r1 / (2 r0))
         c = r1 / (2.0 * r0)
@@ -218,6 +222,8 @@ def _conditional_mean_r1(r0, r2):
 @lru_cache(maxsize=256)
 def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> float:
     """Mean base-to-reflector distance, by nested quadrature."""
+    from scipy import integrate  # deferred, see the module docstring
+
     _check_positive(lambda_bs=lambda_bs, lambda_ris=lambda_ris)
     r0_max = rayleigh_tail_radius(lambda_bs)
     r2_max = rayleigh_tail_radius(lambda_ris)

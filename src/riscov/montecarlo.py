@@ -110,7 +110,7 @@ class TrialRecords:
 def _retention_probabilities(n_elements: int) -> tuple[float, float]:
     """Probabilities that a random single beam / split beam covers the user."""
     return tuple(
-        min(1.0, channel.BeamModel(n_elements, mode).retention_probability)
+        channel.BeamModel(n_elements, mode).retention_probability
         for mode in (channel.SINGLE_BEAM, channel.SPLIT_BEAM)
     )
 

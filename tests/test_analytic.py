@@ -154,6 +154,15 @@ class TestPathACoverage:
     def test_large_array_limit(self):
         assert analytic.coverage_path_a(make_cfg(n_elements=10**12), 1.0) > 1 - 1e-5
 
+    def test_single_element_equals_baseline(self):
+        # at N = 1 a split lobe covers the whole circle: every base interferes,
+        # as under the single beam, so the two direct-path coverages coincide
+        cfg = make_cfg(n_elements=1)
+        T = np.logspace(-2, 2, 9)
+        np.testing.assert_array_equal(
+            analytic.coverage_path_a(cfg, T), analytic.coverage_baseline(cfg, T)
+        )
+
 
 class TestPathBCoverage:
     def test_rho_one_collapses_to_plain_factor(self):

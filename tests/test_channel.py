@@ -93,6 +93,11 @@ class TestBeamThinning:
         beam = channel.BeamModel(1, channel.SINGLE_BEAM)
         assert channel.interferer_intensity(LAM_BS, beam) == pytest.approx(LAM_BS)
 
+    def test_split_beam_retention_capped_at_one(self):
+        assert channel.BeamModel(1, channel.SPLIT_BEAM).retention_probability == 1.0
+        assert channel.BeamModel(2, channel.SPLIT_BEAM).retention_probability == 1.0
+        assert channel.BeamModel(3, channel.SPLIT_BEAM).retention_probability == math.sqrt(2 / 3)
+
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
             channel.BeamModel(16, "tri_beam")

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -227,6 +231,33 @@ class TestCompare:
         assert ("gamma_b", 5.0, "approx2") in kinds
         # path-B gates anchor at the advertised operating point only
         assert ("gamma_b", 0.0, "approx1") not in kinds
+
+    def test_gate_threshold_matches_within_tolerance(self, runner, tmp_path):
+        # a threshold a few ULPs off the 5 dB gate point still gets both gates
+        t_db = 5.0 + 4 * math.ulp(5.0)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"n_trials: 1000\nthresholds_db: [0, {t_db!r}]\n")
+        runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "compare_report.json").read_text())
+        gamma_b = {g["engine"] for g in report["gates"] if g["metric"] == "gamma_b"}
+        assert gamma_b == {"approx1", "approx2"}
+
+
+class TestColdImport:
+    def test_cli_import_leaves_integrators_unloaded(self):
+        # scipy.integrate (and the scipy.optimize it pulls in) take about
+        # 0.4 s to import; only the two remaining quadratures load them
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, riscov.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSweep:

@@ -403,6 +403,17 @@ class TestEngineAgreement:
         failed = [(g["metric"], g["t_db"], round(g["gap"], 4)) for g in gates if not g["passed"]]
         assert not failed
 
+    def test_single_element_split_beam_gates(self):
+        # N = 1: the split-beam retention sqrt(2/N) exceeds 1 and is capped, in
+        # the closed forms exactly as in the simulator
+        cfg = NetworkConfig(n_elements=1, n_trials=20_000, master_seed=3)
+        mc_rows, _ = cli.run_simulate(cfg)
+        report = cli.build_comparison(cfg, cli.run_analytic(cfg), mc_rows)
+        gates = [g for g in report["gates"] if g["metric"] == "gamma_a"]
+        assert len(gates) == len(cfg.thresholds_db)
+        failed = [(g["t_db"], round(g["gap"], 4)) for g in gates if not g["passed"]]
+        assert not failed
+
     def test_coverage_within_reference_ci(self):
         # both engines sample the same model: every coverage point of one lies
         # within the combined (summed) 95% half-widths of the other
