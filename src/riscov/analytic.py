@@ -74,17 +74,12 @@ def coverage_path_a(cfg: NetworkConfig, T):
 
 @dataclass(frozen=True)
 class PathBIntensities:
-    """Converted intensities feeding the reflected-path approximations.
-
-    Carries the floor distance explicitly: the reflector intensity embeds the
-    inverse-square distance moment, which is only finite because of it.
-    """
+    """Converted intensities feeding the reflected-path approximations."""
 
     lambda_bs_tilde: float
     lambda_i_tilde: float
     lambda_ris_tilde: float
     rho: float
-    epsilon_floor: float
 
 
 def path_b_intensities(cfg: NetworkConfig) -> PathBIntensities:
@@ -94,18 +89,18 @@ def path_b_intensities(cfg: NetworkConfig) -> PathBIntensities:
     lam_bs_t = channel.power_density_convert(lam_bs, half_power, cfg.mu, cfg.alpha)
     lam_is = channel.interferer_intensity(lam_bs, beam)
     lam_i_t = channel.power_density_convert(lam_is, half_power, cfg.mu, cfg.alpha)
+    # the reflector intensity embeds the inverse-square distance moment,
+    # which is only finite because of the floor distance
     raw_moment = channel.reflected_power_raw_moment(
         lam_bs, lam_ris, cfg.reflection_model(), cfg.p_s, cfg.mu, cfg.alpha,
         cfg.epsilon_floor,
     )
     lam_ris_t = raw_moment * lam_ris
-    rho = math.sqrt(lam_bs_t.converted_intensity / lam_ris_t)
     return PathBIntensities(
-        lambda_bs_tilde=lam_bs_t.converted_intensity,
-        lambda_i_tilde=lam_i_t.converted_intensity,
+        lambda_bs_tilde=lam_bs_t,
+        lambda_i_tilde=lam_i_t,
         lambda_ris_tilde=lam_ris_t,
-        rho=rho,
-        epsilon_floor=cfg.epsilon_floor,
+        rho=math.sqrt(lam_bs_t / lam_ris_t),
     )
 
 
@@ -130,18 +125,3 @@ def coverage_path_b_approx2(cfg: NetworkConfig, T):
     return conv.lambda_ris_tilde / (
         conv.lambda_ris_tilde + conv.lambda_i_tilde * i_factor
     )
-
-
-def coverage_selection(cfg: NetworkConfig, T, approx: int = 2):
-    """Independence combination of the two path coverages.
-
-    There is no closed form for the max-of-two-paths SIR; this combines the
-    per-path probabilities as if the paths were independent, so treat it as a
-    labeled reference only. The simulator's empirical estimate is the ground
-    truth.
-    """
-    if approx not in (1, 2):
-        raise ParameterError(f"approx must be 1 or 2, got {approx!r}")
-    cov_a = coverage_path_a(cfg, T)
-    cov_b = coverage_path_b_approx1(cfg, T) if approx == 1 else coverage_path_b_approx2(cfg, T)
-    return 1.0 - (1.0 - cov_a) * (1.0 - cov_b)

@@ -1,4 +1,9 @@
-"""Fading, path loss, beam thinning and the phased-array reflection model."""
+"""Fading, path loss, beam thinning and the passive reflection model.
+
+The reflector bank's coherent power gain is ``M**2 * beta`` times the mean
+efficiency of b-bit phase quantization, a closed ``sinc**2`` form; the test
+suite keeps the element-by-element array factor that derives it.
+"""
 from __future__ import annotations
 
 import math
@@ -9,8 +14,6 @@ from scipy import special
 
 from . import geometry
 from .errors import DomainError, NumericalError, ParameterError
-
-WAVE_SPEED = 299792458.0
 
 SINGLE_BEAM = "single_beam"
 SPLIT_BEAM = "split_beam"
@@ -69,33 +72,16 @@ def path_loss(distance, alpha: float):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ConvertedIntensity:
-    """Unit-power equivalent of a transmitter process (mapping theorem).
+def power_density_convert(intensity: float, power: float, mu: float, alpha: float) -> float:
+    """Swap (transmit power, intensity) for (unit power, scaled intensity).
 
-    ``power`` is the fade-normalized transmit power actually folded into the
-    conversion, so ``converted_intensity == power**(2/alpha) * original_intensity``.
+    Returns the converted intensity ``(power/mu)**(2/alpha) * intensity``
+    (mapping theorem).
     """
-
-    original_intensity: float
-    power: float
-    alpha: float
-    converted_intensity: float
-
-
-def power_density_convert(
-    intensity: float, power: float, mu: float, alpha: float
-) -> ConvertedIntensity:
-    """Swap (transmit power, intensity) for (unit power, scaled intensity)."""
     for name, v in (("intensity", intensity), ("power", power), ("mu", mu), ("alpha", alpha)):
         if not np.isfinite(v) or v <= 0:
             raise ParameterError(f"{name} must be positive, got {v!r}")
-    effective = power / mu
-    converted = effective ** (2.0 / alpha) * intensity
-    return ConvertedIntensity(
-        original_intensity=intensity, power=effective, alpha=alpha,
-        converted_intensity=converted,
-    )
+    return (power / mu) ** (2.0 / alpha) * intensity
 
 
 # ---------------------------------------------------------------------------
@@ -110,58 +96,6 @@ def _check_phase_bits(phase_bits) -> None:
         return
     if int(phase_bits) != phase_bits or phase_bits < 1:
         raise ParameterError(f"phase_bits must be 'ideal' or an integer >= 1, got {phase_bits!r}")
-
-
-def quantize_phases(phases, phase_bits):
-    """Round each phase to the nearest multiple of ``2*pi / 2**bits`` on [0, 2pi)."""
-    _check_phase_bits(phase_bits)
-    phases = np.asarray(phases, dtype=float)
-    if phase_bits == IDEAL_PHASES:
-        return phases
-    step = 2.0 * math.pi / (1 << int(phase_bits))
-    return np.mod(np.round(phases / step) * step, 2.0 * math.pi)
-
-
-def array_factor_from_phases(target_phases, phase_bits=IDEAL_PHASES) -> complex:
-    """Coherent sum after compensating each element's phase.
-
-    With ideal compensation every residual vanishes, so the amplitude is
-    exactly the element count; with b-bit compensation the rounding residuals
-    survive in the sum.
-    """
-    target_phases = np.asarray(target_phases, dtype=float)
-    if target_phases.size < 1:
-        raise ParameterError("need at least one element")
-    if phase_bits == IDEAL_PHASES:
-        return complex(target_phases.size, 0.0)
-    applied = quantize_phases(target_phases, phase_bits)
-    residual = applied - target_phases
-    return complex(np.sum(np.exp(1j * residual)))
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Linear reflector layout used to derive per-element compensation phases."""
-
-    element_spacing: float
-    angle: float
-    reference_distance: float
-    carrier_frequency: float = 28e9
-    wave_speed: float = WAVE_SPEED
-
-
-def array_factor(delays, geometry_spec: ArrayGeometry, phase_bits=IDEAL_PHASES) -> complex:
-    """Reflected-amplitude gain of an M-element line of passive reflectors.
-
-    ``delays`` are the per-element impinging time offsets (seconds). The
-    required compensation is the offset plus the ``m * spacing * cos(angle)``
-    propagation term, expressed as a carrier phase and optionally quantized.
-    """
-    delays = np.asarray(delays, dtype=float)
-    m = np.arange(1, delays.size + 1)
-    tau = m * geometry_spec.element_spacing * math.cos(geometry_spec.angle) / geometry_spec.wave_speed
-    phases = 2.0 * math.pi * geometry_spec.carrier_frequency * (tau + delays)
-    return array_factor_from_phases(np.mod(phases, 2.0 * math.pi), phase_bits)
 
 
 def quantization_efficiency(phase_bits) -> float:

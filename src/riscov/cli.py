@@ -5,7 +5,7 @@ Each command hands one :class:`riscov.config.NetworkConfig` to the engines;
 its accessors do the dB-vs-linear and km^2-vs-m^2 conversions.
 
 Exit codes: 0 success, 1 comparison gate failed, 2 config error,
-3 simulation failure, 4 pipeline error.
+4 pipeline error. Code 3 (formerly "simulation failure") is reserved.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import cycle
 from pathlib import Path
 
 import click
@@ -22,13 +23,12 @@ import numpy as np
 
 from . import analytic, channel, geometry, montecarlo
 from .config import ORIENTATION_MODES, ConfigError, NetworkConfig, load_config
-from .errors import EmptyScenarioError, RiscovError
+from .errors import RiscovError
 
 CSV_HEADER = "engine,metric,T_db,axis_name,axis_value,value,ci_half_width,n_trials,config_hash,seed"
 
 EXIT_GATE_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-EXIT_SIMULATION_ERROR = 3
 EXIT_PIPELINE_ERROR = 4
 
 ANALYTIC_ENGINES = {
@@ -152,12 +152,13 @@ def run_simulate(
         records = montecarlo.simulate(cfg)
     estimates = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear, records=records)
     chash = cfg.config_hash()
-    db_of = {t_lin: t_db for t_db, t_lin in zip(cfg.thresholds_db, cfg.thresholds_linear)}
+    # estimates come metric by metric, each in threshold order; labelling by
+    # position keeps thresholds apart that round to the same linear ratio
     rows = [
         ResultRow(
             engine="mc",
             metric=e.metric,
-            t_db=float(db_of[e.threshold]),
+            t_db=float(t_db),
             axis_name=axis_name,
             axis_value=axis_value,
             value=e.probability,
@@ -166,7 +167,7 @@ def run_simulate(
             config_hash=chash,
             seed=cfg.master_seed,
         )
-        for e in estimates
+        for e, t_db in zip(estimates, cycle(cfg.thresholds_db))
     ]
     return rows, records
 
@@ -454,6 +455,8 @@ def hist_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientati
     """Emit a normalized histogram of one per-trial quantity."""
     with _typed_exits():
         cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
+        if bins < 1:
+            raise ConfigError([f"bins: must be at least 1, got {bins}"])
         h = montecarlo.empirical_histogram(cfg, quantity, bins=bins)
         text = histogram_csv(cfg, h)
     path = _write(out_dir, f"hist_{quantity}.csv", text)
@@ -469,9 +472,6 @@ def _typed_exits():
         for err in exc.errors:
             click.echo(f"config error: {err}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
-    except EmptyScenarioError as exc:
-        click.echo(f"simulation failed: {exc}", err=True)
-        sys.exit(EXIT_SIMULATION_ERROR)
     except RiscovError as exc:
         click.echo(f"pipeline error: {exc}", err=True)
         sys.exit(EXIT_PIPELINE_ERROR)

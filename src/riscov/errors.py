@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The CLI maps :class:`RiscovError` to exit code 4 and the config module's
+``ConfigError`` to exit code 2.
+"""
 from __future__ import annotations
 
 
@@ -14,19 +18,11 @@ class DomainError(RiscovError, ValueError):
     """A point evaluation was requested outside a function's support."""
 
 
-class SingularPointError(DomainError):
-    """Evaluation exactly on an integrable singularity; use open quadrature rules."""
-
-
-class EmptyScenarioError(RiscovError, RuntimeError):
-    """A point process realization came up empty after the bounded retry budget."""
-
-
 class NumericalError(RiscovError, RuntimeError):
-    """A quadrature failed to reach its requested tolerance.
+    """A computation failed to reach its tolerance or left the float range.
 
-    Carries the tolerance actually achieved so callers can decide whether the
-    value is still usable.
+    Carries the tolerance actually achieved, where one applies, so callers can
+    decide whether the value is still usable.
     """
 
     def __init__(self, message: str, achieved_tolerance: float | None = None):

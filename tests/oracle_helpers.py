@@ -5,7 +5,9 @@ distances are Rayleigh draws, the angle between the serving base and the
 nearest reflector is uniform, and the base-to-reflector distance follows by
 the law of cosines. The package evaluates the same quantities in closed form
 (a hypergeometric interference factor, an exactly Rayleigh ``r1``); the
-quadrature routes below integrate the defining integrals instead.
+quadrature routes below integrate the defining integrals instead. Likewise
+the reflector bank's phase-quantization loss is a closed form in the package
+and an element-by-element array factor here.
 """
 from __future__ import annotations
 
@@ -232,3 +234,27 @@ def floored_inv_pow_nested(power, lam_bs, lam_ris, eps):
         return rayleigh_pdf(r0, lam_bs) * val
 
     return integrate.quad(outer, 0.0, r0_max, epsabs=1e-14, epsrel=1e-7, limit=200)
+
+
+def quantize_phases(phases, phase_bits):
+    """Round each phase to the nearest multiple of ``2*pi / 2**bits`` on [0, 2pi)."""
+    phases = np.asarray(phases, dtype=float)
+    if phase_bits == "ideal":
+        return phases
+    step = 2.0 * math.pi / (1 << int(phase_bits))
+    return np.mod(np.round(phases / step) * step, 2.0 * math.pi)
+
+
+def array_factor_from_phases(target_phases, phase_bits="ideal") -> complex:
+    """Coherent sum of a reflector bank after compensating each element's phase.
+
+    With ideal compensation every residual vanishes, so the amplitude is
+    exactly the element count; with b-bit compensation the rounding residuals
+    survive in the sum. Averaging its squared magnitude over uniform target
+    phases derives :func:`riscov.channel.quantization_efficiency`.
+    """
+    target_phases = np.asarray(target_phases, dtype=float)
+    if phase_bits == "ideal":
+        return complex(target_phases.size, 0.0)
+    residual = quantize_phases(target_phases, phase_bits) - target_phases
+    return complex(np.sum(np.exp(1j * residual)))

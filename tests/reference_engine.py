@@ -19,12 +19,16 @@ import numpy as np
 
 from riscov import channel
 from riscov.config import NetworkConfig
-from riscov.errors import EmptyScenarioError, ParameterError
+from riscov.errors import ParameterError
 
 # Expected point count of a sampling window.
 WINDOW_TARGET_POINTS = 2000.0
 
 MAX_EMPTY_REDRAWS = 100
+
+
+class EmptyScenarioError(RuntimeError):
+    """A point process realization came up empty after the bounded retry budget."""
 
 
 def _check_positive(**kwargs: float) -> None:

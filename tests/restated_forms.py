@@ -24,8 +24,7 @@ def coverage_baseline_general(cfg: NetworkConfig, T: float) -> float:
         channel.interferer_intensity(lam_bs, beam), cfg.p_s, cfg.mu, cfg.alpha
     )
     i_factor = analytic.interference_factor(T, cfg.alpha)
-    num = lam_bs_t.converted_intensity
-    return num / (num + lam_i_t.converted_intensity * i_factor)
+    return lam_bs_t / (lam_bs_t + lam_i_t * i_factor)
 
 
 def coverage_path_b_restated(cfg: NetworkConfig, T: float) -> float:

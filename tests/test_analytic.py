@@ -63,7 +63,6 @@ class TestInterferenceFactor:
         for fn in (
             analytic.coverage_baseline, analytic.coverage_path_a,
             analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2,
-            analytic.coverage_selection,
         ):
             values = fn(cfg, thresholds)
             assert values.shape == thresholds.shape
@@ -257,37 +256,11 @@ class TestPathBCoverage:
 
     def test_intensities_carry_floor_provenance(self):
         conv = analytic.path_b_intensities(make_cfg(epsilon_floor=2.5))
-        assert conv.epsilon_floor == 2.5
+        # a larger floor discards more of E[r1**-2], so the reflector term shrinks
+        assert conv.lambda_ris_tilde < analytic.path_b_intensities(make_cfg()).lambda_ris_tilde
         assert conv.rho == pytest.approx(
             math.sqrt(conv.lambda_bs_tilde / conv.lambda_ris_tilde), rel=1e-12
         )
-
-
-class TestSelectionCoverage:
-    def test_combination_identity_and_dominance(self):
-        cfg = make_cfg()
-        for T in (0.1, 1.0, 10.0, 1000.0):
-            cov_a = analytic.coverage_path_a(cfg, T)
-            for approx in (1, 2):
-                cov_b = (
-                    analytic.coverage_path_b_approx1(cfg, T)
-                    if approx == 1 else analytic.coverage_path_b_approx2(cfg, T)
-                )
-                sel = analytic.coverage_selection(cfg, T, approx=approx)
-                assert sel == pytest.approx(1 - (1 - cov_a) * (1 - cov_b), rel=1e-12)
-                assert sel >= max(cov_a, cov_b) - 1e-15
-                assert 0.0 <= sel <= 1.0
-
-    def test_degenerate_endpoints(self):
-        # vanishing path coverages push the combination to zero; a certain
-        # path B pushes it to one
-        assert analytic.coverage_selection(make_cfg(), 1e12, approx=2) < 1e-3
-        dense = make_cfg(lambda_ris=1e6, m_elements=10**6)
-        assert analytic.coverage_selection(dense, 0.1, approx=2) > 1 - 1e-6
-
-    def test_rejects_unknown_approx(self):
-        with pytest.raises(ParameterError):
-            analytic.coverage_selection(make_cfg(), 1.0, approx=3)
 
 
 class TestQueryValidation:

@@ -204,18 +204,6 @@ class TestCompare:
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR
         assert "missing engine outputs" in result.output
 
-    def test_simulation_failure_exit_code(self, runner, tmp_path, monkeypatch):
-        from riscov import montecarlo
-        from riscov.errors import EmptyScenarioError
-
-        def boom(spec):
-            raise EmptyScenarioError("trial 7: point process still empty after 100 redraws")
-
-        monkeypatch.setattr(montecarlo, "simulate", boom)
-        result = runner.invoke(cli.main, ["simulate", "--trials", "200", "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_SIMULATION_ERROR
-        assert "trial 7" in result.output
-
     def test_report_contents(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 4000\nthresholds_db: [0, 5]\n")
@@ -232,6 +220,19 @@ class TestCompare:
         # path-B gates anchor at the advertised operating point only
         assert ("gamma_b", 0.0, "approx1") not in kinds
 
+    def test_thresholds_with_equal_linear_ratio_keep_their_labels(self, runner, tmp_path):
+        # 0 dB and 1e-17 dB are distinct in the config but both 1.0 as linear ratios
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_trials: 1000\nthresholds_db: [0.0, 1.0e-17]\n")
+        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code != cli.EXIT_PIPELINE_ERROR, result.output
+        mc_rows = [r for r in read_rows(tmp_path / "compare.csv") if r["engine"] == "mc"]
+        for metric in ("gamma_o", "gamma_a", "gamma_b", "gamma_s"):
+            labels = sorted(r["T_db"] for r in mc_rows if r["metric"] == metric)
+            assert labels == ["0", "1e-17"]
+        report = json.loads((tmp_path / "compare_report.json").read_text())
+        assert {g["t_db"] for g in report["gates"] if g["metric"] == "gamma_o"} == {0.0, 1e-17}
+
     def test_gate_threshold_matches_within_tolerance(self, runner, tmp_path):
         # a threshold a few ULPs off the 5 dB gate point still gets both gates
         t_db = 5.0 + 4 * math.ulp(5.0)
@@ -243,21 +244,43 @@ class TestCompare:
         assert gamma_b == {"approx1", "approx2"}
 
 
+def _run_fresh(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter with the package's ``src`` on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
 class TestColdImport:
     def test_cli_import_leaves_integrators_unloaded(self):
         # scipy.integrate (and the scipy.optimize it pulls in) take about
-        # 0.4 s to import; only the two remaining quadratures load them
-        src = Path(__file__).resolve().parents[1] / "src"
+        # 0.4 s to import; only the remaining quadrature, expected_r1, loads them
         code = (
             "import sys, riscov.cli; print(sorted(m for m in sys.modules"
             " if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
         )
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert _run_fresh(code).strip() == "[]"
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["analytic"], False),
+        (["hist", "--quantity", "r1", "--trials", "1000"], False),
+        (["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"], True),
+    ], ids=["analytic", "hist-r1", "sweep-e_r1"])
+    def test_commands_load_integrators_only_for_e_r1(self, tmp_path, argv, loaded):
+        # the e_r1 sweep, the one command that integrates, shows that the probe
+        # sees the module when it is loaded
+        code = (
+            "import sys\n"
+            "from riscov import cli\n"
+            "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
+            "print('scipy.integrate' in sys.modules)\n"
         )
-        assert out.stdout.strip() == "[]"
+        out = _run_fresh(code, *argv, "--out", str(tmp_path))
+        assert out.splitlines()[-1] == str(loaded)
 
 
 class TestSweep:
@@ -374,6 +397,17 @@ class TestHistCommand:
         assert lines[0].startswith("quantity,bin_left,bin_right,density,count,analytic_pdf")
         first = lines[1].split(",")
         assert float(first[5]) > 0  # analytic overlay populated
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_nonpositive_bins_is_config_error(self, runner, tmp_path, bins):
+        result = runner.invoke(
+            cli.main,
+            ["hist", "--quantity", "r0", "--trials", "1000", "--bins", bins,
+             "--out", str(tmp_path)],
+        )
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.splitlines() == [f"config error: bins: must be at least 1, got {bins}"]
+        assert not (tmp_path / "hist_r0.csv").exists()
 
 
 class TestTypedExits:

@@ -5,17 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import reference_engine
+from reference_engine import EmptyScenarioError
 from riscov import geometry
-from riscov.errors import (
-    DomainError,
-    EmptyScenarioError,
-    ParameterError,
-    SingularPointError,
-)
+from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5   # 25 per km^2
 LAM_RIS = 1e-3    # 1000 per km^2
@@ -143,30 +138,6 @@ class TestNearestNeighborDensities:
     def test_pdf_r2_vanishes_at_zero(self):
         assert geometry.pdf_r2(0.0, LAM_RIS) == 0.0
 
-    def test_given_closer_normalizes(self):
-        val, _ = integrate.quad(
-            lambda r: geometry.pdf_r2_given_closer(r, LAM_RIS, LAM_BS), 0, np.inf
-        )
-        assert abs(val - 1.0) < 1e-9
-
-    def test_given_closer_collapses_when_ris_dominates(self):
-        # the dense-reflector approximation claim, verified numerically
-        grid = np.linspace(0.0, 200.0, 2001)
-        dev = np.max(np.abs(
-            geometry.pdf_r2_given_closer(grid, LAM_RIS, LAM_BS)
-            - geometry.pdf_r2(grid, LAM_RIS)
-        ))
-        peak = float(np.max(geometry.pdf_r2(grid, LAM_RIS)))
-        assert dev < 0.05 * peak
-
-    def test_given_closer_pointwise_limit(self):
-        grid = np.linspace(0.0, 200.0, 2001)
-        dev = np.max(np.abs(
-            geometry.pdf_r2_given_closer(grid, LAM_RIS, 1e-12)
-            - geometry.pdf_r2(grid, LAM_RIS)
-        ))
-        assert dev < 1e-6
-
     def test_prob_ris_closer_closed_form_and_oracles(self):
         closed = geometry.prob_ris_closer(LAM_RIS, LAM_BS)
         assert closed == pytest.approx(1000.0 / 1025.0, rel=1e-12)
@@ -183,68 +154,6 @@ class TestNearestNeighborDensities:
         r2 = rng.rayleigh(1.0 / math.sqrt(2 * math.pi * LAM_RIS), n)
         p = np.mean(r2 < r0)
         assert abs(p - closed) < 3 * math.sqrt(closed * (1 - closed) / n)
-
-
-# ---------------------------------------------------------------------------
-# r1: conditional law
-# ---------------------------------------------------------------------------
-
-class TestR1Conditional:
-    def test_right_triangle_value(self):
-        assert geometry.pdf_r1_conditional(5.0, 3.0, 4.0) == pytest.approx(
-            5.0 / (12.0 * math.pi), rel=1e-12
-        )
-
-    def test_outside_support_raises(self):
-        with pytest.raises(DomainError):
-            geometry.pdf_r1_conditional(0.5, 3.0, 4.0)
-        with pytest.raises(DomainError):
-            geometry.pdf_r1_conditional(7.5, 3.0, 4.0)
-
-    def test_endpoint_raises_singular(self):
-        with pytest.raises(SingularPointError):
-            geometry.pdf_r1_conditional(1.0, 3.0, 4.0)
-        with pytest.raises(SingularPointError):
-            geometry.pdf_r1_conditional(7.0, 3.0, 4.0)
-
-    def test_normalizes_with_open_rule(self):
-        r0, r2 = 3.0, 4.0
-        val, _ = integrate.quad(
-            lambda r: geometry.pdf_r1_conditional(r, r0, r2),
-            abs(r0 - r2), r0 + r2, limit=200,
-        )
-        assert abs(val - 1.0) < 1e-6
-
-    def test_matches_uniform_angle_sampling(self):
-        # oracle: r1 = |law of cosines| with a uniform angle
-        r0, r2, n = 3.0, 4.0, 100_000
-        rng = np.random.default_rng(2024)
-        phi = rng.uniform(0.0, math.pi, n)
-        r1 = np.sqrt(r0**2 + r2**2 - 2 * r0 * r2 * np.cos(phi))
-        edges = np.linspace(abs(r0 - r2), r0 + r2, 41)
-        counts, _ = np.histogram(r1, bins=edges)
-        emp = counts / n
-        masses = [
-            integrate.quad(lambda r: geometry.pdf_r1_conditional(r, r0, r2), a, b, limit=100)[0]
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
-        assert np.sum(np.abs(emp - np.array(masses))) < 0.05
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        r0=st.floats(0.1, 50.0),
-        r2=st.floats(0.1, 50.0),
-        r1=st.floats(0.0, 120.0),
-    )
-    def test_law_object_zero_extends(self, r0, r2, r1):
-        law = geometry.DistanceLaw("r1_conditional", {"r0": r0, "r2": r2})
-        lo, hi = law.support()
-        val = law.pdf(r1)
-        assert val >= 0.0
-        if r1 < lo or r1 > hi:
-            assert val == 0.0
-        if lo + 1e-6 * (hi - lo) < r1 < hi - 1e-6 * (hi - lo):
-            assert val > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +180,6 @@ class TestR1Marginal:
         assert geometry.pdf_r1_marginal(1e-3, LAM_BS, LAM_RIS) < 1e-5
         with pytest.raises(ParameterError):
             geometry.pdf_r1_marginal(0.0, LAM_BS, LAM_RIS)
-
-    def test_engaged_mode_normalizes(self):
-        val, _ = integrate.quad(
-            lambda r: geometry.pdf_r1_marginal(r, LAM_BS, LAM_RIS, mode="engaged"),
-            1e-6, 900.0, limit=300,
-        )
-        assert abs(val - 1.0) < 1e-3
 
 
 class TestExpectedR1:
@@ -406,41 +308,3 @@ class TestInverseMoments:
     def test_floor_must_be_positive(self):
         with pytest.raises(ParameterError):
             geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 0.0)
-
-
-class TestDistanceLawFacade:
-    def test_all_kinds_normalize(self):
-        laws = [
-            geometry.DistanceLaw("r0", {"lambda_bs": LAM_BS}),
-            geometry.DistanceLaw("r2", {"lambda_ris": LAM_RIS}),
-            geometry.DistanceLaw("r2_given_closer", {"lambda_ris": LAM_RIS, "lambda_bs": LAM_BS}),
-            geometry.DistanceLaw("r1_conditional", {"r0": 3.0, "r2": 4.0}),
-        ]
-        for law in laws:
-            lo, hi = law.support()
-            hi = min(hi, 1200.0)
-            val, _ = integrate.quad(lambda r: float(law.pdf(r)), lo, hi, limit=200)
-            assert abs(val - 1.0) < 1e-6, law.kind
-        # the marginal law carries a coarser quadrature tolerance
-        marginal = geometry.DistanceLaw(
-            "r1_marginal", {"lambda_bs": LAM_BS, "lambda_ris": LAM_RIS}
-        )
-        val, _ = integrate.quad(
-            lambda r: float(marginal.pdf(r)), 1e-6, 900.0, limit=50,
-            epsabs=1e-5, epsrel=1e-5,
-        )
-        assert abs(val - 1.0) < 1e-4
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParameterError):
-            geometry.DistanceLaw("bogus", {})
-
-    def test_means(self):
-        assert geometry.DistanceLaw("r0", {"lambda_bs": LAM_BS}).mean() == pytest.approx(100.0)
-        marg = geometry.DistanceLaw("r1_marginal", {"lambda_bs": LAM_BS, "lambda_ris": LAM_RIS})
-        assert marg.mean() == pytest.approx(geometry.expected_r1(LAM_BS, LAM_RIS))
-
-    def test_cdf_matches_pdf(self):
-        law = geometry.DistanceLaw("r2", {"lambda_ris": LAM_RIS})
-        val, _ = integrate.quad(lambda r: float(law.pdf(r)), 0.0, 20.0)
-        assert law.cdf(20.0) == pytest.approx(val, abs=1e-9)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
-from riscov import channel, cli, geometry, montecarlo
+from riscov import channel, cli, montecarlo
 from riscov.config import ConfigError, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
 
@@ -328,11 +328,9 @@ class TestHistograms:
     def test_r0_histogram_matches_analytic_law(self, sparse_run):
         cfg = sparse_run.cfg
         h = montecarlo.empirical_histogram(cfg, "r0", bins=50, records=sparse_run.records)
-        masses = np.array([
-            geometry.DistanceLaw("r0", {"lambda_bs": cfg.lambda_bs_m2}).cdf(b)
-            - geometry.DistanceLaw("r0", {"lambda_bs": cfg.lambda_bs_m2}).cdf(a)
-            for a, b in zip(h.edges[:-1], h.edges[1:])
-        ])
+        # Rayleigh CDF 1 - exp(-pi * lambda_bs * r**2) differenced over each bin
+        cdf = 1.0 - np.exp(-math.pi * cfg.lambda_bs_m2 * h.edges**2)
+        masses = np.diff(cdf)
         emp = h.density * h.widths
         assert float(np.abs(emp - masses).sum()) < 0.05
 
