@@ -62,9 +62,10 @@ def coverage_path_a(cfg: NetworkConfig, T):
     """Split-beam direct-path coverage ``1 / (1 + p * I(T, a))``.
 
     ``p = min(1, sqrt(2/N))`` is the split-beam retention of
-    :class:`riscov.channel.BeamModel`, so at ``N = 1`` this equals the baseline.
+    :func:`riscov.channel.retention_probabilities`, so at ``N = 1`` this
+    equals the baseline.
     """
-    retention = channel.BeamModel(cfg.n_elements, channel.SPLIT_BEAM).retention_probability
+    _, retention = channel.retention_probabilities(cfg)
     return 1.0 / (1.0 + retention * interference_factor(T, cfg.alpha))
 
 
@@ -84,18 +85,13 @@ class PathBIntensities:
 
 def path_b_intensities(cfg: NetworkConfig) -> PathBIntensities:
     lam_bs, lam_ris = cfg.lambda_bs_m2, cfg.lambda_ris_m2
-    beam = channel.BeamModel(cfg.n_elements, channel.SPLIT_BEAM)
-    half_power = beam.per_beam_power(cfg.p_s)
+    _, p_split = channel.retention_probabilities(cfg)
+    half_power = 0.5 * cfg.p_s  # each of the two beams
     lam_bs_t = channel.power_density_convert(lam_bs, half_power, cfg.mu, cfg.alpha)
-    lam_is = channel.interferer_intensity(lam_bs, beam)
-    lam_i_t = channel.power_density_convert(lam_is, half_power, cfg.mu, cfg.alpha)
+    lam_i_t = channel.power_density_convert(lam_bs * p_split, half_power, cfg.mu, cfg.alpha)
     # the reflector intensity embeds the inverse-square distance moment,
     # which is only finite because of the floor distance
-    raw_moment = channel.reflected_power_raw_moment(
-        lam_bs, lam_ris, cfg.reflection_model(), cfg.p_s, cfg.mu, cfg.alpha,
-        cfg.epsilon_floor,
-    )
-    lam_ris_t = raw_moment * lam_ris
+    lam_ris_t = channel.reflected_power_raw_moment(cfg) * lam_ris
     return PathBIntensities(
         lambda_bs_tilde=lam_bs_t,
         lambda_i_tilde=lam_i_t,

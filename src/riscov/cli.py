@@ -2,13 +2,17 @@
 
 Subcommands: ``analytic``, ``simulate``, ``compare``, ``sweep``, ``hist``.
 Each command hands one :class:`riscov.config.NetworkConfig` to the engines;
-its accessors do the dB-vs-linear and km^2-vs-m^2 conversions.
+its accessors do the dB-vs-linear and km^2-vs-m^2 conversions. One
+decorator, ``_config_command``, declares the options every command shares,
+builds that config from ``--config`` and the overrides (building it is what
+checks it), and runs the command body under the typed exits below.
 
 Exit codes: 0 success, 1 comparison gate failed, 2 config error,
 4 pipeline error. Code 3 (formerly "simulation failure") is reserved.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -112,7 +116,6 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def run_analytic(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> list[ResultRow]:
     """Evaluate every closed form at every configured threshold."""
-    cfg.require_valid()
     chash = cfg.config_hash()
     evaluators = {
         "analytic_q2": analytic.coverage_baseline,
@@ -147,7 +150,6 @@ def run_simulate(
     axis_value=None,
 ) -> tuple[list[ResultRow], montecarlo.TrialRecords]:
     """Simulate the configured run and reduce it to coverage rows."""
-    cfg.require_valid()
     if records is None:
         records = montecarlo.simulate(cfg)
     estimates = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear, records=records)
@@ -275,10 +277,7 @@ def _moment_row(cfg: NetworkConfig, metric: str, axis_name: str, axis_value) -> 
     if metric == "e_r1":
         value = geometry.expected_r1(cfg.lambda_bs_m2, cfg.lambda_ris_m2)
     else:
-        value = channel.mean_reflected_power(
-            cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.reflection_model(), cfg.p_s, cfg.mu,
-            cfg.alpha, cfg.epsilon_floor,
-        )
+        value = channel.mean_reflected_power(cfg)
     return ResultRow(
         engine="analytic_moment",
         metric=metric,
@@ -325,14 +324,6 @@ def _style(text: str, ok: bool) -> str:
     return click.style(text, fg="green" if ok else "red")
 
 
-def _load(config_path, **overrides) -> NetworkConfig:
-    cfg = load_config(config_path) if config_path else NetworkConfig()
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    if changes:
-        cfg = cfg.replace(**changes)
-    return cfg.require_valid()
-
-
 def _write(out_dir: str, name: str, text: str) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -341,25 +332,41 @@ def _write(out_dir: str, name: str, text: str) -> Path:
     return path
 
 
-def _config_options(fn):
-    fn = click.option("--config", "-c", "config_path", type=click.Path(), default=None,
-                      help="YAML or JSON config file; defaults fill missing keys.")(fn)
-    fn = click.option("--out", "out_dir", type=click.Path(), default="riscov_out",
-                      help="Output directory for CSV/JSON artifacts.")(fn)
-    fn = click.option("--seed", "master_seed", type=int, default=None, help="Override master seed.")(fn)
-    fn = click.option("--trials", "n_trials", type=int, default=None, help="Override trial count.")(fn)
-    fn = click.option("--mode", "path_b_mode", type=click.Choice(["conditional", "unconditional"]),
-                      default=None, help="Engage the reflector only when closer than the base, or always.")(fn)
-    fn = click.option("--orientation", type=click.Choice(list(ORIENTATION_MODES)), default=None,
-                      help="Interferer beam model: intensity thinning or explicit main lobes.")(fn)
-    return fn
+_SHARED_OPTIONS = (
+    click.option("--config", "-c", "config_path", type=click.Path(), default=None,
+                 help="YAML or JSON config file; defaults fill missing keys."),
+    click.option("--out", "out_dir", type=click.Path(), default="riscov_out",
+                 help="Output directory for CSV/JSON artifacts."),
+    click.option("--seed", "master_seed", type=int, default=None, help="Override master seed."),
+    click.option("--trials", "n_trials", type=int, default=None, help="Override trial count."),
+    click.option("--mode", "path_b_mode", type=click.Choice(["conditional", "unconditional"]),
+                 default=None,
+                 help="Engage the reflector only when closer than the base, or always."),
+    click.option("--orientation", type=click.Choice(list(ORIENTATION_MODES)), default=None,
+                 help="Interferer beam model: intensity thinning or explicit main lobes."),
+)
 
 
-def _overrides(master_seed, n_trials, path_b_mode, orientation):
-    ov = {"master_seed": master_seed, "n_trials": n_trials, "orientation": orientation}
-    if path_b_mode is not None:
-        ov["conditional_path_b"] = path_b_mode == "conditional"
-    return ov
+def _config_command(fn):
+    """Give a command the shared options and call it with the config they build.
+
+    The command body runs as ``fn(cfg, out_dir, **its_own_options)`` inside
+    :func:`_typed_exits`, so a bad config, option or input exits 2 and a
+    failed computation exits 4.
+    """
+    @functools.wraps(fn)
+    def command(config_path, master_seed, n_trials, path_b_mode, orientation, **kwargs):
+        with _typed_exits():
+            cfg = load_config(config_path) if config_path else NetworkConfig()
+            changes = {"master_seed": master_seed, "n_trials": n_trials, "orientation": orientation}
+            if path_b_mode is not None:
+                changes["conditional_path_b"] = path_b_mode == "conditional"
+            cfg = cfg.replace(**{k: v for k, v in changes.items() if v is not None})
+            return fn(cfg, **kwargs)
+
+    for option in _SHARED_OPTIONS:
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -373,43 +380,37 @@ def main():
 
 
 @main.command("analytic")
-@_config_options
-def analytic_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation):
+@_config_command
+def analytic_cmd(cfg, out_dir):
     """Evaluate the closed-form coverage curves."""
-    with _typed_exits():
-        cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-        rows = run_analytic(cfg)
+    rows = run_analytic(cfg)
     path = _write(out_dir, "analytic.csv", rows_to_csv(rows))
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
 @main.command("simulate")
-@_config_options
+@_config_command
 @click.option("--hist", "hist_quantities", multiple=True,
               type=click.Choice(list(montecarlo.HISTOGRAM_QUANTITIES)),
               help="Also emit a histogram CSV for this quantity (repeatable).")
-def simulate_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation, hist_quantities):
+def simulate_cmd(cfg, out_dir, hist_quantities):
     """Run the Monte-Carlo engine and emit empirical coverage curves."""
-    with _typed_exits():
-        cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-        rows, records = run_simulate(cfg)
-        path = _write(out_dir, "simulate.csv", rows_to_csv(rows))
-        click.echo(f"wrote {path} ({len(rows)} rows)")
-        for quantity in hist_quantities:
-            h = montecarlo.empirical_histogram(cfg, quantity, records=records)
-            hpath = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
-            click.echo(f"wrote {hpath}")
+    rows, records = run_simulate(cfg)
+    path = _write(out_dir, "simulate.csv", rows_to_csv(rows))
+    click.echo(f"wrote {path} ({len(rows)} rows)")
+    for quantity in hist_quantities:
+        h = montecarlo.empirical_histogram(cfg, quantity, records=records)
+        hpath = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
+        click.echo(f"wrote {hpath}")
 
 
 @main.command("compare")
-@_config_options
-def compare_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation):
+@_config_command
+def compare_cmd(cfg, out_dir):
     """Run both engines, join them, and gate the gaps; nonzero exit on failure."""
-    with _typed_exits():
-        cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-        analytic_rows = run_analytic(cfg)
-        mc_rows, _ = run_simulate(cfg)
-        report = build_comparison(cfg, analytic_rows, mc_rows)
+    analytic_rows = run_analytic(cfg)
+    mc_rows, _ = run_simulate(cfg)
+    report = build_comparison(cfg, analytic_rows, mc_rows)
     _write(out_dir, "compare.csv", rows_to_csv(analytic_rows + mc_rows))
     _write(out_dir, "compare_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     for g in report["gates"]:
@@ -428,38 +429,32 @@ def compare_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orient
 
 
 @main.command("sweep")
-@_config_options
+@_config_command
 @click.option("--axis", required=True, type=click.Choice(list(SWEEP_AXES)))
 @click.option("--grid", required=True, help="Comma-separated, strictly increasing values.")
 @click.option("--metric", default="coverage", type=click.Choice(list(SWEEP_METRICS)))
 @click.option("--with-mc", is_flag=True, default=False, help="Also simulate at every grid point.")
-def sweep_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation,
-              axis, grid, metric, with_mc):
+def sweep_cmd(cfg, out_dir, axis, grid, metric, with_mc):
     """Evaluate engines along one parameter axis."""
-    with _typed_exits():
-        cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-        try:
-            grid_values = [float(v) for v in grid.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError([f"grid: could not parse {grid!r} as numbers"])
-        rows = run_sweep(cfg, axis, grid_values, metric=metric, with_mc=with_mc)
+    try:
+        grid_values = [float(v) for v in grid.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError([f"grid: could not parse {grid!r} as numbers"])
+    rows = run_sweep(cfg, axis, grid_values, metric=metric, with_mc=with_mc)
     path = _write(out_dir, "sweep.csv", rows_to_csv(rows))
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
 @main.command("hist")
-@_config_options
+@_config_command
 @click.option("--quantity", required=True, type=click.Choice(list(montecarlo.HISTOGRAM_QUANTITIES)))
 @click.option("--bins", default=60, type=int)
-def hist_cmd(config_path, out_dir, master_seed, n_trials, path_b_mode, orientation, quantity, bins):
+def hist_cmd(cfg, out_dir, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""
-    with _typed_exits():
-        cfg = _load(config_path, **_overrides(master_seed, n_trials, path_b_mode, orientation))
-        if bins < 1:
-            raise ConfigError([f"bins: must be at least 1, got {bins}"])
-        h = montecarlo.empirical_histogram(cfg, quantity, bins=bins)
-        text = histogram_csv(cfg, h)
-    path = _write(out_dir, f"hist_{quantity}.csv", text)
+    if bins < 1:
+        raise ConfigError([f"bins: must be at least 1, got {bins}"])
+    h = montecarlo.empirical_histogram(cfg, quantity, bins=bins)
+    path = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
     click.echo(f"wrote {path}")
 
 

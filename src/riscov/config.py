@@ -5,6 +5,11 @@ network figures are drawn in); everything downstream of this module works in
 SI units and linear ratios. Files are YAML for humans (comments survive a
 round-trip through the hash because only parsed values are hashed) or JSON
 for machines.
+
+A :class:`NetworkConfig` is checked when it is built, so every instance is
+valid: the constructor, ``replace``, :meth:`NetworkConfig.from_mapping` and
+:func:`load_config` raise :class:`ConfigError` with field-level messages
+instead. No other module re-checks a config field.
 """
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ from pathlib import Path
 
 import yaml
 
-from . import channel
 from .errors import RiscovError
 
 KM2_TO_M2 = 1e-6
@@ -56,10 +60,11 @@ class CompareTolerances:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """All deployment parameters of one experiment.
+    """All deployment parameters of one experiment, valid by construction.
 
     Densities are per km^2 and thresholds are in dB here; use the ``*_m2`` /
-    ``thresholds_linear`` accessors for computation.
+    ``thresholds_linear`` accessors for computation. Building an instance
+    with any invalid field raises :class:`ConfigError`.
     """
 
     lambda_bs: float = 25.0
@@ -93,15 +98,8 @@ class NetworkConfig:
     def thresholds_linear(self) -> tuple[float, ...]:
         return tuple(10.0 ** (t / 10.0) for t in self.thresholds_db)
 
-    def reflection_model(self) -> channel.ReflectionModel:
-        return channel.ReflectionModel(
-            m_elements=self.m_elements,
-            beta_attenuation=self.beta,
-            phase_bits=self.phase_bits,
-        )
-
     # -- schema ------------------------------------------------------------
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         errs = []
 
         def positive(name, upper=None):
@@ -127,6 +125,13 @@ class NetworkConfig:
         positive_int("n_elements")
         positive_int("m_elements")
         positive_int("n_trials")
+        # N enters the closed forms as sqrt(N), a float; M's float overflow
+        # is reported where M**2 is formed
+        if isinstance(self.n_elements, int):
+            try:
+                float(self.n_elements)
+            except OverflowError:
+                errs.append(f"n_elements: must convert to a float, got {self.n_elements!r}")
         if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int) or self.master_seed < 0:
             errs.append(f"master_seed: must be a nonnegative integer, got {self.master_seed!r}")
         if self.phase_bits != "ideal" and (
@@ -154,13 +159,8 @@ class NetworkConfig:
         gate_t = self.compare_tolerances.gamma_b_gate_t_db
         if not isinstance(gate_t, (int, float)) or isinstance(gate_t, bool) or not math.isfinite(gate_t):
             errs.append(f"compare_tolerances.gamma_b_gate_t_db: must be a finite dB value, got {gate_t!r}")
-        return errs
-
-    def require_valid(self) -> "NetworkConfig":
-        errs = self.validate()
         if errs:
             raise ConfigError(errs)
-        return self
 
     # -- serialization / identity ------------------------------------------
     def to_mapping(self) -> dict:
@@ -178,7 +178,7 @@ class NetworkConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
     def replace(self, **changes) -> "NetworkConfig":
-        return dataclasses.replace(self, **changes).require_valid()
+        return dataclasses.replace(self, **changes)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "NetworkConfig":
@@ -208,8 +208,7 @@ class NetworkConfig:
             if sub_unknown:
                 raise ConfigError([f"unknown compare_tolerances key: {k}" for k in sub_unknown])
             kwargs["compare_tolerances"] = CompareTolerances(**sub)
-        cfg = cls(**kwargs)
-        return cfg.require_valid()
+        return cls(**kwargs)
 
 
 def load_config(path: str | Path) -> NetworkConfig:

@@ -70,12 +70,6 @@ def pdf_r2(r, lambda_ris: float):
     return _rayleigh_pdf(r, lambda_ris)
 
 
-def prob_ris_closer(lambda_ris: float, lambda_bs: float) -> float:
-    """Probability that the nearest reflector is closer than the nearest base."""
-    _check_positive(lambda_ris=lambda_ris, lambda_bs=lambda_bs)
-    return lambda_ris / (lambda_ris + lambda_bs)
-
-
 # ---------------------------------------------------------------------------
 # base-to-reflector distance r1
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .config import NetworkConfig
+from .config import ConfigError, NetworkConfig
 from .errors import ParameterError
 
 WORKERS_ENV_VAR = "RISCOV_WORKERS"
@@ -107,20 +107,12 @@ class TrialRecords:
         raise ParameterError(f"unknown metric {metric!r}")
 
 
-def _retention_probabilities(n_elements: int) -> tuple[float, float]:
-    """Probabilities that a random single beam / split beam covers the user."""
-    return tuple(
-        channel.BeamModel(n_elements, mode).retention_probability
-        for mode in (channel.SINGLE_BEAM, channel.SPLIT_BEAM)
-    )
-
-
 def _interference_block(cfg, rng, r0_sq, loss, power):
     """Interference sums of one block; returns (single, split, r_far, n_single).
 
     ``loss`` and ``power`` are ``(block, K)`` scratch buffers, overwritten.
     """
-    p_single, p_split = _retention_probabilities(cfg.n_elements)
+    p_single, p_split = channel.retention_probabilities(cfg)
     lam, alpha, mean_fade = cfg.lambda_bs_m2, cfg.alpha, 1.0 / cfg.mu
     # squared radii of the split-beam survivors, then their path loss
     rng.standard_exponential(out=loss)
@@ -159,7 +151,7 @@ def _simulate_chunk(args) -> dict:
     cfg, chunk_index, n = args
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
     alpha = cfg.alpha
-    _, p_split = _retention_probabilities(cfg.n_elements)
+    _, p_split = channel.retention_probabilities(cfg)
     n_arrivals = math.ceil(TRUNCATION_BASES * p_split)
 
     r0_sq = rng.standard_exponential(n) / (math.pi * cfg.lambda_bs_m2)
@@ -183,7 +175,7 @@ def _simulate_chunk(args) -> dict:
     r2 = np.hypot(ris_xy[:, 0], ris_xy[:, 1])
     engaged = r2 < r0 if cfg.conditional_path_b else np.ones(n, dtype=bool)
     signal = g0 * r0_sq ** (-0.5 * alpha)
-    reflect_gain = channel.reflection_gain(cfg.reflection_model(), f1, r1, alpha)
+    reflect_gain = channel.reflection_gain(cfg, f1, r1)
     sir_b = reflect_gain * h * r2 ** -alpha / i_split
     return {
         "sir_o": signal / i_single,
@@ -217,8 +209,7 @@ def simulate(cfg: NetworkConfig) -> TrialRecords:
     stream keyed by ``(master_seed, chunk_index)``, so the merge (a
     concatenation in chunk order) is associative and scheduling-free.
     """
-    cfg.require_valid()
-    channel.array_gain(cfg.reflection_model())  # an overflowing bank fails before any draw
+    channel.array_gain(cfg)  # an overflowing bank fails before any draw
     chunks = [
         (cfg, index, min(CHUNK_TRIALS, cfg.n_trials - start))
         for index, start in enumerate(range(0, cfg.n_trials, CHUNK_TRIALS))
@@ -227,8 +218,7 @@ def simulate(cfg: NetworkConfig) -> TrialRecords:
     if workers == 1 or len(chunks) == 1:
         results = [_simulate_chunk(c) for c in chunks]
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(chunks))) as pool:
+        with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
             results = list(pool.imap(_simulate_chunk, chunks, chunksize=1))
     merged = {
         key: np.concatenate([r[key] for r in results]) for key in results[0]
@@ -268,7 +258,9 @@ def estimate_coverage(
     metrics use every trial. Pass precomputed ``records`` to reuse a run.
     """
     if cfg.n_trials < 100:
-        raise ParameterError("estimate_coverage needs at least 100 trials")
+        raise ConfigError(
+            [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
+        )
     if records is None:
         records = simulate(cfg)
     out = []
@@ -326,7 +318,7 @@ def empirical_histogram(
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
     if cfg.n_trials < 1000:
-        raise ParameterError("empirical_histogram needs at least 1000 trials")
+        raise ConfigError([f"n_trials: must be at least 1000 for a histogram, got {cfg.n_trials}"])
     if records is None:
         records = simulate(cfg)
     if quantity == "p_ris":

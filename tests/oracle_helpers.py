@@ -7,7 +7,9 @@ the law of cosines. The package evaluates the same quantities in closed form
 (a hypergeometric interference factor, an exactly Rayleigh ``r1``); the
 quadrature routes below integrate the defining integrals instead. Likewise
 the reflector bank's phase-quantization loss is a closed form in the package
-and an element-by-element array factor here.
+and an element-by-element array factor here. The last section keeps model
+identities (peak reflected power, the fractional fade moment, the engaged
+probability) that only tests evaluate.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special
+
+from riscov import channel
 
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
 # the outer integration limit is the 1 - TAIL_MASS quantile.
@@ -258,3 +262,22 @@ def array_factor_from_phases(target_phases, phase_bits="ideal") -> complex:
         return complex(target_phases.size, 0.0)
     residual = quantize_phases(target_phases, phase_bits) - target_phases
     return complex(np.sum(np.exp(1j * residual)))
+
+
+# ---------------------------------------------------------------------------
+# model identities that no command needs
+# ---------------------------------------------------------------------------
+
+def peak_reflection_power(cfg, fade_f1, r1):
+    """Peak power reflected toward the user by the engaged reflector bank."""
+    return 0.5 * cfg.p_s * channel.reflection_gain(cfg, fade_f1, r1)
+
+
+def fade_fractional_moment(mu, alpha):
+    """``E[f**(2/alpha)]`` for an exponential(mu) gain: ``mu**(-2/a) * Gamma(2/a + 1)``."""
+    return float(mu ** (-2.0 / alpha) * special.gamma(2.0 / alpha + 1.0))
+
+
+def prob_ris_closer(lambda_ris, lambda_bs):
+    """Probability that the nearest reflector is closer than the nearest base."""
+    return lambda_ris / (lambda_ris + lambda_bs)

@@ -194,8 +194,8 @@ def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
         boresight = 2.0 * math.pi * rng.random(n_bs)
         to_user = np.arctan2(-bs.points[:, 1], -bs.points[:, 0])
         off = np.abs((boresight - to_user + math.pi) % (2.0 * math.pi) - math.pi)
-        psi_single = channel.BeamModel(cfg.n_elements, channel.SINGLE_BEAM).beamwidth
-        psi_split = channel.BeamModel(cfg.n_elements, channel.SPLIT_BEAM).beamwidth
+        psi_single = 2.0 * math.pi / math.sqrt(cfg.n_elements)
+        psi_split = 2.0 * math.sqrt(2.0) * math.pi / math.sqrt(cfg.n_elements)
         single = off <= psi_single / 2.0
         split = off <= psi_split / 2.0
 
@@ -264,35 +264,30 @@ def sir_path_a(s: Scenario, alpha: float) -> float:
     return signal / i_sum if i_sum > 0 else math.inf
 
 
-def sir_path_b(
-    s: Scenario, alpha: float, reflection: channel.ReflectionModel
-) -> float | None:
-    """Reflected-path SIR, or None when no reflector is engaged."""
+def sir_path_b(s: Scenario, cfg: NetworkConfig) -> float | None:
+    """Reflected-path SIR at the config's reflector bank, or None when no reflector is engaged."""
     if s.engaged_ris_index is None:
         return None
-    gain = channel.reflection_gain(reflection, s.fades.f1, s.r1, alpha)
-    i_sum = _interference(s, s.retained_split, alpha)
-    signal = gain * s.fades.h * s.r2**-alpha
+    gain = channel.reflection_gain(cfg, s.fades.f1, s.r1)
+    i_sum = _interference(s, s.retained_split, cfg.alpha)
+    signal = gain * s.fades.h * s.r2**-cfg.alpha
     return signal / i_sum if i_sum > 0 else math.inf
 
 
-def sir_selection(
-    s: Scenario, alpha: float, reflection: channel.ReflectionModel
-) -> float:
+def sir_selection(s: Scenario, cfg: NetworkConfig) -> float:
     """Selection diversity: the stronger of the two paths."""
-    a = sir_path_a(s, alpha)
-    b = sir_path_b(s, alpha, reflection)
+    a = sir_path_a(s, cfg.alpha)
+    b = sir_path_b(s, cfg)
     return a if b is None else max(a, b)
 
 
 def reference_sirs(cfg: NetworkConfig) -> dict[str, np.ndarray]:
     """Per-trial ``sir_o``, ``sir_a`` and ``sir_b`` (nan when not engaged) of a run."""
-    reflection = cfg.reflection_model()
     out = {name: np.empty(cfg.n_trials) for name in ("sir_o", "sir_a", "sir_b")}
     for k in range(cfg.n_trials):
         s = drop_scenario(cfg, k)
         out["sir_o"][k] = sir_baseline(s, cfg.alpha)
         out["sir_a"][k] = sir_path_a(s, cfg.alpha)
-        b = sir_path_b(s, cfg.alpha, reflection)
+        b = sir_path_b(s, cfg)
         out["sir_b"][k] = math.nan if b is None else b
     return out

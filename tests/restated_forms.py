@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+from oracle_helpers import fade_fractional_moment
 from riscov import analytic, channel, geometry
 from riscov.config import NetworkConfig
 
@@ -17,12 +18,10 @@ def coverage_baseline_general(cfg: NetworkConfig, T: float) -> float:
 
     Mathematically identical to :func:`riscov.analytic.coverage_baseline`.
     """
-    beam = channel.BeamModel(cfg.n_elements, channel.SINGLE_BEAM)
+    p_single, _ = channel.retention_probabilities(cfg)
     lam_bs = cfg.lambda_bs_m2
     lam_bs_t = channel.power_density_convert(lam_bs, cfg.p_s, cfg.mu, cfg.alpha)
-    lam_i_t = channel.power_density_convert(
-        channel.interferer_intensity(lam_bs, beam), cfg.p_s, cfg.mu, cfg.alpha
-    )
+    lam_i_t = channel.power_density_convert(lam_bs * p_single, cfg.p_s, cfg.mu, cfg.alpha)
     i_factor = analytic.interference_factor(T, cfg.alpha)
     return lam_bs_t / (lam_bs_t + lam_i_t * i_factor)
 
@@ -38,7 +37,7 @@ def coverage_path_b_restated(cfg: NetworkConfig, T: float) -> float:
     eff = channel.quantization_efficiency(cfg.phase_bits)
     f1 = (
         (cfg.beta * eff / cfg.mu) ** (2.0 / cfg.alpha)
-        * channel.fade_fractional_moment(1.0, cfg.alpha)
+        * fade_fractional_moment(1.0, cfg.alpha)
         * geometry.expected_inv_r1_pow(2.0, lam_bs, lam_ris, cfg.epsilon_floor)
     )
     f2 = analytic.interference_factor(T, cfg.alpha)

@@ -14,7 +14,12 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats
 
-from oracle_helpers import array_factor_from_phases, interference_quadrature
+from oracle_helpers import (
+    array_factor_from_phases,
+    fade_fractional_moment,
+    interference_quadrature,
+    prob_ris_closer,
+)
 from restated_forms import coverage_baseline_general
 from riscov import analytic, channel, cli, geometry, montecarlo
 from riscov.config import NetworkConfig
@@ -145,7 +150,7 @@ def test_c05_r1_marginal_reproduction(sparse_run):
 
 def test_c06_engaged_probability(sparse_run):
     cfg = sparse_run.cfg
-    expected = geometry.prob_ris_closer(cfg.lambda_ris_m2, cfg.lambda_bs_m2)
+    expected = prob_ris_closer(cfg.lambda_ris_m2, cfg.lambda_bs_m2)
     empirical = float(sparse_run.records.engaged.mean())
     gap = abs(empirical - expected)
     report(
@@ -175,7 +180,7 @@ def test_c08_fade_fractional_moment():
     empirical = float(np.sqrt(draws).mean())
     target = math.sqrt(math.pi) / 2
     rel = abs(empirical - target) / target
-    assert channel.fade_fractional_moment(1.0, 4.0) == pytest.approx(target, rel=1e-12)
+    assert fade_fractional_moment(1.0, 4.0) == pytest.approx(target, rel=1e-12)
     report(
         8, "half-power fade moment matches Gamma(3/2)",
         rel <= TOL["fade_moment_rel"], f"(relative dev {rel:.2e} over 1e6 draws)",
@@ -277,14 +282,14 @@ def test_c12_trend_suite():
     )
 
     # mean reflected power rises in either density (unit-attenuation bank)
-    model = channel.ReflectionModel(m_elements=100, beta_attenuation=1.0)
+    bank = dict(m_elements=100, beta=1.0, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
     pr_ris = [
-        channel.mean_reflected_power(2.5e-5, lr, model, 2.0, 1.0, 4.0, 1.0)
-        for lr in (5e-4, 2e-3, 8e-3)
+        channel.mean_reflected_power(NetworkConfig(lambda_bs=25.0, lambda_ris=lr, **bank))
+        for lr in (500.0, 2000.0, 8000.0)
     ]
     pr_bs = [
-        channel.mean_reflected_power(lb, 1e-3, model, 2.0, 1.0, 4.0, 1.0)
-        for lb in (1e-5, 4e-5, 1.6e-4)
+        channel.mean_reflected_power(NetworkConfig(lambda_bs=lb, lambda_ris=1000.0, **bank))
+        for lb in (10.0, 40.0, 160.0)
     ]
     power_ok = all(a < b for a, b in zip(pr_ris, pr_ris[1:])) and all(
         a < b for a, b in zip(pr_bs, pr_bs[1:])

@@ -1,6 +1,7 @@
 """Closed-form coverage expressions and the interference kernel."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import integrate, optimize
 from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
 from riscov import analytic, geometry
-from riscov.config import NetworkConfig
+from riscov.config import ConfigError, NetworkConfig
 from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5
@@ -270,12 +271,13 @@ class TestQueryValidation:
         with pytest.raises(ParameterError):
             analytic.coverage_path_b_approx2(make_cfg(), np.array([1.0, -1.0]))
 
-    # a config built without validation still cannot reach a wrong number
+    # an invalid config cannot reach a closed form: building it fails, even
+    # through dataclasses.replace
 
     def test_rejects_alpha_at_two(self):
-        with pytest.raises(ParameterError):
-            analytic.coverage_baseline(NetworkConfig(alpha=2.0), 1.0)
+        with pytest.raises(ConfigError):
+            analytic.coverage_baseline(dataclasses.replace(make_cfg(), alpha=2.0), 1.0)
 
     def test_rejects_fractional_elements(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             analytic.coverage_path_b_approx1(NetworkConfig(n_elements=2.5), 1.0)

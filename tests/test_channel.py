@@ -9,12 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from oracle_helpers import array_factor_from_phases
+from oracle_helpers import (
+    array_factor_from_phases,
+    fade_fractional_moment,
+    peak_reflection_power,
+)
 from riscov import channel, geometry
+from riscov.config import ConfigError, NetworkConfig
 from riscov.errors import DomainError, ParameterError
 
 LAM_BS = 2.5e-5
 LAM_RIS = 1e-3
+
+
+def deployment(**kw) -> NetworkConfig:
+    """A config at LAM_BS and LAM_RIS, which configs take per km^2; overrides in config units."""
+    return NetworkConfig(**{"lambda_bs": 25.0, "lambda_ris": 1000.0, **kw})
 
 
 @dataclass(frozen=True)
@@ -78,30 +88,24 @@ class TestPathLoss:
 
 class TestBeamThinning:
     def test_single_beam_n16(self):
-        beam = channel.BeamModel(16, channel.SINGLE_BEAM)
-        assert channel.interferer_intensity(LAM_BS, beam) == pytest.approx(LAM_BS / 4)
-        assert beam.beamwidth == pytest.approx(2 * math.pi / 4)
+        single, _ = channel.retention_probabilities(NetworkConfig(n_elements=16))
+        assert single == pytest.approx(1 / 4)
 
     def test_split_beam_n16(self):
-        beam = channel.BeamModel(16, channel.SPLIT_BEAM)
-        assert channel.interferer_intensity(LAM_BS, beam) == pytest.approx(
-            LAM_BS * 0.3535533906, rel=1e-9
-        )
-        assert beam.beamwidth == pytest.approx(2 * math.sqrt(2) * math.pi / 4)
-        assert beam.per_beam_power(2.0) == 1.0
+        _, split = channel.retention_probabilities(NetworkConfig(n_elements=16))
+        assert split == pytest.approx(0.3535533906, rel=1e-9)
 
     def test_isotropic_limit(self):
-        beam = channel.BeamModel(1, channel.SINGLE_BEAM)
-        assert channel.interferer_intensity(LAM_BS, beam) == pytest.approx(LAM_BS)
+        single, _ = channel.retention_probabilities(NetworkConfig(n_elements=1))
+        assert single == pytest.approx(1.0)
 
     def test_split_beam_retention_capped_at_one(self):
-        assert channel.BeamModel(1, channel.SPLIT_BEAM).retention_probability == 1.0
-        assert channel.BeamModel(2, channel.SPLIT_BEAM).retention_probability == 1.0
-        assert channel.BeamModel(3, channel.SPLIT_BEAM).retention_probability == math.sqrt(2 / 3)
+        def split(n):
+            return channel.retention_probabilities(NetworkConfig(n_elements=n))[1]
 
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            channel.BeamModel(16, "tri_beam")
+        assert split(1) == 1.0
+        assert split(2) == 1.0
+        assert split(3) == math.sqrt(2 / 3)
 
 
 class TestPowerDensityConversion:
@@ -185,25 +189,24 @@ class TestArrayFactor:
     def test_bad_bits(self):
         with pytest.raises(ParameterError):
             channel.quantization_efficiency(0)
-        with pytest.raises(ParameterError):
-            channel.ReflectionModel(m_elements=16, phase_bits=0)
+        with pytest.raises(ConfigError):
+            NetworkConfig(m_elements=16, phase_bits=0)
 
 
 class TestPeakReflectionPower:
     def test_reference_value(self):
-        model = channel.ReflectionModel(m_elements=100, beta_attenuation=0.9)
-        power = channel.peak_reflection_power(model, p_s=2.0, fade_f1=1.0, r1=10.0, alpha=4.0)
+        cfg = NetworkConfig(m_elements=100, beta=0.9, p_s=2.0, alpha=4.0)
+        power = peak_reflection_power(cfg, fade_f1=1.0, r1=10.0)
         assert power == pytest.approx(0.9, rel=1e-12)
 
     def test_unit_configuration(self):
-        model = channel.ReflectionModel(m_elements=1, beta_attenuation=1.0)
-        assert channel.peak_reflection_power(model, 2.0, 1.0, 1.0, 4.0) == pytest.approx(1.0)
+        cfg = NetworkConfig(m_elements=1, beta=1.0, p_s=2.0, alpha=4.0)
+        assert peak_reflection_power(cfg, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_doubling_elements_quadruples(self):
-        small = channel.ReflectionModel(m_elements=50)
-        large = channel.ReflectionModel(m_elements=100)
-        ratio = channel.peak_reflection_power(large, 2.0, 0.7, 20.0, 4.0) / \
-            channel.peak_reflection_power(small, 2.0, 0.7, 20.0, 4.0)
+        small = NetworkConfig(m_elements=50, p_s=2.0, alpha=4.0)
+        large = NetworkConfig(m_elements=100, p_s=2.0, alpha=4.0)
+        ratio = peak_reflection_power(large, 0.7, 20.0) / peak_reflection_power(small, 0.7, 20.0)
         assert ratio == pytest.approx(4.0, rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -212,62 +215,63 @@ class TestPeakReflectionPower:
         scale=st.floats(0.5, 4.0), r1=st.floats(0.5, 200.0),
     )
     def test_linearity_and_homogeneity(self, f1, beta, scale, r1):
-        model = channel.ReflectionModel(m_elements=10, beta_attenuation=beta)
-        base = channel.peak_reflection_power(model, 2.0, f1, r1, 4.0)
-        assert channel.peak_reflection_power(model, 2.0, scale * f1, r1, 4.0) == pytest.approx(
+        cfg = NetworkConfig(m_elements=10, beta=beta, p_s=2.0, alpha=4.0)
+        base = peak_reflection_power(cfg, f1, r1)
+        assert peak_reflection_power(cfg, scale * f1, r1) == pytest.approx(
             scale * base, rel=1e-9
         )
-        assert channel.peak_reflection_power(model, 2.0, f1, scale * r1, 4.0) == pytest.approx(
+        assert peak_reflection_power(cfg, f1, scale * r1) == pytest.approx(
             scale**-4.0 * base, rel=1e-9
         )
-        half = channel.ReflectionModel(m_elements=10, beta_attenuation=beta / 2)
-        assert channel.peak_reflection_power(half, 2.0, f1, r1, 4.0) == pytest.approx(
+        half = NetworkConfig(m_elements=10, beta=beta / 2, p_s=2.0, alpha=4.0)
+        assert peak_reflection_power(half, f1, r1) == pytest.approx(
             base / 2, rel=1e-9
         )
 
 
 class TestFadeMoment:
     def test_alpha2_reduces_to_mean(self):
-        assert channel.fade_fractional_moment(1.0, 2.0) == pytest.approx(1.0, rel=1e-12)
-        assert channel.fade_fractional_moment(2.0, 2.0) == pytest.approx(0.5, rel=1e-12)
+        assert fade_fractional_moment(1.0, 2.0) == pytest.approx(1.0, rel=1e-12)
+        assert fade_fractional_moment(2.0, 2.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_alpha4_is_gamma_three_halves(self):
-        assert channel.fade_fractional_moment(1.0, 4.0) == pytest.approx(
+        assert fade_fractional_moment(1.0, 4.0) == pytest.approx(
             math.sqrt(math.pi) / 2, rel=1e-12
         )
 
     def test_alpha4_against_sampling(self):
         rng = np.random.default_rng(13)
         draws = rng.exponential(1.0, 1_000_000)
-        assert abs(np.sqrt(draws).mean() - channel.fade_fractional_moment(1.0, 4.0)) < 0.005
+        assert abs(np.sqrt(draws).mean() - fade_fractional_moment(1.0, 4.0)) < 0.005
 
 
 class TestRawMoment:
     def test_increasing_in_ris_density(self):
-        model = channel.ReflectionModel(m_elements=100, beta_attenuation=0.9)
-        grid = [5e-4, 1e-3, 1e-2, 5e-2]
+        grid = [500.0, 1000.0, 1e4, 5e4]
         vals = [
-            channel.reflected_power_raw_moment(LAM_BS, lr, model, 2.0, 1.0, 4.0, 1.0)
+            channel.reflected_power_raw_moment(
+                deployment(lambda_ris=lr, m_elements=100, beta=0.9, p_s=2.0, mu=1.0, alpha=4.0,
+                           epsilon_floor=1.0)
+            )
             for lr in grid
         ]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_composes_prefactor_and_moment(self):
-        model = channel.ReflectionModel(m_elements=100, beta_attenuation=0.9)
-        val = channel.reflected_power_raw_moment(LAM_BS, LAM_RIS, model, 2.0, 1.0, 4.0, 1.0)
+        cfg = deployment(m_elements=100, beta=0.9, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
+        val = channel.reflected_power_raw_moment(cfg)
         expected = (
             math.sqrt(100**2 * 0.9 * 2.0 / 2.0)
-            * channel.fade_fractional_moment(1.0, 4.0)
+            * fade_fractional_moment(1.0, 4.0)
             * geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
         )
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_matches_brute_force_raw_moment(self):
         # oracle: E[(P_RIS/mu)^{2/a}] from scenario draws with the same floor
-        model = channel.ReflectionModel(m_elements=100, beta_attenuation=0.9)
         p_s, mu, alpha, eps = 2.0, 1.0, 4.0, 1.0
         analytic = channel.reflected_power_raw_moment(
-            LAM_BS, LAM_RIS, model, p_s, mu, alpha, eps
+            deployment(m_elements=100, beta=0.9, p_s=p_s, mu=mu, alpha=alpha, epsilon_floor=eps)
         )
         rng = np.random.default_rng(17)
         total, n_pairs, n_angles, batch = 0.0, 100_000, 256, 5_000
@@ -289,18 +293,22 @@ class TestRawMoment:
 class TestMeanReflectedPower:
     def test_reference_power_trends(self):
         # increasing in reflector density, decreasing as base density drops
-        model = channel.ReflectionModel(m_elements=100, beta_attenuation=1.0)
-        args = (model, 2.0, 1.0, 4.0, 1.0)
-        by_ris = [channel.mean_reflected_power(LAM_BS, lr, *args) for lr in (5e-4, 1e-3, 4e-3)]
+        args = dict(m_elements=100, beta=1.0, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
+        by_ris = [
+            channel.mean_reflected_power(deployment(lambda_ris=lr, **args))
+            for lr in (500.0, 1000.0, 4000.0)
+        ]
         assert all(a < b for a, b in zip(by_ris, by_ris[1:]))
-        by_bs = [channel.mean_reflected_power(lb, LAM_RIS, *args) for lb in (1e-5, 2.5e-5, 1e-4)]
+        by_bs = [
+            channel.mean_reflected_power(deployment(lambda_bs=lb, **args))
+            for lb in (10.0, 25.0, 100.0)
+        ]
         assert all(a < b for a, b in zip(by_bs, by_bs[1:]))
 
     def test_doubling_elements_quadruples(self):
-        m50 = channel.ReflectionModel(m_elements=50, beta_attenuation=1.0)
-        m100 = channel.ReflectionModel(m_elements=100, beta_attenuation=1.0)
-        ratio = channel.mean_reflected_power(LAM_BS, LAM_RIS, m100, 2.0, 1.0, 4.0, 1.0) / \
-            channel.mean_reflected_power(LAM_BS, LAM_RIS, m50, 2.0, 1.0, 4.0, 1.0)
+        args = dict(beta=1.0, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
+        ratio = channel.mean_reflected_power(deployment(m_elements=100, **args)) / \
+            channel.mean_reflected_power(deployment(m_elements=50, **args))
         assert ratio == pytest.approx(4.0, rel=1e-9)
 
     def test_matches_importance_sampled_average(self):
@@ -308,9 +316,10 @@ class TestMeanReflectedPower:
         # identical floor; the inverse-distance part needs importance
         # sampling (rare near-coincident geometries dominate the moment)
         from oracle_helpers import floored_inv_pow_is_oracle
-        model = channel.ReflectionModel(m_elements=100, beta_attenuation=1.0)
         p_s, mu, alpha, eps = 2.0, 1.0, 4.0, 1.0
-        analytic = channel.mean_reflected_power(LAM_BS, LAM_RIS, model, p_s, mu, alpha, eps)
+        analytic = channel.mean_reflected_power(
+            deployment(m_elements=100, beta=1.0, p_s=p_s, mu=mu, alpha=alpha, epsilon_floor=eps)
+        )
         inv_moment = floored_inv_pow_is_oracle(alpha, LAM_BS, LAM_RIS, eps, seed=19)
         oracle = 100**2 * 1.0 * (p_s / 2) * (1.0 / mu) * inv_moment
         assert abs(analytic - oracle) / oracle < 0.05

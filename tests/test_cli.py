@@ -283,6 +283,29 @@ class TestColdImport:
         assert out.splitlines()[-1] == str(loaded)
 
 
+class TestWorkerPool:
+    def test_spawned_workers_match_one_worker(self):
+        # the pool uses the platform's default start method, which is spawn
+        # on macOS and Windows; spawned workers import the package afresh
+        code = (
+            "import dataclasses, multiprocessing, os\n"
+            "import numpy as np\n"
+            "from riscov import montecarlo\n"
+            "from riscov.config import NetworkConfig\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "cfg = NetworkConfig(n_trials=2500, master_seed=11)\n"
+            "runs = []\n"
+            "for workers in ('1', '2'):\n"
+            "    os.environ[montecarlo.WORKERS_ENV_VAR] = workers\n"
+            "    runs.append(montecarlo.simulate(cfg))\n"
+            "print(multiprocessing.get_start_method(), [\n"
+            "    f.name for f in dataclasses.fields(runs[0])\n"
+            "    if not np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name), equal_nan=True)\n"
+            "])\n"
+        )
+        assert _run_fresh(code).strip() == "spawn []"
+
+
 class TestSweep:
     def test_cardinality(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -426,6 +449,33 @@ class TestTypedExits:
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.splitlines() == ["pipeline error: quadrature did not converge"]
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--trials", "50"],
+         "n_trials: must be at least 100 to estimate coverage, got 50"),
+        (["hist", "--quantity", "r0", "--trials", "500"],
+         "n_trials: must be at least 1000 for a histogram, got 500"),
+    ], ids=["simulate", "hist"])
+    def test_trial_minimum_is_config_error(self, runner, tmp_path, argv, message):
+        # both minimums used to surface as a pipeline error (exit 4)
+        result = runner.invoke(cli.main, argv + ["--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.splitlines() == [f"config error: {message}"]
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_element_count_beyond_float_is_config_error(self, runner, tmp_path, command):
+        # sqrt(N) used to raise OverflowError: a traceback and exit 1, the
+        # gate-failed code
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_elements: 1" + "0" * 400 + "\n")
+        result = runner.invoke(
+            cli.main, [command, "-c", str(cfg), "--trials", "200", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("config error: n_elements: must convert to a float")
 
 
 class TestRowFormatting:

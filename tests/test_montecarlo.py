@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
-from riscov import channel, cli, montecarlo
+from riscov import cli, montecarlo
 from riscov.config import ConfigError, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
 
@@ -206,10 +206,10 @@ class TestPerTrialSirs:
         assert (s.r0, s.r2) == (1.5, 1.0)
         assert s.r1 == pytest.approx(1.0, rel=1e-12)
         assert s.engaged_ris_index == 0
-        unit = channel.ReflectionModel(m_elements=1, beta_attenuation=1.0)
-        assert ref.sir_path_b(s, 4.0, unit) == pytest.approx(1.0, rel=1e-9)
-        bank = channel.ReflectionModel(m_elements=20, beta_attenuation=0.5)
-        assert ref.sir_path_b(s, 4.0, bank) == pytest.approx(200.0, rel=1e-9)
+        unit = NetworkConfig(m_elements=1, beta=1.0, alpha=4.0)
+        assert ref.sir_path_b(s, unit) == pytest.approx(1.0, rel=1e-9)
+        bank = NetworkConfig(m_elements=20, beta=0.5, alpha=4.0)
+        assert ref.sir_path_b(s, bank) == pytest.approx(200.0, rel=1e-9)
 
     def test_path_b_element_scaling(self):
         s = hand_scenario(
@@ -219,8 +219,8 @@ class TestPerTrialSirs:
             f1=0.9,
             h=1.8,
         )
-        small = ref.sir_path_b(s, 4.0, channel.ReflectionModel(10, 0.9))
-        large = ref.sir_path_b(s, 4.0, channel.ReflectionModel(100, 0.9))
+        small = ref.sir_path_b(s, NetworkConfig(m_elements=10, beta=0.9, alpha=4.0))
+        large = ref.sir_path_b(s, NetworkConfig(m_elements=100, beta=0.9, alpha=4.0))
         assert large == pytest.approx(100.0 * small, rel=1e-12)
 
     def test_path_b_absent_without_engaged_reflector(self):
@@ -230,9 +230,9 @@ class TestPerTrialSirs:
             g=[1.0, 1.0],
         )
         assert s.engaged_ris_index is None
-        model = channel.ReflectionModel(10, 0.9)
-        assert ref.sir_path_b(s, 4.0, model) is None
-        assert ref.sir_selection(s, 4.0, model) == ref.sir_path_a(s, 4.0)
+        cfg = NetworkConfig(m_elements=10, beta=0.9, alpha=4.0)
+        assert ref.sir_path_b(s, cfg) is None
+        assert ref.sir_selection(s, cfg) == ref.sir_path_a(s, 4.0)
 
     def test_selection_takes_maximum(self):
         s = hand_scenario(
@@ -242,10 +242,10 @@ class TestPerTrialSirs:
             f1=0.9,
             h=1.8,
         )
-        model = channel.ReflectionModel(100, 0.9)
+        cfg = NetworkConfig(m_elements=100, beta=0.9, alpha=4.0)
         a = ref.sir_path_a(s, 4.0)
-        b = ref.sir_path_b(s, 4.0, model)
-        assert ref.sir_selection(s, 4.0, model) == max(a, b)
+        b = ref.sir_path_b(s, cfg)
+        assert ref.sir_selection(s, cfg) == max(a, b)
 
 
 class TestTransmitPowerInvariance:
@@ -265,7 +265,7 @@ class TestEstimateCoverage:
             assert e.probability == 1.0
 
     def test_requires_minimum_trials(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             montecarlo.estimate_coverage(small_cfg(n_trials=50), [1.0])
 
     def test_requires_positive_threshold(self):
@@ -346,7 +346,7 @@ class TestHistograms:
             montecarlo.empirical_histogram(small_cfg(), "r9")
 
     def test_requires_enough_trials(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             montecarlo.empirical_histogram(small_cfg(n_trials=10), "r0")
 
 
