@@ -5,7 +5,14 @@ Each command hands one :class:`riscov.config.NetworkConfig` to the engines;
 its accessors do the dB-vs-linear and km^2-vs-m^2 conversions. One
 decorator, ``_config_command``, declares the options every command shares,
 builds that config from ``--config`` and the overrides (building it is what
-checks it), and runs the command body under the typed exits below.
+checks it), and runs the command body under the typed exits below. The
+shared options are ``--config``, ``--out``, ``--seed``, ``--trials`` and
+``--mode``.
+
+One table, :data:`GATES`, pairs each closed form with the simulated metric
+it predicts and with the gate that ``compare`` applies to their gap;
+``analytic`` evaluates the closed forms in that table. The gates are fixed:
+no config or option changes a tolerance or drops a gate.
 
 Exit codes: 0 success, 1 comparison gate failed, 2 config error,
 4 pipeline error. Code 3 (formerly "simulation failure") is reserved.
@@ -18,7 +25,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import cycle
 from pathlib import Path
 
@@ -26,7 +33,7 @@ import click
 import numpy as np
 
 from . import analytic, channel, geometry, montecarlo
-from .config import ORIENTATION_MODES, ConfigError, NetworkConfig, load_config
+from .config import ConfigError, NetworkConfig, load_config
 from .errors import RiscovError
 
 CSV_HEADER = "engine,metric,T_db,axis_name,axis_value,value,ci_half_width,n_trials,config_hash,seed"
@@ -35,17 +42,40 @@ EXIT_GATE_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_PIPELINE_ERROR = 4
 
-ANALYTIC_ENGINES = {
-    "analytic_q2": "gamma_o",
-    "analytic_q23": "gamma_a",
-    "approx1": "gamma_b",
-    "approx2": "gamma_b",
-}
-
 SWEEP_METRICS = ("coverage", "e_r1", "e_p_ris")
 
-# a threshold this close (in dB) to `gamma_b_gate_t_db` gets the gamma_b gates
+# a threshold this close (in dB) to a gate's `t_db` gets that gate
 GATE_T_DB_ABS_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One closed form, the simulated metric it predicts, and how the gap is gated.
+
+    ``closed_form`` names a function of :mod:`riscov.analytic`, looked up at
+    each call so that a patched module attribute is the one called. ``kind``
+    is ``"absolute"`` (|mc - analytic| <= tolerance) or ``"lower_bound"`` (mc
+    may undershoot the bound by at most the tolerance). ``t_db`` None gates
+    every threshold; a number gates that threshold only.
+    """
+
+    engine: str
+    closed_form: str
+    metric: str
+    kind: str
+    tolerance: float
+    t_db: float | None = None
+
+
+# The gates of `compare`, in report order at each threshold. The reflected-path
+# approximations are advertised for dense deployments at moderate thresholds,
+# so they are gated at 5 dB only.
+GATES = (
+    Gate("analytic_q2", "coverage_baseline", "gamma_o", "absolute", 0.02),
+    Gate("analytic_q23", "coverage_path_a", "gamma_a", "absolute", 0.02),
+    Gate("approx1", "coverage_path_b_approx1", "gamma_b", "absolute", 0.05, t_db=5.0),
+    Gate("approx2", "coverage_path_b_approx2", "gamma_b", "lower_bound", 0.03, t_db=5.0),
+)
 
 SWEEP_AXES = {
     "lambda_ris": "lambda_ris_per_km2",
@@ -58,7 +88,7 @@ SWEEP_AXES = {
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (engine, metric, threshold) evaluation with provenance."""
+    """One (engine, metric, threshold) evaluation with provenance, fields in CSV column order."""
 
     engine: str
     metric: str
@@ -93,65 +123,39 @@ def _sort_key(row: ResultRow):
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in sorted(rows, key=_sort_key):
-        lines.append(
-            ",".join(
-                [
-                    r.engine,
-                    r.metric,
-                    _fmt(r.t_db),
-                    r.axis_name,
-                    _fmt(r.axis_value),
-                    _fmt(r.value),
-                    _fmt(r.ci_half_width),
-                    _fmt(r.n_trials),
-                    r.config_hash,
-                    str(r.seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    names = [f.name for f in fields(ResultRow)]
+    lines = [",".join(_fmt(getattr(r, n)) for n in names) for r in sorted(rows, key=_sort_key)]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def run_analytic(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> list[ResultRow]:
-    """Evaluate every closed form at every configured threshold."""
+    """Evaluate every gated closed form at every configured threshold."""
     chash = cfg.config_hash()
-    evaluators = {
-        "analytic_q2": analytic.coverage_baseline,
-        "analytic_q23": analytic.coverage_path_a,
-        "approx1": analytic.coverage_path_b_approx1,
-        "approx2": analytic.coverage_path_b_approx2,
-    }
     thresholds = np.asarray(cfg.thresholds_linear, dtype=float)
-    values = {engine: fn(cfg, thresholds) for engine, fn in evaluators.items()}
+    values = {g.engine: getattr(analytic, g.closed_form)(cfg, thresholds) for g in GATES}
     return [
         ResultRow(
-            engine=engine,
-            metric=metric,
+            engine=g.engine,
+            metric=g.metric,
             t_db=float(t_db),
             axis_name=axis_name,
             axis_value=axis_value,
-            value=float(values[engine][i]),
+            value=float(values[g.engine][i]),
             ci_half_width=None,
             n_trials=None,
             config_hash=chash,
             seed=cfg.master_seed,
         )
         for i, t_db in enumerate(cfg.thresholds_db)
-        for engine, metric in ANALYTIC_ENGINES.items()
+        for g in GATES
     ]
 
 
 def run_simulate(
-    cfg: NetworkConfig,
-    records: montecarlo.TrialRecords | None = None,
-    axis_name: str = "",
-    axis_value=None,
+    cfg: NetworkConfig, axis_name: str = "", axis_value=None
 ) -> tuple[list[ResultRow], montecarlo.TrialRecords]:
     """Simulate the configured run and reduce it to coverage rows."""
-    if records is None:
-        records = montecarlo.simulate(cfg)
+    records = montecarlo.simulate(cfg)
     estimates = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear, records=records)
     chash = cfg.config_hash()
     # estimates come metric by metric, each in threshold order; labelling by
@@ -177,56 +181,38 @@ def run_simulate(
 def build_comparison(
     cfg: NetworkConfig, analytic_rows: list[ResultRow], mc_rows: list[ResultRow]
 ) -> dict:
-    """Join analytic and simulated curves and apply the configured gates.
-
-    The reflected-path metric gets two gates: absolute agreement with the
-    proportional-distance approximation and a one-sided margin against the
-    dense-deployment lower bound.
-    """
+    """Join analytic and simulated curves and apply the gates of :data:`GATES`."""
     if not analytic_rows or not mc_rows:
         raise RiscovError("missing engine outputs: need both analytic and mc rows")
-    tol = cfg.compare_tolerances
     mc_by = {(r.metric, r.t_db): r for r in mc_rows}
     an_by = {(r.engine, r.t_db): r for r in analytic_rows}
     gates = []
-
-    def add_gate(metric, t_db, engine, kind, tolerance):
-        mc_row = mc_by.get((metric, t_db))
-        an_row = an_by.get((engine, t_db))
-        if mc_row is None or an_row is None:
-            raise RiscovError(
-                f"missing engine outputs for metric={metric} T={t_db} dB engine={engine}"
+    for t_db in map(float, cfg.thresholds_db):
+        for g in GATES:
+            if g.t_db is not None and not math.isclose(t_db, g.t_db, abs_tol=GATE_T_DB_ABS_TOL):
+                continue
+            mc_row = mc_by.get((g.metric, t_db))
+            an_row = an_by.get((g.engine, t_db))
+            if mc_row is None or an_row is None:
+                raise RiscovError(
+                    f"missing engine outputs for metric={g.metric} T={t_db} dB engine={g.engine}"
+                )
+            gap = float(mc_row.value) - float(an_row.value)
+            passed = abs(gap) <= g.tolerance if g.kind == "absolute" else gap >= -g.tolerance
+            gates.append(
+                {
+                    "metric": g.metric,
+                    "t_db": t_db,
+                    "engine": g.engine,
+                    "kind": g.kind,
+                    "analytic": float(an_row.value),
+                    "mc": float(mc_row.value),
+                    "mc_ci_half_width": float(mc_row.ci_half_width),
+                    "gap": gap,
+                    "tolerance": g.tolerance,
+                    "passed": bool(passed),
+                }
             )
-        gap = float(mc_row.value) - float(an_row.value)
-        if kind == "absolute":
-            passed = abs(gap) <= tolerance
-        else:  # one-sided lower bound: mc may undershoot by at most `tolerance`
-            passed = gap >= -tolerance
-        gates.append(
-            {
-                "metric": metric,
-                "t_db": t_db,
-                "engine": engine,
-                "kind": kind,
-                "analytic": float(an_row.value),
-                "mc": float(mc_row.value),
-                "mc_ci_half_width": float(mc_row.ci_half_width),
-                "gap": gap,
-                "tolerance": tolerance,
-                "passed": bool(passed),
-            }
-        )
-
-    for t_db in cfg.thresholds_db:
-        t_db = float(t_db)
-        add_gate("gamma_o", t_db, "analytic_q2", "absolute", tol.gamma_o)
-        add_gate("gamma_a", t_db, "analytic_q23", "absolute", tol.gamma_a)
-        # the reflected-path approximations are gated at their advertised
-        # operating point only
-        if math.isclose(t_db, float(tol.gamma_b_gate_t_db), abs_tol=GATE_T_DB_ABS_TOL):
-            add_gate("gamma_b", t_db, "approx1", "absolute", tol.gamma_b_approx1)
-            add_gate("gamma_b", t_db, "approx2", "lower_bound", tol.gamma_b_approx2_margin)
-
     return {
         "config_hash": cfg.config_hash(),
         "seed": cfg.master_seed,
@@ -342,8 +328,6 @@ _SHARED_OPTIONS = (
     click.option("--mode", "path_b_mode", type=click.Choice(["conditional", "unconditional"]),
                  default=None,
                  help="Engage the reflector only when closer than the base, or always."),
-    click.option("--orientation", type=click.Choice(list(ORIENTATION_MODES)), default=None,
-                 help="Interferer beam model: intensity thinning or explicit main lobes."),
 )
 
 
@@ -355,10 +339,10 @@ def _config_command(fn):
     failed computation exits 4.
     """
     @functools.wraps(fn)
-    def command(config_path, master_seed, n_trials, path_b_mode, orientation, **kwargs):
+    def command(config_path, master_seed, n_trials, path_b_mode, **kwargs):
         with _typed_exits():
             cfg = load_config(config_path) if config_path else NetworkConfig()
-            changes = {"master_seed": master_seed, "n_trials": n_trials, "orientation": orientation}
+            changes = {"master_seed": master_seed, "n_trials": n_trials}
             if path_b_mode is not None:
                 changes["conditional_path_b"] = path_b_mode == "conditional"
             cfg = cfg.replace(**{k: v for k, v in changes.items() if v is not None})
@@ -396,12 +380,14 @@ def analytic_cmd(cfg, out_dir):
 def simulate_cmd(cfg, out_dir, hist_quantities):
     """Run the Monte-Carlo engine and emit empirical coverage curves."""
     rows, records = run_simulate(cfg)
-    path = _write(out_dir, "simulate.csv", rows_to_csv(rows))
-    click.echo(f"wrote {path} ({len(rows)} rows)")
+    # every output is built before the first is written, so a rejected
+    # histogram leaves no fresh coverage CSV behind
+    outputs = [("simulate.csv", rows_to_csv(rows), f" ({len(rows)} rows)")]
     for quantity in hist_quantities:
         h = montecarlo.empirical_histogram(cfg, quantity, records=records)
-        hpath = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
-        click.echo(f"wrote {hpath}")
+        outputs.append((f"hist_{quantity}.csv", histogram_csv(cfg, h), ""))
+    for name, text, note in outputs:
+        click.echo(f"wrote {_write(out_dir, name, text)}{note}")
 
 
 @main.command("compare")

@@ -9,7 +9,12 @@ for machines.
 A :class:`NetworkConfig` is checked when it is built, so every instance is
 valid: the constructor, ``replace``, :meth:`NetworkConfig.from_mapping` and
 :func:`load_config` raise :class:`ConfigError` with field-level messages
-instead. No other module re-checks a config field.
+instead. No other module re-checks a config field. Every threshold must
+have a positive finite linear ratio, and a run needs at least one.
+
+A config describes a deployment and a run, not how a run is judged: the
+compare gates and their tolerances are constants of :mod:`riscov.cli`, so
+no config can loosen or drop a gate.
 """
 from __future__ import annotations
 
@@ -41,21 +46,14 @@ class ConfigError(RiscovError, ValueError):
         self.errors = list(errors)
 
 
-@dataclass(frozen=True)
-class CompareTolerances:
-    """Gates applied by the compare pipeline (absolute coverage gaps).
-
-    The direct-path gates apply at every threshold. The reflected-path
-    approximations are only advertised for dense reflector deployments at
-    moderate thresholds, so their gates apply at ``gamma_b_gate_t_db`` alone
-    (skipped when that threshold is not part of the run).
-    """
-
-    gamma_o: float = 0.02
-    gamma_a: float = 0.02
-    gamma_b_approx1: float = 0.05
-    gamma_b_approx2_margin: float = 0.03
-    gamma_b_gate_t_db: float = 5.0
+def _is_ratio_db(t) -> bool:
+    """Whether ``t`` is a dB value whose linear ratio is a positive finite float."""
+    if not isinstance(t, (int, float)) or isinstance(t, bool):
+        return False
+    try:
+        return 0.0 < 10.0 ** (t / 10.0) < math.inf
+    except OverflowError:  # above about 3082 dB
+        return False
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,6 @@ class NetworkConfig:
     conditional_path_b: bool = True
     orientation: str = "thinning"
     shared_ris_fade: bool = True
-    compare_tolerances: CompareTolerances = CompareTolerances()
 
     # -- unit accessors ----------------------------------------------------
     @property
@@ -140,11 +137,13 @@ class NetworkConfig:
             or self.phase_bits < 1
         ):
             errs.append(f"phase_bits: must be 'ideal' or an integer >= 1, got {self.phase_bits!r}")
-        if not isinstance(self.thresholds_db, tuple) or any(
-            not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t)
-            for t in self.thresholds_db
-        ):
-            errs.append(f"thresholds_db: must be a list of finite dB values, got {self.thresholds_db!r}")
+        if not isinstance(self.thresholds_db, tuple) or not all(map(_is_ratio_db, self.thresholds_db)):
+            errs.append(
+                "thresholds_db: must be a list of dB values t with 10**(t/10) a positive "
+                f"finite float, got {self.thresholds_db!r}"
+            )
+        elif not self.thresholds_db:
+            errs.append("thresholds_db: must hold at least one threshold, got []")
         elif len(set(self.thresholds_db)) != len(self.thresholds_db):
             errs.append(f"thresholds_db: must not repeat a value, got {list(self.thresholds_db)!r}")
         if self.orientation not in ORIENTATION_MODES:
@@ -152,13 +151,6 @@ class NetworkConfig:
         for name in ("conditional_path_b", "shared_ris_fade"):
             if not isinstance(getattr(self, name), bool):
                 errs.append(f"{name}: must be a boolean, got {getattr(self, name)!r}")
-        for name in ("gamma_o", "gamma_a", "gamma_b_approx1", "gamma_b_approx2_margin"):
-            v = getattr(self.compare_tolerances, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or v < 0:
-                errs.append(f"compare_tolerances.{name}: must be a nonnegative number, got {v!r}")
-        gate_t = self.compare_tolerances.gamma_b_gate_t_db
-        if not isinstance(gate_t, (int, float)) or isinstance(gate_t, bool) or not math.isfinite(gate_t):
-            errs.append(f"compare_tolerances.gamma_b_gate_t_db: must be a finite dB value, got {gate_t!r}")
         if errs:
             raise ConfigError(errs)
 
@@ -199,15 +191,6 @@ class NetworkConfig:
                 kwargs["thresholds_db"] = tuple(float(t) for t in thresholds)
             except (TypeError, ValueError):
                 raise error
-        if "compare_tolerances" in kwargs:
-            sub = kwargs["compare_tolerances"]
-            if not isinstance(sub, dict):
-                raise ConfigError([f"compare_tolerances: must be a mapping, got {sub!r}"])
-            sub_known = {f.name for f in dataclasses.fields(CompareTolerances)}
-            sub_unknown = sorted(set(sub) - sub_known)
-            if sub_unknown:
-                raise ConfigError([f"unknown compare_tolerances key: {k}" for k in sub_unknown])
-            kwargs["compare_tolerances"] = CompareTolerances(**sub)
         return cls(**kwargs)
 
 

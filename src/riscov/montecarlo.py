@@ -297,16 +297,11 @@ class Histogram:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
 
 def empirical_histogram(
     cfg: NetworkConfig,
     quantity: str,
     bins: int = 60,
-    value_range: tuple[float, float] | None = None,
     records: TrialRecords | None = None,
 ) -> Histogram:
     """Histogram of a per-trial quantity, normalized to unit mass.
@@ -326,9 +321,7 @@ def empirical_histogram(
     else:
         values = getattr(records, quantity)
     values = values[np.isfinite(values)]
-    if value_range is None:
-        value_range = (float(values.min()), float(values.max()))
-    counts, edges = np.histogram(values, bins=bins, range=value_range)
+    counts, edges = np.histogram(values, bins=bins)
     widths = np.diff(edges)
     total = counts.sum()
     density = counts / (total * widths) if total else np.zeros_like(widths)

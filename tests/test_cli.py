@@ -1,6 +1,7 @@
 """Command-line surface: rows, gates, exit codes, output stability."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -41,17 +42,6 @@ class TestAnalyticCommand:
         assert len(baseline) == 1
         assert float(baseline[0]["value"]) == pytest.approx(0.83587, abs=5e-5)
 
-    def test_empty_threshold_list_is_ok(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("thresholds_db: []\n")
-        result = runner.invoke(
-            cli.main,
-            ["analytic", "-c", str(cfg), "--out", str(tmp_path)],
-            catch_exceptions=False,
-        )
-        assert result.exit_code == 0
-        assert read_rows(tmp_path / "analytic.csv") == []
-
     def test_alpha_two_exits_config_error(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("alpha: 2\n")
@@ -72,7 +62,7 @@ class TestAnalyticCommand:
         assert result.exit_code == 0, result.output
         cfg = load_config(cfg_path)
         rows = read_rows(tmp_path / "analytic.csv")
-        assert len(rows) == len(cli.ANALYTIC_ENGINES) * len(cfg.thresholds_db)
+        assert len(rows) == len(cli.GATES) * len(cfg.thresholds_db)
         checked = 0
         for row in rows:
             value = float(row["value"])
@@ -186,23 +176,35 @@ class TestCompare:
         with pytest.raises(Exception):
             cli.build_comparison(cfg, [], [])
 
-    def test_compare_cli_failure_exit_code(self, runner, tmp_path):
+    def test_compare_cli_failure_exit_code(self, runner, tmp_path, monkeypatch):
         # an impossible tolerance forces a gate failure
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            "n_trials: 1000\nthresholds_db: [0]\n"
-            "compare_tolerances: {gamma_o: 0.0, gamma_b_gate_t_db: 0}\n"
+        gates = tuple(
+            dataclasses.replace(g, tolerance=0.0) if g.metric == "gamma_o" else g for g in cli.GATES
         )
+        monkeypatch.setattr(cli, "GATES", gates)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_trials: 1000\nthresholds_db: [0]\n")
         result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == cli.EXIT_GATE_FAILED
-        assert "FAIL" in result.output
+        assert "[FAIL] gamma_o vs analytic_q2 @ +0.0 dB" in result.output
 
-    def test_empty_thresholds_is_pipeline_error(self, runner, tmp_path):
+    def test_config_cannot_drop_a_failing_gate(self, runner, tmp_path):
+        # approx2 overshoots the simulated reflected-path coverage at N = 2,
+        # alpha = 3 by more than its margin; moving the reflected-path gates to
+        # a threshold outside the run used to turn that failure into exit 0
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("n_trials: 200\nthresholds_db: []\n")
-        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert "missing engine outputs" in result.output
+        cfg.write_text("n_elements: 2\nalpha: 3\nn_trials: 5000\n")
+        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path / "a")])
+        assert result.exit_code == cli.EXIT_GATE_FAILED
+        failed = [line for line in result.output.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("[FAIL] gamma_b vs approx2 @ +5.0 dB:")
+        assert failed[0].endswith(" tol=0.03")
+        cfg.write_text(cfg.read_text() + "compare_tolerances: {gamma_b_gate_t_db: 99}\n")
+        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path / "b")])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.splitlines() == ["config error: unknown config key: compare_tolerances"]
+        assert not (tmp_path / "b").exists()
 
     def test_report_contents(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -322,8 +324,8 @@ class TestSweep:
         rows = read_rows(tmp_path / "sweep.csv")
         # 4 grid points x 4 analytic engines x 1 threshold
         assert len(rows) == 16
-        for engine in cli.ANALYTIC_ENGINES:
-            assert sum(r["engine"] == engine for r in rows) == 4
+        for gate in cli.GATES:
+            assert sum(r["engine"] == gate.engine for r in rows) == 4
 
     def test_expected_r1_sweep_is_monotone(self, runner, tmp_path):
         result = runner.invoke(
@@ -434,6 +436,34 @@ class TestHistCommand:
 
 
 class TestTypedExits:
+    @pytest.mark.parametrize("thresholds", ["[]", "[4000]", "[-4000]"],
+                             ids=["empty", "overflow", "underflow"])
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
+    def test_thresholds_without_a_ratio_are_config_errors(self, runner, tmp_path, command, thresholds):
+        # 4000 dB overflowed 10**(t/10) (a traceback and exit 1, the gate-failed
+        # code), -4000 dB reached the closed forms as T = 0 (exit 4), and an
+        # empty list wrote a header-only CSV or failed compare with exit 4
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"thresholds_db: {thresholds}\n")
+        result = runner.invoke(
+            cli.main, [command, "-c", str(cfg), "--trials", "200", "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("config error: thresholds_db: must ")
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_histogram_writes_nothing(self, runner, tmp_path):
+        # the coverage CSV used to be written, and announced, before the
+        # histogram's trial minimum was checked
+        result = runner.invoke(
+            cli.main, ["simulate", "--trials", "150", "--hist", "r1", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("target,argv", [
         ((geometry, "expected_r1"),
          ["sweep", "--axis", "lambda_ris", "--grid", "500,1000", "--metric", "e_r1"]),

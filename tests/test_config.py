@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from riscov import config
-from riscov.config import CompareTolerances, ConfigError, NetworkConfig, load_config
+from riscov import cli, config
+from riscov.config import ConfigError, NetworkConfig, load_config
 
 
 class TestValidation:
@@ -47,6 +48,18 @@ class TestValidation:
         assert any(e.startswith("thresholds_db:") for e in exc.value.errors)
         with pytest.raises(ConfigError):
             NetworkConfig.from_mapping({"thresholds_db": [5, 5.0]})
+
+    @pytest.mark.parametrize("thresholds", [(), (4000.0,), (-4000.0,), (0.0, math.nan)],
+                             ids=["empty", "overflow", "underflow", "nan"])
+    def test_thresholds_need_a_positive_finite_ratio(self, thresholds):
+        # 4000 dB used to overflow 10**(t/10) in the engines and -4000 dB to
+        # reach them as a zero ratio; an empty list ran with nothing to gate
+        with pytest.raises(ConfigError) as exc:
+            NetworkConfig(thresholds_db=thresholds)
+        assert [e.split(":")[0] for e in exc.value.errors] == ["thresholds_db"]
+
+    def test_extreme_finite_ratios_accepted(self):
+        assert NetworkConfig(thresholds_db=(-3000.0, 3000)).thresholds_linear == (1e-300, 1e300)
 
     def test_orientation_values(self):
         with pytest.raises(ConfigError):
@@ -97,12 +110,10 @@ class TestLoading:
         path = tmp_path / "cfg.yaml"
         path.write_text(
             "lambda_bs: 25\nlambda_ris: 1000\nthresholds_db: [0, 5]\n"
-            "compare_tolerances:\n  gamma_o: 0.03\n"
         )
         cfg = load_config(path)
         assert cfg.lambda_ris == 1000
         assert cfg.thresholds_db == (0.0, 5.0)
-        assert cfg.compare_tolerances.gamma_o == 0.03
         # unspecified fields keep their defaults
         assert cfg.n_elements == 16
 
@@ -123,11 +134,12 @@ class TestLoading:
             load_config(path)
 
     def test_unknown_tolerance_key(self, tmp_path):
+        # the compare gates are fixed in riscov.cli; a config cannot set them
         path = tmp_path / "bad2.yaml"
-        path.write_text("compare_tolerances:\n  gamma_z: 0.5\n")
+        path.write_text("compare_tolerances:\n  gamma_o: 0.5\n")
         with pytest.raises(ConfigError) as exc:
             load_config(path)
-        assert "gamma_z" in str(exc.value)
+        assert exc.value.errors == ["unknown config key: compare_tolerances"]
 
 
 def test_replace_validates():
@@ -137,6 +149,10 @@ def test_replace_validates():
 
 
 def test_tolerances_defaults():
-    tol = CompareTolerances()
-    assert tol.gamma_o == 0.02 and tol.gamma_b_approx1 == 0.05
-    assert tol.gamma_b_gate_t_db == 5.0
+    assert [(g.engine, g.metric, g.kind, g.tolerance, g.t_db) for g in cli.GATES] == [
+        ("analytic_q2", "gamma_o", "absolute", 0.02, None),
+        ("analytic_q23", "gamma_a", "absolute", 0.02, None),
+        ("approx1", "gamma_b", "absolute", 0.05, 5.0),
+        ("approx2", "gamma_b", "lower_bound", 0.03, 5.0),
+    ]
+    assert cli.GATE_T_DB_ABS_TOL == 1e-9
