@@ -2,9 +2,9 @@
 
 Every coverage function reads the deployment from a
 :class:`riscov.config.NetworkConfig` and takes the threshold ``T`` as a
-linear power ratio (dB conversion belongs to the config): a scalar gives a
-float, a numpy array gives an array of the same shape. Every value is a
-probability in [0, 1].
+positive linear power ratio (dB conversion belongs to the config): a scalar
+gives a float, a numpy array gives an array of the same shape. Every value
+is a probability in [0, 1].
 
 Every expression is exact and evaluated without quadrature. The interference
 factor is the Gauss hypergeometric form
@@ -12,6 +12,16 @@ factor is the Gauss hypergeometric form
 variant with ratio ``rho`` is the same function at ``T * rho**a``; and the
 reflector intensity uses the floored moment ``E[r1**-2 ; r1 >= eps]`` from
 :func:`riscov.geometry.expected_inv_r1_pow`.
+
+The hypergeometric function is summed here as a numpy series rather than
+imported from ``scipy.special``, whose import alone costs about half of a
+cold start. With ``b = 1 - 2/a``, the Pfaff transformation (DLMF 15.8.1)
+gives ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with
+``w = t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2)
+first splits off ``(pi*b/sin(pi*b)) * t**-b`` and leaves the same series
+with ``b`` replaced by ``1-b`` at ``w = 1/(1+t)``. Either way ``w <= 1/2``,
+so each term at most halves the last and about 55 terms reach double
+precision.
 """
 from __future__ import annotations
 
@@ -19,28 +29,59 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import channel
 from .config import NetworkConfig
 from .errors import ParameterError
 
 
+def _pfaff_series(c, w):
+    """``sum_n n!/(c+1)_n * w**n`` elementwise, for ``0 <= w <= 1/2``."""
+    term = np.ones_like(w)
+    total = np.ones_like(w)
+    n = 0
+    while np.any(term > 0.5 * np.finfo(float).eps * total):
+        term = term * w * (n + 1) / (c + 1 + n)
+        total = total + term
+        n += 1
+    return total
+
+
 def interference_factor(T, alpha: float):
     """``T**(2/a) * int_{T**(-2/a)}^inf du / (1 + u**(a/2))`` in closed form.
 
     Equals ``2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli & Ganti,
-    IEEE TCOM 2011), which at ``alpha == 4`` is ``sqrt(T) * atan(sqrt(T))``.
-    ``T`` may be a scalar (float result) or an array (array result).
+    IEEE TCOM 2011), which at ``alpha == 4`` is ``sqrt(T) * atan(sqrt(T))``;
+    the module docstring gives the series that sums it. ``T`` may be a scalar
+    (float result) or an array (array result). ``T = 0`` gives the limit 0,
+    which a threshold scaled by ``rho**alpha`` can underflow to.
     """
     t = np.asarray(T, dtype=float)
-    if not np.all(t > 0):
-        raise ParameterError(f"T must be positive, got {T!r}")
+    if not np.all(t >= 0):
+        raise ParameterError(f"T must be nonnegative, got {T!r}")
     if not alpha > 2:
         raise ParameterError(f"alpha must exceed 2, got {alpha!r}")
     delta = 2.0 / alpha
-    value = 2.0 * t / (alpha - 2.0) * special.hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -t)
+    b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
+    low = t <= 1.0
+    w = np.where(low, t, 1.0) / (1.0 + t)
+    series = _pfaff_series(np.where(low, b, delta), w)
+    # the prefactor 2/(a-2) = (1-b)/b times pi*b/sin(pi*b); sin(pi*b) = sin(pi*delta)
+    reflection = math.pi * delta / math.sin(math.pi * min(b, delta))
+    value = np.where(
+        low,
+        2.0 / (alpha - 2.0) * w * series,
+        reflection * t**delta - (1.0 - w) * series,
+    )
     return float(value) if value.ndim == 0 else value
+
+
+def _thresholds(T):
+    """``T`` as a float array, checked to be a positive power ratio."""
+    t = np.asarray(T, dtype=float)
+    if not np.all(t > 0):
+        raise ParameterError(f"T must be positive, got {T!r}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +95,7 @@ def coverage_baseline(cfg: NetworkConfig, T):
     applies; dividing by ``sqrt(N)`` rather than multiplying by the rounded
     retention keeps every value bit-identical to earlier releases.
     """
-    i_factor = interference_factor(T, cfg.alpha)
+    i_factor = interference_factor(_thresholds(T), cfg.alpha)
     return 1.0 / (1.0 + i_factor / math.sqrt(cfg.n_elements))
 
 
@@ -66,7 +107,7 @@ def coverage_path_a(cfg: NetworkConfig, T):
     equals the baseline.
     """
     _, retention = channel.retention_probabilities(cfg)
-    return 1.0 / (1.0 + retention * interference_factor(T, cfg.alpha))
+    return 1.0 / (1.0 + retention * interference_factor(_thresholds(T), cfg.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +150,7 @@ def coverage_path_b_approx1(cfg: NetworkConfig, T):
     conv = path_b_intensities(cfg)
     # T**(2/a) * int rho**a / (rho**a + u**(a/2)) du over u >= T**(-2/a);
     # substituting u = rho**2 * v turns it into I(T * rho**a, a)
-    i_rho = interference_factor(np.asarray(T, dtype=float) * conv.rho**cfg.alpha, cfg.alpha)
+    i_rho = interference_factor(_thresholds(T) * conv.rho**cfg.alpha, cfg.alpha)
     denom = conv.lambda_ris_tilde + conv.lambda_i_tilde / conv.rho**2 * i_rho
     return conv.lambda_ris_tilde / denom
 
@@ -117,7 +158,7 @@ def coverage_path_b_approx1(cfg: NetworkConfig, T):
 def coverage_path_b_approx2(cfg: NetworkConfig, T):
     """Lower-bound reflected-path coverage for dense reflector deployments."""
     conv = path_b_intensities(cfg)
-    i_factor = interference_factor(T, cfg.alpha)
+    i_factor = interference_factor(_thresholds(T), cfg.alpha)
     return conv.lambda_ris_tilde / (
         conv.lambda_ris_tilde + conv.lambda_i_tilde * i_factor
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from . import geometry
 from .config import NetworkConfig
@@ -113,7 +112,7 @@ def reflected_power_raw_moment(cfg: NetworkConfig) -> float:
     inv_sq = geometry.expected_inv_r1_pow(
         2.0, cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.epsilon_floor
     )
-    return float(prefactor * special.gamma(2.0 / alpha + 1.0) * inv_sq)
+    return float(prefactor * math.gamma(2.0 / alpha + 1.0) * inv_sq)
 
 
 def mean_reflected_power(cfg: NetworkConfig) -> float:

@@ -32,7 +32,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import analytic, channel, geometry, montecarlo
+from . import __version__, analytic, channel, geometry, montecarlo
 from .config import ConfigError, NetworkConfig, load_config
 from .errors import RiscovError
 
@@ -354,7 +354,7 @@ def _config_command(fn):
 
 
 @click.group()
-@click.version_option(package_name="riscov")
+@click.version_option(version=__version__, prog_name="riscov")
 def main():
     """Coverage analysis for reflector-assisted mmWave networks.
 

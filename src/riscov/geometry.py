@@ -15,9 +15,18 @@ Hence the ``r1`` density is that Rayleigh density, and the floored moments
 are ``E[r1**-p ; r1 >= eps] = (pi*lambda_eff)**(p/2) * Gamma(1 - p/2,
 pi*lambda_eff*eps**2)``. One quadrature is left: ``expected_r1``, kept as a
 truncated quadrature so its output matches earlier releases (the exact value
-is ``0.5 / sqrt(lambda_eff)``). It is the only code that loads
-``scipy.integrate``, on first use: the module drags in ``scipy.optimize`` and
-costs about 0.4 s to import, which no other code path needs to pay.
+is ``0.5 / sqrt(lambda_eff)``). It is the only code that loads scipy
+(``scipy.integrate`` and ``scipy.special.ellipe``), on first use: the two
+cost about 0.65 s to import, which no other code path needs to pay.
+
+The upper incomplete gamma function is therefore summed here with ``math``
+alone. For ``s`` in ``[0, 1)``: at ``x >= 1``, Legendre's continued fraction
+``Gamma(s, x) = exp(-x) * x**s / (x + 1 - s - 1*(1-s) / (x + 3 - s - ...))``
+(DLMF 8.9.2), evaluated by the modified Lentz method; below 1,
+``Gamma(s, x) = Gamma(s, 1) + int_x^1 t**(s-1) * exp(-t) dt``, whose
+integral is the exponential series integrated term by term (as in DLMF
+8.7.3). Every term stays finite as ``s -> 0``, where the sum is ``E1(x)``,
+so the case ``alpha -> 4`` needs no ``Gamma(s) - 1/s`` cancellation.
 """
 from __future__ import annotations
 
@@ -25,7 +34,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError, ParameterError
 
@@ -90,27 +98,24 @@ def pdf_r1_marginal(r1: float, lambda_bs: float, lambda_ris: float) -> float:
     return _rayleigh_pdf(r1, _r1_intensity(lambda_bs, lambda_ris))
 
 
-def _conditional_mean_r1(r0, r2):
-    """Mean of r1 for fixed (r0, r2) and a uniform angle between them.
-
-    The law-of-cosines angle integral reduces to a complete elliptic integral.
-    """
-    s = r0 + r2
-    m = 4.0 * r0 * r2 / s**2
-    return (2.0 * s / math.pi) * special.ellipe(m)
-
-
 @lru_cache(maxsize=256)
 def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> float:
-    """Mean base-to-reflector distance, by nested quadrature."""
+    """Mean base-to-reflector distance, by nested quadrature.
+
+    For fixed ``(r0, r2)`` and a uniform angle between them, the mean of
+    ``r1`` from the law of cosines is a complete elliptic integral.
+    """
     from scipy import integrate  # deferred, see the module docstring
+    from scipy.special import ellipe
 
     _check_positive(lambda_bs=lambda_bs, lambda_ris=lambda_ris)
     r0_max = rayleigh_tail_radius(lambda_bs)
     r2_max = rayleigh_tail_radius(lambda_ris)
 
     def inner(r2, r0):
-        return pdf_r2(r2, lambda_ris) * _conditional_mean_r1(r0, r2)
+        s = r0 + r2
+        mean_r1 = (2.0 * s / math.pi) * ellipe(4.0 * r0 * r2 / s**2)
+        return pdf_r2(r2, lambda_ris) * mean_r1
 
     def outer(r0):
         val, _ = integrate.quad(
@@ -128,21 +133,58 @@ def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> f
     return float(value)
 
 
-def _scaled_upper_gamma(a: float, x: float) -> float:
-    """``x**-a * Gamma(a, x)`` for real ``a < 1`` and ``x > 0``.
+_FRACTION_MAX_TERMS = 500
 
-    SciPy's regularized form only covers ``a > 0``; below that the recurrence
-    ``Gamma(a, x) = (Gamma(a + 1, x) - x**a * exp(-x)) / a`` steps down from
-    ``a + n`` in ``[0, 1)``, starting at ``Gamma(0, x) = E1(x)`` for integer
-    ``a``. Carrying the factor ``x**-a`` keeps every step finite however
-    negative ``a`` is.
+
+def _upper_gamma_fraction(s: float, x: float) -> float:
+    """``exp(x) * x**-s * Gamma(s, x)`` by Legendre's continued fraction.
+
+    Modified Lentz evaluation for ``s`` in ``[0, 1)`` and ``x >= 1``, where
+    it takes under 90 terms.
     """
+    b = x + 1.0 - s
+    c = math.inf
+    d = 1.0 / b
+    h = d
+    for i in range(1, _FRACTION_MAX_TERMS):
+        a_i = -i * (i - s)
+        b += 2.0
+        d = 1.0 / (a_i * d + b)
+        c = b + a_i / c
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= np.finfo(float).eps:
+            return h
+    raise NumericalError(f"Gamma({s!r}, {x!r}) continued fraction did not converge")
+
+
+def _scaled_upper_gamma(a: float, x: float) -> float:
+    """``x**-a * Gamma(a, x)`` for real ``a < 1`` and ``x >= 0``.
+
+    The base ``s = a + n`` in ``[0, 1)`` is summed as in the module
+    docstring; then the recurrence ``Gamma(a, x) = (Gamma(a + 1, x) - x**a *
+    exp(-x)) / a`` steps down to ``a``. Carrying the factor ``x**-a`` keeps
+    every step finite however negative ``a`` is.
+    """
+    if x == 0.0:  # pi*lambda_eff*eps**2 underflowed: the limit x -> 0
+        return -1.0 / a if a < 0 else math.inf
     steps = max(0, math.ceil(-a))
     base = a + steps
-    if base == 0:
-        h = float(special.exp1(x))
+    if x >= 1.0:
+        h = math.exp(-x) * _upper_gamma_fraction(base, x)
     else:
-        h = float(x**-base * special.gamma(base) * special.gammaincc(base, x))
+        # int_x^1 t**(s-1) exp(-t) dt = sum_n (-1)**n/n! * (1 - x**(s+n)) / (s+n)
+        log_x = math.log(x)
+        total = -log_x if base == 0 else -math.expm1(base * log_x) / base
+        coef, n = 1.0, 0
+        while True:
+            n += 1
+            coef /= -n
+            term = -coef * math.expm1((base + n) * log_x) / (base + n)
+            total += term
+            if abs(term) <= 0.5 * np.finfo(float).eps * total:
+                break
+        h = math.exp(-base * log_x) * (math.exp(-1.0) * _upper_gamma_fraction(base, 1.0) + total)
     for k in range(steps - 1, -1, -1):
         h = (x * h - math.exp(-x)) / (a + k)
     return h

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
@@ -89,9 +89,29 @@ class TestInterferenceFactor:
                 got = analytic.interference_factor(T, alpha)
                 assert got == pytest.approx(T ** (2 / alpha) * (finite + tail), rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [2.05, 2.2, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 10.0])
+    def test_series_matches_scipy_hyp2f1(self, alpha):
+        # both branches of the series (T <= 1 and T > 1) across 24 decades
+        thresholds = np.logspace(-12, 12, 97)
+        delta = 2.0 / alpha
+        oracle = 2.0 * thresholds / (alpha - 2.0) * special.hyp2f1(
+            1.0, 1.0 - delta, 2.0 - delta, -thresholds
+        )
+        got = analytic.interference_factor(thresholds, alpha)
+        assert np.max(np.abs(got / oracle - 1.0)) <= 1e-13
+
+    def test_limits(self):
+        # a threshold scaled by rho**alpha can underflow to 0 or overflow to inf
+        assert analytic.interference_factor(0.0, 4.0) == 0.0
+        assert analytic.interference_factor(math.inf, 3.0) == math.inf
+        values = analytic.interference_factor(np.array([0.0, 1.0]), 4.0)
+        assert values[0] == 0.0
+        assert values[1] == pytest.approx(math.pi / 4, rel=1e-15)
+
     def test_preconditions(self):
-        with pytest.raises(ParameterError):
-            analytic.interference_factor(0.0, 4.0)
+        for bad in (-1e-300, -1.0, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ParameterError, match="T must be nonnegative"):
+                analytic.interference_factor(bad, 4.0)
         with pytest.raises(ParameterError):
             analytic.interference_factor(1.0, 2.0)
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import reference_engine
 from oracle_helpers import prob_ris_closer
@@ -305,6 +305,25 @@ class TestInverseMoments:
             exact = conditional_inv_sq_moment(r0, r2, eps)
             panel = conditional_inv_pow_moment(r0, r2, 2.0, eps)
             assert panel == pytest.approx(exact, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("base", [0.0, 1e-9, 1e-4, 0.5, 0.999])
+    def test_scaled_upper_gamma_matches_scipy(self, base):
+        # both branches (series below x = 1, continued fraction above); the
+        # base near 0 is alpha near 4, where Gamma(s) - 1/s would cancel
+        for x in np.logspace(-10, math.log10(300.0), 61):
+            if base == 0.0:
+                oracle = special.exp1(x)
+            else:
+                oracle = x**-base * special.gamma(base) * special.gammaincc(base, x)
+            assert geometry._scaled_upper_gamma(base, x) == pytest.approx(oracle, rel=1e-12)
+
+    def test_underflowed_argument_takes_its_limit(self):
+        # pi*lambda_eff*eps**2 rounds to 0 for a tiny floor; x**-a * Gamma(a, x)
+        # tends to -1/a for a < 0 and to E1(0) = inf at a = 0
+        assert geometry._scaled_upper_gamma(0.0, 0.0) == math.inf
+        scale = math.pi * LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)
+        got = geometry.expected_inv_r1_pow(2.5, LAM_BS, LAM_RIS, 1e-160)
+        assert got == pytest.approx(4.0 * scale * 1e80, rel=1e-12)
 
     def test_floor_must_be_positive(self):
         with pytest.raises(ParameterError):
