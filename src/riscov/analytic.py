@@ -9,7 +9,8 @@ is a probability in [0, 1].
 Every expression is exact and evaluated without quadrature. The interference
 factor is the Gauss hypergeometric form
 ``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)``; the proportional-distance
-variant with ratio ``rho`` is the same function at ``T * rho**a``; and the
+variant with ratio ``rho`` is the same function at ``T * rho**a``, which
+enters divided by ``rho**2`` (``interference_factor(T, a, rho)``); and the
 reflector intensity uses the floored moment ``E[r1**-2 ; r1 >= eps]`` from
 :func:`riscov.geometry.expected_inv_r1_pow`.
 
@@ -47,20 +48,27 @@ def _pfaff_series(c, w):
     return total
 
 
-def interference_factor(T, alpha: float):
+def interference_factor(T, alpha: float, rho: float = 1.0):
     """``T**(2/a) * int_{T**(-2/a)}^inf du / (1 + u**(a/2))`` in closed form.
 
     Equals ``2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli & Ganti,
     IEEE TCOM 2011), which at ``alpha == 4`` is ``sqrt(T) * atan(sqrt(T))``;
     the module docstring gives the series that sums it. ``T`` may be a scalar
-    (float result) or an array (array result). ``T = 0`` gives the limit 0,
-    which a threshold scaled by ``rho**alpha`` can underflow to.
+    (float result) or an array (array result).
+
+    A distance ratio ``rho`` returns ``I(T * rho**a, a) / rho**2``. Its
+    leading term at large ``T * rho**a``, ``pi*d / sin(pi*d) * (T * rho**a)**d
+    / rho**2`` with ``d = 2/a``, is evaluated as ``pi*d / sin(pi*d) * T**d``,
+    so an infinite ``rho`` or a ``rho**a`` beyond the float range gives that
+    limit. ``T * rho**a = 0`` gives the limit 0, which it can underflow to.
     """
-    t = np.asarray(T, dtype=float)
-    if not np.all(t >= 0):
+    t_plain = np.asarray(T, dtype=float)
+    if not np.all(t_plain >= 0):
         raise ParameterError(f"T must be nonnegative, got {T!r}")
     if not alpha > 2:
         raise ParameterError(f"alpha must exceed 2, got {alpha!r}")
+    with np.errstate(over="ignore"):
+        rho_sq, t = np.float64(rho) ** 2, t_plain * np.float64(rho) ** alpha
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
     low = t <= 1.0
@@ -70,8 +78,8 @@ def interference_factor(T, alpha: float):
     reflection = math.pi * delta / math.sin(math.pi * min(b, delta))
     value = np.where(
         low,
-        2.0 / (alpha - 2.0) * w * series,
-        reflection * t**delta - (1.0 - w) * series,
+        2.0 / (alpha - 2.0) * w * series / rho_sq,
+        reflection * t_plain**delta - (1.0 - w) * series / rho_sq,
     )
     return float(value) if value.ndim == 0 else value
 
@@ -137,7 +145,8 @@ def path_b_intensities(cfg: NetworkConfig) -> PathBIntensities:
         lambda_bs_tilde=lam_bs_t,
         lambda_i_tilde=lam_i_t,
         lambda_ris_tilde=lam_ris_t,
-        rho=math.sqrt(lam_bs_t / lam_ris_t),
+        # the moment underflows to 0 for a floor far above the typical r1
+        rho=math.sqrt(lam_bs_t / lam_ris_t) if lam_ris_t > 0 else math.inf,
     )
 
 
@@ -149,10 +158,10 @@ def coverage_path_b_approx1(cfg: NetworkConfig, T):
     """
     conv = path_b_intensities(cfg)
     # T**(2/a) * int rho**a / (rho**a + u**(a/2)) du over u >= T**(-2/a);
-    # substituting u = rho**2 * v turns it into I(T * rho**a, a)
-    i_rho = interference_factor(_thresholds(T) * conv.rho**cfg.alpha, cfg.alpha)
-    denom = conv.lambda_ris_tilde + conv.lambda_i_tilde / conv.rho**2 * i_rho
-    return conv.lambda_ris_tilde / denom
+    # substituting u = rho**2 * v turns it into I(T * rho**a, a), which enters
+    # divided by rho**2
+    i_rho = interference_factor(_thresholds(T), cfg.alpha, conv.rho)
+    return conv.lambda_ris_tilde / (conv.lambda_ris_tilde + conv.lambda_i_tilde * i_rho)
 
 
 def coverage_path_b_approx2(cfg: NetworkConfig, T):

@@ -13,11 +13,19 @@ Gaussian positions with variances ``1/(2*pi*lambda_bs)`` and
 intensity ``lambda_eff = lambda_bs * lambda_ris / (lambda_bs + lambda_ris)``.
 Hence the ``r1`` density is that Rayleigh density, and the floored moments
 are ``E[r1**-p ; r1 >= eps] = (pi*lambda_eff)**(p/2) * Gamma(1 - p/2,
-pi*lambda_eff*eps**2)``. One quadrature is left: ``expected_r1``, kept as a
-truncated quadrature so its output matches earlier releases (the exact value
-is ``0.5 / sqrt(lambda_eff)``). It is the only code that loads scipy
-(``scipy.integrate`` and ``scipy.special.ellipe``), on first use: the two
-cost about 0.65 s to import, which no other code path needs to pay.
+pi*lambda_eff*eps**2)``.
+
+One quadrature is left: ``expected_r1``, kept as the truncated double
+integral over ``r0 <= rayleigh_tail_radius(lambda_bs)`` and ``r2 <=
+rayleigh_tail_radius(lambda_ris)`` so its output matches earlier releases
+(the exact value is ``0.5 / sqrt(lambda_eff)``). It is one vectorized
+tensor-product Gauss-Legendre rule. Each panel's nodes go through the map
+``u -> (3u - u**3) / 2``, whose derivative vanishes at both ends, so a weak
+singularity at a panel end costs little. The ``r2`` range splits at ``r2 =
+r0``, where ``E(m)`` has its ``(1 - m) * log(1 - m)`` kink at ``m = 1``, and
+the ``r0`` range splits at the end of the ``r2`` range when that lies inside
+it. The complete elliptic integral ``E(m)`` is the arithmetic-geometric mean
+of DLMF 19.8.6. No code in the package imports scipy.
 
 The upper incomplete gamma function is therefore summed here with ``math``
 alone. For ``s`` in ``[0, 1)``: at ``x >= 1``, Legendre's continued fraction
@@ -98,42 +106,96 @@ def pdf_r1_marginal(r1: float, lambda_bs: float, lambda_ris: float) -> float:
     return _rayleigh_pdf(r1, _r1_intensity(lambda_bs, lambda_ris))
 
 
+def _ellipe(m):
+    """Complete elliptic integral of the second kind ``E(m)``, elementwise on ``[0, 1]``.
+
+    By the arithmetic-geometric mean (DLMF 19.8.6): with ``a0 = 1``,
+    ``b0 = sqrt(1 - m)`` and ``c_n = (a_{n-1} - b_{n-1}) / 2``,
+    ``E(m) = pi / (2 * M(1, b0)) * (1 - sum_{n>=0} 2**(n-1) * c_n**2)``,
+    where ``c_0**2 = m``. At ``m = 1`` that product is ``inf * 0``, so the
+    limit ``E(1) = 1`` is set directly.
+    """
+    m = np.asarray(m, dtype=float)
+    at_one = m >= 1.0
+    a = np.ones_like(m)
+    b = np.sqrt(np.where(at_one, 1.0, 1.0 - m))
+    total = 0.5 * np.where(at_one, 0.0, m)
+    weight = 0.5
+    while True:
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        weight *= 2.0
+        total = total + weight * c * c
+        if not np.any(c > np.finfo(float).eps * a):  # a NaN m also ends the loop
+            break
+    return np.where(at_one, 1.0, 0.5 * math.pi / a * (1.0 - total))
+
+
+# Orders of the two rules whose agreement is the convergence check of
+# expected_r1; the finer one gives the value.
+_R1_RULE_ORDERS = (24, 32)
+
+
+@lru_cache(maxsize=None)
+def _graded_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[-1, 1]`` after ``u -> (3u - u**3) / 2``."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (3.0 * x - x**3), 1.5 * (1.0 - x * x) * w
+
+
+def _panel_rule(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Graded nodes and weights on each panel ``[lo[i], hi[i]]``, one row per panel."""
+    t, w = _graded_gauss_legendre(order)
+    half = 0.5 * (hi - lo)[:, None]
+    return lo[:, None] + half * (1.0 + t), half * w
+
+
+def _expected_r1_rule(
+    lambda_bs: float, lambda_ris: float, r0_edges: np.ndarray, r2_max: float, order: int
+) -> float:
+    """The truncated ``E[r1]`` integral by the tensor-product graded rule of one order."""
+    r0, w0 = (a.ravel() for a in _panel_rule(r0_edges[:-1], r0_edges[1:], order))
+    kink = np.minimum(r0, r2_max)
+    below = _panel_rule(np.zeros_like(kink), kink, order)
+    above = _panel_rule(kink, np.full_like(kink, r2_max), order)
+    r2, w2 = (np.concatenate(pair, axis=1) for pair in zip(below, above))
+    s = r0[:, None] + r2
+    mean_r1 = (2.0 / math.pi) * s * _ellipe(4.0 * r0[:, None] * r2 / s**2)
+    inner = np.sum(w2 * _rayleigh_pdf(r2, lambda_ris) * mean_r1, axis=1)
+    return float(np.dot(w0, _rayleigh_pdf(r0, lambda_bs) * inner))
+
+
 @lru_cache(maxsize=256)
 def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> float:
-    """Mean base-to-reflector distance, by nested quadrature.
+    """Mean base-to-reflector distance, by a Gauss-Legendre rule over ``(r0, r2)``.
 
     For fixed ``(r0, r2)`` and a uniform angle between them, the mean of
-    ``r1`` from the law of cosines is a complete elliptic integral.
+    ``r1`` from the law of cosines is ``(2s/pi) * E(4*r0*r2/s**2)`` with
+    ``s = r0 + r2``; the module docstring describes the rule that averages it
+    over both Rayleigh densities. Raises :class:`NumericalError` when the
+    rules of the two orders in ``_R1_RULE_ORDERS`` differ by more than
+    ``rel_tol`` times the value.
     """
-    from scipy import integrate  # deferred, see the module docstring
-    from scipy.special import ellipe
-
     _check_positive(lambda_bs=lambda_bs, lambda_ris=lambda_ris)
     r0_max = rayleigh_tail_radius(lambda_bs)
     r2_max = rayleigh_tail_radius(lambda_ris)
-
-    def inner(r2, r0):
-        s = r0 + r2
-        mean_r1 = (2.0 * s / math.pi) * ellipe(4.0 * r0 * r2 / s**2)
-        return pdf_r2(r2, lambda_ris) * mean_r1
-
-    def outer(r0):
-        val, _ = integrate.quad(
-            inner, 0.0, r2_max, args=(r0,), epsabs=1e-13, epsrel=1e-9, limit=100
-        )
-        return pdf_r0(r0, lambda_bs) * val
-
-    # outer tolerance stays coarser than the inner one: the integrand carries
-    # the inner quadrature's noise floor
-    value, abserr = integrate.quad(outer, 0.0, r0_max, epsabs=1e-12, epsrel=1e-6, limit=200)
-    if value <= 0 or abserr > rel_tol * value:
+    # past r0 = r2_max the r2 range no longer reaches the kink at r2 = r0
+    r0_edges = np.array([0.0, r2_max, r0_max] if r2_max < r0_max else [0.0, r0_max])
+    coarse, value = (
+        _expected_r1_rule(lambda_bs, lambda_ris, r0_edges, r2_max, order)
+        for order in _R1_RULE_ORDERS
+    )
+    error = abs(value - coarse)
+    if not (value > 0 and error <= rel_tol * value):  # NaN fails too
         raise NumericalError(
-            "expected_r1 quadrature did not converge", achieved_tolerance=abserr
+            "expected_r1 quadrature did not converge", achieved_tolerance=error
         )
-    return float(value)
+    return value
 
 
 _FRACTION_MAX_TERMS = 500
+# Past x = 1000, exp(-x) and hence x**-a * Gamma(a, x) underflow to 0.
+_LOG_X_UNDERFLOW = math.log(1000.0)
 
 
 def _upper_gamma_fraction(s: float, x: float) -> float:
@@ -158,23 +220,27 @@ def _upper_gamma_fraction(s: float, x: float) -> float:
     raise NumericalError(f"Gamma({s!r}, {x!r}) continued fraction did not converge")
 
 
-def _scaled_upper_gamma(a: float, x: float) -> float:
-    """``x**-a * Gamma(a, x)`` for real ``a < 1`` and ``x >= 0``.
+def _scaled_upper_gamma(a: float, log_x: float) -> float:
+    """``x**-a * Gamma(a, x)`` for real ``a < 1`` at ``x = exp(log_x)``.
 
     The base ``s = a + n`` in ``[0, 1)`` is summed as in the module
     docstring; then the recurrence ``Gamma(a, x) = (Gamma(a + 1, x) - x**a *
     exp(-x)) / a`` steps down to ``a``. Carrying the factor ``x**-a`` keeps
-    every step finite however negative ``a`` is.
+    every step finite however negative ``a`` is. The series reads ``log x``
+    alone, so at ``a = 0`` the value ``E1(x)`` stays finite where ``x``
+    underflows to 0.
     """
-    if x == 0.0:  # pi*lambda_eff*eps**2 underflowed: the limit x -> 0
-        return -1.0 / a if a < 0 else math.inf
+    if log_x > _LOG_X_UNDERFLOW:  # exp(-x) underflows, and x may overflow
+        return 0.0
+    x = math.exp(log_x)
+    if x == 0.0 and a < 0:  # the limit x -> 0
+        return -1.0 / a
     steps = max(0, math.ceil(-a))
     base = a + steps
     if x >= 1.0:
         h = math.exp(-x) * _upper_gamma_fraction(base, x)
     else:
         # int_x^1 t**(s-1) exp(-t) dt = sum_n (-1)**n/n! * (1 - x**(s+n)) / (s+n)
-        log_x = math.log(x)
         total = -log_x if base == 0 else -math.expm1(base * log_x) / base
         coef, n = 1.0, 0
         while True:
@@ -202,11 +268,16 @@ def expected_inv_r1_pow(
         power=power, lambda_bs=lambda_bs, lambda_ris=lambda_ris,
         epsilon_floor=epsilon_floor,
     )
-    # (pi*lambda_eff)**(p/2) * Gamma(1 - p/2, x) with x = pi*lambda_eff*eps**2
+    # (pi*lambda_eff)**(p/2) * Gamma(1 - p/2, x) with x = pi*lambda_eff*eps**2;
+    # log x is summed from the factors' logs because x itself can underflow
     scale = math.pi * _r1_intensity(lambda_bs, lambda_ris)
+    log_x = (
+        math.log(math.pi * lambda_bs) + math.log(lambda_ris)
+        - math.log(lambda_bs + lambda_ris) + 2.0 * math.log(epsilon_floor)
+    )
     try:
         value = scale * epsilon_floor ** (2.0 - power) * _scaled_upper_gamma(
-            1.0 - 0.5 * power, scale * epsilon_floor**2
+            1.0 - 0.5 * power, log_x
         )
     except OverflowError:
         value = math.inf

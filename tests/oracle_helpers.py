@@ -4,8 +4,8 @@ Everything here works straight from the raw model facts: nearest-neighbor
 distances are Rayleigh draws, the angle between the serving base and the
 nearest reflector is uniform, and the base-to-reflector distance follows by
 the law of cosines. The package evaluates the same quantities in closed form
-(a hypergeometric interference factor, an exactly Rayleigh ``r1``); the
-quadrature routes below integrate the defining integrals instead. Likewise
+(a hypergeometric interference factor, an exactly Rayleigh ``r1``) or by
+a fixed Gauss-Legendre rule (``E[r1]``); the quadrature routes below integrate the defining integrals instead. Likewise
 the reflector bank's phase-quantization loss is a closed form in the package
 and an element-by-element array factor here. The last section keeps model
 identities (peak reflected power, the fractional fade moment, the engaged
@@ -238,6 +238,39 @@ def floored_inv_pow_nested(power, lam_bs, lam_ris, eps):
         return rayleigh_pdf(r0, lam_bs) * val
 
     return integrate.quad(outer, 0.0, r0_max, epsabs=1e-14, epsrel=1e-7, limit=200)
+
+
+# ---------------------------------------------------------------------------
+# mean base-to-reflector distance by nested quadrature over (r0, r2)
+# ---------------------------------------------------------------------------
+
+def expected_r1_nested(lam_bs, lam_ris):
+    """The truncated ``E[r1]`` double integral by nested adaptive quadrature.
+
+    The same integral as :func:`riscov.geometry.expected_r1`: both radii run
+    to their 1 - TAIL_MASS quantiles, and the angle average of ``r1`` is
+    ``(2s/pi) * E(4*r0*r2/s**2)`` with ``s = r0 + r2``. Breakpoints sit at the
+    kink ``r2 = r0`` of the inner integrand and at ``r0 = r2_max``, where the
+    outer one changes form. Returns ``(value, abs_error)``.
+    """
+    r0_max = math.sqrt(-math.log(TAIL_MASS) / (math.pi * lam_bs))
+    r2_max = math.sqrt(-math.log(TAIL_MASS) / (math.pi * lam_ris))
+
+    def inner(r2, r0):
+        s = r0 + r2
+        return rayleigh_pdf(r2, lam_ris) * (2.0 * s / math.pi) * special.ellipe(4.0 * r0 * r2 / s**2)
+
+    def outer(r0):
+        val, _ = integrate.quad(
+            inner, 0.0, r2_max, args=(r0,), points=[r0] if r0 < r2_max else None,
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        return rayleigh_pdf(r0, lam_bs) * val
+
+    return integrate.quad(
+        outer, 0.0, r0_max, points=[r2_max] if r2_max < r0_max else None,
+        epsabs=0.0, epsrel=1e-12, limit=200,
+    )
 
 
 def quantize_phases(phases, phase_bits):

@@ -107,6 +107,12 @@ class TestInterferenceFactor:
         values = analytic.interference_factor(np.array([0.0, 1.0]), 4.0)
         assert values[0] == 0.0
         assert values[1] == pytest.approx(math.pi / 4, rel=1e-15)
+        # I(T * rho**a) / rho**2 tends to pi*d/sin(pi*d) * T**d, d = 2/a, also
+        # where rho**a leaves the float range
+        for rho in (1e100, math.inf):
+            assert analytic.interference_factor(2.0, 4.0, rho) == pytest.approx(
+                math.pi / 2 * math.sqrt(2.0), rel=1e-15
+            )
 
     def test_preconditions(self):
         for bad in (-1e-300, -1.0, math.nan, np.array([1.0, math.nan])):
@@ -195,6 +201,9 @@ class TestPathBCoverage:
                     assert analytic.interference_factor(T * rho**alpha, alpha) == pytest.approx(
                         quad_value, rel=1e-9
                     )
+                    assert analytic.interference_factor(T, alpha, rho) == pytest.approx(
+                        quad_value / rho**2, rel=1e-9
+                    )
 
     def test_approx1_with_unit_rho_equals_approx2_form(self):
         # algebraic identity: at rho = 1 the approximations share one formula
@@ -209,6 +218,21 @@ class TestPathBCoverage:
             conv.lambda_ris_tilde / (conv.lambda_ris_tilde + conv.lambda_i_tilde * i_factor),
             rel=1e-12,
         )
+
+    @pytest.mark.parametrize("floor", [2200.0, 2500.0, 3000.0, 1e4])
+    def test_approx1_takes_its_limit_for_a_vanishing_reflector_term(self, floor):
+        # floors this far above the typical r1 drive lambda_ris_tilde toward 0
+        # and rho**2 toward inf; approx1 used to raise OverflowError (rho**a),
+        # return nan (rho = inf) or raise ZeroDivisionError (moment 0)
+        cfg = make_cfg(epsilon_floor=floor)
+        conv = analytic.path_b_intensities(cfg)
+        T = np.array([0.1, 10**0.5, 100.0])
+        limit = conv.lambda_ris_tilde / (
+            conv.lambda_ris_tilde + conv.lambda_i_tilde * math.pi / 2 * np.sqrt(T)
+        )
+        got = analytic.coverage_path_b_approx1(cfg, T)
+        np.testing.assert_allclose(got, limit, rtol=1e-12, atol=0)
+        assert np.all(got <= analytic.coverage_path_b_approx2(cfg, T))
 
     def test_approx1_monotone_in_ris_density(self):
         vals = [

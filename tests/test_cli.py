@@ -101,6 +101,24 @@ class TestAnalyticCommand:
         assert len(rows) == len(cli.GATES)
         assert all(0.0 <= float(row["value"]) <= 1.0 for row in rows)
 
+    @pytest.mark.parametrize(
+        "floor", ["2.5e+3", "3.0e+3", "1.0e+4", "1.0e+160", "1.0e-200"],
+        ids=["rho-overflow", "rho-inf", "moment-zero", "x-overflow", "moment-log"],
+    )
+    def test_extreme_floor_exits_zero(self, runner, tmp_path, floor):
+        # the command used to end in an OverflowError (rho**alpha) or a
+        # ZeroDivisionError (E[r1**-2] = 0) traceback with exit 1, the
+        # gate-failed code; to write nan rows (rho = inf); to exit 4 when
+        # pi*lambda_eff*eps**2 overflowed; or, at the tiny floor, to report
+        # E[r1**-2] beyond the float range with exit 4
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(f"epsilon_floor: {floor}\n")
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        rows = read_rows(tmp_path / "analytic.csv")
+        assert len(rows) == len(cli.GATES) * len(NetworkConfig().thresholds_db)
+        assert all(0.0 <= float(row["value"]) <= 1.0 for row in rows)
+
     def test_string_thresholds_exit_config_error(self, runner, tmp_path):
         # a bare string used to be split into characters: "10" ran at 1 dB and 0 dB
         cfg = tmp_path / "cfg.yaml"
@@ -274,34 +292,42 @@ def _run_fresh(code: str, *args: str) -> str:
     return out.stdout
 
 
+# Runs the command in sys.argv[1:], then prints whether any scipy module is loaded.
+_SCIPY_PROBE = (
+    "import sys\n"
+    "from riscov import cli\n"
+    "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
+    "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+)
+
+
 class TestColdImport:
     def test_cli_import_leaves_integrators_unloaded(self):
         # importing scipy.special alone costs about half of a cold start, and
-        # scipy.integrate pulls in scipy.optimize; only expected_r1 loads either
+        # scipy.integrate pulls in scipy.optimize; no code path loads either
         code = (
             "import sys, riscov.cli; print(sorted(m for m in sys.modules"
             " if m.split('.')[0] == 'scipy'))"
         )
         assert _run_fresh(code).strip() == "[]"
 
-    @pytest.mark.parametrize("argv,loaded", [
-        (["analytic"], False),
-        (["compare", "--trials", "1000"], False),
-        (["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_p_ris"], False),
-        (["hist", "--quantity", "r1", "--trials", "1000"], False),
-        (["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"], True),
+    @pytest.mark.parametrize("argv", [
+        ["analytic"],
+        ["compare", "--trials", "1000"],
+        ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_p_ris"],
+        ["hist", "--quantity", "r1", "--trials", "1000"],
+        ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"],
     ], ids=["analytic", "compare", "sweep-e_p_ris", "hist-r1", "sweep-e_r1"])
-    def test_commands_load_integrators_only_for_e_r1(self, tmp_path, argv, loaded):
-        # the e_r1 sweep, the one command that integrates, shows that the probe
-        # sees scipy when it is loaded
-        code = (
-            "import sys\n"
-            "from riscov import cli\n"
-            "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
-            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
-        )
+    def test_no_command_loads_scipy(self, tmp_path, argv):
+        out = _run_fresh(_SCIPY_PROBE, *argv, "--out", str(tmp_path))
+        assert out.splitlines()[-1] == "False"
+
+    def test_probe_sees_scipy_when_loaded(self, tmp_path):
+        # positive control for the probe above
+        code = "import scipy.special\n" + _SCIPY_PROBE
+        argv = ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"]
         out = _run_fresh(code, *argv, "--out", str(tmp_path))
-        assert out.splitlines()[-1] == str(loaded)
+        assert out.splitlines()[-1] == "True"
 
 
 class TestVersion:

@@ -8,10 +8,10 @@ import pytest
 from scipy import integrate, special, stats
 
 import reference_engine
-from oracle_helpers import prob_ris_closer
+from oracle_helpers import expected_r1_nested, prob_ris_closer
 from reference_engine import EmptyScenarioError
 from riscov import geometry
-from riscov.errors import ParameterError
+from riscov.errors import NumericalError, ParameterError
 
 LAM_BS = 2.5e-5   # 25 per km^2
 LAM_RIS = 1e-3    # 1000 per km^2
@@ -220,6 +220,43 @@ class TestExpectedR1:
             col = [table[(lb, lr)] for lb in lam_bs_grid]
             assert all(a > b for a, b in zip(col, col[1:]))
 
+    @pytest.mark.parametrize("lam_bs_km2,lam_ris_km2", [
+        (1e5, 1.0), (1e6, 0.1), (1e-3, 1e-3), (1e6, 1e-3), (1e-3, 1e6),
+        (0.1, 1e6), (1.0, 1e5), (25.0, 25.0), (25.0, 1000.0), (25.0, 5e4),
+        (10.0, 500.0), (1000.0, 1000.0), (100.0, 16000.0),
+    ])
+    def test_matches_nested_quadrature(self, lam_bs_km2, lam_ris_km2):
+        # the same truncated integral by adaptive quadrature at epsrel 1e-12,
+        # over density ratios from 1e-9 to 1e9
+        lam_bs, lam_ris = lam_bs_km2 * 1e-6, lam_ris_km2 * 1e-6
+        oracle, abs_err = expected_r1_nested(lam_bs, lam_ris)
+        assert abs_err < 1e-12 * oracle
+        assert geometry.expected_r1(lam_bs, lam_ris) == pytest.approx(oracle, rel=1e-10)
+
+    def test_ellipe_matches_scipy(self):
+        m = np.concatenate([
+            np.linspace(0.0, 0.999, 1000),
+            1.0 - np.logspace(-3, -16, 131),
+        ])
+        got = geometry._ellipe(m)
+        np.testing.assert_allclose(got, special.ellipe(m), rtol=1e-14, atol=0)
+        assert geometry._ellipe(1.0) == 1.0
+        assert math.isnan(geometry._ellipe(math.nan))  # returns, no endless AGM
+
+    def test_overflowing_radii_raise(self):
+        # at 1e-318 per m**2 the tail radius squares past the float range and
+        # the integrand turns NaN, which the convergence check must reject
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            geometry.expected_r1(1e-318, LAM_RIS)
+
+    def test_rule_disagreement_raises(self):
+        # the two rule orders agree to about 1e-14 here, which a tolerance
+        # below that cannot accept
+        value = geometry.expected_r1(LAM_BS, LAM_RIS)
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            geometry.expected_r1(LAM_BS, LAM_RIS, rel_tol=1e-16)
+        assert 1e-16 * value < info.value.achieved_tolerance < 1e-12 * value
+
 
 def _plain_pairs_oracle(power, lam_bs, lam_ris, eps, seed, n_pairs=100_000, n_angles=512):
     """Plain floored inverse moment over scenario draws (pairs x angles)."""
@@ -315,15 +352,24 @@ class TestInverseMoments:
                 oracle = special.exp1(x)
             else:
                 oracle = x**-base * special.gamma(base) * special.gammaincc(base, x)
-            assert geometry._scaled_upper_gamma(base, x) == pytest.approx(oracle, rel=1e-12)
+            got = geometry._scaled_upper_gamma(base, math.log(x))
+            assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_underflowed_argument_takes_its_limit(self):
         # pi*lambda_eff*eps**2 rounds to 0 for a tiny floor; x**-a * Gamma(a, x)
-        # tends to -1/a for a < 0 and to E1(0) = inf at a = 0
-        assert geometry._scaled_upper_gamma(0.0, 0.0) == math.inf
+        # tends to -1/a for a < 0
         scale = math.pi * LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)
         got = geometry.expected_inv_r1_pow(2.5, LAM_BS, LAM_RIS, 1e-160)
         assert got == pytest.approx(4.0 * scale * 1e80, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-160, 1e-200, 1e-300])
+    def test_inverse_square_survives_underflowed_argument(self, eps):
+        # E1(x) = -gamma - log(x) + O(x) stays finite where x = pi*lambda_eff*eps**2
+        # underflows; the moment used to be reported as beyond the float range
+        scale = math.pi * LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)
+        expected = scale * (-np.euler_gamma - math.log(scale) - 2.0 * math.log(eps))
+        got = geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, eps)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_floor_must_be_positive(self):
         with pytest.raises(ParameterError):
