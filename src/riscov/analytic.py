@@ -21,8 +21,8 @@ gives ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with
 ``w = t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2)
 first splits off ``(pi*b/sin(pi*b)) * t**-b`` and leaves the same series
 with ``b`` replaced by ``1-b`` at ``w = 1/(1+t)``. Either way ``w <= 1/2``,
-so each term at most halves the last and about 55 terms reach double
-precision.
+so each term at most halves the last, and a fixed 56 terms, summed by
+Horner's rule, reach double precision for every ``t``.
 """
 from __future__ import annotations
 
@@ -36,15 +36,25 @@ from .config import NetworkConfig
 from .errors import ParameterError
 
 
-def _pfaff_series(c, w):
-    """``sum_n n!/(c+1)_n * w**n`` elementwise, for ``0 <= w <= 1/2``."""
-    term = np.ones_like(w)
-    total = np.ones_like(w)
-    n = 0
-    while np.any(term > 0.5 * np.finfo(float).eps * total):
-        term = term * w * (n + 1) / (c + 1 + n)
-        total = total + term
-        n += 1
+# Terms of `_pfaff_series`: each is at most w <= 1/2 times the one before, so
+# the omitted tail stays below 2**-56 of the sum, under a quarter ulp.
+_SERIES_DEGREE = 56
+
+
+def _pfaff_series(c: float, w):
+    """``sum_{n <= 56} n!/(c+1)_n * w**n`` by Horner's rule, for ``c > 0``, ``0 <= w <= 1/2``.
+
+    A fixed degree gives each element of ``w`` the same steps whatever the
+    other elements are, so an array call matches scalar calls exactly.
+    """
+    k = np.arange(1, _SERIES_DEGREE + 1)
+    coefficients = np.cumprod(k / (c + k))
+    total = np.full(np.shape(w), coefficients[-1])
+    for a in coefficients[-2::-1]:
+        total *= w
+        total += a
+    total *= w
+    total += 1.0
     return total
 
 
@@ -73,7 +83,9 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
     low = t <= 1.0
     w = np.where(low, t, 1.0) / (1.0 + t)
-    series = _pfaff_series(np.where(low, b, delta), w)
+    series = np.empty_like(w)
+    series[low] = _pfaff_series(b, w[low])
+    series[~low] = _pfaff_series(delta, w[~low])
     # the prefactor 2/(a-2) = (1-b)/b times pi*b/sin(pi*b); sin(pi*b) = sin(pi*delta)
     reflection = math.pi * delta / math.sin(math.pi * min(b, delta))
     value = np.where(
@@ -165,7 +177,14 @@ def coverage_path_b_approx1(cfg: NetworkConfig, T):
 
 
 def coverage_path_b_approx2(cfg: NetworkConfig, T):
-    """Lower-bound reflected-path coverage for dense reflector deployments."""
+    """Reflected-path coverage for dense reflector deployments.
+
+    It is derived as a lower bound on ``gamma_b``, but it is not one: at 5 dB
+    and 2e4 simulated trials it lies above the simulated coverage at every
+    configuration checked, by 0.021 at the defaults (inside the 0.03 margin of
+    the ``approx2`` compare gate) and beyond that margin at small arrays:
+    0.037 at ``N = 2, alpha = 3`` and 0.043 at ``N = 1`` (or 2), ``alpha = 4``.
+    """
     conv = path_b_intensities(cfg)
     i_factor = interference_factor(_thresholds(T), cfg.alpha)
     return conv.lambda_ris_tilde / (

@@ -33,9 +33,10 @@ KM2_TO_M2 = 1e-6
 
 ORIENTATION_MODES = ("thinning", "explicit")
 
-# Layout of the Monte-Carlo random streams (see riscov.montecarlo). It enters
-# every config hash, so outputs of different stream layouts never share one.
-STREAM_VERSION = 2
+# Layout of the Monte-Carlo random streams and of the estimator that reduces
+# them (see riscov.montecarlo). It enters every config hash, so outputs of
+# different stream layouts or estimators never share one.
+STREAM_VERSION = 3
 
 
 class ConfigError(RiscovError, ValueError):
@@ -80,7 +81,6 @@ class NetworkConfig:
     master_seed: int = 1234
     conditional_path_b: bool = True
     orientation: str = "thinning"
-    shared_ris_fade: bool = True
 
     # -- unit accessors ----------------------------------------------------
     @property
@@ -148,9 +148,8 @@ class NetworkConfig:
             errs.append(f"thresholds_db: must not repeat a value, got {list(self.thresholds_db)!r}")
         if self.orientation not in ORIENTATION_MODES:
             errs.append(f"orientation: must be one of {ORIENTATION_MODES}, got {self.orientation!r}")
-        for name in ("conditional_path_b", "shared_ris_fade"):
-            if not isinstance(getattr(self, name), bool):
-                errs.append(f"{name}: must be a boolean, got {getattr(self, name)!r}")
+        if not isinstance(self.conditional_path_b, bool):
+            errs.append(f"conditional_path_b: must be a boolean, got {self.conditional_path_b!r}")
         if errs:
             raise ConfigError(errs)
 

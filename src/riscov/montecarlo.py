@@ -1,8 +1,8 @@
 """Vectorized stochastic simulator and independent oracle for the closed forms.
 
-One trial places the user at the origin, draws the serving base, the
-interferers that survive beam thinning and the nearest reflector, applies
-fading, and evaluates the per-path SIRs. One
+One trial places the user at the origin, draws the serving base, the nearest
+interferers that survive beam thinning and the nearest reflector, and
+records what coverage depends on given them. One
 :class:`riscov.config.NetworkConfig` describes a run, trial count, seed and
 model flags included.
 
@@ -22,27 +22,41 @@ coordinate. Hence, per trial:
   beam) or ``sqrt(2/N)`` (split beam), capped at 1. So ``orientation:
   explicit`` and ``orientation: thinning`` are the same thinning, and the
   single-beam survivors are a nested sub-thinning of the split-beam ones with
-  probability ``p_single / p_split``. Only the split-beam survivors are
-  drawn: ``K = ceil(TRUNCATION_BASES * p_split)`` arrivals at
-  ``r_k**2 = r0**2 + Gamma_k / (pi * lambda_bs * p_split)``, which covers the
-  disc holding ``TRUNCATION_BASES`` base stations on average;
-* the interference beyond the last arrival ``r_K`` enters as its conditional
-  mean ``2*pi*lambda_bs*p*E[g] * r_K**(2-alpha) / (alpha-2)`` for each
-  retention probability ``p``;
+  probability ``p_single / p_split``. Only the first ``K = NEAR_ARRIVALS``
+  split-beam survivors are drawn, at
+  ``r_k**2 = r0**2 + Gamma_k / (pi * lambda_bs * p_split)``, each with a fade
+  and a sub-thinning mark; their sums are the near-field interference;
 * the nearest reflector is one Gaussian draw; ``r2`` is its distance to the
-  user and ``r1 = hypot(x - r0, y)`` its distance to the serving base.
+  user and ``r1 = hypot(x - r0, y)`` its distance to the serving base; the
+  base-to-reflector fade ``f1`` fixes the reflected gain.
 
-Random streams (``riscov.config.STREAM_VERSION`` 2). Trials are cut into
+Coverage is estimated by conditional Monte Carlo (Asmussen & Glynn,
+*Stochastic Simulation*, Springer 2007, ch. V). Beyond ``r_K`` the
+interferers are a Poisson field of intensity ``lambda_bs * p``, independent
+of everything drawn, and the desired link's fade is exponential. So, given a
+trial's draws, ``Pr[SIR > T]`` is exact: with ``c = T * r0**alpha`` for the
+direct paths and ``c = T * r2**alpha / reflect_gain`` for the reflected one,
+
+    e(c) = exp(-mu * c * I_near - pi * lambda_bs * p * r_K**2 * I(c / r_K**alpha, alpha)),
+
+where ``I`` is :func:`riscov.analytic.interference_factor`, so that the
+second term is the log of the far field's Laplace functional (Andrews,
+Baccelli & Ganti, IEEE TCOM 2011), and ``I_near`` and ``p`` are the
+single-beam sum and retention for ``gamma_o`` and the split-beam ones
+otherwise. Selection shares the interference of both paths and its two
+fades are independent, so ``gamma_s`` is ``e_a + e_b - e(c_a + c_b)`` on
+engaged trials and ``e_a`` elsewhere. An estimate is the mean of these
+values and its 95% half-width 1.96 of their standard errors (population
+variance over ``n``); since each value lies in ``[0, 1]``, that never
+exceeds the binomial half-width of counting indicators at the same mean.
+
+Random streams (``riscov.config.STREAM_VERSION`` 3). Trials are cut into
 chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from one generator seeded by
 ``(master_seed, c)``, in this order: the serving-distance exponentials of
 the chunk, its reflector positions (trial-major ``(n, 2)`` standard
-normals), then for each block of at most ``BLOCK_TRIALS`` trials the arrival
-gaps, the interferer fades and the sub-thinning uniforms (each a trial-major
-``(block, K)`` array), and last the serving fades, the reflector-to-user
-fades and the base-to-reflector fades of the chunk. With
-``shared_ris_fade: false`` the last are ``M`` per trial, drawn in slices of
-``FADE_SLICE`` values. Since the fades come last, the flag changes nothing
-but the reflected path. Output depends on ``(master_seed, n_trials)`` and
+normals), then the arrival gaps, the interferer fades and the sub-thinning
+uniforms (each a trial-major ``(n, K)`` array), and last the
+base-to-reflector fades. Output depends on ``(master_seed, n_trials)`` and
 the config, never on how many workers run the chunks.
 """
 from __future__ import annotations
@@ -51,22 +65,22 @@ import math
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import channel
+from . import analytic, channel
 from .config import ConfigError, NetworkConfig
 from .errors import ParameterError
 
 WORKERS_ENV_VAR = "RISCOV_WORKERS"
 CHUNK_TRIALS = 1024  # fixed chunking keeps merges identical for any worker count
-BLOCK_TRIALS = 128   # trials whose (trial, interferer) arrays are held at once
-FADE_SLICE = 1 << 16  # per-element fades drawn at once with shared_ris_fade: false
 
-# Expected base stations (before thinning) inside the disc whose interferers
-# are drawn one by one; the rest of the plane enters as its mean.
-TRUNCATION_BASES = 2000.0
+# Split-beam interferers drawn one by one per trial; the rest of the plane
+# enters each conditional value exactly, through its Laplace functional.
+NEAR_ARRIVALS = 16
+VALUE_BLOCK = 8192  # trials whose conditional values are evaluated at once
+_FLOAT_MAX = np.finfo(float).max
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
@@ -76,119 +90,58 @@ HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
 class TrialRecords:
     """Column-wise per-trial outputs of a run, in trial order."""
 
-    sir_o: np.ndarray
-    sir_a: np.ndarray
-    sir_b: np.ndarray          # nan where no engaged reflector
+    near_single: np.ndarray    # single-beam interference of the drawn arrivals
+    near_split: np.ndarray     # split-beam interference of the drawn arrivals
+    r_k: np.ndarray            # radius of the last drawn arrival; the far field starts there
     reflect_gain: np.ndarray   # reflected power per unit per-beam power
     r0: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
-    r_far: np.ndarray          # radius of the last drawn interferer
     engaged: np.ndarray        # bool
-    n_interferers_single: np.ndarray
-    n_interferers_split: np.ndarray
+    n_interferers_single: np.ndarray  # drawn arrivals that single-beam thinning keeps
 
     def __len__(self) -> int:
-        return len(self.sir_o)
+        return len(self.r0)
 
-    @property
-    def sir_s(self) -> np.ndarray:
-        return np.where(np.isnan(self.sir_b), self.sir_a, np.maximum(self.sir_a, self.sir_b))
-
-    def metric_values(self, metric: str) -> np.ndarray:
-        if metric == "gamma_o":
-            return self.sir_o
-        if metric == "gamma_a":
-            return self.sir_a
-        if metric == "gamma_b":
-            return self.sir_b[self.engaged]
-        if metric == "gamma_s":
-            return self.sir_s
-        raise ParameterError(f"unknown metric {metric!r}")
-
-
-def _interference_block(cfg, rng, r0_sq, loss, power):
-    """Interference sums of one block; returns (single, split, r_far, n_single).
-
-    ``loss`` and ``power`` are ``(block, K)`` scratch buffers, overwritten.
-    """
-    p_single, p_split = channel.retention_probabilities(cfg)
-    lam, alpha, mean_fade = cfg.lambda_bs_m2, cfg.alpha, 1.0 / cfg.mu
-    # squared radii of the split-beam survivors, then their path loss
-    rng.standard_exponential(out=loss)
-    np.cumsum(loss, axis=1, out=loss)
-    loss *= 1.0 / (math.pi * lam * p_split)
-    loss += r0_sq[:, None]
-    r_far_sq = loss[:, -1].copy()
-    np.power(loss, -0.5 * alpha, out=loss)
-    rng.standard_exponential(out=power)
-    power *= mean_fade
-    power *= loss
-    kept = rng.random(out=loss) < p_single / p_split
-    split = power.sum(axis=1)
-    # same summation tree as `split`, so single <= split holds exactly
-    single = np.multiply(power, kept, out=loss).sum(axis=1)
-    tail = 2.0 * math.pi * lam * mean_fade * r_far_sq ** (1.0 - 0.5 * alpha) / (alpha - 2.0)
-    single += p_single * tail
-    split += p_split * tail
-    return single, split, np.sqrt(r_far_sq), np.count_nonzero(kept, axis=1)
-
-
-def _coherent_fades(rng, cfg, n):
-    """Effective base-to-reflector fades with per-element amplitudes: (mean sqrt f_m)**2."""
-    m = cfg.m_elements
-    sums = np.zeros(n)
-    for start in range(0, n * m, FADE_SLICE):
-        stop = min(start + FADE_SLICE, n * m)
-        amplitude = np.sqrt(rng.exponential(1.0 / cfg.mu, stop - start))
-        trial = np.arange(start, stop) // m
-        first = start // m
-        sums[first:trial[-1] + 1] += np.bincount(trial - first, weights=amplitude)
-    return (sums / m) ** 2
+    def slice(self, start: int, stop: int) -> TrialRecords:
+        """Trials ``start`` to ``stop`` as views of these columns."""
+        return TrialRecords(**{f.name: getattr(self, f.name)[start:stop] for f in fields(self)})
 
 
 def _simulate_chunk(args) -> dict:
     cfg, chunk_index, n = args
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
-    alpha = cfg.alpha
-    _, p_split = channel.retention_probabilities(cfg)
-    n_arrivals = math.ceil(TRUNCATION_BASES * p_split)
+    p_single, p_split = channel.retention_probabilities(cfg)
+    lam, alpha = cfg.lambda_bs_m2, cfg.alpha
 
-    r0_sq = rng.standard_exponential(n) / (math.pi * cfg.lambda_bs_m2)
+    r0_sq = rng.standard_exponential(n) / (math.pi * lam)
     ris_xy = rng.standard_normal((n, 2)) * math.sqrt(1.0 / (2.0 * math.pi * cfg.lambda_ris_m2))
 
-    i_single, i_split, r_far = np.empty(n), np.empty(n), np.empty(n)
-    n_single = np.empty(n, dtype=np.int32)
-    buffers = np.empty((2, min(n, BLOCK_TRIALS), n_arrivals))
-    for lo in range(0, n, BLOCK_TRIALS):
-        hi = min(lo + BLOCK_TRIALS, n)
-        i_single[lo:hi], i_split[lo:hi], r_far[lo:hi], n_single[lo:hi] = _interference_block(
-            cfg, rng, r0_sq[lo:hi], *buffers[:, : hi - lo]
-        )
+    # squared radii of the first K split-beam survivors, then their received power
+    r_sq = np.cumsum(rng.standard_exponential((n, NEAR_ARRIVALS)), axis=1)
+    r_sq *= 1.0 / (math.pi * lam * p_split)
+    r_sq += r0_sq[:, None]
+    power = rng.exponential(1.0 / cfg.mu, (n, NEAR_ARRIVALS))
+    power *= r_sq ** (-0.5 * alpha)
+    kept = rng.random((n, NEAR_ARRIVALS)) < p_single / p_split
+    # same summation tree for both sums, so single <= split holds exactly
+    near_split = power.sum(axis=1)
+    near_single = np.where(kept, power, 0.0).sum(axis=1)
 
-    g0 = rng.exponential(1.0 / cfg.mu, n)
-    h = rng.exponential(1.0 / cfg.mu, n)
-    f1 = rng.exponential(1.0 / cfg.mu, n) if cfg.shared_ris_fade else _coherent_fades(rng, cfg, n)
-
+    f1 = rng.exponential(1.0 / cfg.mu, n)
     r0 = np.sqrt(r0_sq)
-    r1 = np.hypot(ris_xy[:, 0] - r0, ris_xy[:, 1])
     r2 = np.hypot(ris_xy[:, 0], ris_xy[:, 1])
-    engaged = r2 < r0 if cfg.conditional_path_b else np.ones(n, dtype=bool)
-    signal = g0 * r0_sq ** (-0.5 * alpha)
-    reflect_gain = channel.reflection_gain(cfg, f1, r1)
-    sir_b = reflect_gain * h * r2 ** -alpha / i_split
+    r1 = np.hypot(ris_xy[:, 0] - r0, ris_xy[:, 1])
     return {
-        "sir_o": signal / i_single,
-        "sir_a": signal / i_split,
-        "sir_b": np.where(engaged, sir_b, math.nan),
-        "reflect_gain": reflect_gain,
+        "near_single": near_single,
+        "near_split": near_split,
+        "r_k": np.sqrt(r_sq[:, -1]),
+        "reflect_gain": channel.reflection_gain(cfg, f1, r1),
         "r0": r0,
         "r1": r1,
         "r2": r2,
-        "r_far": r_far,
-        "engaged": engaged,
-        "n_interferers_single": n_single,
-        "n_interferers_split": np.full(n, n_arrivals, dtype=np.int32),
+        "engaged": r2 < r0 if cfg.conditional_path_b else np.ones(n, dtype=bool),
+        "n_interferers_single": np.count_nonzero(kept, axis=1).astype(np.int32),
     }
 
 
@@ -232,7 +185,11 @@ def simulate(cfg: NetworkConfig) -> TrialRecords:
 
 @dataclass(frozen=True)
 class CoverageEstimate:
-    """Empirical CCDF point with a 95% normal-approximation half-width."""
+    """Mean of the per-trial conditional coverage values, with a 95% half-width.
+
+    The half-width is ``1.96`` sample standard deviations of the values over
+    ``sqrt(n_trials)``.
+    """
 
     threshold: float
     metric: str
@@ -241,10 +198,41 @@ class CoverageEstimate:
     n_trials: int
 
 
-def _binomial_ci(p: float, n: int) -> float:
-    if n == 0:
-        return math.nan
-    return 1.96 * math.sqrt(p * (1.0 - p) / n)
+def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: float) -> dict:
+    """Per-trial ``Pr[SIR > threshold]`` given the trial's draws, for every metric.
+
+    Maps each name of :data:`METRICS` to an array over all trials, except
+    ``gamma_b``, whose values belong to the engaged trials only. The module
+    docstring gives the formula.
+    """
+    p_single, p_split = channel.retention_probabilities(cfg)
+    alpha = cfg.alpha
+    area = math.pi * cfg.lambda_bs_m2 * records.r_k**2
+    r_k_pow = records.r_k**alpha
+
+    def far(c):
+        return area * analytic.interference_factor(c / r_k_pow, alpha)
+
+    def value(c, near, far_c, p):
+        return np.exp(-(cfg.mu * near * c + p * far_c))
+
+    with np.errstate(over="ignore", divide="ignore"):
+        # c is capped at the float range, so an empty near field never meets c = inf
+        c_a = np.minimum(threshold * records.r0**alpha, _FLOAT_MAX)
+        c_b = np.minimum(threshold * records.r2**alpha / records.reflect_gain, _FLOAT_MAX)
+        c_ab = np.minimum(c_a + c_b, _FLOAT_MAX)
+        far_a = far(c_a)
+        e_a = value(c_a, records.near_split, far_a, p_split)
+        e_b = value(c_b, records.near_split, far(c_b), p_split)
+        e_ab = value(c_ab, records.near_split, far(c_ab), p_split)
+        e_o = value(c_a, records.near_single, far_a, p_single)
+    engaged = records.engaged
+    return {
+        "gamma_o": e_o,
+        "gamma_a": e_a,
+        "gamma_b": e_b[engaged],
+        "gamma_s": np.where(engaged, e_a + (e_b - e_ab), e_a),
+    }
 
 
 def estimate_coverage(
@@ -252,35 +240,50 @@ def estimate_coverage(
     thresholds,
     records: TrialRecords | None = None,
 ) -> list[CoverageEstimate]:
-    """Empirical ``Pr[SIR > T]`` per metric and threshold.
+    """``Pr[SIR > T]`` per metric and threshold, metric by metric.
 
-    ``gamma_b`` conditions on an engaged reflector being present; the other
-    metrics use every trial. Pass precomputed ``records`` to reuse a run.
+    Each estimate averages :func:`conditional_values` over its trials:
+    ``gamma_b`` conditions on an engaged reflector being present and the
+    other metrics use every trial. The values are evaluated one threshold at
+    a time, in blocks of ``VALUE_BLOCK`` trials that are reduced to sums as
+    they go, so no array grows with the trial count beyond the records.
+    Pass precomputed ``records`` to reuse a run.
     """
     if cfg.n_trials < 100:
         raise ConfigError(
             [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
         )
+    for t in thresholds:
+        if t <= 0:
+            raise ParameterError(f"thresholds must be positive linear ratios, got {t!r}")
     if records is None:
         records = simulate(cfg)
-    out = []
-    for metric in METRICS:
-        values = records.metric_values(metric)
-        n = len(values)
-        for t in thresholds:
-            if t <= 0:
-                raise ParameterError(f"thresholds must be positive linear ratios, got {t!r}")
-            p = float(np.count_nonzero(values > t)) / n if n else math.nan
-            out.append(
+    by_metric = {metric: [] for metric in METRICS}
+    for t in thresholds:
+        # per metric: the trial count and the sums of the values and of their squares
+        sums = {metric: [0, 0.0, 0.0] for metric in METRICS}
+        for start in range(0, len(records), VALUE_BLOCK):
+            block = records.slice(start, start + VALUE_BLOCK)
+            for metric, values in conditional_values(cfg, block, t).items():
+                acc = sums[metric]
+                acc[0] += len(values)
+                acc[1] += float(values.sum())
+                acc[2] += float(np.square(values).sum())
+        for metric in METRICS:
+            n, total, squares = sums[metric]
+            p = total / n if n else math.nan
+            # the variance of values in [0, 1] cannot be negative; rounding can make it so
+            variance = max(squares / n - p * p, 0.0) if n else math.nan
+            by_metric[metric].append(
                 CoverageEstimate(
                     threshold=float(t),
                     metric=metric,
                     probability=p,
-                    ci_half_width=_binomial_ci(p, n),
+                    ci_half_width=1.96 * math.sqrt(variance / n) if n else math.nan,
                     n_trials=n,
                 )
             )
-    return out
+    return [e for metric in METRICS for e in by_metric[metric]]
 
 
 @dataclass(frozen=True, eq=False)

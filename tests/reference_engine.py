@@ -140,7 +140,7 @@ class Fades:
     """Per-link exponential power gains of one trial."""
 
     g: np.ndarray  # one per base station; index of the serving base is g0
-    f1: float      # base-to-reflector (effective, see shared_ris_fade)
+    f1: float      # base-to-reflector
     h: float       # reflector-to-user
 
 
@@ -200,12 +200,7 @@ def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
         split = off <= psi_split / 2.0
 
     g = rng.exponential(1.0 / cfg.mu, n_bs)
-    if cfg.shared_ris_fade:
-        f1 = float(rng.exponential(1.0 / cfg.mu))
-    else:
-        # per-element amplitude fades, coherently combined
-        f_m = rng.exponential(1.0 / cfg.mu, cfg.m_elements)
-        f1 = float(np.sqrt(f_m).mean() ** 2)
+    f1 = float(rng.exponential(1.0 / cfg.mu))
     h = float(rng.exponential(1.0 / cfg.mu))
 
     serving, r0 = nearest_point(bs)

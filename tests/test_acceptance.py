@@ -97,14 +97,18 @@ def test_c03_power_density_independence():
     cfg_b = NetworkConfig(n_trials=1000, master_seed=404, p_s=14.0)
     rec_a = montecarlo.simulate(cfg_a)
     rec_b = montecarlo.simulate(cfg_b)
+    values_a = [montecarlo.conditional_values(cfg_a, rec_a, t) for t in cfg_a.thresholds_linear]
+    values_b = [montecarlo.conditional_values(cfg_b, rec_b, t) for t in cfg_b.thresholds_linear]
     bit_identical = all(
-        np.array_equal(getattr(rec_a, f), getattr(rec_b, f), equal_nan=True)
-        for f in ("sir_o", "sir_a", "sir_b")
+        np.array_equal(a[m], b[m])
+        for a, b in zip(values_a, values_b)
+        for m in montecarlo.METRICS
     )
     report(
         3, "coverage is independent of transmit power and base density",
         analytic_dev <= 1e-12 and bit_identical,
-        f"(analytic dev {analytic_dev:.1e}, per-realization SIRs bit-identical: {bit_identical})",
+        f"(analytic dev {analytic_dev:.1e}, per-realization coverage values "
+        f"bit-identical: {bit_identical})",
     )
 
 
@@ -121,7 +125,14 @@ def test_c04_path_a_ordering(dense_run):
         cov[("gamma_a", t)].probability <= cov[("gamma_o", t)].probability
         for t in cfg.thresholds_linear
     )
-    realization_ok = bool(np.all(dense_run.records.sir_a <= dense_run.records.sir_o))
+    # the per-trial conditional coverage values, at every threshold
+    realization_ok = all(
+        np.all(values["gamma_a"] <= values["gamma_o"])
+        for values in (
+            montecarlo.conditional_values(cfg, dense_run.records, t)
+            for t in cfg.thresholds_linear
+        )
+    )
     report(
         4, "split-beam direct path never beats the single-beam baseline",
         grid_ok and mc_ok and realization_ok,

@@ -161,6 +161,16 @@ class TestSimulateCommand:
         assert {r["metric"] for r in rows} == {"gamma_o", "gamma_a", "gamma_b", "gamma_s"}
         assert (tmp_path / "hist_r2.csv").exists()
 
+    def test_per_element_fade_key_is_unknown(self, runner, tmp_path):
+        # the per-element fade mode drew all M fades of every trial, so this
+        # config never finished; the key is gone and the config is rejected
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("m_elements: 1000000000000\nshared_ris_fade: false\n")
+        result = runner.invoke(cli.main, ["simulate", "-c", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.splitlines() == ["config error: unknown config key: shared_ris_fade"]
+        assert not (tmp_path / "o").exists()
+
     def test_seed_repetition_identical_bytes(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 1500\nthresholds_db: [0]\n")

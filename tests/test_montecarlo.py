@@ -1,15 +1,16 @@
-"""Simulator: the vectorized engine, the reference engine's per-trial SIRs, estimators, determinism."""
+"""Simulator: the vectorized engine, its conditional estimator, the reference engine's
+per-trial SIRs, determinism."""
 from __future__ import annotations
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import reference_engine as ref
-from riscov import cli, montecarlo
+from riscov import analytic, channel, cli, montecarlo
 from riscov.config import ConfigError, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
 
@@ -67,13 +68,31 @@ def hand_scenario(
 
 
 def thinning_rate(cfg, rec, counts) -> float:
-    """Interferers per base station in the drawn annulus ``r0 < r <= r_far``.
+    """Interferers per base station in the drawn annulus ``r0 < r <= r_k``.
 
     The drawn interferers are a thinned Poisson field of intensity
     ``lambda_bs * p`` on that annulus, so the ratio estimates ``p``.
     """
-    area = math.pi * float(np.sum(rec.r_far**2 - rec.r0**2))
+    area = math.pi * float(np.sum(rec.r_k**2 - rec.r0**2))
     return float(counts.sum()) / (cfg.lambda_bs_m2 * area)
+
+
+def assert_value_orderings(cfg, rec, thresholds):
+    """Per trial and threshold: e_a <= e_o, and e_s >= max(e_a, e_b) where engaged.
+
+    The split beam keeps a superset of the single beam's interferers and the
+    selection takes the better of two paths; both orderings are exact in the
+    per-trial conditional values, not only in their means.
+    """
+    for t in thresholds:
+        values = montecarlo.conditional_values(cfg, rec, t)
+        e_o, e_a, e_b, e_s = (values[m] for m in montecarlo.METRICS)
+        for v in (e_o, e_a, e_b, e_s):
+            assert np.all((0.0 <= v) & (v <= 1.0))
+        assert np.all(e_a <= e_o), t
+        assert np.all(e_s >= e_a), t
+        assert np.all(e_s[rec.engaged] >= e_b), t
+        assert np.array_equal(e_s[~rec.engaged], e_a[~rec.engaged])
 
 
 class TestDropScenario:
@@ -93,10 +112,12 @@ class TestDropScenario:
     def test_structure_invariants(self):
         cfg = small_cfg()
         rec = montecarlo.simulate(cfg)
-        assert np.all(rec.r0 > 0) and np.all(rec.r_far > rec.r0)
+        assert np.all(rec.r0 > 0) and np.all(rec.r_k > rec.r0)
         # single-beam survivors are a subset of split-beam survivors
-        assert np.all(rec.n_interferers_single <= rec.n_interferers_split)
-        assert np.all(rec.sir_a <= rec.sir_o)
+        assert np.all(rec.n_interferers_single <= montecarlo.NEAR_ARRIVALS)
+        assert np.all((0.0 < rec.near_single) | (rec.n_interferers_single == 0))
+        assert np.all(rec.near_single <= rec.near_split)
+        assert_value_orderings(cfg, rec, cfg.thresholds_linear)
         lo, hi = np.abs(rec.r0 - rec.r2), rec.r0 + rec.r2
         assert np.all((lo - 1e-9 <= rec.r1) & (rec.r1 <= hi + 1e-9))
         if cfg.conditional_path_b:
@@ -108,7 +129,7 @@ class TestDropScenario:
         rec = montecarlo.simulate(cfg)
         fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
-        split_fraction = thinning_rate(cfg, rec, rec.n_interferers_split)
+        split_fraction = thinning_rate(cfg, rec, np.full(len(rec), montecarlo.NEAR_ARRIVALS))
         assert abs(split_fraction - math.sqrt(2 / 16)) < 0.01
 
     def test_explicit_orientation_matches_thinning_rate(self):
@@ -189,7 +210,8 @@ class TestPerTrialSirs:
 
     def test_path_a_never_beats_baseline_when_coupled(self, dense_run):
         rec = dense_run.records
-        assert np.all(rec.sir_a <= rec.sir_o)
+        assert np.all(rec.near_single <= rec.near_split)
+        assert_value_orderings(dense_run.cfg, rec, dense_run.cfg.thresholds_linear)
 
     def test_path_b_unit_configuration(self):
         # r1 = r2 = 1 with unit link gains and a unit-strength interference
@@ -250,19 +272,35 @@ class TestPerTrialSirs:
 
 class TestTransmitPowerInvariance:
     def test_records_bit_identical_under_power_rescale(self):
-        rec_a = montecarlo.simulate(small_cfg(n_trials=1000, p_s=2.0))
-        rec_b = montecarlo.simulate(small_cfg(n_trials=1000, p_s=14.0))
-        for field in ("sir_o", "sir_a", "sir_b", "reflect_gain", "r0", "r1", "r2"):
-            assert np.array_equal(
-                getattr(rec_a, field), getattr(rec_b, field), equal_nan=True
-            )
+        cfg_a, cfg_b = small_cfg(n_trials=1000, p_s=2.0), small_cfg(n_trials=1000, p_s=14.0)
+        rec_a, rec_b = montecarlo.simulate(cfg_a), montecarlo.simulate(cfg_b)
+        for field in RECORD_FIELDS:
+            assert np.array_equal(getattr(rec_a, field), getattr(rec_b, field))
+        for t in cfg_a.thresholds_linear:
+            values_a = montecarlo.conditional_values(cfg_a, rec_a, t)
+            values_b = montecarlo.conditional_values(cfg_b, rec_b, t)
+            for metric in montecarlo.METRICS:
+                assert np.array_equal(values_a[metric], values_b[metric])
 
 
 class TestEstimateCoverage:
     def test_tiny_threshold_gives_certain_coverage(self):
-        ests = montecarlo.estimate_coverage(small_cfg(n_trials=500), [1e-12])
+        # a conditional value is exp(-x) with x > 0, so it reaches 1 only
+        # where x underflows
+        ests = montecarlo.estimate_coverage(small_cfg(n_trials=500), [1e-12, 1e-300])
         for e in ests:
-            assert e.probability == 1.0
+            assert 1.0 - e.probability < 1e-9
+            assert e.probability == 1.0 or e.threshold == 1e-12
+
+    def test_huge_threshold_gives_no_coverage(self):
+        # T * r0**alpha leaves the float range; it is capped, so a trial whose
+        # drawn single-beam field is empty does not turn 0 * inf into nan
+        cfg = small_cfg(n_trials=500)
+        ests = montecarlo.estimate_coverage(cfg, [1e300])
+        assert all(e.probability == 0.0 and e.ci_half_width == 0.0 for e in ests)
+        rec = montecarlo.simulate(cfg)
+        empty = dataclasses.replace(rec, near_single=np.zeros(len(rec)))
+        assert not np.any(montecarlo.conditional_values(cfg, empty, 1e300)["gamma_o"])
 
     def test_requires_minimum_trials(self):
         with pytest.raises(ConfigError):
@@ -299,9 +337,23 @@ class TestEstimateCoverage:
         assert by_metric["gamma_o"].n_trials == len(rec)
 
     def test_ci_formula(self):
-        est = montecarlo.estimate_coverage(small_cfg(n_trials=1000), [1.0])[0]
-        p, n = est.probability, est.n_trials
-        assert est.ci_half_width == pytest.approx(1.96 * math.sqrt(p * (1 - p) / n))
+        # the mean of the per-trial values and 1.96 of their standard errors
+        cfg = small_cfg(n_trials=1000)
+        rec = montecarlo.simulate(cfg)
+        est = montecarlo.estimate_coverage(cfg, [1.0], records=rec)[0]
+        values = montecarlo.conditional_values(cfg, rec, 1.0)["gamma_o"]
+        n = est.n_trials
+        assert est.probability == pytest.approx(float(np.mean(values)), rel=1e-12)
+        assert est.ci_half_width == pytest.approx(1.96 * float(np.std(values)) / math.sqrt(n))
+
+    def test_never_noisier_than_counting(self):
+        # values in [0, 1] have a variance of at most p * (1 - p), the variance
+        # of the indicators they average
+        cfg = NetworkConfig(n_trials=10_000)
+        ests = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear)
+        assert len(ests) == len(montecarlo.METRICS) * len(cfg.thresholds_db)
+        for e in ests:
+            assert e.ci_half_width <= _ci(e.probability, e.n_trials), e
 
     def test_coverage_nonincreasing_in_threshold(self):
         thresholds = [0.1, 0.5, 1.0, 5.0, 20.0]
@@ -318,6 +370,48 @@ class TestEstimateCoverage:
         by = {(e.metric, e.threshold): e.probability for e in ests}
         for t in (0.5, 1.0, 5.0):
             assert by[("gamma_s", t)] >= max(by[("gamma_a", t)], by[("gamma_b", t)])
+
+
+class TestConditionalValues:
+    def test_far_field_matches_its_laplace_functional_by_quadrature(self):
+        # two hand-built trials, the second without an engaged reflector; the
+        # far field's factor is exp(-2*pi*lambda*p * int_{r_K}^inf r dr / (1 + r**a / c))
+        cfg = NetworkConfig(alpha=3.0, mu=2.0)
+        rec = montecarlo.TrialRecords(
+            near_single=np.array([2e-9, 0.0]),
+            near_split=np.array([5e-9, 4e-9]),
+            r_k=np.array([400.0, 500.0]),
+            reflect_gain=np.array([3e-4, 1e-3]),
+            r0=np.array([80.0, 60.0]),
+            r1=np.array([79.0, 100.0]),
+            r2=np.array([3.0, 70.0]),
+            engaged=np.array([True, False]),
+            n_interferers_single=np.array([5, 0]),
+        )
+        p_single, p_split = channel.retention_probabilities(cfg)
+
+        def oracle(k, c, near, p):
+            tail, _ = integrate.quad(
+                lambda r: r / (1.0 + r**cfg.alpha / c), rec.r_k[k], np.inf,
+                epsabs=0.0, epsrel=1e-12, limit=200,
+            )
+            return math.exp(-cfg.mu * c * near - 2.0 * math.pi * cfg.lambda_bs_m2 * p * tail)
+
+        T = 3.0
+        values = montecarlo.conditional_values(cfg, rec, T)
+        for k in range(2):
+            c_a = T * rec.r0[k] ** cfg.alpha
+            e_a = oracle(k, c_a, rec.near_split[k], p_split)
+            assert values["gamma_o"][k] == pytest.approx(
+                oracle(k, c_a, rec.near_single[k], p_single), rel=1e-10
+            )
+            assert values["gamma_a"][k] == pytest.approx(e_a, rel=1e-10)
+        c_a, c_b = T * 80.0**3, T * 3.0**3 / 3e-4
+        e_a, e_b = oracle(0, c_a, 5e-9, p_split), oracle(0, c_b, 5e-9, p_split)
+        e_s = e_a + e_b - oracle(0, c_a + c_b, 5e-9, p_split)
+        assert 0.05 < e_a < e_b < e_s < 0.999  # no term is trivially 0 or 1
+        assert values["gamma_b"] == pytest.approx([e_b], rel=1e-10)
+        assert values["gamma_s"] == pytest.approx([e_s, values["gamma_a"][1]], rel=1e-10)
 
 
 class TestHistograms:
@@ -355,33 +449,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             montecarlo.simulate(NetworkConfig(n_trials=0))
 
-    def test_independent_fade_mode_changes_reflection_only(self):
-        shared = NetworkConfig(n_trials=400, master_seed=55, shared_ris_fade=True)
-        indep = NetworkConfig(n_trials=400, master_seed=55, shared_ris_fade=False)
-        rec_s = montecarlo.simulate(shared)
-        rec_i = montecarlo.simulate(indep)
-        # geometry draws precede the fade draws, so distances agree
-        assert np.array_equal(rec_s.r0, rec_i.r0)
-        assert not np.array_equal(rec_s.sir_b, rec_i.sir_b, equal_nan=True)
-
     def test_huge_reflector_bank_fails_before_drawing(self):
-        cfg = NetworkConfig(n_trials=10, m_elements=10**160, shared_ris_fade=False)
+        cfg = NetworkConfig(n_trials=10, m_elements=10**160)
         with pytest.raises(NumericalError, match="reflector gain"):
             montecarlo.simulate(cfg)
-
-    def test_per_element_fades_bounded_memory(self):
-        cfg = NetworkConfig(
-            n_trials=16, master_seed=8, m_elements=10**6, shared_ris_fade=False
-        )
-        tracemalloc.start()
-        try:
-            rec = montecarlo.simulate(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one trial's 1e6 fades alone take 8 MB, a (block x M) array 128 MB
-        assert peak < 8 * 10**6
-        assert np.all(np.isfinite(rec.reflect_gain)) and np.all(rec.reflect_gain > 0)
 
 
 def _ci(p: float, n: int) -> float:
@@ -412,17 +483,37 @@ class TestEngineAgreement:
         failed = [(g["t_db"], round(g["gap"], 4)) for g in gates if not g["passed"]]
         assert not failed
 
+    @pytest.mark.parametrize("n_elements, alpha", [(2, 3.0), (1, 4.0)])
+    def test_approx2_lies_above_simulated_gamma_b(self, n_elements, alpha):
+        # approx2 is documented as a lower bound on gamma_b, but at small
+        # arrays it overshoots the simulated coverage at 5 dB by more than
+        # the estimate's half-width (and more than the 0.03 gate margin)
+        cfg = NetworkConfig(
+            n_elements=n_elements, alpha=alpha, n_trials=20_000, master_seed=3,
+            thresholds_db=(5.0,),
+        )
+        t = cfg.thresholds_linear[0]
+        est = next(e for e in montecarlo.estimate_coverage(cfg, [t]) if e.metric == "gamma_b")
+        overshoot = analytic.coverage_path_b_approx2(cfg, t) - est.probability
+        assert overshoot > est.ci_half_width
+        assert overshoot > 0.03
+
     def test_coverage_within_reference_ci(self):
-        # both engines sample the same model: every coverage point of one lies
-        # within the combined (summed) 95% half-widths of the other
+        # both engines sample the same model: every coverage point of the
+        # conditional estimator lies within the combined (summed) 95%
+        # half-widths of the reference engine's indicator count
         cfg = NetworkConfig(n_trials=3000, master_seed=2026)
-        rec = montecarlo.simulate(cfg)
+        ests = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear)
+        ours = {(e.metric, e.threshold): e for e in ests}
         reference = ref.reference_sirs(cfg)
-        for metric, name in (("gamma_o", "sir_o"), ("gamma_a", "sir_a"), ("gamma_b", "sir_b")):
-            ours = rec.metric_values(metric)
-            theirs = reference[name][~np.isnan(reference[name])]
+        sirs = {
+            "gamma_o": reference["sir_o"],
+            "gamma_a": reference["sir_a"],
+            "gamma_b": reference["sir_b"][~np.isnan(reference["sir_b"])],
+        }
+        for metric, theirs in sirs.items():
             for t in cfg.thresholds_linear:
-                p_ours = float(np.mean(ours > t))
+                est = ours[(metric, t)]
                 p_ref = float(np.mean(theirs > t))
-                bound = _ci(p_ours, len(ours)) + _ci(p_ref, len(theirs))
-                assert abs(p_ours - p_ref) <= bound, (metric, t, p_ours, p_ref)
+                bound = est.ci_half_width + _ci(p_ref, len(theirs))
+                assert abs(est.probability - p_ref) <= bound, (metric, t, est.probability, p_ref)
