@@ -82,17 +82,20 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
     low = t <= 1.0
-    w = np.where(low, t, 1.0) / (1.0 + t)
-    series = np.empty_like(w)
-    series[low] = _pfaff_series(b, w[low])
-    series[~low] = _pfaff_series(delta, w[~low])
-    # the prefactor 2/(a-2) = (1-b)/b times pi*b/sin(pi*b); sin(pi*b) = sin(pi*delta)
-    reflection = math.pi * delta / math.sin(math.pi * min(b, delta))
-    value = np.where(
-        low,
-        2.0 / (alpha - 2.0) * w * series / rho_sq,
-        reflection * t_plain**delta - (1.0 - w) * series / rho_sq,
-    )
+    high = ~low
+    value = np.empty_like(t)
+    # each branch is evaluated on its own elements only, so an empty one costs nothing
+    if low.any():
+        t_low = t[low]
+        w = t_low / (1.0 + t_low)
+        value[low] = 2.0 / (alpha - 2.0) * w * _pfaff_series(b, w) / rho_sq
+    if high.any():
+        w = 1.0 / (1.0 + t[high])
+        # the prefactor 2/(a-2) = (1-b)/b times pi*b/sin(pi*b); sin(pi*b) = sin(pi*delta)
+        reflection = math.pi * delta / math.sin(math.pi * min(b, delta))
+        value[high] = (
+            reflection * t_plain[high] ** delta - (1.0 - w) * _pfaff_series(delta, w) / rho_sq
+        )
     return float(value) if value.ndim == 0 else value
 
 

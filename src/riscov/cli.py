@@ -155,8 +155,7 @@ def run_simulate(
     cfg: NetworkConfig, axis_name: str = "", axis_value=None
 ) -> tuple[list[ResultRow], montecarlo.TrialRecords]:
     """Simulate the configured run and reduce it to coverage rows."""
-    records = montecarlo.simulate(cfg)
-    estimates = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear, records=records)
+    records, estimates = montecarlo.run(cfg, cfg.thresholds_linear)
     chash = cfg.config_hash()
     # estimates come metric by metric, each in threshold order; labelling by
     # position keeps thresholds apart that round to the same linear ratio

@@ -58,11 +58,18 @@ normals), then the arrival gaps, the interferer fades and the sub-thinning
 uniforms (each a trial-major ``(n, K)`` array), and last the
 base-to-reflector fades. Output depends on ``(master_seed, n_trials)`` and
 the config, never on how many workers run the chunks.
+
+Parallelism. One task draws one block of ``VALUE_BLOCK`` trials (eight
+chunks; the last block may be partial) and reduces it to each metric's
+count, sum and sum of squares of the conditional values at every threshold.
+The tasks' sums are merged in block order, so the summation tree, and with
+it every output byte, is the same for any worker count. ``RISCOV_WORKERS``
+sets the pool size, capped at the block count: a run of at most
+``VALUE_BLOCK`` trials never starts a pool.
 """
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -79,7 +86,7 @@ CHUNK_TRIALS = 1024  # fixed chunking keeps merges identical for any worker coun
 # Split-beam interferers drawn one by one per trial; the rest of the plane
 # enters each conditional value exactly, through its Laplace functional.
 NEAR_ARRIVALS = 16
-VALUE_BLOCK = 8192  # trials whose conditional values are evaluated at once
+VALUE_BLOCK = 8192  # trials per pool task, drawn and reduced together; whole chunks
 _FLOAT_MAX = np.finfo(float).max
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
@@ -107,9 +114,15 @@ class TrialRecords:
         """Trials ``start`` to ``stop`` as views of these columns."""
         return TrialRecords(**{f.name: getattr(self, f.name)[start:stop] for f in fields(self)})
 
+    @staticmethod
+    def concatenate(parts) -> TrialRecords:
+        """The trials of ``parts``, one after another."""
+        return TrialRecords(**{
+            f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(TrialRecords)
+        })
 
-def _simulate_chunk(args) -> dict:
-    cfg, chunk_index, n = args
+
+def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecords:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
     p_single, p_split = channel.retention_probabilities(cfg)
     lam, alpha = cfg.lambda_bs_m2, cfg.alpha
@@ -132,51 +145,64 @@ def _simulate_chunk(args) -> dict:
     r0 = np.sqrt(r0_sq)
     r2 = np.hypot(ris_xy[:, 0], ris_xy[:, 1])
     r1 = np.hypot(ris_xy[:, 0] - r0, ris_xy[:, 1])
-    return {
-        "near_single": near_single,
-        "near_split": near_split,
-        "r_k": np.sqrt(r_sq[:, -1]),
-        "reflect_gain": channel.reflection_gain(cfg, f1, r1),
-        "r0": r0,
-        "r1": r1,
-        "r2": r2,
-        "engaged": r2 < r0 if cfg.conditional_path_b else np.ones(n, dtype=bool),
-        "n_interferers_single": np.count_nonzero(kept, axis=1).astype(np.int32),
-    }
+    return TrialRecords(
+        near_single=near_single,
+        near_split=near_split,
+        r_k=np.sqrt(r_sq[:, -1]),
+        reflect_gain=channel.reflection_gain(cfg, f1, r1),
+        r0=r0,
+        r1=r1,
+        r2=r2,
+        engaged=r2 < r0 if cfg.conditional_path_b else np.ones(n, dtype=bool),
+        n_interferers_single=np.count_nonzero(kept, axis=1).astype(np.int32),
+    )
+
+
+def _run_block(task) -> tuple[TrialRecords, list[dict]]:
+    """One pool task: draw the block of trials from ``start``, then reduce it at each threshold."""
+    cfg, start, thresholds = task
+    stop = min(start + VALUE_BLOCK, cfg.n_trials)
+    block = TrialRecords.concatenate([
+        _simulate_chunk(cfg, chunk_start // CHUNK_TRIALS, min(CHUNK_TRIALS, stop - chunk_start))
+        for chunk_start in range(start, stop, CHUNK_TRIALS)
+    ])
+    return block, _block_sums(cfg, block, thresholds)
 
 
 def worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV_VAR, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        print(f"warning: {WORKERS_ENV_VAR}={raw!r} is not an integer; using 1 worker",
+        workers = 0
+    if workers < 1:
+        print(f"warning: {WORKERS_ENV_VAR}={raw!r} is not a positive integer; using 1 worker",
               file=sys.stderr)
         return 1
+    return workers
+
+
+def _run_blocks(cfg: NetworkConfig, thresholds: tuple) -> tuple[TrialRecords, list]:
+    """All trials and, per block, the sums of :func:`_block_sums`, in block order."""
+    channel.array_gain(cfg)  # an overflowing bank fails before any draw
+    tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
+    workers = min(worker_count(), len(tasks))
+    if workers == 1:
+        results = [_run_block(task) for task in tasks]
+    else:
+        import multiprocessing  # only a pooled run pays for the import
+
+        with multiprocessing.Pool(processes=workers) as pool:
+            results = list(pool.imap(_run_block, tasks, chunksize=1))
+    return (
+        TrialRecords.concatenate([block for block, _ in results]),
+        [sums for _, sums in results],
+    )
 
 
 def simulate(cfg: NetworkConfig) -> TrialRecords:
-    """Run all trials; output independent of the worker count.
-
-    Trials are split into fixed-size chunks; each chunk draws from its own
-    stream keyed by ``(master_seed, chunk_index)``, so the merge (a
-    concatenation in chunk order) is associative and scheduling-free.
-    """
-    channel.array_gain(cfg)  # an overflowing bank fails before any draw
-    chunks = [
-        (cfg, index, min(CHUNK_TRIALS, cfg.n_trials - start))
-        for index, start in enumerate(range(0, cfg.n_trials, CHUNK_TRIALS))
-    ]
-    workers = worker_count()
-    if workers == 1 or len(chunks) == 1:
-        results = [_simulate_chunk(c) for c in chunks]
-    else:
-        with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
-            results = list(pool.imap(_simulate_chunk, chunks, chunksize=1))
-    merged = {
-        key: np.concatenate([r[key] for r in results]) for key in results[0]
-    }
-    return TrialRecords(**merged)
+    """Run all trials; output independent of the worker count."""
+    return _run_blocks(cfg, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +261,66 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     }
 
 
+def _block_sums(cfg: NetworkConfig, block: TrialRecords, thresholds) -> list[dict]:
+    """Per threshold, each metric's ``(n, sum, sum of squares)`` of one block's values."""
+    return [
+        {
+            metric: (len(values), float(values.sum()), float(np.square(values).sum()))
+            for metric, values in conditional_values(cfg, block, t).items()
+        }
+        for t in thresholds
+    ]
+
+
+def _checked_thresholds(cfg: NetworkConfig, thresholds) -> tuple:
+    """``thresholds`` as floats, once they and the trial count admit an estimate."""
+    if cfg.n_trials < 100:
+        raise ConfigError(
+            [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
+        )
+    for t in thresholds:
+        if t <= 0:
+            raise ParameterError(f"thresholds must be positive linear ratios, got {t!r}")
+    return tuple(float(t) for t in thresholds)
+
+
+def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
+    """Merge the blocks' sums in block order into estimates, metric by metric."""
+    by_metric = {metric: [] for metric in METRICS}
+    for i, t in enumerate(thresholds):
+        for metric in METRICS:
+            n, total, squares = 0, 0.0, 0.0
+            for sums in block_sums:
+                block_n, block_total, block_squares = sums[i][metric]
+                n += block_n
+                total += block_total
+                squares += block_squares
+            p = total / n if n else math.nan
+            # the variance of values in [0, 1] cannot be negative; rounding can make it so
+            variance = max(squares / n - p * p, 0.0) if n else math.nan
+            by_metric[metric].append(
+                CoverageEstimate(
+                    threshold=t,
+                    metric=metric,
+                    probability=p,
+                    ci_half_width=1.96 * math.sqrt(variance / n) if n else math.nan,
+                    n_trials=n,
+                )
+            )
+    return [e for metric in METRICS for e in by_metric[metric]]
+
+
+def run(cfg: NetworkConfig, thresholds) -> tuple[TrialRecords, list[CoverageEstimate]]:
+    """All trials and ``Pr[SIR > T]`` per metric and threshold, as :func:`estimate_coverage`.
+
+    Each block of ``VALUE_BLOCK`` trials is drawn and reduced to sums by the
+    same task, so a pool parallelizes the estimator along with the draws.
+    """
+    thresholds = _checked_thresholds(cfg, thresholds)
+    records, block_sums = _run_blocks(cfg, thresholds)
+    return records, _estimates(thresholds, block_sums)
+
+
 def estimate_coverage(
     cfg: NetworkConfig,
     thresholds,
@@ -244,46 +330,18 @@ def estimate_coverage(
 
     Each estimate averages :func:`conditional_values` over its trials:
     ``gamma_b`` conditions on an engaged reflector being present and the
-    other metrics use every trial. The values are evaluated one threshold at
-    a time, in blocks of ``VALUE_BLOCK`` trials that are reduced to sums as
-    they go, so no array grows with the trial count beyond the records.
-    Pass precomputed ``records`` to reuse a run.
+    other metrics use every trial. The values are evaluated in blocks of
+    ``VALUE_BLOCK`` trials that are reduced to sums as they go, so no array
+    grows with the trial count beyond the records. Pass precomputed
+    ``records`` to reuse a run; the estimates are the same either way.
     """
-    if cfg.n_trials < 100:
-        raise ConfigError(
-            [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
-        )
-    for t in thresholds:
-        if t <= 0:
-            raise ParameterError(f"thresholds must be positive linear ratios, got {t!r}")
     if records is None:
-        records = simulate(cfg)
-    by_metric = {metric: [] for metric in METRICS}
-    for t in thresholds:
-        # per metric: the trial count and the sums of the values and of their squares
-        sums = {metric: [0, 0.0, 0.0] for metric in METRICS}
-        for start in range(0, len(records), VALUE_BLOCK):
-            block = records.slice(start, start + VALUE_BLOCK)
-            for metric, values in conditional_values(cfg, block, t).items():
-                acc = sums[metric]
-                acc[0] += len(values)
-                acc[1] += float(values.sum())
-                acc[2] += float(np.square(values).sum())
-        for metric in METRICS:
-            n, total, squares = sums[metric]
-            p = total / n if n else math.nan
-            # the variance of values in [0, 1] cannot be negative; rounding can make it so
-            variance = max(squares / n - p * p, 0.0) if n else math.nan
-            by_metric[metric].append(
-                CoverageEstimate(
-                    threshold=float(t),
-                    metric=metric,
-                    probability=p,
-                    ci_half_width=1.96 * math.sqrt(variance / n) if n else math.nan,
-                    n_trials=n,
-                )
-            )
-    return [e for metric in METRICS for e in by_metric[metric]]
+        return run(cfg, thresholds)[1]
+    thresholds = _checked_thresholds(cfg, thresholds)
+    return _estimates(thresholds, [
+        _block_sums(cfg, records.slice(start, start + VALUE_BLOCK), thresholds)
+        for start in range(0, len(records), VALUE_BLOCK)
+    ])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,11 @@
-"""Shared fixtures: the two expensive reference simulation runs.
+"""Shared fixtures: the two expensive reference simulation runs, and a pool recorder.
 
 Both runs are reused across the unit tests and the acceptance suite so the
 whole suite pays for each 1e5-trial simulation exactly once.
 """
 from __future__ import annotations
 
+import multiprocessing.pool
 import time
 
 import pytest
@@ -36,3 +37,18 @@ def sparse_run() -> TimedRun:
     return TimedRun(
         NetworkConfig(lambda_ris=1000.0, n_trials=100_000, master_seed=ACCEPT_SEED + 1)
     )
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch) -> list[tuple[int, int]]:
+    """``(worker processes, block tasks)`` of each pool that ran tasks during the test."""
+    started = []
+    imap = multiprocessing.pool.Pool.imap
+
+    def recording_imap(self, func, iterable, chunksize=1):
+        tasks = list(iterable)
+        started.append((self._processes, len(tasks)))
+        return imap(self, func, tasks, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", recording_imap)
+    return started

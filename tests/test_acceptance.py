@@ -328,10 +328,12 @@ def test_c13_asymptotics():
     )
 
 
-def test_c14_compare_pipeline_determinism(tmp_path, monkeypatch):
+def test_c14_compare_pipeline_determinism(tmp_path, monkeypatch, pool_tasks):
     runner = CliRunner()
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("n_trials: 4000\nmaster_seed: 321\n")
+    # three blocks of montecarlo.VALUE_BLOCK trials, the last one partial, so
+    # three workers share the blocks
+    cfg.write_text("n_trials: 20000\nmaster_seed: 321\n")
     outputs = {}
     for workers, sub in (("1", "w1"), ("3", "w3")):
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
@@ -353,3 +355,4 @@ def test_c14_compare_pipeline_determinism(tmp_path, monkeypatch):
         same_csv and same_report and same_exit,
         f"(csv identical: {same_csv}, report identical: {same_report}, exit {outputs['w1'][0]})",
     )
+    assert pool_tasks == [(3, 3)]

@@ -69,6 +69,22 @@ class TestInterferenceFactor:
             assert values.shape == thresholds.shape
             assert np.array_equal(values, [fn(cfg, t) for t in thresholds])
 
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    @pytest.mark.parametrize("thresholds", [
+        np.linspace(0.0, 1.0, 9),
+        np.logspace(0.01, 6, 9),
+        np.array([[0.3, 7.0], [1.0, 1.0 + 2**-52]]),
+        np.array(2.5),
+    ], ids=["all-low", "all-high", "mixed", "0-d"])
+    def test_each_branch_matches_scalars_bit_for_bit(self, thresholds, alpha, rho):
+        # the two series branches (T * rho**a <= 1 and > 1) see only their own
+        # elements, whichever branch the other elements take
+        got = analytic.interference_factor(thresholds, alpha, rho)
+        assert np.shape(got) == thresholds.shape
+        expected = [analytic.interference_factor(float(t), alpha, rho) for t in thresholds.flat]
+        assert np.array_equal(np.ravel(got), expected)
+
     def test_general_alpha_against_direct_quadrature(self):
         # oracle: finite-range quadrature plus a two-term series tail,
         # a different decomposition than the implementation's stretch map

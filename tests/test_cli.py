@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
 import riscov
-from riscov import analytic, cli, geometry
+from riscov import analytic, cli, geometry, montecarlo
 from riscov.config import NetworkConfig, load_config
 from riscov.errors import NumericalError
 
@@ -302,13 +302,17 @@ def _run_fresh(code: str, *args: str) -> str:
     return out.stdout
 
 
-# Runs the command in sys.argv[1:], then prints whether any scipy module is loaded.
-_SCIPY_PROBE = (
-    "import sys\n"
-    "from riscov import cli\n"
-    "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
-    "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
-)
+def _loaded_probe(package: str) -> str:
+    """Code that runs the command in sys.argv[1:], then prints whether ``package`` is loaded."""
+    return (
+        "import sys\n"
+        "from riscov import cli\n"
+        "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
+        f"print(any(m.split('.')[0] == {package!r} for m in sys.modules))\n"
+    )
+
+
+_SCIPY_PROBE = _loaded_probe("scipy")
 
 
 class TestColdImport:
@@ -339,6 +343,23 @@ class TestColdImport:
         out = _run_fresh(code, *argv, "--out", str(tmp_path))
         assert out.splitlines()[-1] == "True"
 
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        # importing it costs about 10 ms, which only a pooled run should pay
+        code = "import sys, riscov.cli; print('multiprocessing' in sys.modules)"
+        assert _run_fresh(code).strip() == "False"
+
+    @pytest.mark.parametrize("workers, trials, pooled", [
+        ("1", "20000", False),
+        ("2", "8192", False),
+        ("2", "20000", True),  # positive control: three blocks start a pool
+    ])
+    def test_only_a_pooled_run_loads_multiprocessing(self, tmp_path, monkeypatch,
+                                                     workers, trials, pooled):
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
+        argv = ["simulate", "--trials", trials, "--out", str(tmp_path)]
+        out = _run_fresh(_loaded_probe("multiprocessing"), *argv)
+        assert out.splitlines()[-1] == str(pooled)
+
 
 class TestVersion:
     def test_version_from_source_tree(self):
@@ -361,14 +382,23 @@ class TestVersion:
 class TestWorkerPool:
     def test_spawned_workers_match_one_worker(self):
         # the pool uses the platform's default start method, which is spawn
-        # on macOS and Windows; spawned workers import the package afresh
+        # on macOS and Windows; spawned workers import the package afresh.
+        # Three blocks, the last one partial, reach the pool; the recorded
+        # imap calls show how many block tasks it ran
         code = (
-            "import dataclasses, multiprocessing, os\n"
+            "import dataclasses, multiprocessing, multiprocessing.pool, os\n"
             "import numpy as np\n"
             "from riscov import montecarlo\n"
             "from riscov.config import NetworkConfig\n"
             "multiprocessing.set_start_method('spawn')\n"
-            "cfg = NetworkConfig(n_trials=2500, master_seed=11)\n"
+            "pools = []\n"
+            "imap = multiprocessing.pool.Pool.imap\n"
+            "def recording_imap(self, func, iterable, chunksize=1):\n"
+            "    tasks = list(iterable)\n"
+            "    pools.append((self._processes, len(tasks)))\n"
+            "    return imap(self, func, tasks, chunksize)\n"
+            "multiprocessing.pool.Pool.imap = recording_imap\n"
+            "cfg = NetworkConfig(n_trials=20000, master_seed=11)\n"
             "runs = []\n"
             "for workers in ('1', '2'):\n"
             "    os.environ[montecarlo.WORKERS_ENV_VAR] = workers\n"
@@ -376,9 +406,9 @@ class TestWorkerPool:
             "print(multiprocessing.get_start_method(), [\n"
             "    f.name for f in dataclasses.fields(runs[0])\n"
             "    if not np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name), equal_nan=True)\n"
-            "])\n"
+            "], pools)\n"
         )
-        assert _run_fresh(code).strip() == "spawn []"
+        assert _run_fresh(code).strip() == "spawn [] [(2, 3)]"
 
 
 class TestSweep:

@@ -310,13 +310,36 @@ class TestEstimateCoverage:
         with pytest.raises(ParameterError):
             montecarlo.estimate_coverage(small_cfg(n_trials=200), [0.0])
 
-    def test_worker_count_does_not_change_estimates(self, monkeypatch):
-        cfg = small_cfg(n_trials=3000)
+    def test_worker_count_does_not_change_estimates(self, monkeypatch, pool_tasks):
+        # three blocks, the last one partial
+        cfg = small_cfg(n_trials=20000)
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "1")
         one = montecarlo.estimate_coverage(cfg, [0.5, 1.0, 2.0])
+        assert pool_tasks == []
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "3")
         three = montecarlo.estimate_coverage(cfg, [0.5, 1.0, 2.0])
+        assert pool_tasks == [(3, 3)]
         assert one == three
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_pooled_estimates_match_estimates_from_records(self, monkeypatch, pool_tasks, workers):
+        cfg = small_cfg(n_trials=20000)
+        thresholds = [0.1, 1.0, 10.0]
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
+        records, estimates = montecarlo.run(cfg, thresholds)
+        assert estimates == montecarlo.estimate_coverage(cfg, thresholds)
+        from_records = montecarlo.simulate(cfg)
+        assert estimates == montecarlo.estimate_coverage(cfg, thresholds, records=from_records)
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(records, name), getattr(from_records, name))
+        assert pool_tasks == ([] if workers == "1" else [(3, 3)] * 3)
+
+    def test_pool_is_capped_at_the_block_count(self, monkeypatch, pool_tasks):
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "8")
+        montecarlo.simulate(small_cfg(n_trials=montecarlo.VALUE_BLOCK))
+        assert pool_tasks == []
+        montecarlo.simulate(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1))
+        assert pool_tasks == [(2, 2)]
 
     def test_malformed_worker_count_warns(self, monkeypatch, capsys):
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "four")
@@ -327,6 +350,15 @@ class TestEstimateCoverage:
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "3")
         assert montecarlo.worker_count() == 3
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("raw", ["0", "-2"])
+    def test_nonpositive_worker_count_warns(self, monkeypatch, capsys, raw):
+        # these once fell back to one worker without a word
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, raw)
+        assert montecarlo.worker_count() == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert montecarlo.WORKERS_ENV_VAR in err and repr(raw) in err
 
     def test_gamma_b_conditions_on_engagement(self):
         cfg = small_cfg(n_trials=2000, lambda_ris=100.0)
