@@ -71,7 +71,9 @@ def quantization_efficiency(phase_bits) -> float:
         return 1.0
     if int(phase_bits) != phase_bits or phase_bits < 1:
         raise ParameterError(f"phase_bits must be 'ideal' or an integer >= 1, got {phase_bits!r}")
-    half_step = math.pi / (1 << int(phase_bits))
+    half_step = math.ldexp(math.pi, -int(phase_bits))
+    if half_step == 0.0:  # past 1076 bits it underflows; the efficiency is then 1
+        return 1.0
     return (math.sin(half_step) / half_step) ** 2
 
 
@@ -106,13 +108,24 @@ def reflection_gain(cfg: NetworkConfig, fade_f1, r1):
 
 
 def reflected_power_raw_moment(cfg: NetworkConfig) -> float:
-    """``E[(P_reflected / mu)**(2/alpha)]`` entering the converted reflector intensity."""
+    """``E[(P_reflected / mu)**(2/alpha)]`` entering the converted reflector intensity.
+
+    Raises :class:`NumericalError` when it exceeds the float range, as it can
+    for a tiny ``mu``; for a huge one it tends to its limit 0.
+    """
     alpha = cfg.alpha
-    prefactor = (array_gain(cfg) * cfg.p_s / (2.0 * cfg.mu**2)) ** (2.0 / alpha)
+    # mu**2 itself would leave the float range long before the moment does
+    try:
+        prefactor = (array_gain(cfg) * cfg.p_s / 2.0) ** (2.0 / alpha) * cfg.mu ** (-4.0 / alpha)
+    except OverflowError:
+        prefactor = math.inf
     inv_sq = geometry.expected_inv_r1_pow(
         2.0, cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.epsilon_floor
     )
-    return float(prefactor * math.gamma(2.0 / alpha + 1.0) * inv_sq)
+    moment = float(prefactor * math.gamma(2.0 / alpha + 1.0) * inv_sq)
+    if not math.isfinite(moment):
+        raise NumericalError(f"reflected power moment exceeds the float range (mu={cfg.mu:g})")
+    return moment
 
 
 def mean_reflected_power(cfg: NetworkConfig) -> float:

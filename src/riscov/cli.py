@@ -280,10 +280,9 @@ def _moment_row(cfg: NetworkConfig, metric: str, axis_name: str, axis_value) -> 
 def histogram_csv(cfg: NetworkConfig, hist: montecarlo.Histogram) -> str:
     """Histogram CSV with the analytic overlay where a closed form exists."""
     lam_b, lam_r = cfg.lambda_bs_m2, cfg.lambda_ris_m2
-    overlay = {
-        "r0": lambda x: geometry.pdf_r0(x, lam_b),
-        "r2": lambda x: geometry.pdf_r2(x, lam_r),
-        "r1": lambda x: geometry.pdf_r1_marginal(x, lam_b, lam_r) if x > 0 else 0.0,
+    # each distance is Rayleigh; p_ris has no closed-form density
+    intensity = {
+        "r0": lam_b, "r1": geometry.r1_intensity(lam_b, lam_r), "r2": lam_r,
     }.get(hist.quantity)
     chash = cfg.config_hash()
     lines = ["quantity,bin_left,bin_right,density,count,analytic_pdf,n_samples,config_hash,seed"]
@@ -291,7 +290,7 @@ def histogram_csv(cfg: NetworkConfig, hist: montecarlo.Histogram) -> str:
         hist.edges[:-1], hist.edges[1:], hist.density, hist.counts
     ):
         mid = 0.5 * (left + right)
-        pdf = _fmt(float(overlay(mid))) if overlay is not None else ""
+        pdf = _fmt(geometry.rayleigh_pdf(mid, intensity)) if intensity is not None else ""
         lines.append(
             f"{hist.quantity},{_fmt(float(left))},{_fmt(float(right))},"
             f"{_fmt(float(dens))},{int(cnt)},{pdf},{hist.n_samples},{chash},{cfg.master_seed}"
@@ -383,7 +382,7 @@ def simulate_cmd(cfg, out_dir, hist_quantities):
     # histogram leaves no fresh coverage CSV behind
     outputs = [("simulate.csv", rows_to_csv(rows), f" ({len(rows)} rows)")]
     for quantity in hist_quantities:
-        h = montecarlo.empirical_histogram(cfg, quantity, records=records)
+        h = montecarlo.empirical_histogram(cfg, records, quantity)
         outputs.append((f"hist_{quantity}.csv", histogram_csv(cfg, h), ""))
     for name, text, note in outputs:
         click.echo(f"wrote {_write(out_dir, name, text)}{note}")
@@ -436,9 +435,9 @@ def sweep_cmd(cfg, out_dir, axis, grid, metric, with_mc):
 @click.option("--bins", default=60, type=int)
 def hist_cmd(cfg, out_dir, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""
-    if bins < 1:
-        raise ConfigError([f"bins: must be at least 1, got {bins}"])
-    h = montecarlo.empirical_histogram(cfg, quantity, bins=bins)
+    if not 1 <= bins <= cfg.n_trials:
+        raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
+    h = montecarlo.empirical_histogram(cfg, montecarlo.run(cfg)[0], quantity, bins)
     path = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
     click.echo(f"wrote {path}")
 

@@ -63,10 +63,17 @@ def rayleigh_tail_radius(intensity: float, tail: float = TAIL_MASS) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form nearest-neighbor densities
+# closed-form nearest-neighbor density
 # ---------------------------------------------------------------------------
 
-def _rayleigh_pdf(r, intensity: float):
+def rayleigh_pdf(r, intensity: float):
+    """Density of the distance to the nearest point of a Poisson field of ``intensity``.
+
+    The serving distance ``r0`` follows it at ``lambda_bs``, the reflector
+    distance ``r2`` at ``lambda_ris``, and the base-to-reflector distance
+    ``r1`` at :func:`r1_intensity` (see the module docstring).
+    """
+    _check_positive(intensity=intensity)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("distance must be nonnegative")
@@ -74,37 +81,14 @@ def _rayleigh_pdf(r, intensity: float):
     return out if out.ndim else float(out)
 
 
-def pdf_r0(r, lambda_bs: float):
-    """Density of the distance to the nearest base station."""
-    _check_positive(lambda_bs=lambda_bs)
-    return _rayleigh_pdf(r, lambda_bs)
-
-
-def pdf_r2(r, lambda_ris: float):
-    """Density of the distance to the nearest reflector."""
-    _check_positive(lambda_ris=lambda_ris)
-    return _rayleigh_pdf(r, lambda_ris)
+def r1_intensity(lambda_bs: float, lambda_ris: float) -> float:
+    """Rayleigh intensity ``lambda_eff`` of the base-to-reflector distance."""
+    return lambda_bs * lambda_ris / (lambda_bs + lambda_ris)
 
 
 # ---------------------------------------------------------------------------
 # base-to-reflector distance r1
 # ---------------------------------------------------------------------------
-
-def _r1_intensity(lambda_bs: float, lambda_ris: float) -> float:
-    """Rayleigh intensity of the base-to-reflector distance."""
-    return lambda_bs * lambda_ris / (lambda_bs + lambda_ris)
-
-
-def pdf_r1_marginal(r1: float, lambda_bs: float, lambda_ris: float) -> float:
-    """Marginal density of the base-to-reflector distance.
-
-    The exact Rayleigh density at ``lambda_eff`` (see the module docstring).
-    """
-    _check_positive(lambda_bs=lambda_bs, lambda_ris=lambda_ris)
-    if r1 <= 0:
-        raise ParameterError(f"r1 must be positive, got {r1!r}")
-    return _rayleigh_pdf(r1, _r1_intensity(lambda_bs, lambda_ris))
-
 
 def _ellipe(m):
     """Complete elliptic integral of the second kind ``E(m)``, elementwise on ``[0, 1]``.
@@ -161,8 +145,8 @@ def _expected_r1_rule(
     r2, w2 = (np.concatenate(pair, axis=1) for pair in zip(below, above))
     s = r0[:, None] + r2
     mean_r1 = (2.0 / math.pi) * s * _ellipe(4.0 * r0[:, None] * r2 / s**2)
-    inner = np.sum(w2 * _rayleigh_pdf(r2, lambda_ris) * mean_r1, axis=1)
-    return float(np.dot(w0, _rayleigh_pdf(r0, lambda_bs) * inner))
+    inner = np.sum(w2 * rayleigh_pdf(r2, lambda_ris) * mean_r1, axis=1)
+    return float(np.dot(w0, rayleigh_pdf(r0, lambda_bs) * inner))
 
 
 @lru_cache(maxsize=256)
@@ -270,7 +254,7 @@ def expected_inv_r1_pow(
     )
     # (pi*lambda_eff)**(p/2) * Gamma(1 - p/2, x) with x = pi*lambda_eff*eps**2;
     # log x is summed from the factors' logs because x itself can underflow
-    scale = math.pi * _r1_intensity(lambda_bs, lambda_ris)
+    scale = math.pi * r1_intensity(lambda_bs, lambda_ris)
     log_x = (
         math.log(math.pi * lambda_bs) + math.log(lambda_ris)
         - math.log(lambda_bs + lambda_ris) + 2.0 * math.log(epsilon_floor)

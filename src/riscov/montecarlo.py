@@ -110,10 +110,6 @@ class TrialRecords:
     def __len__(self) -> int:
         return len(self.r0)
 
-    def slice(self, start: int, stop: int) -> TrialRecords:
-        """Trials ``start`` to ``stop`` as views of these columns."""
-        return TrialRecords(**{f.name: getattr(self, f.name)[start:stop] for f in fields(self)})
-
     @staticmethod
     def concatenate(parts) -> TrialRecords:
         """The trials of ``parts``, one after another."""
@@ -159,14 +155,24 @@ def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecord
 
 
 def _run_block(task) -> tuple[TrialRecords, list[dict]]:
-    """One pool task: draw the block of trials from ``start``, then reduce it at each threshold."""
+    """One pool task: draw the block of trials from ``start``, then reduce it.
+
+    Per threshold, the reduction maps each metric to the ``(n, sum, sum of
+    squares)`` of the block's conditional values.
+    """
     cfg, start, thresholds = task
     stop = min(start + VALUE_BLOCK, cfg.n_trials)
     block = TrialRecords.concatenate([
         _simulate_chunk(cfg, chunk_start // CHUNK_TRIALS, min(CHUNK_TRIALS, stop - chunk_start))
         for chunk_start in range(start, stop, CHUNK_TRIALS)
     ])
-    return block, _block_sums(cfg, block, thresholds)
+    return block, [
+        {
+            metric: (len(values), float(values.sum()), float(np.square(values).sum()))
+            for metric, values in conditional_values(cfg, block, t).items()
+        }
+        for t in thresholds
+    ]
 
 
 def worker_count() -> int:
@@ -180,29 +186,6 @@ def worker_count() -> int:
               file=sys.stderr)
         return 1
     return workers
-
-
-def _run_blocks(cfg: NetworkConfig, thresholds: tuple) -> tuple[TrialRecords, list]:
-    """All trials and, per block, the sums of :func:`_block_sums`, in block order."""
-    channel.array_gain(cfg)  # an overflowing bank fails before any draw
-    tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
-    workers = min(worker_count(), len(tasks))
-    if workers == 1:
-        results = [_run_block(task) for task in tasks]
-    else:
-        import multiprocessing  # only a pooled run pays for the import
-
-        with multiprocessing.Pool(processes=workers) as pool:
-            results = list(pool.imap(_run_block, tasks, chunksize=1))
-    return (
-        TrialRecords.concatenate([block for block, _ in results]),
-        [sums for _, sums in results],
-    )
-
-
-def simulate(cfg: NetworkConfig) -> TrialRecords:
-    """Run all trials; output independent of the worker count."""
-    return _run_blocks(cfg, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,29 +244,6 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     }
 
 
-def _block_sums(cfg: NetworkConfig, block: TrialRecords, thresholds) -> list[dict]:
-    """Per threshold, each metric's ``(n, sum, sum of squares)`` of one block's values."""
-    return [
-        {
-            metric: (len(values), float(values.sum()), float(np.square(values).sum()))
-            for metric, values in conditional_values(cfg, block, t).items()
-        }
-        for t in thresholds
-    ]
-
-
-def _checked_thresholds(cfg: NetworkConfig, thresholds) -> tuple:
-    """``thresholds`` as floats, once they and the trial count admit an estimate."""
-    if cfg.n_trials < 100:
-        raise ConfigError(
-            [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
-        )
-    for t in thresholds:
-        if t <= 0:
-            raise ParameterError(f"thresholds must be positive linear ratios, got {t!r}")
-    return tuple(float(t) for t in thresholds)
-
-
 def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
     """Merge the blocks' sums in block order into estimates, metric by metric."""
     by_metric = {metric: [] for metric in METRICS}
@@ -310,38 +270,37 @@ def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
     return [e for metric in METRICS for e in by_metric[metric]]
 
 
-def run(cfg: NetworkConfig, thresholds) -> tuple[TrialRecords, list[CoverageEstimate]]:
-    """All trials and ``Pr[SIR > T]`` per metric and threshold, as :func:`estimate_coverage`.
-
-    Each block of ``VALUE_BLOCK`` trials is drawn and reduced to sums by the
-    same task, so a pool parallelizes the estimator along with the draws.
-    """
-    thresholds = _checked_thresholds(cfg, thresholds)
-    records, block_sums = _run_blocks(cfg, thresholds)
-    return records, _estimates(thresholds, block_sums)
-
-
-def estimate_coverage(
-    cfg: NetworkConfig,
-    thresholds,
-    records: TrialRecords | None = None,
-) -> list[CoverageEstimate]:
-    """``Pr[SIR > T]`` per metric and threshold, metric by metric.
+def run(cfg: NetworkConfig, thresholds=()) -> tuple[TrialRecords, list[CoverageEstimate]]:
+    """All trials, and ``Pr[SIR > T]`` per metric and threshold, metric by metric.
 
     Each estimate averages :func:`conditional_values` over its trials:
     ``gamma_b`` conditions on an engaged reflector being present and the
-    other metrics use every trial. The values are evaluated in blocks of
-    ``VALUE_BLOCK`` trials that are reduced to sums as they go, so no array
-    grows with the trial count beyond the records. Pass precomputed
-    ``records`` to reuse a run; the estimates are the same either way.
+    other metrics use every trial. Each block of ``VALUE_BLOCK`` trials is
+    drawn and reduced to sums by the same task, so no array of values grows
+    with the trial count and a pool parallelizes the estimator along with
+    the draws. An estimate needs at least 100 trials; with no thresholds
+    the run only draws them.
     """
-    if records is None:
-        return run(cfg, thresholds)[1]
-    thresholds = _checked_thresholds(cfg, thresholds)
-    return _estimates(thresholds, [
-        _block_sums(cfg, records.slice(start, start + VALUE_BLOCK), thresholds)
-        for start in range(0, len(records), VALUE_BLOCK)
-    ])
+    if len(thresholds) and cfg.n_trials < 100:
+        raise ConfigError(
+            [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
+        )
+    for t in thresholds:
+        if t <= 0:
+            raise ParameterError(f"thresholds must be positive linear ratios, got {t!r}")
+    thresholds = tuple(float(t) for t in thresholds)
+    channel.array_gain(cfg)  # an overflowing bank fails before any draw
+    tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
+    workers = min(worker_count(), len(tasks))
+    if workers == 1:
+        results = [_run_block(task) for task in tasks]
+    else:
+        import multiprocessing  # only a pooled run pays for the import
+
+        with multiprocessing.Pool(processes=workers) as pool:
+            results = list(pool.imap(_run_block, tasks, chunksize=1))
+    records = TrialRecords.concatenate([block for block, _ in results])
+    return records, _estimates(thresholds, [sums for _, sums in results])
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,12 +319,9 @@ class Histogram:
 
 
 def empirical_histogram(
-    cfg: NetworkConfig,
-    quantity: str,
-    bins: int = 60,
-    records: TrialRecords | None = None,
+    cfg: NetworkConfig, records: TrialRecords, quantity: str, bins: int = 60
 ) -> Histogram:
-    """Histogram of a per-trial quantity, normalized to unit mass.
+    """Histogram of a per-trial quantity of the run ``records``, normalized to unit mass.
 
     Distances come from the raw drop (no engaged conditioning), matching the
     unconditional analytic laws; ``p_ris`` is the peak reflected power in
@@ -375,8 +331,6 @@ def empirical_histogram(
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
     if cfg.n_trials < 1000:
         raise ConfigError([f"n_trials: must be at least 1000 for a histogram, got {cfg.n_trials}"])
-    if records is None:
-        records = simulate(cfg)
     if quantity == "p_ris":
         values = 0.5 * cfg.p_s * records.reflect_gain
     else:

@@ -1,7 +1,8 @@
 """Shared fixtures: the two expensive reference simulation runs, and a pool recorder.
 
-Both runs are reused across the unit tests and the acceptance suite so the
-whole suite pays for each 1e5-trial simulation exactly once.
+Both runs, with their estimates at the configured thresholds, are reused
+across the unit tests and the acceptance suite so the whole suite pays for
+each 1e5-trial simulation exactly once.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ class TimedRun:
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
         t0 = time.perf_counter()
-        self.records = montecarlo.simulate(cfg)
+        self.records, self.estimates = montecarlo.run(cfg, cfg.thresholds_linear)
         self.duration_s = time.perf_counter() - t0
 
 

@@ -43,9 +43,9 @@ def report(cid: int, description: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {cid}: {description} {detail}"
 
 
-def coverage_by(cfg, thresholds, records):
-    ests = montecarlo.estimate_coverage(cfg, thresholds, records=records)
-    return {(e.metric, e.threshold): e for e in ests}
+def coverage_by(timed_run):
+    """The run's estimates by ``(metric, threshold)``, at its configured thresholds."""
+    return {(e.metric, e.threshold): e for e in timed_run.estimates}
 
 
 def make_cfg(**kw) -> NetworkConfig:
@@ -71,7 +71,7 @@ def test_c01_interference_factor_closed_form():
 
 def test_c02_baseline_analytic_vs_simulation(dense_run):
     cfg = dense_run.cfg
-    cov = coverage_by(cfg, cfg.thresholds_linear, dense_run.records)
+    cov = coverage_by(dense_run)
     gaps = []
     for t_db, t_lin in zip(cfg.thresholds_db, cfg.thresholds_linear):
         gaps.append(
@@ -95,8 +95,8 @@ def test_c03_power_density_independence():
     )
     cfg_a = NetworkConfig(n_trials=1000, master_seed=404, p_s=2.0)
     cfg_b = NetworkConfig(n_trials=1000, master_seed=404, p_s=14.0)
-    rec_a = montecarlo.simulate(cfg_a)
-    rec_b = montecarlo.simulate(cfg_b)
+    rec_a = montecarlo.run(cfg_a)[0]
+    rec_b = montecarlo.run(cfg_b)[0]
     values_a = [montecarlo.conditional_values(cfg_a, rec_a, t) for t in cfg_a.thresholds_linear]
     values_b = [montecarlo.conditional_values(cfg_b, rec_b, t) for t in cfg_b.thresholds_linear]
     bit_identical = all(
@@ -120,7 +120,7 @@ def test_c04_path_a_ordering(dense_run):
         for n in (4, 16, 64, 256)
     )
     cfg = dense_run.cfg
-    cov = coverage_by(cfg, cfg.thresholds_linear, dense_run.records)
+    cov = coverage_by(dense_run)
     mc_ok = all(
         cov[("gamma_a", t)].probability <= cov[("gamma_o", t)].probability
         for t in cfg.thresholds_linear
@@ -142,15 +142,12 @@ def test_c04_path_a_ordering(dense_run):
 
 def test_c05_r1_marginal_reproduction(sparse_run):
     cfg = sparse_run.cfg
-    hist = montecarlo.empirical_histogram(cfg, "r1", bins=50, records=sparse_run.records)
-    lam_b, lam_r = cfg.lambda_bs_m2, cfg.lambda_ris_m2
+    hist = montecarlo.empirical_histogram(cfg, sparse_run.records, "r1", bins=50)
+    lam_eff = geometry.r1_intensity(cfg.lambda_bs_m2, cfg.lambda_ris_m2)
     l1 = 0.0
     for left, right, dens in zip(hist.edges[:-1], hist.edges[1:], hist.density):
         mid = 0.5 * (left + right)
-        vals = [
-            geometry.pdf_r1_marginal(max(x, 1e-9), lam_b, lam_r)
-            for x in (left, mid, right)
-        ]
+        vals = [geometry.rayleigh_pdf(x, lam_eff) for x in (left, mid, right)]
         simpson_avg = (vals[0] + 4 * vals[1] + vals[2]) / 6.0
         l1 += abs(dens - simpson_avg) * (right - left)
     report(
@@ -221,7 +218,7 @@ def test_c09_array_factor():
 
 
 def test_c10_approx1_high_density_agreement(dense_run):
-    cov = coverage_by(dense_run.cfg, [T5DB], dense_run.records)
+    cov = coverage_by(dense_run)
     mc = cov[("gamma_b", T5DB)].probability
     a1 = analytic.coverage_path_b_approx1(dense_run.cfg, T5DB)
     gap = abs(a1 - mc)
@@ -233,7 +230,7 @@ def test_c10_approx1_high_density_agreement(dense_run):
 
 
 def test_c11_approx2_lower_bound_direction(dense_run):
-    cov = coverage_by(dense_run.cfg, [T5DB], dense_run.records)
+    cov = coverage_by(dense_run)
     mc = cov[("gamma_b", T5DB)].probability
     a2 = analytic.coverage_path_b_approx2(dense_run.cfg, T5DB)
     margin = mc - (a2 - TOL["approx2_margin"])
@@ -248,7 +245,7 @@ def _gamma_b_estimate(lambda_ris_km2, lambda_bs_km2, seed):
         lambda_ris=lambda_ris_km2, lambda_bs=lambda_bs_km2,
         n_trials=20_000, master_seed=seed, thresholds_db=(5.0,),
     )
-    ests = montecarlo.estimate_coverage(cfg, [T5DB])
+    _, ests = montecarlo.run(cfg, [T5DB])
     return next(e for e in ests if e.metric == "gamma_b")
 
 

@@ -168,7 +168,7 @@ class TestBaselineCoverage:
                 epsabs=1e-13, epsrel=1e-12,
             )
             def integrand(r):
-                return geometry.pdf_r0(r, LAM_BS) * math.exp(
+                return geometry.rayleigh_pdf(r, LAM_BS) * math.exp(
                     -math.pi * lam_i * r * r * T ** (2 / cfg.alpha) * tail
                 )
             direct, _ = integrate.quad(integrand, 0, np.inf, epsabs=1e-12, epsrel=1e-10)

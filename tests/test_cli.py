@@ -119,6 +119,40 @@ class TestAnalyticCommand:
         assert len(rows) == len(cli.GATES) * len(NetworkConfig().thresholds_db)
         assert all(0.0 <= float(row["value"]) <= 1.0 for row in rows)
 
+    @pytest.mark.parametrize("yaml_text, limit", [
+        ("mu: 1.0e-300\n", 1.0),
+        ("mu: 1.0e+300\n", 0.0),
+        ("mu: 1.0e-300\nalpha: 2.01\n", None),  # the moment itself leaves the float range
+    ], ids=["tiny", "huge", "tiny-alpha2.01"])
+    def test_extreme_mu_takes_the_limit(self, runner, tmp_path, yaml_text, limit):
+        # mu**2 used to end in a ZeroDivisionError (tiny mu) or an
+        # OverflowError (huge mu) traceback with exit 1, the gate-failed code
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml_text)
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
+        if limit is None:
+            assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+            assert result.stderr.startswith("pipeline error: reflected power moment")
+            return
+        assert result.exit_code == 0, result.output
+        rows = read_rows(tmp_path / "analytic.csv")
+        reflected = [float(r["value"]) for r in rows if r["engine"] in ("approx1", "approx2")]
+        assert len(reflected) == 2 * len(NetworkConfig().thresholds_db)
+        assert all(abs(value - limit) < 1e-9 for value in reflected)
+
+    @pytest.mark.parametrize("bits", ["1100", "1000000"])
+    def test_phase_bits_beyond_float_give_ideal_values(self, runner, tmp_path, bits):
+        # pi / (1 << bits) used to end in an OverflowError traceback with exit 1
+        values = {}
+        for name, phase_bits in (("ideal", "ideal"), ("bits", bits)):
+            cfg_path = tmp_path / f"{name}.yaml"
+            cfg_path.write_text(f"phase_bits: {phase_bits}\n")
+            out = tmp_path / name
+            result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            values[name] = [row["value"] for row in read_rows(out / "analytic.csv")]
+        assert values["bits"] == values["ideal"]
+
     def test_string_thresholds_exit_config_error(self, runner, tmp_path):
         # a bare string used to be split into characters: "10" ran at 1 dB and 0 dB
         cfg = tmp_path / "cfg.yaml"
@@ -402,7 +436,7 @@ class TestWorkerPool:
             "runs = []\n"
             "for workers in ('1', '2'):\n"
             "    os.environ[montecarlo.WORKERS_ENV_VAR] = workers\n"
-            "    runs.append(montecarlo.simulate(cfg))\n"
+            "    runs.append(montecarlo.run(cfg)[0])\n"
             "print(multiprocessing.get_start_method(), [\n"
             "    f.name for f in dataclasses.fields(runs[0])\n"
             "    if not np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name), equal_nan=True)\n"
@@ -526,15 +560,19 @@ class TestHistCommand:
         first = lines[1].split(",")
         assert float(first[5]) > 0  # analytic overlay populated
 
-    @pytest.mark.parametrize("bins", ["0", "-3"])
+    @pytest.mark.parametrize("bins", ["0", "-3", "1001", "4611686018427387904"])
     def test_nonpositive_bins_is_config_error(self, runner, tmp_path, bins):
+        # more bins than trials used to be accepted, and 2**62 of them ended
+        # in numpy's "array is too big" traceback with exit 1
         result = runner.invoke(
             cli.main,
             ["hist", "--quantity", "r0", "--trials", "1000", "--bins", bins,
              "--out", str(tmp_path)],
         )
         assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == [f"config error: bins: must be at least 1, got {bins}"]
+        assert result.stderr.splitlines() == [
+            f"config error: bins: must be from 1 to n_trials (1000), got {bins}"
+        ]
         assert not (tmp_path / "hist_r0.csv").exists()
 
 
@@ -571,7 +609,7 @@ class TestTypedExits:
         ((geometry, "expected_r1"),
          ["sweep", "--axis", "lambda_ris", "--grid", "500,1000", "--metric", "e_r1"]),
         ((analytic, "interference_factor"), ["analytic"]),
-        ((geometry, "pdf_r1_marginal"), ["hist", "--quantity", "r1", "--trials", "1000"]),
+        ((geometry, "rayleigh_pdf"), ["hist", "--quantity", "r1", "--trials", "1000"]),
     ], ids=["sweep", "analytic", "hist"])
     def test_numerical_error_is_pipeline_error(self, runner, tmp_path, monkeypatch, target, argv):
         def boom(*args, **kwargs):

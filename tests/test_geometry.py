@@ -15,6 +15,7 @@ from riscov.errors import NumericalError, ParameterError
 
 LAM_BS = 2.5e-5   # 25 per km^2
 LAM_RIS = 1e-3    # 1000 per km^2
+LAM_EFF = LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)  # the Rayleigh intensity of r1
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +114,20 @@ def test_window_radius_policy():
 
 class TestNearestNeighborDensities:
     def test_pdf_r0_normalizes(self):
-        val, _ = integrate.quad(lambda r: geometry.pdf_r0(r, LAM_BS), 0, np.inf)
+        val, _ = integrate.quad(lambda r: geometry.rayleigh_pdf(r, LAM_BS), 0, np.inf)
         assert abs(val - 1.0) < 1e-9
 
     def test_pdf_r0_mean(self):
         # quadrature oracle for the first moment vs 1/(2 sqrt(lam))
-        mean, _ = integrate.quad(lambda r: r * geometry.pdf_r0(r, LAM_BS), 0, np.inf)
+        mean, _ = integrate.quad(lambda r: r * geometry.rayleigh_pdf(r, LAM_BS), 0, np.inf)
         assert mean == pytest.approx(0.5 / math.sqrt(LAM_BS), rel=1e-9)
         assert mean == pytest.approx(100.0, rel=1e-9)
 
     def test_pdf_r0_vanishes_at_zero(self):
-        assert geometry.pdf_r0(0.0, LAM_BS) == 0.0
+        assert geometry.rayleigh_pdf(0.0, LAM_BS) == 0.0
 
     def test_pdf_r2_normalizes(self):
-        val, _ = integrate.quad(lambda r: geometry.pdf_r2(r, LAM_RIS), 0, np.inf)
+        val, _ = integrate.quad(lambda r: geometry.rayleigh_pdf(r, LAM_RIS), 0, np.inf)
         assert abs(val - 1.0) < 1e-9
 
     def test_pdf_r2_mode(self):
@@ -134,17 +135,17 @@ class TestNearestNeighborDensities:
         mode = 1.0 / math.sqrt(2 * math.pi * LAM_RIS)
         assert mode == pytest.approx(12.6157, abs=5e-4)
         grid = np.linspace(1e-3, 100, 20001)
-        assert grid[np.argmax(geometry.pdf_r2(grid, LAM_RIS))] == pytest.approx(mode, abs=0.01)
+        assert grid[np.argmax(geometry.rayleigh_pdf(grid, LAM_RIS))] == pytest.approx(mode, abs=0.01)
 
     def test_pdf_r2_vanishes_at_zero(self):
-        assert geometry.pdf_r2(0.0, LAM_RIS) == 0.0
+        assert geometry.rayleigh_pdf(0.0, LAM_RIS) == 0.0
 
     def test_prob_ris_closer_closed_form_and_oracles(self):
         closed = prob_ris_closer(LAM_RIS, LAM_BS)
         assert closed == pytest.approx(1000.0 / 1025.0, rel=1e-12)
         # quadrature oracle: integrate Pr(r2 < r) against the r0 law
         quad_val, _ = integrate.quad(
-            lambda r: (1 - math.exp(-math.pi * LAM_RIS * r * r)) * geometry.pdf_r0(r, LAM_BS),
+            lambda r: (1 - math.exp(-math.pi * LAM_RIS * r * r)) * geometry.rayleigh_pdf(r, LAM_BS),
             0, np.inf,
         )
         assert quad_val == pytest.approx(closed, abs=1e-9)
@@ -167,20 +168,19 @@ class TestR1Marginal:
         from oracle_helpers import bessel_marginal
         for lam_ris in (LAM_RIS, 5e-2):
             for r1 in (5.0, 30.0, 80.0, 120.0, 200.0):
-                val = geometry.pdf_r1_marginal(r1, LAM_BS, lam_ris)
+                val = geometry.rayleigh_pdf(r1, geometry.r1_intensity(LAM_BS, lam_ris))
                 assert val == pytest.approx(bessel_marginal(r1, LAM_BS, lam_ris), rel=1e-8)
 
     def test_normalizes(self):
         val, _ = integrate.quad(
-            lambda r: geometry.pdf_r1_marginal(r, LAM_BS, LAM_RIS),
+            lambda r: geometry.rayleigh_pdf(r, LAM_EFF),
             1e-6, 900.0, limit=300,
         )
         assert abs(val - 1.0) < 1e-4
 
     def test_vanishes_near_zero(self):
-        assert geometry.pdf_r1_marginal(1e-3, LAM_BS, LAM_RIS) < 1e-5
-        with pytest.raises(ParameterError):
-            geometry.pdf_r1_marginal(0.0, LAM_BS, LAM_RIS)
+        assert geometry.rayleigh_pdf(1e-3, LAM_EFF) < 1e-5
+        assert geometry.rayleigh_pdf(0.0, LAM_EFF) == 0.0
 
 
 class TestExpectedR1:
@@ -190,7 +190,7 @@ class TestExpectedR1:
     def test_consistent_with_marginal_first_moment(self):
         direct = geometry.expected_r1(LAM_BS, LAM_RIS)
         via_pdf, _ = integrate.quad(
-            lambda r: r * geometry.pdf_r1_marginal(r, LAM_BS, LAM_RIS),
+            lambda r: r * geometry.rayleigh_pdf(r, LAM_EFF),
             1e-6, 900.0, limit=300,
         )
         assert via_pdf == pytest.approx(direct, rel=1e-2)

@@ -98,20 +98,20 @@ def assert_value_orderings(cfg, rec, thresholds):
 class TestDropScenario:
     def test_same_seed_and_trial_is_byte_identical(self):
         cfg = small_cfg()
-        a = montecarlo.simulate(cfg)
-        b = montecarlo.simulate(cfg)
+        a = montecarlo.run(cfg)[0]
+        b = montecarlo.run(cfg)[0]
         for name in RECORD_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
 
     def test_different_trials_differ(self):
-        rec = montecarlo.simulate(small_cfg())
+        rec = montecarlo.run(small_cfg())[0]
         # neighbours within a chunk, and the first trials of two chunks
         assert rec.r0[0] != rec.r0[1]
         assert rec.r0[0] != rec.r0[montecarlo.CHUNK_TRIALS]
 
     def test_structure_invariants(self):
         cfg = small_cfg()
-        rec = montecarlo.simulate(cfg)
+        rec = montecarlo.run(cfg)[0]
         assert np.all(rec.r0 > 0) and np.all(rec.r_k > rec.r0)
         # single-beam survivors are a subset of split-beam survivors
         assert np.all(rec.n_interferers_single <= montecarlo.NEAR_ARRIVALS)
@@ -126,7 +126,7 @@ class TestDropScenario:
     def test_single_beam_retention_fraction(self):
         # thinning keeps 1/sqrt(N) of the non-serving bases
         cfg = small_cfg(n_trials=10_000, n_elements=16)
-        rec = montecarlo.simulate(cfg)
+        rec = montecarlo.run(cfg)[0]
         fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
         split_fraction = thinning_rate(cfg, rec, np.full(len(rec), montecarlo.NEAR_ARRIVALS))
@@ -134,20 +134,20 @@ class TestDropScenario:
 
     def test_explicit_orientation_matches_thinning_rate(self):
         cfg = NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
-        rec = montecarlo.simulate(cfg)
+        rec = montecarlo.run(cfg)[0]
         fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
 
     def test_engaged_fraction_tracks_density_ratio(self):
-        rec = montecarlo.simulate(small_cfg(n_trials=10_000, lambda_ris=100.0))
+        rec = montecarlo.run(small_cfg(n_trials=10_000, lambda_ris=100.0))[0]
         expected = 100.0 / 125.0
         se = math.sqrt(expected * (1 - expected) / 10_000)
         assert abs(rec.engaged.mean() - expected) < 4 * se
 
     def test_unconditional_mode_always_engages(self):
-        rec = montecarlo.simulate(
+        rec = montecarlo.run(
             NetworkConfig(n_trials=500, master_seed=9, conditional_path_b=False)
-        )
+        )[0]
         assert rec.engaged.all()
 
 
@@ -273,7 +273,7 @@ class TestPerTrialSirs:
 class TestTransmitPowerInvariance:
     def test_records_bit_identical_under_power_rescale(self):
         cfg_a, cfg_b = small_cfg(n_trials=1000, p_s=2.0), small_cfg(n_trials=1000, p_s=14.0)
-        rec_a, rec_b = montecarlo.simulate(cfg_a), montecarlo.simulate(cfg_b)
+        rec_a, rec_b = montecarlo.run(cfg_a)[0], montecarlo.run(cfg_b)[0]
         for field in RECORD_FIELDS:
             assert np.array_equal(getattr(rec_a, field), getattr(rec_b, field))
         for t in cfg_a.thresholds_linear:
@@ -287,7 +287,7 @@ class TestEstimateCoverage:
     def test_tiny_threshold_gives_certain_coverage(self):
         # a conditional value is exp(-x) with x > 0, so it reaches 1 only
         # where x underflows
-        ests = montecarlo.estimate_coverage(small_cfg(n_trials=500), [1e-12, 1e-300])
+        _, ests = montecarlo.run(small_cfg(n_trials=500), [1e-12, 1e-300])
         for e in ests:
             assert 1.0 - e.probability < 1e-9
             assert e.probability == 1.0 or e.threshold == 1e-12
@@ -296,28 +296,30 @@ class TestEstimateCoverage:
         # T * r0**alpha leaves the float range; it is capped, so a trial whose
         # drawn single-beam field is empty does not turn 0 * inf into nan
         cfg = small_cfg(n_trials=500)
-        ests = montecarlo.estimate_coverage(cfg, [1e300])
+        rec, ests = montecarlo.run(cfg, [1e300])
         assert all(e.probability == 0.0 and e.ci_half_width == 0.0 for e in ests)
-        rec = montecarlo.simulate(cfg)
         empty = dataclasses.replace(rec, near_single=np.zeros(len(rec)))
         assert not np.any(montecarlo.conditional_values(cfg, empty, 1e300)["gamma_o"])
 
     def test_requires_minimum_trials(self):
         with pytest.raises(ConfigError):
-            montecarlo.estimate_coverage(small_cfg(n_trials=50), [1.0])
+            montecarlo.run(small_cfg(n_trials=50), [1.0])
+        # the minimum is the estimator's: a run without thresholds only draws
+        records, estimates = montecarlo.run(small_cfg(n_trials=50))
+        assert len(records) == 50 and estimates == []
 
     def test_requires_positive_threshold(self):
         with pytest.raises(ParameterError):
-            montecarlo.estimate_coverage(small_cfg(n_trials=200), [0.0])
+            montecarlo.run(small_cfg(n_trials=200), [0.0])
 
     def test_worker_count_does_not_change_estimates(self, monkeypatch, pool_tasks):
         # three blocks, the last one partial
         cfg = small_cfg(n_trials=20000)
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "1")
-        one = montecarlo.estimate_coverage(cfg, [0.5, 1.0, 2.0])
+        _, one = montecarlo.run(cfg, [0.5, 1.0, 2.0])
         assert pool_tasks == []
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "3")
-        three = montecarlo.estimate_coverage(cfg, [0.5, 1.0, 2.0])
+        _, three = montecarlo.run(cfg, [0.5, 1.0, 2.0])
         assert pool_tasks == [(3, 3)]
         assert one == three
 
@@ -327,18 +329,26 @@ class TestEstimateCoverage:
         thresholds = [0.1, 1.0, 10.0]
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
         records, estimates = montecarlo.run(cfg, thresholds)
-        assert estimates == montecarlo.estimate_coverage(cfg, thresholds)
-        from_records = montecarlo.simulate(cfg)
-        assert estimates == montecarlo.estimate_coverage(cfg, thresholds, records=from_records)
+        # the blocks' merged sums against the values of the whole run at once
+        for e in estimates:
+            values = montecarlo.conditional_values(cfg, records, e.threshold)[e.metric]
+            assert e.n_trials == len(values)
+            assert e.probability == pytest.approx(float(np.mean(values)), rel=1e-12)
+            assert e.ci_half_width == pytest.approx(
+                1.96 * float(np.std(values)) / math.sqrt(len(values)), rel=1e-9
+            )
+        # thresholds change no draw
+        draws_only, no_estimates = montecarlo.run(cfg)
+        assert no_estimates == []
         for name in RECORD_FIELDS:
-            assert np.array_equal(getattr(records, name), getattr(from_records, name))
-        assert pool_tasks == ([] if workers == "1" else [(3, 3)] * 3)
+            assert np.array_equal(getattr(records, name), getattr(draws_only, name))
+        assert pool_tasks == ([] if workers == "1" else [(3, 3)] * 2)
 
     def test_pool_is_capped_at_the_block_count(self, monkeypatch, pool_tasks):
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "8")
-        montecarlo.simulate(small_cfg(n_trials=montecarlo.VALUE_BLOCK))
+        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK))
         assert pool_tasks == []
-        montecarlo.simulate(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1))
+        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1))
         assert pool_tasks == [(2, 2)]
 
     def test_malformed_worker_count_warns(self, monkeypatch, capsys):
@@ -362,8 +372,7 @@ class TestEstimateCoverage:
 
     def test_gamma_b_conditions_on_engagement(self):
         cfg = small_cfg(n_trials=2000, lambda_ris=100.0)
-        rec = montecarlo.simulate(cfg)
-        ests = montecarlo.estimate_coverage(cfg, [1.0], records=rec)
+        rec, ests = montecarlo.run(cfg, [1.0])
         by_metric = {e.metric: e for e in ests}
         assert by_metric["gamma_b"].n_trials == int(rec.engaged.sum())
         assert by_metric["gamma_o"].n_trials == len(rec)
@@ -371,8 +380,7 @@ class TestEstimateCoverage:
     def test_ci_formula(self):
         # the mean of the per-trial values and 1.96 of their standard errors
         cfg = small_cfg(n_trials=1000)
-        rec = montecarlo.simulate(cfg)
-        est = montecarlo.estimate_coverage(cfg, [1.0], records=rec)[0]
+        rec, (est, *_) = montecarlo.run(cfg, [1.0])
         values = montecarlo.conditional_values(cfg, rec, 1.0)["gamma_o"]
         n = est.n_trials
         assert est.probability == pytest.approx(float(np.mean(values)), rel=1e-12)
@@ -382,14 +390,14 @@ class TestEstimateCoverage:
         # values in [0, 1] have a variance of at most p * (1 - p), the variance
         # of the indicators they average
         cfg = NetworkConfig(n_trials=10_000)
-        ests = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear)
+        _, ests = montecarlo.run(cfg, cfg.thresholds_linear)
         assert len(ests) == len(montecarlo.METRICS) * len(cfg.thresholds_db)
         for e in ests:
             assert e.ci_half_width <= _ci(e.probability, e.n_trials), e
 
     def test_coverage_nonincreasing_in_threshold(self):
         thresholds = [0.1, 0.5, 1.0, 5.0, 20.0]
-        ests = montecarlo.estimate_coverage(small_cfg(n_trials=3000), thresholds)
+        _, ests = montecarlo.run(small_cfg(n_trials=3000), thresholds)
         for metric in montecarlo.METRICS:
             vals = [e.probability for e in ests if e.metric == metric]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -398,7 +406,7 @@ class TestEstimateCoverage:
         # unconditional mode keeps every trial in every metric, making the
         # pointwise-max dominance exact at the coverage level
         cfg = NetworkConfig(n_trials=2000, master_seed=31, conditional_path_b=False)
-        ests = montecarlo.estimate_coverage(cfg, [0.5, 1.0, 5.0])
+        _, ests = montecarlo.run(cfg, [0.5, 1.0, 5.0])
         by = {(e.metric, e.threshold): e.probability for e in ests}
         for t in (0.5, 1.0, 5.0):
             assert by[("gamma_s", t)] >= max(by[("gamma_a", t)], by[("gamma_b", t)])
@@ -448,12 +456,12 @@ class TestConditionalValues:
 
 class TestHistograms:
     def test_mass_sums_to_one(self, sparse_run):
-        h = montecarlo.empirical_histogram(sparse_run.cfg, "r1", records=sparse_run.records)
+        h = montecarlo.empirical_histogram(sparse_run.cfg, sparse_run.records, "r1")
         assert float(np.sum(h.density * h.widths)) == pytest.approx(1.0, abs=1e-12)
 
     def test_r0_histogram_matches_analytic_law(self, sparse_run):
         cfg = sparse_run.cfg
-        h = montecarlo.empirical_histogram(cfg, "r0", bins=50, records=sparse_run.records)
+        h = montecarlo.empirical_histogram(cfg, sparse_run.records, "r0", bins=50)
         # Rayleigh CDF 1 - exp(-pi * lambda_bs * r**2) differenced over each bin
         cdf = 1.0 - np.exp(-math.pi * cfg.lambda_bs_m2 * h.edges**2)
         masses = np.diff(cdf)
@@ -462,29 +470,30 @@ class TestHistograms:
 
     def test_p_ris_scales_with_transmit_power(self):
         cfg = small_cfg(n_trials=1500)
-        rec = montecarlo.simulate(cfg)
-        h = montecarlo.empirical_histogram(cfg, "p_ris", records=rec)
+        rec, _ = montecarlo.run(cfg)
+        h = montecarlo.empirical_histogram(cfg, rec, "p_ris")
         finite = rec.reflect_gain[np.isfinite(rec.reflect_gain)]
         assert h.edges[-1] == pytest.approx(float(finite.max()) * cfg.p_s / 2)
 
-    def test_unknown_quantity_rejected(self):
+    def test_unknown_quantity_rejected(self, sparse_run):
         with pytest.raises(ParameterError):
-            montecarlo.empirical_histogram(small_cfg(), "r9")
+            montecarlo.empirical_histogram(sparse_run.cfg, sparse_run.records, "r9")
 
     def test_requires_enough_trials(self):
+        cfg = small_cfg(n_trials=10)
         with pytest.raises(ConfigError):
-            montecarlo.empirical_histogram(small_cfg(n_trials=10), "r0")
+            montecarlo.empirical_histogram(cfg, montecarlo.run(cfg)[0], "r0")
 
 
 class TestRunConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
-            montecarlo.simulate(NetworkConfig(n_trials=0))
+            montecarlo.run(NetworkConfig(n_trials=0))
 
     def test_huge_reflector_bank_fails_before_drawing(self):
         cfg = NetworkConfig(n_trials=10, m_elements=10**160)
         with pytest.raises(NumericalError, match="reflector gain"):
-            montecarlo.simulate(cfg)
+            montecarlo.run(cfg)
 
 
 def _ci(p: float, n: int) -> float:
@@ -525,7 +534,7 @@ class TestEngineAgreement:
             thresholds_db=(5.0,),
         )
         t = cfg.thresholds_linear[0]
-        est = next(e for e in montecarlo.estimate_coverage(cfg, [t]) if e.metric == "gamma_b")
+        est = next(e for e in montecarlo.run(cfg, [t])[1] if e.metric == "gamma_b")
         overshoot = analytic.coverage_path_b_approx2(cfg, t) - est.probability
         assert overshoot > est.ci_half_width
         assert overshoot > 0.03
@@ -535,7 +544,7 @@ class TestEngineAgreement:
         # conditional estimator lies within the combined (summed) 95%
         # half-widths of the reference engine's indicator count
         cfg = NetworkConfig(n_trials=3000, master_seed=2026)
-        ests = montecarlo.estimate_coverage(cfg, cfg.thresholds_linear)
+        _, ests = montecarlo.run(cfg, cfg.thresholds_linear)
         ours = {(e.metric, e.threshold): e for e in ests}
         reference = ref.reference_sirs(cfg)
         sirs = {
