@@ -129,8 +129,15 @@ def reflected_power_raw_moment(cfg: NetworkConfig) -> float:
 
 
 def mean_reflected_power(cfg: NetworkConfig) -> float:
-    """Average peak reflected power ``M**2 beta P_s / (2 mu) * E[r1**-alpha]``."""
+    """Average peak reflected power ``M**2 beta P_s / (2 mu) * E[r1**-alpha]``.
+
+    Raises :class:`NumericalError` when it exceeds the float range, as it can
+    for a tiny ``mu``.
+    """
     inv_alpha = geometry.expected_inv_r1_pow(
         cfg.alpha, cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.epsilon_floor
     )
-    return array_gain(cfg) * cfg.p_s / (2.0 * cfg.mu) * inv_alpha
+    power = array_gain(cfg) * cfg.p_s / (2.0 * cfg.mu) * inv_alpha
+    if not math.isfinite(power):
+        raise NumericalError(f"mean reflected power exceeds the float range (mu={cfg.mu:g})")
+    return power

@@ -37,6 +37,7 @@ from .config import ConfigError, NetworkConfig, load_config
 from .errors import RiscovError
 
 CSV_HEADER = "engine,metric,T_db,axis_name,axis_value,value,ci_half_width,n_trials,config_hash,seed"
+HIST_HEADER = "quantity,bin_left,bin_right,density,count,analytic_pdf,n_samples,config_hash,seed"
 
 EXIT_GATE_FAILED = 1
 EXIT_CONFIG_ERROR = 2
@@ -106,9 +107,7 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return format(x, ".10g")
+        return format(x, ".10g")  # inf and nan too
     return str(x)
 
 
@@ -128,53 +127,36 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
+def _row_builder(cfg: NetworkConfig, axis_name: str, axis_value) -> functools.partial:
+    """:class:`ResultRow` with ``cfg``'s provenance and sweep position filled in."""
+    return functools.partial(
+        ResultRow, axis_name=axis_name, axis_value=axis_value, ci_half_width=None,
+        n_trials=None, config_hash=cfg.config_hash(), seed=cfg.master_seed,
+    )
+
+
 def run_analytic(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> list[ResultRow]:
     """Evaluate every gated closed form at every configured threshold."""
-    chash = cfg.config_hash()
+    row = _row_builder(cfg, axis_name, axis_value)
     thresholds = np.asarray(cfg.thresholds_linear, dtype=float)
     values = {g.engine: getattr(analytic, g.closed_form)(cfg, thresholds) for g in GATES}
     return [
-        ResultRow(
-            engine=g.engine,
-            metric=g.metric,
-            t_db=float(t_db),
-            axis_name=axis_name,
-            axis_value=axis_value,
-            value=float(values[g.engine][i]),
-            ci_half_width=None,
-            n_trials=None,
-            config_hash=chash,
-            seed=cfg.master_seed,
-        )
+        row(engine=g.engine, metric=g.metric, t_db=float(t_db), value=float(values[g.engine][i]))
         for i, t_db in enumerate(cfg.thresholds_db)
         for g in GATES
     ]
 
 
-def run_simulate(
-    cfg: NetworkConfig, axis_name: str = "", axis_value=None
-) -> tuple[list[ResultRow], montecarlo.TrialRecords]:
+def run_simulate(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> list[ResultRow]:
     """Simulate the configured run and reduce it to coverage rows."""
-    records, estimates = montecarlo.run(cfg, cfg.thresholds_linear)
-    chash = cfg.config_hash()
+    row = _row_builder(cfg, axis_name, axis_value)
     # estimates come metric by metric, each in threshold order; labelling by
     # position keeps thresholds apart that round to the same linear ratio
-    rows = [
-        ResultRow(
-            engine="mc",
-            metric=e.metric,
-            t_db=float(t_db),
-            axis_name=axis_name,
-            axis_value=axis_value,
-            value=e.probability,
-            ci_half_width=e.ci_half_width,
-            n_trials=e.n_trials,
-            config_hash=chash,
-            seed=cfg.master_seed,
-        )
-        for e, t_db in zip(estimates, cycle(cfg.thresholds_db))
+    return [
+        row(engine="mc", metric=e.metric, t_db=float(t_db), value=e.probability,
+            ci_half_width=e.ci_half_width, n_trials=e.n_trials)
+        for e, t_db in zip(montecarlo.run(cfg, cfg.thresholds_linear)[1], cycle(cfg.thresholds_db))
     ]
-    return rows, records
 
 
 def build_comparison(
@@ -221,6 +203,15 @@ def build_comparison(
     }
 
 
+def _report_json(report: dict) -> str:
+    """``report`` as strict JSON: a non-finite gate value is written as null."""
+    gates = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in g.items()}
+        for g in report["gates"]
+    ]
+    return json.dumps({**report, "gates": gates}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def run_sweep(
     cfg: NetworkConfig,
     axis: str,
@@ -251,8 +242,7 @@ def run_sweep(
         if metric == "coverage":
             rows.extend(run_analytic(point_cfg, axis_name, value))
             if with_mc:
-                mc_rows, _ = run_simulate(point_cfg, axis_name=axis_name, axis_value=value)
-                rows.extend(mc_rows)
+                rows.extend(run_simulate(point_cfg, axis_name=axis_name, axis_value=value))
         else:
             rows.append(_moment_row(point_cfg, metric, axis_name, value))
     return rows
@@ -263,39 +253,29 @@ def _moment_row(cfg: NetworkConfig, metric: str, axis_name: str, axis_value) -> 
         value = geometry.expected_r1(cfg.lambda_bs_m2, cfg.lambda_ris_m2)
     else:
         value = channel.mean_reflected_power(cfg)
-    return ResultRow(
-        engine="analytic_moment",
-        metric=metric,
-        t_db=None,
-        axis_name=axis_name,
-        axis_value=axis_value,
-        value=value,
-        ci_half_width=None,
-        n_trials=None,
-        config_hash=cfg.config_hash(),
-        seed=cfg.master_seed,
-    )
+    row = _row_builder(cfg, axis_name, axis_value)
+    return row(engine="analytic_moment", metric=metric, t_db=None, value=value)
 
 
-def histogram_csv(cfg: NetworkConfig, hist: montecarlo.Histogram) -> str:
-    """Histogram CSV with the analytic overlay where a closed form exists."""
+def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: np.ndarray) -> str:
+    """Histogram CSV of unit mass, with the analytic overlay where a closed form exists.
+
+    ``counts`` and ``edges`` are :func:`riscov.montecarlo.empirical_histogram`'s.
+    """
     lam_b, lam_r = cfg.lambda_bs_m2, cfg.lambda_ris_m2
     # each distance is Rayleigh; p_ris has no closed-form density
     intensity = {
         "r0": lam_b, "r1": geometry.r1_intensity(lam_b, lam_r), "r2": lam_r,
-    }.get(hist.quantity)
-    chash = cfg.config_hash()
-    lines = ["quantity,bin_left,bin_right,density,count,analytic_pdf,n_samples,config_hash,seed"]
-    for left, right, dens, cnt in zip(
-        hist.edges[:-1], hist.edges[1:], hist.density, hist.counts
-    ):
-        mid = 0.5 * (left + right)
-        pdf = _fmt(geometry.rayleigh_pdf(mid, intensity)) if intensity is not None else ""
-        lines.append(
-            f"{hist.quantity},{_fmt(float(left))},{_fmt(float(right))},"
-            f"{_fmt(float(dens))},{int(cnt)},{pdf},{hist.n_samples},{chash},{cfg.master_seed}"
-        )
-    return "\n".join(lines) + "\n"
+    }.get(quantity)
+    total = int(counts.sum())
+    density = counts / (total * np.diff(edges)) if total else np.zeros(len(counts))
+    pdfs = [None] * len(counts)  # _fmt writes an empty cell
+    if intensity is not None:
+        pdfs = geometry.rayleigh_pdf(0.5 * (edges[:-1] + edges[1:]), intensity).tolist()
+    provenance = f"{total},{cfg.config_hash()},{cfg.master_seed}"
+    bins = zip(edges[:-1].tolist(), edges[1:].tolist(), density.tolist(), counts.tolist(), pdfs)
+    lines = [",".join([quantity, *map(_fmt, cells), provenance]) for cells in bins]
+    return "\n".join([HIST_HEADER, *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +352,11 @@ def analytic_cmd(cfg, out_dir):
 
 @main.command("simulate")
 @_config_command
-@click.option("--hist", "hist_quantities", multiple=True,
-              type=click.Choice(list(montecarlo.HISTOGRAM_QUANTITIES)),
-              help="Also emit a histogram CSV for this quantity (repeatable).")
-def simulate_cmd(cfg, out_dir, hist_quantities):
+def simulate_cmd(cfg, out_dir):
     """Run the Monte-Carlo engine and emit empirical coverage curves."""
-    rows, records = run_simulate(cfg)
-    # every output is built before the first is written, so a rejected
-    # histogram leaves no fresh coverage CSV behind
-    outputs = [("simulate.csv", rows_to_csv(rows), f" ({len(rows)} rows)")]
-    for quantity in hist_quantities:
-        h = montecarlo.empirical_histogram(cfg, records, quantity)
-        outputs.append((f"hist_{quantity}.csv", histogram_csv(cfg, h), ""))
-    for name, text, note in outputs:
-        click.echo(f"wrote {_write(out_dir, name, text)}{note}")
+    rows = run_simulate(cfg)
+    path = _write(out_dir, "simulate.csv", rows_to_csv(rows))
+    click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
 @main.command("compare")
@@ -393,10 +364,10 @@ def simulate_cmd(cfg, out_dir, hist_quantities):
 def compare_cmd(cfg, out_dir):
     """Run both engines, join them, and gate the gaps; nonzero exit on failure."""
     analytic_rows = run_analytic(cfg)
-    mc_rows, _ = run_simulate(cfg)
+    mc_rows = run_simulate(cfg)
     report = build_comparison(cfg, analytic_rows, mc_rows)
     _write(out_dir, "compare.csv", rows_to_csv(analytic_rows + mc_rows))
-    _write(out_dir, "compare_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(out_dir, "compare_report.json", _report_json(report))
     for g in report["gates"]:
         status = "PASS" if g["passed"] else "FAIL"
         click.echo(
@@ -437,8 +408,8 @@ def hist_cmd(cfg, out_dir, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""
     if not 1 <= bins <= cfg.n_trials:
         raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
-    h = montecarlo.empirical_histogram(cfg, montecarlo.run(cfg)[0], quantity, bins)
-    path = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, h))
+    counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.run(cfg)[0], quantity, bins)
+    path = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, quantity, counts, edges))
     click.echo(f"wrote {path}")
 
 

@@ -60,10 +60,11 @@ base-to-reflector fades. Output depends on ``(master_seed, n_trials)`` and
 the config, never on how many workers run the chunks.
 
 Parallelism. One task draws one block of ``VALUE_BLOCK`` trials (eight
-chunks; the last block may be partial) and reduces it to each metric's
-count, sum and sum of squares of the conditional values at every threshold.
-The tasks' sums are merged in block order, so the summation tree, and with
-it every output byte, is the same for any worker count. ``RISCOV_WORKERS``
+chunks; the last block may be partial) and reduces it to one float array of
+shape ``(len(METRICS), len(thresholds), 3)``: the count, sum and sum of
+squares of the conditional values of each metric at each threshold. The
+tasks' arrays are added in block order, so the summation tree, and with it
+every output byte, is the same for any worker count. ``RISCOV_WORKERS``
 sets the pool size, capped at the block count: a run of at most
 ``VALUE_BLOCK`` trials never starts a pool.
 """
@@ -154,11 +155,11 @@ def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecord
     )
 
 
-def _run_block(task) -> tuple[TrialRecords, list[dict]]:
+def _run_block(task) -> tuple[TrialRecords, np.ndarray]:
     """One pool task: draw the block of trials from ``start``, then reduce it.
 
-    Per threshold, the reduction maps each metric to the ``(n, sum, sum of
-    squares)`` of the block's conditional values.
+    Returns the block and ``sums``, where ``sums[i, j]`` is the count, sum and
+    sum of squares of its conditional values of ``METRICS[i]`` at ``thresholds[j]``.
     """
     cfg, start, thresholds = task
     stop = min(start + VALUE_BLOCK, cfg.n_trials)
@@ -166,13 +167,12 @@ def _run_block(task) -> tuple[TrialRecords, list[dict]]:
         _simulate_chunk(cfg, chunk_start // CHUNK_TRIALS, min(CHUNK_TRIALS, stop - chunk_start))
         for chunk_start in range(start, stop, CHUNK_TRIALS)
     ])
-    return block, [
-        {
-            metric: (len(values), float(values.sum()), float(np.square(values).sum()))
-            for metric, values in conditional_values(cfg, block, t).items()
-        }
-        for t in thresholds
-    ]
+    sums = np.empty((len(METRICS), len(thresholds), 3))
+    for j, t in enumerate(thresholds):
+        by_metric = conditional_values(cfg, block, t)
+        values = [by_metric[metric] for metric in METRICS]
+        sums[:, j] = [(len(v), v.sum(), np.square(v).sum()) for v in values]
+    return block, sums
 
 
 def worker_count() -> int:
@@ -244,30 +244,28 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     }
 
 
-def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
-    """Merge the blocks' sums in block order into estimates, metric by metric."""
-    by_metric = {metric: [] for metric in METRICS}
-    for i, t in enumerate(thresholds):
-        for metric in METRICS:
-            n, total, squares = 0, 0.0, 0.0
-            for sums in block_sums:
-                block_n, block_total, block_squares = sums[i][metric]
-                n += block_n
-                total += block_total
-                squares += block_squares
-            p = total / n if n else math.nan
-            # the variance of values in [0, 1] cannot be negative; rounding can make it so
-            variance = max(squares / n - p * p, 0.0) if n else math.nan
-            by_metric[metric].append(
-                CoverageEstimate(
-                    threshold=t,
-                    metric=metric,
-                    probability=p,
-                    ci_half_width=1.96 * math.sqrt(variance / n) if n else math.nan,
-                    n_trials=n,
-                )
-            )
-    return [e for metric in METRICS for e in by_metric[metric]]
+def _estimates(thresholds: tuple, block_sums: tuple) -> list[CoverageEstimate]:
+    """Add the blocks' sum arrays in block order and turn them into estimates.
+
+    Every estimate is computed at once, elementwise; a metric with no
+    trials (``n = 0``) gets NaN for its probability and half-width.
+    """
+    n, total, squares = sum(block_sums).transpose(2, 0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = total / n
+        # the variance of values in [0, 1] cannot be negative; rounding can make it so
+        half_width = 1.96 * np.sqrt(np.maximum(squares / n - p * p, 0.0) / n)
+    return [
+        CoverageEstimate(
+            threshold=t,
+            metric=metric,
+            probability=float(p[i, j]),
+            ci_half_width=float(half_width[i, j]),
+            n_trials=int(n[i, j]),
+        )
+        for i, metric in enumerate(METRICS)
+        for j, t in enumerate(thresholds)
+    ]
 
 
 def run(cfg: NetworkConfig, thresholds=()) -> tuple[TrialRecords, list[CoverageEstimate]]:
@@ -299,29 +297,14 @@ def run(cfg: NetworkConfig, thresholds=()) -> tuple[TrialRecords, list[CoverageE
 
         with multiprocessing.Pool(processes=workers) as pool:
             results = list(pool.imap(_run_block, tasks, chunksize=1))
-    records = TrialRecords.concatenate([block for block, _ in results])
-    return records, _estimates(thresholds, [sums for _, sums in results])
-
-
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Normalized empirical density: ``sum(density * widths) == 1``."""
-
-    quantity: str
-    edges: np.ndarray
-    density: np.ndarray
-    counts: np.ndarray
-    n_samples: int
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
+    blocks, block_sums = zip(*results)
+    return TrialRecords.concatenate(blocks), _estimates(thresholds, block_sums)
 
 
 def empirical_histogram(
     cfg: NetworkConfig, records: TrialRecords, quantity: str, bins: int = 60
-) -> Histogram:
-    """Histogram of a per-trial quantity of the run ``records``, normalized to unit mass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.histogram``'s ``(counts, edges)`` of the finite values of a per-trial quantity.
 
     Distances come from the raw drop (no engaged conditioning), matching the
     unconditional analytic laws; ``p_ris`` is the peak reflected power in
@@ -335,15 +318,4 @@ def empirical_histogram(
         values = 0.5 * cfg.p_s * records.reflect_gain
     else:
         values = getattr(records, quantity)
-    values = values[np.isfinite(values)]
-    counts, edges = np.histogram(values, bins=bins)
-    widths = np.diff(edges)
-    total = counts.sum()
-    density = counts / (total * widths) if total else np.zeros_like(widths)
-    return Histogram(
-        quantity=quantity,
-        edges=edges,
-        density=density,
-        counts=counts,
-        n_samples=int(total),
-    )
+    return np.histogram(values[np.isfinite(values)], bins=bins)

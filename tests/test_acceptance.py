@@ -142,10 +142,11 @@ def test_c04_path_a_ordering(dense_run):
 
 def test_c05_r1_marginal_reproduction(sparse_run):
     cfg = sparse_run.cfg
-    hist = montecarlo.empirical_histogram(cfg, sparse_run.records, "r1", bins=50)
+    counts, edges = montecarlo.empirical_histogram(cfg, sparse_run.records, "r1", bins=50)
+    density = counts / (counts.sum() * np.diff(edges))
     lam_eff = geometry.r1_intensity(cfg.lambda_bs_m2, cfg.lambda_ris_m2)
     l1 = 0.0
-    for left, right, dens in zip(hist.edges[:-1], hist.edges[1:], hist.density):
+    for left, right, dens in zip(edges[:-1], edges[1:], density):
         mid = 0.5 * (left + right)
         vals = [geometry.rayleigh_pdf(x, lam_eff) for x in (left, mid, right)]
         simpson_avg = (vals[0] + 4 * vals[1] + vals[2]) / 6.0

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -186,14 +187,23 @@ class TestSimulateCommand:
         cfg.write_text("n_trials: 2000\nthresholds_db: [0, 5]\n")
         result = runner.invoke(
             cli.main,
-            ["simulate", "-c", str(cfg), "--out", str(tmp_path), "--hist", "r2"],
+            ["simulate", "-c", str(cfg), "--out", str(tmp_path)],
             catch_exceptions=False,
         )
         assert result.exit_code == 0
         rows = read_rows(tmp_path / "simulate.csv")
         assert len(rows) == 4 * 2
         assert {r["metric"] for r in rows} == {"gamma_o", "gamma_a", "gamma_b", "gamma_s"}
-        assert (tmp_path / "hist_r2.csv").exists()
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".csv"] == ["simulate.csv"]
+
+    def test_hist_option_is_gone(self, runner, tmp_path):
+        # `hist --quantity` is the one command that writes a histogram
+        result = runner.invoke(
+            cli.main, ["simulate", "--trials", "1000", "--hist", "r1", "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == click.UsageError.exit_code
+        assert "No such option" in result.stderr and "--hist" in result.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_per_element_fade_key_is_unknown(self, runner, tmp_path):
         # the per-element fade mode drew all M fades of every trial, so this
@@ -245,7 +255,7 @@ class TestCompare:
         # an engine evaluated at the wrong path-loss exponent must trip a gate
         cfg = NetworkConfig(n_trials=20_000, thresholds_db=(0.0,), master_seed=3)
         wrong = cfg.replace(alpha=3.0)
-        mc_rows, _ = cli.run_simulate(cfg)
+        mc_rows = cli.run_simulate(cfg)
         analytic_rows = cli.run_analytic(wrong)
         report = cli.build_comparison(cfg, analytic_rows, mc_rows)
         assert not report["all_passed"]
@@ -313,6 +323,25 @@ class TestCompare:
             assert labels == ["0", "1e-17"]
         report = json.loads((tmp_path / "compare_report.json").read_text())
         assert {g["t_db"] for g in report["gates"] if g["metric"] == "gamma_o"} == {0.0, 1e-17}
+
+    def test_report_is_strict_json_without_engaged_trials(self, runner, tmp_path):
+        # no trial engages a reflector, so the gamma_b estimate is NaN; the
+        # report used to carry bare NaN tokens that strict parsers reject
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lambda_ris: 0.001\nn_trials: 200\n")
+        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_GATE_FAILED
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads((tmp_path / "compare_report.json").read_text(), parse_constant=reject)
+        gamma_b = [g for g in report["gates"] if g["metric"] == "gamma_b"]
+        assert len(gamma_b) == 2
+        for g in gamma_b:
+            assert g["mc"] is None and g["gap"] is None and g["mc_ci_half_width"] is None
+            assert g["passed"] is False and math.isfinite(g["analytic"])
+        assert report["all_passed"] is False
 
     def test_gate_threshold_matches_within_tolerance(self, runner, tmp_path):
         # a threshold a few ULPs off the 5 dB gate point still gets both gates
@@ -539,6 +568,22 @@ class TestSweep:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("pipeline error: reflector gain")
 
+    def test_overflowing_mean_power_is_pipeline_error(self, runner, tmp_path):
+        # M**2 * beta * P_s / (2 * mu) overflowed to inf for a tiny mu, and
+        # the sweep wrote the value `inf` with exit 0
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("mu: 1.0e-308\n")
+        result = runner.invoke(
+            cli.main,
+            ["sweep", "-c", str(cfg), "--out", str(tmp_path / "o"), "--axis", "lambda_ris",
+             "--grid", "1000", "--metric", "e_p_ris"],
+        )
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("pipeline error: mean reflected power")
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
     def test_nonincreasing_grid_rejected(self, runner, tmp_path):
         result = runner.invoke(
             cli.main,
@@ -594,16 +639,6 @@ class TestTypedExits:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("config error: thresholds_db: must ")
         assert not (tmp_path / "out").exists()
-
-    def test_rejected_histogram_writes_nothing(self, runner, tmp_path):
-        # the coverage CSV used to be written, and announced, before the
-        # histogram's trial minimum was checked
-        result = runner.invoke(
-            cli.main, ["simulate", "--trials", "150", "--hist", "r1", "--out", str(tmp_path)]
-        )
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stdout == ""
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("target,argv", [
         ((geometry, "expected_r1"),
