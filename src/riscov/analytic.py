@@ -1,18 +1,19 @@
 """Closed-form SIR coverage expressions and their interference factor.
 
 Every coverage function reads the deployment from a
-:class:`riscov.config.NetworkConfig` and takes the threshold ``T`` as a
-positive linear power ratio (dB conversion belongs to the config): a scalar
-gives a float, a numpy array gives an array of the same shape. Every value
-is a probability in [0, 1].
+:class:`riscov.config.NetworkConfig`, whose fields it does not re-check, and
+takes the threshold ``T`` as a positive linear power ratio (dB conversion
+belongs to the config): a scalar gives a float, a numpy array gives an array
+of the same shape. Every value is a probability in [0, 1].
 
 Every expression is exact and evaluated without quadrature. The interference
 factor is the Gauss hypergeometric form
 ``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)``; the proportional-distance
 variant with ratio ``rho`` is the same function at ``T * rho**a``, which
-enters divided by ``rho**2`` (``interference_factor(T, a, rho)``); and the
-reflector intensity uses the floored moment ``E[r1**-2 ; r1 >= eps]`` from
-:func:`riscov.geometry.expected_inv_r1_pow`.
+enters divided by ``rho**2`` (``interference_factor(T, a, rho)``). The two
+reflected-path approximations depend on the deployment only through one
+power-free ratio ``kappa`` (:func:`reflector_ratio`), which holds the floored
+moment ``E[r1**-2 ; r1 >= eps]`` of :func:`riscov.geometry.expected_inv_r1_pow`.
 
 The hypergeometric function is summed here as a numpy series rather than
 imported from ``scipy.special``, whose import alone costs about half of a
@@ -27,13 +28,12 @@ Horner's rule, reach double precision for every ``t``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel
+from . import channel, geometry
 from .config import NetworkConfig
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 
 # Terms of `_pfaff_series`: each is at most w <= 1/2 times the one before, so
@@ -75,8 +75,6 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     t_plain = np.asarray(T, dtype=float)
     if not np.all(t_plain >= 0):
         raise ParameterError(f"T must be nonnegative, got {T!r}")
-    if not alpha > 2:
-        raise ParameterError(f"alpha must exceed 2, got {alpha!r}")
     with np.errstate(over="ignore"):
         rho_sq, t = np.float64(rho) ** 2, t_plain * np.float64(rho) ** alpha
     delta = 2.0 / alpha
@@ -137,50 +135,47 @@ def coverage_path_a(cfg: NetworkConfig, T):
 # path-B coverage (reflected path)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathBIntensities:
-    """Converted intensities feeding the reflected-path approximations."""
+def reflector_ratio(cfg: NetworkConfig) -> float:
+    """``kappa``, the reflectors' intensity over the bases' once both are mapped to unit power.
 
-    lambda_bs_tilde: float
-    lambda_i_tilde: float
-    lambda_ris_tilde: float
-    rho: float
-
-
-def path_b_intensities(cfg: NetworkConfig) -> PathBIntensities:
-    lam_bs, lam_ris = cfg.lambda_bs_m2, cfg.lambda_ris_m2
-    _, p_split = channel.retention_probabilities(cfg)
-    half_power = 0.5 * cfg.p_s  # each of the two beams
-    lam_bs_t = channel.power_density_convert(lam_bs, half_power, cfg.mu, cfg.alpha)
-    lam_i_t = channel.power_density_convert(lam_bs * p_split, half_power, cfg.mu, cfg.alpha)
-    # the reflector intensity embeds the inverse-square distance moment,
-    # which is only finite because of the floor distance
-    lam_ris_t = channel.reflected_power_raw_moment(cfg) * lam_ris
-    return PathBIntensities(
-        lambda_bs_tilde=lam_bs_t,
-        lambda_i_tilde=lam_i_t,
-        lambda_ris_tilde=lam_ris_t,
-        # the moment underflows to 0 for a floor far above the typical r1
-        rho=math.sqrt(lam_bs_t / lam_ris_t) if lam_ris_t > 0 else math.inf,
+    A base sends ``p_s/2`` per beam and a reflector ``G * f1 * r1**-alpha``
+    times that (``G`` from :func:`riscov.channel.array_gain`, ``f1`` an
+    exponential fade), so ``p_s`` cancels: ``kappa = (G/mu)**(2/alpha) *
+    Gamma(1 + 2/alpha) * E[r1**-2 ; r1 >= eps] * lambda_ris / lambda_bs``.
+    Raises :class:`NumericalError` when it exceeds the float range.
+    """
+    delta = 2.0 / cfg.alpha
+    inv_sq = geometry.expected_inv_r1_pow(
+        2.0, cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.epsilon_floor
     )
+    try:
+        kappa = (channel.array_gain(cfg) / cfg.mu) ** delta * math.gamma(1.0 + delta) * inv_sq
+    except OverflowError:
+        kappa = math.inf
+    kappa *= cfg.lambda_ris / cfg.lambda_bs
+    if not math.isfinite(kappa):
+        raise NumericalError("reflector intensity ratio kappa exceeds the float range")
+    return kappa
 
 
 def coverage_path_b_approx1(cfg: NetworkConfig, T):
     """Reflected-path coverage under the proportional-distance approximation.
 
-    Treats the reflector distance as a fixed fraction ``rho`` of the serving
-    distance, which tightens as the reflector density grows.
+    Treats the reflector distance as a fixed fraction ``rho = kappa**-0.5``
+    of the serving distance, which tightens as the reflector density grows:
+    ``kappa / (kappa + p * I(T, a, rho))`` with ``p`` the split-beam retention.
     """
-    conv = path_b_intensities(cfg)
+    kappa = reflector_ratio(cfg)
+    _, p_split = channel.retention_probabilities(cfg)
     # T**(2/a) * int rho**a / (rho**a + u**(a/2)) du over u >= T**(-2/a);
     # substituting u = rho**2 * v turns it into I(T * rho**a, a), which enters
     # divided by rho**2
-    i_rho = interference_factor(_thresholds(T), cfg.alpha, conv.rho)
-    return conv.lambda_ris_tilde / (conv.lambda_ris_tilde + conv.lambda_i_tilde * i_rho)
+    rho = 1.0 / math.sqrt(kappa) if kappa > 0 else math.inf
+    return kappa / (kappa + p_split * interference_factor(_thresholds(T), cfg.alpha, rho))
 
 
 def coverage_path_b_approx2(cfg: NetworkConfig, T):
-    """Reflected-path coverage for dense reflector deployments.
+    """Reflected-path coverage for dense reflector deployments: ``kappa / (kappa + p * I(T, a))``.
 
     It is derived as a lower bound on ``gamma_b``, but it is not one: at 5 dB
     and 2e4 simulated trials it lies above the simulated coverage at every
@@ -188,8 +183,6 @@ def coverage_path_b_approx2(cfg: NetworkConfig, T):
     the ``approx2`` compare gate) and beyond that margin at small arrays:
     0.037 at ``N = 2, alpha = 3`` and 0.043 at ``N = 1`` (or 2), ``alpha = 4``.
     """
-    conv = path_b_intensities(cfg)
-    i_factor = interference_factor(_thresholds(T), cfg.alpha)
-    return conv.lambda_ris_tilde / (
-        conv.lambda_ris_tilde + conv.lambda_i_tilde * i_factor
-    )
+    kappa = reflector_ratio(cfg)
+    _, p_split = channel.retention_probabilities(cfg)
+    return kappa / (kappa + p_split * interference_factor(_thresholds(T), cfg.alpha))

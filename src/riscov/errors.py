@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps :class:`RiscovError` to exit code 4 and the config module's
-``ConfigError`` to exit code 2.
+``ConfigError`` to exit code 2. Config fields are checked once, when a
+``NetworkConfig`` is built; any other bad argument, a point outside a
+function's support included, raises :class:`ParameterError`.
 """
 from __future__ import annotations
 
@@ -12,10 +14,6 @@ class RiscovError(Exception):
 
 class ParameterError(RiscovError, ValueError):
     """An argument violates a precondition (non-finite, non-positive, ...)."""
-
-
-class DomainError(RiscovError, ValueError):
-    """A point evaluation was requested outside a function's support."""
 
 
 class NumericalError(RiscovError, RuntimeError):

@@ -1,11 +1,12 @@
 """Analytic distance distributions of the Poisson network model.
 
-Everything here is expressed in SI units (meters, points per square meter).
-The nearest-neighbor distance of a homogeneous PPP of intensity ``lam`` is
-Rayleigh-distributed with density ``2*pi*lam*r*exp(-pi*lam*r**2)``; the
-distributions of the serving-link distance, the reflector-link distance and
-the base-to-reflector distance are all built from that single fact plus the
-law of cosines.
+Everything here is expressed in SI units (meters, points per square meter);
+intensities and floors are config fields, valid by construction, so no
+function here re-checks them. The nearest-neighbor distance of a homogeneous
+PPP of intensity ``lam`` is Rayleigh-distributed with density
+``2*pi*lam*r*exp(-pi*lam*r**2)``; the distributions of the serving-link
+distance, the reflector-link distance and the base-to-reflector distance are
+all built from that single fact plus the law of cosines.
 
 The nearest base and the nearest reflector sit at independent isotropic
 Gaussian positions with variances ``1/(2*pi*lambda_bs)`` and
@@ -28,11 +29,11 @@ it. The complete elliptic integral ``E(m)`` is the arithmetic-geometric mean
 of DLMF 19.8.6. No code in the package imports scipy.
 
 The upper incomplete gamma function is therefore summed here with ``math``
-alone. For ``s`` in ``[0, 1)``: at ``x >= 1``, Legendre's continued fraction
+alone. At ``x >= 1``, Legendre's continued fraction
 ``Gamma(s, x) = exp(-x) * x**s / (x + 1 - s - 1*(1-s) / (x + 3 - s - ...))``
-(DLMF 8.9.2), evaluated by the modified Lentz method; below 1,
-``Gamma(s, x) = Gamma(s, 1) + int_x^1 t**(s-1) * exp(-t) dt``, whose
-integral is the exponential series integrated term by term (as in DLMF
+(DLMF 8.9.2), evaluated by the modified Lentz method; below 1, for ``s`` in
+``[0, 1)``, ``Gamma(s, x) = Gamma(s, 1) + int_x^1 t**(s-1) * exp(-t) dt``,
+whose integral is the exponential series integrated term by term (as in DLMF
 8.7.3). Every term stays finite as ``s -> 0``, where the sum is ``E1(x)``,
 so the case ``alpha -> 4`` needs no ``Gamma(s) - 1/s`` cancellation.
 """
@@ -43,23 +44,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
 # the outer integration limit is the 1 - TAIL_MASS quantile.
 TAIL_MASS = 1e-6
 
 
-def _check_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not np.isfinite(value) or value <= 0:
-            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-
-
-def rayleigh_tail_radius(intensity: float, tail: float = TAIL_MASS) -> float:
-    """Radius below which a nearest-neighbor distance falls with prob. 1 - tail."""
-    _check_positive(intensity=intensity)
-    return math.sqrt(-math.log(tail) / (math.pi * intensity))
+def rayleigh_tail_radius(intensity: float) -> float:
+    """Radius below which a nearest-neighbor distance falls with prob. 1 - TAIL_MASS."""
+    return math.sqrt(-math.log(TAIL_MASS) / (math.pi * intensity))
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +67,9 @@ def rayleigh_pdf(r, intensity: float):
     distance ``r2`` at ``lambda_ris``, and the base-to-reflector distance
     ``r1`` at :func:`r1_intensity` (see the module docstring).
     """
-    _check_positive(intensity=intensity)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
-        raise DomainError("distance must be nonnegative")
+        raise ParameterError("distance must be nonnegative")
     out = 2.0 * math.pi * intensity * r * np.exp(-math.pi * intensity * r**2)
     return out if out.ndim else float(out)
 
@@ -160,7 +153,8 @@ def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> f
     rules of the two orders in ``_R1_RULE_ORDERS`` differ by more than
     ``rel_tol`` times the value.
     """
-    _check_positive(lambda_bs=lambda_bs, lambda_ris=lambda_ris)
+    if not all(math.isfinite(lam) and lam > 0 for lam in (lambda_bs, lambda_ris)):
+        raise ParameterError(f"intensities must be positive, got {lambda_bs!r}, {lambda_ris!r}")
     r0_max = rayleigh_tail_radius(lambda_bs)
     r2_max = rayleigh_tail_radius(lambda_ris)
     # past r0 = r2_max the r2 range no longer reaches the kink at r2 = r0
@@ -180,13 +174,15 @@ def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> f
 _FRACTION_MAX_TERMS = 500
 # Past x = 1000, exp(-x) and hence x**-a * Gamma(a, x) underflow to 0.
 _LOG_X_UNDERFLOW = math.log(1000.0)
+_MAX_RECURRENCE_STEPS = 64
 
 
 def _upper_gamma_fraction(s: float, x: float) -> float:
     """``exp(x) * x**-s * Gamma(s, x)`` by Legendre's continued fraction.
 
-    Modified Lentz evaluation for ``s`` in ``[0, 1)`` and ``x >= 1``, where
-    it takes under 90 terms.
+    Modified Lentz evaluation for ``s < 1`` and ``x >= 1``, where it takes
+    under 100 terms, or for ``s < -64`` and any ``x > 0``, where the ``i``-th
+    term shrinks like ``i / |s|`` and at most 15 are needed.
     """
     b = x + 1.0 - s
     c = math.inf
@@ -207,12 +203,15 @@ def _upper_gamma_fraction(s: float, x: float) -> float:
 def _scaled_upper_gamma(a: float, log_x: float) -> float:
     """``x**-a * Gamma(a, x)`` for real ``a < 1`` at ``x = exp(log_x)``.
 
-    The base ``s = a + n`` in ``[0, 1)`` is summed as in the module
-    docstring; then the recurrence ``Gamma(a, x) = (Gamma(a + 1, x) - x**a *
-    exp(-x)) / a`` steps down to ``a``. Carrying the factor ``x**-a`` keeps
-    every step finite however negative ``a`` is. The series reads ``log x``
-    alone, so at ``a = 0`` the value ``E1(x)`` stays finite where ``x``
-    underflows to 0.
+    At ``x >= 1``, or past ``_MAX_RECURRENCE_STEPS`` steps below 0, the
+    continued fraction is evaluated at ``a`` itself, so a huge ``alpha``
+    costs no more than a small one. Otherwise the base ``s = a + n`` in
+    ``[0, 1)`` is summed as in the module docstring; then the recurrence
+    ``Gamma(a, x) = (Gamma(a + 1, x) - x**a * exp(-x)) / a`` steps down to
+    ``a``, which scales rounding errors by ``x / |a + k|`` at each step and
+    so is kept to ``x < 1``. Carrying the factor ``x**-a`` keeps every step
+    finite however negative ``a`` is. The series reads ``log x`` alone, so
+    at ``a = 0`` the value ``E1(x)`` stays finite where ``x`` underflows to 0.
     """
     if log_x > _LOG_X_UNDERFLOW:  # exp(-x) underflows, and x may overflow
         return 0.0
@@ -220,21 +219,20 @@ def _scaled_upper_gamma(a: float, log_x: float) -> float:
     if x == 0.0 and a < 0:  # the limit x -> 0
         return -1.0 / a
     steps = max(0, math.ceil(-a))
+    if x >= 1.0 or steps > _MAX_RECURRENCE_STEPS:
+        return math.exp(-x) * _upper_gamma_fraction(a, x)
     base = a + steps
-    if x >= 1.0:
-        h = math.exp(-x) * _upper_gamma_fraction(base, x)
-    else:
-        # int_x^1 t**(s-1) exp(-t) dt = sum_n (-1)**n/n! * (1 - x**(s+n)) / (s+n)
-        total = -log_x if base == 0 else -math.expm1(base * log_x) / base
-        coef, n = 1.0, 0
-        while True:
-            n += 1
-            coef /= -n
-            term = -coef * math.expm1((base + n) * log_x) / (base + n)
-            total += term
-            if abs(term) <= 0.5 * np.finfo(float).eps * total:
-                break
-        h = math.exp(-base * log_x) * (math.exp(-1.0) * _upper_gamma_fraction(base, 1.0) + total)
+    # int_x^1 t**(s-1) exp(-t) dt = sum_n (-1)**n/n! * (1 - x**(s+n)) / (s+n)
+    total = -log_x if base == 0 else -math.expm1(base * log_x) / base
+    coef, n = 1.0, 0
+    while True:
+        n += 1
+        coef /= -n
+        term = -coef * math.expm1((base + n) * log_x) / (base + n)
+        total += term
+        if abs(term) <= 0.5 * np.finfo(float).eps * total:
+            break
+    h = math.exp(-base * log_x) * (math.exp(-1.0) * _upper_gamma_fraction(base, 1.0) + total)
     for k in range(steps - 1, -1, -1):
         h = (x * h - math.exp(-x)) / (a + k)
     return h
@@ -248,10 +246,6 @@ def expected_inv_r1_pow(
     The floor keeps the moment finite for ``power >= 2``: without it the
     near-coincidence of the base and the reflector makes the integral diverge.
     """
-    _check_positive(
-        power=power, lambda_bs=lambda_bs, lambda_ris=lambda_ris,
-        epsilon_floor=epsilon_floor,
-    )
     # (pi*lambda_eff)**(p/2) * Gamma(1 - p/2, x) with x = pi*lambda_eff*eps**2;
     # log x is summed from the factors' logs because x itself can underflow
     scale = math.pi * r1_intensity(lambda_bs, lambda_ris)

@@ -79,7 +79,7 @@ import numpy as np
 
 from . import analytic, channel
 from .config import ConfigError, NetworkConfig
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 WORKERS_ENV_VAR = "RISCOV_WORKERS"
 CHUNK_TRIALS = 1024  # fixed chunking keeps merges identical for any worker count
@@ -283,9 +283,6 @@ def run(cfg: NetworkConfig, thresholds=()) -> tuple[TrialRecords, list[CoverageE
         raise ConfigError(
             [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
         )
-    for t in thresholds:
-        if t <= 0:
-            raise ParameterError(f"thresholds must be positive linear ratios, got {t!r}")
     thresholds = tuple(float(t) for t in thresholds)
     channel.array_gain(cfg)  # an overflowing bank fails before any draw
     tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
@@ -308,7 +305,9 @@ def empirical_histogram(
 
     Distances come from the raw drop (no engaged conditioning), matching the
     unconditional analytic laws; ``p_ris`` is the peak reflected power in
-    watts at the configured transmit power.
+    watts at the configured transmit power. Raises :class:`NumericalError`
+    when the values span too narrow a range for ``bins`` bins whose densities
+    are finite, as subnormal powers can.
     """
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
@@ -318,4 +317,11 @@ def empirical_histogram(
         values = 0.5 * cfg.p_s * records.reflect_gain
     else:
         values = getattr(records, quantity)
-    return np.histogram(values[np.isfinite(values)], bins=bins)
+    try:
+        counts, edges = np.histogram(values[np.isfinite(values)], bins=bins)
+    except ValueError:  # numpy found no `bins` distinct edges in the span
+        pass
+    else:
+        if np.diff(edges).min() >= np.finfo(float).tiny:  # so count / width stays finite
+            return counts, edges
+    raise NumericalError(f"the {quantity} values span too narrow a range for {bins} bins")

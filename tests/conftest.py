@@ -3,6 +3,9 @@
 Both runs, with their estimates at the configured thresholds, are reused
 across the unit tests and the acceptance suite so the whole suite pays for
 each 1e5-trial simulation exactly once.
+
+Every ``@given`` test runs under one hypothesis profile: derandomized, so each
+run draws the same examples, with no example database and no deadline.
 """
 from __future__ import annotations
 
@@ -10,11 +13,15 @@ import multiprocessing.pool
 import time
 
 import pytest
+from hypothesis import settings
 
 from riscov import montecarlo
 from riscov.config import NetworkConfig
 
 ACCEPT_SEED = 20260810
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 class TimedRun:

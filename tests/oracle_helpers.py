@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from riscov import channel
+from riscov import channel, geometry
 
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
 # the outer integration limit is the 1 - TAIL_MASS quantile.
@@ -300,6 +300,30 @@ def array_factor_from_phases(target_phases, phase_bits="ideal") -> complex:
 # ---------------------------------------------------------------------------
 # model identities that no command needs
 # ---------------------------------------------------------------------------
+
+def power_density_convert(intensity, power, mu, alpha):
+    """Swap (transmit power, intensity) for (unit power, scaled intensity).
+
+    Returns the converted intensity ``(power/mu)**(2/alpha) * intensity``
+    (mapping theorem).
+    """
+    return (power / mu) ** (2.0 / alpha) * intensity
+
+
+def reflected_power_raw_moment(cfg):
+    """``E[(P_reflected / mu)**(2/alpha)]``, which maps ``lambda_ris`` to unit power.
+
+    Divided by the bases' factor ``(p_s / (2 mu))**(2/alpha)``, it is
+    :func:`riscov.analytic.reflector_ratio` times ``lambda_bs / lambda_ris``.
+    """
+    alpha = cfg.alpha
+    gain = channel.array_gain(cfg)
+    prefactor = (gain * cfg.p_s / 2.0) ** (2.0 / alpha) * cfg.mu ** (-4.0 / alpha)
+    inv_sq = geometry.expected_inv_r1_pow(
+        2.0, cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.epsilon_floor
+    )
+    return prefactor * math.gamma(2.0 / alpha + 1.0) * inv_sq
+
 
 def peak_reflection_power(cfg, fade_f1, r1):
     """Peak power reflected toward the user by the engaged reflector bank."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from oracle_helpers import fade_fractional_moment
+from oracle_helpers import fade_fractional_moment, power_density_convert
 from riscov import analytic, channel, geometry
 from riscov.config import NetworkConfig
 
@@ -20,8 +20,8 @@ def coverage_baseline_general(cfg: NetworkConfig, T: float) -> float:
     """
     p_single, _ = channel.retention_probabilities(cfg)
     lam_bs = cfg.lambda_bs_m2
-    lam_bs_t = channel.power_density_convert(lam_bs, cfg.p_s, cfg.mu, cfg.alpha)
-    lam_i_t = channel.power_density_convert(lam_bs * p_single, cfg.p_s, cfg.mu, cfg.alpha)
+    lam_bs_t = power_density_convert(lam_bs, cfg.p_s, cfg.mu, cfg.alpha)
+    lam_i_t = power_density_convert(lam_bs * p_single, cfg.p_s, cfg.mu, cfg.alpha)
     i_factor = analytic.interference_factor(T, cfg.alpha)
     return lam_bs_t / (lam_bs_t + lam_i_t * i_factor)
 

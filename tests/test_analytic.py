@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
-from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
+from oracle_helpers import (
+    INTERFERENCE_ABS_TOL,
+    interference_quadrature,
+    power_density_convert,
+    reflected_power_raw_moment,
+)
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
-from riscov import analytic, geometry
+from riscov import analytic, channel, geometry
 from riscov.config import ConfigError, NetworkConfig
-from riscov.errors import ParameterError
+from riscov.errors import NumericalError, ParameterError
 
 LAM_BS = 2.5e-5
 LAM_RIS = 5e-2
@@ -134,8 +139,6 @@ class TestInterferenceFactor:
         for bad in (-1e-300, -1.0, math.nan, np.array([1.0, math.nan])):
             with pytest.raises(ParameterError, match="T must be nonnegative"):
                 analytic.interference_factor(bad, 4.0)
-        with pytest.raises(ParameterError):
-            analytic.interference_factor(1.0, 2.0)
 
 
 class TestBaselineCoverage:
@@ -224,28 +227,24 @@ class TestPathBCoverage:
     def test_approx1_with_unit_rho_equals_approx2_form(self):
         # algebraic identity: at rho = 1 the approximations share one formula
         cfg, T = make_cfg(), 2.0
-        conv = analytic.path_b_intensities(cfg)
+        kappa = analytic.reflector_ratio(cfg)
+        _, p_split = channel.retention_probabilities(cfg)
         i_factor = analytic.interference_factor(T, cfg.alpha)
         i_rho1, _ = interference_quadrature(T, cfg.alpha, rho=1.0)
-        rho1_value = conv.lambda_ris_tilde / (
-            conv.lambda_ris_tilde + conv.lambda_i_tilde * i_rho1
-        )
-        assert rho1_value == pytest.approx(
-            conv.lambda_ris_tilde / (conv.lambda_ris_tilde + conv.lambda_i_tilde * i_factor),
-            rel=1e-12,
+        assert kappa / (kappa + p_split * i_rho1) == pytest.approx(
+            kappa / (kappa + p_split * i_factor), rel=1e-12
         )
 
     @pytest.mark.parametrize("floor", [2200.0, 2500.0, 3000.0, 1e4])
     def test_approx1_takes_its_limit_for_a_vanishing_reflector_term(self, floor):
-        # floors this far above the typical r1 drive lambda_ris_tilde toward 0
-        # and rho**2 toward inf; approx1 used to raise OverflowError (rho**a),
+        # floors this far above the typical r1 drive kappa toward 0 and
+        # rho**2 toward inf; approx1 used to raise OverflowError (rho**a),
         # return nan (rho = inf) or raise ZeroDivisionError (moment 0)
         cfg = make_cfg(epsilon_floor=floor)
-        conv = analytic.path_b_intensities(cfg)
+        kappa = analytic.reflector_ratio(cfg)
+        _, p_split = channel.retention_probabilities(cfg)
         T = np.array([0.1, 10**0.5, 100.0])
-        limit = conv.lambda_ris_tilde / (
-            conv.lambda_ris_tilde + conv.lambda_i_tilde * math.pi / 2 * np.sqrt(T)
-        )
+        limit = kappa / (kappa + p_split * math.pi / 2 * np.sqrt(T))
         got = analytic.coverage_path_b_approx1(cfg, T)
         np.testing.assert_allclose(got, limit, rtol=1e-12, atol=0)
         assert np.all(got <= analytic.coverage_path_b_approx2(cfg, T))
@@ -262,8 +261,7 @@ class TestPathBCoverage:
         # solve for the threshold where interference weight equals the
         # reflector weight; coverage must sit exactly at one half
         cfg = make_cfg()
-        conv = analytic.path_b_intensities(cfg)
-        target = conv.lambda_ris_tilde / conv.lambda_i_tilde
+        target = analytic.reflector_ratio(cfg) / channel.retention_probabilities(cfg)[1]
 
         def excess(log_t):
             return analytic.interference_factor(math.exp(log_t), cfg.alpha) - target
@@ -316,12 +314,35 @@ class TestPathBCoverage:
             assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_intensities_carry_floor_provenance(self):
-        conv = analytic.path_b_intensities(make_cfg(epsilon_floor=2.5))
+        cfg = make_cfg(epsilon_floor=2.5)
+        kappa = analytic.reflector_ratio(cfg)
         # a larger floor discards more of E[r1**-2], so the reflector term shrinks
-        assert conv.lambda_ris_tilde < analytic.path_b_intensities(make_cfg()).lambda_ris_tilde
-        assert conv.rho == pytest.approx(
-            math.sqrt(conv.lambda_bs_tilde / conv.lambda_ris_tilde), rel=1e-12
+        assert kappa < analytic.reflector_ratio(make_cfg())
+        # approx1's distance ratio is rho = kappa**-0.5
+        _, p_split = channel.retention_probabilities(cfg)
+        i_rho = analytic.interference_factor(2.0, cfg.alpha, kappa**-0.5)
+        assert analytic.coverage_path_b_approx1(cfg, 2.0) == pytest.approx(
+            kappa / (kappa + p_split * i_rho), rel=1e-12
         )
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"p_s": 1e-3, "mu": 7.0}, {"alpha": 2.5, "lambda_ris": 800.0},
+        {"alpha": 3.0, "m_elements": 12, "beta": 0.3, "phase_bits": 2, "epsilon_floor": 0.2},
+    ])
+    def test_kappa_is_the_ratio_of_converted_intensities(self, changes):
+        # the reflector intensity E[(P/mu)**(2/a)] * lambda_ris over the bases'
+        # (p_s / (2 mu))**(2/a) * lambda_bs, in which p_s cancels
+        cfg = make_cfg(**changes)
+        lam_ris_t = reflected_power_raw_moment(cfg) * cfg.lambda_ris_m2
+        lam_bs_t = power_density_convert(cfg.lambda_bs_m2, cfg.p_s / 2.0, cfg.mu, cfg.alpha)
+        assert analytic.reflector_ratio(cfg) == pytest.approx(lam_ris_t / lam_bs_t, rel=1e-12)
+
+    def test_kappa_beyond_float_range_raises(self):
+        # kappa is about 1e597 here; the approximations never return nan
+        cfg = make_cfg(mu=1e-300, alpha=2.01, m_elements=10**150)
+        for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
+            with pytest.raises(NumericalError, match="reflector intensity ratio"):
+                fn(cfg, 1.0)
 
 
 class TestQueryValidation:

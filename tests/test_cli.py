@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 
 from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
 import riscov
-from riscov import analytic, cli, geometry, montecarlo
+from riscov import analytic, channel, cli, geometry, montecarlo
 from riscov.config import NetworkConfig, load_config
 from riscov.errors import NumericalError
 
@@ -71,8 +72,8 @@ class TestAnalyticCommand:
             value = float(row["value"])
             assert 0.0 < value < 1.0
             threshold = 10.0 ** (float(row["T_db"]) / 10.0)
-            conv = analytic.path_b_intensities(cfg)
-            rho = conv.rho if row["engine"] == "approx1" else 1.0
+            kappa = analytic.reflector_ratio(cfg)
+            rho = kappa**-0.5 if row["engine"] == "approx1" else 1.0
             i_factor, abs_err = interference_quadrature(threshold, cfg.alpha, rho=rho)
             if abs_err > INTERFERENCE_ABS_TOL:
                 continue  # the oracle itself did not converge here
@@ -81,8 +82,8 @@ class TestAnalyticCommand:
                 "analytic_q23": 1.0 / (1.0 + math.sqrt(2.0 / cfg.n_elements) * i_factor),
             }.get(row["engine"])
             if expected is None:  # approx1 and approx2 share one form up to rho
-                lam_ris_t = conv.lambda_ris_tilde
-                expected = lam_ris_t / (lam_ris_t + conv.lambda_i_tilde / rho**2 * i_factor)
+                _, p_split = channel.retention_probabilities(cfg)
+                expected = kappa / (kappa + p_split / rho**2 * i_factor)
             assert value == pytest.approx(expected, abs=1e-8)
             checked += 1
         assert checked > 0
@@ -123,23 +124,38 @@ class TestAnalyticCommand:
     @pytest.mark.parametrize("yaml_text, limit", [
         ("mu: 1.0e-300\n", 1.0),
         ("mu: 1.0e+300\n", 0.0),
-        ("mu: 1.0e-300\nalpha: 2.01\n", None),  # the moment itself leaves the float range
+        ("mu: 1.0e-300\nalpha: 2.01\n", 1.0),
     ], ids=["tiny", "huge", "tiny-alpha2.01"])
     def test_extreme_mu_takes_the_limit(self, runner, tmp_path, yaml_text, limit):
         # mu**2 used to end in a ZeroDivisionError (tiny mu) or an
-        # OverflowError (huge mu) traceback with exit 1, the gate-failed code
+        # OverflowError (huge mu) traceback with exit 1, the gate-failed code;
+        # at alpha 2.01 the intermediate mu**(-4/alpha) overflowed (exit 4)
+        # although kappa, about 1e302, does not
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml_text)
         result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
-        if limit is None:
-            assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-            assert result.stderr.startswith("pipeline error: reflected power moment")
-            return
         assert result.exit_code == 0, result.output
         rows = read_rows(tmp_path / "analytic.csv")
         reflected = [float(r["value"]) for r in rows if r["engine"] in ("approx1", "approx2")]
         assert len(reflected) == 2 * len(NetworkConfig().thresholds_db)
         assert all(abs(value - limit) < 1e-9 for value in reflected)
+
+    @pytest.mark.parametrize("yaml_text", [
+        # every converted intensity underflowed to 0, giving 0/0
+        "lambda_ris: 1.24e+38\nmu: 9.08e+296\np_s: 1.14e-261\nepsilon_floor: 1.47e-219\n",
+        # the converted reflector intensity overflowed to inf, giving inf/inf
+        "n_elements: 1\nm_elements: 1" + "0" * 66 + "\nmu: 4.74e-167\nlambda_ris: 5.63e+85\n",
+    ], ids=["all-underflow", "ris-overflow"])
+    def test_reflected_rows_are_never_nan(self, runner, tmp_path, yaml_text):
+        # approx1 and approx2 used to write nan rows with exit 0; kappa is
+        # about 1e-111 and 1e230 here, both inside the float range
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml_text)
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        rows = read_rows(tmp_path / "analytic.csv")
+        assert len(rows) == len(cli.GATES) * len(NetworkConfig().thresholds_db)
+        assert all(0.0 <= float(row["value"]) <= 1.0 for row in rows)
 
     @pytest.mark.parametrize("bits", ["1100", "1000000"])
     def test_phase_bits_beyond_float_give_ideal_values(self, runner, tmp_path, bits):
@@ -584,6 +600,27 @@ class TestSweep:
         assert result.stderr.startswith("pipeline error: mean reflected power")
         assert not (tmp_path / "o" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["1.0e+9", "6.0e+158"])
+    def test_huge_alpha_mean_power_is_bounded_work(self, runner, tmp_path, alpha):
+        # Gamma(1 - alpha/2, x) used to step down alpha/2 recurrences: 5e8 of
+        # them (no answer in 30 s) or, at 6e158, a ZeroDivisionError traceback
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"alpha: {alpha}\n")
+        t0 = time.perf_counter()
+        result = runner.invoke(
+            cli.main,
+            ["sweep", "-c", str(cfg), "--out", str(tmp_path), "--axis", "lambda_ris",
+             "--grid", "50000", "--metric", "e_p_ris"],
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert result.exit_code == 0, result.output
+        value = float(read_rows(tmp_path / "sweep.csv")[0]["value"])
+        # with eps = 1 only r1 just above 1 m counts: the moment tends to
+        # 2*pi*lambda_eff*exp(-pi*lambda_eff) / (alpha - 2)
+        lam_eff = geometry.r1_intensity(25e-6, 5e-2)
+        near = 2 * math.pi * lam_eff * math.exp(-math.pi * lam_eff) / (float(alpha) - 2.0)
+        assert value == pytest.approx(channel.array_gain(NetworkConfig()) * near, rel=1e-6, abs=0)
+
     def test_nonincreasing_grid_rejected(self, runner, tmp_path):
         result = runner.invoke(
             cli.main,
@@ -619,6 +656,24 @@ class TestHistCommand:
             f"config error: bins: must be from 1 to n_trials (1000), got {bins}"
         ]
         assert not (tmp_path / "hist_r0.csv").exists()
+
+
+    def test_subnormal_power_span_is_pipeline_error(self, runner, tmp_path):
+        # p_ris spans only 0 to 5e-324 here, and numpy's "Too many bins for
+        # data range" ValueError used to end the command with exit 1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("beta: 2.85e-202\nmu: 3.25e+79\np_s: 4.19e-44\n")
+        result = runner.invoke(
+            cli.main,
+            ["hist", "-c", str(cfg), "--quantity", "p_ris", "--trials", "1000",
+             "--out", str(tmp_path)],
+        )
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [
+            "pipeline error: the p_ris values span too narrow a range for 60 bins"
+        ]
+        assert not (tmp_path / "hist_p_ris.csv").exists()
 
 
 class TestTypedExits:

@@ -16,11 +16,13 @@ class TestValidation:
 
     def test_field_level_messages(self):
         with pytest.raises(ConfigError) as exc:
-            NetworkConfig(lambda_bs=-1.0, alpha=2.0, n_elements=0)
+            NetworkConfig(lambda_bs=-1.0, alpha=2.0, n_elements=0, epsilon_floor=0.0)
         errs = exc.value.errors
         assert any(e.startswith("lambda_bs:") for e in errs)
         assert any(e.startswith("alpha:") for e in errs)
         assert any(e.startswith("n_elements:") for e in errs)
+        # no function below the config re-checks the floor
+        assert any(e.startswith("epsilon_floor:") for e in errs)
 
     def test_alpha_two_rejected(self):
         with pytest.raises(ConfigError):

@@ -126,6 +126,12 @@ class TestNearestNeighborDensities:
     def test_pdf_r0_vanishes_at_zero(self):
         assert geometry.rayleigh_pdf(0.0, LAM_BS) == 0.0
 
+    def test_pdf_rejects_negative_distance(self):
+        # a distance is an argument, not a config field, so the density checks it
+        for r in (-1.0, np.array([1.0, -1e-300])):
+            with pytest.raises(ParameterError, match="distance must be nonnegative"):
+                geometry.rayleigh_pdf(r, LAM_BS)
+
     def test_pdf_r2_normalizes(self):
         val, _ = integrate.quad(lambda r: geometry.rayleigh_pdf(r, LAM_RIS), 0, np.inf)
         assert abs(val - 1.0) < 1e-9
@@ -355,6 +361,19 @@ class TestInverseMoments:
             got = geometry._scaled_upper_gamma(base, math.log(x))
             assert got == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("a", [-0.5, -2.5, -10.0, -49.0, -64.5, -1000.0])
+    @pytest.mark.parametrize("x", [1e-300, 1e-4, 0.37, 1.0, 60.0, 700.0])
+    def test_scaled_upper_gamma_below_zero_matches_quadrature(self, a, x):
+        # x**-a * Gamma(a, x) = exp(-x) * int_0^inf (1 + w)**(a-1) * exp(-x*w) dw.
+        # Stepping down from a + n scaled rounding errors by x / |a + k| per
+        # step, so at x = 60 the value for a = -49 was off by a factor of 1e9
+        integral, _ = integrate.quad(
+            lambda w: (1.0 + w) ** (a - 1.0) * math.exp(-x * w), 0.0, np.inf,
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        got = geometry._scaled_upper_gamma(a, math.log(x))
+        assert got == pytest.approx(math.exp(-x) * integral, rel=1e-12, abs=0)
+
     def test_underflowed_argument_takes_its_limit(self):
         # pi*lambda_eff*eps**2 rounds to 0 for a tiny floor; x**-a * Gamma(a, x)
         # tends to -1/a for a < 0
@@ -370,7 +389,3 @@ class TestInverseMoments:
         expected = scale * (-np.euler_gamma - math.log(scale) - 2.0 * math.log(eps))
         got = geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, eps)
         assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_floor_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 0.0)

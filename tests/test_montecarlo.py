@@ -308,10 +308,6 @@ class TestEstimateCoverage:
         records, estimates = montecarlo.run(small_cfg(n_trials=50))
         assert len(records) == 50 and estimates == []
 
-    def test_requires_positive_threshold(self):
-        with pytest.raises(ParameterError):
-            montecarlo.run(small_cfg(n_trials=200), [0.0])
-
     def test_worker_count_does_not_change_estimates(self, monkeypatch, pool_tasks):
         # three blocks, the last one partial
         cfg = small_cfg(n_trials=20000)
