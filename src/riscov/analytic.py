@@ -12,8 +12,10 @@ factor is the Gauss hypergeometric form
 variant with ratio ``rho`` is the same function at ``T * rho**a``, which
 enters divided by ``rho**2`` (``interference_factor(T, a, rho)``). The two
 reflected-path approximations depend on the deployment only through one
-power-free ratio ``kappa`` (:func:`reflector_ratio`), which holds the floored
-moment ``E[r1**-2 ; r1 >= eps]`` of :func:`riscov.geometry.expected_inv_r1_pow`.
+power-free ratio ``kappa``, which holds the floored moment ``E[r1**-2 ; r1 >=
+eps]`` of :func:`riscov.geometry.expected_inv_r1_pow`. Both are evaluated
+from ``log(kappa)`` (:func:`log_reflector_ratio`), so they take their limits
+where ``kappa`` itself would leave the float range.
 
 The hypergeometric function is summed here as a numpy series rather than
 imported from ``scipy.special``, whose import alone costs about half of a
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import channel, geometry
 from .config import NetworkConfig
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 
 
 # Terms of `_pfaff_series`: each is at most w <= 1/2 times the one before, so
@@ -70,13 +72,16 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     leading term at large ``T * rho**a``, ``pi*d / sin(pi*d) * (T * rho**a)**d
     / rho**2`` with ``d = 2/a``, is evaluated as ``pi*d / sin(pi*d) * T**d``,
     so an infinite ``rho`` or a ``rho**a`` beyond the float range gives that
-    limit. ``T * rho**a = 0`` gives the limit 0, which it can underflow to.
+    limit. Below ``T * rho**a = 1`` the ratio ``w / rho**2`` of the series'
+    prefactor is evaluated as ``T * rho**(a-2) / (1 + T * rho**a)``, so a
+    ``rho**2`` that underflows, ``rho = 0`` included, gives the limit 0.
     """
     t_plain = np.asarray(T, dtype=float)
     if not np.all(t_plain >= 0):
         raise ParameterError(f"T must be nonnegative, got {T!r}")
     with np.errstate(over="ignore"):
-        rho_sq, t = np.float64(rho) ** 2, t_plain * np.float64(rho) ** alpha
+        rho = np.float64(rho)
+        rho_sq, rho_near, t = rho**2, rho ** (alpha - 2.0), t_plain * rho**alpha
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
     low = t <= 1.0
@@ -86,7 +91,8 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     if low.any():
         t_low = t[low]
         w = t_low / (1.0 + t_low)
-        value[low] = 2.0 / (alpha - 2.0) * w * _pfaff_series(b, w) / rho_sq
+        w_over_rho_sq = t_plain[low] * rho_near / (1.0 + t_low)  # w, bit for bit, at rho = 1
+        value[low] = 2.0 / (alpha - 2.0) * w_over_rho_sq * _pfaff_series(b, w)
     if high.any():
         w = 1.0 / (1.0 + t[high])
         # the prefactor 2/(a-2) = (1-b)/b times pi*b/sin(pi*b); sin(pi*b) = sin(pi*delta)
@@ -135,27 +141,43 @@ def coverage_path_a(cfg: NetworkConfig, T):
 # path-B coverage (reflected path)
 # ---------------------------------------------------------------------------
 
-def reflector_ratio(cfg: NetworkConfig) -> float:
-    """``kappa``, the reflectors' intensity over the bases' once both are mapped to unit power.
+def log_reflector_ratio(cfg: NetworkConfig) -> float:
+    """``log(kappa)``, kappa the reflectors' intensity over the bases' once both are mapped to unit power.
 
     A base sends ``p_s/2`` per beam and a reflector ``G * f1 * r1**-alpha``
     times that (``G`` from :func:`riscov.channel.array_gain`, ``f1`` an
     exponential fade), so ``p_s`` cancels: ``kappa = (G/mu)**(2/alpha) *
     Gamma(1 + 2/alpha) * E[r1**-2 ; r1 >= eps] * lambda_ris / lambda_bs``.
-    Raises :class:`NumericalError` when it exceeds the float range.
+    The factors' logs are summed, since ``kappa``, ``G/mu`` or ``lambda_ris /
+    lambda_bs`` can each leave the float range; ``-inf`` when ``G`` or the
+    moment underflows to 0.
     """
     delta = 2.0 / cfg.alpha
+    gain = channel.array_gain(cfg)
     inv_sq = geometry.expected_inv_r1_pow(
         2.0, cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.epsilon_floor
     )
-    try:
-        kappa = (channel.array_gain(cfg) / cfg.mu) ** delta * math.gamma(1.0 + delta) * inv_sq
-    except OverflowError:
-        kappa = math.inf
-    kappa *= cfg.lambda_ris / cfg.lambda_bs
-    if not math.isfinite(kappa):
-        raise NumericalError("reflector intensity ratio kappa exceeds the float range")
-    return kappa
+    if 0.0 in (gain, inv_sq):
+        return -math.inf
+    return math.fsum((
+        delta * math.log(gain), -delta * math.log(cfg.mu), math.lgamma(1.0 + delta),
+        math.log(inv_sq), math.log(cfg.lambda_ris), -math.log(cfg.lambda_bs),
+    ))
+
+
+def _reflected_coverage(log_kappa: float, weighted_interference):
+    """``kappa / (kappa + x)`` from ``log(kappa)``, as the logistic function of ``log(x / kappa)``.
+
+    Its exponential is taken of a nonpositive argument only, so it cannot
+    overflow, and values down to the smallest subnormal float survive. Where
+    ``kappa`` and ``x`` both underflow to 0, no reflected power means 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(weighted_interference) - log_kappa
+    y = np.where(np.isnan(y), math.inf, y)
+    e = np.exp(-np.abs(y))
+    value = np.where(y > 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    return float(value) if value.ndim == 0 else value
 
 
 def coverage_path_b_approx1(cfg: NetworkConfig, T):
@@ -165,13 +187,15 @@ def coverage_path_b_approx1(cfg: NetworkConfig, T):
     of the serving distance, which tightens as the reflector density grows:
     ``kappa / (kappa + p * I(T, a, rho))`` with ``p`` the split-beam retention.
     """
-    kappa = reflector_ratio(cfg)
+    log_kappa = log_reflector_ratio(cfg)
     _, p_split = channel.retention_probabilities(cfg)
     # T**(2/a) * int rho**a / (rho**a + u**(a/2)) du over u >= T**(-2/a);
     # substituting u = rho**2 * v turns it into I(T * rho**a, a), which enters
     # divided by rho**2
-    rho = 1.0 / math.sqrt(kappa) if kappa > 0 else math.inf
-    return kappa / (kappa + p_split * interference_factor(_thresholds(T), cfg.alpha, rho))
+    with np.errstate(over="ignore"):
+        rho = np.exp(-0.5 * log_kappa)
+    i_rho = interference_factor(_thresholds(T), cfg.alpha, rho)
+    return _reflected_coverage(log_kappa, p_split * i_rho)
 
 
 def coverage_path_b_approx2(cfg: NetworkConfig, T):
@@ -183,6 +207,6 @@ def coverage_path_b_approx2(cfg: NetworkConfig, T):
     the ``approx2`` compare gate) and beyond that margin at small arrays:
     0.037 at ``N = 2, alpha = 3`` and 0.043 at ``N = 1`` (or 2), ``alpha = 4``.
     """
-    kappa = reflector_ratio(cfg)
+    log_kappa = log_reflector_ratio(cfg)
     _, p_split = channel.retention_probabilities(cfg)
-    return kappa / (kappa + p_split * interference_factor(_thresholds(T), cfg.alpha))
+    return _reflected_coverage(log_kappa, p_split * interference_factor(_thresholds(T), cfg.alpha))

@@ -10,7 +10,8 @@ A :class:`NetworkConfig` is checked when it is built, so every instance is
 valid: the constructor, ``replace``, :meth:`NetworkConfig.from_mapping` and
 :func:`load_config` raise :class:`ConfigError` with field-level messages
 instead. No other module re-checks a config field. Every threshold must
-have a positive finite linear ratio, and a run needs at least one.
+have a positive finite linear ratio, and a run needs at least one; every
+density must stay positive in points per m^2, the unit the engines read.
 
 A config describes a deployment and a run, not how a run is judged: the
 compare gates and their tolerances are constants of :mod:`riscov.cli`, so
@@ -113,6 +114,10 @@ class NetworkConfig:
 
         positive("lambda_bs")
         positive("lambda_ris")
+        for name in ("lambda_bs", "lambda_ris"):
+            v = getattr(self, name)
+            if isinstance(v, float) and v > 0 and v * KM2_TO_M2 == 0:  # the engines read per m^2
+                errs.append(f"{name}: must stay positive in points per m^2 (x {KM2_TO_M2:g}), got {v!r}")
         positive("p_s")
         positive("beta", upper=1.0)
         positive("mu")

@@ -314,7 +314,8 @@ def reflected_power_raw_moment(cfg):
     """``E[(P_reflected / mu)**(2/alpha)]``, which maps ``lambda_ris`` to unit power.
 
     Divided by the bases' factor ``(p_s / (2 mu))**(2/alpha)``, it is
-    :func:`riscov.analytic.reflector_ratio` times ``lambda_bs / lambda_ris``.
+    ``kappa = exp(riscov.analytic.log_reflector_ratio(cfg))`` times ``lambda_bs /
+    lambda_ris``.
     """
     alpha = cfg.alpha
     gain = channel.array_gain(cfg)

@@ -32,6 +32,11 @@ def make_cfg(**kw) -> NetworkConfig:
     return NetworkConfig().replace(**kw)
 
 
+def reflector_ratio(cfg: NetworkConfig) -> float:
+    """``kappa`` itself, for configs where it is a float."""
+    return math.exp(analytic.log_reflector_ratio(cfg))
+
+
 class TestInterferenceFactor:
     @pytest.mark.parametrize("T", [0.01, 0.1, 1.0, 10.0, 100.0])
     def test_quadrature_matches_alpha4_closed_form(self, T):
@@ -227,7 +232,7 @@ class TestPathBCoverage:
     def test_approx1_with_unit_rho_equals_approx2_form(self):
         # algebraic identity: at rho = 1 the approximations share one formula
         cfg, T = make_cfg(), 2.0
-        kappa = analytic.reflector_ratio(cfg)
+        kappa = reflector_ratio(cfg)
         _, p_split = channel.retention_probabilities(cfg)
         i_factor = analytic.interference_factor(T, cfg.alpha)
         i_rho1, _ = interference_quadrature(T, cfg.alpha, rho=1.0)
@@ -241,7 +246,7 @@ class TestPathBCoverage:
         # rho**2 toward inf; approx1 used to raise OverflowError (rho**a),
         # return nan (rho = inf) or raise ZeroDivisionError (moment 0)
         cfg = make_cfg(epsilon_floor=floor)
-        kappa = analytic.reflector_ratio(cfg)
+        kappa = reflector_ratio(cfg)
         _, p_split = channel.retention_probabilities(cfg)
         T = np.array([0.1, 10**0.5, 100.0])
         limit = kappa / (kappa + p_split * math.pi / 2 * np.sqrt(T))
@@ -261,7 +266,7 @@ class TestPathBCoverage:
         # solve for the threshold where interference weight equals the
         # reflector weight; coverage must sit exactly at one half
         cfg = make_cfg()
-        target = analytic.reflector_ratio(cfg) / channel.retention_probabilities(cfg)[1]
+        target = reflector_ratio(cfg) / channel.retention_probabilities(cfg)[1]
 
         def excess(log_t):
             return analytic.interference_factor(math.exp(log_t), cfg.alpha) - target
@@ -315,9 +320,9 @@ class TestPathBCoverage:
 
     def test_intensities_carry_floor_provenance(self):
         cfg = make_cfg(epsilon_floor=2.5)
-        kappa = analytic.reflector_ratio(cfg)
+        kappa = reflector_ratio(cfg)
         # a larger floor discards more of E[r1**-2], so the reflector term shrinks
-        assert kappa < analytic.reflector_ratio(make_cfg())
+        assert kappa < reflector_ratio(make_cfg())
         # approx1's distance ratio is rho = kappa**-0.5
         _, p_split = channel.retention_probabilities(cfg)
         i_rho = analytic.interference_factor(2.0, cfg.alpha, kappa**-0.5)
@@ -335,14 +340,58 @@ class TestPathBCoverage:
         cfg = make_cfg(**changes)
         lam_ris_t = reflected_power_raw_moment(cfg) * cfg.lambda_ris_m2
         lam_bs_t = power_density_convert(cfg.lambda_bs_m2, cfg.p_s / 2.0, cfg.mu, cfg.alpha)
-        assert analytic.reflector_ratio(cfg) == pytest.approx(lam_ris_t / lam_bs_t, rel=1e-12)
+        assert reflector_ratio(cfg) == pytest.approx(lam_ris_t / lam_bs_t, rel=1e-12)
 
-    def test_kappa_beyond_float_range_raises(self):
-        # kappa is about 1e597 here; the approximations never return nan
-        cfg = make_cfg(mu=1e-300, alpha=2.01, m_elements=10**150)
+    @pytest.mark.parametrize("changes, limit", [
+        ({"mu": 1e-300, "alpha": 2.01, "m_elements": 10**150}, 1.0),
+        ({"mu": 1e300, "alpha": 2.01, "beta": 1e-300, "lambda_ris": 1e-300}, 0.0),
+    ], ids=["kappa-1e597", "kappa-1e-1197"])
+    def test_kappa_beyond_float_range_takes_the_limit(self, changes, limit):
+        # p * I(T) stays within a few powers of ten of 1 at these thresholds,
+        # so both approximations equal their limit to double precision
+        cfg = make_cfg(**changes)
+        assert abs(analytic.log_reflector_ratio(cfg)) > 1300
+        T = np.array([0.1, 1.0, 100.0])
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
-            with pytest.raises(NumericalError, match="reflector intensity ratio"):
-                fn(cfg, 1.0)
+            np.testing.assert_array_equal(fn(cfg, T), limit)
+
+    def test_no_reflected_power_gives_zero_not_nan(self):
+        # the moment (at a 1e200 m floor) and p * I(T) (at -3200 dB and alpha
+        # 1e6) both underflow to 0; approx2 used to write that 0/0 as nan
+        cfg = make_cfg(alpha=1e6, epsilon_floor=1e200, thresholds_db=(-3200.0, 0.0))
+        assert analytic.log_reflector_ratio(cfg) == -math.inf
+        T = np.asarray(cfg.thresholds_linear)
+        assert analytic.interference_factor(T[0], cfg.alpha) == 0.0
+        for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
+            np.testing.assert_array_equal(fn(cfg, T), 0.0)
+
+    @pytest.mark.parametrize("changes", [
+        {"beta": 1e-300, "m_elements": 1, "mu": 1e30, "alpha": 1000.0},
+        {"m_elements": 20000, "mu": 1e-300},
+        {"lambda_ris": 1e300, "lambda_bs": 1e-300},
+    ], ids=["gain-over-mu-underflows", "gain-over-mu-overflows", "density-ratio-overflows"])
+    def test_kappa_where_a_quotient_leaves_the_float_range(self, changes):
+        # G/mu (1e-330 or 3.6e308) or lambda_ris/lambda_bs (1e600) leaves the
+        # float range while kappa (about 0.3, 2e154 and 2e299) does not;
+        # forming the quotient first gave kappa 0, so both approximations read
+        # 0.0, or an exit 4
+        cfg = make_cfg(**changes)
+        lam_ris_t = reflected_power_raw_moment(cfg) * cfg.lambda_ris_m2
+        lam_bs_t = power_density_convert(cfg.lambda_bs_m2, cfg.p_s / 2.0, cfg.mu, cfg.alpha)
+        kappa = lam_ris_t / lam_bs_t
+        assert reflector_ratio(cfg) == pytest.approx(kappa, rel=1e-12)
+        _, p_split = channel.retention_probabilities(cfg)
+        T = np.asarray(cfg.thresholds_linear)
+        i_rho = analytic.interference_factor(T, cfg.alpha, kappa**-0.5)
+        i_factor = analytic.interference_factor(T, cfg.alpha)
+        np.testing.assert_allclose(
+            analytic.coverage_path_b_approx1(cfg, T), kappa / (kappa + p_split * i_rho),
+            rtol=1e-12, atol=0,
+        )
+        np.testing.assert_allclose(
+            analytic.coverage_path_b_approx2(cfg, T), kappa / (kappa + p_split * i_factor),
+            rtol=1e-12, atol=0,
+        )
 
 
 class TestQueryValidation:

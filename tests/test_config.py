@@ -24,6 +24,17 @@ class TestValidation:
         # no function below the config re-checks the floor
         assert any(e.startswith("epsilon_floor:") for e in errs)
 
+    @pytest.mark.parametrize("field", ["lambda_bs", "lambda_ris"])
+    def test_density_must_stay_positive_per_m2(self, field):
+        # 1e-320 per km^2 underflows to 0 per m^2; with no re-check below the
+        # config, analytic, simulate and hist used to end in a traceback, exit 1
+        with pytest.raises(ConfigError) as exc:
+            NetworkConfig(**{field: 1e-320})
+        assert exc.value.errors == [
+            f"{field}: must stay positive in points per m^2 (x 1e-06), got 1e-320"
+        ]
+        assert getattr(NetworkConfig(**{field: 1e-317}), f"{field}_m2") > 0
+
     def test_alpha_two_rejected(self):
         with pytest.raises(ConfigError):
             NetworkConfig(alpha=2.0)
