@@ -17,7 +17,7 @@ from oracle_helpers import (
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
 from riscov import analytic, channel, geometry
 from riscov.config import ConfigError, NetworkConfig
-from riscov.errors import NumericalError, ParameterError
+from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5
 LAM_RIS = 5e-2
@@ -373,8 +373,8 @@ class TestPathBCoverage:
     def test_kappa_where_a_quotient_leaves_the_float_range(self, changes):
         # G/mu (1e-330 or 3.6e308) or lambda_ris/lambda_bs (1e600) leaves the
         # float range while kappa (about 0.3, 2e154 and 2e299) does not;
-        # forming the quotient first gave kappa 0, so both approximations read
-        # 0.0, or an exit 4
+        # forming the quotient first gave kappa 0 (both approximations read
+        # 0.0) or an exit 4
         cfg = make_cfg(**changes)
         lam_ris_t = reflected_power_raw_moment(cfg) * cfg.lambda_ris_m2
         lam_bs_t = power_density_convert(cfg.lambda_bs_m2, cfg.p_s / 2.0, cfg.mu, cfg.alpha)
