@@ -72,16 +72,16 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     leading term at large ``T * rho**a``, ``pi*d / sin(pi*d) * (T * rho**a)**d
     / rho**2`` with ``d = 2/a``, is evaluated as ``pi*d / sin(pi*d) * T**d``,
     so an infinite ``rho`` or a ``rho**a`` beyond the float range gives that
-    limit. Below ``T * rho**a = 1`` the ratio ``w / rho**2`` of the series'
-    prefactor is evaluated as ``T * rho**(a-2) / (1 + T * rho**a)``, so a
-    ``rho**2`` that underflows, ``rho = 0`` included, gives the limit 0.
+    limit. Below ``T * rho**a = 1``, where ``rho**2`` is not a normal float,
+    the ratio ``w / rho**2`` of the series' prefactor is evaluated as ``T *
+    rho**(a-2) / (1 + T * rho**a)``, so ``rho = 0`` gives the limit 0.
     """
     t_plain = np.asarray(T, dtype=float)
     if not np.all(t_plain >= 0):
         raise ParameterError(f"T must be nonnegative, got {T!r}")
     with np.errstate(over="ignore"):
         rho = np.float64(rho)
-        rho_sq, rho_near, t = rho**2, rho ** (alpha - 2.0), t_plain * rho**alpha
+        rho_sq, t = rho**2, t_plain * rho**alpha
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
     low = t <= 1.0
@@ -91,7 +91,10 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     if low.any():
         t_low = t[low]
         w = t_low / (1.0 + t_low)
-        w_over_rho_sq = t_plain[low] * rho_near / (1.0 + t_low)  # w, bit for bit, at rho = 1
+        if rho_sq >= np.finfo(float).tiny:
+            w_over_rho_sq = w / rho_sq
+        else:
+            w_over_rho_sq = t_plain[low] * rho ** (alpha - 2.0) / (1.0 + t_low)
         value[low] = 2.0 / (alpha - 2.0) * w_over_rho_sq * _pfaff_series(b, w)
     if high.any():
         w = 1.0 / (1.0 + t[high])
