@@ -91,11 +91,12 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     if low.any():
         t_low = t[low]
         w = t_low / (1.0 + t_low)
+        prefactor = 2.0 / (alpha - 2.0)
         if rho_sq >= np.finfo(float).tiny:
-            w_over_rho_sq = w / rho_sq
+            value[low] = prefactor * w * _pfaff_series(b, w) / rho_sq
         else:
             w_over_rho_sq = t_plain[low] * rho ** (alpha - 2.0) / (1.0 + t_low)
-        value[low] = 2.0 / (alpha - 2.0) * w_over_rho_sq * _pfaff_series(b, w)
+            value[low] = prefactor * w_over_rho_sq * _pfaff_series(b, w)
     if high.any():
         w = 1.0 / (1.0 + t[high])
         # the prefactor 2/(a-2) = (1-b)/b times pi*b/sin(pi*b); sin(pi*b) = sin(pi*delta)
