@@ -101,9 +101,10 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
         w = 1.0 / (1.0 + t[high])
         # the prefactor 2/(a-2) = (1-b)/b times pi*b/sin(pi*b); sin(pi*b) = sin(pi*delta)
         reflection = math.pi * delta / math.sin(math.pi * min(b, delta))
-        value[high] = (
-            reflection * t_plain[high] ** delta - (1.0 - w) * _pfaff_series(delta, w) / rho_sq
-        )
+        with np.errstate(over="ignore"):  # near alpha = 2 a huge T overflows to inf, the limit
+            value[high] = (
+                reflection * t_plain[high] ** delta - (1.0 - w) * _pfaff_series(delta, w) / rho_sq
+            )
     return float(value) if value.ndim == 0 else value
 
 

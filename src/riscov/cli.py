@@ -6,8 +6,7 @@ its accessors do the dB-vs-linear and km^2-vs-m^2 conversions. One
 decorator, ``_config_command``, declares the options every command shares,
 builds that config from ``--config`` and the overrides (building it is what
 checks it), and runs the command body under the typed exits below. The
-shared options are ``--config``, ``--out``, ``--seed``, ``--trials`` and
-``--mode``.
+shared options are ``--config``, ``--out``, ``--seed`` and ``--trials``.
 
 One table, :data:`GATES`, pairs each closed form with the simulated metric
 it predicts and with the gate that ``compare`` applies to their gap;
@@ -155,7 +154,7 @@ def run_simulate(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> li
     return [
         row(engine="mc", metric=e.metric, t_db=float(t_db), value=e.probability,
             ci_half_width=e.ci_half_width, n_trials=e.n_trials)
-        for e, t_db in zip(montecarlo.run(cfg, cfg.thresholds_linear)[1], cycle(cfg.thresholds_db))
+        for e, t_db in zip(montecarlo.run(cfg, cfg.thresholds_linear), cycle(cfg.thresholds_db))
     ]
 
 
@@ -163,8 +162,6 @@ def build_comparison(
     cfg: NetworkConfig, analytic_rows: list[ResultRow], mc_rows: list[ResultRow]
 ) -> dict:
     """Join analytic and simulated curves and apply the gates of :data:`GATES`."""
-    if not analytic_rows or not mc_rows:
-        raise RiscovError("missing engine outputs: need both analytic and mc rows")
     mc_by = {(r.metric, r.t_db): r for r in mc_rows}
     an_by = {(r.engine, r.t_db): r for r in analytic_rows}
     gates = []
@@ -303,9 +300,6 @@ _SHARED_OPTIONS = (
                  help="Output directory for CSV/JSON artifacts."),
     click.option("--seed", "master_seed", type=int, default=None, help="Override master seed."),
     click.option("--trials", "n_trials", type=int, default=None, help="Override trial count."),
-    click.option("--mode", "path_b_mode", type=click.Choice(["conditional", "unconditional"]),
-                 default=None,
-                 help="Engage the reflector only when closer than the base, or always."),
 )
 
 
@@ -317,12 +311,10 @@ def _config_command(fn):
     failed computation exits 4.
     """
     @functools.wraps(fn)
-    def command(config_path, master_seed, n_trials, path_b_mode, **kwargs):
+    def command(config_path, master_seed, n_trials, **kwargs):
         with _typed_exits():
             cfg = load_config(config_path) if config_path else NetworkConfig()
             changes = {"master_seed": master_seed, "n_trials": n_trials}
-            if path_b_mode is not None:
-                changes["conditional_path_b"] = path_b_mode == "conditional"
             cfg = cfg.replace(**{k: v for k, v in changes.items() if v is not None})
             return fn(cfg, **kwargs)
 
@@ -408,7 +400,7 @@ def hist_cmd(cfg, out_dir, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""
     if not 1 <= bins <= cfg.n_trials:
         raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
-    counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.run(cfg)[0], quantity, bins)
+    counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity, bins)
     path = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, quantity, counts, edges))
     click.echo(f"wrote {path}")
 

@@ -59,14 +59,15 @@ uniforms (each a trial-major ``(n, K)`` array), and last the
 base-to-reflector fades. Output depends on ``(master_seed, n_trials)`` and
 the config, never on how many workers run the chunks.
 
-Parallelism. One task draws one block of ``VALUE_BLOCK`` trials (eight
-chunks; the last block may be partial) and reduces it to one float array of
-shape ``(len(METRICS), len(thresholds), 3)``: the count, sum and sum of
-squares of the conditional values of each metric at each threshold. The
-tasks' arrays are added in block order, so the summation tree, and with it
-every output byte, is the same for any worker count. ``RISCOV_WORKERS``
-sets the pool size, capped at the block count: a run of at most
-``VALUE_BLOCK`` trials never starts a pool.
+Parallelism. :func:`draw` draws every trial in this process. One task of
+:func:`run` draws one block of ``VALUE_BLOCK`` trials (eight chunks; the
+last block may be partial) and returns only its float array of shape
+``(len(METRICS), len(thresholds), 3)``: the count, sum and sum of squares of
+the conditional values of each metric at each threshold. The arrays are
+added in block order, so every output byte is the same for any worker count,
+and memory does not grow with the trial count. ``RISCOV_WORKERS`` sets the
+pool size, capped at the block count: at most ``VALUE_BLOCK`` trials never
+start a pool.
 """
 from __future__ import annotations
 
@@ -111,13 +112,6 @@ class TrialRecords:
     def __len__(self) -> int:
         return len(self.r0)
 
-    @staticmethod
-    def concatenate(parts) -> TrialRecords:
-        """The trials of ``parts``, one after another."""
-        return TrialRecords(**{
-            f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(TrialRecords)
-        })
-
 
 def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecords:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
@@ -155,24 +149,31 @@ def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecord
     )
 
 
-def _run_block(task) -> tuple[TrialRecords, np.ndarray]:
-    """One pool task: draw the block of trials from ``start``, then reduce it.
-
-    Returns the block and ``sums``, where ``sums[i, j]`` is the count, sum and
-    sum of squares of its conditional values of ``METRICS[i]`` at ``thresholds[j]``.
-    """
-    cfg, start, thresholds = task
-    stop = min(start + VALUE_BLOCK, cfg.n_trials)
-    block = TrialRecords.concatenate([
+def _draw(cfg: NetworkConfig, start: int, stop: int) -> TrialRecords:
+    """Trials ``start`` to ``stop`` of the run, chunk by chunk; ``start`` begins a chunk."""
+    chunks = [
         _simulate_chunk(cfg, chunk_start // CHUNK_TRIALS, min(CHUNK_TRIALS, stop - chunk_start))
         for chunk_start in range(start, stop, CHUNK_TRIALS)
-    ])
+    ]
+    return TrialRecords(**{
+        f.name: np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields(TrialRecords)
+    })
+
+
+def _block_sums(task) -> np.ndarray:
+    """One pool task: draw the block of trials from ``start`` and reduce it to sums.
+
+    ``sums[i, j]`` is the count, sum and sum of squares of the block's
+    conditional values of ``METRICS[i]`` at ``thresholds[j]``.
+    """
+    cfg, start, thresholds = task
+    block = _draw(cfg, start, min(start + VALUE_BLOCK, cfg.n_trials))
     sums = np.empty((len(METRICS), len(thresholds), 3))
     for j, t in enumerate(thresholds):
         by_metric = conditional_values(cfg, block, t)
         values = [by_metric[metric] for metric in METRICS]
         sums[:, j] = [(len(v), v.sum(), np.square(v).sum()) for v in values]
-    return block, sums
+    return sums
 
 
 def worker_count() -> int:
@@ -244,7 +245,7 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     }
 
 
-def _estimates(thresholds: tuple, block_sums: tuple) -> list[CoverageEstimate]:
+def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
     """Add the blocks' sum arrays in block order and turn them into estimates.
 
     Every estimate is computed at once, elementwise; a metric with no
@@ -268,34 +269,38 @@ def _estimates(thresholds: tuple, block_sums: tuple) -> list[CoverageEstimate]:
     ]
 
 
-def run(cfg: NetworkConfig, thresholds=()) -> tuple[TrialRecords, list[CoverageEstimate]]:
-    """All trials, and ``Pr[SIR > T]`` per metric and threshold, metric by metric.
+def draw(cfg: NetworkConfig) -> TrialRecords:
+    """Every trial's records, drawn in this process: those :func:`run` reduces."""
+    channel.array_gain(cfg)  # an overflowing bank fails before any draw
+    return _draw(cfg, 0, cfg.n_trials)
+
+
+def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
+    """``Pr[SIR > T]`` per metric and threshold, metric by metric.
 
     Each estimate averages :func:`conditional_values` over its trials:
     ``gamma_b`` conditions on an engaged reflector being present and the
-    other metrics use every trial. Each block of ``VALUE_BLOCK`` trials is
-    drawn and reduced to sums by the same task, so no array of values grows
-    with the trial count and a pool parallelizes the estimator along with
-    the draws. An estimate needs at least 100 trials; with no thresholds
-    the run only draws them.
+    other metrics use every trial. One task draws each block of
+    ``VALUE_BLOCK`` trials and returns only its sums, so memory does not grow
+    with the trial count and a pool parallelizes the estimator along with the
+    draws. An estimate needs at least 100 trials.
     """
-    if len(thresholds) and cfg.n_trials < 100:
+    if cfg.n_trials < 100:
         raise ConfigError(
             [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
         )
     thresholds = tuple(float(t) for t in thresholds)
-    channel.array_gain(cfg)  # an overflowing bank fails before any draw
+    channel.array_gain(cfg)  # an overflowing bank fails before any draw or pool
     tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
     workers = min(worker_count(), len(tasks))
     if workers == 1:
-        results = [_run_block(task) for task in tasks]
+        block_sums = [_block_sums(task) for task in tasks]
     else:
         import multiprocessing  # only a pooled run pays for the import
 
         with multiprocessing.Pool(processes=workers) as pool:
-            results = list(pool.imap(_run_block, tasks, chunksize=1))
-    blocks, block_sums = zip(*results)
-    return TrialRecords.concatenate(blocks), _estimates(thresholds, block_sums)
+            block_sums = list(pool.imap(_block_sums, tasks, chunksize=1))
+    return _estimates(thresholds, block_sums)
 
 
 def empirical_histogram(

@@ -1,14 +1,15 @@
 """Shared fixtures: the two expensive reference simulation runs, and a pool recorder.
 
-Both runs, with their estimates at the configured thresholds, are reused
-across the unit tests and the acceptance suite so the whole suite pays for
-each 1e5-trial simulation exactly once.
+Both runs, with their estimates at the configured thresholds and their
+records, are reused across the unit tests and the acceptance suite so the
+whole suite pays for each 1e5-trial estimate and draw exactly once.
 
 Every ``@given`` test runs under one hypothesis profile: derandomized, so each
 run draws the same examples, with no example database and no deadline.
 """
 from __future__ import annotations
 
+import functools
 import multiprocessing.pool
 import time
 
@@ -25,11 +26,18 @@ settings.load_profile("deterministic")
 
 
 class TimedRun:
+    """The estimates of ``cfg``'s run, with the wall time of the estimating call,
+    and its records, drawn on first use."""
+
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
         t0 = time.perf_counter()
-        self.records, self.estimates = montecarlo.run(cfg, cfg.thresholds_linear)
+        self.estimates = montecarlo.run(cfg, cfg.thresholds_linear)
         self.duration_s = time.perf_counter() - t0
+
+    @functools.cached_property
+    def records(self) -> montecarlo.TrialRecords:
+        return montecarlo.draw(self.cfg)
 
 
 @pytest.fixture(scope="session")

@@ -95,8 +95,8 @@ def test_c03_power_density_independence():
     )
     cfg_a = NetworkConfig(n_trials=1000, master_seed=404, p_s=2.0)
     cfg_b = NetworkConfig(n_trials=1000, master_seed=404, p_s=14.0)
-    rec_a = montecarlo.run(cfg_a)[0]
-    rec_b = montecarlo.run(cfg_b)[0]
+    rec_a = montecarlo.draw(cfg_a)
+    rec_b = montecarlo.draw(cfg_b)
     values_a = [montecarlo.conditional_values(cfg_a, rec_a, t) for t in cfg_a.thresholds_linear]
     values_b = [montecarlo.conditional_values(cfg_b, rec_b, t) for t in cfg_b.thresholds_linear]
     bit_identical = all(
@@ -246,7 +246,7 @@ def _gamma_b_estimate(lambda_ris_km2, lambda_bs_km2, seed):
         lambda_ris=lambda_ris_km2, lambda_bs=lambda_bs_km2,
         n_trials=20_000, master_seed=seed, thresholds_db=(5.0,),
     )
-    _, ests = montecarlo.run(cfg, [T5DB])
+    ests = montecarlo.run(cfg, [T5DB])
     return next(e for e in ests if e.metric == "gamma_b")
 
 

@@ -139,6 +139,10 @@ class TestInterferenceFactor:
             assert analytic.interference_factor(2.0, 4.0, rho) == pytest.approx(
                 math.pi / 2 * math.sqrt(2.0), rel=1e-15
             )
+        # within about 1e-11 of alpha = 2, pi*d/sin(pi*d) is about 2e11, so that
+        # term leaves the float range at T near 1e297; inf is its limit, reached
+        # without a RuntimeWarning
+        assert analytic.interference_factor(1e297, 2.00000000001) == math.inf
 
     def test_preconditions(self):
         for bad in (-1e-300, -1.0, math.nan, np.array([1.0, math.nan])):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -190,6 +191,18 @@ class TestAnalyticCommand:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("pipeline error: reflector gain")
 
+    def test_overflowing_interference_leaves_stderr_empty(self, runner, tmp_path):
+        # the interference factor overflows to its limit inf, so every row is 0;
+        # numpy's overflow warning used to reach stderr
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("alpha: 2.00000000001\nthresholds_db: [2970]\n")
+        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
+            warnings.simplefilter("always")
+            result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0 and result.stderr == "" and caught == []
+        rows = read_rows(tmp_path / "analytic.csv")
+        assert len(rows) == len(cli.GATES) and all(row["value"] == "0" for row in rows)
+
     def test_header_is_exact(self, runner, tmp_path):
         runner.invoke(cli.main, ["analytic", "--out", str(tmp_path)], catch_exceptions=False)
         first = (tmp_path / "analytic.csv").read_text().splitlines()[0]
@@ -219,6 +232,29 @@ class TestSimulateCommand:
         assert result.exit_code == click.UsageError.exit_code
         assert "No such option" in result.stderr and "--hist" in result.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_mode_option_is_gone(self, runner, tmp_path):
+        # the config key `conditional_path_b` is the one way to set the mode
+        result = runner.invoke(
+            cli.main, ["simulate", "--trials", "1000", "--mode", "unconditional",
+                       "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == click.UsageError.exit_code
+        assert "No such option" in result.stderr and "--mode" in result.stderr
+        assert not (tmp_path / "o").exists()
+        engaged = []
+        for conditional in ("true", "false"):
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"lambda_ris: 100.0\nconditional_path_b: {conditional}\n")
+            result = runner.invoke(
+                cli.main, ["simulate", "-c", str(cfg), "--trials", "2000", "--out", str(tmp_path)]
+            )
+            assert result.exit_code == 0
+            rows = read_rows(tmp_path / "simulate.csv")
+            engaged.append({int(r["n_trials"]) for r in rows if r["metric"] == "gamma_b"})
+        # a reflector is closer than the base in about 100/125 of the trials
+        (conditional,), (unconditional,) = engaged
+        assert 1500 < conditional < 1700 and unconditional == 2000
 
     def test_per_element_fade_key_is_unknown(self, runner, tmp_path):
         # the per-element fade mode drew all M fades of every trial, so this
@@ -426,15 +462,16 @@ class TestColdImport:
         code = "import sys, riscov.cli; print('multiprocessing' in sys.modules)"
         assert _run_fresh(code).strip() == "False"
 
-    @pytest.mark.parametrize("workers, trials, pooled", [
-        ("1", "20000", False),
-        ("2", "8192", False),
-        ("2", "20000", True),  # positive control: three blocks start a pool
-    ])
+    @pytest.mark.parametrize("command, workers, trials, pooled", [
+        (["simulate"], "1", "20000", False),
+        (["simulate"], "2", "8192", False),
+        (["hist", "--quantity", "r1"], "2", "20000", False),  # hist draws in-process
+        (["simulate"], "2", "20000", True),  # positive control: three blocks start a pool
+    ], ids=["simulate-1-20000", "simulate-2-8192", "hist-2-20000", "simulate-2-20000"])
     def test_only_a_pooled_run_loads_multiprocessing(self, tmp_path, monkeypatch,
-                                                     workers, trials, pooled):
+                                                     command, workers, trials, pooled):
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
-        argv = ["simulate", "--trials", trials, "--out", str(tmp_path)]
+        argv = [*command, "--trials", trials, "--out", str(tmp_path)]
         out = _run_fresh(_loaded_probe("multiprocessing"), *argv)
         assert out.splitlines()[-1] == str(pooled)
 
@@ -464,8 +501,7 @@ class TestWorkerPool:
         # Three blocks, the last one partial, reach the pool; the recorded
         # imap calls show how many block tasks it ran
         code = (
-            "import dataclasses, multiprocessing, multiprocessing.pool, os\n"
-            "import numpy as np\n"
+            "import multiprocessing, multiprocessing.pool, os\n"
             "from riscov import montecarlo\n"
             "from riscov.config import NetworkConfig\n"
             "multiprocessing.set_start_method('spawn')\n"
@@ -480,13 +516,10 @@ class TestWorkerPool:
             "runs = []\n"
             "for workers in ('1', '2'):\n"
             "    os.environ[montecarlo.WORKERS_ENV_VAR] = workers\n"
-            "    runs.append(montecarlo.run(cfg)[0])\n"
-            "print(multiprocessing.get_start_method(), [\n"
-            "    f.name for f in dataclasses.fields(runs[0])\n"
-            "    if not np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name), equal_nan=True)\n"
-            "], pools)\n"
+            "    runs.append(montecarlo.run(cfg, [0.5, 1.0, 2.0]))\n"
+            "print(multiprocessing.get_start_method(), runs[0] == runs[1], pools)\n"
         )
-        assert _run_fresh(code).strip() == "spawn [] [(2, 3)]"
+        assert _run_fresh(code).strip() == "spawn True [(2, 3)]"
 
 
 class TestSweep:

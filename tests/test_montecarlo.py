@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing.pool
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,20 +100,20 @@ def assert_value_orderings(cfg, rec, thresholds):
 class TestDropScenario:
     def test_same_seed_and_trial_is_byte_identical(self):
         cfg = small_cfg()
-        a = montecarlo.run(cfg)[0]
-        b = montecarlo.run(cfg)[0]
+        a = montecarlo.draw(cfg)
+        b = montecarlo.draw(cfg)
         for name in RECORD_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
 
     def test_different_trials_differ(self):
-        rec = montecarlo.run(small_cfg())[0]
+        rec = montecarlo.draw(small_cfg())
         # neighbours within a chunk, and the first trials of two chunks
         assert rec.r0[0] != rec.r0[1]
         assert rec.r0[0] != rec.r0[montecarlo.CHUNK_TRIALS]
 
     def test_structure_invariants(self):
         cfg = small_cfg()
-        rec = montecarlo.run(cfg)[0]
+        rec = montecarlo.draw(cfg)
         assert np.all(rec.r0 > 0) and np.all(rec.r_k > rec.r0)
         # single-beam survivors are a subset of split-beam survivors
         assert np.all(rec.n_interferers_single <= montecarlo.NEAR_ARRIVALS)
@@ -126,7 +128,7 @@ class TestDropScenario:
     def test_single_beam_retention_fraction(self):
         # thinning keeps 1/sqrt(N) of the non-serving bases
         cfg = small_cfg(n_trials=10_000, n_elements=16)
-        rec = montecarlo.run(cfg)[0]
+        rec = montecarlo.draw(cfg)
         fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
         split_fraction = thinning_rate(cfg, rec, np.full(len(rec), montecarlo.NEAR_ARRIVALS))
@@ -134,20 +136,18 @@ class TestDropScenario:
 
     def test_explicit_orientation_matches_thinning_rate(self):
         cfg = NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
-        rec = montecarlo.run(cfg)[0]
+        rec = montecarlo.draw(cfg)
         fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
 
     def test_engaged_fraction_tracks_density_ratio(self):
-        rec = montecarlo.run(small_cfg(n_trials=10_000, lambda_ris=100.0))[0]
+        rec = montecarlo.draw(small_cfg(n_trials=10_000, lambda_ris=100.0))
         expected = 100.0 / 125.0
         se = math.sqrt(expected * (1 - expected) / 10_000)
         assert abs(rec.engaged.mean() - expected) < 4 * se
 
     def test_unconditional_mode_always_engages(self):
-        rec = montecarlo.run(
-            NetworkConfig(n_trials=500, master_seed=9, conditional_path_b=False)
-        )[0]
+        rec = montecarlo.draw(NetworkConfig(n_trials=500, master_seed=9, conditional_path_b=False))
         assert rec.engaged.all()
 
 
@@ -273,7 +273,7 @@ class TestPerTrialSirs:
 class TestTransmitPowerInvariance:
     def test_records_bit_identical_under_power_rescale(self):
         cfg_a, cfg_b = small_cfg(n_trials=1000, p_s=2.0), small_cfg(n_trials=1000, p_s=14.0)
-        rec_a, rec_b = montecarlo.run(cfg_a)[0], montecarlo.run(cfg_b)[0]
+        rec_a, rec_b = montecarlo.draw(cfg_a), montecarlo.draw(cfg_b)
         for field in RECORD_FIELDS:
             assert np.array_equal(getattr(rec_a, field), getattr(rec_b, field))
         for t in cfg_a.thresholds_linear:
@@ -287,7 +287,7 @@ class TestEstimateCoverage:
     def test_tiny_threshold_gives_certain_coverage(self):
         # a conditional value is exp(-x) with x > 0, so it reaches 1 only
         # where x underflows
-        _, ests = montecarlo.run(small_cfg(n_trials=500), [1e-12, 1e-300])
+        ests = montecarlo.run(small_cfg(n_trials=500), [1e-12, 1e-300])
         for e in ests:
             assert 1.0 - e.probability < 1e-9
             assert e.probability == 1.0 or e.threshold == 1e-12
@@ -296,26 +296,26 @@ class TestEstimateCoverage:
         # T * r0**alpha leaves the float range; it is capped, so a trial whose
         # drawn single-beam field is empty does not turn 0 * inf into nan
         cfg = small_cfg(n_trials=500)
-        rec, ests = montecarlo.run(cfg, [1e300])
+        ests = montecarlo.run(cfg, [1e300])
         assert all(e.probability == 0.0 and e.ci_half_width == 0.0 for e in ests)
+        rec = montecarlo.draw(cfg)
         empty = dataclasses.replace(rec, near_single=np.zeros(len(rec)))
         assert not np.any(montecarlo.conditional_values(cfg, empty, 1e300)["gamma_o"])
 
     def test_requires_minimum_trials(self):
         with pytest.raises(ConfigError):
             montecarlo.run(small_cfg(n_trials=50), [1.0])
-        # the minimum is the estimator's: a run without thresholds only draws
-        records, estimates = montecarlo.run(small_cfg(n_trials=50))
-        assert len(records) == 50 and estimates == []
+        # the minimum is the estimator's: drawing needs none
+        assert len(montecarlo.draw(small_cfg(n_trials=50))) == 50
 
     def test_worker_count_does_not_change_estimates(self, monkeypatch, pool_tasks):
         # three blocks, the last one partial
         cfg = small_cfg(n_trials=20000)
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "1")
-        _, one = montecarlo.run(cfg, [0.5, 1.0, 2.0])
+        one = montecarlo.run(cfg, [0.5, 1.0, 2.0])
         assert pool_tasks == []
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "3")
-        _, three = montecarlo.run(cfg, [0.5, 1.0, 2.0])
+        three = montecarlo.run(cfg, [0.5, 1.0, 2.0])
         assert pool_tasks == [(3, 3)]
         assert one == three
 
@@ -324,7 +324,8 @@ class TestEstimateCoverage:
         cfg = small_cfg(n_trials=20000)
         thresholds = [0.1, 1.0, 10.0]
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
-        records, estimates = montecarlo.run(cfg, thresholds)
+        estimates = montecarlo.run(cfg, thresholds)
+        records = montecarlo.draw(cfg)
         # the blocks' merged sums against the values of the whole run at once
         for e in estimates:
             values = montecarlo.conditional_values(cfg, records, e.threshold)[e.metric]
@@ -333,19 +334,45 @@ class TestEstimateCoverage:
             assert e.ci_half_width == pytest.approx(
                 1.96 * float(np.std(values)) / math.sqrt(len(values)), rel=1e-9
             )
-        # thresholds change no draw
-        draws_only, no_estimates = montecarlo.run(cfg)
-        assert no_estimates == []
-        for name in RECORD_FIELDS:
-            assert np.array_equal(getattr(records, name), getattr(draws_only, name))
-        assert pool_tasks == ([] if workers == "1" else [(3, 3)] * 2)
+        assert pool_tasks == ([] if workers == "1" else [(3, 3)])
 
     def test_pool_is_capped_at_the_block_count(self, monkeypatch, pool_tasks):
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "8")
-        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK))
+        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK), [1.0])
         assert pool_tasks == []
-        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1))
+        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1), [1.0])
         assert pool_tasks == [(2, 2)]
+
+    def test_pool_tasks_return_only_block_sums(self, monkeypatch):
+        results = []
+        imap = multiprocessing.pool.Pool.imap
+
+        def recording_imap(self, func, iterable, chunksize=1):
+            for result in imap(self, func, iterable, chunksize):
+                results.append(result)
+                yield result
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", recording_imap)
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "2")
+        thresholds = [0.5, 1.0, 2.0]
+        montecarlo.run(small_cfg(n_trials=20000), thresholds)
+        assert len(results) == 3
+        for sums in results:
+            assert type(sums) is np.ndarray
+            assert sums.shape == (len(montecarlo.METRICS), len(thresholds), 3)
+
+    def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        # only one block's records are alive at a time, whatever the block count
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "1")
+        peaks = []
+        for blocks in (2, 32):
+            tracemalloc.start()
+            try:
+                montecarlo.run(small_cfg(n_trials=blocks * montecarlo.VALUE_BLOCK), [1.0, 10.0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_malformed_worker_count_warns(self, monkeypatch, capsys):
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "four")
@@ -368,7 +395,7 @@ class TestEstimateCoverage:
 
     def test_gamma_b_conditions_on_engagement(self):
         cfg = small_cfg(n_trials=2000, lambda_ris=100.0)
-        rec, ests = montecarlo.run(cfg, [1.0])
+        ests, rec = montecarlo.run(cfg, [1.0]), montecarlo.draw(cfg)
         by_metric = {e.metric: e for e in ests}
         assert by_metric["gamma_b"].n_trials == int(rec.engaged.sum())
         assert by_metric["gamma_o"].n_trials == len(rec)
@@ -376,7 +403,7 @@ class TestEstimateCoverage:
     def test_ci_formula(self):
         # the mean of the per-trial values and 1.96 of their standard errors
         cfg = small_cfg(n_trials=1000)
-        rec, (est, *_) = montecarlo.run(cfg, [1.0])
+        (est, *_), rec = montecarlo.run(cfg, [1.0]), montecarlo.draw(cfg)
         values = montecarlo.conditional_values(cfg, rec, 1.0)["gamma_o"]
         n = est.n_trials
         assert est.probability == pytest.approx(float(np.mean(values)), rel=1e-12)
@@ -386,14 +413,14 @@ class TestEstimateCoverage:
         # values in [0, 1] have a variance of at most p * (1 - p), the variance
         # of the indicators they average
         cfg = NetworkConfig(n_trials=10_000)
-        _, ests = montecarlo.run(cfg, cfg.thresholds_linear)
+        ests = montecarlo.run(cfg, cfg.thresholds_linear)
         assert len(ests) == len(montecarlo.METRICS) * len(cfg.thresholds_db)
         for e in ests:
             assert e.ci_half_width <= _ci(e.probability, e.n_trials), e
 
     def test_coverage_nonincreasing_in_threshold(self):
         thresholds = [0.1, 0.5, 1.0, 5.0, 20.0]
-        _, ests = montecarlo.run(small_cfg(n_trials=3000), thresholds)
+        ests = montecarlo.run(small_cfg(n_trials=3000), thresholds)
         for metric in montecarlo.METRICS:
             vals = [e.probability for e in ests if e.metric == metric]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -402,7 +429,7 @@ class TestEstimateCoverage:
         # unconditional mode keeps every trial in every metric, making the
         # pointwise-max dominance exact at the coverage level
         cfg = NetworkConfig(n_trials=2000, master_seed=31, conditional_path_b=False)
-        _, ests = montecarlo.run(cfg, [0.5, 1.0, 5.0])
+        ests = montecarlo.run(cfg, [0.5, 1.0, 5.0])
         by = {(e.metric, e.threshold): e.probability for e in ests}
         for t in (0.5, 1.0, 5.0):
             assert by[("gamma_s", t)] >= max(by[("gamma_a", t)], by[("gamma_b", t)])
@@ -473,7 +500,7 @@ class TestHistograms:
 
     def test_p_ris_scales_with_transmit_power(self):
         cfg = small_cfg(n_trials=1500)
-        rec, _ = montecarlo.run(cfg)
+        rec = montecarlo.draw(cfg)
         _, edges = montecarlo.empirical_histogram(cfg, rec, "p_ris")
         finite = rec.reflect_gain[np.isfinite(rec.reflect_gain)]
         assert edges[-1] == pytest.approx(float(finite.max()) * cfg.p_s / 2)
@@ -485,18 +512,20 @@ class TestHistograms:
     def test_requires_enough_trials(self):
         cfg = small_cfg(n_trials=10)
         with pytest.raises(ConfigError):
-            montecarlo.empirical_histogram(cfg, montecarlo.run(cfg)[0], "r0")
+            montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "r0")
 
 
 class TestRunConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
-            montecarlo.run(NetworkConfig(n_trials=0))
+            montecarlo.run(NetworkConfig(n_trials=0), [1.0])
 
     def test_huge_reflector_bank_fails_before_drawing(self):
-        cfg = NetworkConfig(n_trials=10, m_elements=10**160)
+        cfg = NetworkConfig(n_trials=100, m_elements=10**160)
         with pytest.raises(NumericalError, match="reflector gain"):
-            montecarlo.run(cfg)
+            montecarlo.draw(cfg)
+        with pytest.raises(NumericalError, match="reflector gain"):
+            montecarlo.run(cfg, [1.0])
 
 
 def _ci(p: float, n: int) -> float:
@@ -537,7 +566,7 @@ class TestEngineAgreement:
             thresholds_db=(5.0,),
         )
         t = cfg.thresholds_linear[0]
-        est = next(e for e in montecarlo.run(cfg, [t])[1] if e.metric == "gamma_b")
+        est = next(e for e in montecarlo.run(cfg, [t]) if e.metric == "gamma_b")
         overshoot = analytic.coverage_path_b_approx2(cfg, t) - est.probability
         assert overshoot > est.ci_half_width
         assert overshoot > 0.03
@@ -547,7 +576,7 @@ class TestEngineAgreement:
         # conditional estimator lies within the combined (summed) 95%
         # half-widths of the reference engine's indicator count
         cfg = NetworkConfig(n_trials=3000, master_seed=2026)
-        _, ests = montecarlo.run(cfg, cfg.thresholds_linear)
+        ests = montecarlo.run(cfg, cfg.thresholds_linear)
         ours = {(e.metric, e.threshold): e for e in ests}
         reference = ref.reference_sirs(cfg)
         sirs = {
