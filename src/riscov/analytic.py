@@ -8,14 +8,13 @@ of the same shape. Every value is a probability in [0, 1].
 
 Every expression is exact and evaluated without quadrature. The interference
 factor is the Gauss hypergeometric form
-``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)``; the proportional-distance
-variant with ratio ``rho`` is the same function at ``T * rho**a``, which
-enters divided by ``rho**2`` (``interference_factor(T, a, rho)``). The two
-reflected-path approximations depend on the deployment only through one
-power-free ratio ``kappa``, which holds the floored moment ``E[r1**-2 ; r1 >=
-eps]`` of :func:`riscov.geometry.expected_inv_r1_pow`. Both are evaluated
-from ``log(kappa)`` (:func:`log_reflector_ratio`), so they take their limits
-where ``kappa`` itself would leave the float range.
+``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)``. The two reflected-path
+approximations depend on the deployment only through one power-free ratio
+``kappa``, which holds the floored moment ``E[r1**-2 ; r1 >= eps]`` of
+:func:`riscov.geometry.expected_inv_r1_pow`. Both are evaluated from
+``log(kappa)`` (:func:`log_reflector_ratio`), so they take their limits where
+``kappa`` itself would leave the float range. approx1 is path-A coverage at
+the scaled threshold ``T * kappa**(-a/2)``.
 
 The hypergeometric function is summed here as a numpy series rather than
 imported from ``scipy.special``, whose import alone costs about half of a
@@ -60,28 +59,25 @@ def _pfaff_series(c: float, w):
     return total
 
 
-def interference_factor(T, alpha: float, rho: float = 1.0):
+def _leading(alpha: float) -> float:
+    """``pi*d / sin(pi*d)`` with ``d = 2/alpha``: ``I(T, alpha) / T**d`` as ``T -> inf``."""
+    delta = 2.0 / alpha
+    # sin(pi*d) = sin(pi*(1-d)); the smaller argument avoids the cancellation near alpha = 2
+    return math.pi * delta / math.sin(math.pi * min((alpha - 2.0) / alpha, delta))
+
+
+def interference_factor(T, alpha: float):
     """``T**(2/a) * int_{T**(-2/a)}^inf du / (1 + u**(a/2))`` in closed form.
 
     Equals ``2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli & Ganti,
     IEEE TCOM 2011), which at ``alpha == 4`` is ``sqrt(T) * atan(sqrt(T))``;
     the module docstring gives the series that sums it. ``T`` may be a scalar
-    (float result) or an array (array result).
-
-    A distance ratio ``rho`` returns ``I(T * rho**a, a) / rho**2``. Its
-    leading term at large ``T * rho**a``, ``pi*d / sin(pi*d) * (T * rho**a)**d
-    / rho**2`` with ``d = 2/a``, is evaluated as ``pi*d / sin(pi*d) * T**d``,
-    so an infinite ``rho`` or a ``rho**a`` beyond the float range gives that
-    limit. Below ``T * rho**a = 1``, where ``rho**2`` is not a normal float,
-    the ratio ``w / rho**2`` of the series' prefactor is evaluated as ``T *
-    rho**(a-2) / (1 + T * rho**a)``, so ``rho = 0`` gives the limit 0.
+    (float result) or an array (array result); ``T = 0`` gives 0 and ``T =
+    inf`` gives inf.
     """
-    t_plain = np.asarray(T, dtype=float)
-    if not np.all(t_plain >= 0):
+    t = np.asarray(T, dtype=float)
+    if not np.all(t >= 0):
         raise ParameterError(f"T must be nonnegative, got {T!r}")
-    with np.errstate(over="ignore"):
-        rho = np.float64(rho)
-        rho_sq, t = rho**2, t_plain * rho**alpha
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
     low = t <= 1.0
@@ -91,20 +87,12 @@ def interference_factor(T, alpha: float, rho: float = 1.0):
     if low.any():
         t_low = t[low]
         w = t_low / (1.0 + t_low)
-        prefactor = 2.0 / (alpha - 2.0)
-        if rho_sq >= np.finfo(float).tiny:
-            value[low] = prefactor * w * _pfaff_series(b, w) / rho_sq
-        else:
-            w_over_rho_sq = t_plain[low] * rho ** (alpha - 2.0) / (1.0 + t_low)
-            value[low] = prefactor * w_over_rho_sq * _pfaff_series(b, w)
+        value[low] = 2.0 / (alpha - 2.0) * w * _pfaff_series(b, w)
     if high.any():
         w = 1.0 / (1.0 + t[high])
-        # the prefactor 2/(a-2) = (1-b)/b times pi*b/sin(pi*b); sin(pi*b) = sin(pi*delta)
-        reflection = math.pi * delta / math.sin(math.pi * min(b, delta))
+        # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d)
         with np.errstate(over="ignore"):  # near alpha = 2 a huge T overflows to inf, the limit
-            value[high] = (
-                reflection * t_plain[high] ** delta - (1.0 - w) * _pfaff_series(delta, w) / rho_sq
-            )
+            value[high] = _leading(alpha) * t[high] ** delta - (1.0 - w) * _pfaff_series(delta, w)
     return float(value) if value.ndim == 0 else value
 
 
@@ -188,19 +176,23 @@ def _reflected_coverage(log_kappa: float, weighted_interference):
 def coverage_path_b_approx1(cfg: NetworkConfig, T):
     """Reflected-path coverage under the proportional-distance approximation.
 
-    Treats the reflector distance as a fixed fraction ``rho = kappa**-0.5``
-    of the serving distance, which tightens as the reflector density grows:
-    ``kappa / (kappa + p * I(T, a, rho))`` with ``p`` the split-beam retention.
+    Treats the reflector distance as the fraction ``kappa**-0.5`` of the
+    serving distance, which tightens as the reflector density grows. That is
+    path-A coverage at the threshold ``T' = T * kappa**(-a/2)``: ``1 / (1 + p *
+    I(T', a))`` with ``p`` the split-beam retention. Where ``p * I(T', a)``
+    leaves the float range, ``I(T', a) = pi*d/sin(pi*d) * T**d / kappa - 1``
+    (``d = 2/a``) to double precision, and the coverage is taken from
+    ``log(kappa)``, so that a tiny value keeps its relative accuracy.
     """
+    t, a = _thresholds(T), cfg.alpha
     log_kappa = log_reflector_ratio(cfg)
-    _, p_split = channel.retention_probabilities(cfg)
-    # T**(2/a) * int rho**a / (rho**a + u**(a/2)) du over u >= T**(-2/a);
-    # substituting u = rho**2 * v turns it into I(T * rho**a, a), which enters
-    # divided by rho**2
-    with np.errstate(over="ignore"):
-        rho = np.exp(-0.5 * log_kappa)
-    i_rho = interference_factor(_thresholds(T), cfg.alpha, rho)
-    return _reflected_coverage(log_kappa, p_split * i_rho)
+    _, p = channel.retention_probabilities(cfg)
+    # T' may overflow or underflow; the far form may overflow, or read nan where it is unused
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = p * interference_factor(t * np.exp(-0.5 * a * log_kappa), a)
+        far = _reflected_coverage(log_kappa, p * (_leading(a) * t ** (2.0 / a) - np.exp(log_kappa)))
+    value = np.where(np.isfinite(weighted), 1.0 / (1.0 + weighted), far)
+    return float(value) if value.ndim == 0 else value
 
 
 def coverage_path_b_approx2(cfg: NetworkConfig, T):

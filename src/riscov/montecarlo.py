@@ -66,8 +66,9 @@ last block may be partial) and returns only its float array of shape
 the conditional values of each metric at each threshold. The arrays are
 added in block order, so every output byte is the same for any worker count,
 and memory does not grow with the trial count. ``RISCOV_WORKERS`` sets the
-pool size, capped at the block count: at most ``VALUE_BLOCK`` trials never
-start a pool.
+pool size, capped at the block count (at most ``VALUE_BLOCK`` trials never
+start a pool) and at the CPUs this process may use. A block whose sums are
+not finite ends the run with :class:`riscov.errors.NumericalError`.
 """
 from __future__ import annotations
 
@@ -167,12 +168,16 @@ def _block_sums(task) -> np.ndarray:
     conditional values of ``METRICS[i]`` at ``thresholds[j]``.
     """
     cfg, start, thresholds = task
-    block = _draw(cfg, start, min(start + VALUE_BLOCK, cfg.n_trials))
+    stop = min(start + VALUE_BLOCK, cfg.n_trials)
     sums = np.empty((len(METRICS), len(thresholds), 3))
-    for j, t in enumerate(thresholds):
-        by_metric = conditional_values(cfg, block, t)
-        values = [by_metric[metric] for metric in METRICS]
-        sums[:, j] = [(len(v), v.sum(), np.square(v).sum()) for v in values]
+    with np.errstate(all="ignore"):  # a config beyond the float range gives a non-finite sum
+        block = _draw(cfg, start, stop)
+        for j, t in enumerate(thresholds):
+            by_metric = conditional_values(cfg, block, t)
+            values = [by_metric[metric] for metric in METRICS]
+            sums[:, j] = [(len(v), v.sum(), np.square(v).sum()) for v in values]
+    if not np.isfinite(sums).all():
+        raise NumericalError(f"trials {start}-{stop - 1}: a coverage value leaves the float range")
     return sums
 
 
@@ -221,7 +226,8 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     r_k_pow = records.r_k**alpha
 
     def far(c):
-        return area * analytic.interference_factor(c / r_k_pow, alpha)
+        x = c / r_k_pow  # nan beyond the float range: fmax hides it from I, np.where keeps it
+        return np.where(np.isnan(x), x, area * analytic.interference_factor(np.fmax(x, 0.0), alpha))
 
     def value(c, near, far_c, p):
         return np.exp(-(cfg.mu * near * c + p * far_c))
@@ -292,7 +298,8 @@ def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
     thresholds = tuple(float(t) for t in thresholds)
     channel.array_gain(cfg)  # an overflowing bank fails before any draw or pool
     tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
-    workers = min(worker_count(), len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(worker_count(), len(tasks), cpus or 1)
     if workers == 1:
         block_sums = [_block_sums(task) for task in tasks]
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing.pool
+import os
 import time
 
 import pytest
@@ -60,6 +61,10 @@ def pool_tasks(monkeypatch) -> list[tuple[int, int]]:
     """``(worker processes, block tasks)`` of each pool that ran tasks during the test."""
     started = []
     imap = multiprocessing.pool.Pool.imap
+    # the pool is capped at the usable CPUs; the sizes these tests expect must
+    # not depend on the host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
     def recording_imap(self, func, iterable, chunksize=1):
         tasks = list(iterable)

@@ -114,28 +114,39 @@ def floored_inv_pow_is_oracle(
 def interference_quadrature(T, alpha, rho=1.0):
     """``T**(2/a) * int_{T**(-2/a)}^inf rho**a / (rho**a + u**(a/2)) du``.
 
-    Maps the semi-infinite range through ``u = lower + t / (1 - t)``; the
-    integrand decays like ``u**(-a/2)``, so the transform leaves at worst an
-    integrable endpoint weight at ``t = 1``. Returns ``(value, abs_error)``;
-    callers treat ``abs_error > INTERFERENCE_ABS_TOL`` as not converged.
+    The integrand is close to 1 below its knee ``u = rho**2`` and decays like
+    ``(rho**2 / u)**(a/2)`` above it. So the range is split at the knee (when
+    the lower limit lies below it), and the semi-infinite piece is integrated
+    in ``u / start``, which puts its decay on the unit scale whatever ``rho``
+    is. The integrand is evaluated through the log of ``u**(a/2) / rho**a``,
+    so no power leaves the float range at a large ``a`` or ``rho``. Returns
+    ``(value, abs_error)``; callers treat ``abs_error > INTERFERENCE_ABS_TOL``
+    as not converged.
     """
     lower = T ** (-2.0 / alpha)
-    rho_a = rho**alpha
+    log_rho_sq = 2.0 * math.log(rho)
 
-    def transformed(t):
-        u = lower + t / (1.0 - t)
-        return rho_a / (rho_a + u ** (0.5 * alpha)) / (1.0 - t) ** 2
+    def integrand(u):
+        x = 0.5 * alpha * (math.log(u) - log_rho_sq)
+        e = math.exp(-abs(x))
+        return e / (1.0 + e) if x > 0 else 1.0 / (1.0 + e)
 
-    # for alpha < 4 the stretched integrand keeps an integrable endpoint
-    # weight; ask for more than needed, silence QUADPACK's advisory, and let
-    # the returned error decide whether the result is usable
+    start = max(lower, rho**2)
+    # for alpha < 4 the tail keeps an integrable endpoint weight after
+    # QUADPACK's own map of the infinite range; ask for more than needed,
+    # silence its advisory, and let the returned error decide whether the
+    # result is usable
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        raw, abserr = integrate.quad(
-            transformed, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=300
+        head, head_err = (
+            integrate.quad(integrand, lower, start, epsabs=1e-13, epsrel=1e-12, limit=300)
+            if lower < start else (0.0, 0.0)
+        )
+        tail, tail_err = integrate.quad(
+            lambda v: integrand(start * v), 1.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=300
         )
     scale = T ** (2.0 / alpha)
-    return scale * raw, scale * abserr
+    return scale * (head + start * tail), scale * (head_err + start * tail_err)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,6 @@ class TestInterferenceFactor:
             assert values.shape == thresholds.shape
             assert np.array_equal(values, [fn(cfg, t) for t in thresholds])
 
-    @pytest.mark.parametrize("rho", [1.0, 0.5])
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     @pytest.mark.parametrize("thresholds", [
         np.linspace(0.0, 1.0, 9),
@@ -87,12 +86,12 @@ class TestInterferenceFactor:
         np.array([[0.3, 7.0], [1.0, 1.0 + 2**-52]]),
         np.array(2.5),
     ], ids=["all-low", "all-high", "mixed", "0-d"])
-    def test_each_branch_matches_scalars_bit_for_bit(self, thresholds, alpha, rho):
-        # the two series branches (T * rho**a <= 1 and > 1) see only their own
+    def test_each_branch_matches_scalars_bit_for_bit(self, thresholds, alpha):
+        # the two series branches (T <= 1 and > 1) see only their own
         # elements, whichever branch the other elements take
-        got = analytic.interference_factor(thresholds, alpha, rho)
+        got = analytic.interference_factor(thresholds, alpha)
         assert np.shape(got) == thresholds.shape
-        expected = [analytic.interference_factor(float(t), alpha, rho) for t in thresholds.flat]
+        expected = [analytic.interference_factor(float(t), alpha) for t in thresholds.flat]
         assert np.array_equal(np.ravel(got), expected)
 
     def test_general_alpha_against_direct_quadrature(self):
@@ -127,18 +126,12 @@ class TestInterferenceFactor:
         assert np.max(np.abs(got / oracle - 1.0)) <= 1e-13
 
     def test_limits(self):
-        # a threshold scaled by rho**alpha can underflow to 0 or overflow to inf
+        # approx1's scaled threshold T * kappa**(-a/2) can underflow to 0 or overflow to inf
         assert analytic.interference_factor(0.0, 4.0) == 0.0
         assert analytic.interference_factor(math.inf, 3.0) == math.inf
         values = analytic.interference_factor(np.array([0.0, 1.0]), 4.0)
         assert values[0] == 0.0
         assert values[1] == pytest.approx(math.pi / 4, rel=1e-15)
-        # I(T * rho**a) / rho**2 tends to pi*d/sin(pi*d) * T**d, d = 2/a, also
-        # where rho**a leaves the float range
-        for rho in (1e100, math.inf):
-            assert analytic.interference_factor(2.0, 4.0, rho) == pytest.approx(
-                math.pi / 2 * math.sqrt(2.0), rel=1e-15
-            )
         # within about 1e-11 of alpha = 2, pi*d/sin(pi*d) is about 2e11, so that
         # term leaves the float range at T near 1e297; inf is its limit, reached
         # without a RuntimeWarning
@@ -219,19 +212,49 @@ class TestPathACoverage:
 
 
 class TestPathBCoverage:
-    def test_rho_one_collapses_to_plain_factor(self):
-        # the rho-weighted integral is the plain factor at T * rho**alpha;
-        # at rho = 1 it is the plain factor itself
-        for T in (0.1, 1.0, 10.0):
-            for alpha in (3.0, 4.0):
-                for rho in (1.0, 0.3, 2.0):
-                    quad_value, _ = interference_quadrature(T, alpha, rho=rho)
-                    assert analytic.interference_factor(T * rho**alpha, alpha) == pytest.approx(
-                        quad_value, rel=1e-9
-                    )
-                    assert analytic.interference_factor(T, alpha, rho) == pytest.approx(
-                        quad_value / rho**2, rel=1e-9
-                    )
+    @staticmethod
+    def approx1_oracle(cfg: NetworkConfig, kappa: float, T: float) -> float:
+        """``kappa / (kappa + p * I_rho)``, ``I_rho`` by quadrature at ``rho = kappa**-0.5``.
+
+        ``I_rho`` is ``T**(2/a) * int rho**a / (rho**a + u**(a/2)) du`` over ``u >=
+        T**(-2/a)``, divided by ``rho**2``. The quadrature's own error must move
+        the coverage by less than ``1e-10`` of its value.
+        """
+        rho = kappa**-0.5
+        quad_value, abs_err = interference_quadrature(T, cfg.alpha, rho=rho)
+        assert abs_err <= 1e-10 * (1.0 + quad_value)
+        _, p_split = channel.retention_probabilities(cfg)
+        return kappa / (kappa + p_split * quad_value / rho**2)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0])
+    def test_approx1_matches_the_distance_ratio_integral(self, monkeypatch, alpha):
+        # approx1 is path-A coverage at T * kappa**(-a/2); the oracle integrates
+        # the proportional-distance form with the reflector at rho = kappa**-0.5
+        # times the serving distance, for kappa from 1e-6 to 1e6
+        cfg = make_cfg(alpha=alpha)
+        T = np.array([0.1, 1.0, 10**0.5, 100.0])
+        for kappa in np.logspace(-6, 6, 7):
+            monkeypatch.setattr(analytic, "log_reflector_ratio", lambda _, k=kappa: math.log(k))
+            expected = [self.approx1_oracle(cfg, kappa, t) for t in T]
+            np.testing.assert_allclose(
+                analytic.coverage_path_b_approx1(cfg, T), expected, rtol=1e-9, atol=0
+            )
+
+    @pytest.mark.parametrize("alpha, kappa, t_db", [
+        (50.0, 1e-6, 2000.0), (1000.0, 0.5, 1600.0), (1000.0, 0.5, 3000.0),
+    ])
+    def test_approx1_far_branch_matches_the_distance_ratio_integral(
+        self, monkeypatch, alpha, kappa, t_db
+    ):
+        # T * kappa**(-a/2) overflows, so p * I(T * kappa**(-a/2)) is inf and
+        # approx1 takes its far form, while rho**a stays a float for the oracle
+        T = 10.0 ** (t_db / 10.0)
+        assert math.log(T) - alpha / 2 * math.log(kappa) > math.log(np.finfo(float).max)
+        cfg = make_cfg(alpha=alpha)
+        monkeypatch.setattr(analytic, "log_reflector_ratio", lambda _: math.log(kappa))
+        assert analytic.coverage_path_b_approx1(cfg, T) == pytest.approx(
+            self.approx1_oracle(cfg, kappa, T), rel=1e-9, abs=0
+        )
 
     def test_approx1_with_unit_rho_equals_approx2_form(self):
         # algebraic identity: at rho = 1 the approximations share one formula
@@ -328,10 +351,8 @@ class TestPathBCoverage:
         # a larger floor discards more of E[r1**-2], so the reflector term shrinks
         assert kappa < reflector_ratio(make_cfg())
         # approx1's distance ratio is rho = kappa**-0.5
-        _, p_split = channel.retention_probabilities(cfg)
-        i_rho = analytic.interference_factor(2.0, cfg.alpha, kappa**-0.5)
         assert analytic.coverage_path_b_approx1(cfg, 2.0) == pytest.approx(
-            kappa / (kappa + p_split * i_rho), rel=1e-12
+            self.approx1_oracle(cfg, kappa, 2.0), rel=1e-12, abs=0
         )
 
     @pytest.mark.parametrize("changes", [
@@ -386,11 +407,10 @@ class TestPathBCoverage:
         assert reflector_ratio(cfg) == pytest.approx(kappa, rel=1e-12)
         _, p_split = channel.retention_probabilities(cfg)
         T = np.asarray(cfg.thresholds_linear)
-        i_rho = analytic.interference_factor(T, cfg.alpha, kappa**-0.5)
         i_factor = analytic.interference_factor(T, cfg.alpha)
+        expected = [self.approx1_oracle(cfg, kappa, t) for t in T]
         np.testing.assert_allclose(
-            analytic.coverage_path_b_approx1(cfg, T), kappa / (kappa + p_split * i_rho),
-            rtol=1e-12, atol=0,
+            analytic.coverage_path_b_approx1(cfg, T), expected, rtol=1e-12, atol=0
         )
         np.testing.assert_allclose(
             analytic.coverage_path_b_approx2(cfg, T), kappa / (kappa + p_split * i_factor),

@@ -14,6 +14,7 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
+from scipy import special
 
 from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
 import riscov
@@ -192,16 +193,28 @@ class TestAnalyticCommand:
         assert result.stderr.startswith("pipeline error: reflector gain")
 
     def test_overflowing_interference_leaves_stderr_empty(self, runner, tmp_path):
-        # the interference factor overflows to its limit inf, so every row is 0;
-        # numpy's overflow warning used to reach stderr
+        # the interference factor overflows to its limit inf, so the rows of
+        # I(T) itself are 0; numpy's overflow warning used to reach stderr
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("alpha: 2.00000000001\nthresholds_db: [2970]\n")
         with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
             warnings.simplefilter("always")
             result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == 0 and result.stderr == "" and caught == []
-        rows = read_rows(tmp_path / "analytic.csv")
-        assert len(rows) == len(cli.GATES) and all(row["value"] == "0" for row in rows)
+        rows = {row["engine"]: row["value"] for row in read_rows(tmp_path / "analytic.csv")}
+        assert len(rows) == len(cli.GATES)
+        assert all(rows[engine] == "0" for engine in ("analytic_q2", "analytic_q23", "approx2"))
+        # approx1 reads I at T * kappa**(-a/2), about 8e292, where p * I is
+        # still a float: 1.77e-304 by scipy's hyp2f1, where it read 0 before
+        cfg = load_config(cfg)
+        alpha, T = cfg.alpha, cfg.thresholds_linear[0]
+        scaled = T * math.exp(-0.5 * alpha * analytic.log_reflector_ratio(cfg))
+        delta = 2.0 / alpha
+        i_scaled = 2.0 * scaled / (alpha - 2.0) * special.hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -scaled)
+        _, p_split = channel.retention_probabilities(cfg)
+        value = float(rows["approx1"])
+        assert value == pytest.approx(1.0 / (1.0 + p_split * i_scaled), rel=1e-9, abs=0)
+        assert value == pytest.approx(1.7735432e-304, rel=1e-7, abs=0)
 
     def test_header_is_exact(self, runner, tmp_path):
         runner.invoke(cli.main, ["analytic", "--out", str(tmp_path)], catch_exceptions=False)
@@ -210,6 +223,23 @@ class TestAnalyticCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("yaml_text", [
+        "alpha: 1.7e+308\n", "lambda_bs: 1.7e+308\n", "mu: 1.0e-320\n",
+    ], ids=["alpha", "lambda_bs", "mu"])
+    def test_non_finite_values_are_pipeline_error(self, runner, tmp_path, yaml_text, command):
+        # a path gain beyond the float range gives nan conditional values; the
+        # first two used to end in "T must be nonnegative" with an array repr,
+        # and the tiny mu exited 0 with nan gamma_b and gamma_s rows
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml_text + "n_trials: 2000\n")
+        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
+            warnings.simplefilter("always")
+            result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR and caught == []
+        assert result.stderr == "pipeline error: trials 0-1999: a coverage value leaves the float range\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_emits_four_metrics_per_threshold(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 2000\nthresholds_db: [0, 5]\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import multiprocessing.pool
+import os
 import tracemalloc
 
 import numpy as np
@@ -342,6 +343,45 @@ class TestEstimateCoverage:
         assert pool_tasks == []
         montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1), [1.0])
         assert pool_tasks == [(2, 2)]
+
+    @pytest.mark.parametrize("source", ["affinity", "cpu_count", "unknown"])
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, source):
+        # a huge RISCOV_WORKERS used to ask multiprocessing for that many
+        # processes; a stand-in pool records its size and runs its tasks in
+        # this process, so no process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+        def usable_cpus(n):
+            # the CPUs this process may run on, else the machine's; None when unknown
+            if source == "affinity":
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+            else:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: n if source == "cpu_count" else None)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, str(10**9))
+        cfg = small_cfg(n_trials=4 * montecarlo.VALUE_BLOCK)
+        usable_cpus(3)
+        capped = montecarlo.run(cfg, [1.0])
+        usable_cpus(1)  # one usable CPU runs the blocks in process
+        serial = montecarlo.run(cfg, [1.0])
+        assert sizes == ([3] if source != "unknown" else [])
+        assert capped == serial
 
     def test_pool_tasks_return_only_block_sums(self, monkeypatch):
         results = []
