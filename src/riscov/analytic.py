@@ -109,14 +109,13 @@ def _thresholds(T):
 # ---------------------------------------------------------------------------
 
 def coverage_baseline(cfg: NetworkConfig, T):
-    """Single-beam coverage ``1 / (1 + I(T, a) / sqrt(N))``.
+    """Single-beam coverage ``1 / (1 + p * I(T, a))``.
 
-    The single-beam retention ``1/sqrt(N)`` never exceeds 1, so no cap
-    applies; dividing by ``sqrt(N)`` rather than multiplying by the rounded
-    retention keeps every value bit-identical to earlier releases.
+    ``p = 1/sqrt(N)`` is the single-beam retention of
+    :func:`riscov.channel.retention_probabilities`, which never exceeds 1.
     """
-    i_factor = interference_factor(_thresholds(T), cfg.alpha)
-    return 1.0 / (1.0 + i_factor / math.sqrt(cfg.n_elements))
+    retention, _ = channel.retention_probabilities(cfg)
+    return 1.0 / (1.0 + retention * interference_factor(_thresholds(T), cfg.alpha))
 
 
 def coverage_path_a(cfg: NetworkConfig, T):

@@ -169,12 +169,8 @@ def build_comparison(
         for g in GATES:
             if g.t_db is not None and not math.isclose(t_db, g.t_db, abs_tol=GATE_T_DB_ABS_TOL):
                 continue
-            mc_row = mc_by.get((g.metric, t_db))
-            an_row = an_by.get((g.engine, t_db))
-            if mc_row is None or an_row is None:
-                raise RiscovError(
-                    f"missing engine outputs for metric={g.metric} T={t_db} dB engine={g.engine}"
-                )
+            mc_row = mc_by[(g.metric, t_db)]
+            an_row = an_by[(g.engine, t_db)]
             gap = float(mc_row.value) - float(an_row.value)
             passed = abs(gap) <= g.tolerance if g.kind == "absolute" else gap >= -g.tolerance
             gates.append(
@@ -216,13 +212,13 @@ def run_sweep(
     metric: str = "coverage",
     with_mc: bool = False,
 ) -> list[ResultRow]:
-    """Re-evaluate engines along one parameter axis."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError([f"axis: must be one of {sorted(SWEEP_AXES)}, got {axis!r}"])
+    """Re-evaluate engines along one parameter axis.
+
+    ``axis`` is a key of :data:`SWEEP_AXES` and ``metric`` one of
+    :data:`SWEEP_METRICS`; the ``sweep`` command's choices enforce both.
+    """
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(["grid: must be nonempty and strictly increasing"])
-    if metric not in SWEEP_METRICS:
-        raise ConfigError([f"metric: must be one of {SWEEP_METRICS}, got {metric!r}"])
     if axis == "T" and metric != "coverage":
         raise ConfigError(["metric: moment metrics do not depend on the threshold axis"])
     axis_name = SWEEP_AXES[axis]

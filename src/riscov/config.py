@@ -80,7 +80,6 @@ class NetworkConfig:
     thresholds_db: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     n_trials: int = 100_000
     master_seed: int = 1234
-    conditional_path_b: bool = True
     orientation: str = "thinning"
 
     # -- unit accessors ----------------------------------------------------
@@ -153,8 +152,6 @@ class NetworkConfig:
             errs.append(f"thresholds_db: must not repeat a value, got {list(self.thresholds_db)!r}")
         if self.orientation not in ORIENTATION_MODES:
             errs.append(f"orientation: must be one of {ORIENTATION_MODES}, got {self.orientation!r}")
-        if not isinstance(self.conditional_path_b, bool):
-            errs.append(f"conditional_path_b: must be a boolean, got {self.conditional_path_b!r}")
         if errs:
             raise ConfigError(errs)
 

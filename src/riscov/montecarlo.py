@@ -3,8 +3,8 @@
 One trial places the user at the origin, draws the serving base, the nearest
 interferers that survive beam thinning and the nearest reflector, and
 records what coverage depends on given them. One
-:class:`riscov.config.NetworkConfig` describes a run, trial count, seed and
-model flags included.
+:class:`riscov.config.NetworkConfig` describes a run, trial count and seed
+included.
 
 Sampling rests on two facts about a Poisson field of intensity ``lam`` seen
 from the origin. Its ordered squared distances are Poisson arrivals,
@@ -28,7 +28,9 @@ coordinate. Hence, per trial:
   and a sub-thinning mark; their sums are the near-field interference;
 * the nearest reflector is one Gaussian draw; ``r2`` is its distance to the
   user and ``r1 = hypot(x - r0, y)`` its distance to the serving base; the
-  base-to-reflector fade ``f1`` fixes the reflected gain.
+  base-to-reflector fade ``f1`` fixes the reflected gain. The reflector is
+  engaged, and serves the reflected path, iff it is closer to the user than
+  the serving base (``r2 < r0``).
 
 Coverage is estimated by conditional Monte Carlo (Asmussen & Glynn,
 *Stochastic Simulation*, Springer 2007, ch. V). Beyond ``r_K`` the
@@ -145,7 +147,7 @@ def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecord
         r0=r0,
         r1=r1,
         r2=r2,
-        engaged=r2 < r0 if cfg.conditional_path_b else np.ones(n, dtype=bool),
+        engaged=r2 < r0,
         n_interferers_single=np.count_nonzero(kept, axis=1).astype(np.int32),
     )
 
@@ -278,7 +280,8 @@ def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
 def draw(cfg: NetworkConfig) -> TrialRecords:
     """Every trial's records, drawn in this process: those :func:`run` reduces."""
     channel.array_gain(cfg)  # an overflowing bank fails before any draw
-    return _draw(cfg, 0, cfg.n_trials)
+    with np.errstate(all="ignore"):  # as in a pool task: a record may leave the float range
+        return _draw(cfg, 0, cfg.n_trials)
 
 
 def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
@@ -289,13 +292,16 @@ def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
     other metrics use every trial. One task draws each block of
     ``VALUE_BLOCK`` trials and returns only its sums, so memory does not grow
     with the trial count and a pool parallelizes the estimator along with the
-    draws. An estimate needs at least 100 trials.
+    draws. An estimate needs at least 100 trials, and every threshold must
+    be a positive power ratio, as in the closed forms.
     """
     if cfg.n_trials < 100:
         raise ConfigError(
             [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
         )
     thresholds = tuple(float(t) for t in thresholds)
+    if not all(t > 0 for t in thresholds):
+        raise ParameterError(f"T must be positive, got {list(thresholds)!r}")
     channel.array_gain(cfg)  # an overflowing bank fails before any draw or pool
     tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -211,12 +211,9 @@ def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
         nearest_ris, r2 = nearest_point(ris)
         d = bs.points[serving] - ris.points[nearest_ris]
         r1 = float(np.hypot(d[0], d[1]))
+        engaged = nearest_ris if r2 < r0 else None
     else:
-        nearest_ris, r2, r1 = None, math.nan, math.nan
-
-    engaged = nearest_ris
-    if engaged is not None and cfg.conditional_path_b and not (r2 < r0):
-        engaged = None
+        nearest_ris, r2, r1, engaged = None, math.nan, math.nan, None
 
     return Scenario(
         bs_points=bs,

@@ -152,6 +152,16 @@ class TestBaselineCoverage:
     def test_large_array_limit(self):
         assert analytic.coverage_baseline(make_cfg(n_elements=10**12), 1.0) > 1 - 1e-5
 
+    def test_weights_the_factor_by_the_single_beam_retention(self):
+        # the engine thins by the rounded retention 1/sqrt(N); at N = 12 that
+        # differs in the last bit at 15 and 20 dB from dividing by sqrt(N)
+        cfg = make_cfg(n_elements=12)
+        T = np.asarray(cfg.thresholds_linear)
+        p_single, _ = channel.retention_probabilities(cfg)
+        expected = 1.0 / (1.0 + p_single * analytic.interference_factor(T, cfg.alpha))
+        np.testing.assert_array_equal(analytic.coverage_baseline(cfg, T), expected)
+        assert [analytic.coverage_baseline(cfg, t) for t in T] == expected.tolist()
+
     def test_power_density_independence(self):
         # the pre-substitution ratio must not move when the deployment scales
         base = make_cfg()

@@ -49,7 +49,6 @@ physical_configs = st.fixed_dictionaries({
         st.sampled_from([-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]),
         min_size=1, max_size=3, unique=True,
     ),
-    "conditional_path_b": st.booleans(),
     "orientation": st.sampled_from(["thinning", "explicit"]),
     "master_seed": st.integers(0, 2**32),
     "n_trials": st.just(20_000),
