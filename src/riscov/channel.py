@@ -1,4 +1,4 @@
-"""Fading, path loss, beam thinning and the passive reflection model.
+"""Beam thinning and the passive reflection model.
 
 The reflector bank's coherent power gain is ``M**2 * beta`` times the mean
 efficiency of b-bit phase quantization, a closed ``sinc**2`` form; the test
@@ -6,18 +6,15 @@ suite keeps the element-by-element array factor that derives it.
 
 Functions of the deployment read it from a
 :class:`riscov.config.NetworkConfig`, which is valid by construction, so no
-function here re-checks a config field; only the drawn distance ``r1`` of
-:func:`reflection_gain` is checked.
+function here re-checks a config field.
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import geometry
 from .config import NetworkConfig
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 
 
 def retention_probabilities(cfg: NetworkConfig) -> tuple[float, float]:
@@ -68,19 +65,6 @@ def array_gain(cfg: NetworkConfig) -> float:
             f"reflector gain M**2 * beta exceeds the float range (M={cfg.m_elements})"
         )
     return gain
-
-
-def reflection_gain(cfg: NetworkConfig, fade_f1, r1):
-    """Reflected power per unit of per-beam transmit power: ``M**2 * beta * f1 * r1**-alpha``.
-
-    This is the power-free core of the reflection chain; the simulator uses it
-    directly so transmit power never enters (and hence exactly cancels in) any
-    simulated ratio. ``fade_f1`` and ``r1`` may be scalars or arrays.
-    """
-    r1 = np.asarray(r1, dtype=float)
-    if np.any(r1 <= 0):
-        raise ParameterError(f"r1 must be positive, got {r1!r}")
-    return array_gain(cfg) * fade_f1 * r1 ** -cfg.alpha
 
 
 def mean_reflected_power(cfg: NetworkConfig) -> float:

@@ -70,7 +70,8 @@ def rayleigh_pdf(r, intensity: float):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ParameterError("distance must be nonnegative")
-    out = 2.0 * math.pi * intensity * r * np.exp(-math.pi * intensity * r**2)
+    # (pi * intensity * r) * r stays finite where r**2 overflows at a subnormal intensity
+    out = 2.0 * math.pi * intensity * r * np.exp(-(math.pi * intensity * r) * r)
     return out if out.ndim else float(out)
 
 
@@ -109,8 +110,9 @@ def _ellipe(m):
 
 
 # Orders of the two rules whose agreement is the convergence check of
-# expected_r1; the finer one gives the value.
+# expected_r1, and the relative gap it accepts; the finer one gives the value.
 _R1_RULE_ORDERS = (24, 32)
+_R1_REL_TOL = 1e-3
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +145,7 @@ def _expected_r1_rule(
 
 
 @lru_cache(maxsize=256)
-def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> float:
+def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
     """Mean base-to-reflector distance, by a Gauss-Legendre rule over ``(r0, r2)``.
 
     For fixed ``(r0, r2)`` and a uniform angle between them, the mean of
@@ -151,7 +153,7 @@ def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> f
     ``s = r0 + r2``; the module docstring describes the rule that averages it
     over both Rayleigh densities. Raises :class:`NumericalError` when the
     rules of the two orders in ``_R1_RULE_ORDERS`` differ by more than
-    ``rel_tol`` times the value.
+    ``_R1_REL_TOL`` times the value.
     """
     if not all(math.isfinite(lam) and lam > 0 for lam in (lambda_bs, lambda_ris)):
         raise ParameterError(f"intensities must be positive, got {lambda_bs!r}, {lambda_ris!r}")
@@ -164,7 +166,7 @@ def expected_r1(lambda_bs: float, lambda_ris: float, rel_tol: float = 1e-3) -> f
         for order in _R1_RULE_ORDERS
     )
     error = abs(value - coarse)
-    if not (value > 0 and error <= rel_tol * value):  # NaN fails too
+    if not (value > 0 and error <= _R1_REL_TOL * value):  # NaN fails too
         raise NumericalError(
             "expected_r1 quadrature did not converge", achieved_tolerance=error
         )

@@ -11,10 +11,11 @@ from the origin. Its ordered squared distances are Poisson arrivals,
 ``pi * lam * r_k**2 = Gamma_k`` with unit-rate gaps (Haenggi, "On distances
 in uniformly random networks", IEEE T-IT 2005). And the position of its
 nearest point is one isotropic Gaussian with variance ``1/(2*pi*lam)`` per
-coordinate. Hence, per trial:
+coordinate. Distances are drawn in units of ``1/sqrt(pi * lambda_bs)`` and
+fades in units of their mean ``1/mu``. Hence, per trial:
 
-* the serving base sits at ``r0**2 = E / (pi * lambda_bs)`` with ``E`` a
-  standard exponential, placed on the positive x-axis (the law is isotropic);
+* the serving base sits at ``r0**2 = E`` with ``E`` a standard exponential,
+  placed on the positive x-axis (the law is isotropic);
 * the other bases form a Poisson field beyond ``r0``. Interferer beams point
   at random, so a base interferes iff its main lobe covers the user. Its
   off-boresight angle is uniform on ``[0, pi]`` and independent of its
@@ -23,36 +24,46 @@ coordinate. Hence, per trial:
   explicit`` and ``orientation: thinning`` are the same thinning, and the
   single-beam survivors are a nested sub-thinning of the split-beam ones with
   probability ``p_single / p_split``. Only the first ``K = NEAR_ARRIVALS``
-  split-beam survivors are drawn, at
-  ``r_k**2 = r0**2 + Gamma_k / (pi * lambda_bs * p_split)``, each with a fade
-  and a sub-thinning mark; their sums are the near-field interference;
-* the nearest reflector is one Gaussian draw; ``r2`` is its distance to the
-  user and ``r1 = hypot(x - r0, y)`` its distance to the serving base; the
-  base-to-reflector fade ``f1`` fixes the reflected gain. The reflector is
-  engaged, and serves the reflected path, iff it is closer to the user than
-  the serving base (``r2 < r0``).
+  split-beam survivors are drawn, at ``r_k**2 = r0**2 + Gamma_k / p_split``,
+  each with a standard exponential fade ``e_k`` and a sub-thinning mark;
+  their sums ``S = sum(e_k * (r0 / r_k)**alpha)`` are the near-field
+  interference over the serving link's mean power;
+* the nearest reflector is one Gaussian draw, with variance
+  ``lambda_bs / (2 * lambda_ris)`` per coordinate; ``r2`` is its distance to
+  the user and ``r1 = hypot(x - r0, y)`` its distance to the serving base,
+  and ``f1`` is the base-to-reflector fade. The reflector is engaged, and
+  serves the reflected path, iff it is closer to the user than the serving
+  base (``r2 < r0``).
 
 Coverage is estimated by conditional Monte Carlo (Asmussen & Glynn,
 *Stochastic Simulation*, Springer 2007, ch. V). Beyond ``r_K`` the
 interferers are a Poisson field of intensity ``lambda_bs * p``, independent
 of everything drawn, and the desired link's fade is exponential. So, given a
-trial's draws, ``Pr[SIR > T]`` is exact: with ``c = T * r0**alpha`` for the
-direct paths and ``c = T * r2**alpha / reflect_gain`` for the reflected one,
+trial's draws, ``Pr[SIR > T]`` is exact:
 
-    e(c) = exp(-mu * c * I_near - pi * lambda_bs * p * r_K**2 * I(c / r_K**alpha, alpha)),
+    e(x) = exp(-x * S - p * r_K**2 * I(x * (r0 / r_K)**alpha, alpha)),
 
-where ``I`` is :func:`riscov.analytic.interference_factor`, so that the
-second term is the log of the far field's Laplace functional (Andrews,
-Baccelli & Ganti, IEEE TCOM 2011), and ``I_near`` and ``p`` are the
-single-beam sum and retention for ``gamma_o`` and the split-beam ones
-otherwise. Selection shares the interference of both paths and its two
-fades are independent, so ``gamma_s`` is ``e_a + e_b - e(c_a + c_b)`` on
-engaged trials and ``e_a`` elsewhere. An estimate is the mean of these
-values and its 95% half-width 1.96 of their standard errors (population
-variance over ``n``); since each value lies in ``[0, 1]``, that never
-exceeds the binomial half-width of counting indicators at the same mean.
+with ``x = T`` for the direct paths, where ``I`` is
+:func:`riscov.analytic.interference_factor`, so that the second term is the
+log of the far field's Laplace functional (Andrews, Baccelli & Ganti, IEEE
+TCOM 2011), and ``S`` and ``p`` are the single-beam sum and retention for
+``gamma_o`` and the split-beam ones otherwise. The reflected path has
+``x = T * q``, with ``q`` the direct link's mean power over the reflected
+one's,
 
-Random streams (``riscov.config.STREAM_VERSION`` 3). Trials are cut into
+    log q = alpha * log(r1 * r2 / r0) - log f1 + log mu - log G - (alpha / 2) * log(pi * lambda_bs),
+
+and ``G`` the bank gain of :func:`riscov.channel.array_gain`. ``q`` is the
+only place where ``mu``, ``G`` and ``lambda_bs`` enter, so ``gamma_o`` and
+``gamma_a`` depend on the deployment through ``alpha`` and ``N`` alone.
+Selection shares the interference of both paths and its two fades are
+independent, so ``gamma_s`` is ``e_a + e_b - e(T * (1 + q))`` on engaged
+trials and ``e_a`` elsewhere. An estimate is the mean of these values and
+its 95% half-width 1.96 of their standard errors (population variance over
+``n``); since each value lies in ``[0, 1]``, that never exceeds the binomial
+half-width of counting indicators at the same mean.
+
+Random streams (``riscov.config.STREAM_VERSION`` 4). Trials are cut into
 chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from one generator seeded by
 ``(master_seed, c)``, in this order: the serving-distance exponentials of
 the chunk, its reflector positions (trial-major ``(n, 2)`` standard
@@ -92,7 +103,6 @@ CHUNK_TRIALS = 1024  # fixed chunking keeps merges identical for any worker coun
 # enters each conditional value exactly, through its Laplace functional.
 NEAR_ARRIVALS = 16
 VALUE_BLOCK = 8192  # trials per pool task, drawn and reduced together; whole chunks
-_FLOAT_MAX = np.finfo(float).max
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
@@ -102,11 +112,11 @@ HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
 class TrialRecords:
     """Column-wise per-trial outputs of a run, in trial order."""
 
-    near_single: np.ndarray    # single-beam interference of the drawn arrivals
-    near_split: np.ndarray     # split-beam interference of the drawn arrivals
-    r_k: np.ndarray            # radius of the last drawn arrival; the far field starts there
-    reflect_gain: np.ndarray   # reflected power per unit per-beam power
-    r0: np.ndarray
+    near_single: np.ndarray    # single-beam S: drawn interference over the serving link's mean power
+    near_split: np.ndarray     # split-beam S
+    r_k_sq: np.ndarray         # squared radius of the last drawn arrival: the far field's area
+    f1: np.ndarray             # base-to-reflector fade, in units of 1/mu
+    r0: np.ndarray             # r0, r1, r2 and r_k_sq in units of 1/sqrt(pi * lambda_bs)
     r1: np.ndarray
     r2: np.ndarray
     engaged: np.ndarray        # bool
@@ -119,31 +129,30 @@ class TrialRecords:
 def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecords:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
     p_single, p_split = channel.retention_probabilities(cfg)
-    lam, alpha = cfg.lambda_bs_m2, cfg.alpha
 
-    r0_sq = rng.standard_exponential(n) / (math.pi * lam)
-    ris_xy = rng.standard_normal((n, 2)) * math.sqrt(1.0 / (2.0 * math.pi * cfg.lambda_ris_m2))
+    r0_sq = rng.standard_exponential(n)
+    ris_xy = rng.standard_normal((n, 2)) * math.sqrt(0.5 * cfg.lambda_bs / cfg.lambda_ris)
 
-    # squared radii of the first K split-beam survivors, then their received power
+    # squared radii of the first K split-beam survivors, then their power over the serving link's mean
     r_sq = np.cumsum(rng.standard_exponential((n, NEAR_ARRIVALS)), axis=1)
-    r_sq *= 1.0 / (math.pi * lam * p_split)
+    r_sq *= 1.0 / p_split
     r_sq += r0_sq[:, None]
-    power = rng.exponential(1.0 / cfg.mu, (n, NEAR_ARRIVALS))
-    power *= r_sq ** (-0.5 * alpha)
+    power = rng.standard_exponential((n, NEAR_ARRIVALS))
+    power *= (r0_sq[:, None] / r_sq) ** (0.5 * cfg.alpha)
     kept = rng.random((n, NEAR_ARRIVALS)) < p_single / p_split
     # same summation tree for both sums, so single <= split holds exactly
     near_split = power.sum(axis=1)
     near_single = np.where(kept, power, 0.0).sum(axis=1)
 
-    f1 = rng.exponential(1.0 / cfg.mu, n)
+    f1 = rng.standard_exponential(n)
     r0 = np.sqrt(r0_sq)
     r2 = np.hypot(ris_xy[:, 0], ris_xy[:, 1])
     r1 = np.hypot(ris_xy[:, 0] - r0, ris_xy[:, 1])
     return TrialRecords(
         near_single=near_single,
         near_split=near_split,
-        r_k=np.sqrt(r_sq[:, -1]),
-        reflect_gain=channel.reflection_gain(cfg, f1, r1),
+        r_k_sq=r_sq[:, -1],
+        f1=f1,
         r0=r0,
         r1=r1,
         r2=r2,
@@ -172,12 +181,11 @@ def _block_sums(task) -> np.ndarray:
     cfg, start, thresholds = task
     stop = min(start + VALUE_BLOCK, cfg.n_trials)
     sums = np.empty((len(METRICS), len(thresholds), 3))
-    with np.errstate(all="ignore"):  # a config beyond the float range gives a non-finite sum
-        block = _draw(cfg, start, stop)
-        for j, t in enumerate(thresholds):
-            by_metric = conditional_values(cfg, block, t)
-            values = [by_metric[metric] for metric in METRICS]
-            sums[:, j] = [(len(v), v.sum(), np.square(v).sum()) for v in values]
+    block = _draw(cfg, start, stop)
+    for j, t in enumerate(thresholds):
+        by_metric = conditional_values(cfg, block, t)
+        values = [by_metric[metric] for metric in METRICS]
+        sums[:, j] = [(len(v), v.sum(), np.square(v).sum()) for v in values]
     if not np.isfinite(sums).all():
         raise NumericalError(f"trials {start}-{stop - 1}: a coverage value leaves the float range")
     return sums
@@ -223,27 +231,27 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     docstring gives the formula.
     """
     p_single, p_split = channel.retention_probabilities(cfg)
-    alpha = cfg.alpha
-    area = math.pi * cfg.lambda_bs_m2 * records.r_k**2
-    r_k_pow = records.r_k**alpha
+    alpha, area = cfg.alpha, records.r_k_sq
+    with np.errstate(all="ignore"):  # beyond the float range a value turns 0, inf or nan
+        far_ratio = (records.r0**2 / area) ** (0.5 * alpha)  # (r0 / r_K)**alpha
+        # the reflected path's x over T: the one place where mu, G and lambda_bs enter
+        log_k = (math.log(cfg.mu) - np.log(channel.array_gain(cfg))
+                 - 0.5 * alpha * math.log(math.pi * cfg.lambda_bs_m2))
+        q = np.exp(alpha * np.log(records.r1 * records.r2 / records.r0) - np.log(records.f1) + log_k)
 
-    def far(c):
-        x = c / r_k_pow  # nan beyond the float range: fmax hides it from I, np.where keeps it
-        return np.where(np.isnan(x), x, area * analytic.interference_factor(np.fmax(x, 0.0), alpha))
+        def far(x):
+            y = x * far_ratio  # nan beyond the float range: fmax hides it from I, np.where keeps it
+            return np.where(np.isnan(y), y, area * analytic.interference_factor(np.fmax(y, 0.0), alpha))
 
-    def value(c, near, far_c, p):
-        return np.exp(-(cfg.mu * near * c + p * far_c))
+        def value(x, near, far_x, p):
+            return np.exp(-(x * near + p * far_x))
 
-    with np.errstate(over="ignore", divide="ignore"):
-        # c is capped at the float range, so an empty near field never meets c = inf
-        c_a = np.minimum(threshold * records.r0**alpha, _FLOAT_MAX)
-        c_b = np.minimum(threshold * records.r2**alpha / records.reflect_gain, _FLOAT_MAX)
-        c_ab = np.minimum(c_a + c_b, _FLOAT_MAX)
-        far_a = far(c_a)
-        e_a = value(c_a, records.near_split, far_a, p_split)
-        e_b = value(c_b, records.near_split, far(c_b), p_split)
-        e_ab = value(c_ab, records.near_split, far(c_ab), p_split)
-        e_o = value(c_a, records.near_single, far_a, p_single)
+        x_b = threshold * q
+        far_a = far(threshold)
+        e_a = value(threshold, records.near_split, far_a, p_split)
+        e_b = value(x_b, records.near_split, far(x_b), p_split)
+        e_ab = value(threshold + x_b, records.near_split, far(threshold + x_b), p_split)
+        e_o = value(threshold, records.near_single, far_a, p_single)
     engaged = records.engaged
     return {
         "gamma_o": e_o,
@@ -279,9 +287,7 @@ def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
 
 def draw(cfg: NetworkConfig) -> TrialRecords:
     """Every trial's records, drawn in this process: those :func:`run` reduces."""
-    channel.array_gain(cfg)  # an overflowing bank fails before any draw
-    with np.errstate(all="ignore"):  # as in a pool task: a record may leave the float range
-        return _draw(cfg, 0, cfg.n_trials)
+    return _draw(cfg, 0, cfg.n_trials)
 
 
 def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
@@ -331,10 +337,13 @@ def empirical_histogram(
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
     if cfg.n_trials < 1000:
         raise ConfigError([f"n_trials: must be at least 1000 for a histogram, got {cfg.n_trials}"])
-    if quantity == "p_ris":
-        values = 0.5 * cfg.p_s * records.reflect_gain
-    else:
-        values = getattr(records, quantity)
+    length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs_m2)  # metres per distance unit
+    with np.errstate(all="ignore"):  # a value beyond the float range is left out below
+        if quantity == "p_ris":  # 0.5 * p_s * G * f1 * r1**-alpha, with f1 and r1 in SI units
+            r1 = records.r1 * length
+            values = 0.5 * cfg.p_s * (channel.array_gain(cfg) * (records.f1 / cfg.mu) * r1**-cfg.alpha)
+        else:
+            values = getattr(records, quantity) * length
     try:
         counts, edges = np.histogram(values[np.isfinite(values)], bins=bins)
     except ValueError:  # numpy found no `bins` distinct edges in the span

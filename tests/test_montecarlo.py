@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 
 import reference_engine as ref
+from oracle_helpers import peak_reflection_power, reflection_gain
 from riscov import analytic, channel, cli, montecarlo
 from riscov.config import ConfigError, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
@@ -70,14 +71,15 @@ def hand_scenario(
     )
 
 
-def thinning_rate(cfg, rec, counts) -> float:
+def thinning_rate(rec, counts) -> float:
     """Interferers per base station in the drawn annulus ``r0 < r <= r_k``.
 
     The drawn interferers are a thinned Poisson field of intensity
-    ``lambda_bs * p`` on that annulus, so the ratio estimates ``p``.
+    ``lambda_bs * p`` on that annulus, so the ratio estimates ``p``. Squared
+    distances are in units of ``1/(pi * lambda_bs)``, so the annulus holds
+    ``r_k**2 - r0**2`` bases on average.
     """
-    area = math.pi * float(np.sum(rec.r_k**2 - rec.r0**2))
-    return float(counts.sum()) / (cfg.lambda_bs_m2 * area)
+    return float(counts.sum()) / float(np.sum(rec.r_k_sq - rec.r0**2))
 
 
 def assert_value_orderings(cfg, rec, thresholds):
@@ -115,7 +117,7 @@ class TestDropScenario:
     def test_structure_invariants(self):
         cfg = small_cfg()
         rec = montecarlo.draw(cfg)
-        assert np.all(rec.r0 > 0) and np.all(rec.r_k > rec.r0)
+        assert np.all(rec.r0 > 0) and np.all(rec.r_k_sq > rec.r0**2)
         # single-beam survivors are a subset of split-beam survivors
         assert np.all(rec.n_interferers_single <= montecarlo.NEAR_ARRIVALS)
         assert np.all((0.0 < rec.near_single) | (rec.n_interferers_single == 0))
@@ -129,15 +131,15 @@ class TestDropScenario:
         # thinning keeps 1/sqrt(N) of the non-serving bases
         cfg = small_cfg(n_trials=10_000, n_elements=16)
         rec = montecarlo.draw(cfg)
-        fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
+        fraction = thinning_rate(rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
-        split_fraction = thinning_rate(cfg, rec, np.full(len(rec), montecarlo.NEAR_ARRIVALS))
+        split_fraction = thinning_rate(rec, np.full(len(rec), montecarlo.NEAR_ARRIVALS))
         assert abs(split_fraction - math.sqrt(2 / 16)) < 0.01
 
     def test_explicit_orientation_matches_thinning_rate(self):
         cfg = NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
         rec = montecarlo.draw(cfg)
-        fraction = thinning_rate(cfg, rec, rec.n_interferers_single)
+        fraction = thinning_rate(rec, rec.n_interferers_single)
         assert abs(fraction - 0.25) < 0.01
 
     def test_engaged_fraction_tracks_density_ratio(self):
@@ -279,6 +281,42 @@ class TestTransmitPowerInvariance:
                 assert np.array_equal(values_a[metric], values_b[metric])
 
 
+class TestDeploymentInvariance:
+    """The direct paths see the deployment only through alpha and N.
+
+    Distances are drawn in units of ``1/sqrt(pi * lambda_bs)`` and fades in
+    units of ``1/mu``, so the direct-path estimates are the defaults' to the
+    bit under any change of the densities, mu or the reflector bank,
+    including changes to the edges of the float range.
+    """
+
+    @staticmethod
+    def direct_estimates(**change):
+        cfg = NetworkConfig(n_trials=2000, **change)
+        return [
+            (e.probability, e.ci_half_width, e.n_trials)
+            for e in montecarlo.run(cfg, cfg.thresholds_linear)
+            if e.metric in ("gamma_o", "gamma_a")
+        ]
+
+    @pytest.mark.parametrize("change", [
+        {"lambda_bs": 1e-300},
+        {"lambda_bs": 1.7e308},
+        {"lambda_ris": 1e-3},
+        {"lambda_ris": 1e300},
+        {"mu": 1e-320},
+        {"mu": 1e300},
+        {"m_elements": 10**150},
+        {"beta": 1e-300},
+        {"beta": 5e-324, "phase_bits": 1},  # the bank gain underflows to 0
+        {"p_s": 1e-300},
+        {"epsilon_floor": 1e100},
+        {"phase_bits": 3},
+    ], ids=lambda change: "-".join(f"{k}={v:.3g}" for k, v in change.items()))
+    def test_direct_paths_ignore_the_deployment(self, change):
+        assert self.direct_estimates(**change) == self.direct_estimates()
+
+
 class TestEstimateCoverage:
     def test_tiny_threshold_gives_certain_coverage(self):
         # a conditional value is exp(-x) with x > 0, so it reaches 1 only
@@ -289,8 +327,8 @@ class TestEstimateCoverage:
             assert e.probability == 1.0 or e.threshold == 1e-12
 
     def test_huge_threshold_gives_no_coverage(self):
-        # T * r0**alpha leaves the float range; it is capped, so a trial whose
-        # drawn single-beam field is empty does not turn 0 * inf into nan
+        # a trial whose drawn single-beam field is empty gets its 0 from the
+        # far field alone
         cfg = small_cfg(n_trials=500)
         ests = montecarlo.run(cfg, [1e300])
         assert all(e.probability == 0.0 and e.ci_half_width == 0.0 for e in ests)
@@ -476,17 +514,23 @@ class TestEstimateCoverage:
 
 class TestConditionalValues:
     def test_far_field_matches_its_laplace_functional_by_quadrature(self):
-        # two hand-built trials, the second without an engaged reflector; the
-        # far field's factor is exp(-2*pi*lambda*p * int_{r_K}^inf r dr / (1 + r**a / c))
+        # two hand-built trials in metres and watts, the second without an
+        # engaged reflector; the far field's factor is
+        # exp(-2*pi*lambda*p * int_{r_K}^inf r dr / (1 + r**a / c))
         cfg = NetworkConfig(alpha=3.0, mu=2.0)
+        r0, r1, r2, r_k = np.array([[80.0, 60.0], [79.0, 100.0], [3.0, 70.0], [400.0, 500.0]])
+        fade_f1 = np.array([0.0164, 0.111])  # mean 1/mu
+        near_single = np.array([2e-9, 0.0])  # the drawn interferers' power per unit transmit power
+        near_split = np.array([5e-9, 4e-9])
+        length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs_m2)  # metres per distance unit
         rec = montecarlo.TrialRecords(
-            near_single=np.array([2e-9, 0.0]),
-            near_split=np.array([5e-9, 4e-9]),
-            r_k=np.array([400.0, 500.0]),
-            reflect_gain=np.array([3e-4, 1e-3]),
-            r0=np.array([80.0, 60.0]),
-            r1=np.array([79.0, 100.0]),
-            r2=np.array([3.0, 70.0]),
+            near_single=cfg.mu * near_single * r0**cfg.alpha,
+            near_split=cfg.mu * near_split * r0**cfg.alpha,
+            r_k_sq=(r_k / length) ** 2,
+            f1=cfg.mu * fade_f1,
+            r0=r0 / length,
+            r1=r1 / length,
+            r2=r2 / length,
             engaged=np.array([True, False]),
             n_interferers_single=np.array([5, 0]),
         )
@@ -494,7 +538,7 @@ class TestConditionalValues:
 
         def oracle(k, c, near, p):
             tail, _ = integrate.quad(
-                lambda r: r / (1.0 + r**cfg.alpha / c), rec.r_k[k], np.inf,
+                lambda r: r / (1.0 + r**cfg.alpha / c), r_k[k], np.inf,
                 epsabs=0.0, epsrel=1e-12, limit=200,
             )
             return math.exp(-cfg.mu * c * near - 2.0 * math.pi * cfg.lambda_bs_m2 * p * tail)
@@ -502,15 +546,16 @@ class TestConditionalValues:
         T = 3.0
         values = montecarlo.conditional_values(cfg, rec, T)
         for k in range(2):
-            c_a = T * rec.r0[k] ** cfg.alpha
-            e_a = oracle(k, c_a, rec.near_split[k], p_split)
+            c_a = T * r0[k] ** cfg.alpha
+            e_a = oracle(k, c_a, near_split[k], p_split)
             assert values["gamma_o"][k] == pytest.approx(
-                oracle(k, c_a, rec.near_single[k], p_single), rel=1e-10
+                oracle(k, c_a, near_single[k], p_single), rel=1e-10
             )
             assert values["gamma_a"][k] == pytest.approx(e_a, rel=1e-10)
-        c_a, c_b = T * 80.0**3, T * 3.0**3 / 3e-4
-        e_a, e_b = oracle(0, c_a, 5e-9, p_split), oracle(0, c_b, 5e-9, p_split)
-        e_s = e_a + e_b - oracle(0, c_a + c_b, 5e-9, p_split)
+        c_a = T * r0[0] ** cfg.alpha
+        c_b = T * r2[0] ** cfg.alpha / reflection_gain(cfg, fade_f1[0], r1[0])
+        e_a, e_b = oracle(0, c_a, near_split[0], p_split), oracle(0, c_b, near_split[0], p_split)
+        e_s = e_a + e_b - oracle(0, c_a + c_b, near_split[0], p_split)
         assert 0.05 < e_a < e_b < e_s < 0.999  # no term is trivially 0 or 1
         assert values["gamma_b"] == pytest.approx([e_b], rel=1e-10)
         assert values["gamma_s"] == pytest.approx([e_s, values["gamma_a"][1]], rel=1e-10)
@@ -538,11 +583,23 @@ class TestHistograms:
         assert float(np.abs(emp - masses).sum()) < 0.05
 
     def test_p_ris_scales_with_transmit_power(self):
+        # the records hold unit-free distances and fades; the histogram is in watts
         cfg = small_cfg(n_trials=1500)
         rec = montecarlo.draw(cfg)
+        length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs_m2)  # metres per distance unit
+        power = peak_reflection_power(cfg, rec.f1 / cfg.mu, rec.r1 * length)
         _, edges = montecarlo.empirical_histogram(cfg, rec, "p_ris")
-        finite = rec.reflect_gain[np.isfinite(rec.reflect_gain)]
-        assert edges[-1] == pytest.approx(float(finite.max()) * cfg.p_s / 2)
+        assert (edges[0], edges[-1]) == pytest.approx((power.min(), power.max()), rel=1e-12)
+        _, scaled = montecarlo.empirical_histogram(cfg.replace(p_s=7 * cfg.p_s), rec, "p_ris")
+        assert scaled == pytest.approx(7 * edges, rel=1e-12)
+
+    @pytest.mark.parametrize("quantity, lam", [("r0", "lambda_bs_m2"), ("r2", "lambda_ris_m2")])
+    def test_distances_are_in_metres(self, quantity, lam):
+        # the mean of a Rayleigh distance at intensity lam is 1 / (2 * sqrt(lam))
+        cfg = small_cfg(n_trials=20_000)
+        counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity)
+        mean = float(np.dot(counts, 0.5 * (edges[:-1] + edges[1:]))) / counts.sum()
+        assert mean == pytest.approx(0.5 / math.sqrt(getattr(cfg, lam)), rel=0.02)
 
     def test_unknown_quantity_rejected(self, sparse_run):
         with pytest.raises(ParameterError):
@@ -559,10 +616,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             montecarlo.run(NetworkConfig(n_trials=0), [1.0])
 
-    def test_huge_reflector_bank_fails_before_drawing(self):
-        cfg = NetworkConfig(n_trials=100, m_elements=10**160)
+    def test_huge_reflector_bank_fails_before_drawing(self, monkeypatch):
+        # the records are free of the bank gain, so only its readers fail:
+        # the estimator, before any draw, and the p_ris histogram
+        cfg = NetworkConfig(n_trials=1000, m_elements=10**160)
+        records = montecarlo.draw(cfg)
         with pytest.raises(NumericalError, match="reflector gain"):
-            montecarlo.draw(cfg)
+            montecarlo.empirical_histogram(cfg, records, "p_ris")
+        monkeypatch.setattr(montecarlo, "_draw", None)
         with pytest.raises(NumericalError, match="reflector gain"):
             montecarlo.run(cfg, [1.0])
 
