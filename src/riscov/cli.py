@@ -32,7 +32,7 @@ import click
 import numpy as np
 
 from . import __version__, analytic, channel, geometry, montecarlo
-from .config import ConfigError, NetworkConfig, load_config
+from .config import KM2_TO_M2, ConfigError, NetworkConfig, load_config
 from .errors import RiscovError
 
 CSV_HEADER = "engine,metric,T_db,axis_name,axis_value,value,ci_half_width,n_trials,config_hash,seed"
@@ -255,8 +255,9 @@ def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: 
 
     ``counts`` and ``edges`` are :func:`riscov.montecarlo.empirical_histogram`'s.
     """
-    lam_b, lam_r = cfg.lambda_bs_m2, cfg.lambda_ris_m2
-    # each distance is Rayleigh; p_ris has no closed-form density
+    # each distance is Rayleigh; p_ris has no closed-form density. Densities
+    # are per km^2 and distances in km here, as per m^2 a density can be subnormal
+    lam_b, lam_r = cfg.lambda_bs, cfg.lambda_ris
     intensity = {
         "r0": lam_b, "r1": geometry.r1_intensity(lam_b, lam_r), "r2": lam_r,
     }.get(quantity)
@@ -264,7 +265,8 @@ def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: 
     density = counts / (total * np.diff(edges)) if total else np.zeros(len(counts))
     pdfs = [None] * len(counts)  # _fmt writes an empty cell
     if intensity is not None:
-        pdfs = geometry.rayleigh_pdf(0.5 * (edges[:-1] + edges[1:]), intensity).tolist()
+        km = math.sqrt(KM2_TO_M2)  # per metre
+        pdfs = (km * geometry.rayleigh_pdf(km * 0.5 * (edges[:-1] + edges[1:]), intensity)).tolist()
     provenance = f"{total},{cfg.config_hash()},{cfg.master_seed}"
     bins = zip(edges[:-1].tolist(), edges[1:].tolist(), density.tolist(), counts.tolist(), pdfs)
     lines = [",".join([quantity, *map(_fmt, cells), provenance]) for cells in bins]

@@ -70,14 +70,15 @@ def rayleigh_pdf(r, intensity: float):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ParameterError("distance must be nonnegative")
-    # (pi * intensity * r) * r stays finite where r**2 overflows at a subnormal intensity
-    out = 2.0 * math.pi * intensity * r * np.exp(-(math.pi * intensity * r) * r)
+    # intensity * r first: r**2 overflows and pi * intensity rounds at a subnormal intensity
+    out = 2.0 * math.pi * (intensity * r) * np.exp(-math.pi * (intensity * r) * r)
     return out if out.ndim else float(out)
 
 
 def r1_intensity(lambda_bs: float, lambda_ris: float) -> float:
     """Rayleigh intensity ``lambda_eff`` of the base-to-reflector distance."""
-    return lambda_bs * lambda_ris / (lambda_bs + lambda_ris)
+    low, high = sorted((lambda_bs, lambda_ris))
+    return low / (1.0 + low / high)  # the product of the two would under- or overflow
 
 
 # ---------------------------------------------------------------------------

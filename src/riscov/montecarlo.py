@@ -93,7 +93,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import analytic, channel
-from .config import ConfigError, NetworkConfig
+from .config import KM2_TO_M2, ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
 WORKERS_ENV_VAR = "RISCOV_WORKERS"
@@ -131,7 +131,8 @@ def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecord
     p_single, p_split = channel.retention_probabilities(cfg)
 
     r0_sq = rng.standard_exponential(n)
-    ris_xy = rng.standard_normal((n, 2)) * math.sqrt(0.5 * cfg.lambda_bs / cfg.lambda_ris)
+    # roots first: the quotient lambda_bs / lambda_ris can leave the float range
+    ris_xy = rng.standard_normal((n, 2)) * (math.sqrt(0.5 * cfg.lambda_bs) / math.sqrt(cfg.lambda_ris))
 
     # squared radii of the first K split-beam survivors, then their power over the serving link's mean
     r_sq = np.cumsum(rng.standard_exponential((n, NEAR_ARRIVALS)), axis=1)
@@ -236,7 +237,7 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
         far_ratio = (records.r0**2 / area) ** (0.5 * alpha)  # (r0 / r_K)**alpha
         # the reflected path's x over T: the one place where mu, G and lambda_bs enter
         log_k = (math.log(cfg.mu) - np.log(channel.array_gain(cfg))
-                 - 0.5 * alpha * math.log(math.pi * cfg.lambda_bs_m2))
+                 - 0.5 * alpha * (math.log(math.pi * KM2_TO_M2) + math.log(cfg.lambda_bs)))
         q = np.exp(alpha * np.log(records.r1 * records.r2 / records.r0) - np.log(records.f1) + log_k)
 
         def far(x):
@@ -330,14 +331,20 @@ def empirical_histogram(
     Distances come from the raw drop (no engaged conditioning), matching the
     unconditional analytic laws; ``p_ris`` is the peak reflected power in
     watts at the configured transmit power. Raises :class:`NumericalError`
-    when the values span too narrow a range for ``bins`` bins whose densities
-    are finite, as subnormal powers can.
+    when a distance it reads is not finite in units of the base spacing (the
+    reflector's are not once ``lambda_bs / lambda_ris`` passes about 6e616),
+    or when the values span too narrow a range for ``bins`` bins whose
+    densities are finite, as subnormal powers can.
     """
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
     if cfg.n_trials < 1000:
         raise ConfigError([f"n_trials: must be at least 1000 for a histogram, got {cfg.n_trials}"])
-    length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs_m2)  # metres per distance unit
+    distances = records.r1 if quantity == "p_ris" else getattr(records, quantity)
+    if not np.isfinite(distances).all():
+        raise NumericalError(f"the {quantity} distances exceed the float range in units of the base spacing")
+    # metres per distance unit, from lambda_bs per km^2: per m^2 it can be subnormal
+    length = 1.0 / (math.sqrt(math.pi * KM2_TO_M2) * math.sqrt(cfg.lambda_bs))
     with np.errstate(all="ignore"):  # a value beyond the float range is left out below
         if quantity == "p_ris":  # 0.5 * p_s * G * f1 * r1**-alpha, with f1 and r1 in SI units
             r1 = records.r1 * length

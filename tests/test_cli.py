@@ -793,23 +793,71 @@ class TestHistCommand:
         assert result.stderr == ""
         assert (tmp_path / f"hist_{quantity}.csv").exists()
 
-    def test_subnormal_base_density_gives_metres(self, runner, tmp_path):
+    @pytest.mark.parametrize("quantity", ["r0", "r1"])
+    def test_subnormal_base_density_gives_metres(self, runner, tmp_path, quantity):
         # 3e-318 bases per km^2 is subnormal per m^2: the serving distance
         # squared in metres overflowed, so every r0 was inf and the histogram
-        # empty, and the overlay's r**2 overflowed once r0 was finite
+        # empty, and the overlay's r**2 overflowed once r0 was finite; the r1
+        # overlay's intensity lambda_bs * lambda_ris / (lambda_bs + lambda_ris)
+        # underflowed in its product, so it read 0 in every bin
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("lambda_bs: 3.0e-318\n")
         result = runner.invoke(
             cli.main,
-            ["hist", "-c", str(cfg), "--quantity", "r0", "--trials", "2000", "--out", str(tmp_path)],
+            ["hist", "-c", str(cfg), "--quantity", quantity, "--trials", "2000",
+             "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
         assert result.stderr == ""
-        rows = read_rows(tmp_path / "hist_r0.csv")
+        rows = read_rows(tmp_path / f"hist_{quantity}.csv")
         assert {r["n_samples"] for r in rows} == {"2000"}
         widths = [float(r["bin_right"]) - float(r["bin_left"]) for r in rows]
         mass = sum(float(r["analytic_pdf"]) * w for r, w in zip(rows, widths))
         assert mass == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("densities", [
+        "lambda_bs: 1.7e+308\nlambda_ris: 1.0e-3\n",
+        "lambda_bs: 3.0e-318\nlambda_ris: 1.7e+308\n",
+    ], ids=["ratio-overflows", "ratio-underflows"])
+    def test_reflector_distance_at_extreme_density_ratios(self, runner, tmp_path, densities):
+        # the reflector offset's variance lambda_bs / (2 * lambda_ris), in units
+        # of the base spacing, was formed before its root: at an inf variance
+        # every r2 was inf and the histogram empty with exit 0, at a 0 variance
+        # every r2 was 0 and the overlay rejected the negative bin midpoints
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(densities)
+        result = runner.invoke(
+            cli.main,
+            ["hist", "-c", str(cfg), "--quantity", "r2", "--trials", "2000", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        rows = read_rows(tmp_path / "hist_r2.csv")
+        assert {r["n_samples"] for r in rows} == {"2000"}
+        # the mean of a Rayleigh distance at intensity lam is 1 / (2 * sqrt(lam))
+        mids = [0.5 * (float(r["bin_left"]) + float(r["bin_right"])) for r in rows]
+        mean = sum(m * int(r["count"]) for m, r in zip(mids, rows)) / 2000
+        lambda_ris_m2 = load_config(cfg).lambda_ris_m2
+        assert mean == pytest.approx(0.5 / math.sqrt(lambda_ris_m2), rel=0.05)
+
+    @pytest.mark.parametrize("quantity", ["r1", "r2", "p_ris"])
+    def test_reflector_beyond_float_range_is_pipeline_error(self, runner, tmp_path, quantity):
+        # lambda_bs / lambda_ris near 1e618: the reflector is farther than the
+        # float range in units of the base spacing. p_ris read 0 everywhere
+        # and the distance histograms were empty, with exit 0
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lambda_bs: 1.7e+308\nlambda_ris: 1.0e-310\n")
+        result = runner.invoke(
+            cli.main,
+            ["hist", "-c", str(cfg), "--quantity", quantity, "--trials", "2000",
+             "--out", str(tmp_path)],
+        )
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert result.stderr.splitlines() == [
+            f"pipeline error: the {quantity} distances exceed the float range"
+            " in units of the base spacing"
+        ]
+        assert not (tmp_path / f"hist_{quantity}.csv").exists()
 
     def test_subnormal_power_span_is_pipeline_error(self, runner, tmp_path):
         # p_ris spans only 0 to 5e-324 here, and numpy's "Too many bins for

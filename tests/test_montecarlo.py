@@ -616,7 +616,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             montecarlo.run(NetworkConfig(n_trials=0), [1.0])
 
-    def test_huge_reflector_bank_fails_before_drawing(self, monkeypatch):
+    def test_huge_reflector_bank_fails_where_the_gain_is_read(self, monkeypatch):
         # the records are free of the bank gain, so only its readers fail:
         # the estimator, before any draw, and the p_ris histogram
         cfg = NetworkConfig(n_trials=1000, m_elements=10**160)
