@@ -11,7 +11,7 @@ factor is the Gauss hypergeometric form
 ``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)``. The two reflected-path
 approximations depend on the deployment only through one power-free ratio
 ``kappa``, which holds the floored moment ``E[r1**-2 ; r1 >= eps]`` of
-:func:`riscov.geometry.expected_inv_r1_pow`. Both are evaluated from
+:func:`riscov.geometry.log_expected_inv_r1_pow`. Both are evaluated from
 ``log(kappa)`` (:func:`log_reflector_ratio`), so they take their limits where
 ``kappa`` itself would leave the float range. approx1 is path-A coverage at
 the scaled threshold ``T * kappa**(-a/2)``.
@@ -24,7 +24,9 @@ gives ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with
 first splits off ``(pi*b/sin(pi*b)) * t**-b`` and leaves the same series
 with ``b`` replaced by ``1-b`` at ``w = 1/(1+t)``. Either way ``w <= 1/2``,
 so each term at most halves the last, and a fixed 56 terms, summed by
-Horner's rule, reach double precision for every ``t``.
+Horner's rule, reach double precision for every ``t``. For ``t > 1`` the two
+parts tend to 1 as ``a -> inf``, so each is summed as its difference from 1,
+and ``I`` keeps its relative accuracy where ``I(T, a) -> (2/a) * log(1 + T)``.
 """
 from __future__ import annotations
 
@@ -32,30 +34,28 @@ import math
 
 import numpy as np
 
-from . import channel, geometry
+from . import geometry
 from .config import NetworkConfig
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 
-# Terms of `_pfaff_series`: each is at most w <= 1/2 times the one before, so
-# the omitted tail stays below 2**-56 of the sum, under a quarter ulp.
+# Terms of the series of `_horner`: each is at most w <= 1/2 times the one
+# before, so the omitted tail stays below 2**-56 of the sum, under a quarter ulp.
 _SERIES_DEGREE = 56
+_TERMS = np.arange(1, _SERIES_DEGREE + 1)
 
 
-def _pfaff_series(c: float, w):
-    """``sum_{n <= 56} n!/(c+1)_n * w**n`` by Horner's rule, for ``c > 0``, ``0 <= w <= 1/2``.
+def _horner(coefficients: np.ndarray, w):
+    """``sum_{1 <= n <= 56} coefficients[n-1] * w**n`` by Horner's rule, for ``0 <= w <= 1/2``.
 
     A fixed degree gives each element of ``w`` the same steps whatever the
     other elements are, so an array call matches scalar calls exactly.
     """
-    k = np.arange(1, _SERIES_DEGREE + 1)
-    coefficients = np.cumprod(k / (c + k))
     total = np.full(np.shape(w), coefficients[-1])
     for a in coefficients[-2::-1]:
         total *= w
         total += a
     total *= w
-    total += 1.0
     return total
 
 
@@ -87,12 +87,18 @@ def interference_factor(T, alpha: float):
     if low.any():
         t_low = t[low]
         w = t_low / (1.0 + t_low)
-        value[low] = 2.0 / (alpha - 2.0) * w * _pfaff_series(b, w)
+        value[low] = 2.0 / (alpha - 2.0) * w * (1.0 + _horner(np.cumprod(_TERMS / (b + _TERMS)), w))
     if high.any():
-        w = 1.0 / (1.0 + t[high])
-        # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d)
+        t_high = t[high]
+        w = 1.0 / (1.0 + t_high)
+        x2 = (math.pi * delta) ** 2
+        # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d);
+        # both parts are near 1 at large alpha, so each is taken less 1, the first from its log
+        log_leading = (math.log(_leading(alpha)) if x2 >= 0.01 else
+                       x2 * (1 / 6 + x2 * (1 / 180 + x2 * (1 / 2835 + x2 * (1 / 37800 + x2 / 467775)))))
+        shortfall = np.expm1(-np.cumsum(np.log1p(delta / _TERMS)))  # n!/(d+1)_n - 1
         with np.errstate(over="ignore"):  # near alpha = 2 a huge T overflows to inf, the limit
-            value[high] = _leading(alpha) * t[high] ** delta - (1.0 - w) * _pfaff_series(delta, w)
+            value[high] = np.expm1(log_leading + delta * np.log(t_high)) - (1.0 - w) * _horner(shortfall, w)
     return float(value) if value.ndim == 0 else value
 
 
@@ -112,9 +118,9 @@ def coverage_baseline(cfg: NetworkConfig, T):
     """Single-beam coverage ``1 / (1 + p * I(T, a))``.
 
     ``p = 1/sqrt(N)`` is the single-beam retention of
-    :func:`riscov.channel.retention_probabilities`, which never exceeds 1.
+    :attr:`riscov.config.NetworkConfig.retentions`, which never exceeds 1.
     """
-    retention, _ = channel.retention_probabilities(cfg)
+    retention, _ = cfg.retentions
     return 1.0 / (1.0 + retention * interference_factor(_thresholds(T), cfg.alpha))
 
 
@@ -122,10 +128,10 @@ def coverage_path_a(cfg: NetworkConfig, T):
     """Split-beam direct-path coverage ``1 / (1 + p * I(T, a))``.
 
     ``p = min(1, sqrt(2/N))`` is the split-beam retention of
-    :func:`riscov.channel.retention_probabilities`, so at ``N = 1`` this
+    :attr:`riscov.config.NetworkConfig.retentions`, so at ``N = 1`` this
     equals the baseline.
     """
-    _, retention = channel.retention_probabilities(cfg)
+    _, retention = cfg.retentions
     return 1.0 / (1.0 + retention * interference_factor(_thresholds(T), cfg.alpha))
 
 
@@ -137,23 +143,16 @@ def log_reflector_ratio(cfg: NetworkConfig) -> float:
     """``log(kappa)``, kappa the reflectors' intensity over the bases' once both are mapped to unit power.
 
     A base sends ``p_s/2`` per beam and a reflector ``G * f1 * r1**-alpha``
-    times that (``G`` from :func:`riscov.channel.array_gain`, ``f1`` an
-    exponential fade), so ``p_s`` cancels: ``kappa = (G/mu)**(2/alpha) *
-    Gamma(1 + 2/alpha) * E[r1**-2 ; r1 >= eps] * lambda_ris / lambda_bs``.
-    The factors' logs are summed, since ``kappa``, ``G/mu`` or ``lambda_ris /
-    lambda_bs`` can each leave the float range; ``-inf`` when ``G`` or the
-    moment underflows to 0.
+    times that (``G`` the bank gain, ``f1`` an exponential fade), so ``p_s``
+    cancels: ``kappa = (G/mu)**(2/alpha) * Gamma(1 + 2/alpha) * E[r1**-2 ; r1
+    >= eps] * lambda_ris / lambda_bs``. With distances in units of the base
+    spacing that is ``K**(-2/alpha) * Gamma(1 + 2/alpha) * rho * E[r1**-2 ;
+    r1 >= eps~]``, in the groups of :class:`riscov.config.NetworkConfig`.
+    Their logs are summed, since each factor can leave the float range.
     """
-    delta = 2.0 / cfg.alpha
-    gain = channel.array_gain(cfg)
-    inv_sq = geometry.expected_inv_r1_pow(
-        2.0, cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.epsilon_floor
-    )
-    if 0.0 in (gain, inv_sq):
-        return -math.inf
     return math.fsum((
-        delta * math.log(gain), -delta * math.log(cfg.mu), math.lgamma(1.0 + delta),
-        math.log(inv_sq), math.log(cfg.lambda_ris), -math.log(cfg.lambda_bs),
+        -2.0 * cfg.log_k_per_alpha, math.lgamma(1.0 + 2.0 / cfg.alpha), cfg.log_rho,
+        geometry.log_expected_inv_r1_pow(2.0, cfg.log_r1_scale, cfg.log_floor),
     ))
 
 
@@ -185,7 +184,7 @@ def coverage_path_b_approx1(cfg: NetworkConfig, T):
     """
     t, a = _thresholds(T), cfg.alpha
     log_kappa = log_reflector_ratio(cfg)
-    _, p = channel.retention_probabilities(cfg)
+    _, p = cfg.retentions
     # T' may overflow or underflow; the far form may overflow, or read nan where it is unused
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = p * interference_factor(t * np.exp(-0.5 * a * log_kappa), a)
@@ -204,5 +203,27 @@ def coverage_path_b_approx2(cfg: NetworkConfig, T):
     0.037 at ``N = 2, alpha = 3`` and 0.043 at ``N = 1`` (or 2), ``alpha = 4``.
     """
     log_kappa = log_reflector_ratio(cfg)
-    _, p_split = channel.retention_probabilities(cfg)
+    _, p_split = cfg.retentions
     return _reflected_coverage(log_kappa, p_split * interference_factor(_thresholds(T), cfg.alpha))
+
+
+# ---------------------------------------------------------------------------
+# reflection power
+# ---------------------------------------------------------------------------
+
+def mean_reflected_power(cfg: NetworkConfig) -> float:
+    """Average peak reflected power ``M**2 beta P_s / (2 mu) * E[r1**-alpha ; r1 >= eps]`` in watts.
+
+    The moment is taken with ``r1`` in units of the floor, which keeps the
+    density's powers out of it: in units of the base spacing two terms of
+    size ``(alpha/2) * log(pi * lambda_bs)`` would cancel. Raises
+    :class:`NumericalError` when the power exceeds the float range, as it
+    can for a tiny ``mu``.
+    """
+    log_x = cfg.log_r1_scale + 2.0 * cfg.log_floor  # pi * lambda_eff * eps**2
+    log_moment = geometry.log_expected_inv_r1_pow(cfg.alpha, log_x, 0.0)
+    try:
+        return math.exp(math.log(0.5 * cfg.p_s) + cfg.log_gain - math.log(cfg.mu)
+                        + log_moment - cfg.alpha * math.log(cfg.epsilon_floor))
+    except OverflowError:
+        raise NumericalError(f"mean reflected power exceeds the float range (mu={cfg.mu:g})")

@@ -1,8 +1,9 @@
 """Experiment orchestration: analytic curves, simulation runs, comparison gates.
 
 Subcommands: ``analytic``, ``simulate``, ``compare``, ``sweep``, ``hist``.
-Each command hands one :class:`riscov.config.NetworkConfig` to the engines;
-its accessors do the dB-vs-linear and km^2-vs-m^2 conversions. One
+Each command hands one :class:`riscov.config.NetworkConfig` to the engines,
+which read its thresholds and its dimensionless groups; only the writers of
+metres (``e_r1`` and ``hist``) convert a density. One
 decorator, ``_config_command``, declares the options every command shares,
 builds that config from ``--config`` and the overrides (building it is what
 checks it), and runs the command body under the typed exits below. The
@@ -31,7 +32,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, analytic, channel, geometry, montecarlo
+from . import __version__, analytic, geometry, montecarlo
 from .config import KM2_TO_M2, ConfigError, NetworkConfig, load_config
 from .errors import RiscovError
 
@@ -243,9 +244,9 @@ def run_sweep(
 
 def _moment_row(cfg: NetworkConfig, metric: str, axis_name: str, axis_value) -> ResultRow:
     if metric == "e_r1":
-        value = geometry.expected_r1(cfg.lambda_bs_m2, cfg.lambda_ris_m2)
+        value = geometry.expected_r1(cfg.lambda_bs * KM2_TO_M2, cfg.lambda_ris * KM2_TO_M2)
     else:
-        value = channel.mean_reflected_power(cfg)
+        value = analytic.mean_reflected_power(cfg)
     row = _row_builder(cfg, axis_name, axis_value)
     return row(engine="analytic_moment", metric=metric, t_db=None, value=value)
 
@@ -257,10 +258,8 @@ def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: 
     """
     # each distance is Rayleigh; p_ris has no closed-form density. Densities
     # are per km^2 and distances in km here, as per m^2 a density can be subnormal
-    lam_b, lam_r = cfg.lambda_bs, cfg.lambda_ris
-    intensity = {
-        "r0": lam_b, "r1": geometry.r1_intensity(lam_b, lam_r), "r2": lam_r,
-    }.get(quantity)
+    lam_eff = math.exp(math.log(cfg.lambda_bs) + cfg.log_r1_scale)
+    intensity = {"r0": cfg.lambda_bs, "r1": lam_eff, "r2": cfg.lambda_ris}.get(quantity)
     total = int(counts.sum())
     density = counts / (total * np.diff(edges)) if total else np.zeros(len(counts))
     pdfs = [None] * len(counts)  # _fmt writes an empty cell

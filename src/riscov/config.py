@@ -1,17 +1,22 @@
-"""Deployment configuration: parsing, validation, unit conversion, hashing.
+"""Deployment configuration: parsing, validation, derived groups, hashing.
 
 Configs are written with per-km^2 densities and dB thresholds (the units the
-network figures are drawn in); everything downstream of this module works in
-SI units and linear ratios. Files are YAML for humans (comments survive a
+network figures are drawn in). Files are YAML for humans (comments survive a
 round-trip through the hash because only parsed values are hashed) or JSON
 for machines.
+
+Coverage depends on the deployment only through ``alpha``, ``N`` and three
+groups, which :class:`NetworkConfig` forms from logs so that none leaves the
+float range: ``rho = lambda_ris / lambda_bs``, ``K = mu / (G * (pi *
+lambda_bs)**(alpha/2))`` (``G`` the bank gain), held as ``log(K) / alpha``,
+and the floor in units of the base spacing ``1/sqrt(pi * lambda_bs)``. Only
+writers of metres read a density.
 
 A :class:`NetworkConfig` is checked when it is built, so every instance is
 valid: the constructor, ``replace``, :meth:`NetworkConfig.from_mapping` and
 :func:`load_config` raise :class:`ConfigError` with field-level messages
 instead. No other module re-checks a config field. Every threshold must
-have a positive finite linear ratio, and a run needs at least one; every
-density must stay positive in points per m^2, the unit the engines read.
+have a positive finite linear ratio, and a run needs at least one.
 
 A config describes a deployment and a run, not how a run is judged: the
 compare gates and their tolerances are constants of :mod:`riscov.cli`, so
@@ -26,18 +31,21 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import RiscovError
 
 KM2_TO_M2 = 1e-6
+_LOG_PI_PER_KM2 = math.log(math.pi * KM2_TO_M2)  # log(pi * lambda) per m^2 is this plus log(lambda) per km^2
 
+IDEAL_PHASES = "ideal"
 ORIENTATION_MODES = ("thinning", "explicit")
 
 # Layout of the Monte-Carlo random streams and of the estimator that reduces
 # them (see riscov.montecarlo). It enters every config hash, so outputs of
 # different stream layouts or estimators never share one.
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 
 class ConfigError(RiscovError, ValueError):
@@ -58,12 +66,28 @@ def _is_ratio_db(t) -> bool:
         return False
 
 
+def quantization_efficiency(phase_bits) -> float:
+    """Mean power efficiency of b-bit phase rounding relative to ideal phasing.
+
+    Residuals are uniform on ``[-pi/2**b, pi/2**b)``, giving the classic
+    ``sinc**2`` loss; kept independent of the element count so peak power
+    retains its exact square-law scaling. The test suite keeps the
+    element-by-element array factor that derives it.
+    """
+    if phase_bits == IDEAL_PHASES:
+        return 1.0
+    half_step = math.ldexp(math.pi, -phase_bits)
+    if half_step == 0.0:  # past 1076 bits it underflows; the efficiency is then 1
+        return 1.0
+    return (math.sin(half_step) / half_step) ** 2
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """All deployment parameters of one experiment, valid by construction.
 
-    Densities are per km^2 and thresholds are in dB here; use the ``*_m2`` /
-    ``thresholds_linear`` accessors for computation. Building an instance
+    Densities are per km^2 and thresholds are in dB here; the engines read
+    ``thresholds_linear`` and the derived groups below. Building an instance
     with any invalid field raises :class:`ConfigError`.
     """
 
@@ -82,18 +106,48 @@ class NetworkConfig:
     master_seed: int = 1234
     orientation: str = "thinning"
 
-    # -- unit accessors ----------------------------------------------------
-    @property
-    def lambda_bs_m2(self) -> float:
-        return self.lambda_bs * KM2_TO_M2
-
-    @property
-    def lambda_ris_m2(self) -> float:
-        return self.lambda_ris * KM2_TO_M2
-
     @property
     def thresholds_linear(self) -> tuple[float, ...]:
         return tuple(10.0 ** (t / 10.0) for t in self.thresholds_db)
+
+    # -- the deployment as the engines read it -----------------------------
+    @property
+    def retentions(self) -> tuple[float, float]:
+        """Fractions of interferers whose random single beam / split beam covers the user.
+
+        The lobe half-width over ``pi`` is ``1/sqrt(N)`` or ``sqrt(2/N)``; the
+        split lobe at ``N = 1`` is wider than the circle, hence the cap at 1.
+        """
+        return 1.0 / math.sqrt(self.n_elements), min(1.0, math.sqrt(2.0 / self.n_elements))
+
+    @property
+    def log_gain(self) -> float:
+        """``log G``, the bank gain ``M**2 * beta`` times the phase efficiency, finite for any ``M``."""
+        return (2.0 * math.log(self.m_elements) + math.log(self.beta)
+                + math.log(quantization_efficiency(self.phase_bits)))
+
+    @property
+    def log_rho(self) -> float:
+        return math.log(self.lambda_ris) - math.log(self.lambda_bs)
+
+    @property
+    def log_r1_scale(self) -> float:
+        """``log(pi * lambda_eff)`` in units of the base spacing: ``log(rho / (1 + rho))``."""
+        return -float(np.logaddexp(0.0, -self.log_rho))
+
+    @property
+    def log_k_per_alpha(self) -> float:
+        """``log(K) / alpha = (log mu - log G) / alpha - log(pi * lambda_bs) / 2``; see :mod:`riscov.montecarlo`.
+
+        ``log K`` itself overflows for ``alpha`` near the float maximum, this never does.
+        """
+        return ((math.log(self.mu) - self.log_gain) / self.alpha
+                - 0.5 * (_LOG_PI_PER_KM2 + math.log(self.lambda_bs)))
+
+    @property
+    def log_floor(self) -> float:
+        """``log(eps * sqrt(pi * lambda_bs))``: the floor distance in units of the base spacing."""
+        return math.log(self.epsilon_floor) + 0.5 * (_LOG_PI_PER_KM2 + math.log(self.lambda_bs))
 
     # -- schema ------------------------------------------------------------
     def __post_init__(self):
@@ -113,10 +167,6 @@ class NetworkConfig:
 
         positive("lambda_bs")
         positive("lambda_ris")
-        for name in ("lambda_bs", "lambda_ris"):
-            v = getattr(self, name)
-            if isinstance(v, float) and v > 0 and v * KM2_TO_M2 == 0:  # the engines read per m^2
-                errs.append(f"{name}: must stay positive in points per m^2 (x {KM2_TO_M2:g}), got {v!r}")
         positive("p_s")
         positive("beta", upper=1.0)
         positive("mu")
@@ -126,8 +176,7 @@ class NetworkConfig:
         positive_int("n_elements")
         positive_int("m_elements")
         positive_int("n_trials")
-        # N enters the closed forms as sqrt(N), a float; M's float overflow
-        # is reported where M**2 is formed
+        # N enters the closed forms as sqrt(N), a float; M only as log M
         if isinstance(self.n_elements, int):
             try:
                 float(self.n_elements)
@@ -135,7 +184,7 @@ class NetworkConfig:
                 errs.append(f"n_elements: must convert to a float, got {self.n_elements!r}")
         if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int) or self.master_seed < 0:
             errs.append(f"master_seed: must be a nonnegative integer, got {self.master_seed!r}")
-        if self.phase_bits != "ideal" and (
+        if self.phase_bits != IDEAL_PHASES and (
             isinstance(self.phase_bits, bool)
             or not isinstance(self.phase_bits, int)
             or self.phase_bits < 1

@@ -1,8 +1,10 @@
 """Analytic distance distributions of the Poisson network model.
 
-Everything here is expressed in SI units (meters, points per square meter);
-intensities and floors are config fields, valid by construction, so no
-function here re-checks them. The nearest-neighbor distance of a homogeneous
+Distances and intensities are in SI units (meters, points per square
+meter), except the floored moments, which take them in any one unit of
+length; the engines use the base spacing ``1/sqrt(pi*lambda_bs)``.
+Intensities and floors come from config fields, valid by construction, so
+no function here re-checks them. The nearest-neighbor distance of a homogeneous
 PPP of intensity ``lam`` is Rayleigh-distributed with density
 ``2*pi*lam*r*exp(-pi*lam*r**2)``; the distributions of the serving-link
 distance, the reflector-link distance and the base-to-reflector distance are
@@ -14,7 +16,7 @@ Gaussian positions with variances ``1/(2*pi*lambda_bs)`` and
 intensity ``lambda_eff = lambda_bs * lambda_ris / (lambda_bs + lambda_ris)``.
 Hence the ``r1`` density is that Rayleigh density, and the floored moments
 are ``E[r1**-p ; r1 >= eps] = (pi*lambda_eff)**(p/2) * Gamma(1 - p/2,
-pi*lambda_eff*eps**2)``.
+pi*lambda_eff*eps**2)``, whose log :func:`log_expected_inv_r1_pow` sums.
 
 One quadrature is left: ``expected_r1``, kept as the truncated double
 integral over ``r0 <= rayleigh_tail_radius(lambda_bs)`` and ``r2 <=
@@ -46,6 +48,8 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
 # the outer integration limit is the 1 - TAIL_MASS quantile.
 TAIL_MASS = 1e-6
@@ -65,7 +69,7 @@ def rayleigh_pdf(r, intensity: float):
 
     The serving distance ``r0`` follows it at ``lambda_bs``, the reflector
     distance ``r2`` at ``lambda_ris``, and the base-to-reflector distance
-    ``r1`` at :func:`r1_intensity` (see the module docstring).
+    ``r1`` at ``lambda_eff`` (see the module docstring).
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
@@ -73,12 +77,6 @@ def rayleigh_pdf(r, intensity: float):
     # intensity * r first: r**2 overflows and pi * intensity rounds at a subnormal intensity
     out = 2.0 * math.pi * (intensity * r) * np.exp(-math.pi * (intensity * r) * r)
     return out if out.ndim else float(out)
-
-
-def r1_intensity(lambda_bs: float, lambda_ris: float) -> float:
-    """Rayleigh intensity ``lambda_eff`` of the base-to-reflector distance."""
-    low, high = sorted((lambda_bs, lambda_ris))
-    return low / (1.0 + low / high)  # the product of the two would under- or overflow
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +173,6 @@ def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
 
 
 _FRACTION_MAX_TERMS = 500
-# Past x = 1000, exp(-x) and hence x**-a * Gamma(a, x) underflow to 0.
-_LOG_X_UNDERFLOW = math.log(1000.0)
 _MAX_RECURRENCE_STEPS = 64
 
 
@@ -203,12 +199,13 @@ def _upper_gamma_fraction(s: float, x: float) -> float:
     raise NumericalError(f"Gamma({s!r}, {x!r}) continued fraction did not converge")
 
 
-def _scaled_upper_gamma(a: float, log_x: float) -> float:
-    """``x**-a * Gamma(a, x)`` for real ``a < 1`` at ``x = exp(log_x)``.
+def _log_scaled_upper_gamma(a: float, log_x: float) -> float:
+    """``log(x**-a * Gamma(a, x))`` for real ``a < 1`` at ``x = exp(log_x)``.
 
     At ``x >= 1``, or past ``_MAX_RECURRENCE_STEPS`` steps below 0, the
     continued fraction is evaluated at ``a`` itself, so a huge ``alpha``
-    costs no more than a small one. Otherwise the base ``s = a + n`` in
+    costs no more than a small one, and its factor ``exp(-x)`` enters as
+    ``-x``, which does not underflow. Otherwise the base ``s = a + n`` in
     ``[0, 1)`` is summed as in the module docstring; then the recurrence
     ``Gamma(a, x) = (Gamma(a + 1, x) - x**a * exp(-x)) / a`` steps down to
     ``a``, which scales rounding errors by ``x / |a + k|`` at each step and
@@ -216,14 +213,14 @@ def _scaled_upper_gamma(a: float, log_x: float) -> float:
     finite however negative ``a`` is. The series reads ``log x`` alone, so
     at ``a = 0`` the value ``E1(x)`` stays finite where ``x`` underflows to 0.
     """
-    if log_x > _LOG_X_UNDERFLOW:  # exp(-x) underflows, and x may overflow
-        return 0.0
+    if log_x > _LOG_FLOAT_MAX:  # x overflows: the log is -x to double precision
+        return -math.inf
     x = math.exp(log_x)
     if x == 0.0 and a < 0:  # the limit x -> 0
-        return -1.0 / a
+        return -math.log(-a)
     steps = max(0, math.ceil(-a))
     if x >= 1.0 or steps > _MAX_RECURRENCE_STEPS:
-        return math.exp(-x) * _upper_gamma_fraction(a, x)
+        return math.log(_upper_gamma_fraction(a, x)) - x
     base = a + steps
     # int_x^1 t**(s-1) exp(-t) dt = sum_n (-1)**n/n! * (1 - x**(s+n)) / (s+n)
     total = -log_x if base == 0 else -math.expm1(base * log_x) / base
@@ -238,32 +235,20 @@ def _scaled_upper_gamma(a: float, log_x: float) -> float:
     h = math.exp(-base * log_x) * (math.exp(-1.0) * _upper_gamma_fraction(base, 1.0) + total)
     for k in range(steps - 1, -1, -1):
         h = (x * h - math.exp(-x)) / (a + k)
-    return h
+    return math.log(h)
 
 
-def expected_inv_r1_pow(
-    power: float, lambda_bs: float, lambda_ris: float, epsilon_floor: float = 1.0
-) -> float:
-    """``E[r1**-power]`` with contributions below the floor distance discarded.
+def log_expected_inv_r1_pow(power: float, log_scale: float, log_floor: float) -> float:
+    """``log E[r1**-power ; r1 >= floor]``, with ``pi * lambda_eff = exp(log_scale)``.
 
-    The floor keeps the moment finite for ``power >= 2``: without it the
-    near-coincidence of the base and the reflector makes the integral diverge.
+    ``log_scale`` and the floor ``exp(log_floor)`` take one unit of length,
+    any unit: the base spacing
+    (:attr:`riscov.config.NetworkConfig.log_r1_scale`), metres, or the floor
+    itself. The floor keeps the moment finite for ``power >= 2``: without it
+    the near-coincidence of the base and the reflector makes the integral
+    diverge. Only logs are summed, so the moment may leave the float range
+    while its log does not.
     """
-    # (pi*lambda_eff)**(p/2) * Gamma(1 - p/2, x) with x = pi*lambda_eff*eps**2;
-    # log x is summed from the factors' logs because x itself can underflow
-    scale = math.pi * r1_intensity(lambda_bs, lambda_ris)
-    log_x = (
-        math.log(math.pi * lambda_bs) + math.log(lambda_ris)
-        - math.log(lambda_bs + lambda_ris) + 2.0 * math.log(epsilon_floor)
-    )
-    try:
-        value = scale * epsilon_floor ** (2.0 - power) * _scaled_upper_gamma(
-            1.0 - 0.5 * power, log_x
-        )
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericalError(
-            f"E[r1**-{power:g}] with floor {epsilon_floor:g} m exceeds the float range"
-        )
-    return value
+    # (pi*lambda_eff)**(p/2) * Gamma(1 - p/2, x) with x = pi*lambda_eff*floor**2
+    return (log_scale + (2.0 - power) * log_floor
+            + _log_scaled_upper_gamma(1.0 - 0.5 * power, log_scale + 2.0 * log_floor))

@@ -27,9 +27,11 @@ fades in units of their mean ``1/mu``. Hence, per trial:
   split-beam survivors are drawn, at ``r_k**2 = r0**2 + Gamma_k / p_split``,
   each with a standard exponential fade ``e_k`` and a sub-thinning mark;
   their sums ``S = sum(e_k * (r0 / r_k)**alpha)`` are the near-field
-  interference over the serving link's mean power;
-* the nearest reflector is one Gaussian draw, with variance
-  ``lambda_bs / (2 * lambda_ris)`` per coordinate; ``r2`` is its distance to
+  interference over the serving link's mean power, carried as ``log S``: a
+  log-sum-exp shifted by the first arrival's ``(r0 / r_1)**alpha``, which
+  bounds every term's distance factor, so no term overflows;
+* the nearest reflector is one Gaussian draw, with variance ``1 / (2 *
+  rho)`` per coordinate, ``rho = lambda_ris / lambda_bs``; ``r2`` is its distance to
   the user and ``r1 = hypot(x - r0, y)`` its distance to the serving base,
   and ``f1`` is the base-to-reflector fade. The reflector is engaged, and
   serves the reflected path, iff it is closer to the user than the serving
@@ -51,11 +53,16 @@ TCOM 2011), and ``S`` and ``p`` are the single-beam sum and retention for
 ``x = T * q``, with ``q`` the direct link's mean power over the reflected
 one's,
 
-    log q = alpha * log(r1 * r2 / r0) - log f1 + log mu - log G - (alpha / 2) * log(pi * lambda_bs),
+    log q = alpha * (log(r1 * r2 / r0) + log(K) / alpha) - log f1,
 
-and ``G`` the bank gain of :func:`riscov.channel.array_gain`. ``q`` is the
-only place where ``mu``, ``G`` and ``lambda_bs`` enter, so ``gamma_o`` and
-``gamma_a`` depend on the deployment through ``alpha`` and ``N`` alone.
+with ``log(K) / alpha`` from
+:attr:`riscov.config.NetworkConfig.log_k_per_alpha`, which stays finite at
+any ``alpha``. ``K`` and ``rho`` are the only places where the densities,
+``mu`` and the bank enter, so ``gamma_o`` and ``gamma_a`` depend on the
+deployment through ``alpha`` and ``N`` alone. ``log q`` and ``log (r0 /
+r_K)**alpha`` are formed once per trial, when it is drawn, and ``x * S`` and
+the far field's argument are each the exponential of one sum of logs, so
+neither is ``inf * 0`` at any ``alpha``.
 Selection shares the interference of both paths and its two fades are
 independent, so ``gamma_s`` is ``e_a + e_b - e(T * (1 + q))`` on engaged
 trials and ``e_a`` elsewhere. An estimate is the mean of these values and
@@ -63,7 +70,7 @@ its 95% half-width 1.96 of their standard errors (population variance over
 ``n``); since each value lies in ``[0, 1]``, that never exceeds the binomial
 half-width of counting indicators at the same mean.
 
-Random streams (``riscov.config.STREAM_VERSION`` 4). Trials are cut into
+Random streams (``riscov.config.STREAM_VERSION`` 5). Trials are cut into
 chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from one generator seeded by
 ``(master_seed, c)``, in this order: the serving-distance exponentials of
 the chunk, its reflector positions (trial-major ``(n, 2)`` standard
@@ -92,7 +99,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import analytic, channel
+from . import analytic
 from .config import KM2_TO_M2, ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
@@ -112,9 +119,11 @@ HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
 class TrialRecords:
     """Column-wise per-trial outputs of a run, in trial order."""
 
-    near_single: np.ndarray    # single-beam S: drawn interference over the serving link's mean power
-    near_split: np.ndarray     # split-beam S
+    log_near_single: np.ndarray  # log of the single-beam near sum S (module docstring)
+    log_near_split: np.ndarray   # log of the split-beam S
     r_k_sq: np.ndarray         # squared radius of the last drawn arrival: the far field's area
+    log_far_ratio: np.ndarray  # log (r0 / r_K)**alpha
+    log_q: np.ndarray          # log q: the direct link's mean power over the reflected one's
     f1: np.ndarray             # base-to-reflector fade, in units of 1/mu
     r0: np.ndarray             # r0, r1, r2 and r_k_sq in units of 1/sqrt(pi * lambda_bs)
     r1: np.ndarray
@@ -128,18 +137,20 @@ class TrialRecords:
 
 def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecords:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
-    p_single, p_split = channel.retention_probabilities(cfg)
+    p_single, p_split = cfg.retentions
+    half_alpha = 0.5 * cfg.alpha
 
     r0_sq = rng.standard_exponential(n)
-    # roots first: the quotient lambda_bs / lambda_ris can leave the float range
-    ris_xy = rng.standard_normal((n, 2)) * (math.sqrt(0.5 * cfg.lambda_bs) / math.sqrt(cfg.lambda_ris))
+    with np.errstate(over="ignore"):  # past a density ratio of about 1e616 the offset is inf
+        ris_xy = rng.standard_normal((n, 2)) * np.exp(-0.5 * (cfg.log_rho + math.log(2.0)))
 
-    # squared radii of the first K split-beam survivors, then their power over the serving link's mean
+    # squared radii of the first K split-beam survivors, then their power over
+    # the first arrival's distance factor (r0 / r_1)**alpha
     r_sq = np.cumsum(rng.standard_exponential((n, NEAR_ARRIVALS)), axis=1)
     r_sq *= 1.0 / p_split
     r_sq += r0_sq[:, None]
     power = rng.standard_exponential((n, NEAR_ARRIVALS))
-    power *= (r0_sq[:, None] / r_sq) ** (0.5 * cfg.alpha)
+    power *= (r_sq[:, :1] / r_sq) ** half_alpha
     kept = rng.random((n, NEAR_ARRIVALS)) < p_single / p_split
     # same summation tree for both sums, so single <= split holds exactly
     near_split = power.sum(axis=1)
@@ -149,17 +160,23 @@ def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecord
     r0 = np.sqrt(r0_sq)
     r2 = np.hypot(ris_xy[:, 0], ris_xy[:, 1])
     r1 = np.hypot(ris_xy[:, 0] - r0, ris_xy[:, 1])
-    return TrialRecords(
-        near_single=near_single,
-        near_split=near_split,
-        r_k_sq=r_sq[:, -1],
-        f1=f1,
-        r0=r0,
-        r1=r1,
-        r2=r2,
-        engaged=r2 < r0,
-        n_interferers_single=np.count_nonzero(kept, axis=1).astype(np.int32),
-    )
+    with np.errstate(all="ignore"):  # an empty sum's log is -inf; past alpha ~ 1e306 a log is nan
+        log_r0_sq = np.log(r0_sq)
+        log_first = half_alpha * (log_r0_sq - np.log(r_sq[:, 0]))
+        log_q = cfg.alpha * (np.log(r1) + np.log(r2) - 0.5 * log_r0_sq + cfg.log_k_per_alpha) - np.log(f1)
+        return TrialRecords(
+            log_near_single=log_first + np.log(near_single),
+            log_near_split=log_first + np.log(near_split),
+            r_k_sq=r_sq[:, -1],
+            log_far_ratio=half_alpha * (log_r0_sq - np.log(r_sq[:, -1])),
+            log_q=log_q,
+            f1=f1,
+            r0=r0,
+            r1=r1,
+            r2=r2,
+            engaged=r2 < r0,
+            n_interferers_single=np.count_nonzero(kept, axis=1).astype(np.int32),
+        )
 
 
 def _draw(cfg: NetworkConfig, start: int, stop: int) -> TrialRecords:
@@ -231,28 +248,25 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     ``gamma_b``, whose values belong to the engaged trials only. The module
     docstring gives the formula.
     """
-    p_single, p_split = channel.retention_probabilities(cfg)
-    alpha, area = cfg.alpha, records.r_k_sq
+    p_single, p_split = cfg.retentions
+    alpha, area, log_t = cfg.alpha, records.r_k_sq, math.log(threshold)
     with np.errstate(all="ignore"):  # beyond the float range a value turns 0, inf or nan
-        far_ratio = (records.r0**2 / area) ** (0.5 * alpha)  # (r0 / r_K)**alpha
-        # the reflected path's x over T: the one place where mu, G and lambda_bs enter
-        log_k = (math.log(cfg.mu) - np.log(channel.array_gain(cfg))
-                 - 0.5 * alpha * (math.log(math.pi * KM2_TO_M2) + math.log(cfg.lambda_bs)))
-        q = np.exp(alpha * np.log(records.r1 * records.r2 / records.r0) - np.log(records.f1) + log_k)
-
-        def far(x):
-            y = x * far_ratio  # nan beyond the float range: fmax hides it from I, np.where keeps it
+        def far(log_x):
+            # r_K**2 * I(x * (r0 / r_K)**alpha); nan where the sum of logs is: fmax hides it from I
+            y = np.exp(log_x + records.log_far_ratio)
             return np.where(np.isnan(y), y, area * analytic.interference_factor(np.fmax(y, 0.0), alpha))
 
-        def value(x, near, far_x, p):
-            return np.exp(-(x * near + p * far_x))
+        def value(log_x, log_near, far_x, p):
+            return np.exp(-(np.exp(log_x + log_near) + p * far_x))
 
-        x_b = threshold * q
-        far_a = far(threshold)
-        e_a = value(threshold, records.near_split, far_a, p_split)
-        e_b = value(x_b, records.near_split, far(x_b), p_split)
-        e_ab = value(threshold + x_b, records.near_split, far(threshold + x_b), p_split)
-        e_o = value(threshold, records.near_single, far_a, p_single)
+        log_b = log_t + records.log_q
+        # x = T * (1 + q), with log(1 + q) as a softplus of log q: np.logaddexp is far slower
+        log_ab = log_t + np.maximum(records.log_q, 0.0) + np.log1p(np.exp(-np.abs(records.log_q)))
+        far_a = far(log_t)
+        e_a = value(log_t, records.log_near_split, far_a, p_split)
+        e_b = value(log_b, records.log_near_split, far(log_b), p_split)
+        e_ab = value(log_ab, records.log_near_split, far(log_ab), p_split)
+        e_o = value(log_t, records.log_near_single, far_a, p_single)
     engaged = records.engaged
     return {
         "gamma_o": e_o,
@@ -309,7 +323,6 @@ def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
     thresholds = tuple(float(t) for t in thresholds)
     if not all(t > 0 for t in thresholds):
         raise ParameterError(f"T must be positive, got {list(thresholds)!r}")
-    channel.array_gain(cfg)  # an overflowing bank fails before any draw or pool
     tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(worker_count(), len(tasks), cpus or 1)
@@ -326,15 +339,16 @@ def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
 def empirical_histogram(
     cfg: NetworkConfig, records: TrialRecords, quantity: str, bins: int = 60
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``np.histogram``'s ``(counts, edges)`` of the finite values of a per-trial quantity.
+    """``np.histogram``'s ``(counts, edges)`` of a per-trial quantity, in metres or watts.
 
     Distances come from the raw drop (no engaged conditioning), matching the
     unconditional analytic laws; ``p_ris`` is the peak reflected power in
     watts at the configured transmit power. Raises :class:`NumericalError`
     when a distance it reads is not finite in units of the base spacing (the
     reflector's are not once ``lambda_bs / lambda_ris`` passes about 6e616),
-    or when the values span too narrow a range for ``bins`` bins whose
-    densities are finite, as subnormal powers can.
+    when a value is not finite in metres or watts, or when the values span
+    too narrow a range for ``bins`` bins whose densities are finite, as
+    subnormal powers can.
     """
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
@@ -343,16 +357,17 @@ def empirical_histogram(
     distances = records.r1 if quantity == "p_ris" else getattr(records, quantity)
     if not np.isfinite(distances).all():
         raise NumericalError(f"the {quantity} distances exceed the float range in units of the base spacing")
-    # metres per distance unit, from lambda_bs per km^2: per m^2 it can be subnormal
-    length = 1.0 / (math.sqrt(math.pi * KM2_TO_M2) * math.sqrt(cfg.lambda_bs))
-    with np.errstate(all="ignore"):  # a value beyond the float range is left out below
-        if quantity == "p_ris":  # 0.5 * p_s * G * f1 * r1**-alpha, with f1 and r1 in SI units
-            r1 = records.r1 * length
-            values = 0.5 * cfg.p_s * (channel.array_gain(cfg) * (records.f1 / cfg.mu) * r1**-cfg.alpha)
-        else:
+    with np.errstate(all="ignore"):  # a value beyond the float range fails below
+        if quantity == "p_ris":  # 0.5 * p_s * f1 * r1**-alpha / K, r1 in units of the base spacing
+            values = np.exp(math.log(0.5 * cfg.p_s) + np.log(records.f1)
+                            - cfg.alpha * (np.log(records.r1) + cfg.log_k_per_alpha))
+        else:  # metres per distance unit, from lambda_bs per km^2: per m^2 it can be subnormal
+            length = 1.0 / (math.sqrt(math.pi * KM2_TO_M2) * math.sqrt(cfg.lambda_bs))
             values = getattr(records, quantity) * length
+    if not np.isfinite(values).all():
+        raise NumericalError(f"the {quantity} values exceed the float range")
     try:
-        counts, edges = np.histogram(values[np.isfinite(values)], bins=bins)
+        counts, edges = np.histogram(values, bins=bins)
     except ValueError:  # numpy found no `bins` distinct edges in the span
         pass
     else:

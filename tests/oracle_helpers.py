@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from riscov import channel, geometry
+from riscov import geometry
+from riscov.config import KM2_TO_M2
 from riscov.errors import ParameterError
 
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
@@ -300,7 +301,7 @@ def array_factor_from_phases(target_phases, phase_bits="ideal") -> complex:
     With ideal compensation every residual vanishes, so the amplitude is
     exactly the element count; with b-bit compensation the rounding residuals
     survive in the sum. Averaging its squared magnitude over uniform target
-    phases derives :func:`riscov.channel.quantization_efficiency`.
+    phases derives :func:`riscov.config.quantization_efficiency`.
     """
     target_phases = np.asarray(target_phases, dtype=float)
     if phase_bits == "ideal":
@@ -312,6 +313,16 @@ def array_factor_from_phases(target_phases, phase_bits="ideal") -> complex:
 # ---------------------------------------------------------------------------
 # model identities that no command needs
 # ---------------------------------------------------------------------------
+
+def expected_inv_r1_pow(power, lam_bs, lam_ris, eps=1.0):
+    """``E[r1**-power ; r1 >= eps]`` in SI units: the package's log, taken in metres.
+
+    Inf or 0 where the moment leaves the float range.
+    """
+    log_scale = math.log(math.pi * lam_bs * lam_ris / (lam_bs + lam_ris))
+    with np.errstate(over="ignore"):
+        return float(np.exp(geometry.log_expected_inv_r1_pow(power, log_scale, math.log(eps))))
+
 
 def power_density_convert(intensity, power, mu, alpha):
     """Swap (transmit power, intensity) for (unit power, scaled intensity).
@@ -330,10 +341,10 @@ def reflected_power_raw_moment(cfg):
     lambda_ris``.
     """
     alpha = cfg.alpha
-    gain = channel.array_gain(cfg)
+    gain = math.exp(cfg.log_gain)
     prefactor = (gain * cfg.p_s / 2.0) ** (2.0 / alpha) * cfg.mu ** (-4.0 / alpha)
-    inv_sq = geometry.expected_inv_r1_pow(
-        2.0, cfg.lambda_bs_m2, cfg.lambda_ris_m2, cfg.epsilon_floor
+    inv_sq = expected_inv_r1_pow(
+        2.0, cfg.lambda_bs * KM2_TO_M2, cfg.lambda_ris * KM2_TO_M2, cfg.epsilon_floor
     )
     return prefactor * math.gamma(2.0 / alpha + 1.0) * inv_sq
 
@@ -347,7 +358,7 @@ def reflection_gain(cfg, fade_f1, r1):
     r1 = np.asarray(r1, dtype=float)
     if np.any(r1 <= 0):
         raise ParameterError(f"r1 must be positive, got {r1!r}")
-    return channel.array_gain(cfg) * fade_f1 * r1 ** -cfg.alpha
+    return math.exp(cfg.log_gain) * fade_f1 * r1 ** -cfg.alpha
 
 
 def peak_reflection_power(cfg, fade_f1, r1):

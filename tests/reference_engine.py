@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from oracle_helpers import reflection_gain
-from riscov.config import NetworkConfig
+from riscov.config import KM2_TO_M2, NetworkConfig
 from riscov.errors import ParameterError
 
 # Expected point count of a sampling window.
@@ -175,8 +175,8 @@ def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
     """
     rng = trial_rng(cfg.master_seed, trial_index)
 
-    lam_bs = cfg.lambda_bs_m2
-    lam_ris = cfg.lambda_ris_m2
+    lam_bs = cfg.lambda_bs * KM2_TO_M2
+    lam_ris = cfg.lambda_ris * KM2_TO_M2
     try:
         bs = sample_ppp_nonempty(lam_bs, window_radius(lam_bs), rng)
     except EmptyScenarioError as exc:

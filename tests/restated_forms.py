@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 
-from oracle_helpers import fade_fractional_moment, power_density_convert
-from riscov import analytic, channel, geometry
-from riscov.config import NetworkConfig
+from oracle_helpers import expected_inv_r1_pow, fade_fractional_moment, power_density_convert
+from riscov import analytic
+from riscov.config import KM2_TO_M2, NetworkConfig, quantization_efficiency
 
 
 def coverage_baseline_general(cfg: NetworkConfig, T: float) -> float:
@@ -18,8 +18,8 @@ def coverage_baseline_general(cfg: NetworkConfig, T: float) -> float:
 
     Mathematically identical to :func:`riscov.analytic.coverage_baseline`.
     """
-    p_single, _ = channel.retention_probabilities(cfg)
-    lam_bs = cfg.lambda_bs_m2
+    p_single, _ = cfg.retentions
+    lam_bs = cfg.lambda_bs * KM2_TO_M2
     lam_bs_t = power_density_convert(lam_bs, cfg.p_s, cfg.mu, cfg.alpha)
     lam_i_t = power_density_convert(lam_bs * p_single, cfg.p_s, cfg.mu, cfg.alpha)
     i_factor = analytic.interference_factor(T, cfg.alpha)
@@ -33,12 +33,12 @@ def coverage_path_b_restated(cfg: NetworkConfig, T: float) -> float:
     an interference term ``sqrt(2/N) * lambda_bs * F2``; must agree with
     :func:`riscov.analytic.coverage_path_b_approx2` to floating-point accuracy.
     """
-    lam_bs, lam_ris = cfg.lambda_bs_m2, cfg.lambda_ris_m2
-    eff = channel.quantization_efficiency(cfg.phase_bits)
+    lam_bs, lam_ris = cfg.lambda_bs * KM2_TO_M2, cfg.lambda_ris * KM2_TO_M2
+    eff = quantization_efficiency(cfg.phase_bits)
     f1 = (
         (cfg.beta * eff / cfg.mu) ** (2.0 / cfg.alpha)
         * fade_fractional_moment(1.0, cfg.alpha)
-        * geometry.expected_inv_r1_pow(2.0, lam_bs, lam_ris, cfg.epsilon_floor)
+        * expected_inv_r1_pow(2.0, lam_bs, lam_ris, cfg.epsilon_floor)
     )
     f2 = analytic.interference_factor(T, cfg.alpha)
     signal = lam_ris * cfg.m_elements ** (4.0 / cfg.alpha) * f1

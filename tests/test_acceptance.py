@@ -21,8 +21,8 @@ from oracle_helpers import (
     prob_ris_closer,
 )
 from restated_forms import coverage_baseline_general
-from riscov import analytic, channel, cli, geometry, montecarlo
-from riscov.config import NetworkConfig
+from riscov import analytic, cli, geometry, montecarlo
+from riscov.config import KM2_TO_M2, NetworkConfig
 
 TOL = {
     "baseline_gap": 0.02,
@@ -144,7 +144,7 @@ def test_c05_r1_marginal_reproduction(sparse_run):
     cfg = sparse_run.cfg
     counts, edges = montecarlo.empirical_histogram(cfg, sparse_run.records, "r1", bins=50)
     density = counts / (counts.sum() * np.diff(edges))
-    lam_eff = geometry.r1_intensity(cfg.lambda_bs_m2, cfg.lambda_ris_m2)
+    lam_eff = KM2_TO_M2 * cfg.lambda_bs * cfg.lambda_ris / (cfg.lambda_bs + cfg.lambda_ris)
     l1 = 0.0
     for left, right, dens in zip(edges[:-1], edges[1:], density):
         mid = 0.5 * (left + right)
@@ -159,7 +159,7 @@ def test_c05_r1_marginal_reproduction(sparse_run):
 
 def test_c06_engaged_probability(sparse_run):
     cfg = sparse_run.cfg
-    expected = prob_ris_closer(cfg.lambda_ris_m2, cfg.lambda_bs_m2)
+    expected = prob_ris_closer(cfg.lambda_ris * KM2_TO_M2, cfg.lambda_bs * KM2_TO_M2)
     empirical = float(sparse_run.records.engaged.mean())
     gap = abs(empirical - expected)
     report(
@@ -293,11 +293,11 @@ def test_c12_trend_suite():
     # mean reflected power rises in either density (unit-attenuation bank)
     bank = dict(m_elements=100, beta=1.0, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
     pr_ris = [
-        channel.mean_reflected_power(NetworkConfig(lambda_bs=25.0, lambda_ris=lr, **bank))
+        analytic.mean_reflected_power(NetworkConfig(lambda_bs=25.0, lambda_ris=lr, **bank))
         for lr in (500.0, 2000.0, 8000.0)
     ]
     pr_bs = [
-        channel.mean_reflected_power(NetworkConfig(lambda_bs=lb, lambda_ris=1000.0, **bank))
+        analytic.mean_reflected_power(NetworkConfig(lambda_bs=lb, lambda_ris=1000.0, **bank))
         for lb in (10.0, 40.0, 160.0)
     ]
     power_ok = all(a < b for a, b in zip(pr_ris, pr_ris[1:])) and all(

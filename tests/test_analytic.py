@@ -15,8 +15,8 @@ from oracle_helpers import (
     reflected_power_raw_moment,
 )
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
-from riscov import analytic, channel, geometry
-from riscov.config import ConfigError, NetworkConfig
+from riscov import analytic, geometry
+from riscov.config import KM2_TO_M2, ConfigError, NetworkConfig
 from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5
@@ -137,6 +137,20 @@ class TestInterferenceFactor:
         # without a RuntimeWarning
         assert analytic.interference_factor(1e297, 2.00000000001) == math.inf
 
+    @pytest.mark.parametrize("alpha", [1e15, 1e17])
+    def test_large_alpha_takes_its_limit(self, alpha):
+        # I(T, a) = (2/a) * log(1 + T) * (1 + O(2/a)) as a -> inf. The T > 1
+        # branch differenced two terms near 1, and at a = 1e17 gave
+        # I(2) = I(10) = 0 beside I(0.5) = 8.1e-18
+        thresholds = np.array([0.5, 2.0, 10.0, 1e6])
+        got = analytic.interference_factor(thresholds, alpha)
+        np.testing.assert_allclose(got, 2.0 / alpha * np.log1p(thresholds), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("alpha", [100.0, 1e4, 1e9, 1e17])
+    def test_increasing_in_the_threshold_at_large_alpha(self, alpha):
+        thresholds = np.logspace(-3, 3, 61)
+        assert np.all(np.diff(analytic.interference_factor(thresholds, alpha)) > 0)
+
     def test_preconditions(self):
         for bad in (-1e-300, -1.0, math.nan, np.array([1.0, math.nan])):
             with pytest.raises(ParameterError, match="T must be nonnegative"):
@@ -157,7 +171,7 @@ class TestBaselineCoverage:
         # differs in the last bit at 15 and 20 dB from dividing by sqrt(N)
         cfg = make_cfg(n_elements=12)
         T = np.asarray(cfg.thresholds_linear)
-        p_single, _ = channel.retention_probabilities(cfg)
+        p_single, _ = cfg.retentions
         expected = 1.0 / (1.0 + p_single * analytic.interference_factor(T, cfg.alpha))
         np.testing.assert_array_equal(analytic.coverage_baseline(cfg, T), expected)
         assert [analytic.coverage_baseline(cfg, t) for t in T] == expected.tolist()
@@ -233,7 +247,7 @@ class TestPathBCoverage:
         rho = kappa**-0.5
         quad_value, abs_err = interference_quadrature(T, cfg.alpha, rho=rho)
         assert abs_err <= 1e-10 * (1.0 + quad_value)
-        _, p_split = channel.retention_probabilities(cfg)
+        _, p_split = cfg.retentions
         return kappa / (kappa + p_split * quad_value / rho**2)
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0])
@@ -270,7 +284,7 @@ class TestPathBCoverage:
         # algebraic identity: at rho = 1 the approximations share one formula
         cfg, T = make_cfg(), 2.0
         kappa = reflector_ratio(cfg)
-        _, p_split = channel.retention_probabilities(cfg)
+        _, p_split = cfg.retentions
         i_factor = analytic.interference_factor(T, cfg.alpha)
         i_rho1, _ = interference_quadrature(T, cfg.alpha, rho=1.0)
         assert kappa / (kappa + p_split * i_rho1) == pytest.approx(
@@ -284,7 +298,7 @@ class TestPathBCoverage:
         # return nan (rho = inf) or raise ZeroDivisionError (moment 0)
         cfg = make_cfg(epsilon_floor=floor)
         kappa = reflector_ratio(cfg)
-        _, p_split = channel.retention_probabilities(cfg)
+        _, p_split = cfg.retentions
         T = np.array([0.1, 10**0.5, 100.0])
         limit = kappa / (kappa + p_split * math.pi / 2 * np.sqrt(T))
         got = analytic.coverage_path_b_approx1(cfg, T)
@@ -303,7 +317,7 @@ class TestPathBCoverage:
         # solve for the threshold where interference weight equals the
         # reflector weight; coverage must sit exactly at one half
         cfg = make_cfg()
-        target = reflector_ratio(cfg) / channel.retention_probabilities(cfg)[1]
+        target = reflector_ratio(cfg) / cfg.retentions[1]
 
         def excess(log_t):
             return analytic.interference_factor(math.exp(log_t), cfg.alpha) - target
@@ -373,8 +387,8 @@ class TestPathBCoverage:
         # the reflector intensity E[(P/mu)**(2/a)] * lambda_ris over the bases'
         # (p_s / (2 mu))**(2/a) * lambda_bs, in which p_s cancels
         cfg = make_cfg(**changes)
-        lam_ris_t = reflected_power_raw_moment(cfg) * cfg.lambda_ris_m2
-        lam_bs_t = power_density_convert(cfg.lambda_bs_m2, cfg.p_s / 2.0, cfg.mu, cfg.alpha)
+        lam_ris_t = reflected_power_raw_moment(cfg) * cfg.lambda_ris * KM2_TO_M2
+        lam_bs_t = power_density_convert(cfg.lambda_bs * KM2_TO_M2, cfg.p_s / 2.0, cfg.mu, cfg.alpha)
         assert reflector_ratio(cfg) == pytest.approx(lam_ris_t / lam_bs_t, rel=1e-12)
 
     @pytest.mark.parametrize("changes, limit", [
@@ -389,6 +403,36 @@ class TestPathBCoverage:
         T = np.array([0.1, 1.0, 100.0])
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
             np.testing.assert_array_equal(fn(cfg, T), limit)
+
+    def test_kappa_survives_an_underflowing_moment(self):
+        # lambda_eff per m^2 is subnormal here, so the moment in SI units
+        # underflowed to 0 and approx1 and approx2 read 0 where kappa is about
+        # 1e576; in units of the base spacing pi * lambda_eff * eps**2 is 74.
+        # Oracle: kappa's factors' logs in SI units, each density per m^2 as a log
+        cfg = make_cfg(lambda_bs=3.0e-318, lambda_ris=1.0e308, epsilon_floor=2.8e162,
+                       mu=1.0e-308, m_elements=10**154)
+        log_pi_lam_eff = math.log(math.pi) + math.log(3.0e-318) + math.log(1e-6)  # lambda_ris >> lambda_bs
+        log_x = log_pi_lam_eff + 2.0 * math.log(2.8e162)
+        log_moment = log_pi_lam_eff + math.log(special.exp1(math.exp(log_x)))
+        log_gain_over_mu = 2.0 * math.log(1e154) + math.log(0.9) - math.log(1e-308)
+        expected = (0.5 * log_gain_over_mu + math.lgamma(1.5) + log_moment
+                    + math.log(1.0e308) - math.log(3.0e-318))
+        assert analytic.log_reflector_ratio(cfg) == pytest.approx(expected, rel=1e-12)
+        T = np.asarray(cfg.thresholds_linear)
+        for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
+            np.testing.assert_array_equal(fn(cfg, T), 1.0)
+
+    def test_kappa_is_finite_at_the_largest_alpha(self):
+        # log K holds (alpha/2) * log(pi * lambda_bs), which overflows past
+        # alpha ~ 4e307 and made kappa 0 where it is about 1.39.
+        # Oracle: kappa in SI units, where (G/mu)**(2/alpha) and Gamma(1 + 2/alpha) are 1
+        cfg = make_cfg(alpha=1e308)
+        pi_lam_eff = math.pi * 1e-6 * cfg.lambda_bs * cfg.lambda_ris / (cfg.lambda_bs + cfg.lambda_ris)
+        kappa = pi_lam_eff * special.exp1(pi_lam_eff * cfg.epsilon_floor**2) * cfg.lambda_ris / cfg.lambda_bs
+        assert analytic.log_reflector_ratio(cfg) == pytest.approx(math.log(kappa), rel=1e-12)
+        T = np.asarray(cfg.thresholds_linear)
+        for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
+            np.testing.assert_allclose(fn(cfg, T), 1.0, rtol=1e-15)
 
     def test_no_reflected_power_gives_zero_not_nan(self):
         # the moment (at a 1e200 m floor) and p * I(T) (at -3200 dB and alpha
@@ -411,11 +455,11 @@ class TestPathBCoverage:
         # forming the quotient first gave kappa 0 (both approximations read
         # 0.0) or an exit 4
         cfg = make_cfg(**changes)
-        lam_ris_t = reflected_power_raw_moment(cfg) * cfg.lambda_ris_m2
-        lam_bs_t = power_density_convert(cfg.lambda_bs_m2, cfg.p_s / 2.0, cfg.mu, cfg.alpha)
+        lam_ris_t = reflected_power_raw_moment(cfg) * cfg.lambda_ris * KM2_TO_M2
+        lam_bs_t = power_density_convert(cfg.lambda_bs * KM2_TO_M2, cfg.p_s / 2.0, cfg.mu, cfg.alpha)
         kappa = lam_ris_t / lam_bs_t
         assert reflector_ratio(cfg) == pytest.approx(kappa, rel=1e-12)
-        _, p_split = channel.retention_probabilities(cfg)
+        _, p_split = cfg.retentions
         T = np.asarray(cfg.thresholds_linear)
         i_factor = analytic.interference_factor(T, cfg.alpha)
         expected = [self.approx1_oracle(cfg, kappa, t) for t in T]
@@ -445,3 +489,47 @@ class TestQueryValidation:
     def test_rejects_fractional_elements(self):
         with pytest.raises(ConfigError):
             analytic.coverage_path_b_approx1(NetworkConfig(n_elements=2.5), 1.0)
+
+
+# the reflection-power deployment: 25 bases and 1000 reflectors per km^2
+SPARSE_LAM_RIS = 1e-3
+
+
+def sparse_deployment(**kw) -> NetworkConfig:
+    """A config at LAM_BS and SPARSE_LAM_RIS, which configs take per km^2; overrides in config units."""
+    return NetworkConfig(**{"lambda_bs": 25.0, "lambda_ris": 1000.0, **kw})
+
+
+class TestMeanReflectedPower:
+    def test_reference_power_trends(self):
+        # increasing in reflector density, decreasing as base density drops
+        args = dict(m_elements=100, beta=1.0, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
+        by_ris = [
+            analytic.mean_reflected_power(sparse_deployment(lambda_ris=lr, **args))
+            for lr in (500.0, 1000.0, 4000.0)
+        ]
+        assert all(a < b for a, b in zip(by_ris, by_ris[1:]))
+        by_bs = [
+            analytic.mean_reflected_power(sparse_deployment(lambda_bs=lb, **args))
+            for lb in (10.0, 25.0, 100.0)
+        ]
+        assert all(a < b for a, b in zip(by_bs, by_bs[1:]))
+
+    def test_doubling_elements_quadruples(self):
+        args = dict(beta=1.0, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
+        ratio = analytic.mean_reflected_power(sparse_deployment(m_elements=100, **args)) / \
+            analytic.mean_reflected_power(sparse_deployment(m_elements=50, **args))
+        assert ratio == pytest.approx(4.0, rel=1e-9)
+
+    def test_matches_importance_sampled_average(self):
+        # oracle: average peak reflected power over scenario draws with the
+        # identical floor; the inverse-distance part needs importance
+        # sampling (rare near-coincident geometries dominate the moment)
+        from oracle_helpers import floored_inv_pow_is_oracle
+        p_s, mu, alpha, eps = 2.0, 1.0, 4.0, 1.0
+        value = analytic.mean_reflected_power(
+            sparse_deployment(m_elements=100, beta=1.0, p_s=p_s, mu=mu, alpha=alpha, epsilon_floor=eps)
+        )
+        inv_moment = floored_inv_pow_is_oracle(alpha, LAM_BS, SPARSE_LAM_RIS, eps, seed=19)
+        oracle = 100**2 * 1.0 * (p_s / 2) * (1.0 / mu) * inv_moment
+        assert abs(value - oracle) / oracle < 0.05

@@ -1,4 +1,8 @@
-"""Channel model: fading, thinning, power conversion, array reflection."""
+"""Channel model oracles: fading, path loss, power conversion, reflection power and its moments.
+
+The beam retentions and the phase-quantization efficiency are tested with
+:mod:`riscov.config`, the mean reflected power with :mod:`riscov.analytic`.
+"""
 from __future__ import annotations
 
 import math
@@ -10,15 +14,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oracle_helpers import (
-    array_factor_from_phases,
+    expected_inv_r1_pow,
     fade_fractional_moment,
     peak_reflection_power,
     power_density_convert,
     reflected_power_raw_moment,
     reflection_gain,
 )
-from riscov import channel, geometry
-from riscov.config import ConfigError, NetworkConfig
+from riscov.config import NetworkConfig
 from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5
@@ -93,28 +96,6 @@ class TestPathLoss:
                 self.path_loss(r1)
 
 
-class TestBeamThinning:
-    def test_single_beam_n16(self):
-        single, _ = channel.retention_probabilities(NetworkConfig(n_elements=16))
-        assert single == pytest.approx(1 / 4)
-
-    def test_split_beam_n16(self):
-        _, split = channel.retention_probabilities(NetworkConfig(n_elements=16))
-        assert split == pytest.approx(0.3535533906, rel=1e-9)
-
-    def test_isotropic_limit(self):
-        single, _ = channel.retention_probabilities(NetworkConfig(n_elements=1))
-        assert single == pytest.approx(1.0)
-
-    def test_split_beam_retention_capped_at_one(self):
-        def split(n):
-            return channel.retention_probabilities(NetworkConfig(n_elements=n))[1]
-
-        assert split(1) == 1.0
-        assert split(2) == 1.0
-        assert split(3) == math.sqrt(2 / 3)
-
-
 class TestPowerDensityConversion:
     def test_unit_power_identity(self):
         assert power_density_convert(LAM_BS, 1.0, 1.0, 4.0) == LAM_BS
@@ -152,50 +133,6 @@ class TestPowerDensityConversion:
         best_orig = power * d_orig**-alpha
         best_conv = d_conv**-alpha
         assert stats.ks_2samp(best_orig, best_conv).pvalue > 0.01
-
-
-def _brute_force_efficiency(m, bits, n_draws, seed):
-    """Mean quantized coherent-power efficiency over uniform target phases."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(n_draws):
-        phases = rng.uniform(0.0, 2 * math.pi, m)
-        gain = array_factor_from_phases(phases, bits)
-        total += abs(gain) ** 2 / m**2
-    return total / n_draws
-
-
-class TestArrayFactor:
-    @pytest.mark.parametrize("m", [1, 10, 100])
-    def test_ideal_power_gain_is_exact_square(self, m):
-        rng = np.random.default_rng(4)
-        phases = rng.uniform(0, 2 * math.pi, m)
-        gain = array_factor_from_phases(phases, channel.IDEAL_PHASES)
-        assert abs(gain) ** 2 == float(m) ** 2
-
-    def test_single_element_any_quantization(self):
-        for bits in (1, 2, 8, channel.IDEAL_PHASES):
-            gain = array_factor_from_phases([1.2345], bits)
-            assert abs(gain) == pytest.approx(1.0)
-
-    def test_one_bit_efficiency_matches_brute_force(self):
-        eff = _brute_force_efficiency(100, 1, 10_000, seed=5)
-        assert abs(eff - (2 / math.pi) ** 2) < 0.01
-        assert abs(channel.quantization_efficiency(1) - (2 / math.pi) ** 2) < 1e-12
-
-    def test_efficiency_monotone_in_bits(self):
-        # common-random-numbers comparison across depths
-        effs = [_brute_force_efficiency(64, b, 2_000, seed=6) for b in (1, 2, 3, 4, 5, 6)]
-        assert all(a < b for a, b in zip(effs, effs[1:]))
-        model_effs = [channel.quantization_efficiency(b) for b in (1, 2, 3, 4, 5, 6)]
-        assert all(a < b for a, b in zip(model_effs, model_effs[1:]))
-        assert channel.quantization_efficiency(channel.IDEAL_PHASES) == 1.0
-        for emp, mod in zip(effs, model_effs):
-            assert abs(emp - mod) < 0.02
-
-    def test_bad_bits(self):
-        with pytest.raises(ConfigError):
-            NetworkConfig(m_elements=16, phase_bits=0)
 
 
 class TestPeakReflectionPower:
@@ -268,7 +205,7 @@ class TestRawMoment:
         expected = (
             math.sqrt(100**2 * 0.9 * 2.0 / 2.0)
             * fade_fractional_moment(1.0, 4.0)
-            * geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
+            * expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
         )
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -292,39 +229,4 @@ class TestRawMoment:
             total += float(np.sum(np.where(r1 >= eps, (p_ris / mu) ** (2 / alpha), 0.0))) / n_angles
             done += m
         oracle = total / n_pairs
-        assert abs(analytic - oracle) / oracle < 0.05
-
-
-class TestMeanReflectedPower:
-    def test_reference_power_trends(self):
-        # increasing in reflector density, decreasing as base density drops
-        args = dict(m_elements=100, beta=1.0, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
-        by_ris = [
-            channel.mean_reflected_power(deployment(lambda_ris=lr, **args))
-            for lr in (500.0, 1000.0, 4000.0)
-        ]
-        assert all(a < b for a, b in zip(by_ris, by_ris[1:]))
-        by_bs = [
-            channel.mean_reflected_power(deployment(lambda_bs=lb, **args))
-            for lb in (10.0, 25.0, 100.0)
-        ]
-        assert all(a < b for a, b in zip(by_bs, by_bs[1:]))
-
-    def test_doubling_elements_quadruples(self):
-        args = dict(beta=1.0, p_s=2.0, mu=1.0, alpha=4.0, epsilon_floor=1.0)
-        ratio = channel.mean_reflected_power(deployment(m_elements=100, **args)) / \
-            channel.mean_reflected_power(deployment(m_elements=50, **args))
-        assert ratio == pytest.approx(4.0, rel=1e-9)
-
-    def test_matches_importance_sampled_average(self):
-        # oracle: average peak reflected power over scenario draws with the
-        # identical floor; the inverse-distance part needs importance
-        # sampling (rare near-coincident geometries dominate the moment)
-        from oracle_helpers import floored_inv_pow_is_oracle
-        p_s, mu, alpha, eps = 2.0, 1.0, 4.0, 1.0
-        analytic = channel.mean_reflected_power(
-            deployment(m_elements=100, beta=1.0, p_s=p_s, mu=mu, alpha=alpha, epsilon_floor=eps)
-        )
-        inv_moment = floored_inv_pow_is_oracle(alpha, LAM_BS, LAM_RIS, eps, seed=19)
-        oracle = 100**2 * 1.0 * (p_s / 2) * (1.0 / mu) * inv_moment
         assert abs(analytic - oracle) / oracle < 0.05

@@ -18,8 +18,8 @@ from scipy import special
 
 from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
 import riscov
-from riscov import analytic, channel, cli, geometry, montecarlo
-from riscov.config import NetworkConfig, load_config
+from riscov import analytic, cli, geometry, montecarlo
+from riscov.config import KM2_TO_M2, NetworkConfig, load_config
 from riscov.errors import NumericalError
 
 
@@ -83,7 +83,7 @@ class TestAnalyticCommand:
                 "analytic_q23": 1.0 / (1.0 + math.sqrt(2.0 / cfg.n_elements) * i_factor),
             }.get(row["engine"])
             if expected is None:  # approx1 and approx2 share one form up to rho
-                _, p_split = channel.retention_probabilities(cfg)
+                _, p_split = cfg.retentions
                 expected = kappa / (kappa + p_split / rho**2 * i_factor)
             assert value == pytest.approx(expected, abs=1e-8)
             checked += 1
@@ -182,15 +182,48 @@ class TestAnalyticCommand:
         ]
         assert not (tmp_path / "analytic.csv").exists()
 
-    def test_huge_reflector_bank_is_pipeline_error(self, runner, tmp_path):
-        # M is an unbounded integer, so M**2 can leave the float range
+    def test_underflowing_moment_writes_full_reflected_coverage(self, runner, tmp_path):
+        # the floored moment underflowed to 0 in SI units, so approx1 and
+        # approx2 wrote 0 where kappa is about 1e576
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("m_elements: 1" + "0" * 160 + "\n")
+        cfg.write_text(
+            "lambda_bs: 3.0e-318\nlambda_ris: 1.0e+308\nepsilon_floor: 2.8e+162\n"
+            "mu: 1.0e-308\nm_elements: 1" + "0" * 154 + "\n"
+        )
         result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("pipeline error: reflector gain")
+        assert result.exit_code == 0, result.output
+        rows = read_rows(tmp_path / "analytic.csv")
+        approx = [r["value"] for r in rows if r["engine"] in ("approx1", "approx2")]
+        assert len(approx) == 2 * len(NetworkConfig().thresholds_db) and set(approx) == {"1"}
+
+    @pytest.mark.parametrize("extra, approx_value", [
+        ("", "1"),  # kappa is about 1.39: approx1 and approx2 wrote 0
+        ("lambda_bs: 1.0e+8\nepsilon_floor: 1.0e+200\n", "0"),  # the moment underflows: -inf + inf raised
+    ], ids=["defaults", "dense-bases-huge-floor"])
+    def test_largest_alpha_writes_reflected_coverage(self, runner, tmp_path, extra, approx_value):
+        # log K = log mu - log G - (alpha/2) * log(pi * lambda_bs) overflows past alpha ~ 4e307
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("alpha: 1.0e+308\n" + extra)
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        rows = read_rows(tmp_path / "analytic.csv")
+        approx = [r["value"] for r in rows if r["engine"] in ("approx1", "approx2")]
+        assert len(approx) == 2 * len(NetworkConfig().thresholds_db) and set(approx) == {approx_value}
+
+    @pytest.mark.parametrize("command", ["analytic", "compare"])
+    def test_huge_reflector_bank_gives_numbers(self, runner, tmp_path, command):
+        # M is an unbounded integer whose M**2 leaves the float range; the
+        # engines read log G = 2 log M + ..., so both commands used to exit 4
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("m_elements: 1" + "0" * 160 + "\nn_trials: 2000\n")
+        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
+            warnings.simplefilter("always")
+            result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code in (0, cli.EXIT_GATE_FAILED), result.output
+        assert result.stderr == "" and caught == []
+        rows = read_rows(tmp_path / f"{command}.csv")
+        # a bank this large makes every reflected-path approximation 1
+        assert {r["value"] for r in rows if r["engine"] in ("approx1", "approx2")} == {"1"}
 
     def test_overflowing_interference_leaves_stderr_empty(self, runner, tmp_path):
         # the interference factor overflows to its limit inf, so the rows of
@@ -211,7 +244,7 @@ class TestAnalyticCommand:
         scaled = T * math.exp(-0.5 * alpha * analytic.log_reflector_ratio(cfg))
         delta = 2.0 / alpha
         i_scaled = 2.0 * scaled / (alpha - 2.0) * special.hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -scaled)
-        _, p_split = channel.retention_probabilities(cfg)
+        _, p_split = cfg.retentions
         value = float(rows["approx1"])
         assert value == pytest.approx(1.0 / (1.0 + p_split * i_scaled), rel=1e-9, abs=0)
         assert value == pytest.approx(1.7735432e-304, rel=1e-7, abs=0)
@@ -683,9 +716,10 @@ class TestSweep:
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR
         assert isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("pipeline error: E[r1**-5000]")
+        assert result.stderr.startswith("pipeline error: mean reflected power exceeds the float range")
 
     def test_huge_reflector_bank_is_pipeline_error(self, runner, tmp_path):
+        # the power in watts leaves the float range, though log G does not
         result = runner.invoke(
             cli.main,
             ["sweep", "--out", str(tmp_path), "--axis", "M", "--grid", "1e160",
@@ -694,23 +728,28 @@ class TestSweep:
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR
         assert isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("pipeline error: reflector gain")
+        assert result.stderr.startswith("pipeline error: mean reflected power exceeds the float range")
 
     def test_overflowing_mean_power_is_pipeline_error(self, runner, tmp_path):
         # M**2 * beta * P_s / (2 * mu) overflowed to inf for a tiny mu, and
-        # the sweep wrote the value `inf` with exit 0
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("mu: 1.0e-308\n")
-        result = runner.invoke(
-            cli.main,
-            ["sweep", "-c", str(cfg), "--out", str(tmp_path / "o"), "--axis", "lambda_ris",
-             "--grid", "1000", "--metric", "e_p_ris"],
-        )
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("pipeline error: mean reflected power")
-        assert not (tmp_path / "o" / "sweep.csv").exists()
+        # the sweep wrote the value `inf` with exit 0. The power is a sum of
+        # logs now: at mu = 1e-308 it is 6.9e307 W, a float; at 1e-320 it is not
+        args = ["--axis", "lambda_ris", "--grid", "1000", "--metric", "e_p_ris"]
+        for mu in ("1.0e-308", "1.0e-320"):
+            cfg = tmp_path / f"{mu}.yaml"
+            cfg.write_text(f"mu: {mu}\n")
+            result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path / mu), *args])
+            if mu == "1.0e-308":
+                assert result.exit_code == 0, result.output
+                value = float(read_rows(tmp_path / mu / "sweep.csv")[0]["value"])
+                expected = 1e308 * analytic.mean_reflected_power(NetworkConfig(lambda_ris=1000.0))
+                assert value == pytest.approx(expected, rel=1e-9)
+                continue
+            assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+            assert isinstance(result.exception, SystemExit)
+            assert len(result.stderr.splitlines()) == 1
+            assert result.stderr.startswith("pipeline error: mean reflected power")
+            assert not (tmp_path / mu / "sweep.csv").exists()
 
     @pytest.mark.parametrize("alpha", ["1.0e+9", "6.0e+158"])
     def test_huge_alpha_mean_power_is_bounded_work(self, runner, tmp_path, monkeypatch, alpha):
@@ -738,9 +777,9 @@ class TestSweep:
         value = float(read_rows(tmp_path / "sweep.csv")[0]["value"])
         # with eps = 1 only r1 just above 1 m counts: the moment tends to
         # 2*pi*lambda_eff*exp(-pi*lambda_eff) / (alpha - 2)
-        lam_eff = geometry.r1_intensity(25e-6, 5e-2)
+        lam_eff = 25e-6 * 5e-2 / (25e-6 + 5e-2)
         near = 2 * math.pi * lam_eff * math.exp(-math.pi * lam_eff) / (float(alpha) - 2.0)
-        assert value == pytest.approx(channel.array_gain(NetworkConfig()) * near, rel=1e-6, abs=0)
+        assert value == pytest.approx(math.exp(NetworkConfig().log_gain) * near, rel=1e-6, abs=0)
 
     def test_nonincreasing_grid_rejected(self, runner, tmp_path):
         result = runner.invoke(
@@ -837,7 +876,7 @@ class TestHistCommand:
         # the mean of a Rayleigh distance at intensity lam is 1 / (2 * sqrt(lam))
         mids = [0.5 * (float(r["bin_left"]) + float(r["bin_right"])) for r in rows]
         mean = sum(m * int(r["count"]) for m, r in zip(mids, rows)) / 2000
-        lambda_ris_m2 = load_config(cfg).lambda_ris_m2
+        lambda_ris_m2 = load_config(cfg).lambda_ris * KM2_TO_M2
         assert mean == pytest.approx(0.5 / math.sqrt(lambda_ris_m2), rel=0.05)
 
     @pytest.mark.parametrize("quantity", ["r1", "r2", "p_ris"])

@@ -4,10 +4,14 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
+from oracle_helpers import array_factor_from_phases
 from riscov import cli, config
-from riscov.config import ConfigError, NetworkConfig, load_config
+from riscov.config import (
+    IDEAL_PHASES, KM2_TO_M2, ConfigError, NetworkConfig, load_config, quantization_efficiency,
+)
 
 
 class TestValidation:
@@ -25,15 +29,12 @@ class TestValidation:
         assert any(e.startswith("epsilon_floor:") for e in errs)
 
     @pytest.mark.parametrize("field", ["lambda_bs", "lambda_ris"])
-    def test_density_must_stay_positive_per_m2(self, field):
-        # 1e-320 per km^2 underflows to 0 per m^2; with no re-check below the
-        # config, analytic, simulate and hist used to end in a traceback, exit 1
-        with pytest.raises(ConfigError) as exc:
-            NetworkConfig(**{field: 1e-320})
-        assert exc.value.errors == [
-            f"{field}: must stay positive in points per m^2 (x 1e-06), got 1e-320"
-        ]
-        assert getattr(NetworkConfig(**{field: 1e-317}), f"{field}_m2") > 0
+    def test_density_below_one_per_m2_float_is_accepted(self, field):
+        # 1e-320 per km^2 underflows to 0 per m^2, so such a density was
+        # rejected; the engines read its log, never the density per m^2
+        cfg = NetworkConfig(**{field: 1e-320})
+        assert cfg.lambda_bs * KM2_TO_M2 == 0 or cfg.lambda_ris * KM2_TO_M2 == 0
+        assert all(math.isfinite(v) for v in (cfg.log_rho, cfg.log_k_per_alpha, cfg.log_floor))
 
     def test_alpha_two_rejected(self):
         with pytest.raises(ConfigError):
@@ -82,8 +83,8 @@ class TestValidation:
 class TestUnits:
     def test_density_conversion(self):
         cfg = NetworkConfig(lambda_bs=25.0, lambda_ris=1000.0)
-        assert cfg.lambda_bs_m2 == pytest.approx(2.5e-5)
-        assert cfg.lambda_ris_m2 == pytest.approx(1e-3)
+        assert cfg.lambda_bs * KM2_TO_M2 == pytest.approx(2.5e-5)
+        assert cfg.lambda_ris * KM2_TO_M2 == pytest.approx(1e-3)
 
     def test_threshold_conversion(self):
         cfg = NetworkConfig(thresholds_db=(0.0, 5.0, 10.0))
@@ -101,10 +102,10 @@ class TestHashing:
 
     def test_canonical_mapping_carries_stream_version(self, monkeypatch):
         cfg = NetworkConfig()
-        assert cfg.canonical_mapping()["stream_version"] == config.STREAM_VERSION == 4
+        assert cfg.canonical_mapping()["stream_version"] == config.STREAM_VERSION == 5
         assert "stream_version" not in cfg.to_mapping()
         before = cfg.config_hash()
-        monkeypatch.setattr(config, "STREAM_VERSION", 5)
+        monkeypatch.setattr(config, "STREAM_VERSION", 6)
         assert cfg.config_hash() != before
 
     def test_comments_do_not_change_hash(self, tmp_path):
@@ -169,3 +170,69 @@ def test_tolerances_defaults():
         ("approx2", "gamma_b", "lower_bound", 0.03, 5.0),
     ]
     assert cli.GATE_T_DB_ABS_TOL == 1e-9
+
+
+class TestBeamThinning:
+    def test_single_beam_n16(self):
+        single, _ = NetworkConfig(n_elements=16).retentions
+        assert single == pytest.approx(1 / 4)
+
+    def test_split_beam_n16(self):
+        _, split = NetworkConfig(n_elements=16).retentions
+        assert split == pytest.approx(0.3535533906, rel=1e-9)
+
+    def test_isotropic_limit(self):
+        single, _ = NetworkConfig(n_elements=1).retentions
+        assert single == pytest.approx(1.0)
+
+    def test_split_beam_retention_capped_at_one(self):
+        def split(n):
+            return NetworkConfig(n_elements=n).retentions[1]
+
+        assert split(1) == 1.0
+        assert split(2) == 1.0
+        assert split(3) == math.sqrt(2 / 3)
+
+
+def _brute_force_efficiency(m, bits, n_draws, seed):
+    """Mean quantized coherent-power efficiency over uniform target phases."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(n_draws):
+        phases = rng.uniform(0.0, 2 * math.pi, m)
+        gain = array_factor_from_phases(phases, bits)
+        total += abs(gain) ** 2 / m**2
+    return total / n_draws
+
+
+class TestArrayFactor:
+    @pytest.mark.parametrize("m", [1, 10, 100])
+    def test_ideal_power_gain_is_exact_square(self, m):
+        rng = np.random.default_rng(4)
+        phases = rng.uniform(0, 2 * math.pi, m)
+        gain = array_factor_from_phases(phases, IDEAL_PHASES)
+        assert abs(gain) ** 2 == float(m) ** 2
+
+    def test_single_element_any_quantization(self):
+        for bits in (1, 2, 8, IDEAL_PHASES):
+            gain = array_factor_from_phases([1.2345], bits)
+            assert abs(gain) == pytest.approx(1.0)
+
+    def test_one_bit_efficiency_matches_brute_force(self):
+        eff = _brute_force_efficiency(100, 1, 10_000, seed=5)
+        assert abs(eff - (2 / math.pi) ** 2) < 0.01
+        assert abs(quantization_efficiency(1) - (2 / math.pi) ** 2) < 1e-12
+
+    def test_efficiency_monotone_in_bits(self):
+        # common-random-numbers comparison across depths
+        effs = [_brute_force_efficiency(64, b, 2_000, seed=6) for b in (1, 2, 3, 4, 5, 6)]
+        assert all(a < b for a, b in zip(effs, effs[1:]))
+        model_effs = [quantization_efficiency(b) for b in (1, 2, 3, 4, 5, 6)]
+        assert all(a < b for a, b in zip(model_effs, model_effs[1:]))
+        assert quantization_efficiency(IDEAL_PHASES) == 1.0
+        for emp, mod in zip(effs, model_effs):
+            assert abs(emp - mod) < 0.02
+
+    def test_bad_bits(self):
+        with pytest.raises(ConfigError):
+            NetworkConfig(m_elements=16, phase_bits=0)

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import reference_engine
-from oracle_helpers import expected_r1_nested, prob_ris_closer
+from oracle_helpers import expected_inv_r1_pow, expected_r1_nested, prob_ris_closer
 from reference_engine import EmptyScenarioError
 from riscov import geometry
 from riscov.errors import NumericalError, ParameterError
@@ -174,7 +174,7 @@ class TestR1Marginal:
         from oracle_helpers import bessel_marginal
         for lam_ris in (LAM_RIS, 5e-2):
             for r1 in (5.0, 30.0, 80.0, 120.0, 200.0):
-                val = geometry.rayleigh_pdf(r1, geometry.r1_intensity(LAM_BS, lam_ris))
+                val = geometry.rayleigh_pdf(r1, LAM_BS * lam_ris / (LAM_BS + lam_ris))
                 assert val == pytest.approx(bessel_marginal(r1, LAM_BS, lam_ris), rel=1e-8)
 
     def test_normalizes(self):
@@ -284,16 +284,16 @@ def _plain_pairs_oracle(power, lam_bs, lam_ris, eps, seed, n_pairs=100_000, n_an
 
 class TestInverseMoments:
     def test_positive_and_finite(self):
-        val = geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
+        val = expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
         assert 0.0 < val < math.inf
 
     def test_increasing_in_ris_density(self):
         grid = [5e-4, 1e-3, 1e-2, 5e-2]
-        vals = [geometry.expected_inv_r1_pow(2.0, LAM_BS, lr, 1.0) for lr in grid]
+        vals = [expected_inv_r1_pow(2.0, LAM_BS, lr, 1.0) for lr in grid]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_inverse_square_against_scenario_draws(self):
-        analytic = geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
+        analytic = expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
         oracle = _plain_pairs_oracle(2.0, LAM_BS, LAM_RIS, 1.0, seed=11)
         assert abs(analytic - oracle) / oracle < 0.05
 
@@ -301,7 +301,7 @@ class TestInverseMoments:
         # plain sampling is hopeless for this rare-event moment; the
         # importance-sampled oracle converges to ~1%
         from oracle_helpers import floored_inv_pow_is_oracle
-        analytic = geometry.expected_inv_r1_pow(4.0, LAM_BS, LAM_RIS, 1.0)
+        analytic = expected_inv_r1_pow(4.0, LAM_BS, LAM_RIS, 1.0)
         oracle = floored_inv_pow_is_oracle(4.0, LAM_BS, LAM_RIS, 1.0, seed=12)
         assert abs(analytic - oracle) / oracle < 0.05
 
@@ -310,7 +310,7 @@ class TestInverseMoments:
         # deterministic cross-check: integrate r^-p against the closed-form
         # (Rice mixture) marginal instead of nesting over (r0, r2)
         from oracle_helpers import floored_inv_pow_bessel
-        analytic = geometry.expected_inv_r1_pow(power, LAM_BS, LAM_RIS, 1.0)
+        analytic = expected_inv_r1_pow(power, LAM_BS, LAM_RIS, 1.0)
         route = floored_inv_pow_bessel(power, LAM_BS, LAM_RIS, 1.0)
         assert analytic == pytest.approx(route, rel=1e-3)
 
@@ -321,7 +321,7 @@ class TestInverseMoments:
         from oracle_helpers import floored_inv_pow_nested
         route, abs_err = floored_inv_pow_nested(power, LAM_BS, LAM_RIS, 1.0)
         assert abs_err < 1e-6 * route
-        closed = geometry.expected_inv_r1_pow(power, LAM_BS, LAM_RIS, 1.0)
+        closed = expected_inv_r1_pow(power, LAM_BS, LAM_RIS, 1.0)
         assert closed == pytest.approx(route, rel=1e-5)
 
     @pytest.mark.parametrize("power", [2.5, 8.0, 200.0])
@@ -337,7 +337,7 @@ class TestInverseMoments:
         near, _ = integrate.quad(f, 1.0, 2.0, epsabs=0.0, epsrel=1e-12)
         far, _ = integrate.quad(f, 2.0, np.inf, epsabs=1e-12 * near, epsrel=1e-12, limit=200)
         expected = 2 * math.pi * lam * eps ** (2 - power) * (near + far)
-        got = geometry.expected_inv_r1_pow(power, LAM_BS, LAM_RIS, eps)
+        got = expected_inv_r1_pow(power, LAM_BS, LAM_RIS, eps)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_inner_moment_routes_agree(self):
@@ -359,7 +359,7 @@ class TestInverseMoments:
                 oracle = special.exp1(x)
             else:
                 oracle = x**-base * special.gamma(base) * special.gammaincc(base, x)
-            got = geometry._scaled_upper_gamma(base, math.log(x))
+            got = math.exp(geometry._log_scaled_upper_gamma(base, math.log(x)))
             assert got == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("a", [-0.5, -2.5, -10.0, -49.0, -64.5, -1000.0])
@@ -372,14 +372,14 @@ class TestInverseMoments:
             lambda w: (1.0 + w) ** (a - 1.0) * math.exp(-x * w), 0.0, np.inf,
             epsabs=0.0, epsrel=1e-13, limit=200,
         )
-        got = geometry._scaled_upper_gamma(a, math.log(x))
+        got = math.exp(geometry._log_scaled_upper_gamma(a, math.log(x)))
         assert got == pytest.approx(math.exp(-x) * integral, rel=1e-12, abs=0)
 
     def test_underflowed_argument_takes_its_limit(self):
         # pi*lambda_eff*eps**2 rounds to 0 for a tiny floor; x**-a * Gamma(a, x)
         # tends to -1/a for a < 0
         scale = math.pi * LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)
-        got = geometry.expected_inv_r1_pow(2.5, LAM_BS, LAM_RIS, 1e-160)
+        got = expected_inv_r1_pow(2.5, LAM_BS, LAM_RIS, 1e-160)
         assert got == pytest.approx(4.0 * scale * 1e80, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-160, 1e-200, 1e-300])
@@ -388,5 +388,5 @@ class TestInverseMoments:
         # underflows; the moment used to be reported as beyond the float range
         scale = math.pi * LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)
         expected = scale * (-np.euler_gamma - math.log(scale) - 2.0 * math.log(eps))
-        got = geometry.expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, eps)
+        got = expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, eps)
         assert got == pytest.approx(expected, rel=1e-12)

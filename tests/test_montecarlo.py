@@ -14,8 +14,8 @@ from scipy import integrate
 
 import reference_engine as ref
 from oracle_helpers import peak_reflection_power, reflection_gain
-from riscov import analytic, channel, cli, montecarlo
-from riscov.config import ConfigError, NetworkConfig
+from riscov import analytic, cli, montecarlo
+from riscov.config import KM2_TO_M2, ConfigError, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
 
 
@@ -120,8 +120,9 @@ class TestDropScenario:
         assert np.all(rec.r0 > 0) and np.all(rec.r_k_sq > rec.r0**2)
         # single-beam survivors are a subset of split-beam survivors
         assert np.all(rec.n_interferers_single <= montecarlo.NEAR_ARRIVALS)
-        assert np.all((0.0 < rec.near_single) | (rec.n_interferers_single == 0))
-        assert np.all(rec.near_single <= rec.near_split)
+        assert np.all((-np.inf < rec.log_near_single) | (rec.n_interferers_single == 0))
+        assert np.all(rec.log_near_single <= rec.log_near_split)
+        assert np.all(np.isfinite(rec.log_near_split))
         assert_value_orderings(cfg, rec, cfg.thresholds_linear)
         lo, hi = np.abs(rec.r0 - rec.r2), rec.r0 + rec.r2
         assert np.all((lo - 1e-9 <= rec.r1) & (rec.r1 <= hi + 1e-9))
@@ -208,7 +209,7 @@ class TestPerTrialSirs:
 
     def test_path_a_never_beats_baseline_when_coupled(self, dense_run):
         rec = dense_run.records
-        assert np.all(rec.near_single <= rec.near_split)
+        assert np.all(rec.log_near_single <= rec.log_near_split)
         assert_value_orderings(dense_run.cfg, rec, dense_run.cfg.thresholds_linear)
 
     def test_path_b_unit_configuration(self):
@@ -333,7 +334,7 @@ class TestEstimateCoverage:
         ests = montecarlo.run(cfg, [1e300])
         assert all(e.probability == 0.0 and e.ci_half_width == 0.0 for e in ests)
         rec = montecarlo.draw(cfg)
-        empty = dataclasses.replace(rec, near_single=np.zeros(len(rec)))
+        empty = dataclasses.replace(rec, log_near_single=np.full(len(rec), -np.inf))
         assert not np.any(montecarlo.conditional_values(cfg, empty, 1e300)["gamma_o"])
 
     def test_requires_minimum_trials(self):
@@ -522,11 +523,16 @@ class TestConditionalValues:
         fade_f1 = np.array([0.0164, 0.111])  # mean 1/mu
         near_single = np.array([2e-9, 0.0])  # the drawn interferers' power per unit transmit power
         near_split = np.array([5e-9, 4e-9])
-        length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs_m2)  # metres per distance unit
+        length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs * KM2_TO_M2)  # metres per distance unit
+        with np.errstate(divide="ignore"):  # the second trial's single-beam sum is empty
+            log_near_single = np.log(cfg.mu * near_single * r0**cfg.alpha)
         rec = montecarlo.TrialRecords(
-            near_single=cfg.mu * near_single * r0**cfg.alpha,
-            near_split=cfg.mu * near_split * r0**cfg.alpha,
+            log_near_single=log_near_single,
+            log_near_split=np.log(cfg.mu * near_split * r0**cfg.alpha),
             r_k_sq=(r_k / length) ** 2,
+            log_far_ratio=cfg.alpha * np.log(r0 / r_k),
+            # the direct link's mean power over the reflected one's, in SI units
+            log_q=np.log(r0**-cfg.alpha / reflection_gain(cfg, fade_f1, r1) * r2**cfg.alpha),
             f1=cfg.mu * fade_f1,
             r0=r0 / length,
             r1=r1 / length,
@@ -534,14 +540,14 @@ class TestConditionalValues:
             engaged=np.array([True, False]),
             n_interferers_single=np.array([5, 0]),
         )
-        p_single, p_split = channel.retention_probabilities(cfg)
+        p_single, p_split = cfg.retentions
 
         def oracle(k, c, near, p):
             tail, _ = integrate.quad(
                 lambda r: r / (1.0 + r**cfg.alpha / c), r_k[k], np.inf,
                 epsabs=0.0, epsrel=1e-12, limit=200,
             )
-            return math.exp(-cfg.mu * c * near - 2.0 * math.pi * cfg.lambda_bs_m2 * p * tail)
+            return math.exp(-cfg.mu * c * near - 2.0 * math.pi * cfg.lambda_bs * KM2_TO_M2 * p * tail)
 
         T = 3.0
         values = montecarlo.conditional_values(cfg, rec, T)
@@ -577,7 +583,7 @@ class TestHistograms:
         cfg = sparse_run.cfg
         counts, edges = montecarlo.empirical_histogram(cfg, sparse_run.records, "r0", bins=50)
         # Rayleigh CDF 1 - exp(-pi * lambda_bs * r**2) differenced over each bin
-        cdf = 1.0 - np.exp(-math.pi * cfg.lambda_bs_m2 * edges**2)
+        cdf = 1.0 - np.exp(-math.pi * cfg.lambda_bs * KM2_TO_M2 * edges**2)
         masses = np.diff(cdf)
         emp = counts / counts.sum()
         assert float(np.abs(emp - masses).sum()) < 0.05
@@ -586,20 +592,20 @@ class TestHistograms:
         # the records hold unit-free distances and fades; the histogram is in watts
         cfg = small_cfg(n_trials=1500)
         rec = montecarlo.draw(cfg)
-        length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs_m2)  # metres per distance unit
+        length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs * KM2_TO_M2)  # metres per distance unit
         power = peak_reflection_power(cfg, rec.f1 / cfg.mu, rec.r1 * length)
         _, edges = montecarlo.empirical_histogram(cfg, rec, "p_ris")
         assert (edges[0], edges[-1]) == pytest.approx((power.min(), power.max()), rel=1e-12)
         _, scaled = montecarlo.empirical_histogram(cfg.replace(p_s=7 * cfg.p_s), rec, "p_ris")
         assert scaled == pytest.approx(7 * edges, rel=1e-12)
 
-    @pytest.mark.parametrize("quantity, lam", [("r0", "lambda_bs_m2"), ("r2", "lambda_ris_m2")])
+    @pytest.mark.parametrize("quantity, lam", [("r0", "lambda_bs"), ("r2", "lambda_ris")])
     def test_distances_are_in_metres(self, quantity, lam):
-        # the mean of a Rayleigh distance at intensity lam is 1 / (2 * sqrt(lam))
+        # the mean of a Rayleigh distance at intensity lam per m^2 is 1 / (2 * sqrt(lam))
         cfg = small_cfg(n_trials=20_000)
         counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity)
         mean = float(np.dot(counts, 0.5 * (edges[:-1] + edges[1:]))) / counts.sum()
-        assert mean == pytest.approx(0.5 / math.sqrt(getattr(cfg, lam)), rel=0.02)
+        assert mean == pytest.approx(0.5 / math.sqrt(getattr(cfg, lam) * KM2_TO_M2), rel=0.02)
 
     def test_unknown_quantity_rejected(self, sparse_run):
         with pytest.raises(ParameterError):
@@ -611,21 +617,40 @@ class TestHistograms:
             montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "r0")
 
 
+class TestLargeAlpha:
+    def test_alpha_1000_meets_the_exact_gate(self):
+        # the reflected path's x * S was inf * 0 = nan wherever q overflowed
+        # and S underflowed, and run raised NumericalError; both are sums of
+        # logs now
+        cfg = NetworkConfig(alpha=1000.0, n_trials=20_000)
+        estimates = montecarlo.run(cfg, cfg.thresholds_linear)
+        assert all(0.0 <= e.probability <= 1.0 for e in estimates)
+        gamma_o = [e.probability for e in estimates if e.metric == "gamma_o"]
+        exact = analytic.coverage_baseline(cfg, np.asarray(cfg.thresholds_linear))
+        np.testing.assert_allclose(gamma_o, exact, rtol=0, atol=0.02)
+
+    def test_near_sums_are_finite_where_they_underflow(self):
+        # at alpha = 1e5 the split-beam sum S underflows to 0 on nearly every
+        # trial, while log S, shifted by the first arrival's factor, is finite
+        rec = montecarlo.draw(NetworkConfig(alpha=1e5, n_trials=2000))
+        assert np.all(np.isfinite(rec.log_near_split))
+        assert np.mean(rec.log_near_split < math.log(np.finfo(float).smallest_subnormal)) > 0.9
+
+
 class TestRunConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
             montecarlo.run(NetworkConfig(n_trials=0), [1.0])
 
-    def test_huge_reflector_bank_fails_where_the_gain_is_read(self, monkeypatch):
-        # the records are free of the bank gain, so only its readers fail:
-        # the estimator, before any draw, and the p_ris histogram
+    def test_huge_reflector_bank_fails_only_in_watts(self):
+        # M**2 leaves the float range, log G does not: the estimator reads log q
+        # and gives every reflected value 1, while the powers in watts overflow
         cfg = NetworkConfig(n_trials=1000, m_elements=10**160)
-        records = montecarlo.draw(cfg)
-        with pytest.raises(NumericalError, match="reflector gain"):
-            montecarlo.empirical_histogram(cfg, records, "p_ris")
-        monkeypatch.setattr(montecarlo, "_draw", None)
-        with pytest.raises(NumericalError, match="reflector gain"):
-            montecarlo.run(cfg, [1.0])
+        with pytest.raises(NumericalError, match="p_ris values"):
+            montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "p_ris")
+        by_metric = {e.metric: e for e in montecarlo.run(cfg, [1.0])}
+        assert by_metric["gamma_b"].probability == 1.0
+        assert by_metric["gamma_s"].probability > by_metric["gamma_a"].probability
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
     def test_rejects_nonpositive_thresholds_before_drawing(self, monkeypatch, bad):
