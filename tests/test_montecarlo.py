@@ -3,6 +3,7 @@ per-trial SIRs, determinism."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import multiprocessing.pool
 import os
@@ -15,11 +16,15 @@ from scipy import integrate
 import reference_engine as ref
 from oracle_helpers import peak_reflection_power, reflection_gain
 from riscov import analytic, cli, montecarlo
-from riscov.config import KM2_TO_M2, ConfigError, NetworkConfig
+from riscov.config import KM2_TO_M2, STREAM_VERSION, ConfigError, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
 
 
 RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(montecarlo.TrialRecords))
+
+# sha256 of the metric, T_db, value, ci_half_width and n_trials cells of the
+# CSV rows of `simulate` at the defaults with 20000 trials, by stream version
+SIMULATE_DIGESTS = {5: "c665b0e5f4fe64e0018c99197c711db6d376e3e88749154ead3890ff192864cd"}
 
 
 def small_cfg(**cfg_kw) -> NetworkConfig:
@@ -511,6 +516,22 @@ class TestEstimateCoverage:
             selection, direct = by[("gamma_s", t)], by[("gamma_a", t)]
             assert selection.n_trials == direct.n_trials == cfg.n_trials
             assert selection.probability >= direct.probability
+
+
+class TestStreamDigest:
+    def test_simulate_rows_match_the_stream_version_digest(self):
+        rows = cli.run_simulate(NetworkConfig(n_trials=20_000, master_seed=1234))
+        header, *lines = cli.rows_to_csv(rows).splitlines()
+        names = header.split(",")
+        columns = [names.index(c) for c in ("metric", "T_db", "value", "ci_half_width", "n_trials")]
+        cells = "\n".join(",".join(line.split(",")[i] for i in columns) for line in lines)
+        digest = hashlib.sha256(cells.encode()).hexdigest()
+        pinned = SIMULATE_DIGESTS.get(STREAM_VERSION)
+        assert digest == pinned, (
+            f"stream version {STREAM_VERSION}: the simulate rows hash to {digest}, pinned {pinned}; "
+            "output bytes change only with a STREAM_VERSION bump, so bump the version and "
+            "this digest together"
+        )
 
 
 class TestConditionalValues:
