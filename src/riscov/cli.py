@@ -26,7 +26,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import cycle
 from pathlib import Path
 
 import click
@@ -150,12 +149,11 @@ def run_analytic(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> li
 def run_simulate(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> list[ResultRow]:
     """Simulate the configured run and reduce it to coverage rows."""
     row = _row_builder(cfg, axis_name, axis_value)
-    # estimates come metric by metric, each in threshold order; labelling by
-    # position keeps thresholds apart that round to the same linear ratio
     return [
-        row(engine="mc", metric=e.metric, t_db=float(t_db), value=e.probability,
-            ci_half_width=e.ci_half_width, n_trials=e.n_trials)
-        for e, t_db in zip(montecarlo.run(cfg, cfg.thresholds_linear), cycle(cfg.thresholds_db))
+        row(engine="mc", metric=metric, t_db=float(t_db), value=float(est.probability[j]),
+            ci_half_width=float(est.ci_half_width[j]), n_trials=int(est.n_trials[j]))
+        for metric, est in montecarlo.run(cfg, cfg.thresholds_linear).items()
+        for j, t_db in enumerate(cfg.thresholds_db)
     ]
 
 
@@ -261,7 +259,7 @@ def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: 
     lam_eff = math.exp(math.log(cfg.lambda_bs) + cfg.log_r1_scale)
     intensity = {"r0": cfg.lambda_bs, "r1": lam_eff, "r2": cfg.lambda_ris}.get(quantity)
     total = int(counts.sum())
-    density = counts / (total * np.diff(edges)) if total else np.zeros(len(counts))
+    density = counts / (total * np.diff(edges))
     pdfs = [None] * len(counts)  # _fmt writes an empty cell
     if intensity is not None:
         km = math.sqrt(KM2_TO_M2)  # per metre

@@ -65,9 +65,10 @@ the far field's argument are each the exponential of one sum of logs, so
 neither is ``inf * 0`` at any ``alpha``.
 Selection shares the interference of both paths and its two fades are
 independent, so ``gamma_s`` is ``e_a + e_b - e(T * (1 + q))`` on engaged
-trials and ``e_a`` elsewhere. An estimate is the mean of these values and
-its 95% half-width 1.96 of their standard errors (population variance over
-``n``); since each value lies in ``[0, 1]``, that never exceeds the binomial
+trials and ``e_a`` elsewhere. :func:`run` returns one :class:`Coverage` per
+metric: at each threshold, the mean of these values, its 95% half-width 1.96
+of their standard errors (population variance over ``n``) and ``n``; since
+each value lies in ``[0, 1]``, the half-width never exceeds the binomial
 half-width of counting indicators at the same mean.
 
 Random streams (``riscov.config.STREAM_VERSION`` 5). Trials are cut into
@@ -96,6 +97,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,19 +228,12 @@ def worker_count() -> int:
 # estimators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoverageEstimate:
-    """Mean of the per-trial conditional coverage values, with a 95% half-width.
+class Coverage(NamedTuple):
+    """One metric's estimates (module docstring), as arrays aligned with the thresholds."""
 
-    The half-width is ``1.96`` sample standard deviations of the values over
-    ``sqrt(n_trials)``.
-    """
-
-    threshold: float
-    metric: str
-    probability: float
-    ci_half_width: float
-    n_trials: int
+    probability: np.ndarray
+    ci_half_width: np.ndarray
+    n_trials: np.ndarray
 
 
 def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: float) -> dict:
@@ -276,7 +271,7 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     }
 
 
-def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
+def _estimates(block_sums: list) -> dict[str, Coverage]:
     """Add the blocks' sum arrays in block order and turn them into estimates.
 
     Every estimate is computed at once, elementwise; a metric with no
@@ -287,17 +282,7 @@ def _estimates(thresholds: tuple, block_sums: list) -> list[CoverageEstimate]:
         p = total / n
         # the variance of values in [0, 1] cannot be negative; rounding can make it so
         half_width = 1.96 * np.sqrt(np.maximum(squares / n - p * p, 0.0) / n)
-    return [
-        CoverageEstimate(
-            threshold=t,
-            metric=metric,
-            probability=float(p[i, j]),
-            ci_half_width=float(half_width[i, j]),
-            n_trials=int(n[i, j]),
-        )
-        for i, metric in enumerate(METRICS)
-        for j, t in enumerate(thresholds)
-    ]
+    return {m: Coverage(p[i], half_width[i], n[i].astype(int)) for i, m in enumerate(METRICS)}
 
 
 def draw(cfg: NetworkConfig) -> TrialRecords:
@@ -305,16 +290,16 @@ def draw(cfg: NetworkConfig) -> TrialRecords:
     return _draw(cfg, 0, cfg.n_trials)
 
 
-def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
-    """``Pr[SIR > T]`` per metric and threshold, metric by metric.
+def run(cfg: NetworkConfig, thresholds) -> dict[str, Coverage]:
+    """``Pr[SIR > T]``: one :class:`Coverage` per name of :data:`METRICS`.
 
-    Each estimate averages :func:`conditional_values` over its trials:
-    ``gamma_b`` conditions on an engaged reflector being present and the
-    other metrics use every trial. One task draws each block of
-    ``VALUE_BLOCK`` trials and returns only its sums, so memory does not grow
-    with the trial count and a pool parallelizes the estimator along with the
-    draws. An estimate needs at least 100 trials, and every threshold must
-    be a positive power ratio, as in the closed forms.
+    Entry ``j`` of its arrays is the estimate at ``thresholds[j]``, the mean
+    of :func:`conditional_values` over its trials: ``gamma_b`` conditions on
+    an engaged reflector and the other metrics use every trial. One task
+    draws each block of ``VALUE_BLOCK`` trials and returns only its sums, so
+    memory does not grow with the trial count and a pool parallelizes the
+    estimator with the draws. An estimate needs at least 100 trials, and
+    every threshold must be a positive power ratio, as in the closed forms.
     """
     if cfg.n_trials < 100:
         raise ConfigError(
@@ -333,7 +318,7 @@ def run(cfg: NetworkConfig, thresholds) -> list[CoverageEstimate]:
 
         with multiprocessing.Pool(processes=workers) as pool:
             block_sums = list(pool.imap(_block_sums, tasks, chunksize=1))
-    return _estimates(thresholds, block_sums)
+    return _estimates(block_sums)
 
 
 def empirical_histogram(
@@ -348,7 +333,7 @@ def empirical_histogram(
     reflector's are not once ``lambda_bs / lambda_ris`` passes about 6e616),
     when a value is not finite in metres or watts, or when the values span
     too narrow a range for ``bins`` bins whose densities are finite, as
-    subnormal powers can.
+    subnormal powers or powers that all underflow to 0 can.
     """
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
@@ -371,6 +356,7 @@ def empirical_histogram(
     except ValueError:  # numpy found no `bins` distinct edges in the span
         pass
     else:
-        if np.diff(edges).min() >= np.finfo(float).tiny:  # so count / width stays finite
+        # np.histogram widens values of no span by 0.5; a tiny width makes count / width inf
+        if np.ptp(values) > 0 and np.diff(edges).min() >= np.finfo(float).tiny:
             return counts, edges
     raise NumericalError(f"the {quantity} values span too narrow a range for {bins} bins")

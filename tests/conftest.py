@@ -27,8 +27,8 @@ settings.load_profile("deterministic")
 
 
 class TimedRun:
-    """The estimates of ``cfg``'s run, with the wall time of the estimating call,
-    and its records, drawn on first use."""
+    """The estimates of ``cfg``'s run by metric, with the wall time of the
+    estimating call, and its records, drawn on first use."""
 
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg

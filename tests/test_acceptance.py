@@ -44,8 +44,12 @@ def report(cid: int, description: str, ok: bool, detail: str = ""):
 
 
 def coverage_by(timed_run):
-    """The run's estimates by ``(metric, threshold)``, at its configured thresholds."""
-    return {(e.metric, e.threshold): e for e in timed_run.estimates}
+    """The run's coverage probabilities by ``(metric, threshold)``, at its configured thresholds."""
+    return {
+        (metric, t): p
+        for metric, est in timed_run.estimates.items()
+        for t, p in zip(timed_run.cfg.thresholds_linear, est.probability)
+    }
 
 
 def make_cfg(**kw) -> NetworkConfig:
@@ -75,10 +79,10 @@ def test_c02_baseline_analytic_vs_simulation(dense_run):
     gaps = []
     for t_db, t_lin in zip(cfg.thresholds_db, cfg.thresholds_linear):
         gaps.append(
-            abs(cov[("gamma_o", t_lin)].probability - analytic.coverage_baseline(cfg, t_lin))
+            abs(cov[("gamma_o", t_lin)] - analytic.coverage_baseline(cfg, t_lin))
         )
     # the 0 dB point also pins the classic reference value
-    zero_db = cov[("gamma_o", 1.0)].probability
+    zero_db = cov[("gamma_o", 1.0)]
     assert abs(zero_db - 16 / (16 + math.pi)) <= 0.005
     ok = max(gaps) <= TOL["baseline_gap"] and dense_run.duration_s < 120.0
     report(
@@ -122,7 +126,7 @@ def test_c04_path_a_ordering(dense_run):
     cfg = dense_run.cfg
     cov = coverage_by(dense_run)
     mc_ok = all(
-        cov[("gamma_a", t)].probability <= cov[("gamma_o", t)].probability
+        cov[("gamma_a", t)] <= cov[("gamma_o", t)]
         for t in cfg.thresholds_linear
     )
     # the per-trial conditional coverage values, at every threshold
@@ -220,7 +224,7 @@ def test_c09_array_factor():
 
 def test_c10_approx1_high_density_agreement(dense_run):
     cov = coverage_by(dense_run)
-    mc = cov[("gamma_b", T5DB)].probability
+    mc = cov[("gamma_b", T5DB)]
     a1 = analytic.coverage_path_b_approx1(dense_run.cfg, T5DB)
     gap = abs(a1 - mc)
     report(
@@ -232,7 +236,7 @@ def test_c10_approx1_high_density_agreement(dense_run):
 
 def test_c11_approx2_lower_bound_direction(dense_run):
     cov = coverage_by(dense_run)
-    mc = cov[("gamma_b", T5DB)].probability
+    mc = cov[("gamma_b", T5DB)]
     a2 = analytic.coverage_path_b_approx2(dense_run.cfg, T5DB)
     margin = mc - (a2 - TOL["approx2_margin"])
     report(
@@ -242,12 +246,12 @@ def test_c11_approx2_lower_bound_direction(dense_run):
 
 
 def _gamma_b_estimate(lambda_ris_km2, lambda_bs_km2, seed):
+    """``gamma_b`` at 5 dB, as a ``Coverage`` of scalars."""
     cfg = NetworkConfig(
         lambda_ris=lambda_ris_km2, lambda_bs=lambda_bs_km2,
         n_trials=20_000, master_seed=seed, thresholds_db=(5.0,),
     )
-    ests = montecarlo.run(cfg, [T5DB])
-    return next(e for e in ests if e.metric == "gamma_b")
+    return montecarlo.Coverage._make(array[0] for array in montecarlo.run(cfg, [T5DB])["gamma_b"])
 
 
 def test_c12_trend_suite():

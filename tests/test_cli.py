@@ -615,6 +615,7 @@ class TestWorkerPool:
         # imap calls show how many block tasks it ran
         code = (
             "import multiprocessing, multiprocessing.pool, os\n"
+            "import numpy as np\n"
             "from riscov import montecarlo\n"
             "from riscov.config import NetworkConfig\n"
             "multiprocessing.set_start_method('spawn')\n"
@@ -630,7 +631,8 @@ class TestWorkerPool:
             "for workers in ('1', '2'):\n"
             "    os.environ[montecarlo.WORKERS_ENV_VAR] = workers\n"
             "    runs.append(montecarlo.run(cfg, [0.5, 1.0, 2.0]))\n"
-            "print(multiprocessing.get_start_method(), runs[0] == runs[1], pools)\n"
+            "same = all(np.array_equal(a, b) for m in montecarlo.METRICS for a, b in zip(runs[0][m], runs[1][m]))\n"
+            "print(multiprocessing.get_start_method(), same, pools)\n"
         )
         assert _run_fresh(code).strip() == "spawn True [(2, 3)]"
 
@@ -898,11 +900,17 @@ class TestHistCommand:
         ]
         assert not (tmp_path / f"hist_{quantity}.csv").exists()
 
-    def test_subnormal_power_span_is_pipeline_error(self, runner, tmp_path):
-        # p_ris spans only 0 to 5e-324 here, and numpy's "Too many bins for
-        # data range" ValueError used to end the command with exit 1
+    @pytest.mark.parametrize("yaml_text", [
+        # p_ris spans only 0 to 5e-324, and numpy's "Too many bins for data
+        # range" ValueError used to end the command with exit 1
+        "beta: 2.85e-202\nmu: 3.25e+79\np_s: 4.19e-44\n",
+        # every p_ris underflows to 0, and numpy's widening of constant values
+        # by 0.5 used to write 60 bins over [-0.5, 0.5] W with exit 0
+        "lambda_bs: 3.0e-318\n",
+    ], ids=["subnormal", "zero"])
+    def test_subnormal_power_span_is_pipeline_error(self, runner, tmp_path, yaml_text):
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("beta: 2.85e-202\nmu: 3.25e+79\np_s: 4.19e-44\n")
+        cfg.write_text(yaml_text)
         result = runner.invoke(
             cli.main,
             ["hist", "-c", str(cfg), "--quantity", "p_ris", "--trials", "1000",

@@ -30,10 +30,7 @@ def scaled(cfg: NetworkConfig, k: float) -> NetworkConfig:
 
 def every_number(cfg: NetworkConfig) -> np.ndarray:
     """Each estimate's probability, half-width and trial count, then each gated closed form."""
-    estimates = [
-        (e.probability, e.ci_half_width, e.n_trials)
-        for e in montecarlo.run(cfg, cfg.thresholds_linear)
-    ]
+    estimates = list(montecarlo.run(cfg, cfg.thresholds_linear).values())
     thresholds = np.asarray(cfg.thresholds_linear)
     closed = [getattr(analytic, g.closed_form)(cfg, thresholds) for g in cli.GATES]
     return np.concatenate([np.ravel(estimates), np.ravel(closed)])

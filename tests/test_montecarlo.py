@@ -299,11 +299,8 @@ class TestDeploymentInvariance:
     @staticmethod
     def direct_estimates(**change):
         cfg = NetworkConfig(n_trials=2000, **change)
-        return [
-            (e.probability, e.ci_half_width, e.n_trials)
-            for e in montecarlo.run(cfg, cfg.thresholds_linear)
-            if e.metric in ("gamma_o", "gamma_a")
-        ]
+        estimates = montecarlo.run(cfg, cfg.thresholds_linear)
+        return [array.tolist() for metric in ("gamma_o", "gamma_a") for array in estimates[metric]]
 
     @pytest.mark.parametrize("change", [
         {"lambda_bs": 1e-300},
@@ -328,16 +325,16 @@ class TestEstimateCoverage:
         # a conditional value is exp(-x) with x > 0, so it reaches 1 only
         # where x underflows
         ests = montecarlo.run(small_cfg(n_trials=500), [1e-12, 1e-300])
-        for e in ests:
-            assert 1.0 - e.probability < 1e-9
-            assert e.probability == 1.0 or e.threshold == 1e-12
+        for e in ests.values():
+            assert np.all(1.0 - e.probability < 1e-9)
+            assert e.probability[1] == 1.0
 
     def test_huge_threshold_gives_no_coverage(self):
         # a trial whose drawn single-beam field is empty gets its 0 from the
         # far field alone
         cfg = small_cfg(n_trials=500)
         ests = montecarlo.run(cfg, [1e300])
-        assert all(e.probability == 0.0 and e.ci_half_width == 0.0 for e in ests)
+        assert all(e.probability[0] == 0.0 and e.ci_half_width[0] == 0.0 for e in ests.values())
         rec = montecarlo.draw(cfg)
         empty = dataclasses.replace(rec, log_near_single=np.full(len(rec), -np.inf))
         assert not np.any(montecarlo.conditional_values(cfg, empty, 1e300)["gamma_o"])
@@ -357,7 +354,7 @@ class TestEstimateCoverage:
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "3")
         three = montecarlo.run(cfg, [0.5, 1.0, 2.0])
         assert pool_tasks == [(3, 3)]
-        assert one == three
+        np.testing.assert_equal(one, three)
 
     @pytest.mark.parametrize("workers", ["1", "3"])
     def test_pooled_estimates_match_estimates_from_records(self, monkeypatch, pool_tasks, workers):
@@ -367,13 +364,14 @@ class TestEstimateCoverage:
         estimates = montecarlo.run(cfg, thresholds)
         records = montecarlo.draw(cfg)
         # the blocks' merged sums against the values of the whole run at once
-        for e in estimates:
-            values = montecarlo.conditional_values(cfg, records, e.threshold)[e.metric]
-            assert e.n_trials == len(values)
-            assert e.probability == pytest.approx(float(np.mean(values)), rel=1e-12)
-            assert e.ci_half_width == pytest.approx(
-                1.96 * float(np.std(values)) / math.sqrt(len(values)), rel=1e-9
-            )
+        for metric, est in estimates.items():
+            for t, p, half_width, n in zip(thresholds, *est):
+                values = montecarlo.conditional_values(cfg, records, t)[metric]
+                assert n == len(values)
+                assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
+                assert half_width == pytest.approx(
+                    1.96 * float(np.std(values)) / math.sqrt(len(values)), rel=1e-9
+                )
         assert pool_tasks == ([] if workers == "1" else [(3, 3)])
 
     def test_pool_is_capped_at_the_block_count(self, monkeypatch, pool_tasks):
@@ -420,7 +418,7 @@ class TestEstimateCoverage:
         usable_cpus(1)  # one usable CPU runs the blocks in process
         serial = montecarlo.run(cfg, [1.0])
         assert sizes == ([3] if source != "unknown" else [])
-        assert capped == serial
+        np.testing.assert_equal(capped, serial)
 
     def test_pool_tasks_return_only_block_sums(self, monkeypatch):
         results = []
@@ -474,34 +472,34 @@ class TestEstimateCoverage:
 
     def test_gamma_b_conditions_on_engagement(self):
         cfg = small_cfg(n_trials=2000, lambda_ris=100.0)
-        ests, rec = montecarlo.run(cfg, [1.0]), montecarlo.draw(cfg)
-        by_metric = {e.metric: e for e in ests}
-        assert by_metric["gamma_b"].n_trials == int(rec.engaged.sum())
-        assert by_metric["gamma_o"].n_trials == len(rec)
+        by_metric, rec = montecarlo.run(cfg, [1.0]), montecarlo.draw(cfg)
+        assert by_metric["gamma_b"].n_trials[0] == int(rec.engaged.sum())
+        assert by_metric["gamma_o"].n_trials[0] == len(rec)
 
     def test_ci_formula(self):
         # the mean of the per-trial values and 1.96 of their standard errors
         cfg = small_cfg(n_trials=1000)
-        (est, *_), rec = montecarlo.run(cfg, [1.0]), montecarlo.draw(cfg)
+        ((p,), (half_width,), (n,)), rec = montecarlo.run(cfg, [1.0])["gamma_o"], montecarlo.draw(cfg)
         values = montecarlo.conditional_values(cfg, rec, 1.0)["gamma_o"]
-        n = est.n_trials
-        assert est.probability == pytest.approx(float(np.mean(values)), rel=1e-12)
-        assert est.ci_half_width == pytest.approx(1.96 * float(np.std(values)) / math.sqrt(n))
+        assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
+        assert half_width == pytest.approx(1.96 * float(np.std(values)) / math.sqrt(n))
 
     def test_never_noisier_than_counting(self):
         # values in [0, 1] have a variance of at most p * (1 - p), the variance
         # of the indicators they average
         cfg = NetworkConfig(n_trials=10_000)
         ests = montecarlo.run(cfg, cfg.thresholds_linear)
-        assert len(ests) == len(montecarlo.METRICS) * len(cfg.thresholds_db)
-        for e in ests:
-            assert e.ci_half_width <= _ci(e.probability, e.n_trials), e
+        assert list(ests) == list(montecarlo.METRICS)
+        for metric, e in ests.items():
+            assert all(len(array) == len(cfg.thresholds_db) for array in e)
+            for p, half_width, n in zip(*e):
+                assert half_width <= _ci(p, n), (metric, p, half_width, n)
 
     def test_coverage_nonincreasing_in_threshold(self):
         thresholds = [0.1, 0.5, 1.0, 5.0, 20.0]
         ests = montecarlo.run(small_cfg(n_trials=3000), thresholds)
-        for metric in montecarlo.METRICS:
-            vals = [e.probability for e in ests if e.metric == metric]
+        for e in ests.values():
+            vals = e.probability
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_selection_dominates_paths_with_matched_denominators(self):
@@ -511,11 +509,10 @@ class TestEstimateCoverage:
         # is checked by assert_value_orderings
         cfg = NetworkConfig(n_trials=2000, master_seed=31)
         ests = montecarlo.run(cfg, [0.5, 1.0, 5.0])
-        by = {(e.metric, e.threshold): e for e in ests}
-        for t in (0.5, 1.0, 5.0):
-            selection, direct = by[("gamma_s", t)], by[("gamma_a", t)]
-            assert selection.n_trials == direct.n_trials == cfg.n_trials
-            assert selection.probability >= direct.probability
+        selection, direct = ests["gamma_s"], ests["gamma_a"]
+        for j in range(3):
+            assert selection.n_trials[j] == direct.n_trials[j] == cfg.n_trials
+            assert selection.probability[j] >= direct.probability[j]
 
 
 class TestStreamDigest:
@@ -645,8 +642,8 @@ class TestLargeAlpha:
         # logs now
         cfg = NetworkConfig(alpha=1000.0, n_trials=20_000)
         estimates = montecarlo.run(cfg, cfg.thresholds_linear)
-        assert all(0.0 <= e.probability <= 1.0 for e in estimates)
-        gamma_o = [e.probability for e in estimates if e.metric == "gamma_o"]
+        assert all(np.all((0.0 <= e.probability) & (e.probability <= 1.0)) for e in estimates.values())
+        gamma_o = estimates["gamma_o"].probability
         exact = analytic.coverage_baseline(cfg, np.asarray(cfg.thresholds_linear))
         np.testing.assert_allclose(gamma_o, exact, rtol=0, atol=0.02)
 
@@ -669,9 +666,9 @@ class TestRunConfig:
         cfg = NetworkConfig(n_trials=1000, m_elements=10**160)
         with pytest.raises(NumericalError, match="p_ris values"):
             montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "p_ris")
-        by_metric = {e.metric: e for e in montecarlo.run(cfg, [1.0])}
-        assert by_metric["gamma_b"].probability == 1.0
-        assert by_metric["gamma_s"].probability > by_metric["gamma_a"].probability
+        by_metric = montecarlo.run(cfg, [1.0])
+        assert by_metric["gamma_b"].probability[0] == 1.0
+        assert by_metric["gamma_s"].probability[0] > by_metric["gamma_a"].probability[0]
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
     def test_rejects_nonpositive_thresholds_before_drawing(self, monkeypatch, bad):
@@ -723,9 +720,9 @@ class TestEngineAgreement:
             thresholds_db=(5.0,),
         )
         t = cfg.thresholds_linear[0]
-        est = next(e for e in montecarlo.run(cfg, [t]) if e.metric == "gamma_b")
-        overshoot = analytic.coverage_path_b_approx2(cfg, t) - est.probability
-        assert overshoot > est.ci_half_width
+        (p,), (half_width,), _ = montecarlo.run(cfg, [t])["gamma_b"]
+        overshoot = analytic.coverage_path_b_approx2(cfg, t) - p
+        assert overshoot > half_width
         assert overshoot > 0.03
 
     def test_coverage_within_reference_ci(self):
@@ -733,8 +730,7 @@ class TestEngineAgreement:
         # conditional estimator lies within the combined (summed) 95%
         # half-widths of the reference engine's indicator count
         cfg = NetworkConfig(n_trials=3000, master_seed=2026)
-        ests = montecarlo.run(cfg, cfg.thresholds_linear)
-        ours = {(e.metric, e.threshold): e for e in ests}
+        ours = montecarlo.run(cfg, cfg.thresholds_linear)
         reference = ref.reference_sirs(cfg)
         sirs = {
             "gamma_o": reference["sir_o"],
@@ -742,8 +738,7 @@ class TestEngineAgreement:
             "gamma_b": reference["sir_b"][~np.isnan(reference["sir_b"])],
         }
         for metric, theirs in sirs.items():
-            for t in cfg.thresholds_linear:
-                est = ours[(metric, t)]
+            for t, p, half_width, _ in zip(cfg.thresholds_linear, *ours[metric]):
                 p_ref = float(np.mean(theirs > t))
-                bound = est.ci_half_width + _ci(p_ref, len(theirs))
-                assert abs(est.probability - p_ref) <= bound, (metric, t, est.probability, p_ref)
+                bound = half_width + _ci(p_ref, len(theirs))
+                assert abs(p - p_ref) <= bound, (metric, t, p, p_ref)
