@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import click
@@ -126,17 +126,17 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
-def _row_builder(cfg: NetworkConfig, axis_name: str, axis_value) -> functools.partial:
-    """:class:`ResultRow` with ``cfg``'s provenance and sweep position filled in."""
+def _row_builder(cfg: NetworkConfig) -> functools.partial:
+    """:class:`ResultRow` with ``cfg``'s provenance filled in, at no sweep position."""
     return functools.partial(
-        ResultRow, axis_name=axis_name, axis_value=axis_value, ci_half_width=None,
+        ResultRow, axis_name="", axis_value=None, ci_half_width=None,
         n_trials=None, config_hash=cfg.config_hash(), seed=cfg.master_seed,
     )
 
 
-def run_analytic(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> list[ResultRow]:
+def run_analytic(cfg: NetworkConfig) -> list[ResultRow]:
     """Evaluate every gated closed form at every configured threshold."""
-    row = _row_builder(cfg, axis_name, axis_value)
+    row = _row_builder(cfg)
     thresholds = np.asarray(cfg.thresholds_linear, dtype=float)
     values = {g.engine: getattr(analytic, g.closed_form)(cfg, thresholds) for g in GATES}
     return [
@@ -146,13 +146,13 @@ def run_analytic(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> li
     ]
 
 
-def run_simulate(cfg: NetworkConfig, axis_name: str = "", axis_value=None) -> list[ResultRow]:
+def run_simulate(cfg: NetworkConfig) -> list[ResultRow]:
     """Simulate the configured run and reduce it to coverage rows."""
-    row = _row_builder(cfg, axis_name, axis_value)
+    row = _row_builder(cfg)
     return [
         row(engine="mc", metric=metric, t_db=float(t_db), value=float(est.probability[j]),
             ci_half_width=float(est.ci_half_width[j]), n_trials=int(est.n_trials[j]))
-        for metric, est in montecarlo.run(cfg, cfg.thresholds_linear).items()
+        for metric, est in montecarlo.run(cfg).items()
         for j, t_db in enumerate(cfg.thresholds_db)
     ]
 
@@ -215,6 +215,7 @@ def run_sweep(
 
     ``axis`` is a key of :data:`SWEEP_AXES` and ``metric`` one of
     :data:`SWEEP_METRICS`; the ``sweep`` command's choices enforce both.
+    Each grid point's rows are those of its config, labelled with the axis.
     """
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(["grid: must be nonempty and strictly increasing"])
@@ -231,22 +232,20 @@ def run_sweep(
             point_cfg = cfg.replace(**{"n_elements" if axis == "N" else "m_elements": count})
         else:
             point_cfg = cfg.replace(**{axis: float(value)})
-        if metric == "coverage":
-            rows.extend(run_analytic(point_cfg, axis_name, value))
-            if with_mc:
-                rows.extend(run_simulate(point_cfg, axis_name=axis_name, axis_value=value))
+        if metric != "coverage":
+            point_rows = [_moment_row(point_cfg, metric)]
         else:
-            rows.append(_moment_row(point_cfg, metric, axis_name, value))
+            point_rows = run_analytic(point_cfg) + (run_simulate(point_cfg) if with_mc else [])
+        rows.extend(replace(r, axis_name=axis_name, axis_value=value) for r in point_rows)
     return rows
 
 
-def _moment_row(cfg: NetworkConfig, metric: str, axis_name: str, axis_value) -> ResultRow:
+def _moment_row(cfg: NetworkConfig, metric: str) -> ResultRow:
     if metric == "e_r1":
         value = geometry.expected_r1(cfg.lambda_bs * KM2_TO_M2, cfg.lambda_ris * KM2_TO_M2)
     else:
         value = analytic.mean_reflected_power(cfg)
-    row = _row_builder(cfg, axis_name, axis_value)
-    return row(engine="analytic_moment", metric=metric, t_db=None, value=value)
+    return _row_builder(cfg)(engine="analytic_moment", metric=metric, t_db=None, value=value)
 
 
 def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: np.ndarray) -> str:

@@ -88,7 +88,8 @@ class NetworkConfig:
 
     Densities are per km^2 and thresholds are in dB here; the engines read
     ``thresholds_linear`` and the derived groups below. Building an instance
-    with any invalid field raises :class:`ConfigError`.
+    with any invalid field raises :class:`ConfigError`; ``thresholds_db``
+    may be any list or tuple of numbers and is stored as a tuple of floats.
     """
 
     lambda_bs: float = 25.0
@@ -190,15 +191,20 @@ class NetworkConfig:
             or self.phase_bits < 1
         ):
             errs.append(f"phase_bits: must be 'ideal' or an integer >= 1, got {self.phase_bits!r}")
-        if not isinstance(self.thresholds_db, tuple) or not all(map(_is_ratio_db, self.thresholds_db)):
+        thresholds = self.thresholds_db
+        if not isinstance(thresholds, (list, tuple)):
+            errs.append(f"thresholds_db: must be a list of numbers, got {thresholds!r}")
+        elif not all(map(_is_ratio_db, thresholds)):
             errs.append(
                 "thresholds_db: must be a list of dB values t with 10**(t/10) a positive "
-                f"finite float, got {self.thresholds_db!r}"
+                f"finite float, got {thresholds!r}"
             )
-        elif not self.thresholds_db:
+        elif not thresholds:
             errs.append("thresholds_db: must hold at least one threshold, got []")
-        elif len(set(self.thresholds_db)) != len(self.thresholds_db):
-            errs.append(f"thresholds_db: must not repeat a value, got {list(self.thresholds_db)!r}")
+        elif len(set(thresholds)) != len(thresholds):
+            errs.append(f"thresholds_db: must not repeat a value, got {list(thresholds)!r}")
+        else:
+            object.__setattr__(self, "thresholds_db", tuple(map(float, thresholds)))
         if self.orientation not in ORIENTATION_MODES:
             errs.append(f"orientation: must be one of {ORIENTATION_MODES}, got {self.orientation!r}")
         if errs:
@@ -230,18 +236,7 @@ class NetworkConfig:
         unknown = sorted(set(mapping) - known)
         if unknown:
             raise ConfigError([f"unknown config key: {k}" for k in unknown])
-        kwargs = dict(mapping)
-        if "thresholds_db" in kwargs:
-            thresholds = kwargs["thresholds_db"]
-            error = ConfigError([f"thresholds_db: must be a list of numbers, got {thresholds!r}"])
-            # a bare string or number is not a list: "10" would become (1.0, 0.0)
-            if not isinstance(thresholds, (list, tuple)):
-                raise error
-            try:
-                kwargs["thresholds_db"] = tuple(float(t) for t in thresholds)
-            except (TypeError, ValueError):
-                raise error
-        return cls(**kwargs)
+        return cls(**mapping)
 
 
 def load_config(path: str | Path) -> NetworkConfig:

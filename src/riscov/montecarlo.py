@@ -3,8 +3,8 @@
 One trial places the user at the origin, draws the serving base, the nearest
 interferers that survive beam thinning and the nearest reflector, and
 records what coverage depends on given them. One
-:class:`riscov.config.NetworkConfig` describes a run, trial count and seed
-included.
+:class:`riscov.config.NetworkConfig` describes a run, its trial count, seed
+and thresholds included: :func:`run` takes nothing else.
 
 Sampling rests on two facts about a Poisson field of intensity ``lam`` seen
 from the origin. Its ordered squared distances are Poisson arrivals,
@@ -83,8 +83,8 @@ the config, never on how many workers run the chunks.
 Parallelism. :func:`draw` draws every trial in this process. One task of
 :func:`run` draws one block of ``VALUE_BLOCK`` trials (eight chunks; the
 last block may be partial) and returns only its float array of shape
-``(len(METRICS), len(thresholds), 3)``: the count, sum and sum of squares of
-the conditional values of each metric at each threshold. The arrays are
+``(len(METRICS), len(thresholds_db), 3)``: the count, sum and sum of
+squares of the conditional values of each metric at each threshold. The arrays are
 added in block order, so every output byte is the same for any worker count,
 and memory does not grow with the trial count. ``RISCOV_WORKERS`` sets the
 pool size, capped at the block count (at most ``VALUE_BLOCK`` trials never
@@ -196,13 +196,13 @@ def _block_sums(task) -> np.ndarray:
     """One pool task: draw the block of trials from ``start`` and reduce it to sums.
 
     ``sums[i, j]`` is the count, sum and sum of squares of the block's
-    conditional values of ``METRICS[i]`` at ``thresholds[j]``.
+    conditional values of ``METRICS[i]`` at ``cfg.thresholds_linear[j]``.
     """
-    cfg, start, thresholds = task
+    cfg, start = task
     stop = min(start + VALUE_BLOCK, cfg.n_trials)
-    sums = np.empty((len(METRICS), len(thresholds), 3))
+    sums = np.empty((len(METRICS), len(cfg.thresholds_db), 3))
     block = _draw(cfg, start, stop)
-    for j, t in enumerate(thresholds):
+    for j, t in enumerate(cfg.thresholds_linear):
         by_metric = conditional_values(cfg, block, t)
         values = [by_metric[metric] for metric in METRICS]
         sums[:, j] = [(len(v), v.sum(), np.square(v).sum()) for v in values]
@@ -290,25 +290,22 @@ def draw(cfg: NetworkConfig) -> TrialRecords:
     return _draw(cfg, 0, cfg.n_trials)
 
 
-def run(cfg: NetworkConfig, thresholds) -> dict[str, Coverage]:
-    """``Pr[SIR > T]``: one :class:`Coverage` per name of :data:`METRICS`.
+def run(cfg: NetworkConfig) -> dict[str, Coverage]:
+    """``Pr[SIR > T]`` of the configured run: one :class:`Coverage` per name of :data:`METRICS`.
 
-    Entry ``j`` of its arrays is the estimate at ``thresholds[j]``, the mean
-    of :func:`conditional_values` over its trials: ``gamma_b`` conditions on
-    an engaged reflector and the other metrics use every trial. One task
-    draws each block of ``VALUE_BLOCK`` trials and returns only its sums, so
-    memory does not grow with the trial count and a pool parallelizes the
-    estimator with the draws. An estimate needs at least 100 trials, and
-    every threshold must be a positive power ratio, as in the closed forms.
+    Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]``,
+    the mean of :func:`conditional_values` over its trials: ``gamma_b``
+    conditions on an engaged reflector and the other metrics use every
+    trial. One task draws each block of ``VALUE_BLOCK`` trials and returns
+    only its sums, so memory does not grow with the trial count and a pool
+    parallelizes the estimator with the draws. An estimate needs at least
+    100 trials.
     """
     if cfg.n_trials < 100:
         raise ConfigError(
             [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
         )
-    thresholds = tuple(float(t) for t in thresholds)
-    if not all(t > 0 for t in thresholds):
-        raise ParameterError(f"T must be positive, got {list(thresholds)!r}")
-    tasks = [(cfg, start, thresholds) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
+    tasks = [(cfg, start) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(worker_count(), len(tasks), cpus or 1)
     if workers == 1:

@@ -33,7 +33,7 @@ class TimedRun:
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
         t0 = time.perf_counter()
-        self.estimates = montecarlo.run(cfg, cfg.thresholds_linear)
+        self.estimates = montecarlo.run(cfg)
         self.duration_s = time.perf_counter() - t0
 
     @functools.cached_property

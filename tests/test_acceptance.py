@@ -251,7 +251,7 @@ def _gamma_b_estimate(lambda_ris_km2, lambda_bs_km2, seed):
         lambda_ris=lambda_ris_km2, lambda_bs=lambda_bs_km2,
         n_trials=20_000, master_seed=seed, thresholds_db=(5.0,),
     )
-    return montecarlo.Coverage._make(array[0] for array in montecarlo.run(cfg, [T5DB])["gamma_b"])
+    return montecarlo.Coverage._make(array[0] for array in montecarlo.run(cfg)["gamma_b"])
 
 
 def test_c12_trend_suite():

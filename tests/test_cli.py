@@ -626,11 +626,11 @@ class TestWorkerPool:
             "    pools.append((self._processes, len(tasks)))\n"
             "    return imap(self, func, tasks, chunksize)\n"
             "multiprocessing.pool.Pool.imap = recording_imap\n"
-            "cfg = NetworkConfig(n_trials=20000, master_seed=11)\n"
+            "cfg = NetworkConfig(n_trials=20000, master_seed=11, thresholds_db=[-3.0, 0.0, 3.0])\n"
             "runs = []\n"
             "for workers in ('1', '2'):\n"
             "    os.environ[montecarlo.WORKERS_ENV_VAR] = workers\n"
-            "    runs.append(montecarlo.run(cfg, [0.5, 1.0, 2.0]))\n"
+            "    runs.append(montecarlo.run(cfg))\n"
             "same = all(np.array_equal(a, b) for m in montecarlo.METRICS for a, b in zip(runs[0][m], runs[1][m]))\n"
             "print(multiprocessing.get_start_method(), same, pools)\n"
         )
@@ -925,13 +925,14 @@ class TestHistCommand:
 
 
 class TestTypedExits:
-    @pytest.mark.parametrize("thresholds", ["[]", "[4000]", "[-4000]"],
-                             ids=["empty", "overflow", "underflow"])
+    @pytest.mark.parametrize("thresholds", ["[]", "[4000]", "[-4000]", "[true]", '["5"]'],
+                             ids=["empty", "overflow", "underflow", "bool", "string"])
     @pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
     def test_thresholds_without_a_ratio_are_config_errors(self, runner, tmp_path, command, thresholds):
         # 4000 dB overflowed 10**(t/10) (a traceback and exit 1, the gate-failed
-        # code), -4000 dB reached the closed forms as T = 0 (exit 4), and an
-        # empty list wrote a header-only CSV or failed compare with exit 4
+        # code), -4000 dB reached the closed forms as T = 0 (exit 4), an empty
+        # list wrote a header-only CSV or failed compare with exit 4, and true
+        # and "5" ran as 1 dB and 5 dB
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"thresholds_db: {thresholds}\n")
         result = runner.invoke(

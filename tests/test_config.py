@@ -72,6 +72,20 @@ class TestValidation:
             NetworkConfig(thresholds_db=thresholds)
         assert [e.split(":")[0] for e in exc.value.errors] == ["thresholds_db"]
 
+    def test_thresholds_are_stored_as_a_tuple_of_floats(self):
+        # the constructor is the one parse of the thresholds, from a file or not
+        cfg = NetworkConfig(thresholds_db=[0, 5])
+        assert cfg.thresholds_db == (0.0, 5.0) and all(type(t) is float for t in cfg.thresholds_db)
+        assert cfg.config_hash() == NetworkConfig(thresholds_db=(0.0, 5.0)).config_hash()
+        assert NetworkConfig.from_mapping({"thresholds_db": [0, 5]}) == cfg
+
+    @pytest.mark.parametrize("thresholds", [[True], ["5"], "5", 5.0], ids=["bool", "string", "bare-string", "bare-number"])
+    def test_thresholds_must_be_a_list_of_numbers(self, thresholds):
+        # from a file, true ran at 1 dB and "5" at 5 dB
+        with pytest.raises(ConfigError) as exc:
+            NetworkConfig.from_mapping({"thresholds_db": thresholds})
+        assert [e.split(":")[0] for e in exc.value.errors] == ["thresholds_db"]
+
     def test_extreme_finite_ratios_accepted(self):
         assert NetworkConfig(thresholds_db=(-3000.0, 3000)).thresholds_linear == (1e-300, 1e300)
 

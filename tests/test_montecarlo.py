@@ -299,7 +299,7 @@ class TestDeploymentInvariance:
     @staticmethod
     def direct_estimates(**change):
         cfg = NetworkConfig(n_trials=2000, **change)
-        estimates = montecarlo.run(cfg, cfg.thresholds_linear)
+        estimates = montecarlo.run(cfg)
         return [array.tolist() for metric in ("gamma_o", "gamma_a") for array in estimates[metric]]
 
     @pytest.mark.parametrize("change", [
@@ -324,7 +324,7 @@ class TestEstimateCoverage:
     def test_tiny_threshold_gives_certain_coverage(self):
         # a conditional value is exp(-x) with x > 0, so it reaches 1 only
         # where x underflows
-        ests = montecarlo.run(small_cfg(n_trials=500), [1e-12, 1e-300])
+        ests = montecarlo.run(small_cfg(n_trials=500, thresholds_db=(-120.0, -3000.0)))
         for e in ests.values():
             assert np.all(1.0 - e.probability < 1e-9)
             assert e.probability[1] == 1.0
@@ -332,8 +332,8 @@ class TestEstimateCoverage:
     def test_huge_threshold_gives_no_coverage(self):
         # a trial whose drawn single-beam field is empty gets its 0 from the
         # far field alone
-        cfg = small_cfg(n_trials=500)
-        ests = montecarlo.run(cfg, [1e300])
+        cfg = small_cfg(n_trials=500, thresholds_db=(3000.0,))
+        ests = montecarlo.run(cfg)
         assert all(e.probability[0] == 0.0 and e.ci_half_width[0] == 0.0 for e in ests.values())
         rec = montecarlo.draw(cfg)
         empty = dataclasses.replace(rec, log_near_single=np.full(len(rec), -np.inf))
@@ -341,31 +341,30 @@ class TestEstimateCoverage:
 
     def test_requires_minimum_trials(self):
         with pytest.raises(ConfigError):
-            montecarlo.run(small_cfg(n_trials=50), [1.0])
+            montecarlo.run(small_cfg(n_trials=50))
         # the minimum is the estimator's: drawing needs none
         assert len(montecarlo.draw(small_cfg(n_trials=50))) == 50
 
     def test_worker_count_does_not_change_estimates(self, monkeypatch, pool_tasks):
         # three blocks, the last one partial
-        cfg = small_cfg(n_trials=20000)
+        cfg = small_cfg(n_trials=20000, thresholds_db=(-3.0, 0.0, 3.0))
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "1")
-        one = montecarlo.run(cfg, [0.5, 1.0, 2.0])
+        one = montecarlo.run(cfg)
         assert pool_tasks == []
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "3")
-        three = montecarlo.run(cfg, [0.5, 1.0, 2.0])
+        three = montecarlo.run(cfg)
         assert pool_tasks == [(3, 3)]
         np.testing.assert_equal(one, three)
 
     @pytest.mark.parametrize("workers", ["1", "3"])
     def test_pooled_estimates_match_estimates_from_records(self, monkeypatch, pool_tasks, workers):
-        cfg = small_cfg(n_trials=20000)
-        thresholds = [0.1, 1.0, 10.0]
+        cfg = small_cfg(n_trials=20000, thresholds_db=(-10.0, 0.0, 10.0))
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
-        estimates = montecarlo.run(cfg, thresholds)
+        estimates = montecarlo.run(cfg)
         records = montecarlo.draw(cfg)
         # the blocks' merged sums against the values of the whole run at once
         for metric, est in estimates.items():
-            for t, p, half_width, n in zip(thresholds, *est):
+            for t, p, half_width, n in zip(cfg.thresholds_linear, *est):
                 values = montecarlo.conditional_values(cfg, records, t)[metric]
                 assert n == len(values)
                 assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
@@ -376,9 +375,9 @@ class TestEstimateCoverage:
 
     def test_pool_is_capped_at_the_block_count(self, monkeypatch, pool_tasks):
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "8")
-        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK), [1.0])
+        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK, thresholds_db=(0.0,)))
         assert pool_tasks == []
-        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1), [1.0])
+        montecarlo.run(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1, thresholds_db=(0.0,)))
         assert pool_tasks == [(2, 2)]
 
     @pytest.mark.parametrize("source", ["affinity", "cpu_count", "unknown"])
@@ -412,11 +411,11 @@ class TestEstimateCoverage:
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, str(10**9))
-        cfg = small_cfg(n_trials=4 * montecarlo.VALUE_BLOCK)
+        cfg = small_cfg(n_trials=4 * montecarlo.VALUE_BLOCK, thresholds_db=(0.0,))
         usable_cpus(3)
-        capped = montecarlo.run(cfg, [1.0])
+        capped = montecarlo.run(cfg)
         usable_cpus(1)  # one usable CPU runs the blocks in process
-        serial = montecarlo.run(cfg, [1.0])
+        serial = montecarlo.run(cfg)
         assert sizes == ([3] if source != "unknown" else [])
         np.testing.assert_equal(capped, serial)
 
@@ -431,12 +430,11 @@ class TestEstimateCoverage:
 
         monkeypatch.setattr(multiprocessing.pool.Pool, "imap", recording_imap)
         monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, "2")
-        thresholds = [0.5, 1.0, 2.0]
-        montecarlo.run(small_cfg(n_trials=20000), thresholds)
+        montecarlo.run(small_cfg(n_trials=20000, thresholds_db=(-3.0, 0.0, 3.0)))
         assert len(results) == 3
         for sums in results:
             assert type(sums) is np.ndarray
-            assert sums.shape == (len(montecarlo.METRICS), len(thresholds), 3)
+            assert sums.shape == (len(montecarlo.METRICS), 3, 3)
 
     def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
         # only one block's records are alive at a time, whatever the block count
@@ -445,7 +443,7 @@ class TestEstimateCoverage:
         for blocks in (2, 32):
             tracemalloc.start()
             try:
-                montecarlo.run(small_cfg(n_trials=blocks * montecarlo.VALUE_BLOCK), [1.0, 10.0])
+                montecarlo.run(small_cfg(n_trials=blocks * montecarlo.VALUE_BLOCK, thresholds_db=(0.0, 10.0)))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -471,15 +469,15 @@ class TestEstimateCoverage:
         assert montecarlo.WORKERS_ENV_VAR in err and repr(raw) in err
 
     def test_gamma_b_conditions_on_engagement(self):
-        cfg = small_cfg(n_trials=2000, lambda_ris=100.0)
-        by_metric, rec = montecarlo.run(cfg, [1.0]), montecarlo.draw(cfg)
+        cfg = small_cfg(n_trials=2000, lambda_ris=100.0, thresholds_db=(0.0,))
+        by_metric, rec = montecarlo.run(cfg), montecarlo.draw(cfg)
         assert by_metric["gamma_b"].n_trials[0] == int(rec.engaged.sum())
         assert by_metric["gamma_o"].n_trials[0] == len(rec)
 
     def test_ci_formula(self):
         # the mean of the per-trial values and 1.96 of their standard errors
-        cfg = small_cfg(n_trials=1000)
-        ((p,), (half_width,), (n,)), rec = montecarlo.run(cfg, [1.0])["gamma_o"], montecarlo.draw(cfg)
+        cfg = small_cfg(n_trials=1000, thresholds_db=(0.0,))
+        ((p,), (half_width,), (n,)), rec = montecarlo.run(cfg)["gamma_o"], montecarlo.draw(cfg)
         values = montecarlo.conditional_values(cfg, rec, 1.0)["gamma_o"]
         assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
         assert half_width == pytest.approx(1.96 * float(np.std(values)) / math.sqrt(n))
@@ -488,7 +486,7 @@ class TestEstimateCoverage:
         # values in [0, 1] have a variance of at most p * (1 - p), the variance
         # of the indicators they average
         cfg = NetworkConfig(n_trials=10_000)
-        ests = montecarlo.run(cfg, cfg.thresholds_linear)
+        ests = montecarlo.run(cfg)
         assert list(ests) == list(montecarlo.METRICS)
         for metric, e in ests.items():
             assert all(len(array) == len(cfg.thresholds_db) for array in e)
@@ -496,8 +494,7 @@ class TestEstimateCoverage:
                 assert half_width <= _ci(p, n), (metric, p, half_width, n)
 
     def test_coverage_nonincreasing_in_threshold(self):
-        thresholds = [0.1, 0.5, 1.0, 5.0, 20.0]
-        ests = montecarlo.run(small_cfg(n_trials=3000), thresholds)
+        ests = montecarlo.run(small_cfg(n_trials=3000, thresholds_db=(-10.0, -3.0, 0.0, 7.0, 13.0)))
         for e in ests.values():
             vals = e.probability
             assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -507,8 +504,8 @@ class TestEstimateCoverage:
         # holds per trial, so it holds exactly at the coverage level; gamma_b
         # averages over the engaged trials only, and its per-trial dominance
         # is checked by assert_value_orderings
-        cfg = NetworkConfig(n_trials=2000, master_seed=31)
-        ests = montecarlo.run(cfg, [0.5, 1.0, 5.0])
+        cfg = NetworkConfig(n_trials=2000, master_seed=31, thresholds_db=(-3.0, 0.0, 7.0))
+        ests = montecarlo.run(cfg)
         selection, direct = ests["gamma_s"], ests["gamma_a"]
         for j in range(3):
             assert selection.n_trials[j] == direct.n_trials[j] == cfg.n_trials
@@ -641,7 +638,7 @@ class TestLargeAlpha:
         # and S underflowed, and run raised NumericalError; both are sums of
         # logs now
         cfg = NetworkConfig(alpha=1000.0, n_trials=20_000)
-        estimates = montecarlo.run(cfg, cfg.thresholds_linear)
+        estimates = montecarlo.run(cfg)
         assert all(np.all((0.0 <= e.probability) & (e.probability <= 1.0)) for e in estimates.values())
         gamma_o = estimates["gamma_o"].probability
         exact = analytic.coverage_baseline(cfg, np.asarray(cfg.thresholds_linear))
@@ -658,28 +655,17 @@ class TestLargeAlpha:
 class TestRunConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
-            montecarlo.run(NetworkConfig(n_trials=0), [1.0])
+            montecarlo.run(NetworkConfig(n_trials=0))
 
     def test_huge_reflector_bank_fails_only_in_watts(self):
         # M**2 leaves the float range, log G does not: the estimator reads log q
         # and gives every reflected value 1, while the powers in watts overflow
-        cfg = NetworkConfig(n_trials=1000, m_elements=10**160)
+        cfg = NetworkConfig(n_trials=1000, m_elements=10**160, thresholds_db=(0.0,))
         with pytest.raises(NumericalError, match="p_ris values"):
             montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "p_ris")
-        by_metric = montecarlo.run(cfg, [1.0])
+        by_metric = montecarlo.run(cfg)
         assert by_metric["gamma_b"].probability[0] == 1.0
         assert by_metric["gamma_s"].probability[0] > by_metric["gamma_a"].probability[0]
-
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
-    def test_rejects_nonpositive_thresholds_before_drawing(self, monkeypatch, bad):
-        # T = -1 gave gamma_o 1.64 and gamma_s -9778 at the defaults: the
-        # estimator reads only positive power ratios, as the closed forms do
-        def no_draw(*args):
-            raise AssertionError("drew trials for an invalid threshold")
-
-        monkeypatch.setattr(montecarlo, "_draw", no_draw)
-        with pytest.raises(ParameterError, match="T must be positive"):
-            montecarlo.run(NetworkConfig(n_trials=2000), [1.0, bad])
 
 
 def _ci(p: float, n: int) -> float:
@@ -720,7 +706,7 @@ class TestEngineAgreement:
             thresholds_db=(5.0,),
         )
         t = cfg.thresholds_linear[0]
-        (p,), (half_width,), _ = montecarlo.run(cfg, [t])["gamma_b"]
+        (p,), (half_width,), _ = montecarlo.run(cfg)["gamma_b"]
         overshoot = analytic.coverage_path_b_approx2(cfg, t) - p
         assert overshoot > half_width
         assert overshoot > 0.03
@@ -730,7 +716,7 @@ class TestEngineAgreement:
         # conditional estimator lies within the combined (summed) 95%
         # half-widths of the reference engine's indicator count
         cfg = NetworkConfig(n_trials=3000, master_seed=2026)
-        ours = montecarlo.run(cfg, cfg.thresholds_linear)
+        ours = montecarlo.run(cfg)
         reference = ref.reference_sirs(cfg)
         sirs = {
             "gamma_o": reference["sir_o"],
