@@ -89,7 +89,9 @@ class NetworkConfig:
     Densities are per km^2 and thresholds are in dB here; the engines read
     ``thresholds_linear`` and the derived groups below. Building an instance
     with any invalid field raises :class:`ConfigError`; ``thresholds_db``
-    may be any list or tuple of numbers and is stored as a tuple of floats.
+    may be any list or tuple of numbers and is stored as a tuple of floats,
+    and each real-valued field is stored as the float it equals, so ``4``
+    and ``4.0`` give one config and one hash.
     """
 
     lambda_bs: float = 25.0
@@ -154,26 +156,30 @@ class NetworkConfig:
     def __post_init__(self):
         errs = []
 
-        def positive(name, upper=None):
+        def real(name, requirement="a positive finite number", ok=lambda x: x > 0):
+            """Store field ``name`` as the float it equals if that is finite and ``ok``."""
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or v <= 0:
-                errs.append(f"{name}: must be a positive finite number, got {v!r}")
-            elif upper is not None and v > upper:
-                errs.append(f"{name}: must be <= {upper}, got {v!r}")
+            try:
+                x = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
+            except OverflowError:  # an int beyond the float range
+                x = math.nan
+            if math.isfinite(x) and ok(x):
+                object.__setattr__(self, name, x)
+            else:
+                errs.append(f"{name}: must be {requirement}, got {v!r}")
 
         def positive_int(name):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 errs.append(f"{name}: must be an integer >= 1, got {v!r}")
 
-        positive("lambda_bs")
-        positive("lambda_ris")
-        positive("p_s")
-        positive("beta", upper=1.0)
-        positive("mu")
-        positive("epsilon_floor")
-        if not isinstance(self.alpha, (int, float)) or not math.isfinite(self.alpha) or self.alpha <= 2:
-            errs.append(f"alpha: must be a finite number > 2, got {self.alpha!r}")
+        real("lambda_bs")
+        real("lambda_ris")
+        real("p_s")
+        real("beta", "a finite number in (0, 1]", lambda x: 0 < x <= 1)
+        real("mu")
+        real("epsilon_floor")
+        real("alpha", "a finite number > 2", lambda x: x > 2)
         positive_int("n_elements")
         positive_int("m_elements")
         positive_int("n_trials")

@@ -988,6 +988,20 @@ class TestTypedExits:
         assert result.stderr.startswith("config error: n_elements: must convert to a float")
 
 
+    @pytest.mark.parametrize(
+        "field", ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
+    )
+    def test_real_field_beyond_float_is_config_error(self, runner, tmp_path, field):
+        # math.isfinite raised OverflowError on these: a traceback and exit 1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{field}: 1" + "0" * 400 + "\n")
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"config error: {field}: must be ")
+
+
 class TestRowFormatting:
     def test_rows_sorted_and_stable(self):
         rows = [

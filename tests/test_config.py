@@ -14,6 +14,9 @@ from riscov.config import (
 )
 
 
+REAL_FIELDS = ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
+
+
 class TestValidation:
     def test_defaults_are_valid(self):
         NetworkConfig()
@@ -35,6 +38,18 @@ class TestValidation:
         cfg = NetworkConfig(**{field: 1e-320})
         assert cfg.lambda_bs * KM2_TO_M2 == 0 or cfg.lambda_ris * KM2_TO_M2 == 0
         assert all(math.isfinite(v) for v in (cfg.log_rho, cfg.log_k_per_alpha, cfg.log_floor))
+
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_real_fields_hold_the_float_they_equal(self, field):
+        # alpha: 4 and alpha: 4.0 hashed apart, and an int beyond the float
+        # range raised OverflowError from math.isfinite
+        value = 1 if field == "beta" else 3
+        cfg = NetworkConfig(**{field: value})
+        assert type(getattr(cfg, field)) is float
+        assert cfg.config_hash() == NetworkConfig(**{field: float(value)}).config_hash()
+        with pytest.raises(ConfigError) as exc:
+            NetworkConfig(**{field: 10**400})
+        assert [e.split(":")[0] for e in exc.value.errors] == [field]
 
     def test_alpha_two_rejected(self):
         with pytest.raises(ConfigError):
