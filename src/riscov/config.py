@@ -130,6 +130,11 @@ class NetworkConfig:
                 + math.log(quantization_efficiency(self.phase_bits)))
 
     @property
+    def base_spacing_m(self) -> float:
+        """``1/sqrt(pi * lambda_bs)`` in metres, the engines' unit of length (per m^2 the density can be subnormal)."""
+        return 1.0 / (math.sqrt(math.pi * KM2_TO_M2) * math.sqrt(self.lambda_bs))
+
+    @property
     def log_rho(self) -> float:
         return math.log(self.lambda_ris) - math.log(self.lambda_bs)
 

@@ -1,8 +1,8 @@
 """Analytic distance distributions of the Poisson network model.
 
-Distances and intensities are in SI units (meters, points per square
-meter), except the floored moments, which take them in any one unit of
-length; the engines use the base spacing ``1/sqrt(pi*lambda_bs)``.
+Distances and intensities are in any one unit of length, the densities per
+its square: the engines and the ``e_r1`` sweep use the base spacing
+``1/sqrt(pi*lambda_bs)``, the ``hist`` overlay kilometres.
 Intensities and floors come from config fields, valid by construction, so
 no function here re-checks them. The nearest-neighbor distance of a homogeneous
 PPP of intensity ``lam`` is Rayleigh-distributed with density
@@ -151,13 +151,16 @@ def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
     ``r1`` from the law of cosines is ``(2s/pi) * E(4*r0*r2/s**2)`` with
     ``s = r0 + r2``; the module docstring describes the rule that averages it
     over both Rayleigh densities. Raises :class:`NumericalError` when the
-    rules of the two orders in ``_R1_RULE_ORDERS`` differ by more than
+    squared distances of the rule leave the float range, or when the rules
+    of the two orders in ``_R1_RULE_ORDERS`` differ by more than
     ``_R1_REL_TOL`` times the value.
     """
     if not all(math.isfinite(lam) and lam > 0 for lam in (lambda_bs, lambda_ris)):
-        raise ParameterError(f"intensities must be positive, got {lambda_bs!r}, {lambda_ris!r}")
+        raise ParameterError(f"intensities must be positive finite floats, got {lambda_bs!r}, {lambda_ris!r}")
     r0_max = rayleigh_tail_radius(lambda_bs)
     r2_max = rayleigh_tail_radius(lambda_ris)
+    if (r0_max + r2_max) * (r0_max + r2_max) == math.inf:  # the rule squares r0 + r2
+        raise NumericalError("expected_r1: the distances exceed the float range when squared")
     # past r0 = r2_max the r2 range no longer reaches the kink at r2 = r0
     r0_edges = np.array([0.0, r2_max, r0_max] if r2_max < r0_max else [0.0, r0_max])
     coarse, value = (

@@ -102,7 +102,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytic
-from .config import KM2_TO_M2, ConfigError, NetworkConfig
+from .config import ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
 WORKERS_ENV_VAR = "RISCOV_WORKERS"
@@ -343,9 +343,8 @@ def empirical_histogram(
         if quantity == "p_ris":  # 0.5 * p_s * f1 * r1**-alpha / K, r1 in units of the base spacing
             values = np.exp(math.log(0.5 * cfg.p_s) + np.log(records.f1)
                             - cfg.alpha * (np.log(records.r1) + cfg.log_k_per_alpha))
-        else:  # metres per distance unit, from lambda_bs per km^2: per m^2 it can be subnormal
-            length = 1.0 / (math.sqrt(math.pi * KM2_TO_M2) * math.sqrt(cfg.lambda_bs))
-            values = getattr(records, quantity) * length
+        else:
+            values = getattr(records, quantity) * cfg.base_spacing_m
     if not np.isfinite(values).all():
         raise NumericalError(f"the {quantity} values exceed the float range")
     try:

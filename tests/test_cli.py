@@ -670,6 +670,64 @@ class TestSweep:
         vals = [float(r["value"]) for r in rows]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_expected_r1_at_sparse_bases_scales_exactly(self, runner, tmp_path):
+        # per m^2 the quadrature squared distances near 1e155 m: two numpy
+        # warnings, then "did not converge" and exit 4. In units of the base
+        # spacing both points are rho = 100, and E[r1] scales as that spacing
+        values = []
+        for bs, grid in (("1.0e-305", "1.0e-303"), ("1.0", "100")):
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"lambda_bs: {bs}\n")
+            argv = ["sweep", "-c", str(cfg), "--out", str(tmp_path), "--axis", "lambda_ris",
+                    "--grid", grid, "--metric", "e_r1"]
+            result = runner.invoke(cli.main, argv, catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+            (row,) = read_rows(tmp_path / "sweep.csv")
+            values.append(float(row["value"]))
+        assert values[0] == pytest.approx(values[1] * 10**152.5, rel=1e-9)
+        # the exact mean 0.5 / sqrt(lambda_eff), the truncated rule's limit
+        assert values[0] == pytest.approx(0.5 / math.sqrt(1e-311 * 100 / 101), rel=1e-5)
+
+    @pytest.mark.parametrize("bs,grid", [("25.0", "1.0e-306"), ("1.0e-318", "1.0e-3")],
+                             ids=["squares-overflow", "infinite-rho"])
+    def test_expected_r1_beyond_the_float_range_is_pipeline_error(self, runner, tmp_path, bs, grid):
+        # at rho below about 8e-308 the rule's squared distances overflowed
+        # behind numpy warnings
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"lambda_bs: {bs}\n")
+        result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
+                                          "--axis", "lambda_ris", "--grid", grid, "--metric", "e_r1"])
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("pipeline error: ")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axis,grid,point", [
+        ("lambda_ris", "1000,50000", lambda cfg, v: cfg.replace(lambda_ris=v)),
+        ("T", "0,5", lambda cfg, v: cfg.replace(thresholds_db=(v,))),
+    ], ids=["lambda_ris", "T"])
+    def test_with_mc_rows_are_each_points_simulation(self, runner, tmp_path, axis, grid, point):
+        # each grid point's mc rows are run_simulate of that point's config,
+        # labelled with the axis
+        result = runner.invoke(
+            cli.main,
+            ["sweep", "--out", str(tmp_path), "--axis", axis, "--grid", grid, "--with-mc",
+             "--trials", "2000"],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        base = NetworkConfig(n_trials=2000)
+        for value in map(float, grid.split(",")):
+            cfg = point(base, value)
+            expected = [dataclasses.replace(r, axis_name=cli.SWEEP_AXES[axis], axis_value=value)
+                        for r in cli.run_simulate(cfg)]
+            assert len(expected) == len(montecarlo.METRICS) * len(cfg.thresholds_db)
+            mc = [line for line in lines
+                  if line.startswith("mc,") and line.split(",")[4] == cli._fmt(value)]
+            assert mc == cli.rows_to_csv(expected).splitlines()[1:]
+
     def test_mean_reflected_power_sweep_is_monotone(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("beta: 1.0\n")  # the reference trend uses a lossless bank
