@@ -185,9 +185,10 @@ def coverage_path_b_approx1(cfg: NetworkConfig, T):
     t, a = _thresholds(T), cfg.alpha
     log_kappa = log_reflector_ratio(cfg)
     _, p = cfg.retentions
-    # T' may overflow or underflow; the far form may overflow, or read nan where it is unused
+    # T' is one exponential of a sum of logs, as a subnormal kappa**(-a/2) loses digits; it
+    # may overflow or underflow; the far form may overflow, or read nan where it is unused
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = p * interference_factor(t * np.exp(-0.5 * a * log_kappa), a)
+        weighted = p * interference_factor(np.exp(np.log(t) - 0.5 * a * log_kappa), a)
         far = _reflected_coverage(log_kappa, p * (_leading(a) * t ** (2.0 / a) - np.exp(log_kappa)))
     value = np.where(np.isfinite(weighted), 1.0 / (1.0 + weighted), far)
     return float(value) if value.ndim == 0 else value

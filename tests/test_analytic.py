@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -279,6 +280,26 @@ class TestPathBCoverage:
         assert analytic.coverage_path_b_approx1(cfg, T) == pytest.approx(
             self.approx1_oracle(cfg, kappa, T), rel=1e-9, abs=0
         )
+
+    def test_approx1_where_the_threshold_scale_is_subnormal(self):
+        # kappa**(-a/2) is 4.0e-312 here, and T * kappa**(-a/2) kept only its
+        # digits: approx1 read 6.0e-13 relative off. The oracle sums
+        # 2F1(1, b; b + 1; -x) = b * sum((-x)**n / (b + n)), b = 1 - 2/a, in
+        # 60-digit decimals at the same log(kappa)
+        cfg = make_cfg(alpha=2.00000000001, mu=1e-300, n_elements=256, lambda_ris=1e12,
+                       thresholds_db=(3080.0,))
+        (t,) = cfg.thresholds_linear
+        log_kappa = analytic.log_reflector_ratio(cfg)
+        assert 0.0 < math.exp(-0.5 * cfg.alpha * log_kappa) < np.finfo(float).tiny
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            a = decimal.Decimal(cfg.alpha)
+            x = decimal.Decimal(t) * (-a / 2 * decimal.Decimal(log_kappa)).exp()
+            b = 1 - 2 / a
+            series = sum(b * (-x) ** n / (b + n) for n in range(40))  # x is 4e-4
+            i_factor = 2 * x / (a - 2) * series
+            expected = float(1 / (1 + decimal.Decimal(cfg.retentions[1]) * i_factor))
+        assert analytic.coverage_path_b_approx1(cfg, t) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_approx1_with_unit_rho_equals_approx2_form(self):
         # algebraic identity: at rho = 1 the approximations share one formula
