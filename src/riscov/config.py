@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,10 +89,8 @@ class NetworkConfig:
 
     Densities are per km^2 and thresholds are in dB here; the engines read
     ``thresholds_linear`` and the derived groups below. Building an instance
-    with any invalid field raises :class:`ConfigError`; ``thresholds_db``
-    may be any list or tuple of numbers and is stored as a tuple of floats,
-    and each real-valued field is stored as the float it equals, so ``4``
-    and ``4.0`` give one config and one hash.
+    with any invalid field raises :class:`ConfigError`. Real fields hold floats
+    (``4`` and ``4.0`` hash alike); ``thresholds_db`` takes any list of numbers.
     """
 
     lambda_bs: float = 25.0
@@ -164,12 +163,10 @@ class NetworkConfig:
         def real(name, requirement="a positive finite number", ok=lambda x: x > 0):
             """Store field ``name`` as the float it equals if that is finite and ``ok``."""
             v = getattr(self, name)
-            try:
-                x = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
-            except OverflowError:  # an int beyond the float range
-                x = math.nan
-            if math.isfinite(x) and ok(x):
-                object.__setattr__(self, name, x)
+            # compared exactly, an int beyond the float range fails here rather than in float()
+            finite = isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+            if finite and ok(float(v)):
+                object.__setattr__(self, name, float(v))
             else:
                 errs.append(f"{name}: must be {requirement}, got {v!r}")
 
@@ -202,20 +199,19 @@ class NetworkConfig:
             or self.phase_bits < 1
         ):
             errs.append(f"phase_bits: must be 'ideal' or an integer >= 1, got {self.phase_bits!r}")
-        thresholds = self.thresholds_db
-        if not isinstance(thresholds, (list, tuple)):
-            errs.append(f"thresholds_db: must be a list of numbers, got {thresholds!r}")
-        elif not all(map(_is_ratio_db, thresholds)):
+        if not isinstance(self.thresholds_db, (list, tuple)):
+            errs.append(f"thresholds_db: must be a list of numbers, got {self.thresholds_db!r}")
+        elif not all(map(_is_ratio_db, self.thresholds_db)):
             errs.append(
                 "thresholds_db: must be a list of dB values t with 10**(t/10) a positive "
-                f"finite float, got {thresholds!r}"
+                f"finite float, got {self.thresholds_db!r}"
             )
-        elif not thresholds:
+        elif not self.thresholds_db:
             errs.append("thresholds_db: must hold at least one threshold, got []")
-        elif len(set(thresholds)) != len(thresholds):
-            errs.append(f"thresholds_db: must not repeat a value, got {list(thresholds)!r}")
+        elif len(set(self.thresholds_db)) != len(self.thresholds_db):
+            errs.append(f"thresholds_db: must not repeat a value, got {list(self.thresholds_db)!r}")
         else:
-            object.__setattr__(self, "thresholds_db", tuple(map(float, thresholds)))
+            object.__setattr__(self, "thresholds_db", tuple(map(float, self.thresholds_db)))
         if self.orientation not in ORIENTATION_MODES:
             errs.append(f"orientation: must be one of {ORIENTATION_MODES}, got {self.orientation!r}")
         if errs:

@@ -150,10 +150,9 @@ def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
     For fixed ``(r0, r2)`` and a uniform angle between them, the mean of
     ``r1`` from the law of cosines is ``(2s/pi) * E(4*r0*r2/s**2)`` with
     ``s = r0 + r2``; the module docstring describes the rule that averages it
-    over both Rayleigh densities. Raises :class:`NumericalError` when the
-    squared distances of the rule leave the float range, or when the rules
-    of the two orders in ``_R1_RULE_ORDERS`` differ by more than
-    ``_R1_REL_TOL`` times the value.
+    over both Rayleigh densities. Raises :class:`NumericalError` when its
+    squared distances overflow or when the rules of the two orders in
+    ``_R1_RULE_ORDERS`` differ by more than ``_R1_REL_TOL`` times the value.
     """
     if not all(math.isfinite(lam) and lam > 0 for lam in (lambda_bs, lambda_ris)):
         raise ParameterError(f"intensities must be positive finite floats, got {lambda_bs!r}, {lambda_ris!r}")

@@ -83,8 +83,8 @@ the config, never on how many workers run the chunks.
 Parallelism. :func:`draw` draws every trial in this process. One task of
 :func:`run` draws one block of ``VALUE_BLOCK`` trials (eight chunks; the
 last block may be partial) and returns only its float array of shape
-``(len(METRICS), len(thresholds_db), 3)``: the count, sum and sum of
-squares of the conditional values of each metric at each threshold. The arrays are
+``(len(METRICS), len(thresholds_db), 3)``: the count, sum and sum of squares
+of the conditional values of each metric at each threshold. The arrays are
 added in block order, so every output byte is the same for any worker count,
 and memory does not grow with the trial count. ``RISCOV_WORKERS`` sets the
 pool size, capped at the block count (at most ``VALUE_BLOCK`` trials never
@@ -295,11 +295,10 @@ def run(cfg: NetworkConfig) -> dict[str, Coverage]:
 
     Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]``,
     the mean of :func:`conditional_values` over its trials: ``gamma_b``
-    conditions on an engaged reflector and the other metrics use every
-    trial. One task draws each block of ``VALUE_BLOCK`` trials and returns
-    only its sums, so memory does not grow with the trial count and a pool
-    parallelizes the estimator with the draws. An estimate needs at least
-    100 trials.
+    conditions on an engaged reflector and the other metrics use every trial.
+    One task draws each block of ``VALUE_BLOCK`` trials and returns only its
+    sums, so memory does not grow with the trial count and a pool parallelizes
+    the estimator with the draws. An estimate needs at least 100 trials.
     """
     if cfg.n_trials < 100:
         raise ConfigError(
