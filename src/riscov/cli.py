@@ -232,8 +232,10 @@ def run_sweep(
             point_cfg = cfg.replace(**{"n_elements" if axis == "N" else "m_elements": count})
         else:
             point_cfg = cfg.replace(**{axis: float(value)})
-        point_rows = ([_moment_row(point_cfg, metric)] if metric != "coverage"
-                      else run_analytic(point_cfg) + (run_simulate(point_cfg) if with_mc else []))
+        if metric == "coverage":
+            point_rows = run_analytic(point_cfg) + (run_simulate(point_cfg) if with_mc else [])
+        else:
+            point_rows = [_moment_row(point_cfg, metric)]
         rows.extend(replace(r, axis_name=axis_name, axis_value=value) for r in point_rows)
     return rows
 

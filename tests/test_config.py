@@ -78,11 +78,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             NetworkConfig.from_mapping({"thresholds_db": [5, 5.0]})
 
-    @pytest.mark.parametrize("thresholds", [(), (4000.0,), (-4000.0,), (0.0, math.nan)],
-                             ids=["empty", "overflow", "underflow", "nan"])
+    @pytest.mark.parametrize(
+        "thresholds", [(), (4000.0,), (-4000.0,), (0.0, math.nan), [True], ["5"], "5", 5.0],
+        ids=["empty", "overflow", "underflow", "nan", "bool", "string", "bare-string", "bare-number"],
+    )
     def test_thresholds_need_a_positive_finite_ratio(self, thresholds):
         # 4000 dB used to overflow 10**(t/10) in the engines and -4000 dB to
-        # reach them as a zero ratio; an empty list ran with nothing to gate
+        # reach them as a zero ratio; an empty list ran with nothing to gate;
+        # from a file, true ran at 1 dB and "5" at 5 dB
         with pytest.raises(ConfigError) as exc:
             NetworkConfig(thresholds_db=thresholds)
         assert [e.split(":")[0] for e in exc.value.errors] == ["thresholds_db"]
@@ -93,13 +96,6 @@ class TestValidation:
         assert cfg.thresholds_db == (0.0, 5.0) and all(type(t) is float for t in cfg.thresholds_db)
         assert cfg.config_hash() == NetworkConfig(thresholds_db=(0.0, 5.0)).config_hash()
         assert NetworkConfig.from_mapping({"thresholds_db": [0, 5]}) == cfg
-
-    @pytest.mark.parametrize("thresholds", [[True], ["5"], "5", 5.0], ids=["bool", "string", "bare-string", "bare-number"])
-    def test_thresholds_must_be_a_list_of_numbers(self, thresholds):
-        # from a file, true ran at 1 dB and "5" at 5 dB
-        with pytest.raises(ConfigError) as exc:
-            NetworkConfig.from_mapping({"thresholds_db": thresholds})
-        assert [e.split(":")[0] for e in exc.value.errors] == ["thresholds_db"]
 
     def test_extreme_finite_ratios_accepted(self):
         assert NetworkConfig(thresholds_db=(-3000.0, 3000)).thresholds_linear == (1e-300, 1e300)
