@@ -258,7 +258,7 @@ def load_config(path: str | Path) -> NetworkConfig:
             data = json.loads(text)
         else:
             data = yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+    except (ValueError, yaml.YAMLError) as exc:  # JSONDecodeError, or an int of over 4300 digits
         raise ConfigError([f"cannot parse config file {path}: {exc}"])
     if data is None:
         data = {}

@@ -172,6 +172,15 @@ class TestLoading:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("suffix", [".yaml", ".json"])
+    def test_int_beyond_the_string_conversion_limit(self, tmp_path, suffix):
+        # Python refuses to parse an int of over 4300 digits: the parser's
+        # ValueError escaped as a traceback
+        path = tmp_path / f"big{suffix}"
+        path.write_text('{"lambda_bs": 1' + "0" * 5000 + "}\n")
+        with pytest.raises(ConfigError, match="cannot parse config file"):
+            load_config(path)
+
     def test_unknown_tolerance_key(self, tmp_path):
         # the compare gates are fixed in riscov.cli; a config cannot set them
         path = tmp_path / "bad2.yaml"
