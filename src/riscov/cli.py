@@ -242,7 +242,7 @@ def run_sweep(
 
 def _moment_row(cfg: NetworkConfig, metric: str) -> ResultRow:
     if metric == "e_r1":  # in units of the base spacing, where the densities are 1/pi and rho/pi
-        value = geometry.expected_r1(1.0 / math.pi, cfg.lambda_ris / cfg.lambda_bs / math.pi) * cfg.base_spacing_m
+        value = cfg.base_spacing_m * geometry.expected_r1(1 / math.pi, cfg.lambda_ris / cfg.lambda_bs / math.pi)
     else:
         value = analytic.mean_reflected_power(cfg)
     return _row_builder(cfg)(engine="analytic_moment", metric=metric, t_db=None, value=value)

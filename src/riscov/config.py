@@ -130,7 +130,7 @@ class NetworkConfig:
 
     @property
     def base_spacing_m(self) -> float:
-        """``1/sqrt(pi * lambda_bs)`` in metres, the engines' unit of length (per m^2 the density can be subnormal)."""
+        """The engines' unit of length in metres, from lambda_bs per km^2: per m^2 it can be subnormal."""
         return 1.0 / (math.sqrt(math.pi * KM2_TO_M2) * math.sqrt(self.lambda_bs))
 
     @property
@@ -161,9 +161,8 @@ class NetworkConfig:
         errs = []
 
         def real(name, requirement="a positive finite number", ok=lambda x: x > 0):
-            """Store field ``name`` as the float it equals if that is finite and ``ok``."""
             v = getattr(self, name)
-            # compared exactly, an int beyond the float range fails here rather than in float()
+            # stored as the float it equals; an int beyond the float range fails the exact comparison
             finite = isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
             if finite and ok(float(v)):
                 object.__setattr__(self, name, float(v))
