@@ -1,10 +1,10 @@
 """Closed-form SIR coverage expressions and their interference factor.
 
-Every coverage function reads the deployment from a
-:class:`riscov.config.NetworkConfig`, whose fields it does not re-check, and
-takes the threshold ``T`` as a positive linear power ratio (dB conversion
-belongs to the config): a scalar gives a float, a numpy array gives an array
-of the same shape. Every value is a probability in [0, 1].
+Every coverage function is a function of one
+:class:`riscov.config.NetworkConfig`, whose fields it does not re-check: it
+evaluates the config's ``thresholds_linear`` and returns a float array aligned
+with its ``thresholds_db``, as :func:`riscov.montecarlo.run` does. Every value
+is a probability in [0, 1].
 
 Every expression is exact and evaluated without quadrature. The interference
 factor is the Gauss hypergeometric form
@@ -102,37 +102,32 @@ def interference_factor(T, alpha: float):
     return float(value) if value.ndim == 0 else value
 
 
-def _thresholds(T):
-    """``T`` as a float array, checked to be a positive power ratio."""
-    t = np.asarray(T, dtype=float)
-    if not np.all(t > 0):
-        raise ParameterError(f"T must be positive, got {T!r}")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # baseline and path-A coverage
 # ---------------------------------------------------------------------------
 
-def coverage_baseline(cfg: NetworkConfig, T):
+def _direct_coverage(cfg: NetworkConfig, retention: float) -> np.ndarray:
+    """``1 / (1 + p * I(T, a))`` at each configured threshold, for the retention ``p`` of the lobes."""
+    return 1.0 / (1.0 + retention * interference_factor(np.array(cfg.thresholds_linear), cfg.alpha))
+
+
+def coverage_baseline(cfg: NetworkConfig) -> np.ndarray:
     """Single-beam coverage ``1 / (1 + p * I(T, a))``.
 
     ``p = 1/sqrt(N)`` is the single-beam retention of
     :attr:`riscov.config.NetworkConfig.retentions`, which never exceeds 1.
     """
-    retention, _ = cfg.retentions
-    return 1.0 / (1.0 + retention * interference_factor(_thresholds(T), cfg.alpha))
+    return _direct_coverage(cfg, cfg.retentions[0])
 
 
-def coverage_path_a(cfg: NetworkConfig, T):
+def coverage_path_a(cfg: NetworkConfig) -> np.ndarray:
     """Split-beam direct-path coverage ``1 / (1 + p * I(T, a))``.
 
     ``p = min(1, sqrt(2/N))`` is the split-beam retention of
     :attr:`riscov.config.NetworkConfig.retentions`, so at ``N = 1`` this
     equals the baseline.
     """
-    _, retention = cfg.retentions
-    return 1.0 / (1.0 + retention * interference_factor(_thresholds(T), cfg.alpha))
+    return _direct_coverage(cfg, cfg.retentions[1])
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +162,10 @@ def _reflected_coverage(log_kappa: float, weighted_interference):
         y = np.log(weighted_interference) - log_kappa
     y = np.where(np.isnan(y), math.inf, y)
     e = np.exp(-np.abs(y))
-    value = np.where(y > 0, e / (1.0 + e), 1.0 / (1.0 + e))
-    return float(value) if value.ndim == 0 else value
+    return np.where(y > 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
-def coverage_path_b_approx1(cfg: NetworkConfig, T):
+def coverage_path_b_approx1(cfg: NetworkConfig) -> np.ndarray:
     """Reflected-path coverage under the proportional-distance approximation.
 
     Treats the reflector distance as the fraction ``kappa**-0.5`` of the
@@ -182,19 +176,17 @@ def coverage_path_b_approx1(cfg: NetworkConfig, T):
     (``d = 2/a``) to double precision, and the coverage is taken from
     ``log(kappa)``, so that a tiny value keeps its relative accuracy.
     """
-    t, a = _thresholds(T), cfg.alpha
+    t, a, p = np.array(cfg.thresholds_linear), cfg.alpha, cfg.retentions[1]
     log_kappa = log_reflector_ratio(cfg)
-    _, p = cfg.retentions
     # T' is one exponential of a sum of logs, as a subnormal kappa**(-a/2) loses digits; it
     # may overflow or underflow; the far form may overflow, or read nan where it is unused
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = p * interference_factor(np.exp(np.log(t) - 0.5 * a * log_kappa), a)
         far = _reflected_coverage(log_kappa, p * (_leading(a) * t ** (2.0 / a) - np.exp(log_kappa)))
-    value = np.where(np.isfinite(weighted), 1.0 / (1.0 + weighted), far)
-    return float(value) if value.ndim == 0 else value
+    return np.where(np.isfinite(weighted), 1.0 / (1.0 + weighted), far)
 
 
-def coverage_path_b_approx2(cfg: NetworkConfig, T):
+def coverage_path_b_approx2(cfg: NetworkConfig) -> np.ndarray:
     """Reflected-path coverage for dense reflector deployments: ``kappa / (kappa + p * I(T, a))``.
 
     It is derived as a lower bound on ``gamma_b``, but it is not one: at 5 dB
@@ -203,9 +195,8 @@ def coverage_path_b_approx2(cfg: NetworkConfig, T):
     the ``approx2`` compare gate) and beyond that margin at small arrays:
     0.037 at ``N = 2, alpha = 3`` and 0.043 at ``N = 1`` (or 2), ``alpha = 4``.
     """
-    log_kappa = log_reflector_ratio(cfg)
-    _, p_split = cfg.retentions
-    return _reflected_coverage(log_kappa, p_split * interference_factor(_thresholds(T), cfg.alpha))
+    t = np.array(cfg.thresholds_linear)
+    return _reflected_coverage(log_reflector_ratio(cfg), cfg.retentions[1] * interference_factor(t, cfg.alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,7 @@ def _row_builder(cfg: NetworkConfig) -> functools.partial:
 def run_analytic(cfg: NetworkConfig) -> list[ResultRow]:
     """Evaluate every gated closed form at every configured threshold."""
     row = _row_builder(cfg)
-    thresholds = np.asarray(cfg.thresholds_linear, dtype=float)
-    values = {g.engine: getattr(analytic, g.closed_form)(cfg, thresholds) for g in GATES}
+    values = {g.engine: getattr(analytic, g.closed_form)(cfg) for g in GATES}
     return [
         row(engine=g.engine, metric=g.metric, t_db=float(t_db), value=float(values[g.engine][i]))
         for i, t_db in enumerate(cfg.thresholds_db)

@@ -76,11 +76,10 @@ def test_c01_interference_factor_closed_form():
 def test_c02_baseline_analytic_vs_simulation(dense_run):
     cfg = dense_run.cfg
     cov = coverage_by(dense_run)
-    gaps = []
-    for t_db, t_lin in zip(cfg.thresholds_db, cfg.thresholds_linear):
-        gaps.append(
-            abs(cov[("gamma_o", t_lin)] - analytic.coverage_baseline(cfg, t_lin))
-        )
+    gaps = [
+        abs(cov[("gamma_o", t_lin)] - exact)
+        for t_lin, exact in zip(cfg.thresholds_linear, analytic.coverage_baseline(cfg))
+    ]
     # the 0 dB point also pins the classic reference value
     zero_db = cov[("gamma_o", 1.0)]
     assert abs(zero_db - 16 / (16 + math.pi)) <= 0.005
@@ -117,12 +116,9 @@ def test_c03_power_density_independence():
 
 
 def test_c04_path_a_ordering(dense_run):
-    grid_ok = all(
-        analytic.coverage_path_a(make_cfg(n_elements=n), t)
-        <= analytic.coverage_baseline(make_cfg(n_elements=n), t)
-        for t in np.logspace(-2, 2, 9)
-        for n in (4, 16, 64, 256)
-    )
+    thresholds_db = np.linspace(-20.0, 20.0, 9).tolist()
+    grid = [make_cfg(n_elements=n, thresholds_db=thresholds_db) for n in (4, 16, 64, 256)]
+    grid_ok = all(np.all(analytic.coverage_path_a(c) <= analytic.coverage_baseline(c)) for c in grid)
     cfg = dense_run.cfg
     cov = coverage_by(dense_run)
     mc_ok = all(
@@ -225,7 +221,7 @@ def test_c09_array_factor():
 def test_c10_approx1_high_density_agreement(dense_run):
     cov = coverage_by(dense_run)
     mc = cov[("gamma_b", T5DB)]
-    a1 = analytic.coverage_path_b_approx1(dense_run.cfg, T5DB)
+    (a1,) = analytic.coverage_path_b_approx1(dense_run.cfg.replace(thresholds_db=(5.0,)))
     gap = abs(a1 - mc)
     report(
         10, "proportional-distance approximation agrees with simulation",
@@ -237,7 +233,7 @@ def test_c10_approx1_high_density_agreement(dense_run):
 def test_c11_approx2_lower_bound_direction(dense_run):
     cov = coverage_by(dense_run)
     mc = cov[("gamma_b", T5DB)]
-    a2 = analytic.coverage_path_b_approx2(dense_run.cfg, T5DB)
+    (a2,) = analytic.coverage_path_b_approx2(dense_run.cfg.replace(thresholds_db=(5.0,)))
     margin = mc - (a2 - TOL["approx2_margin"])
     report(
         11, "simulation does not undershoot the dense-deployment bound",
@@ -319,9 +315,9 @@ def test_c12_trend_suite():
 
 
 def test_c13_asymptotics():
-    big_bank = analytic.coverage_path_b_approx2(make_cfg(m_elements=10**6), T5DB)
-    dense_ris = analytic.coverage_path_b_approx2(make_cfg(lambda_ris=1e6), T5DB)
-    huge_array = analytic.coverage_baseline(make_cfg(n_elements=10**12), 1.0)
+    (big_bank,) = analytic.coverage_path_b_approx2(make_cfg(m_elements=10**6, thresholds_db=(5.0,)))
+    (dense_ris,) = analytic.coverage_path_b_approx2(make_cfg(lambda_ris=1e6, thresholds_db=(5.0,)))
+    (huge_array,) = analytic.coverage_baseline(make_cfg(n_elements=10**12, thresholds_db=(0.0,)))
     ok = big_bank > 0.99 and dense_ris > 0.99 and huge_array > 1 - 1e-5
     report(
         13, "saturation limits: giant reflector banks, dense reflectors, huge arrays",

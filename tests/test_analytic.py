@@ -33,6 +33,11 @@ def make_cfg(**kw) -> NetworkConfig:
     return NetworkConfig().replace(**kw)
 
 
+def to_db(T) -> list[float]:
+    """Linear thresholds as the dB list a config takes."""
+    return (10.0 * np.log10(np.atleast_1d(T))).tolist()
+
+
 def reflector_ratio(cfg: NetworkConfig) -> float:
     """``kappa`` itself, for configs where it is a float."""
     return math.exp(analytic.log_reflector_ratio(cfg))
@@ -67,18 +72,20 @@ class TestInterferenceFactor:
 
     def test_array_threshold_matches_scalars(self):
         thresholds = np.logspace(-2, 4, 13)
-        cfg = make_cfg(alpha=3.0)
         assert np.array_equal(
             analytic.interference_factor(thresholds, 3.0),
             [analytic.interference_factor(t, 3.0) for t in thresholds],
         )
+        # a closed form at every configured threshold matches it at each alone
+        cfg = make_cfg(alpha=3.0, thresholds_db=np.linspace(-20.0, 40.0, 13).tolist())
         for fn in (
             analytic.coverage_baseline, analytic.coverage_path_a,
             analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2,
         ):
-            values = fn(cfg, thresholds)
-            assert values.shape == thresholds.shape
-            assert np.array_equal(values, [fn(cfg, t) for t in thresholds])
+            values = fn(cfg)
+            assert values.shape == (13,)
+            alone = [fn(cfg.replace(thresholds_db=(t_db,)))[0] for t_db in cfg.thresholds_db]
+            assert np.array_equal(values, alone)
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     @pytest.mark.parametrize("thresholds", [
@@ -160,12 +167,12 @@ class TestInterferenceFactor:
 
 class TestBaselineCoverage:
     def test_reference_value(self):
-        assert analytic.coverage_baseline(make_cfg(), 1.0) == pytest.approx(
+        assert analytic.coverage_baseline(make_cfg(thresholds_db=(0.0,)))[0] == pytest.approx(
             16 / (16 + math.pi), rel=1e-12
         )
 
     def test_large_array_limit(self):
-        assert analytic.coverage_baseline(make_cfg(n_elements=10**12), 1.0) > 1 - 1e-5
+        assert analytic.coverage_baseline(make_cfg(n_elements=10**12, thresholds_db=(0.0,)))[0] > 1 - 1e-5
 
     def test_weights_the_factor_by_the_single_beam_retention(self):
         # the engine thins by the rounded retention 1/sqrt(N); at N = 12 that
@@ -174,8 +181,9 @@ class TestBaselineCoverage:
         T = np.asarray(cfg.thresholds_linear)
         p_single, _ = cfg.retentions
         expected = 1.0 / (1.0 + p_single * analytic.interference_factor(T, cfg.alpha))
-        np.testing.assert_array_equal(analytic.coverage_baseline(cfg, T), expected)
-        assert [analytic.coverage_baseline(cfg, t) for t in T] == expected.tolist()
+        np.testing.assert_array_equal(analytic.coverage_baseline(cfg), expected)
+        alone = [analytic.coverage_baseline(cfg.replace(thresholds_db=(t,)))[0] for t in cfg.thresholds_db]
+        assert alone == expected.tolist()
 
     def test_power_density_independence(self):
         # the pre-substitution ratio must not move when the deployment scales
@@ -184,13 +192,14 @@ class TestBaselineCoverage:
         a = coverage_baseline_general(base, 2.0)
         b = coverage_baseline_general(scaled, 2.0)
         assert abs(a - b) <= 1e-12
-        assert a == pytest.approx(analytic.coverage_baseline(base, 2.0), rel=1e-12)
+        at_two = base.replace(thresholds_db=to_db(2.0))
+        assert a == pytest.approx(analytic.coverage_baseline(at_two)[0], rel=1e-12)
 
     def test_double_quadrature_oracle(self):
         # integrate the serving-distance law against the interferer Laplace
         # exponent directly; the closed form collapses this integral
-        cfg = make_cfg()
-        for T in (0.25, 1.0, 8.0):
+        cfg = make_cfg(thresholds_db=to_db([0.25, 1.0, 8.0]))
+        for T, closed in zip(cfg.thresholds_linear, analytic.coverage_baseline(cfg)):
             lam_i = LAM_BS / math.sqrt(cfg.n_elements)
             lower = T ** (-2 / cfg.alpha)
             tail, _ = integrate.quad(
@@ -202,38 +211,33 @@ class TestBaselineCoverage:
                     -math.pi * lam_i * r * r * T ** (2 / cfg.alpha) * tail
                 )
             direct, _ = integrate.quad(integrand, 0, np.inf, epsabs=1e-12, epsrel=1e-10)
-            assert abs(direct - analytic.coverage_baseline(cfg, T)) < 1e-6
+            assert abs(direct - closed) < 1e-6
 
     def test_monotone_in_threshold(self):
-        thresholds = np.logspace(-2, 3, 30)
-        vals = [analytic.coverage_baseline(make_cfg(), t) for t in thresholds]
+        vals = analytic.coverage_baseline(make_cfg(thresholds_db=np.linspace(-20.0, 30.0, 30).tolist()))
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
 
 class TestPathACoverage:
     def test_reference_value(self):
-        assert analytic.coverage_path_a(make_cfg(), 1.0) == pytest.approx(
+        assert analytic.coverage_path_a(make_cfg(thresholds_db=(0.0,)))[0] == pytest.approx(
             1.0 / (1.0 + math.pi / 4 * math.sqrt(1 / 8)), rel=1e-12
         )
 
     def test_never_beats_baseline(self):
-        for T in np.logspace(-2, 2, 9):
-            for n in (4, 16, 64, 256):
-                cfg = make_cfg(n_elements=n)
-                assert analytic.coverage_path_a(cfg, T) <= analytic.coverage_baseline(cfg, T)
+        for n in (4, 16, 64, 256):
+            cfg = make_cfg(n_elements=n, thresholds_db=np.linspace(-20.0, 20.0, 9).tolist())
+            assert np.all(analytic.coverage_path_a(cfg) <= analytic.coverage_baseline(cfg))
 
     def test_large_array_limit(self):
-        assert analytic.coverage_path_a(make_cfg(n_elements=10**12), 1.0) > 1 - 1e-5
+        assert analytic.coverage_path_a(make_cfg(n_elements=10**12, thresholds_db=(0.0,)))[0] > 1 - 1e-5
 
     def test_single_element_equals_baseline(self):
         # at N = 1 a split lobe covers the whole circle: every base interferes,
         # as under the single beam, so the two direct-path coverages coincide
-        cfg = make_cfg(n_elements=1)
-        T = np.logspace(-2, 2, 9)
-        np.testing.assert_array_equal(
-            analytic.coverage_path_a(cfg, T), analytic.coverage_baseline(cfg, T)
-        )
+        cfg = make_cfg(n_elements=1, thresholds_db=np.linspace(-20.0, 20.0, 9).tolist())
+        np.testing.assert_array_equal(analytic.coverage_path_a(cfg), analytic.coverage_baseline(cfg))
 
 
 class TestPathBCoverage:
@@ -256,13 +260,12 @@ class TestPathBCoverage:
         # approx1 is path-A coverage at T * kappa**(-a/2); the oracle integrates
         # the proportional-distance form with the reflector at rho = kappa**-0.5
         # times the serving distance, for kappa from 1e-6 to 1e6
-        cfg = make_cfg(alpha=alpha)
-        T = np.array([0.1, 1.0, 10**0.5, 100.0])
+        cfg = make_cfg(alpha=alpha, thresholds_db=(-10.0, 0.0, 5.0, 20.0))
         for kappa in np.logspace(-6, 6, 7):
             monkeypatch.setattr(analytic, "log_reflector_ratio", lambda _, k=kappa: math.log(k))
-            expected = [self.approx1_oracle(cfg, kappa, t) for t in T]
+            expected = [self.approx1_oracle(cfg, kappa, t) for t in cfg.thresholds_linear]
             np.testing.assert_allclose(
-                analytic.coverage_path_b_approx1(cfg, T), expected, rtol=1e-9, atol=0
+                analytic.coverage_path_b_approx1(cfg), expected, rtol=1e-9, atol=0
             )
 
     @pytest.mark.parametrize("alpha, kappa, t_db", [
@@ -273,11 +276,11 @@ class TestPathBCoverage:
     ):
         # T * kappa**(-a/2) overflows, so p * I(T * kappa**(-a/2)) is inf and
         # approx1 takes its far form, while rho**a stays a float for the oracle
-        T = 10.0 ** (t_db / 10.0)
+        cfg = make_cfg(alpha=alpha, thresholds_db=(t_db,))
+        (T,) = cfg.thresholds_linear
         assert math.log(T) - alpha / 2 * math.log(kappa) > math.log(np.finfo(float).max)
-        cfg = make_cfg(alpha=alpha)
         monkeypatch.setattr(analytic, "log_reflector_ratio", lambda _: math.log(kappa))
-        assert analytic.coverage_path_b_approx1(cfg, T) == pytest.approx(
+        assert analytic.coverage_path_b_approx1(cfg)[0] == pytest.approx(
             self.approx1_oracle(cfg, kappa, T), rel=1e-9, abs=0
         )
 
@@ -299,7 +302,7 @@ class TestPathBCoverage:
             series = sum(b * (-x) ** n / (b + n) for n in range(40))  # x is 4e-4
             i_factor = 2 * x / (a - 2) * series
             expected = float(1 / (1 + decimal.Decimal(cfg.retentions[1]) * i_factor))
-        assert analytic.coverage_path_b_approx1(cfg, t) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert analytic.coverage_path_b_approx1(cfg)[0] == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_approx1_with_unit_rho_equals_approx2_form(self):
         # algebraic identity: at rho = 1 the approximations share one formula
@@ -317,18 +320,17 @@ class TestPathBCoverage:
         # floors this far above the typical r1 drive kappa toward 0 and
         # rho**2 toward inf; approx1 used to raise OverflowError (rho**a),
         # return nan (rho = inf) or raise ZeroDivisionError (moment 0)
-        cfg = make_cfg(epsilon_floor=floor)
+        cfg = make_cfg(epsilon_floor=floor, thresholds_db=(-10.0, 5.0, 20.0))
         kappa = reflector_ratio(cfg)
         _, p_split = cfg.retentions
-        T = np.array([0.1, 10**0.5, 100.0])
-        limit = kappa / (kappa + p_split * math.pi / 2 * np.sqrt(T))
-        got = analytic.coverage_path_b_approx1(cfg, T)
+        limit = kappa / (kappa + p_split * math.pi / 2 * np.sqrt(cfg.thresholds_linear))
+        got = analytic.coverage_path_b_approx1(cfg)
         np.testing.assert_allclose(got, limit, rtol=1e-12, atol=0)
-        assert np.all(got <= analytic.coverage_path_b_approx2(cfg, T))
+        assert np.all(got <= analytic.coverage_path_b_approx2(cfg))
 
     def test_approx1_monotone_in_ris_density(self):
         vals = [
-            analytic.coverage_path_b_approx1(make_cfg(lambda_ris=lr), 10**0.5)
+            analytic.coverage_path_b_approx1(make_cfg(lambda_ris=lr, thresholds_db=(5.0,)))[0]
             for lr in (500.0, 1000.0, 1e4, 5e4)
         ]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -344,24 +346,22 @@ class TestPathBCoverage:
             return analytic.interference_factor(math.exp(log_t), cfg.alpha) - target
 
         log_t_star = optimize.brentq(excess, math.log(1e-6), math.log(1e12), xtol=1e-13)
-        assert analytic.coverage_path_b_approx2(cfg, math.exp(log_t_star)) == pytest.approx(
-            0.5, abs=1e-9
-        )
+        at_balance = cfg.replace(thresholds_db=(10.0 * log_t_star / math.log(10.0),))
+        assert analytic.coverage_path_b_approx2(at_balance)[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_approx2_dense_ris_limit(self):
-        assert analytic.coverage_path_b_approx2(make_cfg(lambda_ris=1e6), 10**0.5) > 0.99
+        assert analytic.coverage_path_b_approx2(make_cfg(lambda_ris=1e6, thresholds_db=(5.0,)))[0] > 0.99
 
     def test_restatement_is_identical(self):
-        for T in (0.1, 0.5, 1.0, 10**0.5, 10.0):
-            for lam_ris in (500.0, 1000.0, 5000.0, 1e4, 5e4):
-                cfg = make_cfg(lambda_ris=lam_ris)
-                a = analytic.coverage_path_b_approx2(cfg, T)
+        for lam_ris in (500.0, 1000.0, 5000.0, 1e4, 5e4):
+            cfg = make_cfg(lambda_ris=lam_ris, thresholds_db=to_db([0.1, 0.5, 1.0, 10**0.5, 10.0]))
+            for a, T in zip(analytic.coverage_path_b_approx2(cfg), cfg.thresholds_linear):
                 b = coverage_path_b_restated(cfg, T)
                 assert abs(a - b) <= 1e-9
 
     def test_restated_trends(self):
         by_ris = [
-            analytic.coverage_path_b_approx2(make_cfg(lambda_ris=lr), 10**0.5)
+            analytic.coverage_path_b_approx2(make_cfg(lambda_ris=lr, thresholds_db=(5.0,)))[0]
             for lr in (500.0, 1000.0, 1e4, 5e4)
         ]
         assert all(a < b for a, b in zip(by_ris, by_ris[1:]))
@@ -376,7 +376,7 @@ class TestPathBCoverage:
         ]
         assert all(a < b for a, b in zip(by_m, by_m[1:]))
         by_n = [
-            analytic.coverage_path_b_approx2(make_cfg(n_elements=n), 10**0.5)
+            analytic.coverage_path_b_approx2(make_cfg(n_elements=n, thresholds_db=(5.0,)))[0]
             for n in (4, 16, 64)
         ]
         assert all(a < b for a, b in zip(by_n, by_n[1:]))
@@ -385,19 +385,20 @@ class TestPathBCoverage:
         assert coverage_path_b_restated(make_cfg(m_elements=10**6), 10**0.5) > 0.999
 
     def test_monotone_in_threshold_and_bounded(self):
+        cfg = make_cfg(thresholds_db=np.linspace(-20.0, 40.0, 25).tolist())
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
-            vals = [fn(make_cfg(), t) for t in np.logspace(-2, 4, 25)]
+            vals = fn(cfg)
             assert all(a >= b for a, b in zip(vals, vals[1:]))
             assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_intensities_carry_floor_provenance(self):
-        cfg = make_cfg(epsilon_floor=2.5)
+        cfg = make_cfg(epsilon_floor=2.5, thresholds_db=to_db(2.0))
         kappa = reflector_ratio(cfg)
         # a larger floor discards more of E[r1**-2], so the reflector term shrinks
         assert kappa < reflector_ratio(make_cfg())
         # approx1's distance ratio is rho = kappa**-0.5
-        assert analytic.coverage_path_b_approx1(cfg, 2.0) == pytest.approx(
-            self.approx1_oracle(cfg, kappa, 2.0), rel=1e-12, abs=0
+        assert analytic.coverage_path_b_approx1(cfg)[0] == pytest.approx(
+            self.approx1_oracle(cfg, kappa, cfg.thresholds_linear[0]), rel=1e-12, abs=0
         )
 
     @pytest.mark.parametrize("changes", [
@@ -419,11 +420,10 @@ class TestPathBCoverage:
     def test_kappa_beyond_float_range_takes_the_limit(self, changes, limit):
         # p * I(T) stays within a few powers of ten of 1 at these thresholds,
         # so both approximations equal their limit to double precision
-        cfg = make_cfg(**changes)
+        cfg = make_cfg(**changes, thresholds_db=(-10.0, 0.0, 20.0))
         assert abs(analytic.log_reflector_ratio(cfg)) > 1300
-        T = np.array([0.1, 1.0, 100.0])
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
-            np.testing.assert_array_equal(fn(cfg, T), limit)
+            np.testing.assert_array_equal(fn(cfg), limit)
 
     def test_kappa_survives_an_underflowing_moment(self):
         # lambda_eff per m^2 is subnormal here, so the moment in SI units
@@ -439,9 +439,8 @@ class TestPathBCoverage:
         expected = (0.5 * log_gain_over_mu + math.lgamma(1.5) + log_moment
                     + math.log(1.0e308) - math.log(3.0e-318))
         assert analytic.log_reflector_ratio(cfg) == pytest.approx(expected, rel=1e-12)
-        T = np.asarray(cfg.thresholds_linear)
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
-            np.testing.assert_array_equal(fn(cfg, T), 1.0)
+            np.testing.assert_array_equal(fn(cfg), 1.0)
 
     def test_kappa_is_finite_at_the_largest_alpha(self):
         # log K holds (alpha/2) * log(pi * lambda_bs), which overflows past
@@ -451,9 +450,8 @@ class TestPathBCoverage:
         pi_lam_eff = math.pi * 1e-6 * cfg.lambda_bs * cfg.lambda_ris / (cfg.lambda_bs + cfg.lambda_ris)
         kappa = pi_lam_eff * special.exp1(pi_lam_eff * cfg.epsilon_floor**2) * cfg.lambda_ris / cfg.lambda_bs
         assert analytic.log_reflector_ratio(cfg) == pytest.approx(math.log(kappa), rel=1e-12)
-        T = np.asarray(cfg.thresholds_linear)
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
-            np.testing.assert_allclose(fn(cfg, T), 1.0, rtol=1e-15)
+            np.testing.assert_allclose(fn(cfg), 1.0, rtol=1e-15)
 
     def test_no_reflected_power_gives_zero_not_nan(self):
         # the moment (at a 1e200 m floor) and p * I(T) (at -3200 dB and alpha
@@ -463,7 +461,7 @@ class TestPathBCoverage:
         T = np.asarray(cfg.thresholds_linear)
         assert analytic.interference_factor(T[0], cfg.alpha) == 0.0
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
-            np.testing.assert_array_equal(fn(cfg, T), 0.0)
+            np.testing.assert_array_equal(fn(cfg), 0.0)
 
     @pytest.mark.parametrize("changes", [
         {"beta": 1e-300, "m_elements": 1, "mu": 1e30, "alpha": 1000.0},
@@ -485,31 +483,25 @@ class TestPathBCoverage:
         i_factor = analytic.interference_factor(T, cfg.alpha)
         expected = [self.approx1_oracle(cfg, kappa, t) for t in T]
         np.testing.assert_allclose(
-            analytic.coverage_path_b_approx1(cfg, T), expected, rtol=1e-12, atol=0
+            analytic.coverage_path_b_approx1(cfg), expected, rtol=1e-12, atol=0
         )
         np.testing.assert_allclose(
-            analytic.coverage_path_b_approx2(cfg, T), kappa / (kappa + p_split * i_factor),
+            analytic.coverage_path_b_approx2(cfg), kappa / (kappa + p_split * i_factor),
             rtol=1e-12, atol=0,
         )
 
 
 class TestQueryValidation:
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ParameterError):
-            analytic.coverage_baseline(make_cfg(), 0.0)
-        with pytest.raises(ParameterError):
-            analytic.coverage_path_b_approx2(make_cfg(), np.array([1.0, -1.0]))
-
     # an invalid config cannot reach a closed form: building it fails, even
     # through dataclasses.replace
 
     def test_rejects_alpha_at_two(self):
         with pytest.raises(ConfigError):
-            analytic.coverage_baseline(dataclasses.replace(make_cfg(), alpha=2.0), 1.0)
+            analytic.coverage_baseline(dataclasses.replace(make_cfg(), alpha=2.0))
 
     def test_rejects_fractional_elements(self):
         with pytest.raises(ConfigError):
-            analytic.coverage_path_b_approx1(NetworkConfig(n_elements=2.5), 1.0)
+            analytic.coverage_path_b_approx1(NetworkConfig(n_elements=2.5))
 
 
 # the reflection-power deployment: 25 bases and 1000 reflectors per km^2

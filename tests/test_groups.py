@@ -31,8 +31,7 @@ def scaled(cfg: NetworkConfig, k: float) -> NetworkConfig:
 def every_number(cfg: NetworkConfig) -> np.ndarray:
     """Each estimate's probability, half-width and trial count, then each gated closed form."""
     estimates = list(montecarlo.run(cfg).values())
-    thresholds = np.asarray(cfg.thresholds_linear)
-    closed = [getattr(analytic, g.closed_form)(cfg, thresholds) for g in cli.GATES]
+    closed = [getattr(analytic, g.closed_form)(cfg) for g in cli.GATES]
     return np.concatenate([np.ravel(estimates), np.ravel(closed)])
 
 

@@ -641,7 +641,7 @@ class TestLargeAlpha:
         estimates = montecarlo.run(cfg)
         assert all(np.all((0.0 <= e.probability) & (e.probability <= 1.0)) for e in estimates.values())
         gamma_o = estimates["gamma_o"].probability
-        exact = analytic.coverage_baseline(cfg, np.asarray(cfg.thresholds_linear))
+        exact = analytic.coverage_baseline(cfg)
         np.testing.assert_allclose(gamma_o, exact, rtol=0, atol=0.02)
 
     def test_near_sums_are_finite_where_they_underflow(self):
@@ -705,9 +705,8 @@ class TestEngineAgreement:
             n_elements=n_elements, alpha=alpha, n_trials=20_000, master_seed=3,
             thresholds_db=(5.0,),
         )
-        t = cfg.thresholds_linear[0]
         (p,), (half_width,), _ = montecarlo.run(cfg)["gamma_b"]
-        overshoot = analytic.coverage_path_b_approx2(cfg, t) - p
+        (overshoot,) = analytic.coverage_path_b_approx2(cfg) - p
         assert overshoot > half_width
         assert overshoot > 0.03
 
