@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__, analytic, geometry, montecarlo
 from .config import KM2_TO_M2, ConfigError, NetworkConfig, load_config
-from .errors import RiscovError
+from .errors import NumericalError, RiscovError
 
 CSV_HEADER = "engine,metric,T_db,axis_name,axis_value,value,ci_half_width,n_trials,config_hash,seed"
 HIST_HEADER = "quantity,bin_left,bin_right,density,count,analytic_pdf,n_samples,config_hash,seed"
@@ -241,7 +241,10 @@ def run_sweep(
 
 def _moment_row(cfg: NetworkConfig, metric: str) -> ResultRow:
     if metric == "e_r1":  # in units of the base spacing, where the densities are 1/pi and rho/pi
-        value = cfg.base_spacing_m * geometry.expected_r1(1 / math.pi, cfg.lambda_ris / cfg.lambda_bs / math.pi)
+        rho_per_pi = cfg.lambda_ris / cfg.lambda_bs / math.pi
+        if not 0.0 < rho_per_pi < math.inf:
+            raise NumericalError("e_r1: the density ratio lambda_ris/lambda_bs leaves the float range")
+        value = cfg.base_spacing_m * geometry.expected_r1(1 / math.pi, rho_per_pi)
     else:
         value = analytic.mean_reflected_power(cfg)
     return _row_builder(cfg)(engine="analytic_moment", metric=metric, t_db=None, value=value)
@@ -278,12 +281,18 @@ def _style(text: str, ok: bool) -> str:
     return click.style(text, fg="green" if ok else "red")
 
 
-def _write(out_dir: str, name: str, text: str) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text)
-    return path
+def _write(out_dir: str, texts: dict[str, str]) -> list[Path]:
+    """Write each ``{name: text}`` into ``out_dir``, or none where ``--out`` cannot take them all."""
+    paths = [Path(out_dir, name) for name in texts]
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        for path in filter(Path.is_dir, paths):  # checked before any write, so none is left behind
+            raise ConfigError([f"--out: cannot write {path}: it is a directory"])
+        for path, text in zip(paths, texts.values()):
+            path.write_text(text)
+    except OSError as exc:
+        raise ConfigError([f"--out: cannot write {exc.filename}: {exc.strerror}"])
+    return paths
 
 
 _SHARED_OPTIONS = (
@@ -331,7 +340,7 @@ def main():
 def analytic_cmd(cfg, out_dir):
     """Evaluate the closed-form coverage curves."""
     rows = run_analytic(cfg)
-    path = _write(out_dir, "analytic.csv", rows_to_csv(rows))
+    [path] = _write(out_dir, {"analytic.csv": rows_to_csv(rows)})
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -340,7 +349,7 @@ def analytic_cmd(cfg, out_dir):
 def simulate_cmd(cfg, out_dir):
     """Run the Monte-Carlo engine and emit empirical coverage curves."""
     rows = run_simulate(cfg)
-    path = _write(out_dir, "simulate.csv", rows_to_csv(rows))
+    [path] = _write(out_dir, {"simulate.csv": rows_to_csv(rows)})
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -351,8 +360,8 @@ def compare_cmd(cfg, out_dir):
     analytic_rows = run_analytic(cfg)
     mc_rows = run_simulate(cfg)
     report = build_comparison(cfg, analytic_rows, mc_rows)
-    _write(out_dir, "compare.csv", rows_to_csv(analytic_rows + mc_rows))
-    _write(out_dir, "compare_report.json", _report_json(report))
+    _, report_path = _write(out_dir, {"compare.csv": rows_to_csv(analytic_rows + mc_rows),
+                                      "compare_report.json": _report_json(report)})
     for g in report["gates"]:
         status = "PASS" if g["passed"] else "FAIL"
         click.echo(
@@ -363,7 +372,7 @@ def compare_cmd(cfg, out_dir):
                 g["passed"],
             )
         )
-    click.echo(f"wrote {Path(out_dir) / 'compare_report.json'}")
+    click.echo(f"wrote {report_path}")
     if not report["all_passed"]:
         sys.exit(EXIT_GATE_FAILED)
 
@@ -381,7 +390,7 @@ def sweep_cmd(cfg, out_dir, axis, grid, metric, with_mc):
     except ValueError:
         raise ConfigError([f"grid: could not parse {grid!r} as numbers"])
     rows = run_sweep(cfg, axis, grid_values, metric=metric, with_mc=with_mc)
-    path = _write(out_dir, "sweep.csv", rows_to_csv(rows))
+    [path] = _write(out_dir, {"sweep.csv": rows_to_csv(rows)})
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -394,7 +403,7 @@ def hist_cmd(cfg, out_dir, quantity, bins):
     if not 1 <= bins <= cfg.n_trials:
         raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
     counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity, bins)
-    path = _write(out_dir, f"hist_{quantity}.csv", histogram_csv(cfg, quantity, counts, edges))
+    [path] = _write(out_dir, {f"hist_{quantity}.csv": histogram_csv(cfg, quantity, counts, edges)})
     click.echo(f"wrote {path}")
 
 

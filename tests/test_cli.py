@@ -703,6 +703,21 @@ class TestSweep:
         assert result.stderr.startswith("pipeline error: ")
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("bs,grid", [("1.0e-318", "1.0e-3"), ("1.0e+300", "1e-300")],
+                             ids=["infinite-rho", "vanishing-rho"])
+    def test_expected_r1_names_the_density_ratio_beyond_the_float_range(self, runner, tmp_path, bs, grid):
+        # the message named the densities in units of the base spacing,
+        # 0.3183098861837907 and inf (or 0.0), which no user set
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"lambda_bs: {bs}\n")
+        result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
+                                          "--axis", "lambda_ris", "--grid", grid, "--metric", "e_r1"])
+        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
+        assert result.stderr.splitlines() == [
+            "pipeline error: e_r1: the density ratio lambda_ris/lambda_bs leaves the float range"
+        ]
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("axis,grid,point", [
         ("lambda_ris", "1000,50000", lambda cfg, v: cfg.replace(lambda_ris=v)),
         ("T", "0,5", lambda cfg, v: cfg.replace(thresholds_db=(v,))),
@@ -1045,6 +1060,25 @@ class TestTypedExits:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("config error: n_elements: must convert to a float")
 
+
+    @pytest.mark.parametrize("command,out,blocker", [
+        ("analytic", "taken", lambda root: (root / "taken").write_text("")),
+        ("analytic", "taken/sub", lambda root: (root / "taken").write_text("")),
+        ("analytic", "out", lambda root: (root / "out" / "analytic.csv").mkdir(parents=True)),
+        ("compare", "out", lambda root: (root / "out" / "compare_report.json").mkdir(parents=True)),
+    ], ids=["out-is-a-file", "out-under-a-file", "csv-is-a-directory", "report-is-a-directory"])
+    def test_unwritable_out_is_config_error(self, runner, tmp_path, command, out, blocker):
+        # these raised FileExistsError, NotADirectoryError and IsADirectoryError:
+        # a traceback and exit 1, the gate-failed code; compare wrote
+        # compare.csv before its report failed
+        blocker(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        result = runner.invoke(cli.main, [command, "--trials", "200", "--out", str(tmp_path / out)])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("config error: --out: cannot write ")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "field", ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
