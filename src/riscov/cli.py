@@ -291,7 +291,7 @@ def _write(out_dir: str, texts: dict[str, str]) -> list[Path]:
         for path, text in zip(paths, texts.values()):
             path.write_text(text)
     except OSError as exc:
-        raise ConfigError([f"--out: cannot write {exc.filename}: {exc.strerror}"])
+        raise ConfigError([f"--out: cannot write {exc.filename or out_dir}: {exc.strerror}"])
     return paths
 
 

@@ -688,34 +688,23 @@ class TestSweep:
         # the exact mean 0.5 / sqrt(lambda_eff), the truncated rule's limit
         assert values[0] == pytest.approx(0.5 / math.sqrt(1e-311 * 100 / 101), rel=1e-5)
 
-    @pytest.mark.parametrize("bs,grid", [("25.0", "1.0e-306"), ("1.0e-318", "1.0e-3")],
-                             ids=["squares-overflow", "infinite-rho"])
-    def test_expected_r1_beyond_the_float_range_is_pipeline_error(self, runner, tmp_path, bs, grid):
+    @pytest.mark.parametrize("bs,grid,message", [
+        ("25.0", "1.0e-306", "expected_r1: the distances exceed the float range when squared"),
+        ("1.0e-318", "1.0e-3", "e_r1: the density ratio lambda_ris/lambda_bs leaves the float range"),
+        ("1.0e+300", "1e-300", "e_r1: the density ratio lambda_ris/lambda_bs leaves the float range"),
+    ], ids=["squares-overflow", "infinite-rho", "vanishing-rho"])
+    def test_expected_r1_beyond_the_float_range_is_pipeline_error(self, runner, tmp_path, bs, grid, message):
         # at rho below about 8e-308 the rule's squared distances overflowed
-        # behind numpy warnings
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(f"lambda_bs: {bs}\n")
-        result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
-                                          "--axis", "lambda_ris", "--grid", grid, "--metric", "e_r1"])
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("pipeline error: ")
-        assert not (tmp_path / "sweep.csv").exists()
-
-    @pytest.mark.parametrize("bs,grid", [("1.0e-318", "1.0e-3"), ("1.0e+300", "1e-300")],
-                             ids=["infinite-rho", "vanishing-rho"])
-    def test_expected_r1_names_the_density_ratio_beyond_the_float_range(self, runner, tmp_path, bs, grid):
-        # the message named the densities in units of the base spacing,
+        # behind numpy warnings; where rho itself left the float range the
+        # message named the densities in units of the base spacing,
         # 0.3183098861837907 and inf (or 0.0), which no user set
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"lambda_bs: {bs}\n")
         result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
                                           "--axis", "lambda_ris", "--grid", grid, "--metric", "e_r1"])
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert result.stderr.splitlines() == [
-            "pipeline error: e_r1: the density ratio lambda_ris/lambda_bs leaves the float range"
-        ]
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [f"pipeline error: {message}"]
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("axis,grid,point", [
