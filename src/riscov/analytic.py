@@ -27,6 +27,10 @@ so each term at most halves the last, and a fixed 56 terms, summed by
 Horner's rule, reach double precision for every ``t``. For ``t > 1`` the two
 parts tend to 1 as ``a -> inf``, so each is summed as its difference from 1,
 and ``I`` keeps its relative accuracy where ``I(T, a) -> (2/a) * log(1 + T)``.
+Both branches read ``u = log(t) / a`` (:func:`interference_factor_from_log`):
+``w`` is a logistic function of ``a * u`` and ``t**(2/a)`` is ``exp(2u)``, so
+``t`` itself may lie beyond the float range. With ``u`` fixed, ``I`` tends to
+``max(0, expm1(2u))`` as ``a -> inf``, and takes that limit.
 """
 from __future__ import annotations
 
@@ -71,26 +75,36 @@ def interference_factor(T, alpha: float):
 
     Equals ``2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli & Ganti,
     IEEE TCOM 2011), which at ``alpha == 4`` is ``sqrt(T) * atan(sqrt(T))``;
-    the module docstring gives the series that sums it. ``T`` may be a scalar
-    (float result) or an array (array result); ``T = 0`` gives 0 and ``T =
-    inf`` gives inf.
+    :func:`interference_factor_from_log` sums it from ``log(T) / alpha``. ``T``
+    may be a scalar (float result) or an array (array result); ``T = 0`` gives
+    0 and ``T = inf`` gives inf.
     """
     t = np.asarray(T, dtype=float)
     if not np.all(t >= 0):
         raise ParameterError(f"T must be nonnegative, got {T!r}")
+    with np.errstate(divide="ignore"):  # log(0) is -inf, where I is 0
+        value = interference_factor_from_log(np.log(t) / alpha, alpha)
+    return float(value) if value.ndim == 0 else value
+
+
+def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
+    """``I(T, alpha)`` from ``log(T) / alpha`` (module docstring), as an array; nan where that is nan."""
+    u = np.asarray(log_t_per_alpha, dtype=float)
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
-    low = t <= 1.0
+    with np.errstate(over="ignore"):  # log T may leave the float range; its sign decides
+        log_t = alpha * u
+    low = u <= 0.0
     high = ~low
-    value = np.empty_like(t)
+    value = np.empty_like(u)
     # each branch is evaluated on its own elements only, so an empty one costs nothing
     if low.any():
-        t_low = t[low]
+        t_low = np.exp(log_t[low])
         w = t_low / (1.0 + t_low)
         value[low] = 2.0 / (alpha - 2.0) * w * (1.0 + _horner(np.cumprod(_TERMS / (b + _TERMS)), w))
     if high.any():
-        t_high = t[high]
-        w = 1.0 / (1.0 + t_high)
+        inverse = np.exp(-log_t[high])  # 1/T, which cannot overflow here
+        w = inverse / (1.0 + inverse)
         x2 = (math.pi * delta) ** 2
         # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d);
         # both parts are near 1 at large alpha, so each is taken less 1, the first from its log
@@ -98,8 +112,8 @@ def interference_factor(T, alpha: float):
                        x2 * (1 / 6 + x2 * (1 / 180 + x2 * (1 / 2835 + x2 * (1 / 37800 + x2 / 467775)))))
         shortfall = np.expm1(-np.cumsum(np.log1p(delta / _TERMS)))  # n!/(d+1)_n - 1
         with np.errstate(over="ignore"):  # near alpha = 2 a huge T overflows to inf, the limit
-            value[high] = np.expm1(log_leading + delta * np.log(t_high)) - (1.0 - w) * _horner(shortfall, w)
-    return float(value) if value.ndim == 0 else value
+            value[high] = np.expm1(log_leading + 2.0 * u[high]) - (1.0 - w) * _horner(shortfall, w)
+    return value
 
 
 # ---------------------------------------------------------------------------

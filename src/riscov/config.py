@@ -46,7 +46,7 @@ ORIENTATION_MODES = ("thinning", "explicit")
 # Layout of the Monte-Carlo random streams and of the estimator that reduces
 # them (see riscov.montecarlo). It enters every config hash, so outputs of
 # different stream layouts or estimators never share one.
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 
 class ConfigError(RiscovError, ValueError):

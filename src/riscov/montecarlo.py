@@ -1,68 +1,58 @@
 """Vectorized stochastic simulator and independent oracle for the closed forms.
 
-One trial places the user at the origin, draws the serving base, the nearest
-interferers that survive beam thinning and the nearest reflector, and
-records what coverage depends on given them. One
+One trial places the user at the origin, draws the serving base and the
+nearest reflector, and records what coverage depends on given them. One
 :class:`riscov.config.NetworkConfig` describes a run, its trial count, seed
 and thresholds included: :func:`run` takes nothing else.
 
-Sampling rests on two facts about a Poisson field of intensity ``lam`` seen
-from the origin. Its ordered squared distances are Poisson arrivals,
-``pi * lam * r_k**2 = Gamma_k`` with unit-rate gaps (Haenggi, "On distances
-in uniformly random networks", IEEE T-IT 2005). And the position of its
-nearest point is one isotropic Gaussian with variance ``1/(2*pi*lam)`` per
-coordinate. Distances are drawn in units of ``1/sqrt(pi * lambda_bs)`` and
-fades in units of their mean ``1/mu``. Hence, per trial:
+The nearest point of a Poisson field of intensity ``lam`` lies at ``pi * lam
+* r**2 = E``, ``E`` a standard exponential (Haenggi, "On distances in
+uniformly random networks", IEEE T-IT 2005), in a uniform direction: one
+isotropic Gaussian with variance ``1/(2*pi*lam)`` per coordinate. Distances
+are drawn in units of ``1/sqrt(pi * lambda_bs)`` and fades in units of their
+mean ``1/mu``. Hence, per trial:
 
-* the serving base sits at ``r0**2 = E`` with ``E`` a standard exponential,
-  placed on the positive x-axis (the law is isotropic);
-* the other bases form a Poisson field beyond ``r0``. Interferer beams point
-  at random, so a base interferes iff its main lobe covers the user. Its
-  off-boresight angle is uniform on ``[0, pi]`` and independent of its
-  position, and the lobe half-width over ``pi`` is ``1/sqrt(N)`` (single
-  beam) or ``sqrt(2/N)`` (split beam), capped at 1. So ``orientation:
-  explicit`` and ``orientation: thinning`` are the same thinning, and the
-  single-beam survivors are a nested sub-thinning of the split-beam ones with
-  probability ``p_single / p_split``. Only the first ``K = NEAR_ARRIVALS``
-  split-beam survivors are drawn, at ``r_k**2 = r0**2 + Gamma_k / p_split``,
-  each with a standard exponential fade ``e_k`` and a sub-thinning mark;
-  their sums ``S = sum(e_k * (r0 / r_k)**alpha)`` are the near-field
-  interference over the serving link's mean power, carried as ``log S``: a
-  log-sum-exp shifted by the first arrival's ``(r0 / r_1)**alpha``, which
-  bounds every term's distance factor, so no term overflows;
+* the serving base sits at ``r0**2 = E``, placed on the positive x-axis
+  (the law is isotropic);
 * the nearest reflector is one Gaussian draw, with variance ``1 / (2 *
   rho)`` per coordinate, ``rho = lambda_ris / lambda_bs``; ``r2`` is its distance to
   the user and ``r1 = hypot(x - r0, y)`` its distance to the serving base,
   and ``f1`` is the base-to-reflector fade. The reflector is engaged, and
   serves the reflected path, iff it is closer to the user than the serving
-  base (``r2 < r0``).
+  base (``r2 < r0``);
+* no interferer is drawn. The other bases form a Poisson field beyond
+  ``r0``, independent of the draws. Interferer beams point at random, so a
+  base interferes iff its main lobe covers the user. Its off-boresight
+  angle is uniform on ``[0, pi]`` and independent of its position, and the
+  lobe half-width over ``pi`` is ``1/sqrt(N)`` (single beam) or
+  ``sqrt(2/N)`` (split beam), capped at 1. So ``orientation: explicit`` and
+  ``orientation: thinning`` are the same thinning, with the retention ``p``
+  of :attr:`riscov.config.NetworkConfig.retentions`.
 
 Coverage is estimated by conditional Monte Carlo (Asmussen & Glynn,
-*Stochastic Simulation*, Springer 2007, ch. V). Beyond ``r_K`` the
-interferers are a Poisson field of intensity ``lambda_bs * p``, independent
-of everything drawn, and the desired link's fade is exponential. So, given a
-trial's draws, ``Pr[SIR > T]`` is exact:
+*Stochastic Simulation*, Springer 2007, ch. V). Given a trial's draws, the
+interferers are a Poisson field of intensity ``lambda_bs * p`` beyond ``r0``
+and every fade is exponential, so ``Pr[SIR > T]`` is exact, the field's
+Laplace functional (Andrews, Baccelli & Ganti, IEEE TCOM 2011):
 
-    e(x) = exp(-x * S - p * r_K**2 * I(x * (r0 / r_K)**alpha, alpha)),
+    e(x) = exp(-p * r0**2 * I(x, alpha)),
 
-with ``x = T`` for the direct paths, where ``I`` is
-:func:`riscov.analytic.interference_factor`, so that the second term is the
-log of the far field's Laplace functional (Andrews, Baccelli & Ganti, IEEE
-TCOM 2011), and ``S`` and ``p`` are the single-beam sum and retention for
-``gamma_o`` and the split-beam ones otherwise. The reflected path has
-``x = T * q``, with ``q`` the direct link's mean power over the reflected
-one's,
+where ``I`` is :func:`riscov.analytic.interference_factor` and ``p`` is the
+single-beam retention for ``gamma_o`` and the split-beam one otherwise. The
+direct paths have ``x = T``, one ``I(T, alpha)`` per threshold. The reflected
+path has ``x = T * q``, with ``q`` the direct link's mean power over the
+reflected one's,
 
-    log q = alpha * (log(r1 * r2 / r0) + log(K) / alpha) - log f1,
+    log(q) / alpha = log(r1 * r2 / r0) + log(K) / alpha - log(f1) / alpha,
 
 with ``log(K) / alpha`` from
-:attr:`riscov.config.NetworkConfig.log_k_per_alpha`, which stays finite at
-any ``alpha``. ``K`` and ``rho`` are the only places where the densities,
-``mu`` and the bank enter, so ``gamma_o`` and ``gamma_a`` depend on the
-deployment through ``alpha`` and ``N`` alone. ``log q`` and ``log (r0 /
-r_K)**alpha`` are formed once per trial, when it is drawn, and ``x * S`` and
-the far field's argument are each the exponential of one sum of logs, so
-neither is ``inf * 0`` at any ``alpha``.
+:attr:`riscov.config.NetworkConfig.log_k_per_alpha`. ``K`` and ``rho`` are
+the only places where the densities, ``mu`` and the bank enter, so
+``gamma_o`` and ``gamma_a`` depend on the deployment through ``alpha`` and
+``N`` alone. ``I`` is read from ``log(x) / alpha``
+(:func:`riscov.analytic.interference_factor_from_log`), which stays finite
+where ``q`` leaves the float range, as on half the trials at ``alpha =
+1000``: ``gamma_b`` takes its ``alpha -> inf`` limit there.
 Selection shares the interference of both paths and its two fades are
 independent, so ``gamma_s`` is ``e_a + e_b - e(T * (1 + q))`` on engaged
 trials and ``e_a`` elsewhere. :func:`run` returns one :class:`Coverage` per
@@ -71,14 +61,13 @@ of their standard errors (population variance over ``n``) and ``n``; since
 each value lies in ``[0, 1]``, the half-width never exceeds the binomial
 half-width of counting indicators at the same mean.
 
-Random streams (``riscov.config.STREAM_VERSION`` 5). Trials are cut into
+Random streams (``riscov.config.STREAM_VERSION`` 6). Trials are cut into
 chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from one generator seeded by
 ``(master_seed, c)``, in this order: the serving-distance exponentials of
 the chunk, its reflector positions (trial-major ``(n, 2)`` standard
-normals), then the arrival gaps, the interferer fades and the sub-thinning
-uniforms (each a trial-major ``(n, K)`` array), and last the
-base-to-reflector fades. Output depends on ``(master_seed, n_trials)`` and
-the config, never on how many workers run the chunks.
+normals), and the base-to-reflector fades, four numbers per trial. Output
+depends on ``(master_seed, n_trials)`` and the config, never on how many
+workers run the chunks.
 
 Parallelism. :func:`draw` draws every trial in this process. One task of
 :func:`run` draws one block of ``VALUE_BLOCK`` trials (eight chunks; the
@@ -107,10 +96,6 @@ from .errors import NumericalError, ParameterError
 
 WORKERS_ENV_VAR = "RISCOV_WORKERS"
 CHUNK_TRIALS = 1024  # fixed chunking keeps merges identical for any worker count
-
-# Split-beam interferers drawn one by one per trial; the rest of the plane
-# enters each conditional value exactly, through its Laplace functional.
-NEAR_ARRIVALS = 16
 VALUE_BLOCK = 8192  # trials per pool task, drawn and reduced together; whole chunks
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
@@ -121,17 +106,12 @@ HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
 class TrialRecords:
     """Column-wise per-trial outputs of a run, in trial order."""
 
-    log_near_single: np.ndarray  # log of the single-beam near sum S (module docstring)
-    log_near_split: np.ndarray   # log of the split-beam S
-    r_k_sq: np.ndarray         # squared radius of the last drawn arrival: the far field's area
-    log_far_ratio: np.ndarray  # log (r0 / r_K)**alpha
-    log_q: np.ndarray          # log q: the direct link's mean power over the reflected one's
+    log_q_per_alpha: np.ndarray  # log(q) / alpha: q the direct link's mean power over the reflected one's
     f1: np.ndarray             # base-to-reflector fade, in units of 1/mu
-    r0: np.ndarray             # r0, r1, r2 and r_k_sq in units of 1/sqrt(pi * lambda_bs)
+    r0: np.ndarray             # r0, r1 and r2 in units of 1/sqrt(pi * lambda_bs)
     r1: np.ndarray
     r2: np.ndarray
     engaged: np.ndarray        # bool
-    n_interferers_single: np.ndarray  # drawn arrivals that single-beam thinning keeps
 
     def __len__(self) -> int:
         return len(self.r0)
@@ -139,46 +119,17 @@ class TrialRecords:
 
 def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecords:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
-    p_single, p_split = cfg.retentions
-    half_alpha = 0.5 * cfg.alpha
-
     r0_sq = rng.standard_exponential(n)
     with np.errstate(over="ignore"):  # past a density ratio of about 1e616 the offset is inf
         ris_xy = rng.standard_normal((n, 2)) * np.exp(-0.5 * (cfg.log_rho + math.log(2.0)))
-
-    # squared radii of the first K split-beam survivors, then their power over
-    # the first arrival's distance factor (r0 / r_1)**alpha
-    r_sq = np.cumsum(rng.standard_exponential((n, NEAR_ARRIVALS)), axis=1)
-    r_sq *= 1.0 / p_split
-    r_sq += r0_sq[:, None]
-    power = rng.standard_exponential((n, NEAR_ARRIVALS))
-    power *= (r_sq[:, :1] / r_sq) ** half_alpha
-    kept = rng.random((n, NEAR_ARRIVALS)) < p_single / p_split
-    # same summation tree for both sums, so single <= split holds exactly
-    near_split = power.sum(axis=1)
-    near_single = np.where(kept, power, 0.0).sum(axis=1)
-
     f1 = rng.standard_exponential(n)
     r0 = np.sqrt(r0_sq)
     r2 = np.hypot(ris_xy[:, 0], ris_xy[:, 1])
     r1 = np.hypot(ris_xy[:, 0] - r0, ris_xy[:, 1])
-    with np.errstate(all="ignore"):  # an empty sum's log is -inf; past alpha ~ 1e306 a log is nan
-        log_r0_sq = np.log(r0_sq)
-        log_first = half_alpha * (log_r0_sq - np.log(r_sq[:, 0]))
-        log_q = cfg.alpha * (np.log(r1) + np.log(r2) - 0.5 * log_r0_sq + cfg.log_k_per_alpha) - np.log(f1)
-        return TrialRecords(
-            log_near_single=log_first + np.log(near_single),
-            log_near_split=log_first + np.log(near_split),
-            r_k_sq=r_sq[:, -1],
-            log_far_ratio=half_alpha * (log_r0_sq - np.log(r_sq[:, -1])),
-            log_q=log_q,
-            f1=f1,
-            r0=r0,
-            r1=r1,
-            r2=r2,
-            engaged=r2 < r0,
-            n_interferers_single=np.count_nonzero(kept, axis=1).astype(np.int32),
-        )
+    with np.errstate(all="ignore"):  # a distance of 0 or inf has an infinite log
+        log_q_per_alpha = (np.log(r1) + np.log(r2) - 0.5 * np.log(r0_sq) + cfg.log_k_per_alpha
+                           - np.log(f1) / cfg.alpha)
+    return TrialRecords(log_q_per_alpha=log_q_per_alpha, f1=f1, r0=r0, r1=r1, r2=r2, engaged=r2 < r0)
 
 
 def _draw(cfg: NetworkConfig, start: int, stop: int) -> TrialRecords:
@@ -244,27 +195,21 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     docstring gives the formula.
     """
     p_single, p_split = cfg.retentions
-    alpha, area, log_t = cfg.alpha, records.r_k_sq, math.log(threshold)
-    with np.errstate(all="ignore"):  # beyond the float range a value turns 0, inf or nan
-        def far(log_x):
-            # r_K**2 * I(x * (r0 / r_K)**alpha); nan where the sum of logs is: fmax hides it from I
-            y = np.exp(log_x + records.log_far_ratio)
-            return np.where(np.isnan(y), y, area * analytic.interference_factor(np.fmax(y, 0.0), alpha))
+    alpha, log_t = cfg.alpha, math.log(threshold) / cfg.alpha
+    area = np.square(records.r0)
+    log_q = records.log_q_per_alpha
 
-        def value(log_x, log_near, far_x, p):
-            return np.exp(-(np.exp(log_x + log_near) + p * far_x))
+    def value(log_x, p):  # e(x) from log(x) / alpha
+        return np.exp(-p * area * analytic.interference_factor_from_log(log_x, alpha))
 
-        log_b = log_t + records.log_q
-        # x = T * (1 + q), with log(1 + q) as a softplus of log q: np.logaddexp is far slower
-        log_ab = log_t + np.maximum(records.log_q, 0.0) + np.log1p(np.exp(-np.abs(records.log_q)))
-        far_a = far(log_t)
-        e_a = value(log_t, records.log_near_split, far_a, p_split)
-        e_b = value(log_b, records.log_near_split, far(log_b), p_split)
-        e_ab = value(log_ab, records.log_near_split, far(log_ab), p_split)
-        e_o = value(log_t, records.log_near_single, far_a, p_single)
+    with np.errstate(all="ignore"):  # alpha * |log q| may overflow; a log q of +-inf gives 0 or 1
+        # log(1 + q) / alpha, as a softplus of log q: np.logaddexp is far slower
+        log_ab = log_t + np.maximum(log_q, 0.0) + np.log1p(np.exp(-alpha * np.abs(log_q))) / alpha
+        e_b, e_ab = value(log_t + log_q, p_split), value(log_ab, p_split)
+    e_a = value(log_t, p_split)
     engaged = records.engaged
     return {
-        "gamma_o": e_o,
+        "gamma_o": value(log_t, p_single),
         "gamma_a": e_a,
         "gamma_b": e_b[engaged],
         "gamma_s": np.where(engaged, e_a + (e_b - e_ab), e_a),

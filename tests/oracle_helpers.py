@@ -374,3 +374,28 @@ def fade_fractional_moment(mu, alpha):
 def prob_ris_closer(lambda_ris, lambda_bs):
     """Probability that the nearest reflector is closer than the nearest base."""
     return lambda_ris / (lambda_ris + lambda_bs)
+
+
+def gamma_b_large_alpha_limit(cfg, n_samples=1_000_000, seed=0):
+    """The ``alpha -> inf`` limit of ``gamma_b``, sampled: ``(mean, 95% half-width)``.
+
+    In units of the base spacing, ``q = K * (r1 * r2 / r0)**alpha / f1``, so
+    ``log(T * q) = alpha * L + O(1)`` with ``L = log(r1 * r2 * K**(1/alpha) /
+    r0)``, and the interference factor ``I(T * q, alpha)`` tends to ``max(0,
+    exp(2L) - 1)`` whatever ``T`` and ``f1``. So ``gamma_b`` tends to
+    ``E[exp(-p * r0**2 * max(0, (r1 * r2 * K**(1/alpha) / r0)**2 - 1)) | r2 <
+    r0]``, ``p`` the split-beam retention, with ``K**(1/alpha)`` from
+    ``cfg.log_k_per_alpha``. Drawn from the raw model facts: ``r0`` and ``r2``
+    are Rayleigh, the angle between them is uniform, and ``r1`` follows by
+    the law of cosines.
+    """
+    rng = np.random.default_rng(seed)
+    r0_sq = rng.standard_exponential(n_samples)
+    r2_sq = rng.standard_exponential(n_samples) * math.exp(-cfg.log_rho)
+    angle = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    engaged = r2_sq < r0_sq
+    r0_sq, r2_sq, angle = r0_sq[engaged], r2_sq[engaged], angle[engaged]
+    r1_sq = r0_sq + r2_sq - 2.0 * np.sqrt(r0_sq * r2_sq) * np.cos(angle)
+    excess = np.expm1(np.log(r1_sq) + np.log(r2_sq) - np.log(r0_sq) + 2.0 * cfg.log_k_per_alpha)
+    values = np.exp(-cfg.retentions[1] * r0_sq * np.maximum(excess, 0.0))
+    return float(values.mean()), 1.96 * float(values.std()) / math.sqrt(len(values))

@@ -12,11 +12,12 @@ import warnings
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy import special
 
-from oracle_helpers import INTERFERENCE_ABS_TOL, interference_quadrature
+from oracle_helpers import INTERFERENCE_ABS_TOL, gamma_b_large_alpha_limit, interference_quadrature
 import riscov
 from riscov import analytic, cli, geometry, montecarlo
 from riscov.config import KM2_TO_M2, NetworkConfig, load_config
@@ -257,18 +258,37 @@ class TestAnalyticCommand:
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_non_finite_values_are_pipeline_error(self, runner, tmp_path, command):
-        # the reflected path's power ratio is inf * 0 at this alpha, so its
-        # conditional values are nan; this used to end in "T must be
-        # nonnegative" with an array repr
+    def test_non_finite_values_are_pipeline_error(self, runner, tmp_path, monkeypatch, command):
+        # nan conditional values stand in for a value that is not finite, which
+        # no config reaches now that the interferers are integrated out (at
+        # alpha = 1.7e308 the reflected path's were nan); this once ended in
+        # "T must be nonnegative" with an array repr
+        monkeypatch.setattr(montecarlo, "conditional_values", lambda cfg, records, threshold: dict.fromkeys(
+            montecarlo.METRICS, np.full(len(records), math.nan)))
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("alpha: 1.7e+308\nn_trials: 2000\n")
+        cfg.write_text("n_trials: 2000\n")
         with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
             warnings.simplefilter("always")
             result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR and caught == []
         assert result.stderr == "pipeline error: trials 0-1999: a coverage value leaves the float range\n"
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_largest_alpha_takes_the_large_alpha_limit(self, runner, tmp_path):
+        # log q = alpha * L - log f1 overflows at this alpha and the reflected
+        # path's values were nan (exit 4); they are read from log(q) / alpha,
+        # which stays finite, so gamma_b takes its alpha -> inf limit
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("alpha: 1.7e+308\nn_trials: 2000\n")
+        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
+            warnings.simplefilter("always")
+            result = runner.invoke(cli.main, ["simulate", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0 and caught == [], result.output
+        limit, limit_half_width = gamma_b_large_alpha_limit(load_config(cfg))
+        rows = [r for r in read_rows(tmp_path / "simulate.csv") if r["metric"] == "gamma_b"]
+        assert len(rows) == len(NetworkConfig().thresholds_db)
+        for r in rows:
+            assert abs(float(r["value"]) - limit) <= float(r["ci_half_width"]) + limit_half_width, (r, limit)
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_tiny_mu_gives_the_default_direct_paths(self, runner, tmp_path, command):

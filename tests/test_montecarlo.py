@@ -14,7 +14,7 @@ import pytest
 from scipy import integrate
 
 import reference_engine as ref
-from oracle_helpers import peak_reflection_power, reflection_gain
+from oracle_helpers import gamma_b_large_alpha_limit, peak_reflection_power, reflection_gain
 from riscov import analytic, cli, montecarlo
 from riscov.config import KM2_TO_M2, STREAM_VERSION, ConfigError, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
@@ -24,7 +24,10 @@ RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(montecarlo.TrialRecords
 
 # sha256 of the metric, T_db, value, ci_half_width and n_trials cells of the
 # CSV rows of `simulate` at the defaults with 20000 trials, by stream version
-SIMULATE_DIGESTS = {5: "c665b0e5f4fe64e0018c99197c711db6d376e3e88749154ead3890ff192864cd"}
+SIMULATE_DIGESTS = {
+    5: "c665b0e5f4fe64e0018c99197c711db6d376e3e88749154ead3890ff192864cd",
+    6: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
+}
 
 
 def small_cfg(**cfg_kw) -> NetworkConfig:
@@ -76,17 +79,6 @@ def hand_scenario(
     )
 
 
-def thinning_rate(rec, counts) -> float:
-    """Interferers per base station in the drawn annulus ``r0 < r <= r_k``.
-
-    The drawn interferers are a thinned Poisson field of intensity
-    ``lambda_bs * p`` on that annulus, so the ratio estimates ``p``. Squared
-    distances are in units of ``1/(pi * lambda_bs)``, so the annulus holds
-    ``r_k**2 - r0**2`` bases on average.
-    """
-    return float(counts.sum()) / float(np.sum(rec.r_k_sq - rec.r0**2))
-
-
 def assert_value_orderings(cfg, rec, thresholds):
     """Per trial and threshold: e_a <= e_o, and e_s >= max(e_a, e_b) where engaged.
 
@@ -122,31 +114,25 @@ class TestDropScenario:
     def test_structure_invariants(self):
         cfg = small_cfg()
         rec = montecarlo.draw(cfg)
-        assert np.all(rec.r0 > 0) and np.all(rec.r_k_sq > rec.r0**2)
-        # single-beam survivors are a subset of split-beam survivors
-        assert np.all(rec.n_interferers_single <= montecarlo.NEAR_ARRIVALS)
-        assert np.all((-np.inf < rec.log_near_single) | (rec.n_interferers_single == 0))
-        assert np.all(rec.log_near_single <= rec.log_near_split)
-        assert np.all(np.isfinite(rec.log_near_split))
+        assert np.all(rec.r0 > 0) and np.all(np.isfinite(rec.log_q_per_alpha))
         assert_value_orderings(cfg, rec, cfg.thresholds_linear)
         lo, hi = np.abs(rec.r0 - rec.r2), rec.r0 + rec.r2
         assert np.all((lo - 1e-9 <= rec.r1) & (rec.r1 <= hi + 1e-9))
         assert np.array_equal(rec.engaged, rec.r2 < rec.r0)
 
-    def test_single_beam_retention_fraction(self):
-        # thinning keeps 1/sqrt(N) of the non-serving bases
-        cfg = small_cfg(n_trials=10_000, n_elements=16)
-        rec = montecarlo.draw(cfg)
-        fraction = thinning_rate(rec, rec.n_interferers_single)
-        assert abs(fraction - 0.25) < 0.01
-        split_fraction = thinning_rate(rec, np.full(len(rec), montecarlo.NEAR_ARRIVALS))
-        assert abs(split_fraction - math.sqrt(2 / 16)) < 0.01
-
     def test_explicit_orientation_matches_thinning_rate(self):
+        # explicit main lobes keep 1/sqrt(N) of the non-serving bases, as
+        # thinning does; the reference engine draws the lobes, and the engine
+        # integrates the interferers out at that rate, so it draws the same
+        # trials for both modes
         cfg = NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
-        rec = montecarlo.draw(cfg)
-        fraction = thinning_rate(rec, rec.n_interferers_single)
-        assert abs(fraction - 0.25) < 0.01
+        drops = [ref.drop_scenario(cfg, i) for i in range(40)]
+        kept = sum(int(s.retained_single.sum()) for s in drops)
+        interferers = sum(len(s.bs_points) - 1 for s in drops)
+        assert abs(kept / interferers - 0.25) < 0.01
+        explicit, thinning = montecarlo.draw(cfg), montecarlo.draw(cfg.replace(orientation="thinning"))
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(explicit, name), getattr(thinning, name))
 
     def test_engaged_fraction_tracks_density_ratio(self):
         rec = montecarlo.draw(small_cfg(n_trials=10_000, lambda_ris=100.0))
@@ -213,9 +199,7 @@ class TestPerTrialSirs:
         assert math.isinf(sir) and sir > 1e6
 
     def test_path_a_never_beats_baseline_when_coupled(self, dense_run):
-        rec = dense_run.records
-        assert np.all(rec.log_near_single <= rec.log_near_split)
-        assert_value_orderings(dense_run.cfg, rec, dense_run.cfg.thresholds_linear)
+        assert_value_orderings(dense_run.cfg, dense_run.records, dense_run.cfg.thresholds_linear)
 
     def test_path_b_unit_configuration(self):
         # r1 = r2 = 1 with unit link gains and a unit-strength interference
@@ -330,14 +314,9 @@ class TestEstimateCoverage:
             assert e.probability[1] == 1.0
 
     def test_huge_threshold_gives_no_coverage(self):
-        # a trial whose drawn single-beam field is empty gets its 0 from the
-        # far field alone
         cfg = small_cfg(n_trials=500, thresholds_db=(3000.0,))
         ests = montecarlo.run(cfg)
         assert all(e.probability[0] == 0.0 and e.ci_half_width[0] == 0.0 for e in ests.values())
-        rec = montecarlo.draw(cfg)
-        empty = dataclasses.replace(rec, log_near_single=np.full(len(rec), -np.inf))
-        assert not np.any(montecarlo.conditional_values(cfg, empty, 1e300)["gamma_o"])
 
     def test_requires_minimum_trials(self):
         with pytest.raises(ConfigError):
@@ -531,52 +510,41 @@ class TestStreamDigest:
 class TestConditionalValues:
     def test_far_field_matches_its_laplace_functional_by_quadrature(self):
         # two hand-built trials in metres and watts, the second without an
-        # engaged reflector; the far field's factor is
-        # exp(-2*pi*lambda*p * int_{r_K}^inf r dr / (1 + r**a / c))
+        # engaged reflector; every interferer lies beyond the serving base,
+        # so a value is exp(-2*pi*lambda*p * int_{r0}^inf r dr / (1 + r**a / c))
         cfg = NetworkConfig(alpha=3.0, mu=2.0)
-        r0, r1, r2, r_k = np.array([[80.0, 60.0], [79.0, 100.0], [3.0, 70.0], [400.0, 500.0]])
+        r0, r1, r2 = np.array([[80.0, 60.0], [79.0, 100.0], [3.0, 70.0]])
         fade_f1 = np.array([0.0164, 0.111])  # mean 1/mu
-        near_single = np.array([2e-9, 0.0])  # the drawn interferers' power per unit transmit power
-        near_split = np.array([5e-9, 4e-9])
         length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs * KM2_TO_M2)  # metres per distance unit
-        with np.errstate(divide="ignore"):  # the second trial's single-beam sum is empty
-            log_near_single = np.log(cfg.mu * near_single * r0**cfg.alpha)
+        # the direct link's mean power over the reflected one's, in SI units
+        log_q = np.log(r0**-cfg.alpha / reflection_gain(cfg, fade_f1, r1) * r2**cfg.alpha)
         rec = montecarlo.TrialRecords(
-            log_near_single=log_near_single,
-            log_near_split=np.log(cfg.mu * near_split * r0**cfg.alpha),
-            r_k_sq=(r_k / length) ** 2,
-            log_far_ratio=cfg.alpha * np.log(r0 / r_k),
-            # the direct link's mean power over the reflected one's, in SI units
-            log_q=np.log(r0**-cfg.alpha / reflection_gain(cfg, fade_f1, r1) * r2**cfg.alpha),
+            log_q_per_alpha=log_q / cfg.alpha,
             f1=cfg.mu * fade_f1,
             r0=r0 / length,
             r1=r1 / length,
             r2=r2 / length,
             engaged=np.array([True, False]),
-            n_interferers_single=np.array([5, 0]),
         )
         p_single, p_split = cfg.retentions
 
-        def oracle(k, c, near, p):
-            tail, _ = integrate.quad(
-                lambda r: r / (1.0 + r**cfg.alpha / c), r_k[k], np.inf,
+        def oracle(k, c, p):
+            integral, _ = integrate.quad(
+                lambda r: r / (1.0 + r**cfg.alpha / c), r0[k], np.inf,
                 epsabs=0.0, epsrel=1e-12, limit=200,
             )
-            return math.exp(-cfg.mu * c * near - 2.0 * math.pi * cfg.lambda_bs * KM2_TO_M2 * p * tail)
+            return math.exp(-2.0 * math.pi * cfg.lambda_bs * KM2_TO_M2 * p * integral)
 
         T = 3.0
         values = montecarlo.conditional_values(cfg, rec, T)
         for k in range(2):
             c_a = T * r0[k] ** cfg.alpha
-            e_a = oracle(k, c_a, near_split[k], p_split)
-            assert values["gamma_o"][k] == pytest.approx(
-                oracle(k, c_a, near_single[k], p_single), rel=1e-10
-            )
-            assert values["gamma_a"][k] == pytest.approx(e_a, rel=1e-10)
+            assert values["gamma_o"][k] == pytest.approx(oracle(k, c_a, p_single), rel=1e-10)
+            assert values["gamma_a"][k] == pytest.approx(oracle(k, c_a, p_split), rel=1e-10)
         c_a = T * r0[0] ** cfg.alpha
         c_b = T * r2[0] ** cfg.alpha / reflection_gain(cfg, fade_f1[0], r1[0])
-        e_a, e_b = oracle(0, c_a, near_split[0], p_split), oracle(0, c_b, near_split[0], p_split)
-        e_s = e_a + e_b - oracle(0, c_a + c_b, near_split[0], p_split)
+        e_a, e_b = oracle(0, c_a, p_split), oracle(0, c_b, p_split)
+        e_s = e_a + e_b - oracle(0, c_a + c_b, p_split)
         assert 0.05 < e_a < e_b < e_s < 0.999  # no term is trivially 0 or 1
         assert values["gamma_b"] == pytest.approx([e_b], rel=1e-10)
         assert values["gamma_s"] == pytest.approx([e_s, values["gamma_a"][1]], rel=1e-10)
@@ -644,12 +612,19 @@ class TestLargeAlpha:
         exact = analytic.coverage_baseline(cfg)
         np.testing.assert_allclose(gamma_o, exact, rtol=0, atol=0.02)
 
-    def test_near_sums_are_finite_where_they_underflow(self):
-        # at alpha = 1e5 the split-beam sum S underflows to 0 on nearly every
-        # trial, while log S, shifted by the first arrival's factor, is finite
-        rec = montecarlo.draw(NetworkConfig(alpha=1e5, n_trials=2000))
-        assert np.all(np.isfinite(rec.log_near_split))
-        assert np.mean(rec.log_near_split < math.log(np.finfo(float).smallest_subnormal)) > 0.9
+    def test_gamma_b_takes_its_large_alpha_limit(self):
+        # q itself overflows on half the trials here; reading I(T * q) at
+        # T * q = exp(log T + log q) = inf gave gamma_b 0.381 against the
+        # limit's 0.524, so the factor is read from log(T * q) / alpha
+        cfg = NetworkConfig(alpha=1000.0)
+        rec = montecarlo.draw(cfg)
+        log_q = cfg.alpha * (np.log(rec.r1 * rec.r2 / rec.r0) + cfg.log_k_per_alpha) - np.log(rec.f1)
+        assert np.mean(log_q > math.log(np.finfo(float).max)) > 0.4
+        limit, limit_half_width = gamma_b_large_alpha_limit(cfg)
+        gamma_b = montecarlo.run(cfg)["gamma_b"]
+        assert np.all(np.abs(gamma_b.probability - limit) <= gamma_b.ci_half_width + limit_half_width), (
+            gamma_b.probability, limit
+        )
 
 
 class TestRunConfig:
