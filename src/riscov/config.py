@@ -250,14 +250,15 @@ def load_config(path: str | Path) -> NetworkConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file {path}: {exc}"])
     try:
         if path.suffix.lower() == ".json":
             data = json.loads(text)
         else:
             data = yaml.safe_load(text)
-    except (ValueError, yaml.YAMLError) as exc:  # JSONDecodeError, or an int of over 4300 digits
+    # JSONDecodeError, an int of over 4300 digits, or nesting deeper than the parser recurses
+    except (ValueError, RecursionError, yaml.YAMLError) as exc:
         raise ConfigError([f"cannot parse config file {path}: {exc}"])
     if data is None:
         data = {}

@@ -1102,6 +1102,23 @@ class TestTypedExits:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith(f"config error: {field}: must be ")
 
+    @pytest.mark.parametrize("name,content", [
+        ("cfg.yaml", b"\xff\xfe\x00"),
+        ("cfg.yaml", b"[" * 3000 + b"]" * 3000),
+        ("cfg.json", b"[" * 100_000 + b"]" * 100_000),
+    ], ids=["not-utf-8", "yaml-3000-deep", "json-100000-deep"])
+    def test_undecodable_or_deeply_nested_file_is_config_error(self, runner, tmp_path, name, content):
+        # UnicodeDecodeError and RecursionError escaped load_config: a
+        # traceback and exit 1, the gate-failed code
+        cfg = tmp_path / name
+        cfg.write_bytes(content)
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("config error: cannot ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRowFormatting:
     def test_rows_sorted_and_stable(self):
