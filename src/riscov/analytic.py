@@ -92,7 +92,7 @@ def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
     u = np.asarray(log_t_per_alpha, dtype=float)
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
-    with np.errstate(over="ignore"):  # log T may leave the float range; its sign decides
+    with np.errstate(over="ignore"):  # log T may overflow to +-inf, where w is 0
         log_t = alpha * u
     low = u <= 0.0
     high = ~low
