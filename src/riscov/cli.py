@@ -328,11 +328,7 @@ def _config_command(fn):
 @click.group()
 @click.version_option(version=__version__, prog_name="riscov")
 def main():
-    """Coverage analysis for reflector-assisted mmWave networks.
-
-    Worker count for simulation comes from the RISCOV_WORKERS environment
-    variable; results are independent of it.
-    """
+    """Coverage analysis for reflector-assisted mmWave networks."""
 
 
 @main.command("analytic")

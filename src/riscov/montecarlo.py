@@ -61,30 +61,24 @@ of their standard errors (population variance over ``n``) and ``n``; since
 each value lies in ``[0, 1]``, the half-width never exceeds the binomial
 half-width of counting indicators at the same mean.
 
-Random streams (``riscov.config.STREAM_VERSION`` 6). Trials are cut into
+Random streams (``riscov.config.STREAM_VERSION`` 7). Trials are cut into
 chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from one generator seeded by
 ``(master_seed, c)``, in this order: the serving-distance exponentials of
 the chunk, its reflector positions (trial-major ``(n, 2)`` standard
 normals), and the base-to-reflector fades, four numbers per trial. Output
-depends on ``(master_seed, n_trials)`` and the config, never on how many
-workers run the chunks.
+depends on ``(master_seed, n_trials)`` and the config alone.
 
-Parallelism. :func:`draw` draws every trial in this process. One task of
-:func:`run` draws one block of ``VALUE_BLOCK`` trials (eight chunks; the
-last block may be partial) and returns only its float array of shape
-``(len(METRICS), len(thresholds_db), 3)``: the count, sum and sum of squares
-of the conditional values of each metric at each threshold. The arrays are
-added in block order, so every output byte is the same for any worker count,
-and memory does not grow with the trial count. ``RISCOV_WORKERS`` sets the
-pool size, capped at the block count (at most ``VALUE_BLOCK`` trials never
-start a pool) and at the CPUs this process may use. A block whose sums are
-not finite ends the run with :class:`riscov.errors.NumericalError`.
+Reduction. :func:`run` draws one block of ``VALUE_BLOCK`` trials at a time
+(two chunks; the last block may be partial) and reduces it to a float array
+of shape ``(len(METRICS), len(thresholds_db), 3)``: the count, sum and sum
+of squares about the block mean of the conditional values of each metric at
+each threshold. The arrays are merged in block order, so memory does not
+grow with the trial count. A block whose sums are not finite ends the run
+with :class:`riscov.errors.NumericalError`.
 """
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -94,9 +88,8 @@ from . import analytic
 from .config import ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
-WORKERS_ENV_VAR = "RISCOV_WORKERS"
-CHUNK_TRIALS = 1024  # fixed chunking keeps merges identical for any worker count
-VALUE_BLOCK = 8192  # trials per pool task, drawn and reduced together; whole chunks
+CHUNK_TRIALS = 1024  # one generator per chunk: a trial's draws depend on the seed and its index alone
+VALUE_BLOCK = 2048  # trials drawn and reduced together; whole chunks, few enough to keep the peak RSS low
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
@@ -143,36 +136,23 @@ def _draw(cfg: NetworkConfig, start: int, stop: int) -> TrialRecords:
     })
 
 
-def _block_sums(task) -> np.ndarray:
-    """One pool task: draw the block of trials from ``start`` and reduce it to sums.
+def _block_sums(cfg: NetworkConfig, start: int, direct: list) -> np.ndarray:
+    """The sum array (module docstring) of the block of trials from ``start``.
 
-    ``sums[i, j]`` is the count, sum and sum of squares of the block's
-    conditional values of ``METRICS[i]`` at ``cfg.thresholds_linear[j]``.
+    ``direct[j]`` is the :func:`_direct_factor` of ``cfg.thresholds_linear[j]``.
     """
-    cfg, start = task
     stop = min(start + VALUE_BLOCK, cfg.n_trials)
     sums = np.empty((len(METRICS), len(cfg.thresholds_db), 3))
     block = _draw(cfg, start, stop)
-    for j, t in enumerate(cfg.thresholds_linear):
-        by_metric = conditional_values(cfg, block, t)
-        values = [by_metric[metric] for metric in METRICS]
-        sums[:, j] = [(len(v), v.sum(), np.square(v).sum()) for v in values]
+    for j, (log_t, factor) in enumerate(direct):
+        by_metric = _conditional_values(cfg, block, log_t, factor)
+        for i, metric in enumerate(METRICS):
+            values = by_metric[metric]
+            total = values.sum()
+            sums[i, j] = len(values), total, np.square(values - total / max(len(values), 1)).sum()
     if not np.isfinite(sums).all():
         raise NumericalError(f"trials {start}-{stop - 1}: a coverage value leaves the float range")
     return sums
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        print(f"warning: {WORKERS_ENV_VAR}={raw!r} is not a positive integer; using 1 worker",
-              file=sys.stderr)
-        return 1
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +174,31 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     ``gamma_b``, whose values belong to the engaged trials only. The module
     docstring gives the formula.
     """
+    return _conditional_values(cfg, records, *_direct_factor(cfg, threshold))
+
+
+def _direct_factor(cfg: NetworkConfig, threshold: float) -> tuple:
+    """``log(T) / alpha`` and the direct paths' ``I(T, alpha)``, which every trial shares."""
+    log_t = math.log(threshold) / cfg.alpha
+    return log_t, analytic.interference_factor_from_log(log_t, cfg.alpha)
+
+
+def _conditional_values(cfg: NetworkConfig, records: TrialRecords, log_t: float, factor) -> dict:
+    """:func:`conditional_values` at ``log(T) / alpha``, given the direct paths' ``I(T, alpha)``."""
     p_single, p_split = cfg.retentions
-    alpha, log_t = cfg.alpha, math.log(threshold) / cfg.alpha
+    alpha = cfg.alpha
     area = np.square(records.r0)
     log_q = records.log_q_per_alpha
-
-    def value(log_x, p):  # e(x) from log(x) / alpha
-        return np.exp(-p * area * analytic.interference_factor_from_log(log_x, alpha))
-
     with np.errstate(all="ignore"):  # alpha * |log q| may overflow; a log q of +-inf gives 0 or 1
         # log(1 + q) / alpha, as a softplus of log q: np.logaddexp is far slower
         log_ab = log_t + np.maximum(log_q, 0.0) + np.log1p(np.exp(-alpha * np.abs(log_q))) / alpha
-        e_b, e_ab = value(log_t + log_q, p_split), value(log_ab, p_split)
-    e_a = value(log_t, p_split)
+        # e(T * q) and e(T * (1 + q)) from one call on both rows
+        e_b, e_ab = np.exp(-p_split * area * analytic.interference_factor_from_log(
+            np.stack([log_t + log_q, log_ab]), alpha))
+    e_a = np.exp(-p_split * area * factor)
     engaged = records.engaged
     return {
-        "gamma_o": value(log_t, p_single),
+        "gamma_o": np.exp(-p_single * area * factor),
         "gamma_a": e_a,
         "gamma_b": e_b[engaged],
         "gamma_s": np.where(engaged, e_a + (e_b - e_ab), e_a),
@@ -217,21 +206,28 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
 
 
 def _estimates(block_sums: list) -> dict[str, Coverage]:
-    """Add the blocks' sum arrays in block order and turn them into estimates.
+    """Merge the blocks' sum arrays in block order and turn them into estimates.
 
-    Every estimate is computed at once, elementwise; a metric with no
+    Two blocks merge by the pairwise update of Chan, Golub & LeVeque
+    ("Algorithms for computing the sample variance", Am. Stat. 1983): their
+    sums of squares about their means add, plus the squared gap between the
+    means weighted by ``n_a * n_b / n``, so no digits cancel where ``p`` is
+    near 1. Every estimate is computed at once, elementwise; a metric with no
     trials (``n = 0``) gets NaN for its probability and half-width.
     """
-    n, total, squares = sum(block_sums).transpose(2, 0, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    n, total, squares = block_sums[0].transpose(2, 0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a block may hold no trial of gamma_b
+        for n_b, total_b, squares_b in (sums.transpose(2, 0, 1) for sums in block_sums[1:]):
+            gap = total_b / n_b - total / n
+            squares = squares + squares_b + np.where(n * n_b > 0, gap * gap * (n * n_b / (n + n_b)), 0.0)
+            n, total = n + n_b, total + total_b
         p = total / n
-        # the variance of values in [0, 1] cannot be negative; rounding can make it so
-        half_width = 1.96 * np.sqrt(np.maximum(squares / n - p * p, 0.0) / n)
+        half_width = 1.96 * np.sqrt(squares / n / n)
     return {m: Coverage(p[i], half_width[i], n[i].astype(int)) for i, m in enumerate(METRICS)}
 
 
 def draw(cfg: NetworkConfig) -> TrialRecords:
-    """Every trial's records, drawn in this process: those :func:`run` reduces."""
+    """Every trial's records: those :func:`run` reduces, block by block."""
     return _draw(cfg, 0, cfg.n_trials)
 
 
@@ -241,25 +237,14 @@ def run(cfg: NetworkConfig) -> dict[str, Coverage]:
     Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]``,
     the mean of :func:`conditional_values` over its trials: ``gamma_b``
     conditions on an engaged reflector and the other metrics use every trial.
-    One task draws each block of ``VALUE_BLOCK`` trials and returns only its
-    sums, so memory does not grow with the trial count and a pool parallelizes
-    the estimator with the draws. An estimate needs at least 100 trials.
+    An estimate needs at least 100 trials.
     """
     if cfg.n_trials < 100:
         raise ConfigError(
             [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
         )
-    tasks = [(cfg, start) for start in range(0, cfg.n_trials, VALUE_BLOCK)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(worker_count(), len(tasks), cpus or 1)
-    if workers == 1:
-        block_sums = [_block_sums(task) for task in tasks]
-    else:
-        import multiprocessing  # only a pooled run pays for the import
-
-        with multiprocessing.Pool(processes=workers) as pool:
-            block_sums = list(pool.imap(_block_sums, tasks, chunksize=1))
-    return _estimates(block_sums)
+    direct = [_direct_factor(cfg, t) for t in cfg.thresholds_linear]
+    return _estimates([_block_sums(cfg, start, direct) for start in range(0, cfg.n_trials, VALUE_BLOCK)])
 
 
 def empirical_histogram(

@@ -1,4 +1,4 @@
-"""Shared fixtures: the two expensive reference simulation runs, and a pool recorder.
+"""Shared fixtures: the two expensive reference simulation runs.
 
 Both runs, with their estimates at the configured thresholds and their
 records, are reused across the unit tests and the acceptance suite so the
@@ -10,8 +10,6 @@ run draws the same examples, with no example database and no deadline.
 from __future__ import annotations
 
 import functools
-import multiprocessing.pool
-import os
 import time
 
 import pytest
@@ -54,22 +52,3 @@ def sparse_run() -> TimedRun:
     return TimedRun(
         NetworkConfig(lambda_ris=1000.0, n_trials=100_000, master_seed=ACCEPT_SEED + 1)
     )
-
-
-@pytest.fixture
-def pool_tasks(monkeypatch) -> list[tuple[int, int]]:
-    """``(worker processes, block tasks)`` of each pool that ran tasks during the test."""
-    started = []
-    imap = multiprocessing.pool.Pool.imap
-    # the pool is capped at the usable CPUs; the sizes these tests expect must
-    # not depend on the host
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-
-    def recording_imap(self, func, iterable, chunksize=1):
-        tasks = list(iterable)
-        started.append((self._processes, len(tasks)))
-        return imap(self, func, tasks, chunksize)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", recording_imap)
-    return started

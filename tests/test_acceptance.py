@@ -326,15 +326,13 @@ def test_c13_asymptotics():
     )
 
 
-def test_c14_compare_pipeline_determinism(tmp_path, monkeypatch, pool_tasks):
+def test_c14_compare_pipeline_determinism(tmp_path):
     runner = CliRunner()
     cfg = tmp_path / "cfg.yaml"
-    # three blocks of montecarlo.VALUE_BLOCK trials, the last one partial, so
-    # three workers share the blocks
+    # ten blocks of montecarlo.VALUE_BLOCK trials, the last one partial
     cfg.write_text("n_trials: 20000\nmaster_seed: 321\n")
     outputs = {}
-    for workers, sub in (("1", "w1"), ("3", "w3")):
-        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
+    for sub in ("first", "second"):
         result = runner.invoke(
             cli.main,
             ["compare", "-c", str(cfg), "--out", str(tmp_path / sub)],
@@ -345,12 +343,11 @@ def test_c14_compare_pipeline_determinism(tmp_path, monkeypatch, pool_tasks):
             (tmp_path / sub / "compare.csv").read_bytes(),
             (tmp_path / sub / "compare_report.json").read_bytes(),
         )
-    same_csv = outputs["w1"][1] == outputs["w3"][1]
-    same_report = outputs["w1"][2] == outputs["w3"][2]
-    same_exit = outputs["w1"][0] == outputs["w3"][0]
+    same_csv = outputs["first"][1] == outputs["second"][1]
+    same_report = outputs["first"][2] == outputs["second"][2]
+    same_exit = outputs["first"][0] == outputs["second"][0]
     report(
-        14, "compare pipeline is byte-identical across worker counts",
+        14, "compare pipeline is byte-identical across two runs of one seed",
         same_csv and same_report and same_exit,
-        f"(csv identical: {same_csv}, report identical: {same_report}, exit {outputs['w1'][0]})",
+        f"(csv identical: {same_csv}, report identical: {same_report}, exit {outputs['first'][0]})",
     )
-    assert pool_tasks == [(3, 3)]

@@ -263,7 +263,7 @@ class TestSimulateCommand:
         # no config reaches now that the interferers are integrated out (at
         # alpha = 1.7e308 the reflected path's were nan); this once ended in
         # "T must be nonnegative" with an array repr
-        monkeypatch.setattr(montecarlo, "conditional_values", lambda cfg, records, threshold: dict.fromkeys(
+        monkeypatch.setattr(montecarlo, "_conditional_values", lambda cfg, records, log_t, factor: dict.fromkeys(
             montecarlo.METRICS, np.full(len(records), math.nan)))
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 2000\n")
@@ -591,22 +591,20 @@ class TestColdImport:
         assert out.splitlines()[-1] == "True"
 
     def test_cli_import_leaves_multiprocessing_unloaded(self):
-        # importing it costs about 10 ms, which only a pooled run should pay
+        # the engine runs in one process, so nothing needs the 10 ms import
         code = "import sys, riscov.cli; print('multiprocessing' in sys.modules)"
         assert _run_fresh(code).strip() == "False"
 
-    @pytest.mark.parametrize("command, workers, trials, pooled", [
-        (["simulate"], "1", "20000", False),
-        (["simulate"], "2", "8192", False),
-        (["hist", "--quantity", "r1"], "2", "20000", False),  # hist draws in-process
-        (["simulate"], "2", "20000", True),  # positive control: three blocks start a pool
-    ], ids=["simulate-1-20000", "simulate-2-8192", "hist-2-20000", "simulate-2-20000"])
-    def test_only_a_pooled_run_loads_multiprocessing(self, tmp_path, monkeypatch,
-                                                     command, workers, trials, pooled):
-        monkeypatch.setenv(montecarlo.WORKERS_ENV_VAR, workers)
-        argv = [*command, "--trials", trials, "--out", str(tmp_path)]
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["compare"], ["hist", "--quantity", "r1"],
+    ], ids=["simulate", "compare", "hist"])
+    def test_no_command_loads_multiprocessing(self, tmp_path, monkeypatch, command):
+        # a RISCOV_WORKERS left in the environment by an older release starts
+        # no pool: ten blocks of trials run in this process
+        monkeypatch.setenv("RISCOV_WORKERS", "2")
+        argv = [*command, "--trials", "20000", "--out", str(tmp_path)]
         out = _run_fresh(_loaded_probe("multiprocessing"), *argv)
-        assert out.splitlines()[-1] == str(pooled)
+        assert out.splitlines()[-1] == "False"
 
 
 class TestVersion:
@@ -625,36 +623,6 @@ class TestVersion:
         match = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE)
         assert match is not None
         assert match.group(1) == riscov.__version__
-
-
-class TestWorkerPool:
-    def test_spawned_workers_match_one_worker(self):
-        # the pool uses the platform's default start method, which is spawn
-        # on macOS and Windows; spawned workers import the package afresh.
-        # Three blocks, the last one partial, reach the pool; the recorded
-        # imap calls show how many block tasks it ran
-        code = (
-            "import multiprocessing, multiprocessing.pool, os\n"
-            "import numpy as np\n"
-            "from riscov import montecarlo\n"
-            "from riscov.config import NetworkConfig\n"
-            "multiprocessing.set_start_method('spawn')\n"
-            "pools = []\n"
-            "imap = multiprocessing.pool.Pool.imap\n"
-            "def recording_imap(self, func, iterable, chunksize=1):\n"
-            "    tasks = list(iterable)\n"
-            "    pools.append((self._processes, len(tasks)))\n"
-            "    return imap(self, func, tasks, chunksize)\n"
-            "multiprocessing.pool.Pool.imap = recording_imap\n"
-            "cfg = NetworkConfig(n_trials=20000, master_seed=11, thresholds_db=[-3.0, 0.0, 3.0])\n"
-            "runs = []\n"
-            "for workers in ('1', '2'):\n"
-            "    os.environ[montecarlo.WORKERS_ENV_VAR] = workers\n"
-            "    runs.append(montecarlo.run(cfg))\n"
-            "same = all(np.array_equal(a, b) for m in montecarlo.METRICS for a, b in zip(runs[0][m], runs[1][m]))\n"
-            "print(multiprocessing.get_start_method(), same, pools)\n"
-        )
-        assert _run_fresh(code).strip() == "spawn True [(2, 3)]"
 
 
 class TestSweep:
