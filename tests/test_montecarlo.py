@@ -336,7 +336,7 @@ class TestEstimateCoverage:
                 assert n == len(values)
                 assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
                 assert half_width == pytest.approx(
-                    1.96 * float(np.std(values)) / math.sqrt(len(values)), rel=1e-9
+                    1.96 * float(np.std(values)) / math.sqrt(len(values)), rel=1e-9, abs=0.0
                 )
 
     def test_blocks_without_engaged_trials(self):
@@ -405,6 +405,106 @@ class TestEstimateCoverage:
         for j in range(3):
             assert selection.n_trials[j] == direct.n_trials[j] == cfg.n_trials
             assert selection.probability[j] >= direct.probability[j]
+
+
+def _sums_of(blocks: list) -> list:
+    """Sum arrays, as a block of :func:`montecarlo.run` returns them, of value arrays.
+
+    Every metric of a block gets the same values, at one threshold.
+    """
+    sums = []
+    for values in blocks:
+        n, total = len(values), float(np.sum(values))
+        squares = float(np.sum(np.square(values - total / max(n, 1))))
+        sums.append(np.tile([n, total, squares], (len(montecarlo.METRICS), 1, 1)).astype(float))
+    return sums
+
+
+class TestBlockReduction:
+    @pytest.mark.parametrize("n_trials", [
+        100,
+        montecarlo.VALUE_BLOCK,
+        montecarlo.VALUE_BLOCK + 1,
+        3 * montecarlo.VALUE_BLOCK + montecarlo.CHUNK_TRIALS - 1,
+    ], ids=["part-block", "one-block", "one-trial-over", "part-chunk-over"])
+    def test_block_boundaries_match_estimates_from_records(self, n_trials):
+        # a last block of one trial has no spread of its own: its sum of
+        # squares is 0 and all of its weight sits in the merge's gap term
+        cfg = small_cfg(n_trials=n_trials, lambda_ris=100.0, thresholds_db=(-40.0, 0.0))
+        estimates, records = montecarlo.run(cfg), montecarlo.draw(cfg)
+        for metric, est in estimates.items():
+            for t, p, half_width, n in zip(cfg.thresholds_linear, *est):
+                values = montecarlo.conditional_values(cfg, records, t)[metric]
+                assert n == len(values)
+                assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
+                assert half_width == pytest.approx(
+                    1.96 * float(np.std(values)) / math.sqrt(len(values)), rel=1e-9, abs=0.0
+                )
+
+    @pytest.mark.parametrize("cuts", [
+        (), (2500,), (7, 4000), (0, 3000), (1000, 1000, 5000),
+    ], ids=["one-block", "halves", "uneven", "empty-first", "empty-middle-and-last"])
+    def test_merged_blocks_match_the_two_pass_half_width(self, cuts):
+        # values within 1e-7 of 1, where squares / n - p**2 loses its digits;
+        # their half-width is under 1e-9, so approx's default abs of 1e-12 is off
+        values = 1.0 - 1e-7 * np.random.default_rng(3).random(5000)
+        est = montecarlo._estimates(_sums_of(np.split(values, cuts)))
+        two_pass = 1.96 * float(np.std(values)) / math.sqrt(len(values))
+        one_pass = 1.96 * math.sqrt(max(np.mean(np.square(values)) - np.mean(values) ** 2, 0.0) / len(values))
+        assert abs(one_pass / two_pass - 1.0) > 1e-3  # the data are where the shortcut fails
+        for metric in montecarlo.METRICS:
+            (p,), (half_width,), (n,) = est[metric]
+            assert n == len(values)
+            assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
+            assert half_width == pytest.approx(two_pass, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 1000.0])
+    def test_stacked_reflected_factors_match_one_call_each(self, alpha):
+        # e(T * q) and e(T * (1 + q)) share one call on a (2, n) array; each
+        # element takes the branch of its own sign, so the rows are unchanged
+        rng = np.random.default_rng(8)
+        rows = np.stack([rng.normal(0.0, 3.0, 500), rng.normal(0.5, 3.0, 500)])
+        rows[0, :4] = -np.inf, np.inf, 0.0, np.nan
+        stacked = analytic.interference_factor_from_log(rows, alpha)
+        assert stacked.shape == rows.shape
+        for row, values in zip(rows, stacked):
+            np.testing.assert_array_equal(values, analytic.interference_factor_from_log(row, alpha))
+
+    def test_direct_factor_is_evaluated_once_per_threshold(self, monkeypatch):
+        # the direct paths' I(T, alpha) is shared by every trial and block;
+        # only the reflected path's factor is evaluated per block
+        calls = []
+        factor = analytic.interference_factor_from_log
+
+        def counting(log_t_per_alpha, alpha):
+            calls.append(np.ndim(log_t_per_alpha))
+            return factor(log_t_per_alpha, alpha)
+
+        monkeypatch.setattr(analytic, "interference_factor_from_log", counting)
+        thresholds = (-3.0, 0.0, 3.0)
+        montecarlo.run(small_cfg(n_trials=4 * montecarlo.VALUE_BLOCK + 1, thresholds_db=thresholds))
+        assert calls.count(0) == len(thresholds)
+        assert calls.count(2) == 5 * len(thresholds)
+        assert len(calls) == 6 * len(thresholds)
+
+    def test_nonfinite_block_names_its_trials(self, monkeypatch):
+        # the third of four blocks turns nan; the blocks before it reduced cleanly
+        seen = []
+        values = montecarlo._conditional_values
+
+        def nan_in_third_block(cfg, records, log_t, factor):
+            seen.append(len(records))
+            by_metric = values(cfg, records, log_t, factor)
+            if len(seen) == 3:
+                by_metric["gamma_a"] = np.full(len(records), math.nan)
+            return by_metric
+
+        monkeypatch.setattr(montecarlo, "_conditional_values", nan_in_third_block)
+        block = montecarlo.VALUE_BLOCK
+        cfg = small_cfg(n_trials=3 * block + 5, thresholds_db=(0.0,))
+        with pytest.raises(NumericalError, match=f"^trials {2 * block}-{3 * block - 1}: "):
+            montecarlo.run(cfg)
+        assert seen == [block, block, block]
 
 
 class TestStreamDigest:
