@@ -8,6 +8,8 @@ decorator, ``_config_command``, declares the options every command shares,
 builds that config from ``--config`` and the overrides (building it is what
 checks it), and runs the command body under the typed exits below. The
 shared options are ``--config``, ``--out``, ``--seed`` and ``--trials``.
+The engines, and numpy with them, are imported by the functions that
+compute, so ``--help``, ``--version`` and a config error load neither.
 
 One table, :data:`GATES`, pairs each closed form with the simulated metric
 it predicts and with the gate that ``compare`` applies to their gap;
@@ -27,13 +29,16 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import __version__, analytic, geometry, montecarlo
-from .config import KM2_TO_M2, ConfigError, NetworkConfig, load_config
+from . import __version__
+from .config import HISTOGRAM_QUANTITIES, KM2_TO_M2, ConfigError, NetworkConfig, load_config
 from .errors import NumericalError, RiscovError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_HEADER = "engine,metric,T_db,axis_name,axis_value,value,ci_half_width,n_trials,config_hash,seed"
 HIST_HEADER = "quantity,bin_left,bin_right,density,count,analytic_pdf,n_samples,config_hash,seed"
@@ -136,6 +141,7 @@ def _row_builder(cfg: NetworkConfig) -> functools.partial:
 
 def run_analytic(cfg: NetworkConfig) -> list[ResultRow]:
     """Evaluate every gated closed form at every configured threshold."""
+    from . import analytic
     row = _row_builder(cfg)
     values = {g.engine: getattr(analytic, g.closed_form)(cfg) for g in GATES}
     return [
@@ -147,6 +153,7 @@ def run_analytic(cfg: NetworkConfig) -> list[ResultRow]:
 
 def run_simulate(cfg: NetworkConfig) -> list[ResultRow]:
     """Simulate the configured run and reduce it to coverage rows."""
+    from . import montecarlo
     row = _row_builder(cfg)
     return [
         row(engine="mc", metric=metric, t_db=float(t_db), value=float(est.probability[j]),
@@ -240,6 +247,7 @@ def run_sweep(
 
 
 def _moment_row(cfg: NetworkConfig, metric: str) -> ResultRow:
+    from . import analytic, geometry
     if metric == "e_r1":  # in units of the base spacing, where the densities are 1/pi and rho/pi
         rho_per_pi = cfg.lambda_ris / cfg.lambda_bs / math.pi
         if not 0.0 < rho_per_pi < math.inf:
@@ -255,12 +263,13 @@ def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: 
 
     ``counts`` and ``edges`` are :func:`riscov.montecarlo.empirical_histogram`'s.
     """
+    from . import geometry
     # each distance is Rayleigh; p_ris has no closed-form density. Densities
     # are per km^2 and distances in km here, as per m^2 a density can be subnormal
     lam_eff = math.exp(math.log(cfg.lambda_bs) + cfg.log_r1_scale)
     intensity = {"r0": cfg.lambda_bs, "r1": lam_eff, "r2": cfg.lambda_ris}.get(quantity)
     total = int(counts.sum())
-    density = counts / (total * np.diff(edges))
+    density = counts / (total * (edges[1:] - edges[:-1]))
     pdfs = [None] * len(counts)  # _fmt writes an empty cell
     if intensity is not None:
         km = math.sqrt(KM2_TO_M2)  # per metre
@@ -392,12 +401,13 @@ def sweep_cmd(cfg, out_dir, axis, grid, metric, with_mc):
 
 @main.command("hist")
 @_config_command
-@click.option("--quantity", required=True, type=click.Choice(list(montecarlo.HISTOGRAM_QUANTITIES)))
+@click.option("--quantity", required=True, type=click.Choice(list(HISTOGRAM_QUANTITIES)))
 @click.option("--bins", default=60, type=int)
 def hist_cmd(cfg, out_dir, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""
     if not 1 <= bins <= cfg.n_trials:
         raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
+    from . import montecarlo
     counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity, bins)
     [path] = _write(out_dir, {f"hist_{quantity}.csv": histogram_csv(cfg, quantity, counts, edges)})
     click.echo(f"wrote {path}")

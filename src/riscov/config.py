@@ -32,7 +32,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .errors import RiscovError
@@ -42,6 +41,7 @@ _LOG_PI_PER_KM2 = math.log(math.pi * KM2_TO_M2)  # log(pi * lambda) per m^2 is t
 
 IDEAL_PHASES = "ideal"
 ORIENTATION_MODES = ("thinning", "explicit")
+HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")  # what riscov.montecarlo.empirical_histogram bins
 
 # Layout of the Monte-Carlo random streams and of the estimator that reduces
 # them (see riscov.montecarlo). It enters every config hash, so outputs of
@@ -140,7 +140,8 @@ class NetworkConfig:
     @property
     def log_r1_scale(self) -> float:
         """``log(pi * lambda_eff)`` in units of the base spacing: ``log(rho / (1 + rho))``."""
-        return -float(np.logaddexp(0.0, -self.log_rho))
+        x = self.log_rho  # -log1p(exp(-x)) without overflow, bit for bit numpy's -logaddexp(0, -x)
+        return -(max(0.0, -x) + math.log1p(math.exp(-abs(x))))
 
     @property
     def log_k_per_alpha(self) -> float:
@@ -245,8 +246,27 @@ class NetworkConfig:
         return cls(**mapping)
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """``dict(pairs)``, except that a key given twice is an error rather than the last value winning."""
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"key {repeated!r} repeated in one mapping")
+    return mapping
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` whose mappings go through :func:`_unique_keys`; merged (``<<``) keys count."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)  # rejects an unhashable key
+        _unique_keys([(self.construct_object(key), None) for key, _ in node.value])
+        return mapping
+
+
 def load_config(path: str | Path) -> NetworkConfig:
-    """Read a YAML (or, by suffix, JSON) config file on top of the defaults."""
+    """Read a YAML (or, by suffix, JSON) config file on top of the defaults; a repeated key is an error."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -254,10 +274,10 @@ def load_config(path: str | Path) -> NetworkConfig:
         raise ConfigError([f"cannot read config file {path}: {exc}"])
     try:
         if path.suffix.lower() == ".json":
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         else:
-            data = yaml.safe_load(text)
-    # JSONDecodeError, an int of over 4300 digits, or nesting deeper than the parser recurses
+            data = yaml.load(text, Loader=_UniqueKeyLoader)
+    # JSONDecodeError, a repeated key, an int of over 4300 digits, or nesting deeper than the parser recurses
     except (ValueError, RecursionError, yaml.YAMLError) as exc:
         raise ConfigError([f"cannot parse config file {path}: {exc}"])
     if data is None:

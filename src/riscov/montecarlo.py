@@ -85,14 +85,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytic
-from .config import ConfigError, NetworkConfig
+from .config import HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
 CHUNK_TRIALS = 1024  # one generator per chunk: a trial's draws depend on the seed and its index alone
 VALUE_BLOCK = 2048  # trials drawn and reduced together; whole chunks, few enough to keep the peak RSS low
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
-HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")
 
 
 @dataclass(frozen=True, eq=False)

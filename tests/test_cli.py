@@ -538,28 +538,35 @@ class TestCompare:
         assert gamma_b == {"approx1", "approx2"}
 
 
-def _run_fresh(code: str, *args: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter with the package's ``src`` on PYTHONPATH."""
+def _run_fresh(code: str, *args: str, returncode: int = 0) -> str:
+    """Stdout of ``code`` run in a fresh interpreter with the package's ``src`` on PYTHONPATH.
+
+    The interpreter must exit with ``returncode``.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
-    )
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert out.returncode == returncode, out.stderr
     return out.stdout
 
 
 def _loaded_probe(package: str) -> str:
-    """Code that runs the command in sys.argv[1:], then prints whether ``package`` is loaded."""
+    """Code that runs the command in sys.argv[1:], then prints whether ``package`` is loaded.
+
+    The line is printed at exit, so a command that ends in ``sys.exit`` prints it too.
+    """
     return (
-        "import sys\n"
+        "import atexit, sys\n"
+        f"atexit.register(lambda: print(any(m.split('.')[0] == {package!r} for m in sys.modules)))\n"
         "from riscov import cli\n"
         "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
-        f"print(any(m.split('.')[0] == {package!r} for m in sys.modules))\n"
     )
 
 
 _SCIPY_PROBE = _loaded_probe("scipy")
+_NUMPY_PROBE = _loaded_probe("numpy")
+_MC_DENSE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "mc-dense.yaml"
 
 
 class TestColdImport:
@@ -588,6 +595,26 @@ class TestColdImport:
         code = "import scipy.special\n" + _SCIPY_PROBE
         argv = ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"]
         out = _run_fresh(code, *argv, "--out", str(tmp_path))
+        assert out.splitlines()[-1] == "True"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy is most of a cold start, and loading and checking a config needs none of it
+        code = "import sys, riscov.cli; print('numpy' in sys.modules)"
+        assert _run_fresh(code).strip() == "False"
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_leave_numpy_unloaded(self, flag):
+        assert _run_fresh(_NUMPY_PROBE, flag).splitlines()[-1] == "False"
+
+    def test_config_error_leaves_numpy_unloaded(self, tmp_path):
+        # the benchmark's set-up sample: load a config, reject it and exit 2
+        argv = ["analytic", "-c", str(_MC_DENSE_CONFIG), "--trials", "0", "--out", str(tmp_path)]
+        out = _run_fresh(_NUMPY_PROBE, *argv, returncode=cli.EXIT_CONFIG_ERROR)
+        assert out.splitlines()[-1] == "False"
+
+    def test_probe_sees_numpy_when_a_command_computes(self, tmp_path):
+        # positive control for the probe above
+        out = _run_fresh(_NUMPY_PROBE, "analytic", "--out", str(tmp_path))
         assert out.splitlines()[-1] == "True"
 
     def test_cli_import_leaves_multiprocessing_unloaded(self):
@@ -992,6 +1019,19 @@ class TestTypedExits:
         assert isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("config error: thresholds_db: must ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, text", [
+        ("dup.yaml", "alpha: 4\nalpha: 3\n"), ("dup.json", '{"alpha": 4, "alpha": 3}'),
+    ], ids=["yaml", "json"])
+    def test_repeated_config_key_is_config_error(self, runner, tmp_path, name, text):
+        # the second alpha won silently: the run went ahead at alpha 3 with exit 0
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        message = f"cannot parse config file {cfg}: key 'alpha' repeated in one mapping"
+        assert result.stderr == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target,argv", [

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle_helpers import array_factor_from_phases
 from riscov import cli, config
@@ -116,6 +117,30 @@ class TestUnits:
         assert cfg.thresholds_linear == pytest.approx((1.0, 10**0.5, 10.0))
 
 
+class TestR1Scale:
+    """``log_r1_scale`` is computed in ``math``, so loading a config needs no numpy."""
+
+    @staticmethod
+    def _numpy_value(cfg):
+        return -float(np.logaddexp(0.0, -cfg.log_rho))
+
+    @pytest.mark.parametrize("lambda_bs, lambda_ris", [
+        (25.0, 25.0), (1.0, 1.0),  # log rho = 0, where logaddexp adds log 2
+        (1.0, 1e300), (1.0, 1e-300), (1e300, 1.0), (1e-300, 1.0),
+        (3.0e-318, 1.7e308), (1.7e308, 3.0e-318),
+        (25.0, 5e4),
+    ])
+    def test_matches_numpy_logaddexp(self, lambda_bs, lambda_ris):
+        cfg = NetworkConfig(lambda_bs=lambda_bs, lambda_ris=lambda_ris)
+        assert cfg.log_r1_scale == self._numpy_value(cfg)
+
+    @settings(max_examples=50)
+    @given(lambda_bs=st.floats(3.0e-318, 1.7e308), lambda_ris=st.floats(3.0e-318, 1.7e308))
+    def test_matches_numpy_logaddexp_on_drawn_densities(self, lambda_bs, lambda_ris):
+        cfg = NetworkConfig(lambda_bs=lambda_bs, lambda_ris=lambda_ris)
+        assert cfg.log_r1_scale == self._numpy_value(cfg)
+
+
 class TestHashing:
     def test_semantic_change_changes_hash(self):
         a = NetworkConfig()
@@ -179,6 +204,26 @@ class TestLoading:
         path = tmp_path / f"big{suffix}"
         path.write_text('{"lambda_bs": 1' + "0" * 5000 + "}\n")
         with pytest.raises(ConfigError, match="cannot parse config file"):
+            load_config(path)
+
+    @pytest.mark.parametrize("suffix, text", [
+        (".yaml", "alpha: 4\nalpha: 3\n"),
+        (".json", '{"alpha": 4, "alpha": 3}'),
+        (".yaml", "alpha: 4\nthresholds_db: [5]\nalpha: 4\n"),
+    ], ids=["yaml", "json", "yaml-same-value"])
+    def test_repeated_key_rejected(self, tmp_path, suffix, text):
+        # both parsers kept the last value, so alpha 4 then 3 ran at alpha 3;
+        # a repeat is rejected even where it agrees with the first value
+        path = tmp_path / f"dup{suffix}"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.errors == [f"cannot parse config file {path}: key 'alpha' repeated in one mapping"]
+
+    def test_repeated_key_in_a_nested_mapping_rejected(self, tmp_path):
+        path = tmp_path / "nested.yaml"
+        path.write_text("thresholds_db: {a: 1, a: 2}\n")
+        with pytest.raises(ConfigError, match="key 'a' repeated in one mapping"):
             load_config(path)
 
     def test_unknown_tolerance_key(self, tmp_path):
