@@ -2,9 +2,8 @@
 
 Every coverage function is a function of one
 :class:`riscov.config.NetworkConfig`, whose fields it does not re-check: it
-evaluates the config's ``thresholds_linear`` and returns a float array aligned
-with its ``thresholds_db``, as :func:`riscov.montecarlo.run` does. Every value
-is a probability in [0, 1].
+evaluates the config's ``thresholds_linear`` and returns a tuple of floats
+aligned with its ``thresholds_db``. Every value is a probability in [0, 1].
 
 Every expression is exact and evaluated without quadrature. The interference
 factor is the Gauss hypergeometric form
@@ -16,11 +15,13 @@ approximations depend on the deployment only through one power-free ratio
 ``kappa`` itself would leave the float range. approx1 is path-A coverage at
 the scaled threshold ``T * kappa**(-a/2)``.
 
-The hypergeometric function is summed here as a numpy series rather than
+The hypergeometric function is summed here with ``math`` alone rather than
 imported from ``scipy.special``, whose import alone costs about half of a
-cold start. With ``b = 1 - 2/a``, the Pfaff transformation (DLMF 15.8.1)
-gives ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with
-``w = t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2)
+cold start; numpy is the Monte-Carlo engine's dependency, and
+:mod:`riscov.montecarlo` keeps an array copy of the same series for its
+per-trial values. With ``b = 1 - 2/a``, the Pfaff transformation (DLMF
+15.8.1) gives ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n``
+with ``w = t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2)
 first splits off ``(pi*b/sin(pi*b)) * t**-b`` and leaves the same series
 with ``b`` replaced by ``1-b`` at ``w = 1/(1+t)``. Either way ``w <= 1/2``,
 so each term at most halves the last, and a fixed 56 terms, summed by
@@ -30,13 +31,13 @@ and ``I`` keeps its relative accuracy where ``I(T, a) -> (2/a) * log(1 + T)``.
 Both branches read ``u = log(t) / a`` (:func:`interference_factor_from_log`):
 ``w`` is a logistic function of ``a * u`` and ``t**(2/a)`` is ``exp(2u)``, so
 ``t`` itself may lie beyond the float range. With ``u`` fixed, ``I`` tends to
-``max(0, expm1(2u))`` as ``a -> inf``, and takes that limit.
+``max(0, expm1(2u))`` as ``a -> inf``, and takes that limit. ``math`` raises
+where numpy returned an infinity, so each limit is taken explicitly.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from functools import lru_cache
 
 from . import geometry
 from .config import NetworkConfig
@@ -46,21 +47,14 @@ from .errors import NumericalError, ParameterError
 # Terms of the series of `_horner`: each is at most w <= 1/2 times the one
 # before, so the omitted tail stays below 2**-56 of the sum, under a quarter ulp.
 _SERIES_DEGREE = 56
-_TERMS = np.arange(1, _SERIES_DEGREE + 1)
 
 
-def _horner(coefficients: np.ndarray, w):
-    """``sum_{1 <= n <= 56} coefficients[n-1] * w**n`` by Horner's rule, for ``0 <= w <= 1/2``.
-
-    A fixed degree gives each element of ``w`` the same steps whatever the
-    other elements are, so an array call matches scalar calls exactly.
-    """
-    total = np.full(np.shape(w), coefficients[-1])
+def _horner(coefficients: tuple[float, ...], w: float) -> float:
+    """``sum_{1 <= n <= 56} coefficients[n-1] * w**n`` by Horner's rule, for ``0 <= w <= 1/2``."""
+    total = coefficients[-1]
     for a in coefficients[-2::-1]:
-        total *= w
-        total += a
-    total *= w
-    return total
+        total = total * w + a
+    return total * w
 
 
 def _leading(alpha: float) -> float:
@@ -70,62 +64,76 @@ def _leading(alpha: float) -> float:
     return math.pi * delta / math.sin(math.pi * min((alpha - 2.0) / alpha, delta))
 
 
-def interference_factor(T, alpha: float):
+def _log_leading(alpha: float) -> float:
+    """``log(pi*d / sin(pi*d))``, from its Taylor series in ``(pi*d)**2`` where that is below 0.01."""
+    x2 = (math.pi * (2.0 / alpha)) ** 2
+    return (math.log(_leading(alpha)) if x2 >= 0.01 else
+            x2 * (1 / 6 + x2 * (1 / 180 + x2 * (1 / 2835 + x2 * (1 / 37800 + x2 / 467775)))))
+
+
+@lru_cache(maxsize=64)
+def _series(alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The coefficients of both branches at ``alpha``.
+
+    They are ``n!/(b+1)_n`` for ``t <= 1`` and ``n!/(d+1)_n - 1`` for ``t >
+    1``, with ``d = 2/alpha`` and ``b = 1 - d``.
+    """
+    delta = 2.0 / alpha
+    b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
+    low, shortfall = [], []
+    ratio, log_ratio = 1.0, 0.0
+    for n in range(1, _SERIES_DEGREE + 1):
+        ratio *= n / (b + n)
+        log_ratio += math.log1p(delta / n)
+        low.append(ratio)
+        shortfall.append(math.expm1(-log_ratio))
+    return tuple(low), tuple(shortfall)
+
+
+def interference_factor(T: float, alpha: float) -> float:
     """``T**(2/a) * int_{T**(-2/a)}^inf du / (1 + u**(a/2))`` in closed form.
 
     Equals ``2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli & Ganti,
     IEEE TCOM 2011), which at ``alpha == 4`` is ``sqrt(T) * atan(sqrt(T))``;
-    :func:`interference_factor_from_log` sums it from ``log(T) / alpha``. ``T``
-    may be a scalar (float result) or an array (array result); ``T = 0`` gives
-    0 and ``T = inf`` gives inf.
+    :func:`interference_factor_from_log` sums it from ``log(T) / alpha``.
+    ``T = 0`` gives 0 and ``T = inf`` gives inf.
     """
-    t = np.asarray(T, dtype=float)
-    if not np.all(t >= 0):
+    if not T >= 0:
         raise ParameterError(f"T must be nonnegative, got {T!r}")
-    with np.errstate(divide="ignore"):  # log(0) is -inf, where I is 0
-        value = interference_factor_from_log(np.log(t) / alpha, alpha)
-    return float(value) if value.ndim == 0 else value
+    log_t = math.log(T) if T > 0 else -math.inf  # log(0) raises in math; I is 0 there
+    return interference_factor_from_log(log_t / alpha, alpha)
 
 
-def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
-    """``I(T, alpha)`` from ``log(T) / alpha`` (module docstring), as an array; nan where that is nan."""
-    u = np.asarray(log_t_per_alpha, dtype=float)
-    delta = 2.0 / alpha
-    b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
-    with np.errstate(over="ignore"):  # log T may overflow to +-inf, where w is 0
-        log_t = alpha * u
-    low = u <= 0.0
-    high = ~low
-    value = np.empty_like(u)
-    # each branch is evaluated on its own elements only, so an empty one costs nothing
-    if low.any():
-        t_low = np.exp(log_t[low])
-        w = t_low / (1.0 + t_low)
-        value[low] = 2.0 / (alpha - 2.0) * w * (1.0 + _horner(np.cumprod(_TERMS / (b + _TERMS)), w))
-    if high.any():
-        inverse = np.exp(-log_t[high])  # 1/T, which cannot overflow here
-        w = inverse / (1.0 + inverse)
-        x2 = (math.pi * delta) ** 2
-        # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d);
-        # both parts are near 1 at large alpha, so each is taken less 1, the first from its log
-        log_leading = (math.log(_leading(alpha)) if x2 >= 0.01 else
-                       x2 * (1 / 6 + x2 * (1 / 180 + x2 * (1 / 2835 + x2 * (1 / 37800 + x2 / 467775)))))
-        shortfall = np.expm1(-np.cumsum(np.log1p(delta / _TERMS)))  # n!/(d+1)_n - 1
-        with np.errstate(over="ignore"):  # near alpha = 2 a huge T overflows to inf, the limit
-            value[high] = np.expm1(log_leading + 2.0 * u[high]) - (1.0 - w) * _horner(shortfall, w)
-    return value
+def interference_factor_from_log(log_t_per_alpha: float, alpha: float) -> float:
+    """``I(T, alpha)`` from ``log(T) / alpha`` (module docstring); nan where that is nan."""
+    u = log_t_per_alpha
+    low, shortfall = _series(alpha)
+    log_t = alpha * u  # may overflow to +-inf, where w is 0
+    if u <= 0.0:
+        t = math.exp(log_t)
+        w = t / (1.0 + t)
+        return 2.0 / (alpha - 2.0) * w * (1.0 + _horner(low, w))
+    inverse = math.exp(-log_t)  # 1/T, which cannot overflow here
+    w = inverse / (1.0 + inverse)
+    # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d);
+    # both parts are near 1 at large alpha, so each is taken less 1, the first from its log
+    try:
+        head = math.expm1(_log_leading(alpha) + 2.0 * u)
+    except OverflowError:  # near alpha = 2 a huge T leaves the float range: inf is the limit
+        head = math.inf
+    return head - (1.0 - w) * _horner(shortfall, w)
 
 
 # ---------------------------------------------------------------------------
 # baseline and path-A coverage
 # ---------------------------------------------------------------------------
 
-def _direct_coverage(cfg: NetworkConfig, retention: float) -> np.ndarray:
+def _direct_coverage(cfg: NetworkConfig, retention: float) -> tuple[float, ...]:
     """``1 / (1 + p * I(T, a))`` at each configured threshold, for the retention ``p`` of the lobes."""
-    return 1.0 / (1.0 + retention * interference_factor(np.array(cfg.thresholds_linear), cfg.alpha))
+    return tuple(1.0 / (1.0 + retention * interference_factor(t, cfg.alpha)) for t in cfg.thresholds_linear)
 
 
-def coverage_baseline(cfg: NetworkConfig) -> np.ndarray:
+def coverage_baseline(cfg: NetworkConfig) -> tuple[float, ...]:
     """Single-beam coverage ``1 / (1 + p * I(T, a))``.
 
     ``p = 1/sqrt(N)`` is the single-beam retention of
@@ -134,7 +142,7 @@ def coverage_baseline(cfg: NetworkConfig) -> np.ndarray:
     return _direct_coverage(cfg, cfg.retentions[0])
 
 
-def coverage_path_a(cfg: NetworkConfig) -> np.ndarray:
+def coverage_path_a(cfg: NetworkConfig) -> tuple[float, ...]:
     """Split-beam direct-path coverage ``1 / (1 + p * I(T, a))``.
 
     ``p = min(1, sqrt(2/N))`` is the split-beam retention of
@@ -165,21 +173,21 @@ def log_reflector_ratio(cfg: NetworkConfig) -> float:
     ))
 
 
-def _reflected_coverage(log_kappa: float, weighted_interference):
-    """``kappa / (kappa + x)`` from ``log(kappa)``, as the logistic function of ``log(x / kappa)``.
+def _reflected_coverage(log_kappa: float, x: float) -> float:
+    """``kappa / (kappa + x)`` from ``log(kappa)``, as the logistic function of ``log(x / kappa)``, for ``x >= 0``.
 
     Its exponential is taken of a nonpositive argument only, so it cannot
     overflow, and values down to the smallest subnormal float survive. Where
     ``kappa`` and ``x`` both underflow to 0, no reflected power means 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(weighted_interference) - log_kappa
-    y = np.where(np.isnan(y), math.inf, y)
-    e = np.exp(-np.abs(y))
-    return np.where(y > 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    y = (math.log(x) if x > 0 else -math.inf) - log_kappa
+    if math.isnan(y):  # both infinite, or both 0
+        y = math.inf
+    e = math.exp(-abs(y))
+    return e / (1.0 + e) if y > 0 else 1.0 / (1.0 + e)
 
 
-def coverage_path_b_approx1(cfg: NetworkConfig) -> np.ndarray:
+def coverage_path_b_approx1(cfg: NetworkConfig) -> tuple[float, ...]:
     """Reflected-path coverage under the proportional-distance approximation.
 
     Treats the reflector distance as the fraction ``kappa**-0.5`` of the
@@ -190,17 +198,21 @@ def coverage_path_b_approx1(cfg: NetworkConfig) -> np.ndarray:
     (``d = 2/a``) to double precision, and the coverage is taken from
     ``log(kappa)``, so that a tiny value keeps its relative accuracy.
     """
-    t, a, p = np.array(cfg.thresholds_linear), cfg.alpha, cfg.retentions[1]
+    a, p = cfg.alpha, cfg.retentions[1]
     log_kappa = log_reflector_ratio(cfg)
-    # T' is one exponential of a sum of logs, as a subnormal kappa**(-a/2) loses digits; it
-    # may overflow or underflow; the far form may overflow, or read nan where it is unused
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = p * interference_factor(np.exp(np.log(t) - 0.5 * a * log_kappa), a)
-        far = _reflected_coverage(log_kappa, p * (_leading(a) * t ** (2.0 / a) - np.exp(log_kappa)))
-    return np.where(np.isfinite(weighted), 1.0 / (1.0 + weighted), far)
+
+    def at(t: float) -> float:
+        # I(T') is read from log(T') / a, as a subnormal kappa**(-a/2) loses digits and T'
+        # may leave the float range; the sum of logs may overflow to its limit +-inf
+        weighted = p * interference_factor_from_log((math.log(t) - 0.5 * a * log_kappa) / a, a)
+        if math.isfinite(weighted):
+            return 1.0 / (1.0 + weighted)
+        return _reflected_coverage(log_kappa, p * (_leading(a) * t ** (2.0 / a) - math.exp(log_kappa)))
+
+    return tuple(map(at, cfg.thresholds_linear))
 
 
-def coverage_path_b_approx2(cfg: NetworkConfig) -> np.ndarray:
+def coverage_path_b_approx2(cfg: NetworkConfig) -> tuple[float, ...]:
     """Reflected-path coverage for dense reflector deployments: ``kappa / (kappa + p * I(T, a))``.
 
     It is derived as a lower bound on ``gamma_b``, but it is not one: at 5 dB
@@ -209,8 +221,9 @@ def coverage_path_b_approx2(cfg: NetworkConfig) -> np.ndarray:
     the ``approx2`` compare gate) and beyond that margin at small arrays:
     0.037 at ``N = 2, alpha = 3`` and 0.043 at ``N = 1`` (or 2), ``alpha = 4``.
     """
-    t = np.array(cfg.thresholds_linear)
-    return _reflected_coverage(log_reflector_ratio(cfg), cfg.retentions[1] * interference_factor(t, cfg.alpha))
+    log_kappa, p = log_reflector_ratio(cfg), cfg.retentions[1]
+    return tuple(_reflected_coverage(log_kappa, p * interference_factor(t, cfg.alpha))
+                 for t in cfg.thresholds_linear)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ decorator, ``_config_command``, declares the options every command shares,
 builds that config from ``--config`` and the overrides (building it is what
 checks it), and runs the command body under the typed exits below. The
 shared options are ``--config``, ``--out``, ``--seed`` and ``--trials``.
-The engines, and numpy with them, are imported by the functions that
-compute, so ``--help``, ``--version`` and a config error load neither.
+The engines are imported by the functions that compute, so ``--help``,
+``--version`` and a config error load none. numpy is the Monte-Carlo
+engine's dependency: ``analytic`` and ``sweep`` evaluate closed forms with
+``math`` alone, and only ``simulate``, ``compare``, ``hist`` and ``sweep
+--with-mc`` load it.
 
 One table, :data:`GATES`, pairs each closed form with the simulated metric
 it predicts and with the gate that ``compare`` applies to their gap;
@@ -273,7 +276,8 @@ def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: 
     pdfs = [None] * len(counts)  # _fmt writes an empty cell
     if intensity is not None:
         km = math.sqrt(KM2_TO_M2)  # per metre
-        pdfs = (km * geometry.rayleigh_pdf(km * 0.5 * (edges[:-1] + edges[1:]), intensity)).tolist()
+        mids = (0.5 * (edges[:-1] + edges[1:])).tolist()
+        pdfs = [km * geometry.rayleigh_pdf(km * mid, intensity) for mid in mids]
     provenance = f"{total},{cfg.config_hash()},{cfg.master_seed}"
     bins = zip(edges[:-1].tolist(), edges[1:].tolist(), density.tolist(), counts.tolist(), pdfs)
     lines = [",".join([quantity, *map(_fmt, cells), provenance]) for cells in bins]

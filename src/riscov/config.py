@@ -265,6 +265,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return mapping
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """PyYAML's problem and its line and column on one line; its own text spans several."""
+    mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+    if mark is None or problem is None:  # a reader error gives no mark
+        return " ".join(str(exc).split())
+    return f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+
+
 def load_config(path: str | Path) -> NetworkConfig:
     """Read a YAML (or, by suffix, JSON) config file on top of the defaults; a repeated key is an error."""
     path = Path(path)
@@ -278,8 +286,10 @@ def load_config(path: str | Path) -> NetworkConfig:
         else:
             data = yaml.load(text, Loader=_UniqueKeyLoader)
     # JSONDecodeError, a repeated key, an int of over 4300 digits, or nesting deeper than the parser recurses
-    except (ValueError, RecursionError, yaml.YAMLError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"cannot parse config file {path}: {exc}"])
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"cannot parse config file {path}: {_yaml_problem(exc)}"])
     if data is None:
         data = {}
     return NetworkConfig.from_mapping(data)

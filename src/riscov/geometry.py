@@ -21,14 +21,17 @@ pi*lambda_eff*eps**2)``, whose log :func:`log_expected_inv_r1_pow` sums.
 One quadrature is left: ``expected_r1``, kept as the truncated double
 integral over ``r0 <= rayleigh_tail_radius(lambda_bs)`` and ``r2 <=
 rayleigh_tail_radius(lambda_ris)`` so its output matches earlier releases
-(the exact value is ``0.5 / sqrt(lambda_eff)``). It is one vectorized
-tensor-product Gauss-Legendre rule. Each panel's nodes go through the map
+(the exact value is ``0.5 / sqrt(lambda_eff)``). It is one tensor-product
+Gauss-Legendre rule, summed with ``math`` alone, whose nodes Newton's method
+finds on the three-term recurrence of the Legendre polynomials, as in
+Numerical Recipes' ``gauleg``. Each panel's nodes go through the map
 ``u -> (3u - u**3) / 2``, whose derivative vanishes at both ends, so a weak
 singularity at a panel end costs little. The ``r2`` range splits at ``r2 =
 r0``, where ``E(m)`` has its ``(1 - m) * log(1 - m)`` kink at ``m = 1``, and
 the ``r0`` range splits at the end of the ``r2`` range when that lies inside
 it. The complete elliptic integral ``E(m)`` is the arithmetic-geometric mean
-of DLMF 19.8.6. No code in the package imports scipy.
+of DLMF 19.8.6. No code in the package imports scipy, and this module
+imports no numpy: numpy is the Monte-Carlo engine's dependency.
 
 The upper incomplete gamma function is therefore summed here with ``math``
 alone. At ``x >= 1``, Legendre's continued fraction
@@ -42,13 +45,14 @@ so the case ``alpha -> 4`` needs no ``Gamma(s) - 1/s`` cancellation.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
-
-import numpy as np
+from itertools import chain
 
 from .errors import NumericalError, ParameterError
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_EPSILON = sys.float_info.epsilon
 
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
 # the outer integration limit is the 1 - TAIL_MASS quantile.
@@ -64,27 +68,25 @@ def rayleigh_tail_radius(intensity: float) -> float:
 # closed-form nearest-neighbor density
 # ---------------------------------------------------------------------------
 
-def rayleigh_pdf(r, intensity: float):
+def rayleigh_pdf(r: float, intensity: float) -> float:
     """Density of the distance to the nearest point of a Poisson field of ``intensity``.
 
     The serving distance ``r0`` follows it at ``lambda_bs``, the reflector
     distance ``r2`` at ``lambda_ris``, and the base-to-reflector distance
     ``r1`` at ``lambda_eff`` (see the module docstring).
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if r < 0:
         raise ParameterError("distance must be nonnegative")
     # intensity * r first: r**2 overflows and pi * intensity rounds at a subnormal intensity
-    out = 2.0 * math.pi * (intensity * r) * np.exp(-math.pi * (intensity * r) * r)
-    return out if out.ndim else float(out)
+    return 2.0 * math.pi * (intensity * r) * math.exp(-math.pi * (intensity * r) * r)
 
 
 # ---------------------------------------------------------------------------
 # base-to-reflector distance r1
 # ---------------------------------------------------------------------------
 
-def _ellipe(m):
-    """Complete elliptic integral of the second kind ``E(m)``, elementwise on ``[0, 1]``.
+def _ellipe(m: float) -> float:
+    """Complete elliptic integral of the second kind ``E(m)`` on ``[0, 1]``.
 
     By the arithmetic-geometric mean (DLMF 19.8.6): with ``a0 = 1``,
     ``b0 = sqrt(1 - m)`` and ``c_n = (a_{n-1} - b_{n-1}) / 2``,
@@ -92,55 +94,82 @@ def _ellipe(m):
     where ``c_0**2 = m``. At ``m = 1`` that product is ``inf * 0``, so the
     limit ``E(1) = 1`` is set directly.
     """
-    m = np.asarray(m, dtype=float)
-    at_one = m >= 1.0
-    a = np.ones_like(m)
-    b = np.sqrt(np.where(at_one, 1.0, 1.0 - m))
-    total = 0.5 * np.where(at_one, 0.0, m)
+    if m >= 1.0:
+        return 1.0
+    a, b = 1.0, math.sqrt(1.0 - m)
+    total = 0.5 * m
     weight = 0.5
     while True:
         c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
         weight *= 2.0
-        total = total + weight * c * c
-        if not np.any(c > np.finfo(float).eps * a):  # a NaN m also ends the loop
+        total += weight * c * c
+        if not c > _EPSILON * a:  # a NaN m also ends the loop
             break
-    return np.where(at_one, 1.0, 0.5 * math.pi / a * (1.0 - total))
+    return 0.5 * math.pi / a * (1.0 - total)
 
 
 # Orders of the two rules whose agreement is the convergence check of
 # expected_r1, and the relative gap it accepts; the finer one gives the value.
 _R1_RULE_ORDERS = (24, 32)
 _R1_REL_TOL = 1e-3
+_NEWTON_MAX_STEPS = 100
+
+
+def _legendre(order: int, x: float) -> tuple[float, float]:
+    """``P_order(x)`` and its derivative, by Bonnet's recurrence, for ``|x| < 1``."""
+    p_prev, p = 1.0, x
+    for k in range(2, order + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
 
 
 @lru_cache(maxsize=None)
-def _graded_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on ``[-1, 1]`` after ``u -> (3u - u**3) / 2``."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (3.0 * x - x**3), 1.5 * (1.0 - x * x) * w
+def _graded_gauss_legendre(order: int) -> tuple[tuple[float, float], ...]:
+    """Gauss-Legendre ``(node, weight)`` pairs on ``[-1, 1]`` after ``u -> (3u - u**3) / 2``.
+
+    Each node is the root of ``P_order`` that Newton's method reaches from
+    ``cos(pi * (i + 3/4) / (order + 1/2))``; its weight is ``2 / ((1 - x**2) *
+    P_order'(x)**2)`` at the root found.
+    """
+    rule = []
+    for i in range(order):
+        x = math.cos(math.pi * (i + 0.75) / (order + 0.5))
+        for _ in range(_NEWTON_MAX_STEPS):
+            p, slope = _legendre(order, x)
+            step = p / slope
+            x -= step
+            if abs(step) <= _EPSILON:
+                break
+        else:
+            raise NumericalError(f"Gauss-Legendre node {i} of order {order} did not converge")
+        _, slope = _legendre(order, x)
+        w = 2.0 / ((1.0 - x * x) * slope * slope)
+        rule.append((0.5 * (3.0 * x - x**3), 1.5 * (1.0 - x * x) * w))
+    return tuple(rule)
 
 
-def _panel_rule(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Graded nodes and weights on each panel ``[lo[i], hi[i]]``, one row per panel."""
-    t, w = _graded_gauss_legendre(order)
-    half = 0.5 * (hi - lo)[:, None]
-    return lo[:, None] + half * (1.0 + t), half * w
+def _panel_rule(lo: float, hi: float, order: int):
+    """Graded ``(node, weight)`` pairs on the panel ``[lo, hi]``."""
+    half = 0.5 * (hi - lo)
+    return ((lo + half * (1.0 + t), half * w) for t, w in _graded_gauss_legendre(order))
 
 
 def _expected_r1_rule(
-    lambda_bs: float, lambda_ris: float, r0_edges: np.ndarray, r2_max: float, order: int
+    lambda_bs: float, lambda_ris: float, r0_edges: list[float], r2_max: float, order: int
 ) -> float:
     """The truncated ``E[r1]`` integral by the tensor-product graded rule of one order."""
-    r0, w0 = (a.ravel() for a in _panel_rule(r0_edges[:-1], r0_edges[1:], order))
-    kink = np.minimum(r0, r2_max)
-    below = _panel_rule(np.zeros_like(kink), kink, order)
-    above = _panel_rule(kink, np.full_like(kink, r2_max), order)
-    r2, w2 = (np.concatenate(pair, axis=1) for pair in zip(below, above))
-    s = r0[:, None] + r2
-    mean_r1 = (2.0 / math.pi) * s * _ellipe(4.0 * r0[:, None] * r2 / s**2)
-    inner = np.sum(w2 * rayleigh_pdf(r2, lambda_ris) * mean_r1, axis=1)
-    return float(np.dot(w0, rayleigh_pdf(r0, lambda_bs) * inner))
+    total = 0.0
+    for r0_lo, r0_hi in zip(r0_edges, r0_edges[1:]):
+        for r0, w0 in _panel_rule(r0_lo, r0_hi, order):
+            kink = min(r0, r2_max)
+            inner = 0.0
+            for r2, w2 in chain(_panel_rule(0.0, kink, order), _panel_rule(kink, r2_max, order)):
+                s = r0 + r2
+                mean_r1 = (2.0 / math.pi) * s * _ellipe(4.0 * r0 * r2 / s**2)
+                inner += w2 * rayleigh_pdf(r2, lambda_ris) * mean_r1
+            total += w0 * rayleigh_pdf(r0, lambda_bs) * inner
+    return total
 
 
 @lru_cache(maxsize=256)
@@ -161,7 +190,7 @@ def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
     if (r0_max + r2_max) * (r0_max + r2_max) == math.inf:  # the rule squares r0 + r2
         raise NumericalError("expected_r1: the distances exceed the float range when squared")
     # past r0 = r2_max the r2 range no longer reaches the kink at r2 = r0
-    r0_edges = np.array([0.0, r2_max, r0_max] if r2_max < r0_max else [0.0, r0_max])
+    r0_edges = [0.0, r2_max, r0_max] if r2_max < r0_max else [0.0, r0_max]
     coarse, value = (
         _expected_r1_rule(lambda_bs, lambda_ris, r0_edges, r2_max, order)
         for order in _R1_RULE_ORDERS
@@ -196,7 +225,7 @@ def _upper_gamma_fraction(s: float, x: float) -> float:
         c = b + a_i / c
         step = d * c
         h *= step
-        if abs(step - 1.0) <= np.finfo(float).eps:
+        if abs(step - 1.0) <= _EPSILON:
             return h
     raise NumericalError(f"Gamma({s!r}, {x!r}) continued fraction did not converge")
 
@@ -232,7 +261,7 @@ def _log_scaled_upper_gamma(a: float, log_x: float) -> float:
         coef /= -n
         term = -coef * math.expm1((base + n) * log_x) / (base + n)
         total += term
-        if abs(term) <= 0.5 * np.finfo(float).eps * total:
+        if abs(term) <= 0.5 * _EPSILON * total:
             break
     h = math.exp(-base * log_x) * (math.exp(-1.0) * _upper_gamma_fraction(base, 1.0) + total)
     for k in range(steps - 1, -1, -1):

@@ -1,5 +1,10 @@
 """Vectorized stochastic simulator and independent oracle for the closed forms.
 
+This is the one module of the package that imports numpy: ``analytic`` and
+``sweep`` evaluate their closed forms with ``math`` alone, and only the
+commands that simulate (``simulate``, ``compare``, ``hist`` and ``sweep
+--with-mc``) load numpy with this module.
+
 One trial places the user at the origin, draws the serving base and the
 nearest reflector, and records what coverage depends on given them. One
 :class:`riscov.config.NetworkConfig` describes a run, its trial count, seed
@@ -49,10 +54,12 @@ with ``log(K) / alpha`` from
 :attr:`riscov.config.NetworkConfig.log_k_per_alpha`. ``K`` and ``rho`` are
 the only places where the densities, ``mu`` and the bank enter, so
 ``gamma_o`` and ``gamma_a`` depend on the deployment through ``alpha`` and
-``N`` alone. ``I`` is read from ``log(x) / alpha``
-(:func:`riscov.analytic.interference_factor_from_log`), which stays finite
-where ``q`` leaves the float range, as on half the trials at ``alpha =
-1000``: ``gamma_b`` takes its ``alpha -> inf`` limit there.
+``N`` alone. ``I`` is read from ``log(x) / alpha`` by
+:func:`interference_factor_from_log`, the array form of
+:func:`riscov.analytic.interference_factor_from_log`: the same series, whose
+coefficients numpy computes per call. It stays finite where ``q`` leaves the
+float range, as on half the trials at ``alpha = 1000``: ``gamma_b`` takes
+its ``alpha -> inf`` limit there.
 Selection shares the interference of both paths and its two fades are
 independent, so ``gamma_s`` is ``e_a + e_b - e(T * (1 + q))`` on engaged
 trials and ``e_a`` elsewhere. :func:`run` returns one :class:`Coverage` per
@@ -84,7 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analytic
+from .analytic import _SERIES_DEGREE, _log_leading
 from .config import HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
@@ -92,6 +99,53 @@ CHUNK_TRIALS = 1024  # one generator per chunk: a trial's draws depend on the se
 VALUE_BLOCK = 2048  # trials drawn and reduced together; whole chunks, few enough to keep the peak RSS low
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
+
+_TERMS = np.arange(1, _SERIES_DEGREE + 1)
+
+
+def _horner(coefficients: np.ndarray, w):
+    """``sum_{1 <= n <= 56} coefficients[n-1] * w**n`` by Horner's rule, for ``0 <= w <= 1/2``.
+
+    A fixed degree gives each element of ``w`` the same steps whatever the
+    other elements are, so an array call matches scalar calls exactly.
+    """
+    total = np.full(np.shape(w), coefficients[-1])
+    for a in coefficients[-2::-1]:
+        total *= w
+        total += a
+    total *= w
+    return total
+
+
+def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
+    """:func:`riscov.analytic.interference_factor_from_log` elementwise, as an array; nan where the input is nan.
+
+    An array call matches 0-d calls bit for bit. The coefficients are
+    numpy's, whose ``log1p`` and ``expm1`` may differ from ``math``'s in the
+    last ulp, so a value may differ from the ``math`` form by a few ulp.
+    """
+    u = np.asarray(log_t_per_alpha, dtype=float)
+    delta = 2.0 / alpha
+    b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
+    with np.errstate(over="ignore"):  # log T may overflow to +-inf, where w is 0
+        log_t = alpha * u
+    low = u <= 0.0
+    high = ~low
+    value = np.empty_like(u)
+    # each branch is evaluated on its own elements only, so an empty one costs nothing
+    if low.any():
+        t_low = np.exp(log_t[low])
+        w = t_low / (1.0 + t_low)
+        value[low] = 2.0 / (alpha - 2.0) * w * (1.0 + _horner(np.cumprod(_TERMS / (b + _TERMS)), w))
+    if high.any():
+        inverse = np.exp(-log_t[high])  # 1/T, which cannot overflow here
+        w = inverse / (1.0 + inverse)
+        # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d);
+        # both parts are near 1 at large alpha, so each is taken less 1, the first from its log
+        shortfall = np.expm1(-np.cumsum(np.log1p(delta / _TERMS)))  # n!/(d+1)_n - 1
+        with np.errstate(over="ignore"):  # near alpha = 2 a huge T overflows to inf, the limit
+            value[high] = np.expm1(_log_leading(alpha) + 2.0 * u[high]) - (1.0 - w) * _horner(shortfall, w)
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +233,7 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
 def _direct_factor(cfg: NetworkConfig, threshold: float) -> tuple:
     """``log(T) / alpha`` and the direct paths' ``I(T, alpha)``, which every trial shares."""
     log_t = math.log(threshold) / cfg.alpha
-    return log_t, analytic.interference_factor_from_log(log_t, cfg.alpha)
+    return log_t, interference_factor_from_log(log_t, cfg.alpha)
 
 
 def _conditional_values(cfg: NetworkConfig, records: TrialRecords, log_t: float, factor) -> dict:
@@ -192,7 +246,7 @@ def _conditional_values(cfg: NetworkConfig, records: TrialRecords, log_t: float,
         # log(1 + q) / alpha, as a softplus of log q: np.logaddexp is far slower
         log_ab = log_t + np.maximum(log_q, 0.0) + np.log1p(np.exp(-alpha * np.abs(log_q))) / alpha
         # e(T * q) and e(T * (1 + q)) from one call on both rows
-        e_b, e_ab = np.exp(-p_split * area * analytic.interference_factor_from_log(
+        e_b, e_ab = np.exp(-p_split * area * interference_factor_from_log(
             np.stack([log_t + log_q, log_ab]), alpha))
     e_a = np.exp(-p_split * area * factor)
     engaged = records.engaged

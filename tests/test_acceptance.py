@@ -118,7 +118,10 @@ def test_c03_power_density_independence():
 def test_c04_path_a_ordering(dense_run):
     thresholds_db = np.linspace(-20.0, 20.0, 9).tolist()
     grid = [make_cfg(n_elements=n, thresholds_db=thresholds_db) for n in (4, 16, 64, 256)]
-    grid_ok = all(np.all(analytic.coverage_path_a(c) <= analytic.coverage_baseline(c)) for c in grid)
+    # as arrays: a tuple's <= is lexicographic
+    grid_ok = all(
+        np.all(np.asarray(analytic.coverage_path_a(c)) <= np.asarray(analytic.coverage_baseline(c))) for c in grid
+    )
     cfg = dense_run.cfg
     cov = coverage_by(dense_run)
     mc_ok = all(

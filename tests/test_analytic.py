@@ -16,7 +16,7 @@ from oracle_helpers import (
     reflected_power_raw_moment,
 )
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
-from riscov import analytic, geometry
+from riscov import analytic, geometry, montecarlo
 from riscov.config import KM2_TO_M2, ConfigError, NetworkConfig
 from riscov.errors import ParameterError
 
@@ -36,6 +36,22 @@ def make_cfg(**kw) -> NetworkConfig:
 def to_db(T) -> list[float]:
     """Linear thresholds as the dB list a config takes."""
     return (10.0 * np.log10(np.atleast_1d(T))).tolist()
+
+
+def kernel(T, alpha):
+    """``I(T, alpha)`` by the Monte-Carlo engine's array kernel, the shape of ``T``."""
+    with np.errstate(divide="ignore"):  # log(0) is -inf, where I is 0
+        return montecarlo.interference_factor_from_log(np.log(np.asarray(T, dtype=float)) / alpha, alpha)
+
+
+def scalar_factors(T, alpha) -> np.ndarray:
+    """``I(T, alpha)`` by :func:`riscov.analytic.interference_factor` at each threshold, the shape of ``T``."""
+    return np.reshape([analytic.interference_factor(float(t), alpha) for t in np.ravel(T)], np.shape(T))
+
+
+def within_ulps(a: float, b: float, ulps: int) -> bool:
+    """Whether two floats are equal (infinities included) or differ by at most ``ulps`` of the larger."""
+    return a == b or abs(a - b) <= ulps * math.ulp(max(abs(a), abs(b)))
 
 
 def reflector_ratio(cfg: NetworkConfig) -> float:
@@ -72,10 +88,7 @@ class TestInterferenceFactor:
 
     def test_array_threshold_matches_scalars(self):
         thresholds = np.logspace(-2, 4, 13)
-        assert np.array_equal(
-            analytic.interference_factor(thresholds, 3.0),
-            [analytic.interference_factor(t, 3.0) for t in thresholds],
-        )
+        assert np.array_equal(kernel(thresholds, 3.0), [kernel(t, 3.0) for t in thresholds])
         # a closed form at every configured threshold matches it at each alone
         cfg = make_cfg(alpha=3.0, thresholds_db=np.linspace(-20.0, 40.0, 13).tolist())
         for fn in (
@@ -83,9 +96,9 @@ class TestInterferenceFactor:
             analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2,
         ):
             values = fn(cfg)
-            assert values.shape == (13,)
-            alone = [fn(cfg.replace(thresholds_db=(t_db,)))[0] for t_db in cfg.thresholds_db]
-            assert np.array_equal(values, alone)
+            assert isinstance(values, tuple) and len(values) == 13
+            alone = tuple(fn(cfg.replace(thresholds_db=(t_db,)))[0] for t_db in cfg.thresholds_db)
+            assert values == alone
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     @pytest.mark.parametrize("thresholds", [
@@ -95,12 +108,27 @@ class TestInterferenceFactor:
         np.array(2.5),
     ], ids=["all-low", "all-high", "mixed", "0-d"])
     def test_each_branch_matches_scalars_bit_for_bit(self, thresholds, alpha):
-        # the two series branches (T <= 1 and > 1) see only their own
-        # elements, whichever branch the other elements take
-        got = analytic.interference_factor(thresholds, alpha)
+        # the kernel's two series branches (T <= 1 and > 1) see only their
+        # own elements, whichever branch the other elements take
+        got = kernel(thresholds, alpha)
         assert np.shape(got) == thresholds.shape
-        expected = [analytic.interference_factor(float(t), alpha) for t in thresholds.flat]
+        expected = [float(kernel(float(t), alpha)) for t in thresholds.flat]
         assert np.array_equal(np.ravel(got), expected)
+
+    @pytest.mark.parametrize("alpha", [
+        2.05, 2.00000000001, 2.5, 3.0, 4.0, 7.5, 50.0, 1000.0, 1e9, 1e17, 1e150, 1.7e308,
+    ])
+    def test_scalar_factor_matches_the_kernel_within_4_ulp(self, alpha):
+        # the closed forms and the Monte-Carlo engine sum one series: analytic
+        # with math, the engine with numpy, whose log1p, expm1, exp and log
+        # may differ from math's in the last ulp
+        log_t = np.concatenate([np.linspace(-800.0, 800.0, 161), [-np.inf, np.inf]])
+        for u in log_t / alpha:
+            assert within_ulps(analytic.interference_factor_from_log(u, alpha),
+                               float(montecarlo.interference_factor_from_log(u, alpha)), 4), (u, alpha)
+        thresholds = np.concatenate([[0.0, math.inf], np.logspace(-300, 300, 121)])
+        for t, in_kernel in zip(thresholds, kernel(thresholds, alpha)):
+            assert within_ulps(analytic.interference_factor(t, alpha), float(in_kernel), 4), (t, alpha)
 
     def test_general_alpha_against_direct_quadrature(self):
         # oracle: finite-range quadrature plus a two-term series tail,
@@ -122,45 +150,50 @@ class TestInterferenceFactor:
                 got = analytic.interference_factor(T, alpha)
                 assert got == pytest.approx(T ** (2 / alpha) * (finite + tail), rel=1e-8)
 
+    @pytest.mark.parametrize("factors", [scalar_factors, kernel], ids=["analytic", "kernel"])
     @pytest.mark.parametrize("alpha", [2.05, 2.2, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 10.0])
-    def test_series_matches_scipy_hyp2f1(self, alpha):
+    def test_series_matches_scipy_hyp2f1(self, alpha, factors):
         # both branches of the series (T <= 1 and T > 1) across 24 decades
         thresholds = np.logspace(-12, 12, 97)
         delta = 2.0 / alpha
         oracle = 2.0 * thresholds / (alpha - 2.0) * special.hyp2f1(
             1.0, 1.0 - delta, 2.0 - delta, -thresholds
         )
-        got = analytic.interference_factor(thresholds, alpha)
+        got = factors(thresholds, alpha)
         assert np.max(np.abs(got / oracle - 1.0)) <= 1e-13
 
     def test_limits(self):
         # approx1's scaled threshold T * kappa**(-a/2) can underflow to 0 or overflow to inf
         assert analytic.interference_factor(0.0, 4.0) == 0.0
         assert analytic.interference_factor(math.inf, 3.0) == math.inf
-        values = analytic.interference_factor(np.array([0.0, 1.0]), 4.0)
+        values = kernel(np.array([0.0, 1.0, math.inf]), 4.0)
         assert values[0] == 0.0
         assert values[1] == pytest.approx(math.pi / 4, rel=1e-15)
+        assert values[2] == math.inf
         # within about 1e-11 of alpha = 2, pi*d/sin(pi*d) is about 2e11, so that
         # term leaves the float range at T near 1e297; inf is its limit, reached
-        # without a RuntimeWarning
+        # without an OverflowError or a RuntimeWarning
         assert analytic.interference_factor(1e297, 2.00000000001) == math.inf
+        assert kernel(1e297, 2.00000000001) == math.inf
 
+    @pytest.mark.parametrize("factors", [scalar_factors, kernel], ids=["analytic", "kernel"])
     @pytest.mark.parametrize("alpha", [1e15, 1e17])
-    def test_large_alpha_takes_its_limit(self, alpha):
+    def test_large_alpha_takes_its_limit(self, alpha, factors):
         # I(T, a) = (2/a) * log(1 + T) * (1 + O(2/a)) as a -> inf. The T > 1
         # branch differenced two terms near 1, and at a = 1e17 gave
         # I(2) = I(10) = 0 beside I(0.5) = 8.1e-18
         thresholds = np.array([0.5, 2.0, 10.0, 1e6])
-        got = analytic.interference_factor(thresholds, alpha)
+        got = factors(thresholds, alpha)
         np.testing.assert_allclose(got, 2.0 / alpha * np.log1p(thresholds), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("factors", [scalar_factors, kernel], ids=["analytic", "kernel"])
     @pytest.mark.parametrize("alpha", [100.0, 1e4, 1e9, 1e17])
-    def test_increasing_in_the_threshold_at_large_alpha(self, alpha):
+    def test_increasing_in_the_threshold_at_large_alpha(self, alpha, factors):
         thresholds = np.logspace(-3, 3, 61)
-        assert np.all(np.diff(analytic.interference_factor(thresholds, alpha)) > 0)
+        assert np.all(np.diff(factors(thresholds, alpha)) > 0)
 
     def test_preconditions(self):
-        for bad in (-1e-300, -1.0, math.nan, np.array([1.0, math.nan])):
+        for bad in (-1e-300, -1.0, math.nan):
             with pytest.raises(ParameterError, match="T must be nonnegative"):
                 analytic.interference_factor(bad, 4.0)
 
@@ -178,12 +211,12 @@ class TestBaselineCoverage:
         # the engine thins by the rounded retention 1/sqrt(N); at N = 12 that
         # differs in the last bit at 15 and 20 dB from dividing by sqrt(N)
         cfg = make_cfg(n_elements=12)
-        T = np.asarray(cfg.thresholds_linear)
         p_single, _ = cfg.retentions
-        expected = 1.0 / (1.0 + p_single * analytic.interference_factor(T, cfg.alpha))
-        np.testing.assert_array_equal(analytic.coverage_baseline(cfg), expected)
-        alone = [analytic.coverage_baseline(cfg.replace(thresholds_db=(t,)))[0] for t in cfg.thresholds_db]
-        assert alone == expected.tolist()
+        expected = tuple(1.0 / (1.0 + p_single * analytic.interference_factor(t, cfg.alpha))
+                         for t in cfg.thresholds_linear)
+        assert analytic.coverage_baseline(cfg) == expected
+        alone = tuple(analytic.coverage_baseline(cfg.replace(thresholds_db=(t,)))[0] for t in cfg.thresholds_db)
+        assert alone == expected
 
     def test_power_density_independence(self):
         # the pre-substitution ratio must not move when the deployment scales
@@ -228,7 +261,8 @@ class TestPathACoverage:
     def test_never_beats_baseline(self):
         for n in (4, 16, 64, 256):
             cfg = make_cfg(n_elements=n, thresholds_db=np.linspace(-20.0, 20.0, 9).tolist())
-            assert np.all(analytic.coverage_path_a(cfg) <= analytic.coverage_baseline(cfg))
+            # as arrays: a tuple's <= is lexicographic
+            assert np.all(np.asarray(analytic.coverage_path_a(cfg)) <= np.asarray(analytic.coverage_baseline(cfg)))
 
     def test_large_array_limit(self):
         assert analytic.coverage_path_a(make_cfg(n_elements=10**12, thresholds_db=(0.0,)))[0] > 1 - 1e-5
@@ -326,7 +360,7 @@ class TestPathBCoverage:
         limit = kappa / (kappa + p_split * math.pi / 2 * np.sqrt(cfg.thresholds_linear))
         got = analytic.coverage_path_b_approx1(cfg)
         np.testing.assert_allclose(got, limit, rtol=1e-12, atol=0)
-        assert np.all(got <= analytic.coverage_path_b_approx2(cfg))
+        assert np.all(np.asarray(got) <= np.asarray(analytic.coverage_path_b_approx2(cfg)))
 
     def test_approx1_monotone_in_ris_density(self):
         vals = [
@@ -479,8 +513,8 @@ class TestPathBCoverage:
         kappa = lam_ris_t / lam_bs_t
         assert reflector_ratio(cfg) == pytest.approx(kappa, rel=1e-12)
         _, p_split = cfg.retentions
-        T = np.asarray(cfg.thresholds_linear)
-        i_factor = analytic.interference_factor(T, cfg.alpha)
+        T = cfg.thresholds_linear
+        i_factor = np.array([analytic.interference_factor(t, cfg.alpha) for t in T])
         expected = [self.approx1_oracle(cfg, kappa, t) for t in T]
         np.testing.assert_allclose(
             analytic.coverage_path_b_approx1(cfg), expected, rtol=1e-12, atol=0

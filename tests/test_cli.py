@@ -612,9 +612,29 @@ class TestColdImport:
         out = _run_fresh(_NUMPY_PROBE, *argv, returncode=cli.EXIT_CONFIG_ERROR)
         assert out.splitlines()[-1] == "False"
 
-    def test_probe_sees_numpy_when_a_command_computes(self, tmp_path):
-        # positive control for the probe above
-        out = _run_fresh(_NUMPY_PROBE, "analytic", "--out", str(tmp_path))
+    def test_closed_form_modules_leave_numpy_unloaded(self):
+        # numpy is the Monte-Carlo engine's dependency; the closed forms use math alone
+        code = "import sys, riscov.analytic, riscov.geometry; print('numpy' in sys.modules)"
+        assert _run_fresh(code).strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic"],
+        ["sweep", "--axis", "lambda_ris", "--grid", "1000,5000"],
+        ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_p_ris"],
+        ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"],
+    ], ids=["analytic", "sweep-coverage", "sweep-e_p_ris", "sweep-e_r1"])
+    def test_closed_form_commands_leave_numpy_unloaded(self, tmp_path, argv):
+        # the import costs a closed-form command most of its cold start
+        out = _run_fresh(_NUMPY_PROBE, *argv, "--out", str(tmp_path))
+        assert out.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--trials", "1000"],
+        ["hist", "--quantity", "r1", "--trials", "1000"],
+    ], ids=["compare", "hist"])
+    def test_probe_sees_numpy_when_a_command_computes(self, tmp_path, argv):
+        # positive control for the probes above: the Monte-Carlo engine loads numpy
+        out = _run_fresh(_NUMPY_PROBE, *argv, "--out", str(tmp_path))
         assert out.splitlines()[-1] == "True"
 
     def test_cli_import_leaves_multiprocessing_unloaded(self):
@@ -1126,6 +1146,22 @@ class TestTypedExits:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("config error: cannot ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        ("lambda_ris: [unclosed\n", "line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+        ("[1]: 2\n", "line 1, column 1: found unhashable key"),
+        ("a: !!map foo\n", "line 1, column 4: expected a mapping node, but found scalar"),
+        ("alpha: 4\x00\n", "unacceptable character #x0000: special characters are not allowed"
+                           ' in "<unicode string>", position 8'),
+    ], ids=["syntax", "unhashable-key", "bad-tag", "unmarked"])
+    def test_yaml_error_is_one_line(self, runner, tmp_path, content, message):
+        # PyYAML's message quotes the line and marks the column beneath it:
+        # 5 to 7 stderr lines
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(content)
+        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.splitlines() == [f"config error: cannot parse config file {cfg}: {message}"]
 
 
 class TestRowFormatting:
