@@ -18,21 +18,24 @@ the scaled threshold ``T * kappa**(-a/2)``.
 The hypergeometric function is summed here with ``math`` alone rather than
 imported from ``scipy.special``, whose import alone costs about half of a
 cold start; numpy is the Monte-Carlo engine's dependency, and
-:mod:`riscov.montecarlo` keeps an array copy of the same series for its
+:mod:`riscov.montecarlo` sums the same coefficients on arrays for its
 per-trial values. With ``b = 1 - 2/a``, the Pfaff transformation (DLMF
 15.8.1) gives ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n``
 with ``w = t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2)
 first splits off ``(pi*b/sin(pi*b)) * t**-b`` and leaves the same series
 with ``b`` replaced by ``1-b`` at ``w = 1/(1+t)``. Either way ``w <= 1/2``,
-so each term at most halves the last, and a fixed 56 terms, summed by
-Horner's rule, reach double precision for every ``t``. For ``t > 1`` the two
-parts tend to 1 as ``a -> inf``, so each is summed as its difference from 1,
-and ``I`` keeps its relative accuracy where ``I(T, a) -> (2/a) * log(1 + T)``.
-Both branches read ``u = log(t) / a`` (:func:`interference_factor_from_log`):
-``w`` is a logistic function of ``a * u`` and ``t**(2/a)`` is ``exp(2u)``, so
-``t`` itself may lie beyond the float range. With ``u`` fixed, ``I`` tends to
-``max(0, expm1(2u))`` as ``a -> inf``, and takes that limit. ``math`` raises
-where numpy returned an infinity, so each limit is taken explicitly.
+so 56 terms reach double precision; the one singularity lies at 1, so the
+Chebyshev terms on ``[0, 1/2]`` shrink like ``(3 + sqrt(8))**-n``, and the
+series is economized once per ``a`` (Trefethen, *Approximation Theory and
+Approximation Practice*, SIAM 2013, ch. 8) to degree 24 in ``y = 4w - 1``,
+summed by Horner's rule in ``y``. For ``t > 1`` the two parts tend to 1 as
+``a -> inf``, so each is summed as its difference from 1, and ``I`` keeps its
+relative accuracy where ``I(T, a) -> (2/a) * log(1 + T)``. Both branches read
+``u = log(t) / a`` (:func:`interference_factor_from_log`): ``w`` is a logistic
+function of ``a * u`` and ``t**(2/a)`` is ``exp(2u)``, so ``t`` itself may lie
+beyond the float range. With ``u`` fixed, ``I`` tends to ``max(0, expm1(2u))``
+as ``a -> inf``, and takes that limit. ``math`` raises where numpy returned an
+infinity, so each limit is taken explicitly.
 """
 from __future__ import annotations
 
@@ -44,17 +47,37 @@ from .config import NetworkConfig
 from .errors import NumericalError, ParameterError
 
 
-# Terms of the series of `_horner`: each is at most w <= 1/2 times the one
-# before, so the omitted tail stays below 2**-56 of the sum, under a quarter ulp.
-_SERIES_DEGREE = 56
+# Pfaff terms (the tail past them: under 2**-56 of the sum) and economized degree (under 2**-54 of the lead)
+_PFAFF_TERMS, _SERIES_DEGREE = 56, 24
 
 
 def _horner(coefficients: tuple[float, ...], w: float) -> float:
-    """``sum_{1 <= n <= 56} coefficients[n-1] * w**n`` by Horner's rule, for ``0 <= w <= 1/2``."""
+    """``w * sum_j coefficients[j] * y**j`` with ``y = 4w - 1``, by Horner's rule, for ``0 <= w <= 1/2``."""
+    y = 4.0 * w - 1.0
     total = coefficients[-1]
     for a in coefficients[-2::-1]:
-        total = total * w + a
+        total = total * y + a
     return total * w
+
+
+@lru_cache(maxsize=1)
+def _chebyshev_tables() -> tuple[list[list[float]], list[list[float]]]:
+    """The coefficients of ``w**n`` on ``T_i(y)``, and of ``T_i`` on ``y**j``: ``n < 56``, ``i, j <= 24``."""
+    # w**n = 2**-n * cos(t/2)**(2n) with y = cos(t): T_i gets 2**(1-3n) * C(2n, n-i), half that at i = 0
+    onto = [[math.ldexp(math.comb(2 * n, n - i), 1 - 3 * n - (i == 0)) if n >= i else 0.0
+             for n in range(_PFAFF_TERMS)] for i in range(_SERIES_DEGREE + 1)]
+    powers = [[1.0], [0.0, 1.0]]
+    while len(powers) <= _SERIES_DEGREE:  # T_{i+1} = 2y * T_i - T_{i-1}
+        powers.append([2.0 * a - b for a, b in zip([0.0, *powers[-1]], [*powers[-2], 0.0, 0.0])])
+    return onto, powers
+
+
+def _economize(ratios: list[float], scale: float) -> tuple[float, ...]:
+    """``scale`` times the ``y**j`` coefficients of ``sum_n ratios[n] * w**n`` cut to Chebyshev degree 24."""
+    onto, powers = _chebyshev_tables()
+    chebyshev = [math.fsum(a * r for a, r in zip(row, ratios)) for row in onto]
+    return tuple(scale * math.fsum(c * t[j] for c, t in zip(chebyshev[j:], powers[j:]))
+                 for j in range(_SERIES_DEGREE + 1))
 
 
 def _leading(alpha: float) -> float:
@@ -73,21 +96,19 @@ def _log_leading(alpha: float) -> float:
 
 @lru_cache(maxsize=64)
 def _series(alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The coefficients of both branches at ``alpha``.
+    """The :func:`_horner` coefficients of ``sum_{n <= 56} c_n * w**n`` for both branches at ``alpha``.
 
-    They are ``n!/(b+1)_n`` for ``t <= 1`` and ``n!/(d+1)_n - 1`` for ``t >
-    1``, with ``d = 2/alpha`` and ``b = 1 - d``.
+    ``c_n = n!/(b+1)_n`` for ``t <= 1`` and ``n!/(d+1)_n - 1`` beyond (``d = 2/alpha``, ``b = 1 - d``). Each
+    ``r_n = c_n / c_1`` is economized, then scaled by ``c_1``; beyond, ``r_n = (n*r_{n-1} + 1 + d) / (n + d)``
+    stays near 1, so no subnormal enters the fit at large ``alpha``.
     """
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
-    low, shortfall = [], []
-    ratio, log_ratio = 1.0, 0.0
-    for n in range(1, _SERIES_DEGREE + 1):
-        ratio *= n / (b + n)
-        log_ratio += math.log1p(delta / n)
-        low.append(ratio)
-        shortfall.append(math.expm1(-log_ratio))
-    return tuple(low), tuple(shortfall)
+    low, shortfall = [1.0], [1.0]
+    for n in range(2, _PFAFF_TERMS + 1):
+        low.append(low[-1] * n / (b + n))
+        shortfall.append((n * shortfall[-1] + (1.0 + delta)) / (n + delta))
+    return _economize(low, 1.0 / (1.0 + b)), _economize(shortfall, -delta / (1.0 + delta))
 
 
 def interference_factor(T: float, alpha: float) -> float:

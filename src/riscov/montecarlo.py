@@ -55,9 +55,9 @@ with ``log(K) / alpha`` from
 the only places where the densities, ``mu`` and the bank enter, so
 ``gamma_o`` and ``gamma_a`` depend on the deployment through ``alpha`` and
 ``N`` alone. ``I`` is read from ``log(x) / alpha`` by
-:func:`interference_factor_from_log`, the array form of
-:func:`riscov.analytic.interference_factor_from_log`: the same series, whose
-coefficients numpy computes per call. It stays finite where ``q`` leaves the
+:func:`riscov.analytic.interference_factor_from_log` for the direct paths
+and by its array form :func:`interference_factor_from_log`, from the same
+coefficients, for the reflected one. It stays finite where ``q`` leaves the
 float range, as on half the trials at ``alpha = 1000``: ``gamma_b`` takes
 its ``alpha -> inf`` limit there.
 Selection shares the interference of both paths and its two fades are
@@ -68,7 +68,7 @@ of their standard errors (population variance over ``n``) and ``n``; since
 each value lies in ``[0, 1]``, the half-width never exceeds the binomial
 half-width of counting indicators at the same mean.
 
-Random streams (``riscov.config.STREAM_VERSION`` 7). Trials are cut into
+Random streams (``riscov.config.STREAM_VERSION`` 8). Trials are cut into
 chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from one generator seeded by
 ``(master_seed, c)``, in this order: the serving-distance exponentials of
 the chunk, its reflector positions (trial-major ``(n, 2)`` standard
@@ -91,7 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import _SERIES_DEGREE, _log_leading
+from . import analytic
 from .config import HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
@@ -100,18 +100,17 @@ VALUE_BLOCK = 2048  # trials drawn and reduced together; whole chunks, few enoug
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 
-_TERMS = np.arange(1, _SERIES_DEGREE + 1)
 
-
-def _horner(coefficients: np.ndarray, w):
-    """``sum_{1 <= n <= 56} coefficients[n-1] * w**n`` by Horner's rule, for ``0 <= w <= 1/2``.
+def _horner(coefficients: tuple[float, ...], w):
+    """:func:`riscov.analytic._horner` elementwise: ``w * sum_j coefficients[j] * y**j``, ``y = 4w - 1``.
 
     A fixed degree gives each element of ``w`` the same steps whatever the
     other elements are, so an array call matches scalar calls exactly.
     """
+    y = 4.0 * w - 1.0
     total = np.full(np.shape(w), coefficients[-1])
     for a in coefficients[-2::-1]:
-        total *= w
+        total *= y
         total += a
     total *= w
     return total
@@ -120,13 +119,12 @@ def _horner(coefficients: np.ndarray, w):
 def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
     """:func:`riscov.analytic.interference_factor_from_log` elementwise, as an array; nan where the input is nan.
 
-    An array call matches 0-d calls bit for bit. The coefficients are
-    numpy's, whose ``log1p`` and ``expm1`` may differ from ``math``'s in the
-    last ulp, so a value may differ from the ``math`` form by a few ulp.
+    An array call matches 0-d calls bit for bit. The coefficients are the
+    ``math`` form's, but numpy's ``exp`` and ``expm1`` may differ from ``math``'s
+    in the last ulp, so a value may differ from the ``math`` form by a few ulp.
     """
     u = np.asarray(log_t_per_alpha, dtype=float)
-    delta = 2.0 / alpha
-    b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
+    low_series, shortfall = analytic._series(alpha)
     with np.errstate(over="ignore"):  # log T may overflow to +-inf, where w is 0
         log_t = alpha * u
     low = u <= 0.0
@@ -136,15 +134,13 @@ def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
     if low.any():
         t_low = np.exp(log_t[low])
         w = t_low / (1.0 + t_low)
-        value[low] = 2.0 / (alpha - 2.0) * w * (1.0 + _horner(np.cumprod(_TERMS / (b + _TERMS)), w))
+        value[low] = 2.0 / (alpha - 2.0) * w * (1.0 + _horner(low_series, w))
     if high.any():
         inverse = np.exp(-log_t[high])  # 1/T, which cannot overflow here
         w = inverse / (1.0 + inverse)
-        # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d);
-        # both parts are near 1 at large alpha, so each is taken less 1, the first from its log
-        shortfall = np.expm1(-np.cumsum(np.log1p(delta / _TERMS)))  # n!/(d+1)_n - 1
         with np.errstate(over="ignore"):  # near alpha = 2 a huge T overflows to inf, the limit
-            value[high] = np.expm1(_log_leading(alpha) + 2.0 * u[high]) - (1.0 - w) * _horner(shortfall, w)
+            head = np.expm1(analytic._log_leading(alpha) + 2.0 * u[high])
+        value[high] = head - (1.0 - w) * _horner(shortfall, w)
     return value
 
 
@@ -196,7 +192,7 @@ def _block_sums(cfg: NetworkConfig, start: int, direct: list) -> np.ndarray:
     """
     stop = min(start + VALUE_BLOCK, cfg.n_trials)
     sums = np.empty((len(METRICS), len(cfg.thresholds_db), 3))
-    block = _draw(cfg, start, stop)
+    block = _threshold_free(cfg, _draw(cfg, start, stop))
     for j, (log_t, factor) in enumerate(direct):
         by_metric = _conditional_values(cfg, block, log_t, factor)
         for i, metric in enumerate(METRICS):
@@ -227,31 +223,34 @@ def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: flo
     ``gamma_b``, whose values belong to the engaged trials only. The module
     docstring gives the formula.
     """
-    return _conditional_values(cfg, records, *_direct_factor(cfg, threshold))
+    return _conditional_values(cfg, _threshold_free(cfg, records), *_direct_factor(cfg, threshold))
 
 
-def _direct_factor(cfg: NetworkConfig, threshold: float) -> tuple:
-    """``log(T) / alpha`` and the direct paths' ``I(T, alpha)``, which every trial shares."""
+def _direct_factor(cfg: NetworkConfig, threshold: float) -> tuple[float, float]:
+    """``log(T) / alpha`` and the direct paths' ``I(T, alpha)``, the closed forms' own, for every trial."""
     log_t = math.log(threshold) / cfg.alpha
-    return log_t, interference_factor_from_log(log_t, cfg.alpha)
+    return log_t, analytic.interference_factor_from_log(log_t, cfg.alpha)
 
 
-def _conditional_values(cfg: NetworkConfig, records: TrialRecords, log_t: float, factor) -> dict:
-    """:func:`conditional_values` at ``log(T) / alpha``, given the direct paths' ``I(T, alpha)``."""
-    p_single, p_split = cfg.retentions
-    alpha = cfg.alpha
-    area = np.square(records.r0)
-    log_q = records.log_q_per_alpha
+def _threshold_free(cfg: NetworkConfig, records: TrialRecords) -> tuple:
+    """The arrays of a block's conditional values that no threshold enters, for :func:`_conditional_values`."""
+    area, log_q = np.square(records.r0), records.log_q_per_alpha
     with np.errstate(all="ignore"):  # alpha * |log q| may overflow; a log q of +-inf gives 0 or 1
-        # log(1 + q) / alpha, as a softplus of log q: np.logaddexp is far slower
-        log_ab = log_t + np.maximum(log_q, 0.0) + np.log1p(np.exp(-alpha * np.abs(log_q))) / alpha
+        # log(1 + q) / alpha is the softplus max(log q, 0) + rest: np.logaddexp is far slower
+        rest = np.log1p(np.exp(-cfg.alpha * np.abs(log_q))) / cfg.alpha
+    return (*(-p * area for p in cfg.retentions), log_q, np.maximum(log_q, 0.0), rest, records.engaged)
+
+
+def _conditional_values(cfg: NetworkConfig, block: tuple, log_t: float, factor: float) -> dict:
+    """:func:`conditional_values` at ``log(T) / alpha``, given the direct paths' ``I(T, alpha)``."""
+    exposure_single, exposure_split, log_q, log_q_positive, rest, engaged = block
+    with np.errstate(all="ignore"):  # a log q of +-inf gives 0 or 1
         # e(T * q) and e(T * (1 + q)) from one call on both rows
-        e_b, e_ab = np.exp(-p_split * area * interference_factor_from_log(
-            np.stack([log_t + log_q, log_ab]), alpha))
-    e_a = np.exp(-p_split * area * factor)
-    engaged = records.engaged
+        e_b, e_ab = np.exp(exposure_split * interference_factor_from_log(
+            np.stack([log_t + log_q, log_t + log_q_positive + rest]), cfg.alpha))
+    e_a = np.exp(exposure_split * factor)
     return {
-        "gamma_o": np.exp(-p_single * area * factor),
+        "gamma_o": np.exp(exposure_single * factor),
         "gamma_a": e_a,
         "gamma_b": e_b[engaged],
         "gamma_s": np.where(engaged, e_a + (e_b - e_ab), e_a),

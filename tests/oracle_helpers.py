@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from riscov import geometry
+from riscov import analytic, geometry
 from riscov.config import KM2_TO_M2
 from riscov.errors import ParameterError
 
@@ -149,6 +149,62 @@ def interference_quadrature(T, alpha, rho=1.0):
         )
     scale = T ** (2.0 / alpha)
     return scale * (head + start * tail), scale * (head_err + start * tail_err)
+
+
+# ---------------------------------------------------------------------------
+# interference factor by the 56-term Pfaff series
+# ---------------------------------------------------------------------------
+
+PFAFF_TERMS = 56
+
+
+@lru_cache(maxsize=None)
+def pfaff_coefficients(alpha):
+    """``n!/(b+1)_n`` and ``n!/(d+1)_n - 1`` for ``n = 1 .. 56``, ``d = 2/alpha`` and ``b = 1 - d``.
+
+    Each term of the series is at most ``w <= 1/2`` times the one before, so
+    56 terms reach double precision; the second from the log of its product.
+    """
+    delta = 2.0 / alpha
+    b = (alpha - 2.0) / alpha
+    low, shortfall = [], []
+    ratio, log_ratio = 1.0, 0.0
+    for n in range(1, PFAFF_TERMS + 1):
+        ratio *= n / (b + n)
+        log_ratio += math.log1p(delta / n)
+        low.append(ratio)
+        shortfall.append(math.expm1(-log_ratio))
+    return tuple(low), tuple(shortfall)
+
+
+def _power_sum(coefficients, w):
+    """``sum_{1 <= n <= 56} coefficients[n-1] * w**n`` by Horner's rule in ``w``."""
+    total = coefficients[-1]
+    for a in coefficients[-2::-1]:
+        total = total * w + a
+    return total * w
+
+
+def pfaff_interference_factor_from_log(u, alpha):
+    """``I(T, alpha)`` from ``u = log(T) / alpha`` by the plain 56-term Pfaff series in ``w``.
+
+    The branches are those of :func:`riscov.analytic.interference_factor_from_log`
+    (DLMF 15.8.1 for ``T <= 1``, 15.8.2 beyond), and the split-off term is
+    its ``_log_leading``; only the series is summed here term by term.
+    """
+    low, shortfall = pfaff_coefficients(alpha)
+    log_t = alpha * u
+    if u <= 0.0:
+        t = math.exp(log_t)
+        w = t / (1.0 + t)
+        return 2.0 / (alpha - 2.0) * w * (1.0 + _power_sum(low, w))
+    inverse = math.exp(-log_t)
+    w = inverse / (1.0 + inverse)
+    try:
+        head = math.expm1(analytic._log_leading(alpha) + 2.0 * u)
+    except OverflowError:
+        head = math.inf
+    return head - (1.0 - w) * _power_sum(shortfall, w)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from scipy import integrate, optimize, special
 from oracle_helpers import (
     INTERFERENCE_ABS_TOL,
     interference_quadrature,
+    pfaff_coefficients,
+    pfaff_interference_factor_from_log,
     power_density_convert,
     reflected_power_raw_moment,
 )
@@ -22,6 +24,9 @@ from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5
 LAM_RIS = 5e-2
+
+# from the edge of the accepted range near 2 to the largest float
+ALPHA_GRID = [2.00000000001, 2.05, 2.5, 3.0, 4.0, 7.5, 50.0, 1000.0, 1e9, 1e17, 1e150, 1.7e308]
 
 
 def closed_form_alpha4(T):
@@ -129,6 +134,28 @@ class TestInterferenceFactor:
         thresholds = np.concatenate([[0.0, math.inf], np.logspace(-300, 300, 121)])
         for t, in_kernel in zip(thresholds, kernel(thresholds, alpha)):
             assert within_ulps(analytic.interference_factor(t, alpha), float(in_kernel), 4), (t, alpha)
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_economized_factor_matches_the_56_term_series_within_8_ulp(self, alpha):
+        # the plain 56-term sum in w is the reference; it carries a few ulp of
+        # rounding of its own
+        log_t = np.concatenate([np.linspace(-800.0, 800.0, 1601), [-np.inf, np.inf]])
+        for u in log_t / alpha:
+            assert within_ulps(analytic.interference_factor_from_log(u, alpha),
+                               pfaff_interference_factor_from_log(u, alpha), 8), (u, alpha)
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_chebyshev_tail_past_the_degree_is_below_double_precision(self, alpha):
+        # each branch's 56-term series over its first term, on w in [0, 1/2]:
+        # the Chebyshev terms the economization drops sum to under 2**-54 of
+        # the leading one, and the fit keeps every term up to the degree
+        degree = analytic._SERIES_DEGREE
+        for coefficients, fitted in zip(pfaff_coefficients(alpha), analytic._series(alpha)):
+            ratios = np.array(coefficients) / coefficients[0]
+            chebyshev = np.polynomial.Polynomial(ratios).convert(
+                domain=[0.0, 0.5], kind=np.polynomial.Chebyshev).coef
+            assert np.abs(chebyshev[degree + 1:]).sum() < 2.0**-54 * abs(chebyshev[0]), alpha
+            assert len(fitted) == degree + 1
 
     def test_general_alpha_against_direct_quadrature(self):
         # oracle: finite-range quadrature plus a two-term series tail,

@@ -27,18 +27,24 @@ SIMULATE_DIGESTS = {
     5: "c665b0e5f4fe64e0018c99197c711db6d376e3e88749154ead3890ff192864cd",
     6: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
     7: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
+    8: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
 }
 
 # sha256 of the probability and ci_half_width bytes of every metric, in METRICS
 # order, of montecarlo.run with 20000 trials at each alpha, by stream version:
-# a last-ulp change that the CSV's 10 digits round away changes it. At alpha 3,
-# unlike 4, the series coefficients computed with math instead of numpy move
-# these bytes. Another numpy or platform may round exp and log differently, so
-# the bytes are pinned for one build only
+# a last-ulp change that the CSV's 10 digits round away changes it (stream 8
+# moved these bytes at both alphas and left the simulate rows as they were). At
+# alpha 3, unlike 4, the series coefficients computed with math instead of
+# numpy moved these bytes at stream 7. Another numpy or platform may round exp
+# and log differently, so the bytes are pinned for one build only
 RUN_BYTES_DIGESTS = {
     7: {
         4.0: "56f735b59ad20d1e47460f2297efccb77521963a50ccd671ce7e744b676b790f",
         3.0: "14e2d0e7ed0df2c5e5f58137148735e782dd4b778ff5ec733f02f8e2b81550e3",
+    },
+    8: {
+        4.0: "2bbf139d473ef64d2a4c2f31e5d71e8230bdc18cc4c13d23494e2bbc265109df",
+        3.0: "8e331b8b7980077424772fb225248570f9492f659cc148ac19cfa9327d01bc53",
     },
 }
 RUN_BYTES_BUILD = ((3, 11), "2.4.6")
@@ -486,32 +492,53 @@ class TestBlockReduction:
             np.testing.assert_array_equal(values, montecarlo.interference_factor_from_log(row, alpha))
 
     def test_direct_factor_is_evaluated_once_per_threshold(self, monkeypatch):
-        # the direct paths' I(T, alpha) is shared by every trial and block;
-        # only the reflected path's factor is evaluated per block
+        # the direct paths' I(T, alpha) is the closed forms' scalar, shared by
+        # every trial and block; only the reflected path's factor, an array,
+        # is evaluated per block
         calls = []
-        factor = montecarlo.interference_factor_from_log
 
-        def counting(log_t_per_alpha, alpha):
-            calls.append(np.ndim(log_t_per_alpha))
-            return factor(log_t_per_alpha, alpha)
+        def counting(module):
+            factor = module.interference_factor_from_log
 
-        monkeypatch.setattr(montecarlo, "interference_factor_from_log", counting)
+            def count(log_t_per_alpha, alpha):
+                calls.append((module.__name__, np.ndim(log_t_per_alpha)))
+                return factor(log_t_per_alpha, alpha)
+
+            monkeypatch.setattr(module, "interference_factor_from_log", count)
+
+        counting(montecarlo)
+        counting(analytic)
         thresholds = (-3.0, 0.0, 3.0)
         montecarlo.run(small_cfg(n_trials=4 * montecarlo.VALUE_BLOCK + 1, thresholds_db=thresholds))
-        assert calls.count(0) == len(thresholds)
-        assert calls.count(2) == 5 * len(thresholds)
+        assert calls.count(("riscov.analytic", 0)) == len(thresholds)
+        assert calls.count(("riscov.montecarlo", 2)) == 5 * len(thresholds)
         assert len(calls) == 6 * len(thresholds)
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_direct_factor_is_the_closed_forms_own(self, alpha):
+        # gamma_o and gamma_a weight r0**2 by the very float that the
+        # baseline and path-A closed forms use, at every default threshold
+        cfg = small_cfg(alpha=alpha, n_trials=200)
+        records = montecarlo.draw(cfg)
+        area = np.square(records.r0)
+        p_single, p_split = cfg.retentions
+        for t in NetworkConfig().thresholds_linear:
+            closed_form = analytic.interference_factor(t, alpha)
+            assert montecarlo._direct_factor(cfg, t) == (math.log(t) / alpha, closed_form)
+            values = montecarlo.conditional_values(cfg, records, t)
+            np.testing.assert_array_equal(values["gamma_o"], np.exp(-p_single * area * closed_form))
+            np.testing.assert_array_equal(values["gamma_a"], np.exp(-p_split * area * closed_form))
 
     def test_nonfinite_block_names_its_trials(self, monkeypatch):
         # the third of four blocks turns nan; the blocks before it reduced cleanly
         seen = []
         values = montecarlo._conditional_values
 
-        def nan_in_third_block(cfg, records, log_t, factor):
-            seen.append(len(records))
-            by_metric = values(cfg, records, log_t, factor)
+        def nan_in_third_block(cfg, block, log_t, factor):
+            by_metric = values(cfg, block, log_t, factor)
+            seen.append(len(by_metric["gamma_a"]))
             if len(seen) == 3:
-                by_metric["gamma_a"] = np.full(len(records), math.nan)
+                by_metric["gamma_a"] = np.full_like(by_metric["gamma_a"], math.nan)
             return by_metric
 
         monkeypatch.setattr(montecarlo, "_conditional_values", nan_in_third_block)
