@@ -6,25 +6,27 @@ commands that simulate (``simulate``, ``compare``, ``hist`` and ``sweep
 --with-mc``) load numpy with this module.
 
 One trial places the user at the origin, draws the serving base and the
-nearest reflector, and records what coverage depends on given them. One
+nearest reflector, and records what coverage depends on given them: four
+independent numbers, so a trial is a point ``u`` of the unit 4-cube. One
 :class:`riscov.config.NetworkConfig` describes a run, its trial count, seed
 and thresholds included: :func:`run` takes nothing else.
 
 The nearest point of a Poisson field of intensity ``lam`` lies at ``pi * lam
 * r**2 = E``, ``E`` a standard exponential (Haenggi, "On distances in
-uniformly random networks", IEEE T-IT 2005), in a uniform direction: one
-isotropic Gaussian with variance ``1/(2*pi*lam)`` per coordinate. Distances
-are drawn in units of ``1/sqrt(pi * lambda_bs)`` and fades in units of their
-mean ``1/mu``. Hence, per trial:
+uniformly random networks", IEEE T-IT 2005), in a uniform direction
+independent of ``E``. Distances are drawn in units of ``1/sqrt(pi *
+lambda_bs)`` and fades in units of their mean ``1/mu``, each by inverting
+its law at one coordinate of ``u``. Hence, per trial:
 
-* the serving base sits at ``r0**2 = E``, placed on the positive x-axis
-  (the law is isotropic);
-* the nearest reflector is one Gaussian draw, with variance ``1 / (2 *
-  rho)`` per coordinate, ``rho = lambda_ris / lambda_bs``; ``r2`` is its distance to
-  the user and ``r1 = hypot(x - r0, y)`` its distance to the serving base,
-  and ``f1`` is the base-to-reflector fade. The reflector is engaged, and
-  serves the reflected path, iff it is closer to the user than the serving
-  base (``r2 < r0``);
+* the serving base sits at ``r0**2 = -log1p(-u0)``, placed on the positive
+  x-axis (the law is isotropic);
+* the nearest reflector lies at distance ``r2 = sqrt(-log1p(-u1) / rho)``
+  from the user, ``rho = lambda_ris / lambda_bs``, at the angle ``theta = 2
+  * pi * u2``, so ``r1 = hypot(r2 * cos(theta) - r0, r2 * sin(theta))`` is
+  its distance to the serving base; ``f1 = -log1p(-u3)`` is the
+  base-to-reflector fade. The reflector is engaged, and serves the
+  reflected path, iff it is closer to the user than the serving base (``r2
+  < r0``);
 * no interferer is drawn. The other bases form a Poisson field beyond
   ``r0``, independent of the draws. Interferer beams point at random, so a
   base interferes iff its main lobe covers the user. Its off-boresight
@@ -68,25 +70,26 @@ of their standard errors (population variance over ``n``) and ``n``; since
 each value lies in ``[0, 1]``, the half-width never exceeds the binomial
 half-width of counting indicators at the same mean.
 
-Random streams (``riscov.config.STREAM_VERSION`` 8). Trials are cut into
-chunks of ``CHUNK_TRIALS``; chunk ``c`` draws from one generator seeded by
-``(master_seed, c)``, in this order: the serving-distance exponentials of
-the chunk, its reflector positions (trial-major ``(n, 2)`` standard
-normals), and the base-to-reflector fades, four numbers per trial. Output
-depends on ``(master_seed, n_trials)`` and the config alone.
+Random streams (``riscov.config.STREAM_VERSION`` 9). Trials are cut into
+blocks of ``VALUE_BLOCK``; block ``b`` draws the points of its trials,
+trial-major, in one call to one generator seeded by ``(master_seed, b)``.
+So a trial depends on the seed and its index alone, a run's first trials
+are those of any longer run, and output depends on ``(master_seed,
+n_trials)`` and the config alone.
 
-Reduction. :func:`run` draws one block of ``VALUE_BLOCK`` trials at a time
-(two chunks; the last block may be partial) and reduces it to a float array
-of shape ``(len(METRICS), len(thresholds_db), 3)``: the count, sum and sum
-of squares about the block mean of the conditional values of each metric at
-each threshold. The arrays are merged in block order, so memory does not
-grow with the trial count. A block whose sums are not finite ends the run
-with :class:`riscov.errors.NumericalError`.
+Reduction. :func:`run` draws one block at a time (the last may be partial)
+and reduces it to a float array of shape ``(len(METRICS),
+len(thresholds_db), 3)``: the count, sum and sum of squares about the block
+mean of the conditional values of each metric at each threshold. The
+arrays are merged in block order, so memory does not grow with the trial
+count. A block whose sums are not finite ends the run with
+:class:`riscov.errors.NumericalError`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -95,8 +98,7 @@ from . import analytic
 from .config import HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
-CHUNK_TRIALS = 1024  # one generator per chunk: a trial's draws depend on the seed and its index alone
-VALUE_BLOCK = 2048  # trials drawn and reduced together; whole chunks, few enough to keep the peak RSS low
+VALUE_BLOCK = 2048  # trials per generator, drawn and reduced together; few enough to keep the peak RSS low
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 
@@ -159,42 +161,32 @@ class TrialRecords:
         return len(self.r0)
 
 
-def _simulate_chunk(cfg: NetworkConfig, chunk_index: int, n: int) -> TrialRecords:
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, chunk_index)))
-    r0_sq = rng.standard_exponential(n)
-    with np.errstate(over="ignore"):  # past a density ratio of about 1e616 the offset is inf
-        ris_xy = rng.standard_normal((n, 2)) * np.exp(-0.5 * (cfg.log_rho + math.log(2.0)))
-    f1 = rng.standard_exponential(n)
+def _uniforms(cfg: NetworkConfig, start: int) -> np.ndarray:
+    """The points of the block of trials from ``start``, one row each, from one generator call."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, start // VALUE_BLOCK)))
+    return rng.random((min(VALUE_BLOCK, cfg.n_trials - start), 4))
+
+
+def _trials(cfg: NetworkConfig, u: np.ndarray) -> TrialRecords:
+    """The records of the trials at the points ``u``, one row each: the module docstring's inverse transforms."""
+    r0_sq = -np.log1p(-u[:, 0])
+    with np.errstate(over="ignore"):  # past a density ratio of about 1e616 the distance is inf
+        r2 = np.sqrt(-np.log1p(-u[:, 1])) * np.exp(-0.5 * cfg.log_rho)
+    theta = 2.0 * math.pi * u[:, 2]
+    f1 = -np.log1p(-u[:, 3])
     r0 = np.sqrt(r0_sq)
-    r2 = np.hypot(ris_xy[:, 0], ris_xy[:, 1])
-    r1 = np.hypot(ris_xy[:, 0] - r0, ris_xy[:, 1])
+    r1 = np.hypot(r2 * np.cos(theta) - r0, r2 * np.sin(theta))
     with np.errstate(all="ignore"):  # a distance of 0 or inf has an infinite log
         log_q_per_alpha = (np.log(r1) + np.log(r2) - 0.5 * np.log(r0_sq) + cfg.log_k_per_alpha
                            - np.log(f1) / cfg.alpha)
     return TrialRecords(log_q_per_alpha=log_q_per_alpha, f1=f1, r0=r0, r1=r1, r2=r2, engaged=r2 < r0)
 
 
-def _draw(cfg: NetworkConfig, start: int, stop: int) -> TrialRecords:
-    """Trials ``start`` to ``stop`` of the run, chunk by chunk; ``start`` begins a chunk."""
-    chunks = [
-        _simulate_chunk(cfg, chunk_start // CHUNK_TRIALS, min(CHUNK_TRIALS, stop - chunk_start))
-        for chunk_start in range(start, stop, CHUNK_TRIALS)
-    ]
-    return TrialRecords(**{
-        f.name: np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields(TrialRecords)
-    })
-
-
 def _block_sums(cfg: NetworkConfig, start: int, direct: list) -> np.ndarray:
-    """The sum array (module docstring) of the block of trials from ``start``.
-
-    ``direct[j]`` is the :func:`_direct_factor` of ``cfg.thresholds_linear[j]``.
-    """
+    """The sum array (module docstring) of the block of trials from ``start``; ``direct`` as for :func:`_values`."""
     stop = min(start + VALUE_BLOCK, cfg.n_trials)
     sums = np.empty((len(METRICS), len(cfg.thresholds_db), 3))
-    block = _threshold_free(cfg, _draw(cfg, start, stop))
-    for j, (log_t, factor) in enumerate(direct):
-        by_metric = _conditional_values(cfg, block, log_t, factor)
+    for j, by_metric in enumerate(_values(cfg, _trials(cfg, _uniforms(cfg, start)), direct)):
         for i, metric in enumerate(METRICS):
             values = by_metric[metric]
             total = values.sum()
@@ -216,45 +208,38 @@ class Coverage(NamedTuple):
     n_trials: np.ndarray
 
 
-def conditional_values(cfg: NetworkConfig, records: TrialRecords, threshold: float) -> dict:
-    """Per-trial ``Pr[SIR > threshold]`` given the trial's draws, for every metric.
-
-    Maps each name of :data:`METRICS` to an array over all trials, except
-    ``gamma_b``, whose values belong to the engaged trials only. The module
-    docstring gives the formula.
-    """
-    return _conditional_values(cfg, _threshold_free(cfg, records), *_direct_factor(cfg, threshold))
-
-
 def _direct_factor(cfg: NetworkConfig, threshold: float) -> tuple[float, float]:
     """``log(T) / alpha`` and the direct paths' ``I(T, alpha)``, the closed forms' own, for every trial."""
     log_t = math.log(threshold) / cfg.alpha
     return log_t, analytic.interference_factor_from_log(log_t, cfg.alpha)
 
 
-def _threshold_free(cfg: NetworkConfig, records: TrialRecords) -> tuple:
-    """The arrays of a block's conditional values that no threshold enters, for :func:`_conditional_values`."""
-    area, log_q = np.square(records.r0), records.log_q_per_alpha
+def _values(cfg: NetworkConfig, records: TrialRecords, direct: list) -> Iterator[dict]:
+    """Per-trial ``Pr[SIR > T]`` given the trial's records (module docstring), one dict per threshold.
+
+    ``direct[j]`` is the :func:`_direct_factor` of the ``j``-th threshold, and
+    the ``j``-th dict maps each name of :data:`METRICS` to an array over all
+    trials, except ``gamma_b``, whose values belong to the engaged trials
+    only. The dicts are yielded in turn, so that one threshold's values are
+    alive at a time.
+    """
+    exposure_single, exposure_split = np.outer(cfg.retentions, -np.square(records.r0))  # -p * r0**2 for each p
+    log_q, engaged = records.log_q_per_alpha, records.engaged
     with np.errstate(all="ignore"):  # alpha * |log q| may overflow; a log q of +-inf gives 0 or 1
-        # log(1 + q) / alpha is the softplus max(log q, 0) + rest: np.logaddexp is far slower
-        rest = np.log1p(np.exp(-cfg.alpha * np.abs(log_q))) / cfg.alpha
-    return (*(-p * area for p in cfg.retentions), log_q, np.maximum(log_q, 0.0), rest, records.engaged)
-
-
-def _conditional_values(cfg: NetworkConfig, block: tuple, log_t: float, factor: float) -> dict:
-    """:func:`conditional_values` at ``log(T) / alpha``, given the direct paths' ``I(T, alpha)``."""
-    exposure_single, exposure_split, log_q, log_q_positive, rest, engaged = block
-    with np.errstate(all="ignore"):  # a log q of +-inf gives 0 or 1
-        # e(T * q) and e(T * (1 + q)) from one call on both rows
-        e_b, e_ab = np.exp(exposure_split * interference_factor_from_log(
-            np.stack([log_t + log_q, log_t + log_q_positive + rest]), cfg.alpha))
-    e_a = np.exp(exposure_split * factor)
-    return {
-        "gamma_o": np.exp(exposure_single * factor),
-        "gamma_a": e_a,
-        "gamma_b": e_b[engaged],
-        "gamma_s": np.where(engaged, e_a + (e_b - e_ab), e_a),
-    }
+        # log(1 + q) / alpha as the softplus max(log q, 0) + rest: np.logaddexp is far slower
+        log_one_plus_q = np.maximum(log_q, 0.0) + np.log1p(np.exp(-cfg.alpha * np.abs(log_q))) / cfg.alpha
+    for log_t, factor in direct:
+        with np.errstate(all="ignore"):  # a log q of +-inf gives 0 or 1
+            # e(T * q) and e(T * (1 + q)) from one call on both rows
+            e_b, e_ab = np.exp(exposure_split * interference_factor_from_log(
+                np.stack([log_t + log_q, log_t + log_one_plus_q]), cfg.alpha))
+        e_a = np.exp(exposure_split * factor)
+        yield {
+            "gamma_o": np.exp(exposure_single * factor),
+            "gamma_a": e_a,
+            "gamma_b": e_b[engaged],
+            "gamma_s": np.where(engaged, e_a + (e_b - e_ab), e_a),
+        }
 
 
 def _estimates(block_sums: list) -> dict[str, Coverage]:
@@ -280,14 +265,14 @@ def _estimates(block_sums: list) -> dict[str, Coverage]:
 
 def draw(cfg: NetworkConfig) -> TrialRecords:
     """Every trial's records: those :func:`run` reduces, block by block."""
-    return _draw(cfg, 0, cfg.n_trials)
+    return _trials(cfg, np.concatenate([_uniforms(cfg, start) for start in range(0, cfg.n_trials, VALUE_BLOCK)]))
 
 
 def run(cfg: NetworkConfig) -> dict[str, Coverage]:
     """``Pr[SIR > T]`` of the configured run: one :class:`Coverage` per name of :data:`METRICS`.
 
     Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]``,
-    the mean of :func:`conditional_values` over its trials: ``gamma_b``
+    the mean of the conditional values of its trials: ``gamma_b``
     conditions on an engaged reflector and the other metrics use every trial.
     An estimate needs at least 100 trials.
     """

@@ -9,7 +9,8 @@ a fixed Gauss-Legendre rule (``E[r1]``); the quadrature routes below integrate t
 the reflector bank's phase-quantization loss is a closed form in the package
 and an element-by-element array factor here. The last section keeps model
 identities (the reflection gain, peak reflected power, the fractional fade
-moment, the engaged probability) that only tests evaluate.
+moment, the engaged probability) that only tests evaluate, and the
+engine's per-trial values at one threshold, which only tests read.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from riscov import analytic, geometry
+from riscov import analytic, geometry, montecarlo
 from riscov.config import KM2_TO_M2
 from riscov.errors import ParameterError
 
@@ -455,3 +456,18 @@ def gamma_b_large_alpha_limit(cfg, n_samples=1_000_000, seed=0):
     excess = np.expm1(np.log(r1_sq) + np.log(r2_sq) - np.log(r0_sq) + 2.0 * cfg.log_k_per_alpha)
     values = np.exp(-cfg.retentions[1] * r0_sq * np.maximum(excess, 0.0))
     return float(values.mean()), 1.96 * float(values.std()) / math.sqrt(len(values))
+
+
+# ---------------------------------------------------------------------------
+# the engine's per-trial values, which only tests read
+# ---------------------------------------------------------------------------
+
+def conditional_values(cfg, records, threshold):
+    """The engine's per-trial ``Pr[SIR > threshold]`` given ``records``, for every metric.
+
+    Maps each name of ``montecarlo.METRICS`` to an array over all trials,
+    except ``gamma_b``, whose values belong to the engaged trials only:
+    the values that ``montecarlo.run`` reduces, not an independent oracle.
+    """
+    (values,) = montecarlo._values(cfg, records, [montecarlo._direct_factor(cfg, threshold)])
+    return values

@@ -16,6 +16,7 @@ from scipy import stats
 
 from oracle_helpers import (
     array_factor_from_phases,
+    conditional_values,
     fade_fractional_moment,
     interference_quadrature,
     prob_ris_closer,
@@ -100,8 +101,8 @@ def test_c03_power_density_independence():
     cfg_b = NetworkConfig(n_trials=1000, master_seed=404, p_s=14.0)
     rec_a = montecarlo.draw(cfg_a)
     rec_b = montecarlo.draw(cfg_b)
-    values_a = [montecarlo.conditional_values(cfg_a, rec_a, t) for t in cfg_a.thresholds_linear]
-    values_b = [montecarlo.conditional_values(cfg_b, rec_b, t) for t in cfg_b.thresholds_linear]
+    values_a = [conditional_values(cfg_a, rec_a, t) for t in cfg_a.thresholds_linear]
+    values_b = [conditional_values(cfg_b, rec_b, t) for t in cfg_b.thresholds_linear]
     bit_identical = all(
         np.array_equal(a[m], b[m])
         for a, b in zip(values_a, values_b)
@@ -132,7 +133,7 @@ def test_c04_path_a_ordering(dense_run):
     realization_ok = all(
         np.all(values["gamma_a"] <= values["gamma_o"])
         for values in (
-            montecarlo.conditional_values(cfg, dense_run.records, t)
+            conditional_values(cfg, dense_run.records, t)
             for t in cfg.thresholds_linear
         )
     )

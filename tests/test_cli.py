@@ -263,8 +263,8 @@ class TestSimulateCommand:
         # no config reaches now that the interferers are integrated out (at
         # alpha = 1.7e308 the reflected path's were nan); this once ended in
         # "T must be nonnegative" with an array repr
-        monkeypatch.setattr(montecarlo, "_conditional_values", lambda cfg, block, log_t, factor: dict.fromkeys(
-            montecarlo.METRICS, np.full(len(block[-1]), math.nan)))
+        monkeypatch.setattr(montecarlo, "_values", lambda cfg, records, direct: [
+            dict.fromkeys(montecarlo.METRICS, np.full(len(records), math.nan)) for _ in direct])
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 2000\n")
         with warnings.catch_warnings(record=True) as caught:  # what would reach stderr

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 import reference_engine as ref
-from oracle_helpers import gamma_b_large_alpha_limit, peak_reflection_power, reflection_gain
+from oracle_helpers import conditional_values, gamma_b_large_alpha_limit, peak_reflection_power, reflection_gain
 from riscov import analytic, cli, montecarlo
 from riscov.config import KM2_TO_M2, STREAM_VERSION, ConfigError, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
@@ -28,6 +28,7 @@ SIMULATE_DIGESTS = {
     6: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
     7: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
     8: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
+    9: "aa3a5477a0a527d1eeeebd3bd97b528ae154a3dd6316b85c09921abb8317fc77",
 }
 
 # sha256 of the probability and ci_half_width bytes of every metric, in METRICS
@@ -45,6 +46,10 @@ RUN_BYTES_DIGESTS = {
     8: {
         4.0: "2bbf139d473ef64d2a4c2f31e5d71e8230bdc18cc4c13d23494e2bbc265109df",
         3.0: "8e331b8b7980077424772fb225248570f9492f659cc148ac19cfa9327d01bc53",
+    },
+    9: {
+        4.0: "3d91d1bb2fed434262cdf119186366fb9e0eb23855d1f6384b85d19db1533fae",
+        3.0: "ce6c72e09da421ef8f7884e8de6ca89fb68de0b6f683a1073bded41c019beb46",
     },
 }
 RUN_BYTES_BUILD = ((3, 11), "2.4.6")
@@ -107,7 +112,7 @@ def assert_value_orderings(cfg, rec, thresholds):
     per-trial conditional values, not only in their means.
     """
     for t in thresholds:
-        values = montecarlo.conditional_values(cfg, rec, t)
+        values = conditional_values(cfg, rec, t)
         e_o, e_a, e_b, e_s = (values[m] for m in montecarlo.METRICS)
         for v in (e_o, e_a, e_b, e_s):
             assert np.all((0.0 <= v) & (v <= 1.0))
@@ -126,10 +131,51 @@ class TestDropScenario:
             assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
 
     def test_different_trials_differ(self):
-        rec = montecarlo.draw(small_cfg())
-        # neighbours within a chunk, and the first trials of two chunks
+        rec = montecarlo.draw(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1))
+        # neighbours within a block, and the first trials of two blocks
         assert rec.r0[0] != rec.r0[1]
-        assert rec.r0[0] != rec.r0[montecarlo.CHUNK_TRIALS]
+        assert rec.r0[0] != rec.r0[montecarlo.VALUE_BLOCK]
+
+    def test_a_run_is_the_start_of_any_longer_run(self):
+        # a block's generator fills its points row by row, so a partial last
+        # block holds the first rows of the full one
+        short, long = (montecarlo.draw(small_cfg(n_trials=n)) for n in (3000, 5000))
+        for name in RECORD_FIELDS:
+            assert getattr(short, name).tobytes() == getattr(long, name)[:3000].tobytes(), name
+
+    def test_each_block_calls_its_generator_once(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        montecarlo.run(small_cfg(n_trials=2 * montecarlo.VALUE_BLOCK + 1))
+        assert calls == ["random"] * 3
+
+    def test_hand_picked_points_map_to_their_trials(self):
+        # at equal densities rho = 1: u0 = 1 - 1/e puts the serving base at
+        # r0 = 1 and u3 = 1 - 1/e gives f1 = 1; u1 = 1 - exp(-r2**2) puts the
+        # reflector at r2, and u2 = 0, 1/4 and 1/2 turn it onto the +x, +y and
+        # -x axes, where r1 is |r2 - r0|, hypot(r0, r2) and r0 + r2
+        cfg = NetworkConfig(lambda_ris=NetworkConfig().lambda_bs)
+        r2, u2 = (a.ravel() for a in np.meshgrid([0.5, 0.999, 1.001, 2.0], [0.0, 0.25, 0.5]))
+        unit = np.full_like(r2, 1.0 - math.exp(-1.0))
+        u = np.stack([unit, -np.expm1(-r2 * r2), u2, unit], axis=1)
+        rec = montecarlo._trials(cfg, u)
+        r1 = np.select([u2 == 0.0, u2 == 0.25], [np.abs(r2 - 1.0), np.hypot(1.0, r2)], 1.0 + r2)
+        np.testing.assert_allclose(rec.r0, 1.0, rtol=1e-15)
+        np.testing.assert_allclose(rec.f1, 1.0, rtol=1e-15)
+        np.testing.assert_allclose(rec.r2, r2, rtol=1e-14)
+        np.testing.assert_allclose(rec.r1, r1, rtol=1e-12)
+        np.testing.assert_allclose(rec.log_q_per_alpha, np.log(r1 * r2) + cfg.log_k_per_alpha, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rec.engaged, r2 < 1.0)
 
     def test_structure_invariants(self):
         cfg = small_cfg()
@@ -285,8 +331,8 @@ class TestTransmitPowerInvariance:
         for field in RECORD_FIELDS:
             assert np.array_equal(getattr(rec_a, field), getattr(rec_b, field))
         for t in cfg_a.thresholds_linear:
-            values_a = montecarlo.conditional_values(cfg_a, rec_a, t)
-            values_b = montecarlo.conditional_values(cfg_b, rec_b, t)
+            values_a = conditional_values(cfg_a, rec_a, t)
+            values_b = conditional_values(cfg_b, rec_b, t)
             for metric in montecarlo.METRICS:
                 assert np.array_equal(values_a[metric], values_b[metric])
 
@@ -353,7 +399,7 @@ class TestEstimateCoverage:
         # the blocks' merged sums against the values of the whole run at once
         for metric, est in estimates.items():
             for t, p, half_width, n in zip(cfg.thresholds_linear, *est):
-                values = montecarlo.conditional_values(cfg, records, t)[metric]
+                values = conditional_values(cfg, records, t)[metric]
                 assert n == len(values)
                 assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
                 assert half_width == pytest.approx(
@@ -361,12 +407,16 @@ class TestEstimateCoverage:
                 )
 
     def test_blocks_without_engaged_trials(self):
-        # at 1e-3 reflectors per km^2 the first block and most others hold no
-        # engaged trial, so gamma_b merges empty blocks; at 1e-6 no trial engages
-        cfg = small_cfg(n_trials=20000, lambda_ris=1e-3, thresholds_db=(0.0,))
+        # at 4e-3 reflectors per km^2 (3.2 engaged trials expected) the first
+        # block and most others hold no engaged trial, so gamma_b merges empty
+        # blocks; at 1e-6 no trial engages
+        cfg = small_cfg(n_trials=20000, lambda_ris=4e-3, thresholds_db=(0.0,))
         (p,), (half_width,), (n,) = montecarlo.run(cfg)["gamma_b"]
-        values = montecarlo.conditional_values(cfg, montecarlo.draw(cfg), 1.0)["gamma_b"]
-        assert n == len(values) == 3
+        records = montecarlo.draw(cfg)
+        per_block = np.add.reduceat(records.engaged, np.arange(0, len(records), montecarlo.VALUE_BLOCK))
+        assert per_block[0] == 0 and per_block[1:].any()
+        values = conditional_values(cfg, records, 1.0)["gamma_b"]
+        assert n == len(values) == records.engaged.sum()
         assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
         assert half_width == pytest.approx(1.96 * float(np.std(values)) / math.sqrt(n), rel=1e-9)
         (p,), (half_width,), (n,) = montecarlo.run(cfg.replace(lambda_ris=1e-6))["gamma_b"]
@@ -394,7 +444,7 @@ class TestEstimateCoverage:
         # the mean of the per-trial values and 1.96 of their standard errors
         cfg = small_cfg(n_trials=1000, thresholds_db=(0.0,))
         ((p,), (half_width,), (n,)), rec = montecarlo.run(cfg)["gamma_o"], montecarlo.draw(cfg)
-        values = montecarlo.conditional_values(cfg, rec, 1.0)["gamma_o"]
+        values = conditional_values(cfg, rec, 1.0)["gamma_o"]
         assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
         assert half_width == pytest.approx(1.96 * float(np.std(values)) / math.sqrt(n))
 
@@ -446,8 +496,8 @@ class TestBlockReduction:
         100,
         montecarlo.VALUE_BLOCK,
         montecarlo.VALUE_BLOCK + 1,
-        3 * montecarlo.VALUE_BLOCK + montecarlo.CHUNK_TRIALS - 1,
-    ], ids=["part-block", "one-block", "one-trial-over", "part-chunk-over"])
+        3 * montecarlo.VALUE_BLOCK + montecarlo.VALUE_BLOCK // 2 - 1,
+    ], ids=["part-block", "one-block", "one-trial-over", "part-block-over"])
     def test_block_boundaries_match_estimates_from_records(self, n_trials):
         # a last block of one trial has no spread of its own: its sum of
         # squares is 0 and all of its weight sits in the merge's gap term
@@ -455,7 +505,7 @@ class TestBlockReduction:
         estimates, records = montecarlo.run(cfg), montecarlo.draw(cfg)
         for metric, est in estimates.items():
             for t, p, half_width, n in zip(cfg.thresholds_linear, *est):
-                values = montecarlo.conditional_values(cfg, records, t)[metric]
+                values = conditional_values(cfg, records, t)[metric]
                 assert n == len(values)
                 assert p == pytest.approx(float(np.mean(values)), rel=1e-12)
                 assert half_width == pytest.approx(
@@ -525,23 +575,23 @@ class TestBlockReduction:
         for t in NetworkConfig().thresholds_linear:
             closed_form = analytic.interference_factor(t, alpha)
             assert montecarlo._direct_factor(cfg, t) == (math.log(t) / alpha, closed_form)
-            values = montecarlo.conditional_values(cfg, records, t)
+            values = conditional_values(cfg, records, t)
             np.testing.assert_array_equal(values["gamma_o"], np.exp(-p_single * area * closed_form))
             np.testing.assert_array_equal(values["gamma_a"], np.exp(-p_split * area * closed_form))
 
     def test_nonfinite_block_names_its_trials(self, monkeypatch):
         # the third of four blocks turns nan; the blocks before it reduced cleanly
         seen = []
-        values = montecarlo._conditional_values
+        values = montecarlo._values
 
-        def nan_in_third_block(cfg, block, log_t, factor):
-            by_metric = values(cfg, block, log_t, factor)
-            seen.append(len(by_metric["gamma_a"]))
+        def nan_in_third_block(cfg, records, direct):
+            by_threshold = list(values(cfg, records, direct))
+            seen.append(len(records))
             if len(seen) == 3:
-                by_metric["gamma_a"] = np.full_like(by_metric["gamma_a"], math.nan)
-            return by_metric
+                by_threshold[0]["gamma_a"] = np.full_like(by_threshold[0]["gamma_a"], math.nan)
+            return by_threshold
 
-        monkeypatch.setattr(montecarlo, "_conditional_values", nan_in_third_block)
+        monkeypatch.setattr(montecarlo, "_values", nan_in_third_block)
         block = montecarlo.VALUE_BLOCK
         cfg = small_cfg(n_trials=3 * block + 5, thresholds_db=(0.0,))
         with pytest.raises(NumericalError, match=f"^trials {2 * block}-{3 * block - 1}: "):
@@ -607,7 +657,7 @@ class TestConditionalValues:
             return math.exp(-2.0 * math.pi * cfg.lambda_bs * KM2_TO_M2 * p * integral)
 
         T = 3.0
-        values = montecarlo.conditional_values(cfg, rec, T)
+        values = conditional_values(cfg, rec, T)
         for k in range(2):
             c_a = T * r0[k] ** cfg.alpha
             assert values["gamma_o"][k] == pytest.approx(oracle(k, c_a, p_single), rel=1e-10)
