@@ -15,13 +15,17 @@ approximations depend on the deployment only through one power-free ratio
 ``kappa`` itself would leave the float range. approx1 is path-A coverage at
 the scaled threshold ``T * kappa**(-a/2)``.
 
-The hypergeometric function is summed here with ``math`` alone rather than
-imported from ``scipy.special``, whose import alone costs about half of a
-cold start; numpy is the Monte-Carlo engine's dependency, and
-:mod:`riscov.montecarlo` sums the same coefficients on arrays for its
-per-trial values. With ``b = 1 - 2/a``, the Pfaff transformation (DLMF
-15.8.1) gives ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n``
-with ``w = t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2)
+The hypergeometric function is summed here rather than imported from
+``scipy.special``, whose import alone costs about half of a cold start. This
+is the one kernel of the package: :func:`_horner` and the branch formulas
+:func:`_below_one` and :func:`_above_one` use operators only, so they take a
+float from this module and, elementwise, a numpy array from
+:func:`riscov.montecarlo.interference_factor_from_log`, which supplies numpy's
+``exp`` and ``expm1`` and splits the elements between the branches.
+
+With ``b = 1 - 2/a``, the Pfaff transformation (DLMF 15.8.1) gives
+``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with
+``w = t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2)
 first splits off ``(pi*b/sin(pi*b)) * t**-b`` and leaves the same series
 with ``b`` replaced by ``1-b`` at ``w = 1/(1+t)``. Either way ``w <= 1/2``,
 so 56 terms reach double precision; the one singularity lies at 1, so the
@@ -51,13 +55,19 @@ from .errors import NumericalError, ParameterError
 _PFAFF_TERMS, _SERIES_DEGREE = 56, 24
 
 
-def _horner(coefficients: tuple[float, ...], w: float) -> float:
-    """``w * sum_j coefficients[j] * y**j`` with ``y = 4w - 1``, by Horner's rule, for ``0 <= w <= 1/2``."""
+def _horner(coefficients: tuple[float, ...], w):
+    """``w * sum_j coefficients[j] * y**j`` with ``y = 4w - 1``, by Horner's rule, for ``0 <= w <= 1/2``.
+
+    The augmented steps rebind ``total`` for a float ``w`` and update it in
+    place for an array, so each element of an array gets the float call's bits.
+    """
     y = 4.0 * w - 1.0
-    total = coefficients[-1]
-    for a in coefficients[-2::-1]:
-        total = total * y + a
-    return total * w
+    total = coefficients[-1] * y + coefficients[-2]
+    for a in coefficients[-3::-1]:
+        total *= y
+        total += a
+    total *= w
+    return total
 
 
 @lru_cache(maxsize=1)
@@ -128,21 +138,27 @@ def interference_factor(T: float, alpha: float) -> float:
 def interference_factor_from_log(log_t_per_alpha: float, alpha: float) -> float:
     """``I(T, alpha)`` from ``log(T) / alpha`` (module docstring); nan where that is nan."""
     u = log_t_per_alpha
-    low, shortfall = _series(alpha)
-    log_t = alpha * u  # may overflow to +-inf, where w is 0
+    e = math.exp(-abs(alpha * u))  # min(T, 1/T); log T may overflow to +-inf, where e is 0
+    w = e / (1.0 + e)
     if u <= 0.0:
-        t = math.exp(log_t)
-        w = t / (1.0 + t)
-        return 2.0 / (alpha - 2.0) * w * (1.0 + _horner(low, w))
-    inverse = math.exp(-log_t)  # 1/T, which cannot overflow here
-    w = inverse / (1.0 + inverse)
-    # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d);
-    # both parts are near 1 at large alpha, so each is taken less 1, the first from its log
+        return _below_one(alpha, w)
     try:
         head = math.expm1(_log_leading(alpha) + 2.0 * u)
     except OverflowError:  # near alpha = 2 a huge T leaves the float range: inf is the limit
         head = math.inf
-    return head - (1.0 - w) * _horner(shortfall, w)
+    return _above_one(alpha, head, w)
+
+
+def _below_one(alpha: float, w):
+    """``I(T, alpha)`` for ``T <= 1`` from ``w = T/(1+T)``, a float or an array (elementwise)."""
+    return 2.0 / (alpha - 2.0) * w * (1.0 + _horner(_series(alpha)[0], w))
+
+
+def _above_one(alpha: float, head, w):
+    """``I(T, alpha)`` for ``T > 1`` from ``w = 1/(1+T)`` and ``head = expm1(_log_leading(alpha) + 2u)``."""
+    # the prefactor 2/(a-2) = (1-b)/b turns the split-off pi*b/sin(pi*b) into pi*d/sin(pi*d);
+    # both parts are near 1 at large alpha, so each is taken less 1, the first from its log
+    return head - (1.0 - w) * _horner(_series(alpha)[1], w)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,4 @@ class ParameterError(RiscovError, ValueError):
 
 
 class NumericalError(RiscovError, RuntimeError):
-    """A computation failed to reach its tolerance or left the float range.
-
-    Carries the tolerance actually achieved, where one applies, so callers can
-    decide whether the value is still usable.
-    """
-
-    def __init__(self, message: str, achieved_tolerance: float | None = None):
-        super().__init__(message)
-        self.achieved_tolerance = achieved_tolerance
+    """A computation failed to reach its tolerance or left the float range."""

@@ -197,9 +197,7 @@ def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
     )
     error = abs(value - coarse)
     if not (value > 0 and error <= _R1_REL_TOL * value):  # NaN fails too
-        raise NumericalError(
-            "expected_r1 quadrature did not converge", achieved_tolerance=error
-        )
+        raise NumericalError(f"expected_r1 quadrature did not converge: its two rules differ by {error:.3g}")
     return value
 
 

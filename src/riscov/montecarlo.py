@@ -58,10 +58,10 @@ the only places where the densities, ``mu`` and the bank enter, so
 ``gamma_o`` and ``gamma_a`` depend on the deployment through ``alpha`` and
 ``N`` alone. ``I`` is read from ``log(x) / alpha`` by
 :func:`riscov.analytic.interference_factor_from_log` for the direct paths
-and by its array form :func:`interference_factor_from_log`, from the same
-coefficients, for the reflected one. It stays finite where ``q`` leaves the
-float range, as on half the trials at ``alpha = 1000``: ``gamma_b`` takes
-its ``alpha -> inf`` limit there.
+and by its array form :func:`interference_factor_from_log`, which runs that
+module's series arithmetic on arrays, for the reflected one. It stays
+finite where ``q`` leaves the float range, as on half the trials at ``alpha
+= 1000``: ``gamma_b`` takes its ``alpha -> inf`` limit there.
 Selection shares the interference of both paths and its two fades are
 independent, so ``gamma_s`` is ``e_a + e_b - e(T * (1 + q))`` on engaged
 trials and ``e_a`` elsewhere. :func:`run` returns one :class:`Coverage` per
@@ -103,46 +103,29 @@ VALUE_BLOCK = 2048  # trials per generator, drawn and reduced together; few enou
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 
 
-def _horner(coefficients: tuple[float, ...], w):
-    """:func:`riscov.analytic._horner` elementwise: ``w * sum_j coefficients[j] * y**j``, ``y = 4w - 1``.
-
-    A fixed degree gives each element of ``w`` the same steps whatever the
-    other elements are, so an array call matches scalar calls exactly.
-    """
-    y = 4.0 * w - 1.0
-    total = np.full(np.shape(w), coefficients[-1])
-    for a in coefficients[-2::-1]:
-        total *= y
-        total += a
-    total *= w
-    return total
-
-
 def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
     """:func:`riscov.analytic.interference_factor_from_log` elementwise, as an array; nan where the input is nan.
 
-    An array call matches 0-d calls bit for bit. The coefficients are the
-    ``math`` form's, but numpy's ``exp`` and ``expm1`` may differ from ``math``'s
-    in the last ulp, so a value may differ from the ``math`` form by a few ulp.
+    The arithmetic is :mod:`riscov.analytic`'s own: its branch helpers take
+    an array as they take a float, so an array call matches 0-d calls bit for
+    bit. Only numpy's ``exp`` and ``expm1`` are this module's, and they may
+    differ from ``math``'s in the last ulp, so a value may differ from the
+    ``math`` form by a few ulp.
     """
     u = np.asarray(log_t_per_alpha, dtype=float)
-    low_series, shortfall = analytic._series(alpha)
-    with np.errstate(over="ignore"):  # log T may overflow to +-inf, where w is 0
-        log_t = alpha * u
+    with np.errstate(over="ignore"):  # log T may overflow to +-inf, where e is 0
+        e = np.exp(-np.abs(alpha * u))  # min(T, 1/T)
+    w = e / (1.0 + e)
     low = u <= 0.0
     high = ~low
     value = np.empty_like(u)
     # each branch is evaluated on its own elements only, so an empty one costs nothing
     if low.any():
-        t_low = np.exp(log_t[low])
-        w = t_low / (1.0 + t_low)
-        value[low] = 2.0 / (alpha - 2.0) * w * (1.0 + _horner(low_series, w))
+        value[low] = analytic._below_one(alpha, w[low])
     if high.any():
-        inverse = np.exp(-log_t[high])  # 1/T, which cannot overflow here
-        w = inverse / (1.0 + inverse)
         with np.errstate(over="ignore"):  # near alpha = 2 a huge T overflows to inf, the limit
             head = np.expm1(analytic._log_leading(alpha) + 2.0 * u[high])
-        value[high] = head - (1.0 - w) * _horner(shortfall, w)
+        value[high] = analytic._above_one(alpha, head, w[high])
     return value
 
 

@@ -167,11 +167,13 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial_index)))
 
 
-def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
+def drop_scenario(cfg: NetworkConfig, trial_index: int, lobes: str = "thinning") -> Scenario:
     """Sample one scenario: processes, associations, thinning, fades.
 
-    Draw order: base count/radii/angles, reflector count/radii/angles,
-    orientation draws, base fades, reflector-link fades, user-link fade.
+    ``lobes`` is ``"thinning"`` (each interferer kept at the retention
+    probability) or ``"explicit"`` (each interferer's main lobe drawn). Draw
+    order: base count/radii/angles, reflector count/radii/angles, lobe draws,
+    base fades, reflector-link fades, user-link fade.
     """
     rng = trial_rng(cfg.master_seed, trial_index)
 
@@ -184,12 +186,12 @@ def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
     ris = sample_ppp(lam_ris, window_radius(lam_ris), rng)
 
     n_bs = len(bs)
-    if cfg.orientation == "thinning":
+    if lobes == "thinning":
         # independent thinning at exactly the analysis' retention probability
         u = rng.random(n_bs)
         single = u < 1.0 / math.sqrt(cfg.n_elements)
         split = u < math.sqrt(2.0 / cfg.n_elements)
-    else:
+    elif lobes == "explicit":
         # explicit main lobes: retained iff the beam covers the user
         boresight = 2.0 * math.pi * rng.random(n_bs)
         to_user = np.arctan2(-bs.points[:, 1], -bs.points[:, 0])
@@ -198,6 +200,8 @@ def drop_scenario(cfg: NetworkConfig, trial_index: int) -> Scenario:
         psi_split = 2.0 * math.sqrt(2.0) * math.pi / math.sqrt(cfg.n_elements)
         single = off <= psi_single / 2.0
         split = off <= psi_split / 2.0
+    else:
+        raise ParameterError(f"lobes must be 'thinning' or 'explicit', got {lobes!r}")
 
     g = rng.exponential(1.0 / cfg.mu, n_bs)
     f1 = float(rng.exponential(1.0 / cfg.mu))

@@ -157,6 +157,21 @@ class TestInterferenceFactor:
             assert np.abs(chebyshev[degree + 1:]).sum() < 2.0**-54 * abs(chebyshev[0]), alpha
             assert len(fitted) == degree + 1
 
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_horner_gives_a_float_and_its_array_elements_the_same_bits(self, alpha):
+        # the closed forms pass floats and the engine arrays through one loop;
+        # each element of any shape must take the float call's steps exactly
+        w = np.concatenate([np.linspace(0.0, 0.5, 129), np.random.default_rng(7).uniform(0.0, 0.5, 128),
+                            [5e-324, 1e-300, 2.0**-53]])
+        bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
+        for coefficients in analytic._series(alpha):
+            floats = [analytic._horner(coefficients, x) for x in w.tolist()]
+            assert all(type(f) is float for f in floats)
+            assert np.array_equal(bits([analytic._horner(coefficients, np.array(x)) for x in w]), bits(floats))
+            assert np.array_equal(bits(analytic._horner(coefficients, w)), bits(floats))
+            pair = np.stack([w, w[::-1]])
+            assert np.array_equal(bits(analytic._horner(coefficients, pair)), bits([floats, floats[::-1]]))
+
     def test_general_alpha_against_direct_quadrature(self):
         # oracle: finite-range quadrature plus a two-term series tail,
         # a different decomposition than the implementation's stretch map

@@ -1,6 +1,7 @@
 """Command-line surface: rows, gates, exit codes, output stability."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
@@ -637,6 +638,29 @@ class TestColdImport:
         out = _run_fresh(_NUMPY_PROBE, *argv, "--out", str(tmp_path))
         assert out.splitlines()[-1] == "True"
 
+    def test_only_the_engine_imports_numpy(self):
+        # the probes above see module-level imports and a few commands; this
+        # scan also finds an import inside a function, at any depth, and skips
+        # only the `if TYPE_CHECKING:` blocks, which never run
+        importers = set()
+        for path in Path(riscov.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            typing_only = {id(node) for block in ast.walk(tree)
+                           if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+                           for stmt in block.body for node in ast.walk(stmt)}
+            for node in ast.walk(tree):
+                if id(node) in typing_only:
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "numpy" for name in names):
+                    importers.add(path.name)
+        assert importers == {"montecarlo.py"}
+
     def test_cli_import_leaves_multiprocessing_unloaded(self):
         # the engine runs in one process, so nothing needs the 10 ms import
         code = "import sys, riscov.cli; print('multiprocessing' in sys.modules)"
@@ -1062,7 +1086,7 @@ class TestTypedExits:
     ], ids=["sweep", "analytic", "hist"])
     def test_numerical_error_is_pipeline_error(self, runner, tmp_path, monkeypatch, target, argv):
         def boom(*args, **kwargs):
-            raise NumericalError("quadrature did not converge", achieved_tolerance=1e-3)
+            raise NumericalError("quadrature did not converge")
 
         monkeypatch.setattr(*target, boom)
         result = runner.invoke(cli.main, argv + ["--out", str(tmp_path)])

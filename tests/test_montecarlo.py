@@ -192,7 +192,7 @@ class TestDropScenario:
         # integrates the interferers out at that rate, so it draws the same
         # trials for both modes
         cfg = NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
-        drops = [ref.drop_scenario(cfg, i) for i in range(40)]
+        drops = [ref.drop_scenario(cfg, i, lobes="explicit") for i in range(40)]
         kept = sum(int(s.retained_single.sum()) for s in drops)
         interferers = sum(len(s.bs_points) - 1 for s in drops)
         assert abs(kept / interferers - 0.25) < 0.01
