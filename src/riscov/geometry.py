@@ -2,36 +2,41 @@
 
 Distances and intensities are in any one unit of length, the densities per
 its square: the engines and the ``e_r1`` sweep use the base spacing
-``1/sqrt(pi*lambda_bs)``, the ``hist`` overlay kilometres.
-Intensities and floors come from config fields, valid by construction, so
-no function here re-checks them. The nearest-neighbor distance of a homogeneous
-PPP of intensity ``lam`` is Rayleigh-distributed with density
+``1/sqrt(pi*lambda_bs)``, the ``hist`` overlay kilometres. Two public
+functions check their arguments: :func:`expected_r1` raises
+:class:`ParameterError` on an intensity that is not a positive finite float,
+and :func:`rayleigh_pdf` on a negative distance.
+:func:`log_expected_inv_r1_pow` reads logs of config fields, valid by
+construction, and checks nothing. The nearest-neighbor distance of a
+homogeneous PPP of intensity ``lam`` is Rayleigh-distributed with density
 ``2*pi*lam*r*exp(-pi*lam*r**2)``; the distributions of the serving-link
 distance, the reflector-link distance and the base-to-reflector distance are
 all built from that single fact plus the law of cosines.
 
 The nearest base and the nearest reflector sit at independent isotropic
-Gaussian positions with variances ``1/(2*pi*lambda_bs)`` and
-``1/(2*pi*lambda_ris)``, so their separation ``r1`` is exactly Rayleigh with
+Gaussian positions with variances ``v_bs = 1/(2*pi*lambda_bs)`` and ``v_ris
+= 1/(2*pi*lambda_ris)``, so their separation ``r1`` is exactly Rayleigh with
 intensity ``lambda_eff = lambda_bs * lambda_ris / (lambda_bs + lambda_ris)``.
 Hence the ``r1`` density is that Rayleigh density, and the floored moments
 are ``E[r1**-p ; r1 >= eps] = (pi*lambda_eff)**(p/2) * Gamma(1 - p/2,
 pi*lambda_eff*eps**2)``, whose log :func:`log_expected_inv_r1_pow` sums.
 
-One quadrature is left: ``expected_r1``, kept as the truncated double
-integral over ``r0 <= rayleigh_tail_radius(lambda_bs)`` and ``r2 <=
-rayleigh_tail_radius(lambda_ris)`` so its output matches earlier releases
-(the exact value is ``0.5 / sqrt(lambda_eff)``). It is one tensor-product
-Gauss-Legendre rule, summed with ``math`` alone, whose nodes Newton's method
-finds on the three-term recurrence of the Legendre polynomials, as in
-Numerical Recipes' ``gauleg``. Each panel's nodes go through the map
-``u -> (3u - u**3) / 2``, whose derivative vanishes at both ends, so a weak
-singularity at a panel end costs little. The ``r2`` range splits at ``r2 =
-r0``, where ``E(m)`` has its ``(1 - m) * log(1 - m)`` kink at ``m = 1``, and
-the ``r0`` range splits at the end of the ``r2`` range when that lies inside
-it. The complete elliptic integral ``E(m)`` is the arithmetic-geometric mean
-of DLMF 19.8.6. No code in the package imports scipy, and this module
-imports no numpy: numpy is the Monte-Carlo engine's dependency.
+``expected_r1`` keeps the mean of ``r1`` with ``r0`` and ``r2`` truncated
+at their ``1 - TAIL_MASS`` quantiles ``R0`` and ``R2``, as earlier releases
+did: the exact mean ``E = 0.5 / sqrt(lambda_eff)`` less the tails ``E[r1 ;
+r0 > R0]`` and ``E[r1 ; r2 > R2]``. The truncated integral adds back their
+overlap, about ``4e-12 * E``; that is dropped, so the value sits this far
+below it. Write ``r1 = (2*sqrt(pi))**-1 * int_0^inf (1 - exp(-s*r1**2)) * s**-1.5 ds``,
+average ``exp(-s*r1**2)`` over the untruncated position in closed form, and
+use that ``r0**2 / (2*v_bs)`` is a unit exponential beyond ``L =
+-log(TAIL_MASS)``. With ``t = 2*s*(v_bs + v_ris)`` and ``lambda_bs``'s share
+``w = lambda_bs / (lambda_bs + lambda_ris)``, the ``r0`` tail is ``E *
+TAIL_MASS / pi * H(w, 1 - w)``, where ``H(w, w') = int_0^inf -expm1(-(L*k +
+log1p(k) + log1p(t*w))) * t**-1.5 dt`` with ``k = t*w' / (1 + t*w)``; the
+``r2`` tail swaps the shares. ``H`` runs from ``H(1, 0) = pi`` to ``H(0, 1)``
+near 13.6, so no density pair leaves the float range.
+No code in the package imports scipy, and this module imports no numpy:
+numpy is the Monte-Carlo engine's dependency.
 
 The upper incomplete gamma function is therefore summed here with ``math``
 alone. At ``x >= 1``, Legendre's continued fraction
@@ -46,22 +51,16 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
-from itertools import chain
 
 from .errors import NumericalError, ParameterError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPSILON = sys.float_info.epsilon
 
-# Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
-# the outer integration limit is the 1 - TAIL_MASS quantile.
+# Mass of each link distance's tail that expected_r1 leaves out: it keeps
+# r0 and r2 below their 1 - TAIL_MASS quantiles. The benchmark's e_r1
+# reference (perfbench/reference/closed-form/sweep-e_r1.csv) pins the value.
 TAIL_MASS = 1e-6
-
-
-def rayleigh_tail_radius(intensity: float) -> float:
-    """Radius below which a nearest-neighbor distance falls with prob. 1 - TAIL_MASS."""
-    return math.sqrt(-math.log(TAIL_MASS) / (math.pi * intensity))
 
 
 # ---------------------------------------------------------------------------
@@ -85,119 +84,42 @@ def rayleigh_pdf(r: float, intensity: float) -> float:
 # base-to-reflector distance r1
 # ---------------------------------------------------------------------------
 
-def _ellipe(m: float) -> float:
-    """Complete elliptic integral of the second kind ``E(m)`` on ``[0, 1]``.
-
-    By the arithmetic-geometric mean (DLMF 19.8.6): with ``a0 = 1``,
-    ``b0 = sqrt(1 - m)`` and ``c_n = (a_{n-1} - b_{n-1}) / 2``,
-    ``E(m) = pi / (2 * M(1, b0)) * (1 - sum_{n>=0} 2**(n-1) * c_n**2)``,
-    where ``c_0**2 = m``. At ``m = 1`` that product is ``inf * 0``, so the
-    limit ``E(1) = 1`` is set directly.
-    """
-    if m >= 1.0:
-        return 1.0
-    a, b = 1.0, math.sqrt(1.0 - m)
-    total = 0.5 * m
-    weight = 0.5
-    while True:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        weight *= 2.0
-        total += weight * c * c
-        if not c > _EPSILON * a:  # a NaN m also ends the loop
-            break
-    return 0.5 * math.pi / a * (1.0 - total)
+# Step and half-width, in x = log t, of expected_r1's trapezoid sum, and the
+# relative gap between its sums of step h and 2h that it accepts.
+_R1_LOG_STEP = 0.5
+_R1_LOG_SPAN = 64.0
+_R1_REL_TOL = 1e-9
 
 
-# Orders of the two rules whose agreement is the convergence check of
-# expected_r1, and the relative gap it accepts; the finer one gives the value.
-_R1_RULE_ORDERS = (24, 32)
-_R1_REL_TOL = 1e-3
-_NEWTON_MAX_STEPS = 100
-
-
-def _legendre(order: int, x: float) -> tuple[float, float]:
-    """``P_order(x)`` and its derivative, by Bonnet's recurrence, for ``|x| < 1``."""
-    p_prev, p = 1.0, x
-    for k in range(2, order + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    return p, order * (x * p - p_prev) / (x * x - 1.0)
-
-
-@lru_cache(maxsize=None)
-def _graded_gauss_legendre(order: int) -> tuple[tuple[float, float], ...]:
-    """Gauss-Legendre ``(node, weight)`` pairs on ``[-1, 1]`` after ``u -> (3u - u**3) / 2``.
-
-    Each node is the root of ``P_order`` that Newton's method reaches from
-    ``cos(pi * (i + 3/4) / (order + 1/2))``; its weight is ``2 / ((1 - x**2) *
-    P_order'(x)**2)`` at the root found.
-    """
-    rule = []
-    for i in range(order):
-        x = math.cos(math.pi * (i + 0.75) / (order + 0.5))
-        for _ in range(_NEWTON_MAX_STEPS):
-            p, slope = _legendre(order, x)
-            step = p / slope
-            x -= step
-            if abs(step) <= _EPSILON:
-                break
-        else:
-            raise NumericalError(f"Gauss-Legendre node {i} of order {order} did not converge")
-        _, slope = _legendre(order, x)
-        w = 2.0 / ((1.0 - x * x) * slope * slope)
-        rule.append((0.5 * (3.0 * x - x**3), 1.5 * (1.0 - x * x) * w))
-    return tuple(rule)
-
-
-def _panel_rule(lo: float, hi: float, order: int):
-    """Graded ``(node, weight)`` pairs on the panel ``[lo, hi]``."""
-    half = 0.5 * (hi - lo)
-    return ((lo + half * (1.0 + t), half * w) for t, w in _graded_gauss_legendre(order))
-
-
-def _expected_r1_rule(
-    lambda_bs: float, lambda_ris: float, r0_edges: list[float], r2_max: float, order: int
-) -> float:
-    """The truncated ``E[r1]`` integral by the tensor-product graded rule of one order."""
-    total = 0.0
-    for r0_lo, r0_hi in zip(r0_edges, r0_edges[1:]):
-        for r0, w0 in _panel_rule(r0_lo, r0_hi, order):
-            kink = min(r0, r2_max)
-            inner = 0.0
-            for r2, w2 in chain(_panel_rule(0.0, kink, order), _panel_rule(kink, r2_max, order)):
-                s = r0 + r2
-                mean_r1 = (2.0 / math.pi) * s * _ellipe(4.0 * r0 * r2 / s**2)
-                inner += w2 * rayleigh_pdf(r2, lambda_ris) * mean_r1
-            total += w0 * rayleigh_pdf(r0, lambda_bs) * inner
-    return total
-
-
-@lru_cache(maxsize=256)
 def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
-    """Mean base-to-reflector distance, by a Gauss-Legendre rule over ``(r0, r2)``.
+    """Mean base-to-reflector distance, truncated as in the module docstring.
 
-    For fixed ``(r0, r2)`` and a uniform angle between them, the mean of
-    ``r1`` from the law of cosines is ``(2s/pi) * E(4*r0*r2/s**2)`` with
-    ``s = r0 + r2``; the module docstring describes the rule that averages it
-    over both Rayleigh densities. Raises :class:`NumericalError` when its
-    squared distances overflow or when the rules of the two orders in
-    ``_R1_RULE_ORDERS`` differ by more than ``_R1_REL_TOL`` times the value.
+    The two tails' ``H`` integrand is analytic in ``x``, bends within ``[-3,
+    0]`` and falls like ``exp(-|x|/2)``, so its trapezoid sum converges
+    geometrically and ``|x| <= _R1_LOG_SPAN`` leaves out under 1e-13 of it.
+    Raises :class:`ParameterError` on an intensity that is not a positive
+    finite float, and :class:`NumericalError` when the sums of step ``h`` and
+    ``2h`` over the same nodes differ by more than ``_R1_REL_TOL`` times the value.
     """
     if not all(math.isfinite(lam) and lam > 0 for lam in (lambda_bs, lambda_ris)):
         raise ParameterError(f"intensities must be positive finite floats, got {lambda_bs!r}, {lambda_ris!r}")
-    r0_max = rayleigh_tail_radius(lambda_bs)
-    r2_max = rayleigh_tail_radius(lambda_ris)
-    if (r0_max + r2_max) * (r0_max + r2_max) == math.inf:  # the rule squares r0 + r2
-        raise NumericalError("expected_r1: the distances exceed the float range when squared")
-    # past r0 = r2_max the r2 range no longer reaches the kink at r2 = r0
-    r0_edges = [0.0, r2_max, r0_max] if r2_max < r0_max else [0.0, r0_max]
-    coarse, value = (
-        _expected_r1_rule(lambda_bs, lambda_ris, r0_edges, r2_max, order)
-        for order in _R1_RULE_ORDERS
-    )
-    error = abs(value - coarse)
-    if not (value > 0 and error <= _R1_REL_TOL * value):  # NaN fails too
-        raise NumericalError(f"expected_r1 quadrature did not converge: its two rules differ by {error:.3g}")
+    exact = 0.5 * math.hypot(lambda_bs**-0.5, lambda_ris**-0.5)
+    # each density's share of the two: a ratio may overflow or underflow, but gives no NaN
+    shares = (1.0 / (1.0 + lambda_ris / lambda_bs), 1.0 / (1.0 + lambda_bs / lambda_ris))
+    log_inv_mass = -math.log(TAIL_MASS)
+    sums = [0.0, 0.0]  # over the even and the odd nodes
+    n = round(_R1_LOG_SPAN / _R1_LOG_STEP)
+    for i in range(-n, n + 1):
+        t = math.exp(i * _R1_LOG_STEP)
+        for w, w_other in (shares, shares[::-1]):
+            k = t * w_other / (1.0 + t * w)
+            exponent = log_inv_mass * k + math.log1p(k) + math.log1p(t * w)
+            sums[i % 2] -= math.expm1(-exponent) / math.sqrt(t)
+    scale = exact * TAIL_MASS / math.pi * _R1_LOG_STEP
+    value = exact - scale * (sums[0] + sums[1])
+    gap = scale * abs(sums[1] - sums[0])
+    if not (value > 0 and gap <= _R1_REL_TOL * value):  # NaN fails too
+        raise NumericalError(f"expected_r1 tail sums did not converge: steps h and 2h differ by {gap:.3g}")
     return value
 
 

@@ -4,8 +4,9 @@ Everything here works straight from the raw model facts: nearest-neighbor
 distances are Rayleigh draws, the angle between the serving base and the
 nearest reflector is uniform, and the base-to-reflector distance follows by
 the law of cosines. The package evaluates the same quantities in closed form
-(a hypergeometric interference factor, an exactly Rayleigh ``r1``) or by
-a fixed Gauss-Legendre rule (``E[r1]``); the quadrature routes below integrate the defining integrals instead. Likewise
+(a hypergeometric interference factor, an exactly Rayleigh ``r1``, and
+``E[r1]`` as its exact mean less two one-dimensional tail sums); the
+quadrature routes below integrate the defining integrals instead. Likewise
 the reflector bank's phase-quantization loss is a closed form in the package
 and an element-by-element array factor here. The last section keeps model
 identities (the reflection gain, peak reflected power, the fractional fade

@@ -239,31 +239,34 @@ class TestExpectedR1:
         assert abs_err < 1e-12 * oracle
         assert geometry.expected_r1(lam_bs, lam_ris) == pytest.approx(oracle, rel=1e-10)
 
-    def test_ellipe_matches_scipy(self):
-        m = np.concatenate([
-            np.linspace(0.0, 0.999, 1000),
-            1.0 - np.logspace(-3, -16, 131),
-        ])
-        got = [geometry._ellipe(x) for x in m]
-        np.testing.assert_allclose(got, special.ellipe(m), rtol=1e-14, atol=0)
-        assert geometry._ellipe(1.0) == 1.0
-        assert math.isnan(geometry._ellipe(math.nan))  # returns, no endless AGM
+    @pytest.mark.parametrize("rho", [1e-300, 1e-9, 1.0, 20.0, 40.0, 160.0, 2000.0, 1e9, 1e300])
+    def test_truncation_is_the_pinned_tail_share(self, rho):
+        # the value is the exact mean less the tails beyond the 1 - TAIL_MASS
+        # quantiles: 5.34e-6 of it at extreme density ratios, 6.24e-6 at rho 1
+        lam_bs, lam_ris = 1 / math.pi, rho / math.pi
+        exact = 0.5 / math.sqrt(lam_bs * lam_ris / (lam_bs + lam_ris))
+        assert 5.3e-6 <= (exact - geometry.expected_r1(lam_bs, lam_ris)) / exact <= 6.3e-6
 
-    def test_overflowing_radii_raise(self):
-        # at 1e-318 per m**2 the tail radius squares past the float range and
-        # the integrand turns NaN, which the convergence check must reject
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            geometry.expected_r1(1e-318, LAM_RIS)
+    @pytest.mark.parametrize("lam_bs,lam_ris", [
+        (1e-318, LAM_RIS), (1 / math.pi, 5e-324), (5e-324, 1 / math.pi),
+        (1 / math.pi, 1e-310), (1e-310, 1 / math.pi), (1 / math.pi, 1.7e308), (1.7e308, 1 / math.pi),
+    ])
+    def test_sparse_bases_give_the_exact_mean(self, lam_bs, lam_ris):
+        # at 1e-318 per m**2 the tail radius squared leaves the float range,
+        # and a density ratio may overflow or underflow; the tail sums read
+        # only each density's share of the two
+        exact = 0.5 * math.hypot(lam_bs**-0.5, lam_ris**-0.5)
+        assert geometry.expected_r1(lam_bs, lam_ris) == pytest.approx(exact, rel=1e-5)
 
     def test_rule_disagreement_raises(self, monkeypatch):
-        # the two rule orders agree to about 1e-14 here, which a tolerance
-        # below that cannot accept; the uncached function reads the patched one
+        # the tail sums of steps h and 2h agree to about 4e-11 of the value
+        # here, which a tolerance below that cannot accept
         value = geometry.expected_r1(LAM_BS, LAM_RIS)
-        monkeypatch.setattr(geometry, "_R1_REL_TOL", 1e-16)
+        monkeypatch.setattr(geometry, "_R1_REL_TOL", 1e-12)
         with pytest.raises(NumericalError, match="did not converge") as info:
-            geometry.expected_r1.__wrapped__(LAM_BS, LAM_RIS)
+            geometry.expected_r1(LAM_BS, LAM_RIS)
         gap = float(str(info.value).rpartition(" differ by ")[2])
-        assert 1e-16 * value < gap < 1e-12 * value
+        assert 1e-12 * value < gap < 1e-9 * value
 
 
 def _plain_pairs_oracle(power, lam_bs, lam_ris, eps, seed, n_pairs=100_000, n_angles=512):
