@@ -38,7 +38,7 @@ import click
 
 from . import __version__
 from .config import HISTOGRAM_QUANTITIES, KM2_TO_M2, ConfigError, NetworkConfig, load_config
-from .errors import NumericalError, RiscovError
+from .errors import RiscovError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -251,11 +251,8 @@ def run_sweep(
 
 def _moment_row(cfg: NetworkConfig, metric: str) -> ResultRow:
     from . import analytic, geometry
-    if metric == "e_r1":  # in units of the base spacing, where the densities are 1/pi and rho/pi
-        rho_per_pi = cfg.lambda_ris / cfg.lambda_bs / math.pi
-        if not 0.0 < rho_per_pi < math.inf:
-            raise NumericalError("e_r1: the density ratio lambda_ris/lambda_bs leaves the float range")
-        value = cfg.base_spacing_m * geometry.expected_r1(1 / math.pi, rho_per_pi)
+    if metric == "e_r1":  # in km at the densities per km^2, then in metres
+        value = geometry.expected_r1(cfg.lambda_bs, cfg.lambda_ris) / math.sqrt(KM2_TO_M2)
     else:
         value = analytic.mean_reflected_power(cfg)
     return _row_builder(cfg)(engine="analytic_moment", metric=metric, t_db=None, value=value)
@@ -267,8 +264,8 @@ def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: 
     ``counts`` and ``edges`` are :func:`riscov.montecarlo.empirical_histogram`'s.
     """
     from . import geometry
-    # each distance is Rayleigh; p_ris has no closed-form density. Densities
-    # are per km^2 and distances in km here, as per m^2 a density can be subnormal
+    # each distance is Rayleigh; p_ris_dbw, binned per dB, has no overlay yet.
+    # Densities are per km^2 and distances in km here, as per m^2 a density can be subnormal
     lam_eff = math.exp(math.log(cfg.lambda_bs) + cfg.log_r1_scale)
     intensity = {"r0": cfg.lambda_bs, "r1": lam_eff, "r2": cfg.lambda_ris}.get(quantity)
     total = int(counts.sum())
@@ -405,7 +402,8 @@ def sweep_cmd(cfg, out_dir, axis, grid, metric, with_mc):
 
 @main.command("hist")
 @_config_command
-@click.option("--quantity", required=True, type=click.Choice(list(HISTOGRAM_QUANTITIES)))
+@click.option("--quantity", required=True, type=click.Choice(list(HISTOGRAM_QUANTITIES)),
+              help="r0, r1 or r2 in metres, or p_ris_dbw: the peak reflected power in dBW, 10*log10(P / 1 W).")
 @click.option("--bins", default=60, type=int)
 def hist_cmd(cfg, out_dir, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""

@@ -41,7 +41,7 @@ _LOG_PI_PER_KM2 = math.log(math.pi * KM2_TO_M2)  # log(pi * lambda) per m^2 is t
 
 IDEAL_PHASES = "ideal"
 ORIENTATION_MODES = ("thinning", "explicit")
-HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris")  # what riscov.montecarlo.empirical_histogram bins
+HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris_dbw")  # what riscov.montecarlo.empirical_histogram bins
 
 # Layout of the Monte-Carlo random streams and of the estimator that reduces
 # them (see riscov.montecarlo). It enters every config hash, so outputs of

@@ -1,8 +1,8 @@
 """Analytic distance distributions of the Poisson network model.
 
 Distances and intensities are in any one unit of length, the densities per
-its square: the engines and the ``e_r1`` sweep use the base spacing
-``1/sqrt(pi*lambda_bs)``, the ``hist`` overlay kilometres. Two public
+its square: the engines use the base spacing ``1/sqrt(pi*lambda_bs)``, the
+``e_r1`` sweep and the ``hist`` overlay kilometres. Two public
 functions check their arguments: :func:`expected_r1` raises
 :class:`ParameterError` on an intensity that is not a positive finite float,
 and :func:`rayleigh_pdf` on a negative distance.
@@ -32,8 +32,8 @@ use that ``r0**2 / (2*v_bs)`` is a unit exponential beyond ``L =
 -log(TAIL_MASS)``. With ``t = 2*s*(v_bs + v_ris)`` and ``lambda_bs``'s share
 ``w = lambda_bs / (lambda_bs + lambda_ris)``, the ``r0`` tail is ``E *
 TAIL_MASS / pi * H(w, 1 - w)``, where ``H(w, w') = int_0^inf -expm1(-(L*k +
-log1p(k) + log1p(t*w))) * t**-1.5 dt`` with ``k = t*w' / (1 + t*w)``; the
-``r2`` tail swaps the shares. ``H`` runs from ``H(1, 0) = pi`` to ``H(0, 1)``
+log1p(t))) * t**-1.5 dt`` with ``k = t*w' / (1 + t*w)``; the ``r2`` tail
+swaps the shares. ``H`` runs from ``H(1, 0) = pi`` to ``H(0, 1)``
 near 13.6, so no density pair leaves the float range.
 No code in the package imports scipy, and this module imports no numpy:
 numpy is the Monte-Carlo engine's dependency.
@@ -113,7 +113,7 @@ def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
         t = math.exp(i * _R1_LOG_STEP)
         for w, w_other in (shares, shares[::-1]):
             k = t * w_other / (1.0 + t * w)
-            exponent = log_inv_mass * k + math.log1p(k) + math.log1p(t * w)
+            exponent = log_inv_mass * k + math.log1p(t)  # (1 + k) * (1 + t*w) = 1 + t: the shares sum to 1
             sums[i % 2] -= math.expm1(-exponent) / math.sqrt(t)
     scale = exact * TAIL_MASS / math.pi * _R1_LOG_STEP
     value = exact - scale * (sums[0] + sums[1])

@@ -270,38 +270,27 @@ def run(cfg: NetworkConfig) -> dict[str, Coverage]:
 def empirical_histogram(
     cfg: NetworkConfig, records: TrialRecords, quantity: str, bins: int = 60
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``np.histogram``'s ``(counts, edges)`` of a per-trial quantity, in metres or watts.
+    """``np.histogram``'s ``(counts, edges)`` of a per-trial quantity, in metres or dBW.
 
     Distances come from the raw drop (no engaged conditioning), matching the
-    unconditional analytic laws; ``p_ris`` is the peak reflected power in
-    watts at the configured transmit power. Raises :class:`NumericalError`
-    when a distance it reads is not finite in units of the base spacing (the
-    reflector's are not once ``lambda_bs / lambda_ris`` passes about 6e616),
-    when a value is not finite in metres or watts, or when the values span
-    too narrow a range for ``bins`` bins whose densities are finite, as
-    subnormal powers or powers that all underflow to 0 can.
+    unconditional analytic laws; ``p_ris_dbw`` is the peak reflected power
+    ``10*log10(P / 1 W)`` at the configured transmit power, formed from logs,
+    so it stays finite where the watts leave the float range. Raises
+    :class:`NumericalError` when a value is not finite: a reflector farther
+    than the float range in units of the base spacing (once ``lambda_bs /
+    lambda_ris`` passes about 6e616), or a fade of exactly 0.
     """
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
     if cfg.n_trials < 1000:
         raise ConfigError([f"n_trials: must be at least 1000 for a histogram, got {cfg.n_trials}"])
-    distances = records.r1 if quantity == "p_ris" else getattr(records, quantity)
-    if not np.isfinite(distances).all():
-        raise NumericalError(f"the {quantity} distances exceed the float range in units of the base spacing")
     with np.errstate(all="ignore"):  # a value beyond the float range fails below
-        if quantity == "p_ris":  # 0.5 * p_s * f1 * r1**-alpha / K, r1 in units of the base spacing
-            values = np.exp(math.log(0.5 * cfg.p_s) + np.log(records.f1)
-                            - cfg.alpha * (np.log(records.r1) + cfg.log_k_per_alpha))
+        if quantity == "p_ris_dbw":  # 0.5 * p_s * f1 * r1**-alpha / K, r1 in units of the base spacing
+            # log(p_s) - log(2): half of a subnormal p_s may round to 0
+            values = (math.log(cfg.p_s) - math.log(2.0) + np.log(records.f1)
+                      - cfg.alpha * (np.log(records.r1) + cfg.log_k_per_alpha)) * (10.0 / math.log(10.0))
         else:
             values = getattr(records, quantity) * cfg.base_spacing_m
     if not np.isfinite(values).all():
         raise NumericalError(f"the {quantity} values exceed the float range")
-    try:
-        counts, edges = np.histogram(values, bins=bins)
-    except ValueError:  # numpy found no `bins` distinct edges in the span
-        pass
-    else:
-        # np.histogram widens values of no span by 0.5; a tiny width makes count / width inf
-        if np.ptp(values) > 0 and np.diff(edges).min() >= np.finfo(float).tiny:
-            return counts, edges
-    raise NumericalError(f"the {quantity} values span too narrow a range for {bins} bins")
+    return np.histogram(values, bins=bins)

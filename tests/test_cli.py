@@ -766,36 +766,24 @@ class TestSweep:
         assert checks.ANALYTIC_ABS_TOL == 1e-6
         assert checks.check_analytic_csv((tmp_path / "sweep.csv").read_text(), reference) == []
 
-    @pytest.mark.parametrize("grid", ["1.0e-306", "1.0e-310"], ids=["squares-overflow", "subnormal-rho"])
-    def test_expected_r1_at_vanishing_density_ratio_is_exact(self, runner, tmp_path, grid):
-        # below rho = 8e-308 a tail radius squared per m**2 leaves the float
-        # range, and at 1e-310 rho/pi is subnormal; both give the exact mean
+    @pytest.mark.parametrize("bs,grid", [
+        ("25.0", "1.0e-306"), ("25.0", "1.0e-310"), ("1.0e-318", "1.0e-3"), ("1.0e+300", "1e-300"),
+        ("1.7e+308", "5.0e-324"), ("5.0e-324", "1.7e+308"),
+    ], ids=["squares-overflow", "subnormal-rho", "infinite-rho", "vanishing-rho", "subnormal-ris", "subnormal-bs"])
+    def test_expected_r1_at_vanishing_density_ratio_is_exact(self, runner, tmp_path, bs, grid):
+        # below rho = 8e-308 a tail radius squared per m**2 left the float
+        # range, and at 1e-310 rho/pi is subnormal; where rho itself leaves it
+        # the sweep exited 4, as it read the densities in units of the base
+        # spacing. In the config's own units every case gives the exact mean
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("lambda_bs: 25.0\n")
+        cfg.write_text(f"lambda_bs: {bs}\n")
         result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
                                           "--axis", "lambda_ris", "--grid", grid, "--metric", "e_r1"],
                                catch_exceptions=False)
         assert result.exit_code == 0, result.output
         (row,) = read_rows(tmp_path / "sweep.csv")
-        exact = 0.5 * math.hypot((25.0 * KM2_TO_M2) ** -0.5, (float(grid) * KM2_TO_M2) ** -0.5)
+        exact = 0.5 * math.hypot(float(bs) ** -0.5, float(grid) ** -0.5) / math.sqrt(KM2_TO_M2)
         assert float(row["value"]) == pytest.approx(exact, rel=1e-5)
-
-    @pytest.mark.parametrize("bs,grid,message", [
-        ("1.0e-318", "1.0e-3", "e_r1: the density ratio lambda_ris/lambda_bs leaves the float range"),
-        ("1.0e+300", "1e-300", "e_r1: the density ratio lambda_ris/lambda_bs leaves the float range"),
-    ], ids=["infinite-rho", "vanishing-rho"])
-    def test_expected_r1_beyond_the_float_range_is_pipeline_error(self, runner, tmp_path, bs, grid, message):
-        # where rho itself left the float range the message named the
-        # densities in units of the base spacing, 0.3183098861837907 and inf
-        # (or 0.0), which no user set
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(f"lambda_bs: {bs}\n")
-        result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
-                                          "--axis", "lambda_ris", "--grid", grid, "--metric", "e_r1"])
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert result.stderr.splitlines() == [f"pipeline error: {message}"]
-        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("axis,grid,point", [
         ("lambda_ris", "1000,50000", lambda cfg, v: cfg.replace(lambda_ris=v)),
@@ -971,7 +959,7 @@ class TestHistCommand:
         ]
         assert not (tmp_path / "hist_r0.csv").exists()
 
-    @pytest.mark.parametrize("quantity", ["r1", "p_ris"])
+    @pytest.mark.parametrize("quantity", ["r1", "p_ris_dbw"])
     def test_overflowing_near_field_leaves_stderr_empty(self, runner, tmp_path, quantity):
         # the drawn interferers' power overflows at this density; hist never
         # reads it, yet numpy's "overflow encountered in power" reached stderr
@@ -1033,10 +1021,10 @@ class TestHistCommand:
         lambda_ris_m2 = load_config(cfg).lambda_ris * KM2_TO_M2
         assert mean == pytest.approx(0.5 / math.sqrt(lambda_ris_m2), rel=0.05)
 
-    @pytest.mark.parametrize("quantity", ["r1", "r2", "p_ris"])
+    @pytest.mark.parametrize("quantity", ["r1", "r2", "p_ris_dbw"])
     def test_reflector_beyond_float_range_is_pipeline_error(self, runner, tmp_path, quantity):
         # lambda_bs / lambda_ris near 1e618: the reflector is farther than the
-        # float range in units of the base spacing. p_ris read 0 everywhere
+        # float range in units of the base spacing. The power read 0 everywhere
         # and the distance histograms were empty, with exit 0
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("lambda_bs: 1.7e+308\nlambda_ris: 1.0e-310\n")
@@ -1046,33 +1034,55 @@ class TestHistCommand:
              "--out", str(tmp_path)],
         )
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert result.stderr.splitlines() == [
-            f"pipeline error: the {quantity} distances exceed the float range"
-            " in units of the base spacing"
-        ]
+        assert result.stderr.splitlines() == [f"pipeline error: the {quantity} values exceed the float range"]
         assert not (tmp_path / f"hist_{quantity}.csv").exists()
 
-    @pytest.mark.parametrize("yaml_text", [
-        # p_ris spans only 0 to 5e-324, and numpy's "Too many bins for data
-        # range" ValueError used to end the command with exit 1
-        "beta: 2.85e-202\nmu: 3.25e+79\np_s: 4.19e-44\n",
-        # every p_ris underflows to 0, and numpy's widening of constant values
-        # by 0.5 used to write 60 bins over [-0.5, 0.5] W with exit 0
-        "lambda_bs: 3.0e-318\n",
-    ], ids=["subnormal", "zero"])
-    def test_subnormal_power_span_is_pipeline_error(self, runner, tmp_path, yaml_text):
+    def test_power_bins_spread_over_decibels(self, runner, tmp_path):
+        # in watts, 99.97% of the samples fell in the first of 60 bins and
+        # only 6 bins held any; the power law spans many decades
+        result = runner.invoke(
+            cli.main, ["hist", "--quantity", "p_ris_dbw", "--trials", "20000", "--out", str(tmp_path)],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0, result.output
+        counts = [int(r["count"]) for r in read_rows(tmp_path / "hist_p_ris_dbw.csv")]
+        assert len(counts) == 60 and sum(counts) == 20000
+        assert sum(c > 0 for c in counts) >= 40
+        assert max(counts) <= 0.2 * 20000
+
+    @pytest.mark.parametrize("yaml_text,trials", [
+        # the powers in watts overflow: M**2 leaves the float range, or r1**-alpha
+        (f"m_elements: {10**160}\n", "2000"),
+        ("alpha: 1.0e+300\n", "2000"),
+        # every power in watts underflows to 0, and numpy's widening of constant
+        # values by 0.5 wrote 60 bins over [-0.5, 0.5] W
+        ("lambda_bs: 3.0e-318\n", "2000"),
+        # the powers in watts span only 0 to 5e-324: too narrow for finite densities
+        ("beta: 2.85e-202\nmu: 3.25e+79\np_s: 4.19e-44\n", "1000"),
+        # half of this p_s rounds to 0, whose log was a math domain error
+        ("p_s: 5.0e-324\n", "1000"),
+    ], ids=["huge-bank", "huge-alpha", "zero-watts", "subnormal-watts", "subnormal-p_s"])
+    def test_power_beyond_the_watts_range_gives_finite_bins(self, runner, tmp_path, yaml_text, trials):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml_text)
         result = runner.invoke(
             cli.main,
-            ["hist", "-c", str(cfg), "--quantity", "p_ris", "--trials", "1000",
-             "--out", str(tmp_path)],
+            ["hist", "-c", str(cfg), "--quantity", "p_ris_dbw", "--trials", trials, "--out", str(tmp_path)],
         )
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert result.stderr.splitlines() == [
-            "pipeline error: the p_ris values span too narrow a range for 60 bins"
-        ]
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        rows = read_rows(tmp_path / "hist_p_ris_dbw.csv")
+        assert len(rows) == 60 and {r["n_samples"] for r in rows} == {trials}
+        cells = np.array([[float(r[k]) for k in ("bin_left", "bin_right", "density")] for r in rows])
+        assert np.isfinite(cells).all()
+        mass = float(np.dot(cells[:, 1] - cells[:, 0], cells[:, 2]))
+        assert mass == pytest.approx(1.0, abs=1e-6)
+
+    def test_watts_quantity_is_usage_error(self, runner, tmp_path):
+        # the power is binned in dBW now; the old name must not be read as watts
+        result = runner.invoke(cli.main, ["hist", "--quantity", "p_ris", "--trials", "1000", "--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert "'p_ris' is not one of" in result.stderr
         assert not (tmp_path / "hist_p_ris.csv").exists()
 
 

@@ -693,15 +693,15 @@ class TestHistograms:
         assert float(np.abs(emp - masses).sum()) < 0.05
 
     def test_p_ris_scales_with_transmit_power(self):
-        # the records hold unit-free distances and fades; the histogram is in watts
+        # the records hold unit-free distances and fades; the histogram is in dBW
         cfg = small_cfg(n_trials=1500)
         rec = montecarlo.draw(cfg)
         length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs * KM2_TO_M2)  # metres per distance unit
         power = peak_reflection_power(cfg, rec.f1 / cfg.mu, rec.r1 * length)
-        _, edges = montecarlo.empirical_histogram(cfg, rec, "p_ris")
-        assert (edges[0], edges[-1]) == pytest.approx((power.min(), power.max()), rel=1e-12)
-        _, scaled = montecarlo.empirical_histogram(cfg.replace(p_s=7 * cfg.p_s), rec, "p_ris")
-        assert scaled == pytest.approx(7 * edges, rel=1e-12)
+        _, edges = montecarlo.empirical_histogram(cfg, rec, "p_ris_dbw")
+        assert (edges[0], edges[-1]) == pytest.approx(10 * np.log10([power.min(), power.max()]), rel=1e-12)
+        _, scaled = montecarlo.empirical_histogram(cfg.replace(p_s=7 * cfg.p_s), rec, "p_ris_dbw")
+        assert scaled - edges == pytest.approx(np.full_like(edges, 10 * math.log10(7)), rel=1e-12)
 
     @pytest.mark.parametrize("quantity, lam", [("r0", "lambda_bs"), ("r2", "lambda_ris")])
     def test_distances_are_in_metres(self, quantity, lam):
@@ -753,12 +753,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             montecarlo.run(NetworkConfig(n_trials=0))
 
-    def test_huge_reflector_bank_fails_only_in_watts(self):
+    def test_huge_reflector_bank_gives_numbers(self):
         # M**2 leaves the float range, log G does not: the estimator reads log q
-        # and gives every reflected value 1, while the powers in watts overflow
+        # and gives every reflected value 1, and the power is binned from its log
         cfg = NetworkConfig(n_trials=1000, m_elements=10**160, thresholds_db=(0.0,))
-        with pytest.raises(NumericalError, match="p_ris values"):
-            montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "p_ris")
+        counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "p_ris_dbw")
+        assert counts.sum() == 1000 and np.isfinite(edges).all()
         by_metric = montecarlo.run(cfg)
         assert by_metric["gamma_b"].probability[0] == 1.0
         assert by_metric["gamma_s"].probability[0] > by_metric["gamma_a"].probability[0]
