@@ -279,7 +279,8 @@ def mean_reflected_power(cfg: NetworkConfig) -> float:
     log_x = cfg.log_r1_scale + 2.0 * cfg.log_floor  # pi * lambda_eff * eps**2
     log_moment = geometry.log_expected_inv_r1_pow(cfg.alpha, log_x, 0.0)
     try:
-        return math.exp(math.log(0.5 * cfg.p_s) + cfg.log_gain - math.log(cfg.mu)
+        # log(p_s) - log(2): half of a subnormal p_s may round to 0
+        return math.exp(math.log(cfg.p_s) - math.log(2.0) + cfg.log_gain - math.log(cfg.mu)
                         + log_moment - cfg.alpha * math.log(cfg.epsilon_floor))
     except OverflowError:
         raise NumericalError(f"mean reflected power exceeds the float range (mu={cfg.mu:g})")

@@ -46,7 +46,7 @@ HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris_dbw")  # what riscov.montecarlo
 # Layout of the Monte-Carlo random streams and of the estimator that reduces
 # them (see riscov.montecarlo). It enters every config hash, so outputs of
 # different stream layouts or estimators never share one.
-STREAM_VERSION = 9
+STREAM_VERSION = 10
 
 
 class ConfigError(RiscovError, ValueError):

@@ -64,30 +64,58 @@ finite where ``q`` leaves the float range, as on half the trials at ``alpha
 = 1000``: ``gamma_b`` takes its ``alpha -> inf`` limit there.
 Selection shares the interference of both paths and its two fades are
 independent, so ``gamma_s`` is ``e_a + e_b - e(T * (1 + q))`` on engaged
-trials and ``e_a`` elsewhere. :func:`run` returns one :class:`Coverage` per
-metric: at each threshold, the mean of these values, its 95% half-width 1.96
-of their standard errors (population variance over ``n``) and ``n``; since
-each value lies in ``[0, 1]``, the half-width never exceeds the binomial
-half-width of counting indicators at the same mean.
+trials and ``e_a`` elsewhere.
 
-Random streams (``riscov.config.STREAM_VERSION`` 9). Trials are cut into
-blocks of ``VALUE_BLOCK``; block ``b`` draws the points of its trials,
-trial-major, in one call to one generator seeded by ``(master_seed, b)``.
-So a trial depends on the seed and its index alone, a run's first trials
-are those of any longer run, and output depends on ``(master_seed,
-n_trials)`` and the config alone.
+Points (``riscov.config.STREAM_VERSION`` 10). Each value is a bounded
+function of the trial's point, so :func:`run` integrates it over the 4-cube
+with a randomly shifted rank-1 lattice rule (Cranley & Patterson 1976;
+L'Ecuyer & Lemieux, "Variance reduction via lattice rules", Management
+Science 2000) rather than at independent points. Lattice point ``i`` is
+``phi(i) * LATTICE mod 1``, ``phi`` the base-2 radical inverse, so the first
+``2**m`` points of the sequence are the lattice of ``2**m`` points and any
+prefix is a valid point set (an embedded rule: Hickernell, Hong, L'Ecuyer &
+Lemieux 2000). :data:`SHIFTS` shifts ``Delta``, drawn from
+``random.Random(master_seed)``, each move every point to ``y = x + Delta
+mod 1``, and the tent transform ``1 - |2y - 1|`` (Hickernell 2002) folds it
+back into the cube. All of this is integer arithmetic modulo ``2**53``,
+where the tent's upper fold is ``2 - 2y`` less ``2**-53``, so each
+coordinate is a multiple of ``2**-53`` in ``[0, 1)``. The points are taken
+index by index, every shift of an index in turn. A run evaluates the first
+``m = n_trials // SHIFTS`` lattice indices: ``SHIFTS * m`` points, never
+more than ``n_trials``. Each shift's mean is an unbiased estimate, and the
+shifts are independent, so the run's output depends on ``(master_seed,
+n_trials)`` and the config alone. :func:`draw`, which ``hist`` bins, maps
+the first ``n_trials`` of these points with :func:`_trials`.
 
-Reduction. :func:`run` draws one block at a time (the last may be partial)
-and reduces it to a float array of shape ``(len(METRICS),
-len(thresholds_db), 3)``: the count, sum and sum of squares about the block
-mean of the conditional values of each metric at each threshold. The
-arrays are merged in block order, so memory does not grow with the trial
-count. A block whose sums are not finite ends the run with
-:class:`riscov.errors.NumericalError`.
+Small fades. :func:`run` maps a point ``v`` to the trial at ``u = (v0, v1,
+v2, v3**2)`` and weights it by ``2 * v3``, the Jacobian, in the two metrics
+that read the fade, ``gamma_b`` and ``gamma_s``. At -10 dB and ``alpha =
+3``, 90% of ``gamma_s``'s variance over independent points comes from fades
+``f1`` below 1e-2, which ``u3 = v3**2`` reaches at ten times as many
+points; ``gamma_o`` and ``gamma_a`` do not read ``f1`` and keep unit
+weights.
+
+Reduction. :func:`run` walks the lattice indices in blocks of
+``VALUE_BLOCK // SHIFTS``, every shift at once, and reduces a block to
+three sums per shift for each metric at each threshold: its values'
+weighted deviations from a reference, the weights, and the points counted
+(every point, or for ``gamma_b`` the engaged ones, whose weights are 0
+elsewhere). The reference is the first block's weighted mean, so the sums
+keep the digits in which the shift means differ where they agree to more
+digits than the values, as near ``p = 1``. The sums add up in block order,
+so memory does not grow with the point count; a block whose sums are not
+finite ends the run with :class:`riscov.errors.NumericalError`.
+:func:`run` returns one :class:`Coverage` per metric: at each threshold, the
+ratio of the weighted values to the weights, which stays in ``[0, 1]``, the
+points counted, and a 95% half-width, ``T_QUANTILE`` (the Student t
+quantile with ``SHIFTS - 1`` degrees of freedom) times the standard error
+over the shifts of that ratio, by the delta method. For ``gamma_o`` and
+``gamma_a`` the ratio is the mean of the shift means.
 """
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -98,7 +126,15 @@ from . import analytic
 from .config import HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig
 from .errors import NumericalError, ParameterError
 
-VALUE_BLOCK = 2048  # trials per generator, drawn and reduced together; few enough to keep the peak RSS low
+VALUE_BLOCK = 2048  # points drawn and reduced together; few enough to keep the peak RSS low
+SHIFTS = 32  # random shifts of the lattice: independent estimates, whose spread gives the half-width
+T_QUANTILE = 2.039513446396408  # Student's t at 0.975 with SHIFTS - 1 degrees of freedom
+# generating vector of the embedded lattice, for 2**7 to 2**15 points per
+# shift; tests/lattice_search.py finds it and tests its figure of merit
+LATTICE = (1, 3535, 10303, 6007)
+_BITS = 53  # a coordinate is an integer over 2**_BITS
+_MASK = (1 << _BITS) - 1
+_INDICES = VALUE_BLOCK // SHIFTS  # lattice indices per block, a power of two
 
 METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 
@@ -144,10 +180,35 @@ class TrialRecords:
         return len(self.r0)
 
 
-def _uniforms(cfg: NetworkConfig, start: int) -> np.ndarray:
-    """The points of the block of trials from ``start``, one row each, from one generator call."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, start // VALUE_BLOCK)))
-    return rng.random((min(VALUE_BLOCK, cfg.n_trials - start), 4))
+def _radical_inverse(i: int) -> int:
+    """The base-2 radical inverse of ``i < 2**53``, as an integer over ``2**53``: its bits reversed."""
+    return int(f"{i:0{_BITS}b}"[::-1], 2)
+
+
+_LOW_INVERSES = np.array([_radical_inverse(j) for j in range(_INDICES)], dtype=np.uint64)
+
+
+def _shifts(cfg: NetworkConfig) -> np.ndarray:
+    """The ``(SHIFTS, 4)`` shifts of the run, as integers over ``2**53``."""
+    rng = random.Random(cfg.master_seed)
+    return np.array([[rng.getrandbits(_BITS) for _ in LATTICE] for _ in range(SHIFTS)], dtype=np.uint64)
+
+
+def _points(shifts: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The tent-transformed points at the lattice indices ``start`` to ``stop - 1``, index-major.
+
+    Row ``k`` is index ``start + k // SHIFTS`` under shift ``k % SHIFTS``.
+    ``start`` is a multiple of ``_INDICES`` and the block holds at most
+    ``_INDICES`` indices, so their radical inverses are ``start``'s plus
+    those of ``0`` to ``stop - start - 1``. Products wrap modulo ``2**64``,
+    a multiple of ``2**53``.
+    """
+    inverses = _LOW_INVERSES[:stop - start] + _radical_inverse(start)
+    lattice = (inverses[:, None] * np.array(LATTICE, dtype=np.uint64)) & _MASK
+    doubled = ((lattice[:, None, :] + shifts) & _MASK) << 1
+    # the tent 1 - |2y - 1|, as an integer: 2y below 1/2, 2 - 2y - 2**-53 from 1/2 on
+    tent = np.minimum(doubled, (2 << _BITS) - 1 - doubled)
+    return tent.reshape(-1, len(LATTICE)) * 2.0**-_BITS
 
 
 def _trials(cfg: NetworkConfig, u: np.ndarray) -> TrialRecords:
@@ -165,18 +226,45 @@ def _trials(cfg: NetworkConfig, u: np.ndarray) -> TrialRecords:
     return TrialRecords(log_q_per_alpha=log_q_per_alpha, f1=f1, r0=r0, r1=r1, r2=r2, engaged=r2 < r0)
 
 
-def _block_sums(cfg: NetworkConfig, start: int, direct: list) -> np.ndarray:
-    """The sum array (module docstring) of the block of trials from ``start``; ``direct`` as for :func:`_values`."""
-    stop = min(start + VALUE_BLOCK, cfg.n_trials)
-    sums = np.empty((len(METRICS), len(cfg.thresholds_db), 3))
-    for j, by_metric in enumerate(_values(cfg, _trials(cfg, _uniforms(cfg, start)), direct)):
-        for i, metric in enumerate(METRICS):
-            values = by_metric[metric]
-            total = values.sum()
-            sums[i, j] = len(values), total, np.square(values - total / max(len(values), 1)).sum()
+def _block_sums(cfg: NetworkConfig, shifts: np.ndarray, start: int, stop: int, direct: list,
+                reference: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The per-shift sums (module docstring) over the lattice indices ``start`` to ``stop - 1``, and the reference.
+
+    The sums' shape is ``(3, len(METRICS), len(thresholds_db), SHIFTS)``:
+    the weighted deviations of the values from ``reference``, the weights,
+    and the point counts. ``reference`` is shaped ``(len(METRICS),
+    len(thresholds_db))``; passed ``None``, it becomes this block's weighted
+    mean (0 where its weights sum to 0). ``direct`` is as for :func:`_values`.
+    """
+    u = _points(shifts, start, stop)
+    weight = 2.0 * u[:, 3]  # the Jacobian of u3 = v**2
+    u[:, 3] = np.square(u[:, 3])
+    records = _trials(cfg, u)
+    # a row per metric; unit weights for gamma_o and gamma_a, which do not read the fade
+    weights = np.ones((len(METRICS), len(u)))
+    weights[METRICS.index("gamma_b")] = np.where(records.engaged, weight, 0.0)
+    weights[METRICS.index("gamma_s")] = weight
+    sums = np.empty((3, len(METRICS), len(cfg.thresholds_db), SHIFTS))
+    sums[1] = _by_shift(weights)[:, None]
+    sums[2] = stop - start
+    sums[2, METRICS.index("gamma_b")] = _by_shift(records.engaged)
+    first = reference is None
+    if first:
+        reference = np.zeros(sums.shape[1:3])
+    for j, by_metric in enumerate(_values(cfg, records, direct)):
+        values = np.stack([by_metric[metric] for metric in METRICS])
+        if first:
+            total = weights.sum(axis=1)
+            np.divide((weights * values).sum(axis=1), total, out=reference[:, j], where=total > 0.0)
+        sums[0, :, j] = _by_shift(weights * (values - reference[:, j, None]))
     if not np.isfinite(sums).all():
-        raise NumericalError(f"trials {start}-{stop - 1}: a coverage value leaves the float range")
-    return sums
+        raise NumericalError(f"lattice points {start}-{stop - 1}: a coverage value leaves the float range")
+    return sums, reference
+
+
+def _by_shift(values: np.ndarray) -> np.ndarray:
+    """The sums over each shift's points along the last axis of an index-major block's ``values`` (or booleans)."""
+    return values.reshape(*values.shape[:-1], -1, SHIFTS).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +290,9 @@ def _values(cfg: NetworkConfig, records: TrialRecords, direct: list) -> Iterator
 
     ``direct[j]`` is the :func:`_direct_factor` of the ``j``-th threshold, and
     the ``j``-th dict maps each name of :data:`METRICS` to an array over all
-    trials, except ``gamma_b``, whose values belong to the engaged trials
-    only. The dicts are yielded in turn, so that one threshold's values are
-    alive at a time.
+    trials; ``gamma_b``'s value is 0 where the reflector is not engaged. The
+    dicts are yielded in turn, so that one threshold's values are alive at a
+    time.
     """
     exposure_single, exposure_split = np.outer(cfg.retentions, -np.square(records.r0))  # -p * r0**2 for each p
     log_q, engaged = records.log_q_per_alpha, records.engaged
@@ -220,51 +308,54 @@ def _values(cfg: NetworkConfig, records: TrialRecords, direct: list) -> Iterator
         yield {
             "gamma_o": np.exp(exposure_single * factor),
             "gamma_a": e_a,
-            "gamma_b": e_b[engaged],
+            "gamma_b": np.where(engaged, e_b, 0.0),
             "gamma_s": np.where(engaged, e_a + (e_b - e_ab), e_a),
         }
 
 
-def _estimates(block_sums: list) -> dict[str, Coverage]:
-    """Merge the blocks' sum arrays in block order and turn them into estimates.
+def _estimates(sums: np.ndarray, reference: np.ndarray) -> dict[str, Coverage]:
+    """The estimates (module docstring) from a whole run's per-shift sums and reference, as :func:`_block_sums`'.
 
-    Two blocks merge by the pairwise update of Chan, Golub & LeVeque
-    ("Algorithms for computing the sample variance", Am. Stat. 1983): their
-    sums of squares about their means add, plus the squared gap between the
-    means weighted by ``n_a * n_b / n``, so no digits cancel where ``p`` is
-    near 1. Every estimate is computed at once, elementwise; a metric with no
-    trials (``n = 0``) gets NaN for its probability and half-width.
+    The sums hold deviations from the reference, so no digits cancel where
+    the shift means agree to more digits than the values do, as near ``p =
+    1``. A metric with no weight (``gamma_b`` where no reflector engages)
+    gets NaN for its probability and half-width.
     """
-    n, total, squares = block_sums[0].transpose(2, 0, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a block may hold no trial of gamma_b
-        for n_b, total_b, squares_b in (sums.transpose(2, 0, 1) for sums in block_sums[1:]):
-            gap = total_b / n_b - total / n
-            squares = squares + squares_b + np.where(n * n_b > 0, gap * gap * (n * n_b / (n + n_b)), 0.0)
-            n, total = n + n_b, total + total_b
-        p = total / n
-        half_width = 1.96 * np.sqrt(squares / n / n)
-    return {m: Coverage(p[i], half_width[i], n[i].astype(int)) for i, m in enumerate(METRICS)}
+    deviations, weights, points = sums
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 without an engaged point
+        offset = deviations.sum(axis=-1) / weights.sum(axis=-1)
+        spread = np.square(deviations - offset[..., None] * weights).sum(axis=-1) / (SHIFTS * (SHIFTS - 1))
+        half_width = T_QUANTILE * np.sqrt(spread) / weights.mean(axis=-1)
+    p = reference + offset
+    n = points.sum(axis=-1).astype(int)
+    return {m: Coverage(p[i], half_width[i], n[i]) for i, m in enumerate(METRICS)}
 
 
 def draw(cfg: NetworkConfig) -> TrialRecords:
-    """Every trial's records: those :func:`run` reduces, block by block."""
-    return _trials(cfg, np.concatenate([_uniforms(cfg, start) for start in range(0, cfg.n_trials, VALUE_BLOCK)]))
+    """The records of the first ``n_trials`` points of the shifted lattices (module docstring), for histograms."""
+    shifts, per_shift = _shifts(cfg), -(-cfg.n_trials // SHIFTS)
+    return _trials(cfg, np.concatenate([_points(shifts, start, min(start + _INDICES, per_shift))
+                                        for start in range(0, per_shift, _INDICES)])[:cfg.n_trials])
 
 
 def run(cfg: NetworkConfig) -> dict[str, Coverage]:
     """``Pr[SIR > T]`` of the configured run: one :class:`Coverage` per name of :data:`METRICS`.
 
-    Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]``,
-    the mean of the conditional values of its trials: ``gamma_b``
-    conditions on an engaged reflector and the other metrics use every trial.
-    An estimate needs at least 100 trials.
+    Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]``
+    from the lattice points of the module docstring: ``gamma_b`` conditions
+    on an engaged reflector and the other metrics use every point. An
+    estimate needs ``n_trials`` of at least 100.
     """
     if cfg.n_trials < 100:
         raise ConfigError(
             [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
         )
     direct = [_direct_factor(cfg, t) for t in cfg.thresholds_linear]
-    return _estimates([_block_sums(cfg, start, direct) for start in range(0, cfg.n_trials, VALUE_BLOCK)])
+    shifts, per_shift = _shifts(cfg), cfg.n_trials // SHIFTS
+    total, reference = _block_sums(cfg, shifts, 0, min(_INDICES, per_shift), direct, None)
+    for start in range(_INDICES, per_shift, _INDICES):
+        total += _block_sums(cfg, shifts, start, min(start + _INDICES, per_shift), direct, reference)[0]
+    return _estimates(total, reference)
 
 
 def empirical_histogram(

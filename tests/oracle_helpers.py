@@ -434,6 +434,28 @@ def prob_ris_closer(lambda_ris, lambda_bs):
     return lambda_ris / (lambda_ris + lambda_bs)
 
 
+def _engaged_drops(cfg, n_samples, seed):
+    """Squared ``r0``, ``r1``, ``r2`` and the fade of independent drops, kept where the reflector engages.
+
+    ``r0`` and ``r2`` are Rayleigh, the angle between them is uniform, and
+    ``r1`` follows by the law of cosines; the base-to-reflector fade is a
+    standard exponential.
+    """
+    rng = np.random.default_rng(seed)
+    r0_sq = rng.standard_exponential(n_samples)
+    r2_sq = rng.standard_exponential(n_samples) * math.exp(-cfg.log_rho)
+    angle = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    f1 = rng.standard_exponential(n_samples)
+    engaged = r2_sq < r0_sq
+    r0_sq, r2_sq, angle, f1 = r0_sq[engaged], r2_sq[engaged], angle[engaged], f1[engaged]
+    r1_sq = r0_sq + r2_sq - 2.0 * np.sqrt(r0_sq * r2_sq) * np.cos(angle)
+    return r0_sq, r1_sq, r2_sq, f1
+
+
+def _mean_and_half_width(values):
+    return float(values.mean()), 1.96 * float(values.std()) / math.sqrt(len(values))
+
+
 def gamma_b_large_alpha_limit(cfg, n_samples=1_000_000, seed=0):
     """The ``alpha -> inf`` limit of ``gamma_b``, sampled: ``(mean, 95% half-width)``.
 
@@ -443,20 +465,27 @@ def gamma_b_large_alpha_limit(cfg, n_samples=1_000_000, seed=0):
     exp(2L) - 1)`` whatever ``T`` and ``f1``. So ``gamma_b`` tends to
     ``E[exp(-p * r0**2 * max(0, (r1 * r2 * K**(1/alpha) / r0)**2 - 1)) | r2 <
     r0]``, ``p`` the split-beam retention, with ``K**(1/alpha)`` from
-    ``cfg.log_k_per_alpha``. Drawn from the raw model facts: ``r0`` and ``r2``
-    are Rayleigh, the angle between them is uniform, and ``r1`` follows by
-    the law of cosines.
+    ``cfg.log_k_per_alpha``, on the drops of :func:`_engaged_drops`.
     """
-    rng = np.random.default_rng(seed)
-    r0_sq = rng.standard_exponential(n_samples)
-    r2_sq = rng.standard_exponential(n_samples) * math.exp(-cfg.log_rho)
-    angle = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    engaged = r2_sq < r0_sq
-    r0_sq, r2_sq, angle = r0_sq[engaged], r2_sq[engaged], angle[engaged]
-    r1_sq = r0_sq + r2_sq - 2.0 * np.sqrt(r0_sq * r2_sq) * np.cos(angle)
+    r0_sq, r1_sq, r2_sq, _ = _engaged_drops(cfg, n_samples, seed)
     excess = np.expm1(np.log(r1_sq) + np.log(r2_sq) - np.log(r0_sq) + 2.0 * cfg.log_k_per_alpha)
-    values = np.exp(-cfg.retentions[1] * r0_sq * np.maximum(excess, 0.0))
-    return float(values.mean()), 1.96 * float(values.std()) / math.sqrt(len(values))
+    return _mean_and_half_width(np.exp(-cfg.retentions[1] * r0_sq * np.maximum(excess, 0.0)))
+
+
+def gamma_b_sampled(cfg, threshold, n_samples=1_000_000, seed=0):
+    """``gamma_b`` at ``threshold`` from independent drops, sampled: ``(mean, 95% half-width)``.
+
+    The conditional value is ``exp(-p * r0**2 * I(T * q, alpha))`` with
+    ``log(T * q) / alpha = log(T) / alpha + log(r1 * r2 / r0) + log(K) /
+    alpha - log(f1) / alpha``, on the drops of :func:`_engaged_drops`; with
+    the same seed they are :func:`gamma_b_large_alpha_limit`'s, so the two
+    differ by the finite-``alpha`` term alone, up to little noise.
+    """
+    r0_sq, r1_sq, r2_sq, f1 = _engaged_drops(cfg, n_samples, seed)
+    log_tq = (math.log(threshold) / cfg.alpha + 0.5 * (np.log(r1_sq) + np.log(r2_sq) - np.log(r0_sq))
+              + cfg.log_k_per_alpha - np.log(f1) / cfg.alpha)
+    factor = montecarlo.interference_factor_from_log(log_tq, cfg.alpha)
+    return _mean_and_half_width(np.exp(-cfg.retentions[1] * r0_sq * factor))
 
 
 # ---------------------------------------------------------------------------
@@ -471,4 +500,55 @@ def conditional_values(cfg, records, threshold):
     the values that ``montecarlo.run`` reduces, not an independent oracle.
     """
     (values,) = montecarlo._values(cfg, records, [montecarlo._direct_factor(cfg, threshold)])
-    return values
+    return {**values, "gamma_b": values["gamma_b"][records.engaged]}
+
+
+def lattice_records(cfg):
+    """The records of ``montecarlo.run``'s lattice points, shift-major, their weights, and the points per shift.
+
+    The fade coordinate of each lattice point ``v`` is ``u3 = v**2``, with
+    the weight ``2 * v``, its Jacobian.
+    """
+    shifts, per_shift = montecarlo._shifts(cfg), cfg.n_trials // montecarlo.SHIFTS
+    u = np.concatenate([montecarlo._points(shifts, start, min(start + montecarlo._INDICES, per_shift))
+                        for start in range(0, per_shift, montecarlo._INDICES)])
+    u = u.reshape(per_shift, montecarlo.SHIFTS, 4).transpose(1, 0, 2).reshape(-1, 4)
+    weight = 2.0 * u[:, 3]
+    u[:, 3] = u[:, 3] ** 2
+    return montecarlo._trials(cfg, u), weight, per_shift
+
+
+def lattice_estimates(cfg, threshold):
+    """``montecarlo.run``'s estimates at one threshold, recomputed from all of its points at once.
+
+    Maps each metric to ``(p, half_width, n)``. ``gamma_o`` and ``gamma_a``
+    are the mean of the shift means, with Student's t times their standard
+    error; ``gamma_b`` (over the engaged points) and ``gamma_s`` are the
+    ratio of the weighted values to the weights, with the delta-method
+    half-width. Every sum is ``math.fsum``'s, of deviations from the
+    weighted mean, so the half-width keeps its digits where the shift means
+    agree to more digits than the values.
+    """
+    records, weight, per_shift = lattice_records(cfg)
+    values = conditional_values(cfg, records, threshold)
+    shifts = montecarlo.SHIFTS
+    ones = np.ones(len(records))
+    e_b = np.zeros(len(records))
+    e_b[records.engaged] = values["gamma_b"]
+    out = {}
+    for metric, x, w, counted in (("gamma_o", values["gamma_o"], ones, ones),
+                                  ("gamma_a", values["gamma_a"], ones, ones),
+                                  ("gamma_b", e_b, np.where(records.engaged, weight, 0.0), records.engaged),
+                                  ("gamma_s", values["gamma_s"], weight, ones)):
+        n = int(counted.sum())
+        weights = [math.fsum(row) for row in w.reshape(shifts, per_shift)]
+        if not any(weights):  # no engaged point
+            out[metric] = (math.nan, math.nan, n)
+            continue
+        mean = math.fsum(w * x) / math.fsum(weights)
+        deviations = [math.fsum(row) for row in (w * (x - mean)).reshape(shifts, per_shift)]
+        offset = math.fsum(deviations) / math.fsum(weights)
+        spread = math.fsum((d - offset * v) ** 2 for d, v in zip(deviations, weights)) / (shifts * (shifts - 1))
+        half_width = montecarlo.T_QUANTILE * math.sqrt(spread) / (math.fsum(weights) / shifts)
+        out[metric] = (mean + offset, half_width, n)
+    return out

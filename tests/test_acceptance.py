@@ -333,7 +333,7 @@ def test_c13_asymptotics():
 def test_c14_compare_pipeline_determinism(tmp_path):
     runner = CliRunner()
     cfg = tmp_path / "cfg.yaml"
-    # ten blocks of montecarlo.VALUE_BLOCK trials, the last one partial
+    # ten blocks of 64 lattice points under each of 32 shifts, the last one partial
     cfg.write_text("n_trials: 20000\nmaster_seed: 321\n")
     outputs = {}
     for sub in ("first", "second"):

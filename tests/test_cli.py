@@ -276,7 +276,8 @@ class TestSimulateCommand:
             warnings.simplefilter("always")
             result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR and caught == []
-        assert result.stderr == "pipeline error: trials 0-1999: a coverage value leaves the float range\n"
+        # 2000 trials are 62 lattice points under each of 32 shifts, one block
+        assert result.stderr == "pipeline error: lattice points 0-61: a coverage value leaves the float range\n"
         assert not list(tmp_path.glob("*.csv"))
 
     def test_largest_alpha_takes_the_large_alpha_limit(self, runner, tmp_path):
@@ -500,6 +501,17 @@ class TestCompare:
         # path-B gates anchor at the advertised operating point only
         assert ("gamma_b", 0.0, "approx1") not in kinds
 
+    def test_report_counts_the_points_that_compare_csv_counts(self, runner, tmp_path):
+        # 2000 trials evaluate 32 shifts of 62 lattice points
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_trials: 2000\nthresholds_db: [0]\n")
+        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)], catch_exceptions=False)
+        assert result.exit_code == 0
+        report = json.loads((tmp_path / "compare_report.json").read_text())
+        rows = read_rows(tmp_path / "compare.csv")
+        counts = {r["n_trials"] for r in rows if r["engine"] == "mc" and r["metric"] == "gamma_o"}
+        assert report["n_trials"] == 1984 and counts == {"1984"}
+
     def test_thresholds_with_equal_linear_ratio_keep_their_labels(self, runner, tmp_path):
         # 0 dB and 1e-17 dB are distinct in the config but both 1.0 as linear ratios
         cfg = tmp_path / "cfg.yaml"
@@ -557,13 +569,14 @@ def _run_fresh(code: str, *args: str, returncode: int = 0) -> str:
 
 
 def _loaded_probe(package: str) -> str:
-    """Code that runs the command in sys.argv[1:], then prints whether ``package`` is loaded.
+    """Code that runs the command in sys.argv[1:], then prints whether ``package`` or a submodule is loaded.
 
     The line is printed at exit, so a command that ends in ``sys.exit`` prints it too.
     """
     return (
         "import atexit, sys\n"
-        f"atexit.register(lambda: print(any(m.split('.')[0] == {package!r} for m in sys.modules)))\n"
+        f"atexit.register(lambda: print(any(m == {package!r} or m.startswith({package + '.'!r})"
+        " for m in sys.modules)))\n"
         "from riscov import cli\n"
         "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
     )
@@ -571,6 +584,7 @@ def _loaded_probe(package: str) -> str:
 
 _SCIPY_PROBE = _loaded_probe("scipy")
 _NUMPY_PROBE = _loaded_probe("numpy")
+_NUMPY_RANDOM_PROBE = _loaded_probe("numpy.random")
 _MC_DENSE_CONFIG = PERFBENCH / "configs" / "mc-dense.yaml"
 
 
@@ -641,6 +655,18 @@ class TestColdImport:
         # positive control for the probes above: the Monte-Carlo engine loads numpy
         out = _run_fresh(_NUMPY_PROBE, *argv, "--out", str(tmp_path))
         assert out.splitlines()[-1] == "True"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--trials", "2000"],
+        ["simulate", "--trials", "2000"],
+        ["hist", "--quantity", "r1", "--trials", "2000"],
+    ], ids=["compare", "simulate", "hist"])
+    def test_no_command_loads_numpy_random(self, tmp_path, argv):
+        # the lattice's shifts come from the standard library's generator,
+        # and numpy's would cost peak memory; the numpy probe above is this
+        # probe's positive control
+        out = _run_fresh(_NUMPY_RANDOM_PROBE, *argv, "--out", str(tmp_path))
+        assert out.splitlines()[-1] == "False"
 
     def test_only_the_engine_imports_numpy(self):
         # the probes above see module-level imports and a few commands; this
@@ -892,6 +918,21 @@ class TestSweep:
             assert len(result.stderr.splitlines()) == 1
             assert result.stderr.startswith("pipeline error: mean reflected power")
             assert not (tmp_path / mu / "sweep.csv").exists()
+
+    def test_smallest_transmit_power_gives_a_mean_power(self, runner, tmp_path):
+        # half of the smallest subnormal p_s rounds to 0, and its log ended
+        # the sweep in a `math domain error` traceback with exit 1; the power
+        # is about 1.7e-324 W, which rounds to 0 in a float
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("p_s: 5.0e-324\n")
+        result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path), "--axis", "lambda_ris",
+                                          "--grid", "1000", "--metric", "e_p_ris"])
+        assert result.exit_code == 0, result.output
+        assert float(read_rows(tmp_path / "sweep.csv")[0]["value"]) == 0.0
+        # three times that p_s has a subnormal power, p_s / 2 times the unit power's
+        unit = analytic.mean_reflected_power(NetworkConfig(p_s=1.0))
+        power = analytic.mean_reflected_power(NetworkConfig(p_s=1.5e-323))
+        assert power == pytest.approx(unit * 1.5e-323, rel=0, abs=5e-324) and power > 0.0
 
     @pytest.mark.parametrize("alpha", ["1.0e+9", "6.0e+158"])
     def test_huge_alpha_mean_power_is_bounded_work(self, runner, tmp_path, monkeypatch, alpha):
