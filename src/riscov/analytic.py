@@ -253,10 +253,10 @@ def coverage_path_b_approx2(cfg: NetworkConfig) -> tuple[float, ...]:
     """Reflected-path coverage for dense reflector deployments: ``kappa / (kappa + p * I(T, a))``.
 
     It is derived as a lower bound on ``gamma_b``, but it is not one: at 5 dB
-    and 2e4 simulated trials it lies above the simulated coverage at every
-    configuration checked, by 0.021 at the defaults (inside the 0.03 margin of
-    the ``approx2`` compare gate) and beyond that margin at small arrays:
-    0.037 at ``N = 2, alpha = 3`` and 0.043 at ``N = 1`` (or 2), ``alpha = 4``.
+    it lies above the 40,000-point simulated coverage (half-width 1e-4) at
+    every configuration checked, by 0.0210 at the defaults (inside the 0.03
+    margin of the ``approx2`` gate) and beyond that margin at small arrays:
+    0.0362 at ``N = 2, alpha = 3`` and 0.0417 at ``N = 1`` (or 2), ``alpha = 4``.
     """
     log_kappa, p = log_reflector_ratio(cfg), cfg.retentions[1]
     return tuple(_reflected_coverage(log_kappa, p * interference_factor(t, cfg.alpha))

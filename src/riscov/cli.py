@@ -157,10 +157,10 @@ def run_analytic(cfg: NetworkConfig) -> list[ResultRow]:
 def run_simulate(cfg: NetworkConfig) -> list[ResultRow]:
     """Simulate the configured run and reduce it to coverage rows."""
     from . import montecarlo
-    row = _row_builder(cfg)
+    row = functools.partial(_row_builder(cfg), engine="mc", n_trials=montecarlo.point_count(cfg))
     return [
-        row(engine="mc", metric=metric, t_db=float(t_db), value=float(est.probability[j]),
-            ci_half_width=float(est.ci_half_width[j]), n_trials=int(est.n_trials[j]))
+        row(metric=metric, t_db=float(t_db), value=float(est.probability[j]),
+            ci_half_width=float(est.ci_half_width[j]))
         for metric, est in montecarlo.run(cfg).items()
         for j, t_db in enumerate(cfg.thresholds_db)
     ]
@@ -199,7 +199,7 @@ def build_comparison(
     return {
         "config_hash": cfg.config_hash(),
         "seed": cfg.master_seed,
-        "n_trials": montecarlo.SHIFTS * (cfg.n_trials // montecarlo.SHIFTS),  # the points evaluated, as in compare.csv
+        "n_trials": montecarlo.point_count(cfg),  # the points evaluated, as in compare.csv
         "gates": gates,
         "all_passed": all(g["passed"] for g in gates),
     }

@@ -24,9 +24,7 @@ its law at one coordinate of ``u``. Hence, per trial:
   from the user, ``rho = lambda_ris / lambda_bs``, at the angle ``theta = 2
   * pi * u2``, so ``r1 = hypot(r2 * cos(theta) - r0, r2 * sin(theta))`` is
   its distance to the serving base; ``f1 = -log1p(-u3)`` is the
-  base-to-reflector fade. The reflector is engaged, and serves the
-  reflected path, iff it is closer to the user than the serving base (``r2
-  < r0``);
+  base-to-reflector fade;
 * no interferer is drawn. The other bases form a Poisson field beyond
   ``r0``, independent of the draws. Interferer beams point at random, so a
   base interferes iff its main lobe covers the user. Its off-boresight
@@ -63,10 +61,18 @@ module's series arithmetic on arrays, for the reflected one. It stays
 finite where ``q`` leaves the float range, as on half the trials at ``alpha
 = 1000``: ``gamma_b`` takes its ``alpha -> inf`` limit there.
 Selection shares the interference of both paths and its two fades are
-independent, so ``gamma_s`` is ``e_a + e_b - e(T * (1 + q))`` on engaged
-trials and ``e_a`` elsewhere.
+independent, so ``gamma_s`` is ``e_a + g * (e_b - e(T * (1 + q)))``.
 
-Points (``riscov.config.STREAM_VERSION`` 10). Each value is a bounded
+Engagement. The reflector is engaged, and serves the reflected path, iff it
+is closer to the user than the serving base: given ``r0``, with probability
+``g = -expm1(-rho * r0**2)``, which is smooth where the indicator ``r2 <
+r0`` jumps. A lattice rule integrates a jump poorly, so :func:`run`
+integrates the indicator out (Griewank, Kuo, Leovey & Sloan 2018,
+"smoothing by preintegration"): it draws ``r2`` below ``r0`` and weights
+``gamma_b``, the coverage given engagement, by ``g``. Every point counts in
+every metric; ``gamma_b`` has no estimate only where every ``g`` is 0.
+
+Points (``riscov.config.STREAM_VERSION`` 11). Each value is a bounded
 function of the trial's point, so :func:`run` integrates it over the 4-cube
 with a randomly shifted rank-1 lattice rule (Cranley & Patterson 1976;
 L'Ecuyer & Lemieux, "Variance reduction via lattice rules", Management
@@ -87,30 +93,25 @@ shifts are independent, so the run's output depends on ``(master_seed,
 n_trials)`` and the config alone. :func:`draw`, which ``hist`` bins, maps
 the first ``n_trials`` of these points with :func:`_trials`.
 
-Small fades. :func:`run` maps a point ``v`` to the trial at ``u = (v0, v1,
-v2, v3**2)`` and weights it by ``2 * v3``, the Jacobian, in the two metrics
-that read the fade, ``gamma_b`` and ``gamma_s``. At -10 dB and ``alpha =
-3``, 90% of ``gamma_s``'s variance over independent points comes from fades
-``f1`` below 1e-2, which ``u3 = v3**2`` reaches at ten times as many
-points; ``gamma_o`` and ``gamma_a`` do not read ``f1`` and keep unit
-weights.
+Small fades. :func:`run` maps a point ``v`` to the trial at ``u = (v0, v1 *
+g, v2, v3**2)``, and ``gamma_b`` and ``gamma_s``, which read the fade, weight
+it by the Jacobian ``2 * v3``: at -10 dB and ``alpha = 3``, 90% of
+``gamma_s``'s variance over independent points comes from fades ``f1``
+below 1e-2, which ``v3**2`` reaches at ten times as many points.
 
 Reduction. :func:`run` walks the lattice indices in blocks of
-``VALUE_BLOCK // SHIFTS``, every shift at once, and reduces a block to
-three sums per shift for each metric at each threshold: its values'
-weighted deviations from a reference, the weights, and the points counted
-(every point, or for ``gamma_b`` the engaged ones, whose weights are 0
-elsewhere). The reference is the first block's weighted mean, so the sums
-keep the digits in which the shift means differ where they agree to more
-digits than the values, as near ``p = 1``. The sums add up in block order,
-so memory does not grow with the point count; a block whose sums are not
-finite ends the run with :class:`riscov.errors.NumericalError`.
-:func:`run` returns one :class:`Coverage` per metric: at each threshold, the
-ratio of the weighted values to the weights, which stays in ``[0, 1]``, the
-points counted, and a 95% half-width, ``T_QUANTILE`` (the Student t
-quantile with ``SHIFTS - 1`` degrees of freedom) times the standard error
-over the shifts of that ratio, by the delta method. For ``gamma_o`` and
-``gamma_a`` the ratio is the mean of the shift means.
+``VALUE_BLOCK // SHIFTS``, every shift at once, and sums per shift, for each
+metric at each threshold, the weights and the values' weighted deviations
+from a reference: the first block's weighted mean, which keeps the digits
+in which the shift means differ where they agree to more digits than the
+values, as near ``p = 1``. The sums add up in block order, so memory does
+not grow with the point count; a block whose sums are not finite ends the
+run with :class:`riscov.errors.NumericalError`. Each :class:`Coverage`
+holds, per threshold, the ratio of the weighted values to the weights,
+which stays in ``[0, 1]`` (for ``gamma_o`` and ``gamma_a`` the mean of the
+shift means), and a 95% half-width: ``T_QUANTILE``, Student's t with
+``SHIFTS - 1`` degrees of freedom, times the delta-method standard error of
+that ratio over the shifts.
 """
 from __future__ import annotations
 
@@ -174,7 +175,6 @@ class TrialRecords:
     r0: np.ndarray             # r0, r1 and r2 in units of 1/sqrt(pi * lambda_bs)
     r1: np.ndarray
     r2: np.ndarray
-    engaged: np.ndarray        # bool
 
     def __len__(self) -> int:
         return len(self.r0)
@@ -214,7 +214,7 @@ def _points(shifts: np.ndarray, start: int, stop: int) -> np.ndarray:
 def _trials(cfg: NetworkConfig, u: np.ndarray) -> TrialRecords:
     """The records of the trials at the points ``u``, one row each: the module docstring's inverse transforms."""
     r0_sq = -np.log1p(-u[:, 0])
-    with np.errstate(over="ignore"):  # past a density ratio of about 1e616 the distance is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # past a density ratio of about 1e616 it is inf, or 0 * inf
         r2 = np.sqrt(-np.log1p(-u[:, 1])) * np.exp(-0.5 * cfg.log_rho)
     theta = 2.0 * math.pi * u[:, 2]
     f1 = -np.log1p(-u[:, 3])
@@ -223,35 +223,36 @@ def _trials(cfg: NetworkConfig, u: np.ndarray) -> TrialRecords:
     with np.errstate(all="ignore"):  # a distance of 0 or inf has an infinite log
         log_q_per_alpha = (np.log(r1) + np.log(r2) - 0.5 * np.log(r0_sq) + cfg.log_k_per_alpha
                            - np.log(f1) / cfg.alpha)
-    return TrialRecords(log_q_per_alpha=log_q_per_alpha, f1=f1, r0=r0, r1=r1, r2=r2, engaged=r2 < r0)
+    return TrialRecords(log_q_per_alpha=log_q_per_alpha, f1=f1, r0=r0, r1=r1, r2=r2)
 
 
 def _block_sums(cfg: NetworkConfig, shifts: np.ndarray, start: int, stop: int, direct: list,
                 reference: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The per-shift sums (module docstring) over the lattice indices ``start`` to ``stop - 1``, and the reference.
 
-    The sums' shape is ``(3, len(METRICS), len(thresholds_db), SHIFTS)``:
-    the weighted deviations of the values from ``reference``, the weights,
-    and the point counts. ``reference`` is shaped ``(len(METRICS),
-    len(thresholds_db))``; passed ``None``, it becomes this block's weighted
-    mean (0 where its weights sum to 0). ``direct`` is as for :func:`_values`.
+    The sums, shaped ``(2, len(METRICS), len(thresholds_db), SHIFTS)``, are
+    the values' weighted deviations from ``reference`` and the weights.
+    ``reference`` passed ``None`` becomes this block's weighted mean (0 where
+    its weights sum to 0). ``direct`` is as for :func:`_values`.
     """
     u = _points(shifts, start, stop)
     weight = 2.0 * u[:, 3]  # the Jacobian of u3 = v**2
     u[:, 3] = np.square(u[:, 3])
+    with np.errstate(divide="ignore", over="ignore"):  # rho * r0**2 from logs: 0 at r0 = 0 whatever rho
+        engaged = -np.expm1(-np.exp(cfg.log_rho + np.log(-np.log1p(-u[:, 0]))))  # g = Pr[r2 < r0 | r0]
+    u[:, 1] *= engaged  # r2 drawn from its law below r0
     records = _trials(cfg, u)
-    # a row per metric; unit weights for gamma_o and gamma_a, which do not read the fade
+    # unit weights for gamma_o and gamma_a, which do not read the fade; gamma_b's over g's mean rho / (1 + rho)
+    # (at least the least float), which keeps their squared sums in the float range and their ratio as it is
     weights = np.ones((len(METRICS), len(u)))
-    weights[METRICS.index("gamma_b")] = np.where(records.engaged, weight, 0.0)
+    weights[METRICS.index("gamma_b")] = engaged * weight / max(math.exp(cfg.log_r1_scale), math.ulp(0.0))
     weights[METRICS.index("gamma_s")] = weight
-    sums = np.empty((3, len(METRICS), len(cfg.thresholds_db), SHIFTS))
+    sums = np.empty((2, len(METRICS), len(cfg.thresholds_db), SHIFTS))
     sums[1] = _by_shift(weights)[:, None]
-    sums[2] = stop - start
-    sums[2, METRICS.index("gamma_b")] = _by_shift(records.engaged)
     first = reference is None
     if first:
         reference = np.zeros(sums.shape[1:3])
-    for j, by_metric in enumerate(_values(cfg, records, direct)):
+    for j, by_metric in enumerate(_values(cfg, records, engaged, direct)):
         values = np.stack([by_metric[metric] for metric in METRICS])
         if first:
             total = weights.sum(axis=1)
@@ -263,7 +264,7 @@ def _block_sums(cfg: NetworkConfig, shifts: np.ndarray, start: int, stop: int, d
 
 
 def _by_shift(values: np.ndarray) -> np.ndarray:
-    """The sums over each shift's points along the last axis of an index-major block's ``values`` (or booleans)."""
+    """The sums over each shift's points along the last axis of an index-major block's ``values``."""
     return values.reshape(*values.shape[:-1], -1, SHIFTS).sum(axis=-2)
 
 
@@ -276,7 +277,6 @@ class Coverage(NamedTuple):
 
     probability: np.ndarray
     ci_half_width: np.ndarray
-    n_trials: np.ndarray
 
 
 def _direct_factor(cfg: NetworkConfig, threshold: float) -> tuple[float, float]:
@@ -285,17 +285,18 @@ def _direct_factor(cfg: NetworkConfig, threshold: float) -> tuple[float, float]:
     return log_t, analytic.interference_factor_from_log(log_t, cfg.alpha)
 
 
-def _values(cfg: NetworkConfig, records: TrialRecords, direct: list) -> Iterator[dict]:
+def _values(cfg: NetworkConfig, records: TrialRecords, engaged: np.ndarray, direct: list) -> Iterator[dict]:
     """Per-trial ``Pr[SIR > T]`` given the trial's records (module docstring), one dict per threshold.
 
-    ``direct[j]`` is the :func:`_direct_factor` of the ``j``-th threshold, and
-    the ``j``-th dict maps each name of :data:`METRICS` to an array over all
-    trials; ``gamma_b``'s value is 0 where the reflector is not engaged. The
-    dicts are yielded in turn, so that one threshold's values are alive at a
-    time.
+    ``engaged`` is each trial's probability of an engaged reflector (``g``,
+    or the indicator ``r2 < r0`` given ``r2``), and ``gamma_b``'s value is
+    given engagement. ``direct[j]`` is the :func:`_direct_factor` of the
+    ``j``-th threshold; the ``j``-th dict, yielded in turn so that one
+    threshold's values are alive at a time, maps each name of
+    :data:`METRICS` to an array over all trials.
     """
     exposure_single, exposure_split = np.outer(cfg.retentions, -np.square(records.r0))  # -p * r0**2 for each p
-    log_q, engaged = records.log_q_per_alpha, records.engaged
+    log_q = np.fmax(records.log_q_per_alpha, -np.inf)  # nan only where g or 2 * v3 is 0: q = 0, its r0 -> 0 limit
     with np.errstate(all="ignore"):  # alpha * |log q| may overflow; a log q of +-inf gives 0 or 1
         # log(1 + q) / alpha as the softplus max(log q, 0) + rest: np.logaddexp is far slower
         log_one_plus_q = np.maximum(log_q, 0.0) + np.log1p(np.exp(-cfg.alpha * np.abs(log_q))) / cfg.alpha
@@ -308,8 +309,8 @@ def _values(cfg: NetworkConfig, records: TrialRecords, direct: list) -> Iterator
         yield {
             "gamma_o": np.exp(exposure_single * factor),
             "gamma_a": e_a,
-            "gamma_b": np.where(engaged, e_b, 0.0),
-            "gamma_s": np.where(engaged, e_a + (e_b - e_ab), e_a),
+            "gamma_b": e_b,
+            "gamma_s": e_a + engaged * (e_b - e_ab),
         }
 
 
@@ -318,17 +319,20 @@ def _estimates(sums: np.ndarray, reference: np.ndarray) -> dict[str, Coverage]:
 
     The sums hold deviations from the reference, so no digits cancel where
     the shift means agree to more digits than the values do, as near ``p =
-    1``. A metric with no weight (``gamma_b`` where no reflector engages)
-    gets NaN for its probability and half-width.
+    1``. A metric without weight (``gamma_b`` where every ``g`` is 0) gets NaN.
     """
-    deviations, weights, points = sums
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 without an engaged point
+    deviations, weights = sums
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 without weight
         offset = deviations.sum(axis=-1) / weights.sum(axis=-1)
         spread = np.square(deviations - offset[..., None] * weights).sum(axis=-1) / (SHIFTS * (SHIFTS - 1))
         half_width = T_QUANTILE * np.sqrt(spread) / weights.mean(axis=-1)
     p = reference + offset
-    n = points.sum(axis=-1).astype(int)
-    return {m: Coverage(p[i], half_width[i], n[i]) for i, m in enumerate(METRICS)}
+    return {m: Coverage(p[i], half_width[i]) for i, m in enumerate(METRICS)}
+
+
+def point_count(cfg: NetworkConfig) -> int:
+    """The points that :func:`run` evaluates, every metric's count: ``SHIFTS`` shifts of ``n_trials // SHIFTS`` indices."""
+    return SHIFTS * (cfg.n_trials // SHIFTS)
 
 
 def draw(cfg: NetworkConfig) -> TrialRecords:
@@ -341,15 +345,11 @@ def draw(cfg: NetworkConfig) -> TrialRecords:
 def run(cfg: NetworkConfig) -> dict[str, Coverage]:
     """``Pr[SIR > T]`` of the configured run: one :class:`Coverage` per name of :data:`METRICS`.
 
-    Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]``
-    from the lattice points of the module docstring: ``gamma_b`` conditions
-    on an engaged reflector and the other metrics use every point. An
-    estimate needs ``n_trials`` of at least 100.
+    Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]`` from all
+    :func:`point_count` lattice points (module docstring); it needs ``n_trials`` of at least 100.
     """
     if cfg.n_trials < 100:
-        raise ConfigError(
-            [f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"]
-        )
+        raise ConfigError([f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"])
     direct = [_direct_factor(cfg, t) for t in cfg.thresholds_linear]
     shifts, per_shift = _shifts(cfg), cfg.n_trials // SHIFTS
     total, reference = _block_sums(cfg, shifts, 0, min(_INDICES, per_shift), direct, None)

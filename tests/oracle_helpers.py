@@ -492,22 +492,29 @@ def gamma_b_sampled(cfg, threshold, n_samples=1_000_000, seed=0):
 # the engine's per-trial values, which only tests read
 # ---------------------------------------------------------------------------
 
-def conditional_values(cfg, records, threshold):
+def conditional_values(cfg, records, threshold, engaged=None):
     """The engine's per-trial ``Pr[SIR > threshold]`` given ``records``, for every metric.
 
-    Maps each name of ``montecarlo.METRICS`` to an array over all trials,
-    except ``gamma_b``, whose values belong to the engaged trials only:
+    Maps each name of ``montecarlo.METRICS`` to an array over all trials:
     the values that ``montecarlo.run`` reduces, not an independent oracle.
+    ``engaged`` is each trial's probability of an engaged reflector, as
+    ``montecarlo._values`` takes it; by default it is the indicator ``r2 <
+    r0``, and then ``gamma_b``'s values are those of the engaged trials only.
     """
-    (values,) = montecarlo._values(cfg, records, [montecarlo._direct_factor(cfg, threshold)])
-    return {**values, "gamma_b": values["gamma_b"][records.engaged]}
+    indicator = engaged is None
+    if indicator:
+        engaged = records.r2 < records.r0
+    (values,) = montecarlo._values(cfg, records, engaged, [montecarlo._direct_factor(cfg, threshold)])
+    return {**values, "gamma_b": values["gamma_b"][engaged]} if indicator else values
 
 
 def lattice_records(cfg):
-    """The records of ``montecarlo.run``'s lattice points, shift-major, their weights, and the points per shift.
+    """The trials of ``montecarlo.run``'s lattice points, shift-major: ``(records, weight, engaged, per_shift)``.
 
-    The fade coordinate of each lattice point ``v`` is ``u3 = v**2``, with
-    the weight ``2 * v``, its Jacobian.
+    Each lattice point ``v`` is mapped to the trial at ``(v0, v1 * g, v2,
+    v3**2)`` with ``g = Pr[r2 < r0 | r0] = 1 - exp(-rho * r0**2)``, so that
+    the reflector lies inside ``r0``; ``weight`` is ``2 * v3``, the fade
+    coordinate's Jacobian, and ``engaged`` is ``g``.
     """
     shifts, per_shift = montecarlo._shifts(cfg), cfg.n_trials // montecarlo.SHIFTS
     u = np.concatenate([montecarlo._points(shifts, start, min(start + montecarlo._INDICES, per_shift))
@@ -515,40 +522,38 @@ def lattice_records(cfg):
     u = u.reshape(per_shift, montecarlo.SHIFTS, 4).transpose(1, 0, 2).reshape(-1, 4)
     weight = 2.0 * u[:, 3]
     u[:, 3] = u[:, 3] ** 2
-    return montecarlo._trials(cfg, u), weight, per_shift
+    engaged = -np.expm1(math.exp(cfg.log_rho) * np.log1p(-u[:, 0]))
+    u[:, 1] = u[:, 1] * engaged
+    return montecarlo._trials(cfg, u), weight, engaged, per_shift
 
 
 def lattice_estimates(cfg, threshold):
     """``montecarlo.run``'s estimates at one threshold, recomputed from all of its points at once.
 
-    Maps each metric to ``(p, half_width, n)``. ``gamma_o`` and ``gamma_a``
+    Maps each metric to ``(p, half_width)``. ``gamma_o`` and ``gamma_a``
     are the mean of the shift means, with Student's t times their standard
-    error; ``gamma_b`` (over the engaged points) and ``gamma_s`` are the
-    ratio of the weighted values to the weights, with the delta-method
-    half-width. Every sum is ``math.fsum``'s, of deviations from the
-    weighted mean, so the half-width keeps its digits where the shift means
-    agree to more digits than the values.
+    error; ``gamma_b`` (weighted by ``g`` times the Jacobian) and
+    ``gamma_s`` (by the Jacobian) are the ratio of the weighted values to
+    the weights, with the delta-method half-width. Every sum is
+    ``math.fsum``'s, of deviations from the weighted mean, so the half-width
+    keeps its digits where the shift means agree to more digits than the
+    values.
     """
-    records, weight, per_shift = lattice_records(cfg)
-    values = conditional_values(cfg, records, threshold)
+    records, weight, engaged, per_shift = lattice_records(cfg)
+    values = conditional_values(cfg, records, threshold, engaged)
     shifts = montecarlo.SHIFTS
     ones = np.ones(len(records))
-    e_b = np.zeros(len(records))
-    e_b[records.engaged] = values["gamma_b"]
     out = {}
-    for metric, x, w, counted in (("gamma_o", values["gamma_o"], ones, ones),
-                                  ("gamma_a", values["gamma_a"], ones, ones),
-                                  ("gamma_b", e_b, np.where(records.engaged, weight, 0.0), records.engaged),
-                                  ("gamma_s", values["gamma_s"], weight, ones)):
-        n = int(counted.sum())
+    for metric, w in (("gamma_o", ones), ("gamma_a", ones), ("gamma_b", engaged * weight), ("gamma_s", weight)):
+        x = values[metric]
         weights = [math.fsum(row) for row in w.reshape(shifts, per_shift)]
-        if not any(weights):  # no engaged point
-            out[metric] = (math.nan, math.nan, n)
+        if not any(weights):  # every g underflows to 0
+            out[metric] = (math.nan, math.nan)
             continue
         mean = math.fsum(w * x) / math.fsum(weights)
         deviations = [math.fsum(row) for row in (w * (x - mean)).reshape(shifts, per_shift)]
         offset = math.fsum(deviations) / math.fsum(weights)
         spread = math.fsum((d - offset * v) ** 2 for d, v in zip(deviations, weights)) / (shifts * (shifts - 1))
         half_width = montecarlo.T_QUANTILE * math.sqrt(spread) / (math.fsum(weights) / shifts)
-        out[metric] = (mean + offset, half_width, n)
+        out[metric] = (mean + offset, half_width)
     return out

@@ -152,10 +152,10 @@ class TestHashing:
 
     def test_canonical_mapping_carries_stream_version(self, monkeypatch):
         cfg = NetworkConfig()
-        assert cfg.canonical_mapping()["stream_version"] == config.STREAM_VERSION == 10
+        assert cfg.canonical_mapping()["stream_version"] == config.STREAM_VERSION == 11
         assert "stream_version" not in cfg.to_mapping()
         before = cfg.config_hash()
-        monkeypatch.setattr(config, "STREAM_VERSION", 11)
+        monkeypatch.setattr(config, "STREAM_VERSION", 12)
         assert cfg.config_hash() != before
 
     def test_comments_do_not_change_hash(self, tmp_path):

@@ -74,6 +74,17 @@ class TestPoints:
         u = montecarlo._points(shifts, 0, montecarlo._INDICES)
         assert u.min() == 0.0 and u.max() < 1.0
 
+    def test_points_at_the_origin_give_finite_sums(self):
+        # with every shift 0, lattice index 0 is the point u = 0 under each
+        # shift: r0 = r1 = r2 = 0 and a fade of 0, where log q is nan, yet
+        # Pr[engaged | r0] and the fade's Jacobian are 0 there
+        cfg = NetworkConfig()
+        shifts = np.zeros((montecarlo.SHIFTS, len(montecarlo.LATTICE)), dtype=np.uint64)
+        assert not montecarlo._points(shifts, 0, 1).any()
+        direct = [montecarlo._direct_factor(cfg, t) for t in cfg.thresholds_linear]
+        sums, reference = montecarlo._block_sums(cfg, shifts, 0, montecarlo._INDICES, direct, None)
+        assert np.isfinite(sums).all() and np.isfinite(reference).all()
+
     @pytest.mark.parametrize("m", [1, 6, 11])
     def test_each_power_of_two_prefix_is_a_lattice(self, m):
         # in radical-inverse order the first 2**m points are {k * z / 2**m mod 1}
@@ -82,10 +93,16 @@ class TestPoints:
         lattice = sorted(tuple((k * z % (1 << m)) << (53 - m) for z in montecarlo.LATTICE) for k in range(1 << m))
         assert prefix == lattice
 
-    def test_point_count_never_exceeds_the_trial_count(self):
+    def test_point_count_never_exceeds_the_trial_count(self, monkeypatch):
+        # the points that run maps to trials, counted as they are mapped
+        mapped = []
+        trials = montecarlo._trials
+        monkeypatch.setattr(montecarlo, "_trials", lambda cfg, u: mapped.append(len(u)) or trials(cfg, u))
         for n_trials in (100, 131, 40_000, 40_031):
-            estimates = montecarlo.run(NetworkConfig(n_trials=n_trials, thresholds_db=(0.0,)))
-            assert estimates["gamma_o"].n_trials[0] == montecarlo.SHIFTS * (n_trials // montecarlo.SHIFTS)
+            mapped.clear()
+            cfg = NetworkConfig(n_trials=n_trials, thresholds_db=(0.0,))
+            montecarlo.run(cfg)
+            assert sum(mapped) == montecarlo.point_count(cfg) == montecarlo.SHIFTS * (n_trials // montecarlo.SHIFTS)
 
 
 class TestCoverageHonesty:
@@ -103,8 +120,33 @@ class TestCoverageHonesty:
         for seed in seeds:
             estimates = montecarlo.run(base.replace(master_seed=seed))
             for metric, value in exact.items():
-                p, half_width, _ = estimates[metric]
+                p, half_width = estimates[metric]
                 covered[metric] += np.abs(p - value) <= half_width
         rates = np.array(list(covered.values())) / len(seeds)
+        assert 0.90 <= rates.mean() <= 0.99, rates
+        assert rates.min() >= 0.85, rates
+
+    def test_reflected_path_intervals_cover_a_long_run(self):
+        # gamma_b and gamma_s have no exact closed form; the reference is a
+        # fixed-seed 2**20-point run, whose half-width is at most 1/20 of the
+        # tested one. Over 100 seeds of a 3,200-point run, at three configs
+        # and the seven default thresholds, the intervals must cover it at
+        # close to the nominal rate. Configs, seed count and bounds were fixed
+        # before the first run
+        seeds = range(100)
+        rates = []
+        for change in ({}, {"lambda_ris": 1000.0}, {"n_elements": 1}):
+            reference = montecarlo.run(NetworkConfig(n_trials=1 << 20, master_seed=10**6, **change))
+            base = NetworkConfig(n_trials=3200, **change)
+            covered = {metric: np.zeros(len(base.thresholds_db)) for metric in ("gamma_b", "gamma_s")}
+            for seed in seeds:
+                estimates = montecarlo.run(base.replace(master_seed=seed))
+                for metric in covered:
+                    p, half_width = estimates[metric]
+                    value, reference_half_width = reference[metric]
+                    assert np.all(reference_half_width <= half_width / 20), (change, metric, seed)
+                    covered[metric] += np.abs(p - value) <= half_width
+            rates.extend(covered.values())
+        rates = np.array(rates) / len(seeds)
         assert 0.90 <= rates.mean() <= 0.99, rates
         assert rates.min() >= 0.85, rates

@@ -31,6 +31,7 @@ SIMULATE_DIGESTS = {
     8: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
     9: "aa3a5477a0a527d1eeeebd3bd97b528ae154a3dd6316b85c09921abb8317fc77",
     10: "c13db37aade4e277f7b8b159e29de68ebc6a8167343a9ddaea6364f9e8852aac",
+    11: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
 }
 
 # sha256 of the probability and ci_half_width bytes of every metric, in METRICS
@@ -56,6 +57,10 @@ RUN_BYTES_DIGESTS = {
     10: {
         4.0: "a4d540dbf859dbc256f2a782f3709d97e0221c0fd9e435929e9bc9acc6fd0b67",
         3.0: "1d161887baf449e447b4adc0e33954ce13357c6c61499d2b990dfdf59a48dfc6",
+    },
+    11: {
+        4.0: "852662739e26063844b18b2a40ed29839e2e80872b93b4c4352cc7ceb487b022",
+        3.0: "0a443a89c2432f67a0f9be7e7e37b353f4ae96058f50be9c039f1434fe8538e4",
     },
 }
 RUN_BYTES_BUILD = ((3, 11), "2.4.6")
@@ -117,6 +122,7 @@ def assert_value_orderings(cfg, rec, thresholds):
     selection takes the better of two paths; both orderings are exact in the
     per-trial conditional values, not only in their means.
     """
+    engaged = rec.r2 < rec.r0
     for t in thresholds:
         values = conditional_values(cfg, rec, t)
         e_o, e_a, e_b, e_s = (values[m] for m in montecarlo.METRICS)
@@ -124,8 +130,8 @@ def assert_value_orderings(cfg, rec, thresholds):
             assert np.all((0.0 <= v) & (v <= 1.0))
         assert np.all(e_a <= e_o), t
         assert np.all(e_s >= e_a), t
-        assert np.all(e_s[rec.engaged] >= e_b), t
-        assert np.array_equal(e_s[~rec.engaged], e_a[~rec.engaged])
+        assert np.all(e_s[engaged] >= e_b), t
+        assert np.array_equal(e_s[~engaged], e_a[~engaged])
 
 
 class TestDropScenario:
@@ -151,14 +157,20 @@ class TestDropScenario:
 
     def test_draws_the_points_that_run_integrates_over(self):
         # hist bins the run's own lattice points, before run moves the fade
-        # coordinate: the distances, which do not read it, are run's
+        # coordinate and draws the reflector inside r0: the serving distance,
+        # which reads neither, is run's, and the reflector is drawn from its
+        # unconditional law, engaged or not
         cfg = small_cfg(n_trials=3 * montecarlo.VALUE_BLOCK)
         drawn = montecarlo.draw(cfg)
-        records, _, per_shift = lattice_records(cfg)
-        for name in ("r0", "r1", "r2", "engaged"):
-            in_draw_order = getattr(records, name).reshape(montecarlo.SHIFTS, per_shift).T.ravel()
-            assert np.array_equal(getattr(drawn, name), in_draw_order), name
-        assert not np.array_equal(drawn.f1, records.f1.reshape(montecarlo.SHIFTS, per_shift).T.ravel())
+        records, _, _, per_shift = lattice_records(cfg)
+
+        def in_draw_order(values):
+            return values.reshape(montecarlo.SHIFTS, per_shift).T.ravel()
+
+        assert np.array_equal(drawn.r0, in_draw_order(records.r0))
+        for name in ("r1", "r2", "f1"):
+            assert not np.array_equal(getattr(drawn, name), in_draw_order(getattr(records, name))), name
+        assert np.all(records.r2 <= records.r0) and not np.all(drawn.r2 < drawn.r0)
 
     def test_hand_picked_points_map_to_their_trials(self):
         # at equal densities rho = 1: u0 = 1 - 1/e puts the serving base at
@@ -176,7 +188,6 @@ class TestDropScenario:
         np.testing.assert_allclose(rec.r2, r2, rtol=1e-14)
         np.testing.assert_allclose(rec.r1, r1, rtol=1e-12)
         np.testing.assert_allclose(rec.log_q_per_alpha, np.log(r1 * r2) + cfg.log_k_per_alpha, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(rec.engaged, r2 < 1.0)
 
     def test_structure_invariants(self):
         cfg = small_cfg()
@@ -185,7 +196,6 @@ class TestDropScenario:
         assert_value_orderings(cfg, rec, cfg.thresholds_linear)
         lo, hi = np.abs(rec.r0 - rec.r2), rec.r0 + rec.r2
         assert np.all((lo - 1e-9 <= rec.r1) & (rec.r1 <= hi + 1e-9))
-        assert np.array_equal(rec.engaged, rec.r2 < rec.r0)
 
     def test_explicit_orientation_matches_thinning_rate(self):
         # explicit main lobes keep 1/sqrt(N) of the non-serving bases, as
@@ -205,7 +215,7 @@ class TestDropScenario:
         rec = montecarlo.draw(small_cfg(n_trials=10_000, lambda_ris=100.0))
         expected = 100.0 / 125.0
         se = math.sqrt(expected * (1 - expected) / 10_000)
-        assert abs(rec.engaged.mean() - expected) < 4 * se
+        assert abs(np.mean(rec.r2 < rec.r0) - expected) < 4 * se
 
 
 class TestReferenceDrop:
@@ -399,27 +409,42 @@ class TestEstimateCoverage:
         estimates = montecarlo.run(cfg)
         # the blocks' summed sums against the values of the whole run at once
         for j, t in enumerate(cfg.thresholds_linear):
-            for metric, (p, half_width, n) in lattice_estimates(cfg, t).items():
-                assert estimates[metric].n_trials[j] == n
+            for metric, (p, half_width) in lattice_estimates(cfg, t).items():
                 assert estimates[metric].probability[j] == pytest.approx(p, rel=1e-12)
                 assert estimates[metric].ci_half_width[j] == pytest.approx(half_width, rel=1e-9, abs=0.0)
 
     def test_blocks_without_engaged_trials(self):
-        # at 4e-3 reflectors per km^2 (3.2 engaged points expected) some
-        # blocks hold no engaged point, so gamma_b sums empty blocks and
-        # shifts; at 1e-6 no point engages
+        # at 4e-3 reflectors per km^2 (3.2 engaged points expected among the
+        # unconditioned draws) some blocks hold no engaged point; the
+        # reflector is drawn inside r0 and weighted by Pr[engaged | r0], so
+        # every block weighs in and matches the estimate from all points
         cfg = small_cfg(n_trials=20000, lambda_ris=4e-3, thresholds_db=(0.0,))
-        (p,), (half_width,), (n,) = montecarlo.run(cfg)["gamma_b"]
-        records, _, per_shift = lattice_records(cfg)
-        engaged = records.engaged.reshape(montecarlo.SHIFTS, per_shift)
-        per_block = np.add.reduceat(engaged.sum(axis=0), np.arange(0, per_shift, montecarlo._INDICES))
+        (p,), (half_width,) = montecarlo.run(cfg)["gamma_b"]
+        drawn = montecarlo.draw(cfg)
+        per_block = np.add.reduceat(drawn.r2 < drawn.r0, np.arange(0, len(drawn), montecarlo.VALUE_BLOCK))
         assert (per_block == 0).any() and per_block.any()
         expected = lattice_estimates(cfg, 1.0)["gamma_b"]
-        assert n == expected[2] == records.engaged.sum()
         assert p == pytest.approx(expected[0], rel=1e-12)
         assert half_width == pytest.approx(expected[1], rel=1e-9)
-        (p,), (half_width,), (n,) = montecarlo.run(cfg.replace(lambda_ris=1e-6))["gamma_b"]
-        assert n == 0 and math.isnan(p) and math.isnan(half_width)
+        assert 0.0 < half_width < p
+        # at 1.7e308 bases and 1e-18 reflectors per km^2 Pr[engaged | r0]
+        # underflows to 0 at every point, so gamma_b has no weight
+        (p,), (half_width,) = montecarlo.run(cfg.replace(lambda_bs=1.7e308, lambda_ris=1e-18))["gamma_b"]
+        assert math.isnan(p) and math.isnan(half_width)
+
+    def test_sparse_reflectors_give_gamma_b(self):
+        # the parent engine counted the engaged points and read nan at these
+        # densities, where 20,000 points engage none; given r0, a reflector
+        # inside it lies at r2**2 = u1 * r0**2 in the sparse limit, so both
+        # densities give the same gamma_b, far from 0 and 1
+        base = NetworkConfig(lambda_bs=25.0, n_trials=20_000)
+        estimates = [montecarlo.run(base.replace(lambda_ris=lam))["gamma_b"] for lam in (1e-6, 1e-300)]
+        for p, half_width in estimates:
+            assert np.isfinite(p).all() and np.all((0.0 < half_width) & (half_width < np.inf))
+        (p_a, half_width_a), (p_b, _) = estimates
+        assert np.all(np.abs(p_a - p_b) <= half_width_a)
+        j = NetworkConfig().thresholds_db.index(0.0)
+        assert 0.03 < p_b[j] < 0.05
 
     def test_memory_does_not_grow_with_the_trial_count(self):
         # only one block's records are alive at a time, whatever the block count
@@ -434,19 +459,26 @@ class TestEstimateCoverage:
         assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_gamma_b_conditions_on_engagement(self):
-        cfg = small_cfg(n_trials=2000, lambda_ris=100.0, thresholds_db=(0.0,))
-        by_metric, (records, _, per_shift) = montecarlo.run(cfg), lattice_records(cfg)
-        assert by_metric["gamma_b"].n_trials[0] == int(records.engaged.sum())
-        assert by_metric["gamma_o"].n_trials[0] == len(records) == montecarlo.SHIFTS * per_shift
+        # run draws the reflector inside r0 and weights each point by
+        # Pr[engaged | r0]: its gamma_b matches gamma_b over the engaged drops
+        # of independent samples, within the two half-widths
+        cfg = small_cfg(n_trials=4000, lambda_ris=100.0, thresholds_db=(0.0, 10.0))
+        records, _, engaged, _ = lattice_records(cfg)
+        assert np.all(records.r2 <= records.r0)
+        np.testing.assert_allclose(engaged, -np.expm1(-100.0 / 25.0 * np.square(records.r0)), rtol=1e-12)
+        gamma_b = montecarlo.run(cfg)["gamma_b"]
+        for t, p, half_width in zip(cfg.thresholds_linear, *gamma_b):
+            sampled, sampled_half_width = gamma_b_sampled(cfg, t, n_samples=200_000)
+            assert abs(p - sampled) <= half_width + sampled_half_width, (t, p, sampled)
 
     def test_ci_formula(self):
         # the mean of the shift means and Student's t with SHIFTS - 1 degrees
         # of freedom times their standard error
         cfg = small_cfg(n_trials=1000, thresholds_db=(0.0,))
-        (p,), (half_width,), (n,) = montecarlo.run(cfg)["gamma_o"]
-        records, _, per_shift = lattice_records(cfg)
+        (p,), (half_width,) = montecarlo.run(cfg)["gamma_o"]
+        records, _, _, per_shift = lattice_records(cfg)
         means = conditional_values(cfg, records, 1.0)["gamma_o"].reshape(montecarlo.SHIFTS, per_shift).mean(axis=1)
-        assert n == 992 == montecarlo.SHIFTS * per_shift
+        assert montecarlo.point_count(cfg) == 992 == montecarlo.SHIFTS * per_shift
         assert p == pytest.approx(float(np.mean(means)), rel=1e-12)
         assert half_width == pytest.approx(
             stats.t.ppf(0.975, montecarlo.SHIFTS - 1) * float(np.std(means, ddof=1)) / math.sqrt(montecarlo.SHIFTS))
@@ -457,11 +489,11 @@ class TestEstimateCoverage:
         # further; its half-width is itself an estimate from 32 shifts, yet
         # at the defaults it stays far below the counting half-width
         cfg = NetworkConfig(n_trials=10_000)
-        ests = montecarlo.run(cfg)
+        ests, n = montecarlo.run(cfg), montecarlo.point_count(cfg)
         assert list(ests) == list(montecarlo.METRICS)
         for metric, e in ests.items():
             assert all(len(array) == len(cfg.thresholds_db) for array in e)
-            for p, half_width, n in zip(*e):
+            for p, half_width in zip(*e):
                 assert half_width <= _ci(p, n), (metric, p, half_width, n)
 
     def test_coverage_nonincreasing_in_threshold(self):
@@ -474,15 +506,14 @@ class TestEstimateCoverage:
         # gamma_s and gamma_a count every point and gamma_s >= gamma_a holds
         # per trial; gamma_s weights its points by the fade coordinate's
         # Jacobian, so the estimates keep that order up to their noise, far
-        # below the selection gain here. gamma_b counts the engaged points
-        # only, and its per-trial dominance is checked by
+        # below the selection gain here. gamma_b is conditioned on an
+        # engaged reflector, and its per-trial dominance is checked by
         # assert_value_orderings
         cfg = NetworkConfig(n_trials=2000, master_seed=31, thresholds_db=(-3.0, 0.0, 7.0))
         ests = montecarlo.run(cfg)
         selection, direct = ests["gamma_s"], ests["gamma_a"]
-        for j in range(3):
-            assert selection.n_trials[j] == direct.n_trials[j] == 1984  # 32 shifts of 62 points
-            assert selection.probability[j] >= direct.probability[j]
+        assert montecarlo.point_count(cfg) == 1984  # 32 shifts of 62 points
+        assert np.all(selection.probability >= direct.probability)
 
 
 class TestBlockReduction:
@@ -497,8 +528,7 @@ class TestBlockReduction:
         cfg = small_cfg(n_trials=n_trials, lambda_ris=100.0, thresholds_db=(-40.0, 0.0))
         estimates = montecarlo.run(cfg)
         for j, t in enumerate(cfg.thresholds_linear):
-            for metric, (p, half_width, n) in lattice_estimates(cfg, t).items():
-                assert estimates[metric].n_trials[j] == n
+            for metric, (p, half_width) in lattice_estimates(cfg, t).items():
                 assert estimates[metric].probability[j] == pytest.approx(p, rel=1e-12)
                 assert estimates[metric].ci_half_width[j] == pytest.approx(half_width, rel=1e-9, abs=0.0)
 
@@ -509,15 +539,14 @@ class TestBlockReduction:
         # approx's default abs of 1e-12 is off
         deviations = -1e-10 * np.random.default_rng(3).random(montecarlo.SHIFTS)
         per_shift = 1000
-        sums = np.empty((3, len(montecarlo.METRICS), 1, montecarlo.SHIFTS))
-        sums[0], sums[1:] = per_shift * deviations, per_shift
+        sums = np.empty((2, len(montecarlo.METRICS), 1, montecarlo.SHIFTS))
+        sums[0], sums[1] = per_shift * deviations, per_shift
         two_pass = montecarlo.T_QUANTILE * float(np.std(deviations, ddof=1)) / math.sqrt(montecarlo.SHIFTS)
         means = 1.0 + deviations
         plain = montecarlo.T_QUANTILE * float(np.std(means, ddof=1)) / math.sqrt(montecarlo.SHIFTS)
         assert abs(plain / two_pass - 1.0) > 1e-9  # the data are where the means' own rounding shows
         reference = np.ones((len(montecarlo.METRICS), 1))
-        for metric, ((p,), (half_width,), (n,)) in montecarlo._estimates(sums, reference).items():
-            assert n == montecarlo.SHIFTS * per_shift
+        for metric, ((p,), (half_width,)) in montecarlo._estimates(sums, reference).items():
             assert p == pytest.approx(1.0 + float(np.mean(deviations)), rel=1e-15)
             assert half_width == pytest.approx(two_pass, rel=1e-12, abs=0.0)
 
@@ -577,8 +606,8 @@ class TestBlockReduction:
         seen = []
         values = montecarlo._values
 
-        def nan_in_third_block(cfg, records, direct):
-            by_threshold = list(values(cfg, records, direct))
+        def nan_in_third_block(cfg, records, engaged, direct):
+            by_threshold = list(values(cfg, records, engaged, direct))
             seen.append(len(records))
             if len(seen) == 3:
                 by_threshold[0]["gamma_a"] = np.full_like(by_threshold[0]["gamma_a"], math.nan)
@@ -638,7 +667,6 @@ class TestConditionalValues:
             r0=r0 / length,
             r1=r1 / length,
             r2=r2 / length,
-            engaged=np.array([True, False]),
         )
         p_single, p_split = cfg.retentions
 
@@ -662,6 +690,10 @@ class TestConditionalValues:
         assert 0.05 < e_a < e_b < e_s < 0.999  # no term is trivially 0 or 1
         assert values["gamma_b"] == pytest.approx([e_b], rel=1e-10)
         assert values["gamma_s"] == pytest.approx([e_s, values["gamma_a"][1]], rel=1e-10)
+        # engaged with probability g, selection gains g times what it gains when engaged
+        partial = conditional_values(cfg, rec, T, engaged=np.array([0.25, 0.0]))
+        assert partial["gamma_b"][0] == pytest.approx(e_b, rel=1e-10)
+        assert partial["gamma_s"] == pytest.approx([e_a + 0.25 * (e_s - e_a), values["gamma_a"][1]], rel=1e-10)
 
 
 class TestHistograms:
@@ -799,7 +831,7 @@ class TestEngineAgreement:
             n_elements=n_elements, alpha=alpha, n_trials=20_000, master_seed=3,
             thresholds_db=(5.0,),
         )
-        (p,), (half_width,), _ = montecarlo.run(cfg)["gamma_b"]
+        (p,), (half_width,) = montecarlo.run(cfg)["gamma_b"]
         (overshoot,) = np.asarray(analytic.coverage_path_b_approx2(cfg)) - p
         assert overshoot > half_width
         assert overshoot > 0.03
@@ -817,7 +849,7 @@ class TestEngineAgreement:
             "gamma_b": reference["sir_b"][~np.isnan(reference["sir_b"])],
         }
         for metric, theirs in sirs.items():
-            for t, p, half_width, _ in zip(cfg.thresholds_linear, *ours[metric]):
+            for t, p, half_width in zip(cfg.thresholds_linear, *ours[metric]):
                 p_ref = float(np.mean(theirs > t))
                 bound = half_width + _ci(p_ref, len(theirs))
                 assert abs(p - p_ref) <= bound, (metric, t, p, p_ref)
