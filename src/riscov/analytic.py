@@ -90,18 +90,17 @@ def _economize(ratios: list[float], scale: float) -> tuple[float, ...]:
                  for j in range(_SERIES_DEGREE + 1))
 
 
-def _leading(alpha: float) -> float:
-    """``pi*d / sin(pi*d)`` with ``d = 2/alpha``: ``I(T, alpha) / T**d`` as ``T -> inf``."""
-    delta = 2.0 / alpha
-    # sin(pi*d) = sin(pi*(1-d)); the smaller argument avoids the cancellation near alpha = 2
-    return math.pi * delta / math.sin(math.pi * min((alpha - 2.0) / alpha, delta))
-
-
 def _log_leading(alpha: float) -> float:
-    """``log(pi*d / sin(pi*d))``, from its Taylor series in ``(pi*d)**2`` where that is below 0.01."""
-    x2 = (math.pi * (2.0 / alpha)) ** 2
-    return (math.log(_leading(alpha)) if x2 >= 0.01 else
-            x2 * (1 / 6 + x2 * (1 / 180 + x2 * (1 / 2835 + x2 * (1 / 37800 + x2 / 467775)))))
+    """``log(I(T, alpha) / T**d)`` as ``T -> inf``: ``log(pi*d / sin(pi*d))``, ``d = 2/alpha``.
+
+    A Taylor series in ``(pi*d)**2`` gives it where that square is below 0.01.
+    """
+    delta = 2.0 / alpha
+    x2 = (math.pi * delta) ** 2
+    if x2 < 0.01:
+        return x2 * (1 / 6 + x2 * (1 / 180 + x2 * (1 / 2835 + x2 * (1 / 37800 + x2 / 467775))))
+    # sin(pi*d) = sin(pi*(1-d)); the smaller argument avoids the cancellation near alpha = 2
+    return math.log(math.pi * delta / math.sin(math.pi * min((alpha - 2.0) / alpha, delta)))
 
 
 @lru_cache(maxsize=64)
@@ -244,7 +243,7 @@ def coverage_path_b_approx1(cfg: NetworkConfig) -> tuple[float, ...]:
         weighted = p * interference_factor_from_log((math.log(t) - 0.5 * a * log_kappa) / a, a)
         if math.isfinite(weighted):
             return 1.0 / (1.0 + weighted)
-        return _reflected_coverage(log_kappa, p * (_leading(a) * t ** (2.0 / a) - math.exp(log_kappa)))
+        return _reflected_coverage(log_kappa, p * (math.exp(_log_leading(a)) * t ** (2.0 / a) - math.exp(log_kappa)))
 
     return tuple(map(at, cfg.thresholds_linear))
 
@@ -253,10 +252,8 @@ def coverage_path_b_approx2(cfg: NetworkConfig) -> tuple[float, ...]:
     """Reflected-path coverage for dense reflector deployments: ``kappa / (kappa + p * I(T, a))``.
 
     It is derived as a lower bound on ``gamma_b``, but it is not one: at 5 dB
-    it lies above the 40,000-point simulated coverage (half-width 1e-4) at
-    every configuration checked, by 0.0210 at the defaults (inside the 0.03
-    margin of the ``approx2`` gate) and beyond that margin at small arrays:
-    0.0362 at ``N = 2, alpha = 3`` and 0.0417 at ``N = 1`` (or 2), ``alpha = 4``.
+    it lies above the simulated coverage at every configuration checked, by
+    the gaps that README quotes below its table of ``compare``'s gates.
     """
     log_kappa, p = log_reflector_ratio(cfg), cfg.retentions[1]
     return tuple(_reflected_coverage(log_kappa, p * interference_factor(t, cfg.alpha))

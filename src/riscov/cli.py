@@ -2,12 +2,12 @@
 
 Subcommands: ``analytic``, ``simulate``, ``compare``, ``sweep``, ``hist``.
 Each command hands one :class:`riscov.config.NetworkConfig` to the engines,
-which read its thresholds and its dimensionless groups; only the writers of
-metres (``e_r1`` and ``hist``) convert a density. One
-decorator, ``_config_command``, declares the options every command shares,
-builds that config from ``--config`` and the overrides (building it is what
-checks it), and runs the command body under the typed exits below. The
-shared options are ``--config``, ``--out``, ``--seed`` and ``--trials``.
+which read its thresholds and its dimensionless groups; only the ``e_r1``
+sweep reads a raw density. One decorator, ``_config_command``, declares the
+options every command shares, builds that config from ``--config`` and the
+overrides (building it is what checks it), and runs the command body under
+the typed exits below. The shared options are ``--config``, ``--out``,
+``--seed`` and ``--trials``.
 The engines are imported by the functions that compute, so ``--help``,
 ``--version`` and a config error load none. numpy is the Monte-Carlo
 engine's dependency: ``analytic`` and ``sweep`` evaluate closed forms with
@@ -259,23 +259,15 @@ def _moment_row(cfg: NetworkConfig, metric: str) -> ResultRow:
     return _row_builder(cfg)(engine="analytic_moment", metric=metric, t_db=None, value=value)
 
 
-def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: np.ndarray) -> str:
-    """Histogram CSV of unit mass, with the analytic overlay where a closed form exists.
+def histogram_csv(cfg: NetworkConfig, quantity: str, counts: np.ndarray, edges: np.ndarray,
+                  overlay: np.ndarray | None) -> str:
+    """Histogram CSV of unit mass: the rows of :func:`riscov.montecarlo.empirical_histogram`'s output.
 
-    ``counts`` and ``edges`` are :func:`riscov.montecarlo.empirical_histogram`'s.
+    An overlay of ``None`` (``p_ris_dbw``) leaves the ``analytic_pdf`` cells empty.
     """
-    from . import geometry
-    # each distance is Rayleigh; p_ris_dbw, binned per dB, has no overlay yet.
-    # Densities are per km^2 and distances in km here, as per m^2 a density can be subnormal
-    lam_eff = math.exp(math.log(cfg.lambda_bs) + cfg.log_r1_scale)
-    intensity = {"r0": cfg.lambda_bs, "r1": lam_eff, "r2": cfg.lambda_ris}.get(quantity)
     total = int(counts.sum())
     density = counts / (total * (edges[1:] - edges[:-1]))
-    pdfs = [None] * len(counts)  # _fmt writes an empty cell
-    if intensity is not None:
-        km = math.sqrt(KM2_TO_M2)  # per metre
-        mids = (0.5 * (edges[:-1] + edges[1:])).tolist()
-        pdfs = [km * geometry.rayleigh_pdf(km * mid, intensity) for mid in mids]
+    pdfs = [None] * len(counts) if overlay is None else overlay.tolist()  # _fmt writes None as an empty cell
     provenance = f"{total},{cfg.config_hash()},{cfg.master_seed}"
     bins = zip(edges[:-1].tolist(), edges[1:].tolist(), density.tolist(), counts.tolist(), pdfs)
     lines = [",".join([quantity, *map(_fmt, cells), provenance]) for cells in bins]
@@ -408,11 +400,9 @@ def sweep_cmd(cfg, out_dir, axis, grid, metric, with_mc):
 @click.option("--bins", default=60, type=int)
 def hist_cmd(cfg, out_dir, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""
-    if not 1 <= bins <= cfg.n_trials:
-        raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
     from . import montecarlo
-    counts, edges = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity, bins)
-    [path] = _write(out_dir, {f"hist_{quantity}.csv": histogram_csv(cfg, quantity, counts, edges)})
+    histogram = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity, bins)
+    [path] = _write(out_dir, {f"hist_{quantity}.csv": histogram_csv(cfg, quantity, *histogram)})
     click.echo(f"wrote {path}")
 
 

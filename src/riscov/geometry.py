@@ -1,17 +1,17 @@
-"""Analytic distance distributions of the Poisson network model.
+"""Moments of the base-to-reflector distance of the Poisson network model.
 
 Distances and intensities are in any one unit of length, the densities per
 its square: the engines use the base spacing ``1/sqrt(pi*lambda_bs)``, the
-``e_r1`` sweep and the ``hist`` overlay kilometres. Two public
-functions check their arguments: :func:`expected_r1` raises
-:class:`ParameterError` on an intensity that is not a positive finite float,
-and :func:`rayleigh_pdf` on a negative distance.
+``e_r1`` sweep kilometres. :func:`expected_r1` raises
+:class:`ParameterError` on an intensity that is not a positive finite float;
 :func:`log_expected_inv_r1_pow` reads logs of config fields, valid by
-construction, and checks nothing. The nearest-neighbor distance of a
-homogeneous PPP of intensity ``lam`` is Rayleigh-distributed with density
-``2*pi*lam*r*exp(-pi*lam*r**2)``; the distributions of the serving-link
-distance, the reflector-link distance and the base-to-reflector distance are
-all built from that single fact plus the law of cosines.
+construction, and checks nothing. No density function is left here. The
+nearest-neighbor distance of a homogeneous PPP of intensity ``lam`` is
+Rayleigh-distributed with density ``2*pi*lam*r*exp(-pi*lam*r**2)``, which
+:func:`riscov.montecarlo.empirical_histogram` draws as the ``hist``
+overlay; the distributions of the serving-link distance, the reflector-link
+distance and the base-to-reflector distance are all built from that single
+fact plus the law of cosines.
 
 The nearest base and the nearest reflector sit at independent isotropic
 Gaussian positions with variances ``v_bs = 1/(2*pi*lambda_bs)`` and ``v_ris
@@ -61,23 +61,6 @@ _EPSILON = sys.float_info.epsilon
 # r0 and r2 below their 1 - TAIL_MASS quantiles. The benchmark's e_r1
 # reference (perfbench/reference/closed-form/sweep-e_r1.csv) pins the value.
 TAIL_MASS = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# closed-form nearest-neighbor density
-# ---------------------------------------------------------------------------
-
-def rayleigh_pdf(r: float, intensity: float) -> float:
-    """Density of the distance to the nearest point of a Poisson field of ``intensity``.
-
-    The serving distance ``r0`` follows it at ``lambda_bs``, the reflector
-    distance ``r2`` at ``lambda_ris``, and the base-to-reflector distance
-    ``r1`` at ``lambda_eff`` (see the module docstring).
-    """
-    if r < 0:
-        raise ParameterError("distance must be nonnegative")
-    # intensity * r first: r**2 overflows and pi * intensity rounds at a subnormal intensity
-    return 2.0 * math.pi * (intensity * r) * math.exp(-math.pi * (intensity * r) * r)
 
 
 # ---------------------------------------------------------------------------

@@ -360,19 +360,24 @@ def run(cfg: NetworkConfig) -> dict[str, Coverage]:
 
 def empirical_histogram(
     cfg: NetworkConfig, records: TrialRecords, quantity: str, bins: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
-    """``np.histogram``'s ``(counts, edges)`` of a per-trial quantity, in metres or dBW.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``np.histogram``'s ``(counts, edges)`` of a per-trial quantity, in metres or dBW, and its analytic overlay.
 
     Distances come from the raw drop (no engaged conditioning), matching the
     unconditional analytic laws; ``p_ris_dbw`` is the peak reflected power
     ``10*log10(P / 1 W)`` at the configured transmit power, formed from logs,
-    so it stays finite where the watts leave the float range. Raises
+    so it stays finite where the watts leave the float range. The overlay is
+    each distance's Rayleigh density per metre at the bin middles, summed in
+    logs; ``p_ris_dbw`` has none. Raises :class:`ConfigError` on ``bins``
+    outside 1 to ``n_trials`` or ``n_trials`` below 1000, and
     :class:`NumericalError` when a value is not finite: a reflector farther
     than the float range in units of the base spacing (once ``lambda_bs /
     lambda_ris`` passes about 6e616), or a fade of exactly 0.
     """
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
+    if not 1 <= bins <= cfg.n_trials:
+        raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
     if cfg.n_trials < 1000:
         raise ConfigError([f"n_trials: must be at least 1000 for a histogram, got {cfg.n_trials}"])
     with np.errstate(all="ignore"):  # a value beyond the float range fails below
@@ -384,4 +389,12 @@ def empirical_histogram(
             values = getattr(records, quantity) * cfg.base_spacing_m
     if not np.isfinite(values).all():
         raise NumericalError(f"the {quantity} values exceed the float range")
-    return np.histogram(values, bins=bins)
+    counts, edges = np.histogram(values, bins=bins)
+    if quantity == "p_ris_dbw":
+        return counts, edges, None
+    # in base spacings pi * lambda * r**2 = exp(c) * r**2 is a unit exponential: the density per
+    # metre is 2 * exp(c) * r * exp(-exp(c) * r**2) over the spacing, summed in logs
+    log_scale = {"r0": 0.0, "r1": cfg.log_r1_scale, "r2": cfg.log_rho}[quantity]
+    log_spacing = math.log(cfg.base_spacing_m)
+    log_r = np.log(0.5 * (edges[:-1] + edges[1:])) - log_spacing  # the bin middles in base spacings
+    return counts, edges, np.exp(math.log(2.0) + log_scale + log_r - np.exp(log_scale + 2.0 * log_r) - log_spacing)

@@ -20,6 +20,7 @@ from oracle_helpers import (
     fade_fractional_moment,
     interference_quadrature,
     prob_ris_closer,
+    rayleigh_pdf,
 )
 from restated_forms import coverage_baseline_general
 from riscov import analytic, cli, geometry, montecarlo
@@ -146,13 +147,13 @@ def test_c04_path_a_ordering(dense_run):
 
 def test_c05_r1_marginal_reproduction(sparse_run):
     cfg = sparse_run.cfg
-    counts, edges = montecarlo.empirical_histogram(cfg, sparse_run.records, "r1", bins=50)
+    counts, edges, _ = montecarlo.empirical_histogram(cfg, sparse_run.records, "r1", bins=50)
     density = counts / (counts.sum() * np.diff(edges))
     lam_eff = KM2_TO_M2 * cfg.lambda_bs * cfg.lambda_ris / (cfg.lambda_bs + cfg.lambda_ris)
     l1 = 0.0
     for left, right, dens in zip(edges[:-1], edges[1:], density):
         mid = 0.5 * (left + right)
-        vals = [geometry.rayleigh_pdf(x, lam_eff) for x in (left, mid, right)]
+        vals = [rayleigh_pdf(x, lam_eff) for x in (left, mid, right)]
         simpson_avg = (vals[0] + 4 * vals[1] + vals[2]) / 6.0
         l1 += abs(dens - simpson_avg) * (right - left)
     report(

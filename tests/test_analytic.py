@@ -15,6 +15,7 @@ from oracle_helpers import (
     pfaff_coefficients,
     pfaff_interference_factor_from_log,
     power_density_convert,
+    rayleigh_pdf,
     reflected_power_raw_moment,
 )
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
@@ -282,7 +283,7 @@ class TestBaselineCoverage:
                 epsabs=1e-13, epsrel=1e-12,
             )
             def integrand(r):
-                return geometry.rayleigh_pdf(r, LAM_BS) * math.exp(
+                return rayleigh_pdf(r, LAM_BS) * math.exp(
                     -math.pi * lam_i * r * r * T ** (2 / cfg.alpha) * tail
                 )
             direct, _ = integrate.quad(integrand, 0, np.inf, epsabs=1e-12, epsrel=1e-10)

