@@ -358,21 +358,19 @@ def run(cfg: NetworkConfig) -> dict[str, Coverage]:
     return _estimates(total, reference)
 
 
-def empirical_histogram(
-    cfg: NetworkConfig, records: TrialRecords, quantity: str, bins: int = 60
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def empirical_histogram(cfg: NetworkConfig, quantity: str, bins: int = 60) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``np.histogram``'s ``(counts, edges)`` of a per-trial quantity, in metres or dBW, and its analytic overlay.
 
-    Distances come from the raw drop (no engaged conditioning), matching the
-    unconditional analytic laws; ``p_ris_dbw`` is the peak reflected power
-    ``10*log10(P / 1 W)`` at the configured transmit power, formed from logs,
-    so it stays finite where the watts leave the float range. The overlay is
-    each distance's Rayleigh density per metre at the bin middles, summed in
-    logs; ``p_ris_dbw`` has none. Raises :class:`ConfigError` on ``bins``
-    outside 1 to ``n_trials`` or ``n_trials`` below 1000, and
-    :class:`NumericalError` when a value is not finite: a reflector farther
-    than the float range in units of the base spacing (once ``lambda_bs /
-    lambda_ris`` passes about 6e616), or a fade of exactly 0.
+    It bins :func:`draw`'s records, drawn once the checks pass: distances of
+    the raw drop (no engaged conditioning), as in the unconditional analytic
+    laws, and the peak reflected power ``p_ris_dbw``, ``10*log10(P / 1 W)`` at
+    the configured transmit power, formed from logs to stay finite where the
+    watts leave the float range. The overlay is each distance's Rayleigh
+    density per metre at the bin middles, summed in logs; ``p_ris_dbw`` has
+    none. Raises :class:`ConfigError` on ``bins`` outside 1 to ``n_trials`` or
+    ``n_trials`` below 1000, and :class:`NumericalError` when a value is not
+    finite: a reflector beyond the float range in base spacings (once
+    ``lambda_bs / lambda_ris`` passes about 6e616), or a fade of exactly 0.
     """
     if quantity not in HISTOGRAM_QUANTITIES:
         raise ParameterError(f"unknown histogram quantity {quantity!r}")
@@ -380,6 +378,7 @@ def empirical_histogram(
         raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
     if cfg.n_trials < 1000:
         raise ConfigError([f"n_trials: must be at least 1000 for a histogram, got {cfg.n_trials}"])
+    records = draw(cfg)
     with np.errstate(all="ignore"):  # a value beyond the float range fails below
         if quantity == "p_ris_dbw":  # 0.5 * p_s * f1 * r1**-alpha / K, r1 in units of the base spacing
             # log(p_s) - log(2): half of a subnormal p_s may round to 0

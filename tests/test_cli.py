@@ -34,6 +34,23 @@ def runner():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def perfbench_module(name):
+    """A module of the benchmark harness, loaded read-only from its file; nothing is written under perfbench/."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# every closed-form command of the benchmark with a reference CSV: analytic and sweep
+BENCHMARK_REFERENCE_COMMANDS = [
+    (workload.name, command)
+    for workload in perfbench_module("workloads").WORKLOADS.values()
+    for command in workload.commands
+    if command.kind in ("analytic", "sweep") and command.reference
+]
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -783,20 +800,21 @@ class TestSweep:
         # the exact mean 0.5 / sqrt(lambda_eff), the truncated rule's limit
         assert values[0] == pytest.approx(0.5 / math.sqrt(1e-311 * 100 / 101), rel=1e-5)
 
-    def test_e_r1_sweep_passes_the_benchmark_output_check(self, runner, tmp_path):
-        # the benchmark's sweep-e_r1 command, judged by the harness's own check
-        # (every reference row present, each value within 1e-6 m), so tier-1
-        # fails wherever the benchmark would; nothing is written under perfbench/
-        spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
-        checks = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(checks)
-        argv = ["sweep", "-c", str(PERFBENCH / "configs" / "closed-form-a4.yaml"), "--out", str(tmp_path),
-                "--axis", "lambda_ris", "--grid", "500,1000,4000", "--metric", "e_r1"]
+    @pytest.mark.parametrize("workload,command", BENCHMARK_REFERENCE_COMMANDS,
+                             ids=[f"{w}-{c.name}" for w, c in BENCHMARK_REFERENCE_COMMANDS])
+    def test_closed_form_passes_the_benchmark_output_check(self, runner, tmp_path, workload, command):
+        # the benchmark's command, judged by the harness's own check (every
+        # reference row present, each value within 1e-6), so tier-1 fails
+        # wherever the benchmark would: the two mc-* analytic references and
+        # the five closed-form ones
+        assert len(BENCHMARK_REFERENCE_COMMANDS) == 7
+        checks = perfbench_module("checks")
+        argv = command.argv(str(PERFBENCH / "configs" / command.config), str(tmp_path), seed=1)
         result = runner.invoke(cli.main, argv, catch_exceptions=False)
         assert result.exit_code == 0, result.output
-        reference = (PERFBENCH / "reference" / "closed-form" / "sweep-e_r1.csv").read_text()
+        reference = (PERFBENCH / "reference" / workload / f"{command.reference}.csv").read_text()
         assert checks.ANALYTIC_ABS_TOL == 1e-6
-        assert checks.check_analytic_csv((tmp_path / "sweep.csv").read_text(), reference) == []
+        assert checks.check_analytic_csv((tmp_path / f"{command.kind}.csv").read_text(), reference) == []
 
     @pytest.mark.parametrize("bs,grid", [
         ("25.0", "1.0e-306"), ("25.0", "1.0e-310"), ("1.0e-318", "1.0e-3"), ("1.0e+300", "1e-300"),
@@ -806,7 +824,7 @@ class TestSweep:
         # below rho = 8e-308 a tail radius squared per m**2 left the float
         # range, and at 1e-310 rho/pi is subnormal; where rho itself leaves it
         # the sweep exited 4, as it read the densities in units of the base
-        # spacing. In the config's own units every case gives the exact mean
+        # spacing. From the config's logs every case gives the exact mean
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"lambda_bs: {bs}\n")
         result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
@@ -1004,6 +1022,21 @@ class TestHistCommand:
         assert result.stderr.splitlines() == [
             f"config error: bins: must be from 1 to n_trials (1000), got {bins}"
         ]
+        assert not (tmp_path / "hist_r0.csv").exists()
+
+    def test_bins_are_checked_before_any_record_is_drawn(self, runner, tmp_path, monkeypatch):
+        # hist drew every record before the bins rule could exit 2: at 1e9
+        # trials, five float arrays of that length. Here a draw fails the test
+        def draw(cfg):
+            raise AssertionError(f"drew {cfg.n_trials} records before checking the bins")
+
+        monkeypatch.setattr(montecarlo, "draw", draw)
+        result = runner.invoke(
+            cli.main,
+            ["hist", "--quantity", "r0", "--trials", "1000000000", "--bins", "0", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR, result.output
+        assert result.stderr.splitlines() == ["config error: bins: must be from 1 to n_trials (1000000000), got 0"]
         assert not (tmp_path / "hist_r0.csv").exists()
 
     @pytest.mark.parametrize("quantity", ["r1", "p_ris_dbw"])

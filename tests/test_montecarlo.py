@@ -699,7 +699,7 @@ class TestConditionalValues:
 class TestHistograms:
     def test_mass_sums_to_one(self, sparse_run):
         cfg = sparse_run.cfg
-        counts, edges, overlay = montecarlo.empirical_histogram(cfg, sparse_run.records, "r1")
+        counts, edges, overlay = montecarlo.empirical_histogram(cfg, "r1")
         assert int(counts.sum()) == np.count_nonzero(np.isfinite(sparse_run.records.r1))
         # the CSV normalizes the counts to a density of unit mass; its ten
         # significant digits bound the rounding of the sum well below 1e-9
@@ -710,7 +710,7 @@ class TestHistograms:
 
     def test_r0_histogram_matches_analytic_law(self, sparse_run):
         cfg = sparse_run.cfg
-        counts, edges, _ = montecarlo.empirical_histogram(cfg, sparse_run.records, "r0", bins=50)
+        counts, edges, _ = montecarlo.empirical_histogram(cfg, "r0", bins=50)
         # Rayleigh CDF 1 - exp(-pi * lambda_bs * r**2) differenced over each bin
         cdf = 1.0 - np.exp(-math.pi * cfg.lambda_bs * KM2_TO_M2 * edges**2)
         masses = np.diff(cdf)
@@ -723,17 +723,17 @@ class TestHistograms:
         rec = montecarlo.draw(cfg)
         length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs * KM2_TO_M2)  # metres per distance unit
         power = peak_reflection_power(cfg, rec.f1 / cfg.mu, rec.r1 * length)
-        _, edges, overlay = montecarlo.empirical_histogram(cfg, rec, "p_ris_dbw")
+        _, edges, overlay = montecarlo.empirical_histogram(cfg, "p_ris_dbw")
         assert overlay is None  # no closed form yet
         assert (edges[0], edges[-1]) == pytest.approx(10 * np.log10([power.min(), power.max()]), rel=1e-12)
-        _, scaled, _ = montecarlo.empirical_histogram(cfg.replace(p_s=7 * cfg.p_s), rec, "p_ris_dbw")
+        _, scaled, _ = montecarlo.empirical_histogram(cfg.replace(p_s=7 * cfg.p_s), "p_ris_dbw")
         assert scaled - edges == pytest.approx(np.full_like(edges, 10 * math.log10(7)), rel=1e-12)
 
     @pytest.mark.parametrize("quantity, lam", [("r0", "lambda_bs"), ("r2", "lambda_ris")])
     def test_distances_are_in_metres(self, quantity, lam):
         # the mean of a Rayleigh distance at intensity lam per m^2 is 1 / (2 * sqrt(lam))
         cfg = small_cfg(n_trials=20_000)
-        counts, edges, _ = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity)
+        counts, edges, _ = montecarlo.empirical_histogram(cfg, quantity)
         mean = float(np.dot(counts, 0.5 * (edges[:-1] + edges[1:]))) / counts.sum()
         assert mean == pytest.approx(0.5 / math.sqrt(getattr(cfg, lam) * KM2_TO_M2), rel=0.02)
 
@@ -744,18 +744,18 @@ class TestHistograms:
     def test_overlay_is_the_rayleigh_density_per_metre(self, quantity, lam):
         # the overlay reads the drop's groups; the oracle reads the density per m^2
         cfg = small_cfg()
-        _, edges, overlay = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), quantity)
+        _, edges, overlay = montecarlo.empirical_histogram(cfg, quantity)
         expected = rayleigh_pdf(0.5 * (edges[:-1] + edges[1:]), lam(cfg) * KM2_TO_M2)
         np.testing.assert_allclose(overlay, expected, rtol=1e-9, atol=0)
 
     def test_unknown_quantity_rejected(self, sparse_run):
         with pytest.raises(ParameterError):
-            montecarlo.empirical_histogram(sparse_run.cfg, sparse_run.records, "r9")
+            montecarlo.empirical_histogram(sparse_run.cfg, "r9")
 
     def test_requires_enough_trials(self):
         cfg = small_cfg(n_trials=10)
         with pytest.raises(ConfigError):
-            montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "r0")
+            montecarlo.empirical_histogram(cfg, "r0")
 
     @pytest.mark.parametrize("bins", [0, 2001])
     def test_bins_outside_one_to_trials_is_config_error(self, bins):
@@ -763,7 +763,7 @@ class TestHistograms:
         # hist command held the rule, which library calls skipped
         cfg = small_cfg()
         with pytest.raises(ConfigError, match=rf"bins: must be from 1 to n_trials \(2000\), got {bins}"):
-            montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "r0", bins=bins)
+            montecarlo.empirical_histogram(cfg, "r0", bins=bins)
 
 
 class TestLargeAlpha:
@@ -807,7 +807,7 @@ class TestRunConfig:
         # M**2 leaves the float range, log G does not: the estimator reads log q
         # and gives every reflected value 1, and the power is binned from its log
         cfg = NetworkConfig(n_trials=1000, m_elements=10**160, thresholds_db=(0.0,))
-        counts, edges, _ = montecarlo.empirical_histogram(cfg, montecarlo.draw(cfg), "p_ris_dbw")
+        counts, edges, _ = montecarlo.empirical_histogram(cfg, "p_ris_dbw")
         assert counts.sum() == 1000 and np.isfinite(edges).all()
         by_metric = montecarlo.run(cfg)
         assert by_metric["gamma_b"].probability[0] == 1.0
