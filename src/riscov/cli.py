@@ -2,11 +2,11 @@
 
 Subcommands: ``analytic``, ``simulate``, ``compare``, ``sweep``, ``hist``.
 Each command hands one :class:`riscov.config.NetworkConfig` to the engines,
-which read its thresholds and its dimensionless groups, never a raw
-density. One decorator, ``_config_command``, declares the options every
-command shares, builds that config from ``--config`` and the overrides
-(building it is what checks it), and runs the command body under the typed
-exits below. The shared options are ``--config``, ``--out``,
+which read its thresholds and its dimensionless groups; only the ``e_r1``
+sweep reads a raw density. One decorator, ``_config_command``, declares the
+options every command shares, builds that config from ``--config`` and the
+overrides (building it is what checks it), and runs the command body under
+the typed exits below. The shared options are ``--config``, ``--out``,
 ``--seed`` and ``--trials``.
 The engines are imported by the functions that compute, so ``--help``,
 ``--version`` and a config error load none. numpy is the Monte-Carlo
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .config import HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig, load_config
+from .config import HISTOGRAM_QUANTITIES, KM2_TO_M2, ConfigError, NetworkConfig, load_config
 from .errors import RiscovError
 
 if TYPE_CHECKING:
@@ -252,7 +252,10 @@ def run_sweep(
 
 def _moment_row(cfg: NetworkConfig, metric: str) -> ResultRow:
     from . import analytic, geometry
-    value = geometry.expected_r1(cfg) if metric == "e_r1" else analytic.mean_reflected_power(cfg)
+    if metric == "e_r1":  # in km at the densities per km^2, then in metres
+        value = geometry.expected_r1(cfg.lambda_bs, cfg.lambda_ris) / math.sqrt(KM2_TO_M2)
+    else:
+        value = analytic.mean_reflected_power(cfg)
     return _row_builder(cfg)(engine="analytic_moment", metric=metric, t_db=None, value=value)
 
 

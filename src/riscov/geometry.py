@@ -1,16 +1,17 @@
 """Moments of the base-to-reflector distance of the Poisson network model.
 
-Both public functions read logs of a config's groups, valid by
-construction, and check nothing. :func:`log_expected_inv_r1_pow` takes
-them in any one unit of length, the engines' being the base spacing
-``1/sqrt(pi*lambda_bs)``; :func:`expected_r1` returns metres, which come
-only from :attr:`riscov.config.NetworkConfig.base_spacing_m`. No density
-function is left here. The nearest-neighbor distance of a homogeneous PPP
-of intensity ``lam`` is Rayleigh-distributed with density
-``2*pi*lam*r*exp(-pi*lam*r**2)``, which :func:`riscov.montecarlo.empirical_histogram`
-draws as the ``hist`` overlay; the distributions of the serving-link
-distance, the reflector-link distance and the base-to-reflector distance
-are all built from that single fact plus the law of cosines.
+Distances and intensities are in any one unit of length, the densities per
+its square: the engines use the base spacing ``1/sqrt(pi*lambda_bs)``, the
+``e_r1`` sweep kilometres. :func:`expected_r1` raises
+:class:`ParameterError` on an intensity that is not a positive finite float;
+:func:`log_expected_inv_r1_pow` reads logs of config fields, valid by
+construction, and checks nothing. No density function is left here. The
+nearest-neighbor distance of a homogeneous PPP of intensity ``lam`` is
+Rayleigh-distributed with density ``2*pi*lam*r*exp(-pi*lam*r**2)``, which
+:func:`riscov.montecarlo.empirical_histogram` draws as the ``hist``
+overlay; the distributions of the serving-link distance, the reflector-link
+distance and the base-to-reflector distance are all built from that single
+fact plus the law of cosines.
 
 The nearest base and the nearest reflector sit at independent isotropic
 Gaussian positions with variances ``v_bs = 1/(2*pi*lambda_bs)`` and ``v_ris
@@ -22,19 +23,18 @@ pi*lambda_eff*eps**2)``, whose log :func:`log_expected_inv_r1_pow` sums.
 
 ``expected_r1`` keeps the mean of ``r1`` with ``r0`` and ``r2`` truncated
 at their ``1 - TAIL_MASS`` quantiles ``R0`` and ``R2``, as earlier releases
-did: the exact mean ``E = 0.5 / sqrt(lambda_eff)``, ``0.5 * sqrt(pi) *
-exp(-log_r1_scale / 2)`` base spacings, less the tails ``E[r1 ; r0 > R0]``
-and ``E[r1 ; r2 > R2]``. The truncated integral adds back their overlap,
-about ``4e-12 * E``; that is dropped, so the value sits this far below it.
-Write ``r1 = (2*sqrt(pi))**-1 * int_0^inf (1 - exp(-s*r1**2)) * s**-1.5 ds``,
+did: the exact mean ``E = 0.5 / sqrt(lambda_eff)`` less the tails ``E[r1 ;
+r0 > R0]`` and ``E[r1 ; r2 > R2]``. The truncated integral adds back their
+overlap, about ``4e-12 * E``; that is dropped, so the value sits this far
+below it. Write ``r1 = (2*sqrt(pi))**-1 * int_0^inf (1 - exp(-s*r1**2)) * s**-1.5 ds``,
 average ``exp(-s*r1**2)`` over the untruncated position in closed form, and
 use that ``r0**2 / (2*v_bs)`` is a unit exponential beyond ``L =
 -log(TAIL_MASS)``. With ``t = 2*s*(v_bs + v_ris)`` and ``lambda_bs``'s share
-``w = lambda_bs / (lambda_bs + lambda_ris) = exp(log_r1_scale - log_rho)``,
-the ``r0`` tail is ``E * TAIL_MASS / pi * H(w, 1 - w)``, where ``H(w, w') =
-int_0^inf -expm1(-(L*k + log1p(t))) * t**-1.5 dt`` with ``k = t*w' / (1 +
-t*w)``; the ``r2`` tail swaps the shares. ``H`` runs from ``H(1, 0) = pi``
-to ``H(0, 1)`` near 13.6, so no density pair leaves the float range.
+``w = lambda_bs / (lambda_bs + lambda_ris)``, the ``r0`` tail is ``E *
+TAIL_MASS / pi * H(w, 1 - w)``, where ``H(w, w') = int_0^inf -expm1(-(L*k +
+log1p(t))) * t**-1.5 dt`` with ``k = t*w' / (1 + t*w)``; the ``r2`` tail
+swaps the shares. ``H`` runs from ``H(1, 0) = pi`` to ``H(0, 1)``
+near 13.6, so no density pair leaves the float range.
 No code in the package imports scipy, and this module imports no numpy:
 numpy is the Monte-Carlo engine's dependency.
 
@@ -52,8 +52,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .config import NetworkConfig
-from .errors import NumericalError
+from .errors import NumericalError, ParameterError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPSILON = sys.float_info.epsilon
@@ -75,19 +74,21 @@ _R1_LOG_SPAN = 64.0
 _R1_REL_TOL = 1e-9
 
 
-def expected_r1(cfg: NetworkConfig) -> float:
-    """Mean base-to-reflector distance in metres, truncated as in the module docstring.
+def expected_r1(lambda_bs: float, lambda_ris: float) -> float:
+    """Mean base-to-reflector distance, truncated as in the module docstring.
 
     The two tails' ``H`` integrand is analytic in ``x``, bends within ``[-3,
     0]`` and falls like ``exp(-|x|/2)``, so its trapezoid sum converges
     geometrically and ``|x| <= _R1_LOG_SPAN`` leaves out under 1e-13 of it.
-    Raises :class:`NumericalError` when the sums of step ``h`` and ``2h``
-    over the same nodes differ by more than ``_R1_REL_TOL`` times the value.
+    Raises :class:`ParameterError` on an intensity that is not a positive
+    finite float, and :class:`NumericalError` when the sums of step ``h`` and
+    ``2h`` over the same nodes differ by more than ``_R1_REL_TOL`` times the value.
     """
-    # in metres from logs: in base spacings E overflows once lambda_bs / lambda_ris passes about 4e616
-    exact = math.exp(0.5 * (math.log(math.pi) - cfg.log_r1_scale) - math.log(2.0) + math.log(cfg.base_spacing_m))
-    # lambda_bs's and lambda_ris's shares of the two densities: 1 / (1 + rho) and rho / (1 + rho)
-    shares = (math.exp(cfg.log_r1_scale - cfg.log_rho), math.exp(cfg.log_r1_scale))
+    if not all(math.isfinite(lam) and lam > 0 for lam in (lambda_bs, lambda_ris)):
+        raise ParameterError(f"intensities must be positive finite floats, got {lambda_bs!r}, {lambda_ris!r}")
+    exact = 0.5 * math.hypot(lambda_bs**-0.5, lambda_ris**-0.5)
+    # each density's share of the two: a ratio may overflow or underflow, but gives no NaN
+    shares = (1.0 / (1.0 + lambda_ris / lambda_bs), 1.0 / (1.0 + lambda_bs / lambda_ris))
     log_inv_mass = -math.log(TAIL_MASS)
     sums = [0.0, 0.0]  # over the even and the odd nodes
     n = round(_R1_LOG_SPAN / _R1_LOG_STEP)

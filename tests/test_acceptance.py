@@ -281,11 +281,11 @@ def test_c12_trend_suite():
         > bs_curve[0].ci_half_width + bs_curve[-1].ci_half_width
     )
 
-    # mean base-to-reflector distance falls in either density (per km^2)
-    lam_ris_grid = [250.0, 1000.0, 4000.0, 16000.0]
-    lam_bs_grid = [10.0, 25.0, 100.0, 400.0]
+    # mean base-to-reflector distance falls in either density
+    lam_ris_grid = [2.5e-4, 1e-3, 4e-3, 1.6e-2]
+    lam_bs_grid = [1e-5, 2.5e-5, 1e-4, 4e-4]
     er1 = {
-        (lb, lr): geometry.expected_r1(make_cfg(lambda_bs=lb, lambda_ris=lr))
+        (lb, lr): geometry.expected_r1(lb, lr)
         for lb in lam_bs_grid for lr in lam_ris_grid
     }
     er1_ok = all(

@@ -42,13 +42,8 @@ def perfbench_module(name):
     return module
 
 
-# every closed-form command of the benchmark with a reference CSV: analytic and sweep
-BENCHMARK_REFERENCE_COMMANDS = [
-    (workload.name, command)
-    for workload in perfbench_module("workloads").WORKLOADS.values()
-    for command in workload.commands
-    if command.kind in ("analytic", "sweep") and command.reference
-]
+# the benchmark's reference CSVs, by workload; each is the output of one analytic or sweep command
+BENCHMARK_REFERENCES = sorted((path.parent.name, path.stem) for path in (PERFBENCH / "reference").glob("*/*.csv"))
 
 
 def read_rows(path):
@@ -800,21 +795,27 @@ class TestSweep:
         # the exact mean 0.5 / sqrt(lambda_eff), the truncated rule's limit
         assert values[0] == pytest.approx(0.5 / math.sqrt(1e-311 * 100 / 101), rel=1e-5)
 
-    @pytest.mark.parametrize("workload,command", BENCHMARK_REFERENCE_COMMANDS,
-                             ids=[f"{w}-{c.name}" for w, c in BENCHMARK_REFERENCE_COMMANDS])
-    def test_closed_form_passes_the_benchmark_output_check(self, runner, tmp_path, workload, command):
-        # the benchmark's command, judged by the harness's own check (every
-        # reference row present, each value within 1e-6), so tier-1 fails
-        # wherever the benchmark would: the two mc-* analytic references and
-        # the five closed-form ones
-        assert len(BENCHMARK_REFERENCE_COMMANDS) == 7
+    @pytest.mark.parametrize("workload,reference", BENCHMARK_REFERENCES,
+                             ids=[f"{w}-{r}" for w, r in BENCHMARK_REFERENCES])
+    def test_benchmark_references_pass_the_harness_check(self, runner, tmp_path, workload, reference):
+        # the benchmark's analytic or sweep command, judged by the harness's
+        # own check (every reference row present, each value within 1e-6), so
+        # tier-1 fails wherever the benchmark would: the two mc-* analytic
+        # references and the five closed-form ones
+        commands = {
+            (w.name, c.reference): c
+            for w in perfbench_module("workloads").WORKLOADS.values()
+            for c in w.commands if c.kind in ("analytic", "sweep") and c.reference
+        }
+        assert sorted(commands) == BENCHMARK_REFERENCES and len(commands) == 7
+        command = commands[workload, reference]
         checks = perfbench_module("checks")
         argv = command.argv(str(PERFBENCH / "configs" / command.config), str(tmp_path), seed=1)
         result = runner.invoke(cli.main, argv, catch_exceptions=False)
         assert result.exit_code == 0, result.output
-        reference = (PERFBENCH / "reference" / workload / f"{command.reference}.csv").read_text()
+        expected = (PERFBENCH / "reference" / workload / f"{reference}.csv").read_text()
         assert checks.ANALYTIC_ABS_TOL == 1e-6
-        assert checks.check_analytic_csv((tmp_path / f"{command.kind}.csv").read_text(), reference) == []
+        assert checks.check_analytic_csv((tmp_path / f"{command.kind}.csv").read_text(), expected) == []
 
     @pytest.mark.parametrize("bs,grid", [
         ("25.0", "1.0e-306"), ("25.0", "1.0e-310"), ("1.0e-318", "1.0e-3"), ("1.0e+300", "1e-300"),
@@ -824,7 +825,7 @@ class TestSweep:
         # below rho = 8e-308 a tail radius squared per m**2 left the float
         # range, and at 1e-310 rho/pi is subnormal; where rho itself leaves it
         # the sweep exited 4, as it read the densities in units of the base
-        # spacing. From the config's logs every case gives the exact mean
+        # spacing. In the config's own units every case gives the exact mean
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"lambda_bs: {bs}\n")
         result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
@@ -1025,8 +1026,7 @@ class TestHistCommand:
         assert not (tmp_path / "hist_r0.csv").exists()
 
     def test_bins_are_checked_before_any_record_is_drawn(self, runner, tmp_path, monkeypatch):
-        # hist drew every record before the bins rule could exit 2: at 1e9
-        # trials, five float arrays of that length. Here a draw fails the test
+        # a draw here fails the test: at 1e9 trials it would allocate tens of GB
         def draw(cfg):
             raise AssertionError(f"drew {cfg.n_trials} records before checking the bins")
 

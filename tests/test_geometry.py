@@ -11,7 +11,6 @@ import reference_engine
 from oracle_helpers import expected_inv_r1_pow, expected_r1_nested, prob_ris_closer, rayleigh_pdf
 from reference_engine import EmptyScenarioError
 from riscov import geometry
-from riscov.config import KM2_TO_M2, NetworkConfig
 from riscov.errors import NumericalError, ParameterError
 
 LAM_BS = 2.5e-5   # 25 per km^2
@@ -185,25 +184,12 @@ class TestR1Marginal:
         assert rayleigh_pdf(0.0, LAM_EFF) == 0.0
 
 
-def r1_cfg(lambda_bs: float, lambda_ris: float) -> NetworkConfig:
-    """The default config at these densities per km^2, as ``expected_r1`` reads them."""
-    return NetworkConfig(lambda_bs=lambda_bs, lambda_ris=lambda_ris)
-
-
-def exact_r1_m(lambda_bs: float, lambda_ris: float) -> float:
-    """The untruncated mean ``0.5 / sqrt(lambda_eff)`` in metres, at densities per km^2."""
-    return 0.5 * math.hypot(lambda_bs**-0.5, lambda_ris**-0.5) / math.sqrt(KM2_TO_M2)
-
-
 class TestExpectedR1:
-    # the densities per km^2 of LAM_BS and LAM_RIS
-    CFG = r1_cfg(25.0, 1000.0)
-
     def test_monotone_in_ris_density(self):
-        assert geometry.expected_r1(r1_cfg(25.0, 1000.0)) > geometry.expected_r1(r1_cfg(25.0, 2000.0))
+        assert geometry.expected_r1(LAM_BS, 1e-3) > geometry.expected_r1(LAM_BS, 2e-3)
 
     def test_consistent_with_marginal_first_moment(self):
-        direct = geometry.expected_r1(self.CFG)
+        direct = geometry.expected_r1(LAM_BS, LAM_RIS)
         via_pdf, _ = integrate.quad(
             lambda r: r * rayleigh_pdf(r, LAM_EFF),
             1e-6, 900.0, limit=300,
@@ -219,13 +205,13 @@ class TestExpectedR1:
         phi = rng.uniform(0, math.pi, n)
         r1 = np.sqrt(r0**2 + r2**2 - 2 * r0 * r2 * np.cos(phi))
         se = r1.std() / math.sqrt(n)
-        assert abs(geometry.expected_r1(self.CFG) - r1.mean()) < 3 * se
+        assert abs(geometry.expected_r1(LAM_BS, LAM_RIS) - r1.mean()) < 3 * se
 
     def test_strictly_decreasing_on_grid(self):
-        lam_ris_grid = [250.0, 1000.0, 4000.0, 16000.0]
-        lam_bs_grid = [10.0, 25.0, 100.0, 400.0]
+        lam_ris_grid = [2.5e-4, 1e-3, 4e-3, 1.6e-2]
+        lam_bs_grid = [1e-5, 2.5e-5, 1e-4, 4e-4]
         table = {
-            (lb, lr): geometry.expected_r1(r1_cfg(lb, lr))
+            (lb, lr): geometry.expected_r1(lb, lr)
             for lb in lam_bs_grid for lr in lam_ris_grid
         }
         for lb in lam_bs_grid:
@@ -242,36 +228,38 @@ class TestExpectedR1:
     ])
     def test_matches_nested_quadrature(self, lam_bs_km2, lam_ris_km2):
         # the same truncated integral by adaptive quadrature at epsrel 1e-12,
-        # over density ratios from 1e-9 to 1e9; the oracle reads per m^2
-        oracle, abs_err = expected_r1_nested(lam_bs_km2 * KM2_TO_M2, lam_ris_km2 * KM2_TO_M2)
+        # over density ratios from 1e-9 to 1e9
+        lam_bs, lam_ris = lam_bs_km2 * 1e-6, lam_ris_km2 * 1e-6
+        oracle, abs_err = expected_r1_nested(lam_bs, lam_ris)
         assert abs_err < 1e-12 * oracle
-        assert geometry.expected_r1(r1_cfg(lam_bs_km2, lam_ris_km2)) == pytest.approx(oracle, rel=1e-10)
+        assert geometry.expected_r1(lam_bs, lam_ris) == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("rho", [1e-300, 1e-9, 1.0, 20.0, 40.0, 160.0, 2000.0, 1e9, 1e300])
     def test_truncation_is_the_pinned_tail_share(self, rho):
         # the value is the exact mean less the tails beyond the 1 - TAIL_MASS
         # quantiles: 5.34e-6 of it at extreme density ratios, 6.24e-6 at rho 1
-        exact = exact_r1_m(1.0, rho)
-        assert 5.3e-6 <= (exact - geometry.expected_r1(r1_cfg(1.0, rho))) / exact <= 6.3e-6
+        lam_bs, lam_ris = 1 / math.pi, rho / math.pi
+        exact = 0.5 / math.sqrt(lam_bs * lam_ris / (lam_bs + lam_ris))
+        assert 5.3e-6 <= (exact - geometry.expected_r1(lam_bs, lam_ris)) / exact <= 6.3e-6
 
     @pytest.mark.parametrize("lam_bs,lam_ris", [
-        (1e-318, 1000.0), (1.0, 5e-324), (5e-324, 1.0), (1.0, 1e-310), (1e-310, 1.0),
-        (1.0, 1.7e308), (1.7e308, 1.0), (1.7e308, 5e-324), (5e-324, 1.7e308),
+        (1e-318, LAM_RIS), (1 / math.pi, 5e-324), (5e-324, 1 / math.pi),
+        (1 / math.pi, 1e-310), (1e-310, 1 / math.pi), (1 / math.pi, 1.7e308), (1.7e308, 1 / math.pi),
     ])
     def test_sparse_bases_give_the_exact_mean(self, lam_bs, lam_ris):
-        # subnormal densities per km^2, and density ratios that overflow
-        # (1e321, 3.4e631) or underflow (3e-632). At (1.7e308, 5e-324) the
-        # mean, 2.2e164 m, is 5e315 base spacings, past the float range, so
-        # it is formed in logs; the tail sums read only each density's share
-        assert geometry.expected_r1(r1_cfg(lam_bs, lam_ris)) == pytest.approx(exact_r1_m(lam_bs, lam_ris), rel=1e-5)
+        # at 1e-318 per m**2 the tail radius squared leaves the float range,
+        # and a density ratio may overflow or underflow; the tail sums read
+        # only each density's share of the two
+        exact = 0.5 * math.hypot(lam_bs**-0.5, lam_ris**-0.5)
+        assert geometry.expected_r1(lam_bs, lam_ris) == pytest.approx(exact, rel=1e-5)
 
     def test_rule_disagreement_raises(self, monkeypatch):
         # the tail sums of steps h and 2h agree to about 4e-11 of the value
         # here, which a tolerance below that cannot accept
-        value = geometry.expected_r1(self.CFG)
+        value = geometry.expected_r1(LAM_BS, LAM_RIS)
         monkeypatch.setattr(geometry, "_R1_REL_TOL", 1e-12)
         with pytest.raises(NumericalError, match="did not converge") as info:
-            geometry.expected_r1(self.CFG)
+            geometry.expected_r1(LAM_BS, LAM_RIS)
         gap = float(str(info.value).rpartition(" differ by ")[2])
         assert 1e-12 * value < gap < 1e-9 * value
 
