@@ -6,8 +6,9 @@ evaluates the config's ``thresholds_linear`` and returns a tuple of floats
 aligned with its ``thresholds_db``. Every value is a probability in [0, 1].
 
 Every expression is exact and evaluated without quadrature. The interference
-factor is the Gauss hypergeometric form
-``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)``. The two reflected-path
+factor is ``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli
+& Ganti, IEEE TCOM 2011); :func:`direct_factors` holds it at each configured
+threshold, for the direct paths of both engines. The two reflected-path
 approximations depend on the deployment only through one power-free ratio
 ``kappa``, which holds the floored moment ``E[r1**-2 ; r1 >= eps]`` of
 :func:`riscov.geometry.log_expected_inv_r1_pow`. Both are evaluated from
@@ -48,7 +49,7 @@ from functools import lru_cache
 
 from . import geometry
 from .config import NetworkConfig
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 
 
 # Pfaff terms (the tail past them: under 2**-56 of the sum) and economized degree (under 2**-54 of the lead)
@@ -120,18 +121,10 @@ def _series(alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _economize(low, 1.0 / (1.0 + b)), _economize(shortfall, -delta / (1.0 + delta))
 
 
-def interference_factor(T: float, alpha: float) -> float:
-    """``T**(2/a) * int_{T**(-2/a)}^inf du / (1 + u**(a/2))`` in closed form.
-
-    Equals ``2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli & Ganti,
-    IEEE TCOM 2011), which at ``alpha == 4`` is ``sqrt(T) * atan(sqrt(T))``;
-    :func:`interference_factor_from_log` sums it from ``log(T) / alpha``.
-    ``T = 0`` gives 0 and ``T = inf`` gives inf.
-    """
-    if not T >= 0:
-        raise ParameterError(f"T must be nonnegative, got {T!r}")
-    log_t = math.log(T) if T > 0 else -math.inf  # log(0) raises in math; I is 0 there
-    return interference_factor_from_log(log_t / alpha, alpha)
+def direct_factors(cfg: NetworkConfig) -> tuple[tuple[float, float], ...]:
+    """``(log(T) / a, I(T, a))`` at each configured threshold, in order: the direct paths' factors."""
+    logs = [math.log(t) / cfg.alpha for t in cfg.thresholds_linear]
+    return tuple((u, interference_factor_from_log(u, cfg.alpha)) for u in logs)
 
 
 def interference_factor_from_log(log_t_per_alpha: float, alpha: float) -> float:
@@ -166,7 +159,7 @@ def _above_one(alpha: float, head, w):
 
 def _direct_coverage(cfg: NetworkConfig, retention: float) -> tuple[float, ...]:
     """``1 / (1 + p * I(T, a))`` at each configured threshold, for the retention ``p`` of the lobes."""
-    return tuple(1.0 / (1.0 + retention * interference_factor(t, cfg.alpha)) for t in cfg.thresholds_linear)
+    return tuple(1.0 / (1.0 + retention * factor) for _, factor in direct_factors(cfg))
 
 
 def coverage_baseline(cfg: NetworkConfig) -> tuple[float, ...]:
@@ -256,8 +249,7 @@ def coverage_path_b_approx2(cfg: NetworkConfig) -> tuple[float, ...]:
     the gaps that README quotes below its table of ``compare``'s gates.
     """
     log_kappa, p = log_reflector_ratio(cfg), cfg.retentions[1]
-    return tuple(_reflected_coverage(log_kappa, p * interference_factor(t, cfg.alpha))
-                 for t in cfg.thresholds_linear)
+    return tuple(_reflected_coverage(log_kappa, p * factor) for _, factor in direct_factors(cfg))
 
 
 # ---------------------------------------------------------------------------

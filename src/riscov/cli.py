@@ -52,7 +52,7 @@ EXIT_PIPELINE_ERROR = 4
 
 SWEEP_METRICS = ("coverage", "e_r1", "e_p_ris")
 
-# a threshold this close (in dB) to a gate's `t_db` gets that gate
+# a threshold within max(this, 1e-9 * |t_db|) dB of a gate's `t_db` gets it (isclose's rel_tol): 5e-9 dB at 5 dB
 GATE_T_DB_ABS_TOL = 1e-9
 
 
@@ -229,8 +229,8 @@ def run_sweep(
     """
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(["grid: must be nonempty and strictly increasing"])
-    if axis == "T" and metric != "coverage":
-        raise ConfigError(["metric: moment metrics do not depend on the threshold axis"])
+    if metric != "coverage" and (axis == "T" or with_mc):  # a moment has no threshold and is not simulated
+        raise ConfigError([f"metric: {metric} is a moment: it takes neither --axis T nor --with-mc"])
     axis_name = SWEEP_AXES[axis]
     rows: list[ResultRow] = []
     for value in grid:

@@ -240,7 +240,7 @@ class NetworkConfig:
         if not isinstance(mapping, dict):
             raise ConfigError([f"config root must be a mapping, got {type(mapping).__name__}"])
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - known)
+        unknown = sorted(set(mapping) - known, key=str)  # YAML keys may be ints or None beside strings
         if unknown:
             raise ConfigError([f"unknown config key: {k}" for k in unknown])
         return cls(**mapping)

@@ -2,8 +2,8 @@
 
 The CLI maps :class:`RiscovError` to exit code 4 and the config module's
 ``ConfigError`` to exit code 2. Config fields are checked once, when a
-``NetworkConfig`` is built; any other bad argument, a point outside a
-function's support included, raises :class:`ParameterError`.
+``NetworkConfig`` is built; :class:`ParameterError` is raised only for
+``expected_r1``'s intensities and ``empirical_histogram``'s quantity.
 """
 from __future__ import annotations
 

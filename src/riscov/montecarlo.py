@@ -42,7 +42,7 @@ Laplace functional (Andrews, Baccelli & Ganti, IEEE TCOM 2011):
 
     e(x) = exp(-p * r0**2 * I(x, alpha)),
 
-where ``I`` is :func:`riscov.analytic.interference_factor` and ``p`` is the
+where ``I`` is :mod:`riscov.analytic`'s interference factor and ``p`` is the
 single-beam retention for ``gamma_o`` and the split-beam one otherwise. The
 direct paths have ``x = T``, one ``I(T, alpha)`` per threshold. The reflected
 path has ``x = T * q``, with ``q`` the direct link's mean power over the
@@ -54,12 +54,12 @@ with ``log(K) / alpha`` from
 :attr:`riscov.config.NetworkConfig.log_k_per_alpha`. ``K`` and ``rho`` are
 the only places where the densities, ``mu`` and the bank enter, so
 ``gamma_o`` and ``gamma_a`` depend on the deployment through ``alpha`` and
-``N`` alone. ``I`` is read from ``log(x) / alpha`` by
-:func:`riscov.analytic.interference_factor_from_log` for the direct paths
-and by its array form :func:`interference_factor_from_log`, which runs that
-module's series arithmetic on arrays, for the reflected one. It stays
-finite where ``q`` leaves the float range, as on half the trials at ``alpha
-= 1000``: ``gamma_b`` takes its ``alpha -> inf`` limit there.
+``N`` alone. ``I`` is read from ``log(x) / alpha``: for the direct paths
+from :func:`riscov.analytic.direct_factors`, the closed forms' own table,
+and for the reflected one by :func:`interference_factor_from_log`, which
+runs that module's series arithmetic on arrays. It stays finite where ``q``
+leaves the float range, as on half the trials at ``alpha = 1000``:
+``gamma_b`` takes its ``alpha -> inf`` limit there.
 Selection shares the interference of both paths and its two fades are
 independent, so ``gamma_s`` is ``e_a + g * (e_b - e(T * (1 + q)))``.
 
@@ -176,9 +176,6 @@ class TrialRecords:
     r1: np.ndarray
     r2: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.r0)
-
 
 def _radical_inverse(i: int) -> int:
     """The base-2 radical inverse of ``i < 2**53``, as an integer over ``2**53``: its bits reversed."""
@@ -226,7 +223,7 @@ def _trials(cfg: NetworkConfig, u: np.ndarray) -> TrialRecords:
     return TrialRecords(log_q_per_alpha=log_q_per_alpha, f1=f1, r0=r0, r1=r1, r2=r2)
 
 
-def _block_sums(cfg: NetworkConfig, shifts: np.ndarray, start: int, stop: int, direct: list,
+def _block_sums(cfg: NetworkConfig, shifts: np.ndarray, start: int, stop: int, direct: tuple,
                 reference: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The per-shift sums (module docstring) over the lattice indices ``start`` to ``stop - 1``, and the reference.
 
@@ -279,21 +276,15 @@ class Coverage(NamedTuple):
     ci_half_width: np.ndarray
 
 
-def _direct_factor(cfg: NetworkConfig, threshold: float) -> tuple[float, float]:
-    """``log(T) / alpha`` and the direct paths' ``I(T, alpha)``, the closed forms' own, for every trial."""
-    log_t = math.log(threshold) / cfg.alpha
-    return log_t, analytic.interference_factor_from_log(log_t, cfg.alpha)
-
-
-def _values(cfg: NetworkConfig, records: TrialRecords, engaged: np.ndarray, direct: list) -> Iterator[dict]:
+def _values(cfg: NetworkConfig, records: TrialRecords, engaged: np.ndarray, direct: tuple) -> Iterator[dict]:
     """Per-trial ``Pr[SIR > T]`` given the trial's records (module docstring), one dict per threshold.
 
     ``engaged`` is each trial's probability of an engaged reflector (``g``,
     or the indicator ``r2 < r0`` given ``r2``), and ``gamma_b``'s value is
-    given engagement. ``direct[j]`` is the :func:`_direct_factor` of the
-    ``j``-th threshold; the ``j``-th dict, yielded in turn so that one
-    threshold's values are alive at a time, maps each name of
-    :data:`METRICS` to an array over all trials.
+    given engagement. ``direct`` is :func:`riscov.analytic.direct_factors`'
+    table; the ``j``-th dict, yielded in turn so that one threshold's values
+    are alive at a time, maps each name of :data:`METRICS` to an array over
+    all trials.
     """
     exposure_single, exposure_split = np.outer(cfg.retentions, -np.square(records.r0))  # -p * r0**2 for each p
     log_q = np.fmax(records.log_q_per_alpha, -np.inf)  # nan only where g or 2 * v3 is 0: q = 0, its r0 -> 0 limit
@@ -350,7 +341,7 @@ def run(cfg: NetworkConfig) -> dict[str, Coverage]:
     """
     if cfg.n_trials < 100:
         raise ConfigError([f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"])
-    direct = [_direct_factor(cfg, t) for t in cfg.thresholds_linear]
+    direct = analytic.direct_factors(cfg)
     shifts, per_shift = _shifts(cfg), cfg.n_trials // SHIFTS
     total, reference = _block_sums(cfg, shifts, 0, min(_INDICES, per_shift), direct, None)
     for start in range(_INDICES, per_shift, _INDICES):

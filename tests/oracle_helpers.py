@@ -10,8 +10,9 @@ quadrature routes below integrate the defining integrals instead. Likewise
 the reflector bank's phase-quantization loss is a closed form in the package
 and an element-by-element array factor here. The last section keeps model
 identities (the reflection gain, peak reflected power, the fractional fade
-moment, the engaged probability) that only tests evaluate, and the
-engine's per-trial values at one threshold, which only tests read.
+moment, the engaged probability, the interference factor at one threshold)
+that only tests evaluate, and the engine's per-trial values at one
+threshold, which only tests read.
 """
 from __future__ import annotations
 
@@ -372,6 +373,11 @@ def array_factor_from_phases(target_phases, phase_bits="ideal") -> complex:
 # model identities that no command needs
 # ---------------------------------------------------------------------------
 
+def interference_factor(T, alpha):
+    """``I(T, alpha)`` by the package's kernel at a threshold ``T >= 0``: 0 at ``T = 0`` and inf at ``T = inf``."""
+    return analytic.interference_factor_from_log((math.log(T) if T > 0 else -math.inf) / alpha, alpha)
+
+
 def expected_inv_r1_pow(power, lam_bs, lam_ris, eps=1.0):
     """``E[r1**-power ; r1 >= eps]`` in SI units: the package's log, taken in metres.
 
@@ -500,11 +506,14 @@ def conditional_values(cfg, records, threshold, engaged=None):
     ``engaged`` is each trial's probability of an engaged reflector, as
     ``montecarlo._values`` takes it; by default it is the indicator ``r2 <
     r0``, and then ``gamma_b``'s values are those of the engaged trials only.
+    ``threshold`` is one of ``cfg.thresholds_linear``: the engine reads its
+    entry of ``analytic.direct_factors(cfg)``, as ``montecarlo.run`` does.
     """
     indicator = engaged is None
     if indicator:
         engaged = records.r2 < records.r0
-    (values,) = montecarlo._values(cfg, records, engaged, [montecarlo._direct_factor(cfg, threshold)])
+    direct = analytic.direct_factors(cfg)[cfg.thresholds_linear.index(threshold)]
+    (values,) = montecarlo._values(cfg, records, engaged, (direct,))
     return {**values, "gamma_b": values["gamma_b"][engaged]} if indicator else values
 
 
@@ -542,7 +551,7 @@ def lattice_estimates(cfg, threshold):
     records, weight, engaged, per_shift = lattice_records(cfg)
     values = conditional_values(cfg, records, threshold, engaged)
     shifts = montecarlo.SHIFTS
-    ones = np.ones(len(records))
+    ones = np.ones(len(records.r0))
     out = {}
     for metric, w in (("gamma_o", ones), ("gamma_a", ones), ("gamma_b", engaged * weight), ("gamma_s", weight)):
         x = values[metric]

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 
-from oracle_helpers import expected_inv_r1_pow, fade_fractional_moment, power_density_convert
-from riscov import analytic
+from oracle_helpers import expected_inv_r1_pow, fade_fractional_moment, interference_factor, power_density_convert
 from riscov.config import KM2_TO_M2, NetworkConfig, quantization_efficiency
 
 
@@ -22,7 +21,7 @@ def coverage_baseline_general(cfg: NetworkConfig, T: float) -> float:
     lam_bs = cfg.lambda_bs * KM2_TO_M2
     lam_bs_t = power_density_convert(lam_bs, cfg.p_s, cfg.mu, cfg.alpha)
     lam_i_t = power_density_convert(lam_bs * p_single, cfg.p_s, cfg.mu, cfg.alpha)
-    i_factor = analytic.interference_factor(T, cfg.alpha)
+    i_factor = interference_factor(T, cfg.alpha)
     return lam_bs_t / (lam_bs_t + lam_i_t * i_factor)
 
 
@@ -40,7 +39,7 @@ def coverage_path_b_restated(cfg: NetworkConfig, T: float) -> float:
         * fade_fractional_moment(1.0, cfg.alpha)
         * expected_inv_r1_pow(2.0, lam_bs, lam_ris, cfg.epsilon_floor)
     )
-    f2 = analytic.interference_factor(T, cfg.alpha)
+    f2 = interference_factor(T, cfg.alpha)
     signal = lam_ris * cfg.m_elements ** (4.0 / cfg.alpha) * f1
     interference = math.sqrt(2.0 / cfg.n_elements) * lam_bs * f2
     return signal / (signal + interference)

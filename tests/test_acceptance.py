@@ -18,6 +18,7 @@ from oracle_helpers import (
     array_factor_from_phases,
     conditional_values,
     fade_fractional_moment,
+    interference_factor,
     interference_quadrature,
     prob_ris_closer,
     rayleigh_pdf,
@@ -66,7 +67,7 @@ def test_c01_interference_factor_closed_form():
         closed = math.sqrt(T) * (math.pi / 2 - math.atan(T**-0.5))
         got, _ = interference_quadrature(T, 4.0)
         worst = max(worst, abs(got - closed))
-        assert abs(analytic.interference_factor(T, 4.0) - closed) < 1e-9
+        assert abs(interference_factor(T, 4.0) - closed) < 1e-9
     elapsed = time.perf_counter() - t0
     report(
         1, "interference factor matches the alpha=4 arctangent form",

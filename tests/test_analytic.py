@@ -11,6 +11,7 @@ from scipy import integrate, optimize, special
 
 from oracle_helpers import (
     INTERFERENCE_ABS_TOL,
+    interference_factor,
     interference_quadrature,
     pfaff_coefficients,
     pfaff_interference_factor_from_log,
@@ -21,7 +22,6 @@ from oracle_helpers import (
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
 from riscov import analytic, geometry, montecarlo
 from riscov.config import KM2_TO_M2, ConfigError, NetworkConfig
-from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5
 LAM_RIS = 5e-2
@@ -51,8 +51,8 @@ def kernel(T, alpha):
 
 
 def scalar_factors(T, alpha) -> np.ndarray:
-    """``I(T, alpha)`` by :func:`riscov.analytic.interference_factor` at each threshold, the shape of ``T``."""
-    return np.reshape([analytic.interference_factor(float(t), alpha) for t in np.ravel(T)], np.shape(T))
+    """``I(T, alpha)`` by the closed forms' scalar kernel at each threshold, the shape of ``T``."""
+    return np.reshape([interference_factor(float(t), alpha) for t in np.ravel(T)], np.shape(T))
 
 
 def within_ulps(a: float, b: float, ulps: int) -> bool:
@@ -70,7 +70,7 @@ class TestInterferenceFactor:
     def test_quadrature_matches_alpha4_closed_form(self, T):
         quad_value, _ = interference_quadrature(T, 4.0)
         assert abs(quad_value - closed_form_alpha4(T)) < 1e-9
-        assert abs(analytic.interference_factor(T, 4.0) - closed_form_alpha4(T)) < 1e-12
+        assert abs(interference_factor(T, 4.0) - closed_form_alpha4(T)) < 1e-12
 
     def test_hypergeometric_matches_quadrature_oracle(self):
         checked = 0
@@ -80,17 +80,17 @@ class TestInterferenceFactor:
                 if abs_err > INTERFERENCE_ABS_TOL:
                     continue  # the oracle itself did not converge here
                 checked += 1
-                assert abs(analytic.interference_factor(T, alpha) - quad_value) <= 1e-9
+                assert abs(interference_factor(T, alpha) - quad_value) <= 1e-9
         assert checked >= 80
 
     def test_reference_values(self):
-        assert analytic.interference_factor(1.0, 4.0) == pytest.approx(math.pi / 4, abs=1e-12)
-        assert analytic.interference_factor(10.0, 4.0) == pytest.approx(
+        assert interference_factor(1.0, 4.0) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert interference_factor(10.0, 4.0) == pytest.approx(
             math.sqrt(10) * math.atan(math.sqrt(10)), abs=1e-9
         )
 
     def test_vanishes_with_threshold(self):
-        assert analytic.interference_factor(1e-8, 4.0) < 1e-4
+        assert interference_factor(1e-8, 4.0) < 1e-4
 
     def test_array_threshold_matches_scalars(self):
         thresholds = np.logspace(-2, 4, 13)
@@ -134,7 +134,7 @@ class TestInterferenceFactor:
                                float(montecarlo.interference_factor_from_log(u, alpha)), 4), (u, alpha)
         thresholds = np.concatenate([[0.0, math.inf], np.logspace(-300, 300, 121)])
         for t, in_kernel in zip(thresholds, kernel(thresholds, alpha)):
-            assert within_ulps(analytic.interference_factor(t, alpha), float(in_kernel), 4), (t, alpha)
+            assert within_ulps(interference_factor(t, alpha), float(in_kernel), 4), (t, alpha)
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_economized_factor_matches_the_56_term_series_within_8_ulp(self, alpha):
@@ -190,7 +190,7 @@ class TestInterferenceFactor:
                     )[0]
                     for a, b in zip(edges[:-1], edges[1:])
                 )
-                got = analytic.interference_factor(T, alpha)
+                got = interference_factor(T, alpha)
                 assert got == pytest.approx(T ** (2 / alpha) * (finite + tail), rel=1e-8)
 
     @pytest.mark.parametrize("factors", [scalar_factors, kernel], ids=["analytic", "kernel"])
@@ -206,9 +206,8 @@ class TestInterferenceFactor:
         assert np.max(np.abs(got / oracle - 1.0)) <= 1e-13
 
     def test_limits(self):
-        # approx1's scaled threshold T * kappa**(-a/2) can underflow to 0 or overflow to inf
-        assert analytic.interference_factor(0.0, 4.0) == 0.0
-        assert analytic.interference_factor(math.inf, 3.0) == math.inf
+        assert analytic.interference_factor_from_log(-math.inf, 4.0) == 0.0
+        assert analytic.interference_factor_from_log(math.inf, 3.0) == math.inf
         values = kernel(np.array([0.0, 1.0, math.inf]), 4.0)
         assert values[0] == 0.0
         assert values[1] == pytest.approx(math.pi / 4, rel=1e-15)
@@ -216,7 +215,7 @@ class TestInterferenceFactor:
         # within about 1e-11 of alpha = 2, pi*d/sin(pi*d) is about 2e11, so that
         # term leaves the float range at T near 1e297; inf is its limit, reached
         # without an OverflowError or a RuntimeWarning
-        assert analytic.interference_factor(1e297, 2.00000000001) == math.inf
+        assert analytic.interference_factor_from_log(math.log(1e297) / 2.00000000001, 2.00000000001) == math.inf
         assert kernel(1e297, 2.00000000001) == math.inf
 
     @pytest.mark.parametrize("factors", [scalar_factors, kernel], ids=["analytic", "kernel"])
@@ -235,11 +234,6 @@ class TestInterferenceFactor:
         thresholds = np.logspace(-3, 3, 61)
         assert np.all(np.diff(factors(thresholds, alpha)) > 0)
 
-    def test_preconditions(self):
-        for bad in (-1e-300, -1.0, math.nan):
-            with pytest.raises(ParameterError, match="T must be nonnegative"):
-                analytic.interference_factor(bad, 4.0)
-
 
 class TestBaselineCoverage:
     def test_reference_value(self):
@@ -255,7 +249,7 @@ class TestBaselineCoverage:
         # differs in the last bit at 15 and 20 dB from dividing by sqrt(N)
         cfg = make_cfg(n_elements=12)
         p_single, _ = cfg.retentions
-        expected = tuple(1.0 / (1.0 + p_single * analytic.interference_factor(t, cfg.alpha))
+        expected = tuple(1.0 / (1.0 + p_single * interference_factor(t, cfg.alpha))
                          for t in cfg.thresholds_linear)
         assert analytic.coverage_baseline(cfg) == expected
         alone = tuple(analytic.coverage_baseline(cfg.replace(thresholds_db=(t,)))[0] for t in cfg.thresholds_db)
@@ -386,7 +380,7 @@ class TestPathBCoverage:
         cfg, T = make_cfg(), 2.0
         kappa = reflector_ratio(cfg)
         _, p_split = cfg.retentions
-        i_factor = analytic.interference_factor(T, cfg.alpha)
+        i_factor = interference_factor(T, cfg.alpha)
         i_rho1, _ = interference_quadrature(T, cfg.alpha, rho=1.0)
         assert kappa / (kappa + p_split * i_rho1) == pytest.approx(
             kappa / (kappa + p_split * i_factor), rel=1e-12
@@ -420,7 +414,7 @@ class TestPathBCoverage:
         target = reflector_ratio(cfg) / cfg.retentions[1]
 
         def excess(log_t):
-            return analytic.interference_factor(math.exp(log_t), cfg.alpha) - target
+            return interference_factor(math.exp(log_t), cfg.alpha) - target
 
         log_t_star = optimize.brentq(excess, math.log(1e-6), math.log(1e12), xtol=1e-13)
         at_balance = cfg.replace(thresholds_db=(10.0 * log_t_star / math.log(10.0),))
@@ -535,8 +529,7 @@ class TestPathBCoverage:
         # 1e6) both underflow to 0; approx2 used to write that 0/0 as nan
         cfg = make_cfg(alpha=1e6, epsilon_floor=1e200, thresholds_db=(-3200.0, 0.0))
         assert analytic.log_reflector_ratio(cfg) == -math.inf
-        T = np.asarray(cfg.thresholds_linear)
-        assert analytic.interference_factor(T[0], cfg.alpha) == 0.0
+        assert analytic.direct_factors(cfg)[0][1] == 0.0
         for fn in (analytic.coverage_path_b_approx1, analytic.coverage_path_b_approx2):
             np.testing.assert_array_equal(fn(cfg), 0.0)
 
@@ -557,7 +550,7 @@ class TestPathBCoverage:
         assert reflector_ratio(cfg) == pytest.approx(kappa, rel=1e-12)
         _, p_split = cfg.retentions
         T = cfg.thresholds_linear
-        i_factor = np.array([analytic.interference_factor(t, cfg.alpha) for t in T])
+        i_factor = np.array([interference_factor(t, cfg.alpha) for t in T])
         expected = [self.approx1_oracle(cfg, kappa, t) for t in T]
         np.testing.assert_allclose(
             analytic.coverage_path_b_approx1(cfg), expected, rtol=1e-12, atol=0

@@ -281,7 +281,7 @@ class TestSimulateCommand:
         # alpha = 1.7e308 the reflected path's were nan); this once ended in
         # "T must be nonnegative" with an array repr
         monkeypatch.setattr(montecarlo, "_values", lambda cfg, records, engaged, direct: [
-            dict.fromkeys(montecarlo.METRICS, np.full(len(records), math.nan)) for _ in direct])
+            dict.fromkeys(montecarlo.METRICS, np.full(len(records.r0), math.nan)) for _ in direct])
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 2000\n")
         with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
@@ -471,6 +471,15 @@ class TestCompare:
         cfg = NetworkConfig(n_trials=200, thresholds_db=(0.0,))
         with pytest.raises(KeyError):
             cli.build_comparison(cfg, [], [])
+
+    @pytest.mark.parametrize("t_db, gated", [(5.000000004, True), (5.00000001, False)])
+    def test_reflected_path_gates_take_thresholds_within_5e_9_db(self, t_db, gated):
+        # math.isclose keeps its default rel_tol of 1e-9 beside GATE_T_DB_ABS_TOL,
+        # so at 5 dB the window is 5e-9 dB wide on each side, not 1e-9 dB
+        cfg = NetworkConfig(n_trials=200, thresholds_db=(t_db,))
+        report = cli.build_comparison(cfg, cli.run_analytic(cfg), cli.run_simulate(cfg))
+        reflected = ["approx1", "approx2"] if gated else []
+        assert [g["engine"] for g in report["gates"]] == ["analytic_q2", "analytic_q23", *reflected]
 
     def test_compare_cli_failure_exit_code(self, runner, tmp_path, monkeypatch):
         # an impossible tolerance forces a gate failure
@@ -861,6 +870,17 @@ class TestSweep:
                   if line.startswith("mc,") and line.split(",")[4] == cli._fmt(value)]
             assert mc == cli.rows_to_csv(expected).splitlines()[1:]
 
+    @pytest.mark.parametrize("metric", ["e_r1", "e_p_ris"])
+    def test_with_mc_on_a_moment_metric_is_config_error(self, runner, tmp_path, metric):
+        # a moment has no simulation: --with-mc was ignored, and the sweep
+        # wrote its one analytic row with exit 0
+        result = runner.invoke(cli.main, ["sweep", "--out", str(tmp_path), "--axis", "lambda_ris",
+                                          "--grid", "1000", "--metric", metric, "--with-mc"])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        message = f"metric: {metric} is a moment: it takes neither --axis T nor --with-mc"
+        assert result.stderr.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_mean_reflected_power_sweep_is_monotone(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("beta: 1.0\n")  # the reference trend uses a lossless bank
@@ -1207,7 +1227,7 @@ class TestTypedExits:
     @pytest.mark.parametrize("target,argv", [
         ((geometry, "expected_r1"),
          ["sweep", "--axis", "lambda_ris", "--grid", "500,1000", "--metric", "e_r1"]),
-        ((analytic, "interference_factor"), ["analytic"]),
+        ((analytic, "direct_factors"), ["analytic"]),
         ((montecarlo, "empirical_histogram"), ["hist", "--quantity", "r1", "--trials", "1000"]),
     ], ids=["sweep", "analytic", "hist"])
     def test_numerical_error_is_pipeline_error(self, runner, tmp_path, monkeypatch, target, argv):

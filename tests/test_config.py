@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from oracle_helpers import array_factor_from_phases
@@ -225,6 +226,23 @@ class TestLoading:
         path.write_text("thresholds_db: {a: 1, a: 2}\n")
         with pytest.raises(ConfigError, match="key 'a' repeated in one mapping"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, mapping, keys", [
+        ("1: 2\nfoo: 3\n", {1: 2, "foo": 3}, ["1", "foo"]),
+        ("null: 2\nfoo: 3\n", {None: 2, "foo": 3}, ["None", "foo"]),
+    ], ids=["int", "null"])
+    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path, text, mapping, keys):
+        # sorting an int or a None key beside a str raised TypeError: a
+        # traceback with exit 1, the code of a failed gate
+        messages = [f"unknown config key: {k}" for k in keys]
+        with pytest.raises(ConfigError) as exc:
+            NetworkConfig.from_mapping(mapping)
+        assert exc.value.errors == messages
+        path = tmp_path / "mixed.yaml"
+        path.write_text(text)
+        result = CliRunner().invoke(cli.main, ["analytic", "-c", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.splitlines() == [f"config error: {m}" for m in messages]
 
     def test_unknown_tolerance_key(self, tmp_path):
         # the compare gates are fixed in riscov.cli; a config cannot set them

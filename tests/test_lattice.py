@@ -81,7 +81,7 @@ class TestPoints:
         cfg = NetworkConfig()
         shifts = np.zeros((montecarlo.SHIFTS, len(montecarlo.LATTICE)), dtype=np.uint64)
         assert not montecarlo._points(shifts, 0, 1).any()
-        direct = [montecarlo._direct_factor(cfg, t) for t in cfg.thresholds_linear]
+        direct = analytic.direct_factors(cfg)
         sums, reference = montecarlo._block_sums(cfg, shifts, 0, montecarlo._INDICES, direct, None)
         assert np.isfinite(sums).all() and np.isfinite(reference).all()
 

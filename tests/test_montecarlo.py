@@ -399,7 +399,7 @@ class TestEstimateCoverage:
         with pytest.raises(ConfigError):
             montecarlo.run(small_cfg(n_trials=50))
         # the minimum is the estimator's: drawing needs none
-        assert len(montecarlo.draw(small_cfg(n_trials=50))) == 50
+        assert len(montecarlo.draw(small_cfg(n_trials=50)).r0) == 50
 
     def test_estimates_match_the_shift_means(self):
         # thresholds down to -40 dB, where gamma_s is near 1 and the shift
@@ -421,7 +421,7 @@ class TestEstimateCoverage:
         cfg = small_cfg(n_trials=20000, lambda_ris=4e-3, thresholds_db=(0.0,))
         (p,), (half_width,) = montecarlo.run(cfg)["gamma_b"]
         drawn = montecarlo.draw(cfg)
-        per_block = np.add.reduceat(drawn.r2 < drawn.r0, np.arange(0, len(drawn), montecarlo.VALUE_BLOCK))
+        per_block = np.add.reduceat(drawn.r2 < drawn.r0, np.arange(0, len(drawn.r0), montecarlo.VALUE_BLOCK))
         assert (per_block == 0).any() and per_block.any()
         expected = lattice_estimates(cfg, 1.0)["gamma_b"]
         assert p == pytest.approx(expected[0], rel=1e-12)
@@ -586,19 +586,34 @@ class TestBlockReduction:
         assert len(calls) == 6 * len(thresholds)
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
-    def test_direct_factor_is_the_closed_forms_own(self, alpha):
-        # gamma_o and gamma_a weight r0**2 by the very float that the
-        # baseline and path-A closed forms use, at every default threshold
+    def test_direct_factor_is_the_closed_forms_own(self, alpha, monkeypatch):
+        # run reads the table of (log T / alpha, I) that the baseline, path-A
+        # and approx2 closed forms are formed from, bit for bit, at every
+        # default threshold; gamma_o and gamma_a weight r0**2 by its floats
         cfg = small_cfg(alpha=alpha, n_trials=200)
+        table = analytic.direct_factors(cfg)
+        assert [u for u, _ in table] == [math.log(t) / alpha for t in cfg.thresholds_linear]
+        seen, block_sums = [], montecarlo._block_sums
+
+        def recording(cfg, shifts, start, stop, direct, reference):
+            seen.append(direct)
+            return block_sums(cfg, shifts, start, stop, direct, reference)
+
+        monkeypatch.setattr(montecarlo, "_block_sums", recording)
+        montecarlo.run(cfg)
+        assert seen == [table]
+        p_single, p_split = cfg.retentions
+        log_kappa = analytic.log_reflector_ratio(cfg)
+        assert analytic.coverage_baseline(cfg) == tuple(1.0 / (1.0 + p_single * f) for _, f in table)
+        assert analytic.coverage_path_a(cfg) == tuple(1.0 / (1.0 + p_split * f) for _, f in table)
+        assert analytic.coverage_path_b_approx2(cfg) == tuple(
+            analytic._reflected_coverage(log_kappa, p_split * f) for _, f in table)
         records = montecarlo.draw(cfg)
         area = np.square(records.r0)
-        p_single, p_split = cfg.retentions
-        for t in NetworkConfig().thresholds_linear:
-            closed_form = analytic.interference_factor(t, alpha)
-            assert montecarlo._direct_factor(cfg, t) == (math.log(t) / alpha, closed_form)
+        for t, (_, factor) in zip(cfg.thresholds_linear, table):
             values = conditional_values(cfg, records, t)
-            np.testing.assert_array_equal(values["gamma_o"], np.exp(-p_single * area * closed_form))
-            np.testing.assert_array_equal(values["gamma_a"], np.exp(-p_split * area * closed_form))
+            np.testing.assert_array_equal(values["gamma_o"], np.exp(-p_single * area * factor))
+            np.testing.assert_array_equal(values["gamma_a"], np.exp(-p_split * area * factor))
 
     def test_nonfinite_block_names_its_trials(self, monkeypatch):
         # the third of four blocks turns nan; the blocks before it reduced
@@ -608,7 +623,7 @@ class TestBlockReduction:
 
         def nan_in_third_block(cfg, records, engaged, direct):
             by_threshold = list(values(cfg, records, engaged, direct))
-            seen.append(len(records))
+            seen.append(len(records.r0))
             if len(seen) == 3:
                 by_threshold[0]["gamma_a"] = np.full_like(by_threshold[0]["gamma_a"], math.nan)
             return by_threshold
@@ -655,7 +670,7 @@ class TestConditionalValues:
         # two hand-built trials in metres and watts, the second without an
         # engaged reflector; every interferer lies beyond the serving base,
         # so a value is exp(-2*pi*lambda*p * int_{r0}^inf r dr / (1 + r**a / c))
-        cfg = NetworkConfig(alpha=3.0, mu=2.0)
+        cfg = NetworkConfig(alpha=3.0, mu=2.0, thresholds_db=(10.0 * math.log10(3.0),))
         r0, r1, r2 = np.array([[80.0, 60.0], [79.0, 100.0], [3.0, 70.0]])
         fade_f1 = np.array([0.0164, 0.111])  # mean 1/mu
         length = 1.0 / math.sqrt(math.pi * cfg.lambda_bs * KM2_TO_M2)  # metres per distance unit
@@ -677,7 +692,7 @@ class TestConditionalValues:
             )
             return math.exp(-2.0 * math.pi * cfg.lambda_bs * KM2_TO_M2 * p * integral)
 
-        T = 3.0
+        (T,) = cfg.thresholds_linear  # 3 to the last bit or so
         values = conditional_values(cfg, rec, T)
         for k in range(2):
             c_a = T * r0[k] ** cfg.alpha
