@@ -285,14 +285,27 @@ def _style(text: str, ok: bool) -> str:
 
 
 def _write(out_dir: str, texts: dict[str, str]) -> list[Path]:
-    """Write each ``{name: text}`` into ``out_dir``, or none where ``--out`` cannot take them all."""
+    """Write each ``{name: text}`` into ``out_dir``, or none where ``--out`` cannot take them all.
+
+    Every text is written to a temporary file in ``out_dir`` first, and each
+    is moved into place only once all are written; a failed write removes
+    the temporaries. A name held by a symlink is replaced, not written through.
+    """
     paths = [Path(out_dir, name) for name in texts]
+    temps = [Path(out_dir, f".{name}.{os.getpid()}.tmp") for name in texts]
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        for path in filter(Path.is_dir, paths):  # checked before any write, so none is left behind
-            raise ConfigError([f"--out: cannot write {path}: it is a directory"])
-        for path, text in zip(paths, texts.values()):
-            path.write_text(text)
+        for path in paths:  # checked before any write, so none is left behind
+            if path.is_dir() and not path.is_symlink():
+                raise ConfigError([f"--out: cannot write {path}: it is a directory"])
+        try:
+            for temp, text in zip(temps, texts.values()):
+                temp.write_text(text)
+            for temp, path in zip(temps, paths):
+                os.replace(temp, path)
+        finally:
+            for temp in temps:
+                temp.unlink(missing_ok=True)
     except OSError as exc:
         raise ConfigError([f"--out: cannot write {exc.filename or out_dir}: {exc.strerror}"])
     return paths

@@ -616,3 +616,18 @@ class TestMeanReflectedPower:
         inv_moment = floored_inv_pow_is_oracle(alpha, LAM_BS, SPARSE_LAM_RIS, eps, seed=19)
         oracle = 100**2 * 1.0 * (p_s / 2) * (1.0 / mu) * inv_moment
         assert abs(value - oracle) / oracle < 0.05
+
+    def test_underflowed_floor_argument_takes_the_limit(self):
+        # below eps = 1e-160 m, x = pi*lambda_eff*eps**2 underflows to 0, and
+        # x**-a * Gamma(a, x) at a = 1 - alpha/2 = -1 takes its limit -1/a;
+        # at 1e-155 m the series still sums it. The moment scales as eps**-2
+        # for a small floor, so P * eps**2, formed in logs, agrees across both
+        def log_power_times_eps_squared(eps):
+            cfg = make_cfg(alpha=4.0, mu=1e300, p_s=1e-300, epsilon_floor=eps)
+            underflowed = math.exp(cfg.log_r1_scale + 2.0 * cfg.log_floor) == 0.0
+            return math.log(analytic.mean_reflected_power(cfg)) + 2.0 * math.log(eps), underflowed
+
+        series, series_underflowed = log_power_times_eps_squared(1e-155)
+        limit, limit_underflowed = log_power_times_eps_squared(1e-170)
+        assert not series_underflowed and limit_underflowed
+        assert math.exp(limit - series) == pytest.approx(1.0, rel=1e-12, abs=0)

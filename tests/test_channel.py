@@ -1,4 +1,4 @@
-"""Channel model oracles: fading, path loss, power conversion, reflection power and its moments.
+"""Channel model oracles: fade moments, path loss, power conversion, reflection power and its moments.
 
 The beam retentions and the phase-quantization efficiency are tested with
 :mod:`riscov.config`, the mean reflected power with :mod:`riscov.analytic`.
@@ -6,7 +6,6 @@ The beam retentions and the phase-quantization efficiency are tested with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -31,45 +30,6 @@ LAM_RIS = 1e-3
 def deployment(**kw) -> NetworkConfig:
     """A config at LAM_BS and LAM_RIS, which configs take per km^2; overrides in config units."""
     return NetworkConfig(**{"lambda_bs": 25.0, "lambda_ris": 1000.0, **kw})
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    """Exponential small-scale power gain with mean ``1 / rate_mu``."""
-
-    rate_mu: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.rate_mu) or self.rate_mu <= 0:
-            raise ParameterError(f"rate_mu must be positive, got {self.rate_mu!r}")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate_mu
-
-
-def sample_fade(model: FadingModel, rng: np.random.Generator, size=None):
-    """Exponential gain draw(s); deterministic given the stream."""
-    return rng.exponential(scale=model.mean, size=size)
-
-
-class TestFading:
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ParameterError):
-            FadingModel(rate_mu=0.0)
-
-    @pytest.mark.parametrize("mu,mean", [(1.0, 1.0), (2.0, 0.5)])
-    def test_sample_mean(self, mu, mean):
-        rng = np.random.default_rng(8)
-        draws = sample_fade(FadingModel(mu), rng, size=1_000_000)
-        assert abs(draws.mean() - mean) < 0.01
-
-    def test_cdf_identity_at_mean(self):
-        # Pr(g <= 1/mu) = 1 - 1/e for an exponential
-        rng = np.random.default_rng(9)
-        mu = 3.0
-        draws = sample_fade(FadingModel(mu), rng, size=200_000)
-        assert abs(np.mean(draws <= 1.0 / mu) - (1 - math.exp(-1))) < 0.01
 
 
 class TestPathLoss:

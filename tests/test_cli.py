@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import errno
 import importlib.util
 import json
 import math
@@ -231,13 +232,14 @@ class TestAnalyticCommand:
     @pytest.mark.parametrize("command", ["analytic", "compare"])
     def test_huge_reflector_bank_gives_numbers(self, runner, tmp_path, command):
         # M is an unbounded integer whose M**2 leaves the float range; the
-        # engines read log G = 2 log M + ..., so both commands used to exit 4
+        # engines read log G = 2 log M + ..., so both commands used to exit 4.
+        # compare passes every gate at 20,000 trials
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("m_elements: 1" + "0" * 160 + "\nn_trials: 2000\n")
+        cfg.write_text("m_elements: 1" + "0" * 160 + "\nn_trials: 20000\n")
         with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
             warnings.simplefilter("always")
             result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code in (0, cli.EXIT_GATE_FAILED), result.output
+        assert result.exit_code == 0, result.output
         assert result.stderr == "" and caught == []
         rows = read_rows(tmp_path / f"{command}.csv")
         # a bank this large makes every reflected-path approximation 1
@@ -344,11 +346,14 @@ class TestSimulateCommand:
         gamma_b = [r for r in read_rows(tmp_path / "compare.csv") if r["metric"] == "gamma_b" and r["engine"] == "mc"]
         assert gamma_b and all(r["value"] == "nan" and r["n_trials"] == "1984" for r in gamma_b)
 
-    def test_sparse_bases_keep_their_direct_paths(self, runner, tmp_path):
-        # at 1e-300 bases per km^2 the serving distance's alpha-th power left
-        # the float range in metres, and gamma_o read 1.0000 against 0.2138
+    @pytest.mark.parametrize("yaml_text", ["lambda_bs: 1.0e-300\n", "mu: 1.0e-320\n"], ids=["sparse-bases", "tiny-mu"])
+    def test_extreme_scales_pass_the_direct_path_gates(self, runner, tmp_path, yaml_text):
+        # distances are drawn in units of 1/sqrt(pi*lambda_bs) and fades in
+        # units of 1/mu. At 1e-300 bases per km^2 the serving distance's
+        # alpha-th power left the float range in metres, and gamma_o read
+        # 1.0000 against 0.2138; at mu = 1e-320 the fades did, and compare exited 4
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("lambda_bs: 1.0e-300\nthresholds_db: [20.0]\n")
+        cfg.write_text(yaml_text + "thresholds_db: [20.0]\n")
         result = runner.invoke(
             cli.main, ["compare", "-c", str(cfg), "--trials", "20000", "--out", str(tmp_path)]
         )
@@ -371,24 +376,36 @@ class TestSimulateCommand:
         assert {r["metric"] for r in rows} == {"gamma_o", "gamma_a", "gamma_b", "gamma_s"}
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".csv"] == ["simulate.csv"]
 
-    def test_hist_option_is_gone(self, runner, tmp_path):
+    @pytest.mark.parametrize("config, argv, exit_code, stderr_ok", [
         # `hist --quantity` is the one command that writes a histogram
-        result = runner.invoke(
-            cli.main, ["simulate", "--trials", "1000", "--hist", "r1", "--out", str(tmp_path / "o")]
-        )
-        assert result.exit_code == click.UsageError.exit_code
-        assert "No such option" in result.stderr and "--hist" in result.stderr
+        (None, ["simulate", "--trials", "1000", "--hist", "r1"], click.UsageError.exit_code,
+         lambda err: "No such option" in err and "--hist" in err),
+        # one engagement rule remains: the reflector serves iff it is closer than the base
+        (None, ["simulate", "--trials", "1000", "--mode", "unconditional"], click.UsageError.exit_code,
+         lambda err: "No such option" in err and "--mode" in err),
+        # the per-element fade mode drew all M fades of every trial, so this
+        # config never finished; the key is gone and the config is rejected
+        ("m_elements: 1000000000000\nshared_ris_fade: false\n", ["simulate"], cli.EXIT_CONFIG_ERROR,
+         lambda err: err.splitlines() == ["config error: unknown config key: shared_ris_fade"]),
+        # `false` engaged the reflector on every trial; the one rule left is
+        # r2 < r0, and the key is rejected whatever its value
+        ("conditional_path_b: true\n", ["simulate"], cli.EXIT_CONFIG_ERROR,
+         lambda err: err.splitlines() == ["config error: unknown config key: conditional_path_b"]),
+        # the power is binned in dBW now; the old name must not be read as watts
+        (None, ["hist", "--quantity", "p_ris", "--trials", "1000"], cli.EXIT_CONFIG_ERROR,
+         lambda err: "'p_ris' is not one of" in err),
+    ], ids=["hist-option", "mode-option", "shared_ris_fade-key", "conditional_path_b-key", "p_ris-quantity"])
+    def test_retired_option_or_key_is_rejected(self, runner, tmp_path, config, argv, exit_code, stderr_ok):
+        if config is not None:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(config)
+            argv = [*argv, "-c", str(cfg)]
+        result = runner.invoke(cli.main, [*argv, "--out", str(tmp_path / "o")])
+        assert result.exit_code == exit_code
+        assert stderr_ok(result.stderr), result.stderr
         assert not (tmp_path / "o").exists()
 
-    def test_mode_option_is_gone(self, runner, tmp_path):
-        # one engagement rule remains: the reflector serves iff it is closer than the base
-        result = runner.invoke(
-            cli.main, ["simulate", "--trials", "1000", "--mode", "unconditional",
-                       "--out", str(tmp_path / "o")]
-        )
-        assert result.exit_code == click.UsageError.exit_code
-        assert "No such option" in result.stderr and "--mode" in result.stderr
-        assert not (tmp_path / "o").exists()
+    def test_gamma_b_counts_every_point(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("lambda_ris: 100.0\n")
         result = runner.invoke(
@@ -399,26 +416,6 @@ class TestSimulateCommand:
         # gamma_b weights every point by its probability of an engaged
         # reflector, so it counts the 32 shifts of 62 points that every metric counts
         assert {(r["metric"], r["n_trials"]) for r in rows} == {(m, "1984") for m in montecarlo.METRICS}
-
-    def test_per_element_fade_key_is_unknown(self, runner, tmp_path):
-        # the per-element fade mode drew all M fades of every trial, so this
-        # config never finished; the key is gone and the config is rejected
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("m_elements: 1000000000000\nshared_ris_fade: false\n")
-        result = runner.invoke(cli.main, ["simulate", "-c", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == ["config error: unknown config key: shared_ris_fade"]
-        assert not (tmp_path / "o").exists()
-
-    def test_conditional_path_b_key_is_unknown(self, runner, tmp_path):
-        # `false` engaged the reflector on every trial; the one rule left is
-        # r2 < r0, and the key is rejected whatever its value
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("conditional_path_b: true\n")
-        result = runner.invoke(cli.main, ["simulate", "-c", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == ["config error: unknown config key: conditional_path_b"]
-        assert not (tmp_path / "o").exists()
 
     def test_seed_repetition_identical_bytes(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -582,7 +579,7 @@ class TestCompare:
         assert gamma_b == {"approx1", "approx2"}
 
 
-def _run_fresh(code: str, *args: str, returncode: int = 0) -> str:
+def _run_fresh(code: str, *args: str, returncode: int = 0, cwd: Path | None = None) -> str:
     """Stdout of ``code`` run in a fresh interpreter with the package's ``src`` on PYTHONPATH.
 
     The interpreter must exit with ``returncode``.
@@ -590,116 +587,75 @@ def _run_fresh(code: str, *args: str, returncode: int = 0) -> str:
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True)
     assert out.returncode == returncode, out.stderr
     return out.stdout
 
 
-def _loaded_probe(package: str) -> str:
-    """Code that runs the command in sys.argv[1:], then prints whether ``package`` or a submodule is loaded.
+# what a cold start must not pay for unless it computes: numpy is most of a
+# cold start and the Monte-Carlo engine's alone; numpy.random would cost the
+# engine peak memory, as the lattice's shifts come from the standard library;
+# scipy.special alone is about half of a cold start; and the engine runs in one
+# process, so nothing needs the 10 ms multiprocessing import
+_WATCHED = ("numpy", "numpy.random", "scipy", "multiprocessing")
+# runs the command in sys.argv[1:]; click returns where the script would exit
+_COMMAND = (
+    "from riscov import cli\n"
+    "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
+)
+_SWEEP = ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric"]
+_MC_TRIALS = ["--trials", "20000"]
 
-    The line is printed at exit, so a command that ends in ``sys.exit`` prints it too.
+
+def _loaded_probe(prelude: str) -> str:
+    """Code that runs ``prelude``, then prints a sorted list of the ``_WATCHED`` packages loaded.
+
+    A package counts as loaded when it or any submodule is. The line is
+    printed at exit, so a command that ends in ``sys.exit`` prints it too.
     """
     return (
         "import atexit, sys\n"
-        f"atexit.register(lambda: print(any(m == {package!r} or m.startswith({package + '.'!r})"
-        " for m in sys.modules)))\n"
-        "from riscov import cli\n"
-        "cli.main.main(args=sys.argv[1:], prog_name='riscov', standalone_mode=False)\n"
+        f"atexit.register(lambda: print(sorted(p for p in {_WATCHED!r}"
+        " if any(m == p or m.startswith(p + '.') for m in sys.modules))))\n"
+        + prelude
     )
 
 
-_SCIPY_PROBE = _loaded_probe("scipy")
-_NUMPY_PROBE = _loaded_probe("numpy")
-_NUMPY_RANDOM_PROBE = _loaded_probe("numpy.random")
-_MC_DENSE_CONFIG = PERFBENCH / "configs" / "mc-dense.yaml"
-
-
 class TestColdImport:
-    def test_cli_import_leaves_integrators_unloaded(self):
-        # importing scipy.special alone costs about half of a cold start, and
-        # scipy.integrate pulls in scipy.optimize; no code path loads either
-        code = (
-            "import sys, riscov.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy'))"
-        )
-        assert _run_fresh(code).strip() == "[]"
-
-    @pytest.mark.parametrize("argv", [
-        ["analytic"],
-        ["compare", "--trials", "1000"],
-        ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_p_ris"],
-        ["hist", "--quantity", "r1", "--trials", "1000"],
-        ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"],
-    ], ids=["analytic", "compare", "sweep-e_p_ris", "hist-r1", "sweep-e_r1"])
-    def test_no_command_loads_scipy(self, tmp_path, argv):
-        out = _run_fresh(_SCIPY_PROBE, *argv, "--out", str(tmp_path))
-        assert out.splitlines()[-1] == "False"
-
-    def test_probe_sees_scipy_when_loaded(self, tmp_path):
-        # positive control for the probe above
-        code = "import scipy.special\n" + _SCIPY_PROBE
-        argv = ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"]
-        out = _run_fresh(code, *argv, "--out", str(tmp_path))
-        assert out.splitlines()[-1] == "True"
-
-    def test_cli_import_leaves_numpy_unloaded(self):
-        # numpy is most of a cold start, and loading and checking a config needs none of it
-        code = "import sys, riscov.cli; print('numpy' in sys.modules)"
-        assert _run_fresh(code).strip() == "False"
-
-    @pytest.mark.parametrize("flag", ["--help", "--version"])
-    def test_help_and_version_leave_numpy_unloaded(self, flag):
-        assert _run_fresh(_NUMPY_PROBE, flag).splitlines()[-1] == "False"
-
-    def test_config_error_leaves_numpy_unloaded(self, tmp_path):
+    @pytest.mark.parametrize("prelude, argv, returncode, loaded", [
+        ("import riscov.cli", [], 0, set()),
+        ("import riscov.analytic, riscov.geometry", [], 0, set()),
+        (_COMMAND, ["--help"], 0, set()),
+        (_COMMAND, ["--version"], 0, set()),
         # the benchmark's set-up sample: load a config, reject it and exit 2
-        argv = ["analytic", "-c", str(_MC_DENSE_CONFIG), "--trials", "0", "--out", str(tmp_path)]
-        out = _run_fresh(_NUMPY_PROBE, *argv, returncode=cli.EXIT_CONFIG_ERROR)
-        assert out.splitlines()[-1] == "False"
-
-    def test_closed_form_modules_leave_numpy_unloaded(self):
-        # numpy is the Monte-Carlo engine's dependency; the closed forms use math alone
-        code = "import sys, riscov.analytic, riscov.geometry; print('numpy' in sys.modules)"
-        assert _run_fresh(code).strip() == "False"
-
-    @pytest.mark.parametrize("argv", [
-        ["analytic"],
-        ["sweep", "--axis", "lambda_ris", "--grid", "1000,5000"],
-        ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_p_ris"],
-        ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--metric", "e_r1"],
-    ], ids=["analytic", "sweep-coverage", "sweep-e_p_ris", "sweep-e_r1"])
-    def test_closed_form_commands_leave_numpy_unloaded(self, tmp_path, argv):
-        # the import costs a closed-form command most of its cold start
-        out = _run_fresh(_NUMPY_PROBE, *argv, "--out", str(tmp_path))
-        assert out.splitlines()[-1] == "False"
-
-    @pytest.mark.parametrize("argv", [
-        ["compare", "--trials", "1000"],
-        ["hist", "--quantity", "r1", "--trials", "1000"],
-    ], ids=["compare", "hist"])
-    def test_probe_sees_numpy_when_a_command_computes(self, tmp_path, argv):
-        # positive control for the probes above: the Monte-Carlo engine loads numpy
-        out = _run_fresh(_NUMPY_PROBE, *argv, "--out", str(tmp_path))
-        assert out.splitlines()[-1] == "True"
-
-    @pytest.mark.parametrize("argv", [
-        ["compare", "--trials", "2000"],
-        ["simulate", "--trials", "2000"],
-        ["hist", "--quantity", "r1", "--trials", "2000"],
-    ], ids=["compare", "simulate", "hist"])
-    def test_no_command_loads_numpy_random(self, tmp_path, argv):
-        # the lattice's shifts come from the standard library's generator,
-        # and numpy's would cost peak memory; the numpy probe above is this
-        # probe's positive control
-        out = _run_fresh(_NUMPY_RANDOM_PROBE, *argv, "--out", str(tmp_path))
-        assert out.splitlines()[-1] == "False"
+        (_COMMAND, ["analytic", "-c", str(PERFBENCH / "configs" / "mc-dense.yaml"), "--trials", "0"],
+         cli.EXIT_CONFIG_ERROR, set()),
+        (_COMMAND, ["analytic"], 0, set()),
+        (_COMMAND, [*_SWEEP, "coverage"], 0, set()),
+        (_COMMAND, [*_SWEEP, "e_p_ris"], 0, set()),
+        (_COMMAND, [*_SWEEP, "e_r1"], 0, set()),
+        # ten blocks of trials, each in this process
+        (_COMMAND, ["compare", *_MC_TRIALS], 0, {"numpy"}),
+        (_COMMAND, ["simulate", *_MC_TRIALS], 0, {"numpy"}),
+        (_COMMAND, ["hist", "--quantity", "r1", *_MC_TRIALS], 0, {"numpy"}),
+        # positive control: the probe sees every package once it is loaded
+        ("import multiprocessing, numpy.random, scipy\n" + _COMMAND, [*_SWEEP, "e_r1"], 0, set(_WATCHED)),
+    ], ids=["import-cli", "import-closed-forms", "help", "version", "config-error", "analytic",
+            "sweep-coverage", "sweep-e_p_ris", "sweep-e_r1", "compare", "simulate", "hist-r1", "control"])
+    def test_cold_start_loads_only_what_it_computes_with(self, tmp_path, monkeypatch, prelude, argv, returncode,
+                                                          loaded):
+        # a RISCOV_WORKERS left in the environment by an older release starts
+        # no pool; the commands write to riscov_out/ under tmp_path
+        monkeypatch.setenv("RISCOV_WORKERS", "2")
+        out = _run_fresh(_loaded_probe(prelude), *argv, returncode=returncode, cwd=tmp_path)
+        assert set(ast.literal_eval(out.splitlines()[-1])) == loaded
 
     def test_only_the_engine_imports_numpy(self):
-        # the probes above see module-level imports and a few commands; this
-        # scan also finds an import inside a function, at any depth, and skips
-        # only the `if TYPE_CHECKING:` blocks, which never run
-        importers = set()
+        # the table above runs a few commands; this scan covers every code
+        # path: it finds an import inside a function, at any depth, and skips
+        # only the `if TYPE_CHECKING:` blocks, which never run. numpy is the
+        # engine's alone, and no module imports scipy or multiprocessing
+        importers = {"numpy": set(), "scipy": set(), "multiprocessing": set()}
         for path in Path(riscov.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text(), str(path))
             typing_only = {id(node) for block in ast.walk(tree)
@@ -714,25 +670,9 @@ class TestColdImport:
                     names = [node.module]
                 else:
                     continue
-                if any(name.partition(".")[0] == "numpy" for name in names):
-                    importers.add(path.name)
-        assert importers == {"montecarlo.py"}
-
-    def test_cli_import_leaves_multiprocessing_unloaded(self):
-        # the engine runs in one process, so nothing needs the 10 ms import
-        code = "import sys, riscov.cli; print('multiprocessing' in sys.modules)"
-        assert _run_fresh(code).strip() == "False"
-
-    @pytest.mark.parametrize("command", [
-        ["simulate"], ["compare"], ["hist", "--quantity", "r1"],
-    ], ids=["simulate", "compare", "hist"])
-    def test_no_command_loads_multiprocessing(self, tmp_path, monkeypatch, command):
-        # a RISCOV_WORKERS left in the environment by an older release starts
-        # no pool: ten blocks of trials run in this process
-        monkeypatch.setenv("RISCOV_WORKERS", "2")
-        argv = [*command, "--trials", "20000", "--out", str(tmp_path)]
-        out = _run_fresh(_loaded_probe("multiprocessing"), *argv)
-        assert out.splitlines()[-1] == "False"
+                for package in {name.partition(".")[0] for name in names} & importers.keys():
+                    importers[package].add(path.name)
+        assert importers == {"numpy": {"montecarlo.py"}, "scipy": set(), "multiprocessing": set()}
 
 
 class TestVersion:
@@ -1085,7 +1025,7 @@ class TestHistCommand:
         # empty, and the overlay's r**2 overflowed once r0 was finite; the r1
         # overlay's intensity lambda_bs * lambda_ris / (lambda_bs + lambda_ris)
         # underflowed in its product, so it read 0 in every bin. The other
-        # extreme densities of the installed-package smoke test join it
+        # extreme densities that the commands must survive join it
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(densities)
         result = runner.invoke(
@@ -1183,13 +1123,6 @@ class TestHistCommand:
         mass = float(np.dot(cells[:, 1] - cells[:, 0], cells[:, 2]))
         assert mass == pytest.approx(1.0, abs=1e-6)
 
-    def test_watts_quantity_is_usage_error(self, runner, tmp_path):
-        # the power is binned in dBW now; the old name must not be read as watts
-        result = runner.invoke(cli.main, ["hist", "--quantity", "p_ris", "--trials", "1000", "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert "'p_ris' is not one of" in result.stderr
-        assert not (tmp_path / "hist_p_ris.csv").exists()
-
 
 class TestTypedExits:
     @pytest.mark.parametrize("thresholds", ["[]", "[4000]", "[-4000]", "[true]", '["5"]'],
@@ -1286,6 +1219,42 @@ class TestTypedExits:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("config error: --out: cannot write ")
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failed_write_leaves_no_output(self, runner, tmp_path, monkeypatch):
+        # compare wrote compare.csv, then failed on its report and exited 2
+        # with compare.csv left behind and no report
+        write_text = Path.write_text
+        calls = []
+
+        def disk_full_on_second_call(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full_on_second_call)
+        out = tmp_path / "out"
+        result = runner.invoke(cli.main, ["compare", "--trials", "1000", "--out", str(out)])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert result.stderr.splitlines() == [f"config error: --out: cannot write {out}: {os.strerror(errno.ENOSPC)}"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "elsewhere"], ids=["dangling", "to-a-directory"])
+    def test_symlinked_output_name_is_replaced(self, runner, tmp_path, target):
+        # the report was written through a dangling link, into a directory
+        # that does not exist: exit 2, with compare.csv left behind; a link to
+        # a directory was rejected as a directory
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        (out / "compare_report.json").symlink_to(tmp_path / target)
+        result = runner.invoke(cli.main, ["compare", "--trials", "1000", "--out", str(out)])
+        assert result.exit_code in (0, cli.EXIT_GATE_FAILED), result.output
+        assert not (out / "compare_report.json").is_symlink()
+        assert json.loads((out / "compare_report.json").read_text())["gates"]
+        assert sorted(path.name for path in out.iterdir()) == ["compare.csv", "compare_report.json"]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "elsewhere", out]
+        assert not any((tmp_path / "elsewhere").iterdir())
 
     @pytest.mark.parametrize(
         "field", ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
