@@ -621,6 +621,30 @@ def _loaded_probe(prelude: str) -> str:
     )
 
 
+def _imported_packages(source: str) -> set[str]:
+    """The top-level packages that ``source`` imports absolutely, at any depth.
+
+    Imports inside functions, methods, ``try`` and ``if`` blocks count; those
+    under ``if TYPE_CHECKING:``, which never run, do not.
+    """
+    tree = ast.parse(source)
+    typing_only = {id(node) for block in ast.walk(tree)
+                   if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for stmt in block.body for node in ast.walk(stmt)}
+    packages = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        packages.update(name.partition(".")[0] for name in names)
+    return packages
+
+
 class TestColdImport:
     @pytest.mark.parametrize("prelude, argv, returncode, loaded", [
         ("import riscov.cli", [], 0, set()),
@@ -652,27 +676,28 @@ class TestColdImport:
 
     def test_only_the_engine_imports_numpy(self):
         # the table above runs a few commands; this scan covers every code
-        # path: it finds an import inside a function, at any depth, and skips
-        # only the `if TYPE_CHECKING:` blocks, which never run. numpy is the
-        # engine's alone, and no module imports scipy or multiprocessing
+        # path. numpy is the engine's alone, and no module imports scipy or
+        # multiprocessing
         importers = {"numpy": set(), "scipy": set(), "multiprocessing": set()}
         for path in Path(riscov.__file__).parent.glob("*.py"):
-            tree = ast.parse(path.read_text(), str(path))
-            typing_only = {id(node) for block in ast.walk(tree)
-                           if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
-                           for stmt in block.body for node in ast.walk(stmt)}
-            for node in ast.walk(tree):
-                if id(node) in typing_only:
-                    continue
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names = [node.module]
-                else:
-                    continue
-                for package in {name.partition(".")[0] for name in names} & importers.keys():
-                    importers[package].add(path.name)
+            for package in _imported_packages(path.read_text()) & importers.keys():
+                importers[package].add(path.name)
         assert importers == {"numpy": {"montecarlo.py"}, "scipy": set(), "multiprocessing": set()}
+
+    @pytest.mark.parametrize("source, packages", [
+        ("def run():\n    import multiprocessing\n", {"multiprocessing"}),
+        ("class Engine:\n    def draw(self):\n        from scipy.special import gammaincc\n", {"scipy"}),
+        ("import os, numpy.random as npr\n", {"os", "numpy"}),
+        ("try:\n    import scipy\nexcept ImportError:\n    scipy = None\n", {"scipy"}),
+        ("if sys.version_info >= (3, 12):\n    import multiprocessing.pool\n", {"multiprocessing"}),
+        ("from . import geometry\nfrom .config import NetworkConfig\n", set()),
+        ("if TYPE_CHECKING:\n    import numpy as np\n    from scipy import special\n", set()),
+    ], ids=["in-a-function", "in-a-method", "submodule-beside-another", "in-a-try", "in-an-if",
+            "relative", "type-checking-only"])
+    def test_scan_sees_every_import_that_runs(self, source, packages):
+        # positive controls for the scan above: a scan that missed a nested
+        # import would pass any source tree
+        assert _imported_packages(source) == packages
 
 
 class TestVersion:
@@ -1220,33 +1245,56 @@ class TestTypedExits:
         assert result.stderr.startswith("config error: --out: cannot write ")
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_failed_write_leaves_no_output(self, runner, tmp_path, monkeypatch):
-        # compare wrote compare.csv, then failed on its report and exited 2
-        # with compare.csv left behind and no report
+    @staticmethod
+    def _disk_full_on_call(monkeypatch, failing_call: int) -> None:
+        """Make the ``failing_call``-th ``Path.write_text`` from here on raise ENOSPC."""
         write_text = Path.write_text
         calls = []
 
-        def disk_full_on_second_call(path, *args, **kwargs):
+        def disk_full(path, *args, **kwargs):
             calls.append(path)
-            if len(calls) == 2:
+            if len(calls) == failing_call:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return write_text(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", disk_full_on_second_call)
+        monkeypatch.setattr(Path, "write_text", disk_full)
+
+    def test_failed_write_leaves_no_output(self, runner, tmp_path, monkeypatch):
+        # compare wrote compare.csv, then failed on its report and exited 2
+        # with compare.csv left behind and no report
+        self._disk_full_on_call(monkeypatch, 2)
         out = tmp_path / "out"
         result = runner.invoke(cli.main, ["compare", "--trials", "1000", "--out", str(out)])
         assert result.exit_code == cli.EXIT_CONFIG_ERROR
         assert result.stderr.splitlines() == [f"config error: --out: cannot write {out}: {os.strerror(errno.ENOSPC)}"]
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("target", ["missing/report.json", "elsewhere"], ids=["dangling", "to-a-directory"])
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["first-write", "second-write"])
+    def test_failed_write_keeps_the_previous_outputs(self, runner, tmp_path, monkeypatch, failing_call):
+        # all or none holds over a previous run's files too: neither is
+        # replaced until both new ones are written
+        out = tmp_path / "out"
+        out.mkdir()
+        previous = {name: f"previous {name}\n" for name in ("compare.csv", "compare_report.json")}
+        for name, text in previous.items():
+            (out / name).write_text(text)
+        self._disk_full_on_call(monkeypatch, failing_call)
+        result = runner.invoke(cli.main, ["compare", "--trials", "1000", "--out", str(out)])
+        assert result.exit_code == cli.EXIT_CONFIG_ERROR
+        assert len(result.stderr.splitlines()) == 1
+        assert {path.name: path.read_text() for path in out.iterdir()} == previous
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "elsewhere", "elsewhere/kept.json"],
+                             ids=["dangling", "to-a-directory", "to-a-file"])
     def test_symlinked_output_name_is_replaced(self, runner, tmp_path, target):
         # the report was written through a dangling link, into a directory
         # that does not exist: exit 2, with compare.csv left behind; a link to
-        # a directory was rejected as a directory
+        # a directory was rejected as a directory; and a link to a file wrote
+        # over that file
         out = tmp_path / "out"
         out.mkdir()
         (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / "kept.json").write_text("kept\n")
         (out / "compare_report.json").symlink_to(tmp_path / target)
         result = runner.invoke(cli.main, ["compare", "--trials", "1000", "--out", str(out)])
         assert result.exit_code in (0, cli.EXIT_GATE_FAILED), result.output
@@ -1254,7 +1302,7 @@ class TestTypedExits:
         assert json.loads((out / "compare_report.json").read_text())["gates"]
         assert sorted(path.name for path in out.iterdir()) == ["compare.csv", "compare_report.json"]
         assert sorted(tmp_path.iterdir()) == [tmp_path / "elsewhere", out]
-        assert not any((tmp_path / "elsewhere").iterdir())
+        assert [(path.name, path.read_text()) for path in (tmp_path / "elsewhere").iterdir()] == [("kept.json", "kept\n")]
 
     @pytest.mark.parametrize(
         "field", ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
