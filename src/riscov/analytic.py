@@ -45,6 +45,7 @@ infinity, so each limit is taken explicitly.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from . import geometry
@@ -262,14 +263,15 @@ def mean_reflected_power(cfg: NetworkConfig) -> float:
     The moment is taken with ``r1`` in units of the floor, which keeps the
     density's powers out of it: in units of the base spacing two terms of
     size ``(alpha/2) * log(pi * lambda_bs)`` would cancel. Raises
-    :class:`NumericalError` when the power exceeds the float range, as it
-    can for a tiny ``mu``.
+    :class:`NumericalError` when the power exceeds the float range (a tiny
+    ``mu`` or floor, or a huge bank), stating its order of magnitude from its
+    log, which is finite unless ``alpha`` nears the float maximum.
     """
     log_x = cfg.log_r1_scale + 2.0 * cfg.log_floor  # pi * lambda_eff * eps**2
     log_moment = geometry.log_expected_inv_r1_pow(cfg.alpha, log_x, 0.0)
-    try:
-        # log(p_s) - log(2): half of a subnormal p_s may round to 0
-        return math.exp(math.log(cfg.p_s) - math.log(2.0) + cfg.log_gain - math.log(cfg.mu)
-                        + log_moment - cfg.alpha * math.log(cfg.epsilon_floor))
-    except OverflowError:
-        raise NumericalError(f"mean reflected power exceeds the float range (mu={cfg.mu:g})")
+    # log(p_s) - log(2): half of a subnormal p_s may round to 0
+    log_power = (math.log(cfg.p_s) - math.log(2.0) + cfg.log_gain - math.log(cfg.mu)
+                 + log_moment - cfg.alpha * math.log(cfg.epsilon_floor))
+    if log_power > math.log(sys.float_info.max):  # math.exp would overflow, or log_power is inf
+        raise NumericalError(f"mean reflected power exceeds the float range: about 1e{log_power / math.log(10):+.0f} W")
+    return math.exp(log_power)

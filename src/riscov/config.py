@@ -15,8 +15,10 @@ writers of metres read a density.
 A :class:`NetworkConfig` is checked when it is built, so every instance is
 valid: the constructor, ``replace``, :meth:`NetworkConfig.from_mapping` and
 :func:`load_config` raise :class:`ConfigError` with field-level messages
-instead. No other module re-checks a config field. Every threshold must
-have a positive finite linear ratio, and a run needs at least one.
+instead. No other module re-checks a config field; the engines check only
+what one command needs, the trial minimums of ``montecarlo.run`` and
+``montecarlo.empirical_histogram``. Every threshold must have a positive
+finite linear ratio, and a run needs at least one.
 
 A config describes a deployment and a run, not how a run is judged: the
 compare gates and their tolerances are constants of :mod:`riscov.cli`, so
@@ -218,18 +220,10 @@ class NetworkConfig:
             raise ConfigError(errs)
 
     # -- serialization / identity ------------------------------------------
-    def to_mapping(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["thresholds_db"] = list(self.thresholds_db)
-        return d
-
-    def canonical_mapping(self) -> dict:
-        """What :meth:`config_hash` digests: every field plus the stream version."""
-        return {**self.to_mapping(), "stream_version": STREAM_VERSION}
-
     def config_hash(self) -> str:
-        """Digest of every semantically meaningful field (comments never enter)."""
-        canonical = json.dumps(self.canonical_mapping(), sort_keys=True, separators=(",", ":"))
+        """Digest of every field and the stream version (comments never enter)."""
+        canonical = json.dumps({**dataclasses.asdict(self), "stream_version": STREAM_VERSION},
+                               sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
     def replace(self, **changes) -> "NetworkConfig":

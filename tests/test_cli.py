@@ -53,6 +53,14 @@ def read_rows(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+def _invoke(runner, argv):
+    """``runner.invoke(cli.main, argv)`` and the warnings it raised, which would reach stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(cli.main, argv)
+    return result, caught
+
+
 class TestAnalyticCommand:
     def test_reference_value_at_zero_db(self, runner, tmp_path):
         result = runner.invoke(
@@ -65,13 +73,6 @@ class TestAnalyticCommand:
         ]
         assert len(baseline) == 1
         assert float(baseline[0]["value"]) == pytest.approx(0.83587, abs=5e-5)
-
-    def test_alpha_two_exits_config_error(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("alpha: 2\n")
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert "alpha" in result.output
 
     @pytest.mark.parametrize(
         "yaml_text", ["alpha: 2.2\n", "alpha: 2.5\nthresholds_db: [30]\n"],
@@ -108,74 +109,63 @@ class TestAnalyticCommand:
             checked += 1
         assert checked > 0
 
-    @pytest.mark.parametrize(
-        "yaml_text", ["alpha: 5000\nthresholds_db: [0]\n", "thresholds_db: [-3200]\n"],
-        ids=["alpha5000", "subnormal-threshold"],
-    )
-    def test_approx1_threshold_underflow(self, runner, tmp_path, yaml_text):
+    @pytest.mark.parametrize("yaml_text, approx", [
         # T * rho**alpha underflows to 0 here; the approx1 row used to abort the
         # command with "T must be positive"
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml_text)
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        rows = read_rows(tmp_path / "analytic.csv")
-        assert len(rows) == len(cli.GATES)
-        assert all(0.0 <= float(row["value"]) <= 1.0 for row in rows)
-
-    @pytest.mark.parametrize(
-        "floor", ["2.5e+3", "3.0e+3", "1.0e+4", "1.0e+160", "1.0e-200"],
-        ids=["rho-overflow", "rho-inf", "moment-zero", "x-overflow", "moment-log"],
-    )
-    def test_extreme_floor_exits_zero(self, runner, tmp_path, floor):
+        pytest.param("alpha: 5000\nthresholds_db: [0]\n", None, id="alpha5000"),
+        pytest.param("thresholds_db: [-3200]\n", None, id="subnormal-threshold"),
         # the command used to end in an OverflowError (rho**alpha) or a
         # ZeroDivisionError (E[r1**-2] = 0) traceback with exit 1, the
         # gate-failed code; to write nan rows (rho = inf); to exit 4 when
         # pi*lambda_eff*eps**2 overflowed; or, at the tiny floor, to report
         # E[r1**-2] beyond the float range with exit 4
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(f"epsilon_floor: {floor}\n")
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        rows = read_rows(tmp_path / "analytic.csv")
-        assert len(rows) == len(cli.GATES) * len(NetworkConfig().thresholds_db)
-        assert all(0.0 <= float(row["value"]) <= 1.0 for row in rows)
-
-    @pytest.mark.parametrize("yaml_text, limit", [
-        ("mu: 1.0e-300\n", 1.0),
-        ("mu: 1.0e+300\n", 0.0),
-        ("mu: 1.0e-300\nalpha: 2.01\n", 1.0),
-    ], ids=["tiny", "huge", "tiny-alpha2.01"])
-    def test_extreme_mu_takes_the_limit(self, runner, tmp_path, yaml_text, limit):
+        *[pytest.param(f"epsilon_floor: {floor}\n", None, id=f"floor-{case}") for case, floor in (
+            ("rho-overflow", "2.5e+3"), ("rho-inf", "3.0e+3"), ("moment-zero", "1.0e+4"),
+            ("x-overflow", "1.0e+160"), ("moment-log", "1.0e-200"))],
         # mu**2 used to end in a ZeroDivisionError (tiny mu) or an
         # OverflowError (huge mu) traceback with exit 1, the gate-failed code;
         # at alpha 2.01 the intermediate mu**(-4/alpha) overflowed (exit 4)
         # although kappa, about 1e302, does not
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml_text)
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        rows = read_rows(tmp_path / "analytic.csv")
-        reflected = [float(r["value"]) for r in rows if r["engine"] in ("approx1", "approx2")]
-        assert len(reflected) == 2 * len(NetworkConfig().thresholds_db)
-        assert all(abs(value - limit) < 1e-9 for value in reflected)
-
-    @pytest.mark.parametrize("yaml_text", [
-        # every converted intensity underflowed to 0, giving 0/0
-        "lambda_ris: 1.24e+38\nmu: 9.08e+296\np_s: 1.14e-261\nepsilon_floor: 1.47e-219\n",
-        # the converted reflector intensity overflowed to inf, giving inf/inf
-        "n_elements: 1\nm_elements: 1" + "0" * 66 + "\nmu: 4.74e-167\nlambda_ris: 5.63e+85\n",
-    ], ids=["all-underflow", "ris-overflow"])
-    def test_reflected_rows_are_never_nan(self, runner, tmp_path, yaml_text):
+        pytest.param("mu: 1.0e-300\n", 1.0, id="mu-tiny"),
+        pytest.param("mu: 1.0e+300\n", 0.0, id="mu-huge"),
+        pytest.param("mu: 1.0e-300\nalpha: 2.01\n", 1.0, id="mu-tiny-alpha2.01"),
         # approx1 and approx2 used to write nan rows with exit 0; kappa is
-        # about 1e-111 and 1e230 here, both inside the float range
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml_text)
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        # about 1e-111 and 1e230 here, both inside the float range. Every
+        # converted intensity underflowed to 0, giving 0/0, or the converted
+        # reflector intensity overflowed to inf, giving inf/inf
+        pytest.param("lambda_ris: 1.24e+38\nmu: 9.08e+296\np_s: 1.14e-261\nepsilon_floor: 1.47e-219\n", None,
+                     id="all-underflow"),
+        pytest.param("n_elements: 1\nm_elements: 1" + "0" * 66 + "\nmu: 4.74e-167\nlambda_ris: 5.63e+85\n", None,
+                     id="ris-overflow"),
+        # the floored moment underflowed to 0 in SI units, so approx1 and
+        # approx2 wrote 0 where kappa is about 1e576
+        pytest.param("lambda_bs: 3.0e-318\nlambda_ris: 1.0e+308\nepsilon_floor: 2.8e+162\n"
+                     "mu: 1.0e-308\nm_elements: 1" + "0" * 154 + "\n", "1", id="underflowing-moment"),
+        # log K = log mu - log G - (alpha/2) * log(pi * lambda_bs) overflows
+        # past alpha ~ 4e307: at the defaults kappa is about 1.39, and approx1
+        # and approx2 wrote 0; with dense bases and a huge floor the moment
+        # underflows, and -inf + inf raised
+        pytest.param("alpha: 1.0e+308\n", "1", id="largest-alpha"),
+        pytest.param("alpha: 1.0e+308\nlambda_bs: 1.0e+8\nepsilon_floor: 1.0e+200\n", "0",
+                     id="largest-alpha-dense-bases-huge-floor"),
+    ])
+    def test_edge_config_writes_coverage(self, runner, tmp_path, yaml_text, approx):
+        # each edge config exits 0 with nothing on stderr and writes every
+        # gated engine at every threshold, each value a coverage in [0, 1];
+        # ``approx`` is the text of every approx1 and approx2 value, or the
+        # limit that they take within 1e-9
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml_text)
+        result, caught = _invoke(runner, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0 and result.stderr == "" and caught == [], result.output
         rows = read_rows(tmp_path / "analytic.csv")
-        assert len(rows) == len(cli.GATES) * len(NetworkConfig().thresholds_db)
+        assert len(rows) == len(cli.GATES) * len(load_config(cfg).thresholds_db)
         assert all(0.0 <= float(row["value"]) <= 1.0 for row in rows)
+        reflected = [row["value"] for row in rows if row["engine"] in ("approx1", "approx2")]
+        if isinstance(approx, str):
+            assert set(reflected) == {approx}
+        elif approx is not None:
+            assert all(abs(float(value) - approx) < 1e-9 for value in reflected)
 
     @pytest.mark.parametrize("bits", ["1100", "1000000"])
     def test_phase_bits_beyond_float_give_ideal_values(self, runner, tmp_path, bits):
@@ -190,45 +180,6 @@ class TestAnalyticCommand:
             values[name] = [row["value"] for row in read_rows(out / "analytic.csv")]
         assert values["bits"] == values["ideal"]
 
-    def test_string_thresholds_exit_config_error(self, runner, tmp_path):
-        # a bare string used to be split into characters: "10" ran at 1 dB and 0 dB
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text('thresholds_db: "10"\n')
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == [
-            "config error: thresholds_db: must be a list of numbers, got '10'"
-        ]
-        assert not (tmp_path / "analytic.csv").exists()
-
-    def test_underflowing_moment_writes_full_reflected_coverage(self, runner, tmp_path):
-        # the floored moment underflowed to 0 in SI units, so approx1 and
-        # approx2 wrote 0 where kappa is about 1e576
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            "lambda_bs: 3.0e-318\nlambda_ris: 1.0e+308\nepsilon_floor: 2.8e+162\n"
-            "mu: 1.0e-308\nm_elements: 1" + "0" * 154 + "\n"
-        )
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        rows = read_rows(tmp_path / "analytic.csv")
-        approx = [r["value"] for r in rows if r["engine"] in ("approx1", "approx2")]
-        assert len(approx) == 2 * len(NetworkConfig().thresholds_db) and set(approx) == {"1"}
-
-    @pytest.mark.parametrize("extra, approx_value", [
-        ("", "1"),  # kappa is about 1.39: approx1 and approx2 wrote 0
-        ("lambda_bs: 1.0e+8\nepsilon_floor: 1.0e+200\n", "0"),  # the moment underflows: -inf + inf raised
-    ], ids=["defaults", "dense-bases-huge-floor"])
-    def test_largest_alpha_writes_reflected_coverage(self, runner, tmp_path, extra, approx_value):
-        # log K = log mu - log G - (alpha/2) * log(pi * lambda_bs) overflows past alpha ~ 4e307
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("alpha: 1.0e+308\n" + extra)
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        rows = read_rows(tmp_path / "analytic.csv")
-        approx = [r["value"] for r in rows if r["engine"] in ("approx1", "approx2")]
-        assert len(approx) == 2 * len(NetworkConfig().thresholds_db) and set(approx) == {approx_value}
-
     @pytest.mark.parametrize("command", ["analytic", "compare"])
     def test_huge_reflector_bank_gives_numbers(self, runner, tmp_path, command):
         # M is an unbounded integer whose M**2 leaves the float range; the
@@ -236,9 +187,7 @@ class TestAnalyticCommand:
         # compare passes every gate at 20,000 trials
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("m_elements: 1" + "0" * 160 + "\nn_trials: 20000\n")
-        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
-            warnings.simplefilter("always")
-            result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path)])
+        result, caught = _invoke(runner, [command, "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert result.stderr == "" and caught == []
         rows = read_rows(tmp_path / f"{command}.csv")
@@ -250,9 +199,7 @@ class TestAnalyticCommand:
         # I(T) itself are 0; numpy's overflow warning used to reach stderr
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("alpha: 2.00000000001\nthresholds_db: [2970]\n")
-        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
-            warnings.simplefilter("always")
-            result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
+        result, caught = _invoke(runner, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == 0 and result.stderr == "" and caught == []
         rows = {row["engine"]: row["value"] for row in read_rows(tmp_path / "analytic.csv")}
         assert len(rows) == len(cli.GATES)
@@ -286,9 +233,7 @@ class TestSimulateCommand:
             dict.fromkeys(montecarlo.METRICS, np.full(len(records.r0), math.nan)) for _ in direct])
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 2000\n")
-        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
-            warnings.simplefilter("always")
-            result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path)])
+        result, caught = _invoke(runner, [command, "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR and caught == []
         # 2000 trials are 62 lattice points under each of 32 shifts, one block
         assert result.stderr == "pipeline error: lattice points 0-61: a coverage value leaves the float range\n"
@@ -303,9 +248,7 @@ class TestSimulateCommand:
         # 0.52016 +- 2e-5 at 2**18
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("alpha: 1.7e+308\nn_trials: 20000\n")
-        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
-            warnings.simplefilter("always")
-            result = runner.invoke(cli.main, ["simulate", "-c", str(cfg), "--out", str(tmp_path)])
+        result, caught = _invoke(runner, ["simulate", "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == 0 and caught == [], result.output
         limit, limit_half_width = gamma_b_large_alpha_limit(load_config(cfg))
         rows = [r for r in read_rows(tmp_path / "simulate.csv") if r["metric"] == "gamma_b"]
@@ -375,35 +318,6 @@ class TestSimulateCommand:
         assert len(rows) == 4 * 2
         assert {r["metric"] for r in rows} == {"gamma_o", "gamma_a", "gamma_b", "gamma_s"}
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".csv"] == ["simulate.csv"]
-
-    @pytest.mark.parametrize("config, argv, exit_code, stderr_ok", [
-        # `hist --quantity` is the one command that writes a histogram
-        (None, ["simulate", "--trials", "1000", "--hist", "r1"], click.UsageError.exit_code,
-         lambda err: "No such option" in err and "--hist" in err),
-        # one engagement rule remains: the reflector serves iff it is closer than the base
-        (None, ["simulate", "--trials", "1000", "--mode", "unconditional"], click.UsageError.exit_code,
-         lambda err: "No such option" in err and "--mode" in err),
-        # the per-element fade mode drew all M fades of every trial, so this
-        # config never finished; the key is gone and the config is rejected
-        ("m_elements: 1000000000000\nshared_ris_fade: false\n", ["simulate"], cli.EXIT_CONFIG_ERROR,
-         lambda err: err.splitlines() == ["config error: unknown config key: shared_ris_fade"]),
-        # `false` engaged the reflector on every trial; the one rule left is
-        # r2 < r0, and the key is rejected whatever its value
-        ("conditional_path_b: true\n", ["simulate"], cli.EXIT_CONFIG_ERROR,
-         lambda err: err.splitlines() == ["config error: unknown config key: conditional_path_b"]),
-        # the power is binned in dBW now; the old name must not be read as watts
-        (None, ["hist", "--quantity", "p_ris", "--trials", "1000"], cli.EXIT_CONFIG_ERROR,
-         lambda err: "'p_ris' is not one of" in err),
-    ], ids=["hist-option", "mode-option", "shared_ris_fade-key", "conditional_path_b-key", "p_ris-quantity"])
-    def test_retired_option_or_key_is_rejected(self, runner, tmp_path, config, argv, exit_code, stderr_ok):
-        if config is not None:
-            cfg = tmp_path / "cfg.yaml"
-            cfg.write_text(config)
-            argv = [*argv, "-c", str(cfg)]
-        result = runner.invoke(cli.main, [*argv, "--out", str(tmp_path / "o")])
-        assert result.exit_code == exit_code
-        assert stderr_ok(result.stderr), result.stderr
-        assert not (tmp_path / "o").exists()
 
     def test_gamma_b_counts_every_point(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -502,11 +416,8 @@ class TestCompare:
         assert len(failed) == 1
         assert failed[0].startswith("[FAIL] gamma_b vs approx2 @ +5.0 dB:")
         assert failed[0].endswith(" tol=0.03")
-        cfg.write_text(cfg.read_text() + "compare_tolerances: {gamma_b_gate_t_db: 99}\n")
-        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path / "b")])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == ["config error: unknown config key: compare_tolerances"]
-        assert not (tmp_path / "b").exists()
+        # the same config with the key that moved the gates is the typed-exit
+        # row [retired-compare_tolerances-key]
 
     def test_report_contents(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -835,17 +746,6 @@ class TestSweep:
                   if line.startswith("mc,") and line.split(",")[4] == cli._fmt(value)]
             assert mc == cli.rows_to_csv(expected).splitlines()[1:]
 
-    @pytest.mark.parametrize("metric", ["e_r1", "e_p_ris"])
-    def test_with_mc_on_a_moment_metric_is_config_error(self, runner, tmp_path, metric):
-        # a moment has no simulation: --with-mc was ignored, and the sweep
-        # wrote its one analytic row with exit 0
-        result = runner.invoke(cli.main, ["sweep", "--out", str(tmp_path), "--axis", "lambda_ris",
-                                          "--grid", "1000", "--metric", metric, "--with-mc"])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        message = f"metric: {metric} is a moment: it takes neither --axis T nor --with-mc"
-        assert result.stderr.splitlines() == [f"config error: {message}"]
-        assert not (tmp_path / "sweep.csv").exists()
-
     def test_mean_reflected_power_sweep_is_monotone(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("beta: 1.0\n")  # the reference trend uses a lossless bank
@@ -861,17 +761,6 @@ class TestSweep:
         vals = [float(r["value"]) for r in read_rows(tmp_path / "sweep.csv")]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("axis", ["N", "M"])
-    def test_fractional_count_rejected(self, runner, tmp_path, axis):
-        # int() used to truncate 8.5 to 8 while the row kept the label 8.5
-        result = runner.invoke(
-            cli.main,
-            ["sweep", "--out", str(tmp_path), "--axis", axis, "--grid", "8.5,16"],
-        )
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert "8.5" in result.stderr
-        assert not (tmp_path / "sweep.csv").exists()
-
     def test_integral_float_counts_accepted(self, runner, tmp_path):
         result = runner.invoke(
             cli.main,
@@ -882,52 +771,17 @@ class TestSweep:
         rows = read_rows(tmp_path / "sweep.csv")
         assert {r["axis_value"] for r in rows} == {"4", "16"}
 
-    def test_moment_overflow_is_pipeline_error(self, runner, tmp_path):
-        # E[r1**-alpha] above the float range used to escape as an OverflowError
+    def test_tiny_mu_mean_power_is_a_float(self, runner, tmp_path):
+        # M**2 * beta * P_s / (2 * mu) overflowed to inf for a tiny mu. The
+        # power is a sum of logs now: at mu = 1e-308 it is 6.9e307 W, a
+        # float; at 1e-320 it is not, the typed-exit row [power-tiny-mu]
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("alpha: 5000\nlambda_ris: 1000\nepsilon_floor: 0.5\n")
-        result = runner.invoke(
-            cli.main,
-            ["sweep", "-c", str(cfg), "--out", str(tmp_path), "--axis", "lambda_ris",
-             "--grid", "1000", "--metric", "e_p_ris"],
-        )
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("pipeline error: mean reflected power exceeds the float range")
-
-    def test_huge_reflector_bank_is_pipeline_error(self, runner, tmp_path):
-        # the power in watts leaves the float range, though log G does not
-        result = runner.invoke(
-            cli.main,
-            ["sweep", "--out", str(tmp_path), "--axis", "M", "--grid", "1e160",
-             "--metric", "e_p_ris"],
-        )
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("pipeline error: mean reflected power exceeds the float range")
-
-    def test_overflowing_mean_power_is_pipeline_error(self, runner, tmp_path):
-        # M**2 * beta * P_s / (2 * mu) overflowed to inf for a tiny mu, and
-        # the sweep wrote the value `inf` with exit 0. The power is a sum of
-        # logs now: at mu = 1e-308 it is 6.9e307 W, a float; at 1e-320 it is not
-        args = ["--axis", "lambda_ris", "--grid", "1000", "--metric", "e_p_ris"]
-        for mu in ("1.0e-308", "1.0e-320"):
-            cfg = tmp_path / f"{mu}.yaml"
-            cfg.write_text(f"mu: {mu}\n")
-            result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path / mu), *args])
-            if mu == "1.0e-308":
-                assert result.exit_code == 0, result.output
-                value = float(read_rows(tmp_path / mu / "sweep.csv")[0]["value"])
-                expected = 1e308 * analytic.mean_reflected_power(NetworkConfig(lambda_ris=1000.0))
-                assert value == pytest.approx(expected, rel=1e-9)
-                continue
-            assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-            assert isinstance(result.exception, SystemExit)
-            assert len(result.stderr.splitlines()) == 1
-            assert result.stderr.startswith("pipeline error: mean reflected power")
-            assert not (tmp_path / mu / "sweep.csv").exists()
+        cfg.write_text("mu: 1.0e-308\n")
+        result = runner.invoke(cli.main, [*_SWEEP, "e_p_ris", "-c", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        value = float(read_rows(tmp_path / "sweep.csv")[0]["value"])
+        expected = 1e308 * analytic.mean_reflected_power(NetworkConfig(lambda_ris=1000.0))
+        assert value == pytest.approx(expected, rel=1e-9)
 
     def test_smallest_transmit_power_gives_a_mean_power(self, runner, tmp_path):
         # half of the smallest subnormal p_s rounds to 0, and its log ended
@@ -974,14 +828,6 @@ class TestSweep:
         near = 2 * math.pi * lam_eff * math.exp(-math.pi * lam_eff) / (float(alpha) - 2.0)
         assert value == pytest.approx(math.exp(NetworkConfig().log_gain) * near, rel=1e-6, abs=0)
 
-    def test_nonincreasing_grid_rejected(self, runner, tmp_path):
-        result = runner.invoke(
-            cli.main,
-            ["sweep", "--out", str(tmp_path), "--axis", "M", "--grid", "100,100"],
-        )
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-
-
 class TestHistCommand:
     def test_writes_overlay_column(self, runner, tmp_path):
         result = runner.invoke(
@@ -994,21 +840,6 @@ class TestHistCommand:
         assert lines[0].startswith("quantity,bin_left,bin_right,density,count,analytic_pdf")
         first = lines[1].split(",")
         assert float(first[5]) > 0  # analytic overlay populated
-
-    @pytest.mark.parametrize("bins", ["0", "-3", "1001", "4611686018427387904"])
-    def test_nonpositive_bins_is_config_error(self, runner, tmp_path, bins):
-        # more bins than trials used to be accepted, and 2**62 of them ended
-        # in numpy's "array is too big" traceback with exit 1
-        result = runner.invoke(
-            cli.main,
-            ["hist", "--quantity", "r0", "--trials", "1000", "--bins", bins,
-             "--out", str(tmp_path)],
-        )
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == [
-            f"config error: bins: must be from 1 to n_trials (1000), got {bins}"
-        ]
-        assert not (tmp_path / "hist_r0.csv").exists()
 
     def test_bins_are_checked_before_any_record_is_drawn(self, runner, tmp_path, monkeypatch):
         # a draw here fails the test: at 1e9 trials it would allocate tens of GB
@@ -1091,22 +922,6 @@ class TestHistCommand:
         lambda_ris_m2 = load_config(cfg).lambda_ris * KM2_TO_M2
         assert mean == pytest.approx(0.5 / math.sqrt(lambda_ris_m2), rel=0.05)
 
-    @pytest.mark.parametrize("quantity", ["r1", "r2", "p_ris_dbw"])
-    def test_reflector_beyond_float_range_is_pipeline_error(self, runner, tmp_path, quantity):
-        # lambda_bs / lambda_ris near 1e618: the reflector is farther than the
-        # float range in units of the base spacing. The power read 0 everywhere
-        # and the distance histograms were empty, with exit 0
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("lambda_bs: 1.7e+308\nlambda_ris: 1.0e-310\n")
-        result = runner.invoke(
-            cli.main,
-            ["hist", "-c", str(cfg), "--quantity", quantity, "--trials", "2000",
-             "--out", str(tmp_path)],
-        )
-        assert result.exit_code == cli.EXIT_PIPELINE_ERROR
-        assert result.stderr.splitlines() == [f"pipeline error: the {quantity} values exceed the float range"]
-        assert not (tmp_path / f"hist_{quantity}.csv").exists()
-
     def test_power_bins_spread_over_decibels(self, runner, tmp_path):
         # in watts, 99.97% of the samples fell in the first of 60 bins and
         # only 6 bins held any; the power law spans many decades
@@ -1149,38 +964,173 @@ class TestHistCommand:
         assert mass == pytest.approx(1.0, abs=1e-6)
 
 
-class TestTypedExits:
-    @pytest.mark.parametrize("thresholds", ["[]", "[4000]", "[-4000]", "[true]", '["5"]'],
-                             ids=["empty", "overflow", "underflow", "bool", "string"])
-    @pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
-    def test_thresholds_without_a_ratio_are_config_errors(self, runner, tmp_path, command, thresholds):
-        # 4000 dB overflowed 10**(t/10) (a traceback and exit 1, the gate-failed
-        # code), -4000 dB reached the closed forms as T = 0 (exit 4), an empty
-        # list wrote a header-only CSV or failed compare with exit 4, and true
-        # and "5" ran as 1 dB and 5 dB
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(f"thresholds_db: {thresholds}\n")
-        result = runner.invoke(
-            cli.main, [command, "-c", str(cfg), "--trials", "200", "--out", str(tmp_path / "out")]
-        )
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("config error: thresholds_db: must ")
-        assert not (tmp_path / "out").exists()
+def _exit_row(id, config, argv, exit_code, stderr, name="cfg.yaml"):
+    """A row of :meth:`TestTypedExits.test_typed_exit`.
 
-    @pytest.mark.parametrize("name, text", [
-        ("dup.yaml", "alpha: 4\nalpha: 3\n"), ("dup.json", '{"alpha": 4, "alpha": 3}'),
-    ], ids=["yaml", "json"])
-    def test_repeated_config_key_is_config_error(self, runner, tmp_path, name, text):
-        # the second alpha won silently: the run went ahead at alpha 3 with exit 0
+    ``config`` is the text or bytes of the file ``name`` passed with ``-c``,
+    or None for no file. ``stderr`` is the exact stderr lines, where
+    ``{cfg}`` stands for the file's path, or a predicate of the stderr text.
+    """
+    return pytest.param(config, name, argv, exit_code, stderr, id=id)
+
+
+_CONFIG, _PIPELINE, _USAGE = cli.EXIT_CONFIG_ERROR, cli.EXIT_PIPELINE_ERROR, click.UsageError.exit_code
+_RATIO = "be a list of dB values t with 10**(t/10) a positive finite float, got "
+_BEYOND_FLOAT = "1" + "0" * 400
+_POWER = "pipeline error: mean reflected power exceeds the float range: about "
+
+
+def _one_line(pattern):
+    """A stderr predicate: one line that ``pattern`` matches in full."""
+    return lambda err: re.fullmatch(pattern + "\n", err) is not None
+
+
+_TYPED_EXITS = [
+    # alpha = 2 has no interference integral
+    _exit_row("alpha-two", "alpha: 2\n", ["analytic"], _CONFIG,
+              ["config error: alpha: must be a finite number > 2, got 2"]),
+    # a bare string used to be split into characters: "10" ran at 1 dB and 0 dB
+    _exit_row("string-thresholds", 'thresholds_db: "10"\n', ["analytic"], _CONFIG,
+              ["config error: thresholds_db: must be a list of numbers, got '10'"]),
+    # 4000 dB overflowed 10**(t/10) (a traceback and exit 1, the gate-failed
+    # code), -4000 dB reached the closed forms as T = 0 (exit 4), an empty
+    # list wrote a header-only CSV or failed compare with exit 4, and true
+    # and "5" ran as 1 dB and 5 dB
+    *[_exit_row(f"thresholds-{command}-{case}", f"thresholds_db: {text}\n", [command, "--trials", "200"], _CONFIG,
+                [f"config error: thresholds_db: must {problem}"])
+      for command in ("analytic", "simulate", "compare")
+      for case, text, problem in (
+          ("empty", "[]", "hold at least one threshold, got []"), ("overflow", "[4000]", _RATIO + "[4000]"),
+          ("underflow", "[-4000]", _RATIO + "[-4000]"), ("bool", "[true]", _RATIO + "[True]"),
+          ("string", '["5"]', _RATIO + "['5']"))],
+    # the second alpha won silently: the run went ahead at alpha 3 with exit 0
+    *[_exit_row(f"repeated-key-{kind}", text, ["analytic"], _CONFIG,
+                ["config error: cannot parse config file {cfg}: key 'alpha' repeated in one mapping"], name)
+      for kind, name, text in (("yaml", "dup.yaml", "alpha: 4\nalpha: 3\n"),
+                               ("json", "dup.json", '{"alpha": 4, "alpha": 3}'))],
+    # math.isfinite raised OverflowError on these: a traceback and exit 1
+    *[_exit_row(f"beyond-float-{field}", f"{field}: {_BEYOND_FLOAT}\n", ["analytic"], _CONFIG,
+                [f"config error: {field}: must be {requirement}, got {_BEYOND_FLOAT}"])
+      for field, requirement in (
+          *((f, "a positive finite number") for f in ("lambda_bs", "lambda_ris", "p_s", "mu", "epsilon_floor")),
+          ("beta", "a finite number in (0, 1]"), ("alpha", "a finite number > 2"))],
+    # sqrt(N) used to raise OverflowError: a traceback and exit 1, the
+    # gate-failed code
+    *[_exit_row(f"beyond-float-n_elements-{command}", f"n_elements: {_BEYOND_FLOAT}\n", [command, "--trials", "200"],
+                _CONFIG, [f"config error: n_elements: must convert to a float, got {_BEYOND_FLOAT}"])
+      for command in ("analytic", "simulate")],
+    # UnicodeDecodeError and RecursionError escaped load_config: a traceback
+    # and exit 1, the gate-failed code. How the interpreter words a
+    # RecursionError after "maximum recursion depth exceeded" differs across
+    # Python versions, so those two rows match the line's end as a pattern
+    _exit_row("not-utf-8", b"\xff\xfe\x00", ["analytic"], _CONFIG,
+              ["config error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff in position 0:"
+               " invalid start byte"]),
+    *[_exit_row(f"{kind}-{depth}-deep", b"[" * depth + b"]" * depth, ["analytic"], _CONFIG,
+                _one_line(r"config error: cannot parse config file \S+: maximum recursion depth exceeded.*"), name)
+      for kind, depth, name in (("yaml", 3000, "cfg.yaml"), ("json", 100_000, "cfg.json"))],
+    # PyYAML's message quotes the line and marks the column beneath it: 5 to
+    # 7 stderr lines
+    *[_exit_row(f"yaml-{case}", text, ["analytic"], _CONFIG,
+                [f"config error: cannot parse config file {{cfg}}: {problem}"])
+      for case, text, problem in (
+          ("syntax", "lambda_ris: [unclosed\n", "line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+          ("unhashable-key", "[1]: 2\n", "line 1, column 1: found unhashable key"),
+          ("bad-tag", "a: !!map foo\n", "line 1, column 4: expected a mapping node, but found scalar"),
+          ("unmarked", "alpha: 4\x00\n",
+           'unacceptable character #x0000: special characters are not allowed in "<unicode string>", position 8'))],
+    # `hist --quantity` is the one command that writes a histogram
+    _exit_row("retired-hist-option", None, ["simulate", "--trials", "1000", "--hist", "r1"], _USAGE,
+              lambda err: "No such option" in err and "--hist" in err),
+    # one engagement rule remains: the reflector serves iff it is closer than the base
+    _exit_row("retired-mode-option", None, ["simulate", "--trials", "1000", "--mode", "unconditional"], _USAGE,
+              lambda err: "No such option" in err and "--mode" in err),
+    # the per-element fade mode drew all M fades of every trial, so this
+    # config never finished; the key is gone and the config is rejected
+    _exit_row("retired-shared_ris_fade-key", "m_elements: 1000000000000\nshared_ris_fade: false\n", ["simulate"],
+              _CONFIG, ["config error: unknown config key: shared_ris_fade"]),
+    # `false` engaged the reflector on every trial; the one rule left is
+    # r2 < r0, and the key is rejected whatever its value
+    _exit_row("retired-conditional_path_b-key", "conditional_path_b: true\n", ["simulate"], _CONFIG,
+              ["config error: unknown config key: conditional_path_b"]),
+    # the power is binned in dBW now; the old name must not be read as watts
+    _exit_row("retired-p_ris-quantity", None, ["hist", "--quantity", "p_ris", "--trials", "1000"], _USAGE,
+              lambda err: "'p_ris' is not one of" in err),
+    # approx2 overshoots the simulated reflected-path coverage at N = 2,
+    # alpha = 3 by more than its margin (TestCompare); moving the
+    # reflected-path gates to a threshold outside the run used to turn that
+    # failure into exit 0
+    _exit_row("retired-compare_tolerances-key",
+              "n_elements: 2\nalpha: 3\nn_trials: 5000\ncompare_tolerances: {gamma_b_gate_t_db: 99}\n", ["compare"],
+              _CONFIG, ["config error: unknown config key: compare_tolerances"]),
+    # both minimums used to surface as a pipeline error (exit 4)
+    _exit_row("trial-minimum-simulate", None, ["simulate", "--trials", "50"], _CONFIG,
+              ["config error: n_trials: must be at least 100 to estimate coverage, got 50"]),
+    _exit_row("trial-minimum-hist", None, ["hist", "--quantity", "r0", "--trials", "500"], _CONFIG,
+              ["config error: n_trials: must be at least 1000 for a histogram, got 500"]),
+    # more bins than trials used to be accepted, and 2**62 of them ended in
+    # numpy's "array is too big" traceback with exit 1
+    *[_exit_row(f"bins-{bins}", None, ["hist", "--quantity", "r0", "--trials", "1000", "--bins", bins], _CONFIG,
+                [f"config error: bins: must be from 1 to n_trials (1000), got {bins}"])
+      for bins in ("0", "-3", "1001", "4611686018427387904")],
+    # a moment has no simulation: --with-mc was ignored, and the sweep wrote
+    # its one analytic row with exit 0
+    *[_exit_row(f"with-mc-{metric}", None, [*_SWEEP, metric, "--with-mc"], _CONFIG,
+                [f"config error: metric: {metric} is a moment: it takes neither --axis T nor --with-mc"])
+      for metric in ("e_r1", "e_p_ris")],
+    # int() used to truncate 8.5 to 8 while the row kept the label 8.5
+    *[_exit_row(f"fractional-{axis}", None, ["sweep", "--axis", axis, "--grid", "8.5,16"], _CONFIG,
+                [f"config error: {field}: must be an integer >= 1, got 8.5"])
+      for axis, field in (("N", "n_elements"), ("M", "m_elements"))],
+    _exit_row("nonincreasing-grid", None, ["sweep", "--axis", "M", "--grid", "100,100"], _CONFIG,
+              ["config error: grid: must be nonempty and strictly increasing"]),
+    # E[r1**-alpha] above the float range used to escape as an OverflowError
+    _exit_row("power-moment-overflow", "alpha: 5000\nlambda_ris: 1000\nepsilon_floor: 0.5\n", [*_SWEEP, "e_p_ris"],
+              _PIPELINE, [_POWER + "1e+1501 W"]),
+    # the power in watts leaves the float range, though log G does not
+    _exit_row("power-huge-bank", None, ["sweep", "--axis", "M", "--grid", "1e160", "--metric", "e_p_ris"], _PIPELINE,
+              [_POWER + "1e+316 W"]),
+    # M**2 * beta * P_s / (2 * mu) overflowed to inf for a tiny mu, and the
+    # sweep wrote the value `inf` with exit 0; the message blamed mu at any
+    # cause, as it read "(mu=1)" at the tiny floor
+    _exit_row("power-tiny-mu", "mu: 1.0e-320\n", [*_SWEEP, "e_p_ris"], _PIPELINE, [_POWER + "1e+320 W"]),
+    _exit_row("power-tiny-floor", "epsilon_floor: 1.0e-200\n", [*_SWEEP, "e_p_ris"], _PIPELINE, [_POWER + "1e+400 W"]),
+    # at alpha = 1e308 the power's log is itself inf, and math.exp(inf)
+    # raises nothing: the sweep wrote the value `inf` with exit 0
+    _exit_row("power-largest-alpha", "alpha: 1.0e+308\nepsilon_floor: 1.0e-10\n", [*_SWEEP, "e_p_ris"], _PIPELINE,
+              [_POWER + "1e+inf W"]),
+    # lambda_bs / lambda_ris near 1e618: the reflector is farther than the
+    # float range in units of the base spacing. The power read 0 everywhere
+    # and the distance histograms were empty, with exit 0
+    *[_exit_row(f"reflector-beyond-float-{quantity}", "lambda_bs: 1.7e+308\nlambda_ris: 1.0e-310\n",
+                ["hist", "--quantity", quantity, "--trials", "2000"], _PIPELINE,
+                [f"pipeline error: the {quantity} values exceed the float range"])
+      for quantity in ("r1", "r2", "p_ris_dbw")],
+    # alpha * log(r1 / spacing) leaves the float range, so the power in dBW does
+    _exit_row("power-dbw-largest-alpha", "alpha: 1.0e+308\n", ["hist", "--quantity", "p_ris_dbw", "--trials", "2000"],
+              _PIPELINE, ["pipeline error: the p_ris_dbw values exceed the float range"]),
+]
+
+
+class TestTypedExits:
+    @pytest.mark.parametrize("config, name, argv, exit_code, stderr", _TYPED_EXITS)
+    def test_typed_exit(self, runner, tmp_path, config, name, argv, exit_code, stderr):
+        # the exit contract: the documented code with no traceback, one
+        # stderr line per error, no warning, and no output written: a fresh
+        # --out is never created
         cfg = tmp_path / name
-        cfg.write_text(text)
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path / "out")])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        message = f"cannot parse config file {cfg}: key 'alpha' repeated in one mapping"
-        assert result.stderr == f"config error: {message}\n"
-        assert not (tmp_path / "out").exists()
+        if config is not None:
+            (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
+            argv = [*argv, "-c", str(cfg)]
+        out = tmp_path / "out"
+        result, caught = _invoke(runner, [*argv, "--out", str(out)])
+        assert result.exit_code == exit_code and isinstance(result.exception, SystemExit), result.output
+        if callable(stderr):
+            assert stderr(result.stderr), result.stderr
+        else:
+            assert result.stderr.splitlines() == [line.replace("{cfg}", str(cfg)) for line in stderr]
+        assert caught == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("target,argv", [
         ((geometry, "expected_r1"),
@@ -1197,33 +1147,6 @@ class TestTypedExits:
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.splitlines() == ["pipeline error: quadrature did not converge"]
-
-
-    @pytest.mark.parametrize("argv,message", [
-        (["simulate", "--trials", "50"],
-         "n_trials: must be at least 100 to estimate coverage, got 50"),
-        (["hist", "--quantity", "r0", "--trials", "500"],
-         "n_trials: must be at least 1000 for a histogram, got 500"),
-    ], ids=["simulate", "hist"])
-    def test_trial_minimum_is_config_error(self, runner, tmp_path, argv, message):
-        # both minimums used to surface as a pipeline error (exit 4)
-        result = runner.invoke(cli.main, argv + ["--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == [f"config error: {message}"]
-
-    @pytest.mark.parametrize("command", ["analytic", "simulate"])
-    def test_element_count_beyond_float_is_config_error(self, runner, tmp_path, command):
-        # sqrt(N) used to raise OverflowError: a traceback and exit 1, the
-        # gate-failed code
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("n_elements: 1" + "0" * 400 + "\n")
-        result = runner.invoke(
-            cli.main, [command, "-c", str(cfg), "--trials", "200", "--out", str(tmp_path)]
-        )
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("config error: n_elements: must convert to a float")
 
 
     @pytest.mark.parametrize("command,out,blocker", [
@@ -1303,53 +1226,6 @@ class TestTypedExits:
         assert sorted(path.name for path in out.iterdir()) == ["compare.csv", "compare_report.json"]
         assert sorted(tmp_path.iterdir()) == [tmp_path / "elsewhere", out]
         assert [(path.name, path.read_text()) for path in (tmp_path / "elsewhere").iterdir()] == [("kept.json", "kept\n")]
-
-    @pytest.mark.parametrize(
-        "field", ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
-    )
-    def test_real_field_beyond_float_is_config_error(self, runner, tmp_path, field):
-        # math.isfinite raised OverflowError on these: a traceback and exit 1
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(f"{field}: 1" + "0" * 400 + "\n")
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith(f"config error: {field}: must be ")
-
-    @pytest.mark.parametrize("name,content", [
-        ("cfg.yaml", b"\xff\xfe\x00"),
-        ("cfg.yaml", b"[" * 3000 + b"]" * 3000),
-        ("cfg.json", b"[" * 100_000 + b"]" * 100_000),
-    ], ids=["not-utf-8", "yaml-3000-deep", "json-100000-deep"])
-    def test_undecodable_or_deeply_nested_file_is_config_error(self, runner, tmp_path, name, content):
-        # UnicodeDecodeError and RecursionError escaped load_config: a
-        # traceback and exit 1, the gate-failed code
-        cfg = tmp_path / name
-        cfg.write_bytes(content)
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path / "out")])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("config error: cannot ")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("content, message", [
-        ("lambda_ris: [unclosed\n", "line 2, column 1: expected ',' or ']', but got '<stream end>'"),
-        ("[1]: 2\n", "line 1, column 1: found unhashable key"),
-        ("a: !!map foo\n", "line 1, column 4: expected a mapping node, but found scalar"),
-        ("alpha: 4\x00\n", "unacceptable character #x0000: special characters are not allowed"
-                           ' in "<unicode string>", position 8'),
-    ], ids=["syntax", "unhashable-key", "bad-tag", "unmarked"])
-    def test_yaml_error_is_one_line(self, runner, tmp_path, content, message):
-        # PyYAML's message quotes the line and marks the column beneath it:
-        # 5 to 7 stderr lines
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(content)
-        result = runner.invoke(cli.main, ["analytic", "-c", str(cfg), "--out", str(tmp_path / "out")])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == [f"config error: cannot parse config file {cfg}: {message}"]
-
 
 class TestRowFormatting:
     def test_rows_sorted_and_stable(self):

@@ -151,11 +151,10 @@ class TestHashing:
     def test_hash_is_stable(self):
         assert NetworkConfig().config_hash() == NetworkConfig().config_hash()
 
-    def test_canonical_mapping_carries_stream_version(self, monkeypatch):
+    def test_hash_carries_stream_version(self, monkeypatch):
         cfg = NetworkConfig()
-        assert cfg.canonical_mapping()["stream_version"] == config.STREAM_VERSION == 11
-        assert "stream_version" not in cfg.to_mapping()
         before = cfg.config_hash()
+        assert config.STREAM_VERSION == 11 and before == "7a684ea3d607"
         monkeypatch.setattr(config, "STREAM_VERSION", 12)
         assert cfg.config_hash() != before
 

@@ -17,7 +17,7 @@ from oracle_helpers import (conditional_values, gamma_b_large_alpha_limit, gamma
                             lattice_records, peak_reflection_power, rayleigh_pdf, reflection_gain)
 from riscov import analytic, cli, montecarlo
 from riscov.config import KM2_TO_M2, STREAM_VERSION, ConfigError, NetworkConfig
-from riscov.errors import NumericalError, ParameterError
+from riscov.errors import NumericalError
 
 
 RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(montecarlo.TrialRecords))
@@ -764,7 +764,8 @@ class TestHistograms:
         np.testing.assert_allclose(overlay, expected, rtol=1e-9, atol=0)
 
     def test_unknown_quantity_rejected(self, sparse_run):
-        with pytest.raises(ParameterError):
+        # a config error, as the bins and trial checks beside it are: exit 2, not 4
+        with pytest.raises(ConfigError, match=r"^quantity: must be one of .*, got 'r9'$"):
             montecarlo.empirical_histogram(sparse_run.cfg, "r9")
 
     def test_requires_enough_trials(self):
