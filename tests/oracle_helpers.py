@@ -25,7 +25,6 @@ from scipy import integrate, special
 
 from riscov import analytic, geometry, montecarlo
 from riscov.config import KM2_TO_M2
-from riscov.errors import ParameterError
 
 # Mass discarded when truncating a semi-infinite Rayleigh-weighted integral:
 # the outer integration limit is the 1 - TAIL_MASS quantile.
@@ -421,7 +420,7 @@ def reflection_gain(cfg, fade_f1, r1):
     """
     r1 = np.asarray(r1, dtype=float)
     if np.any(r1 <= 0):
-        raise ParameterError(f"r1 must be positive, got {r1!r}")
+        raise ValueError(f"r1 must be positive, got {r1!r}")
     return math.exp(cfg.log_gain) * fade_f1 * r1 ** -cfg.alpha
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from oracle_helpers import reflection_gain
 from riscov.config import KM2_TO_M2, NetworkConfig
-from riscov.errors import ParameterError
 
 # Expected point count of a sampling window.
 WINDOW_TARGET_POINTS = 2000.0
@@ -34,7 +33,7 @@ class EmptyScenarioError(RuntimeError):
 def _check_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
         if not np.isfinite(value) or value <= 0:
-            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def window_radius(intensity: float) -> float:
@@ -69,7 +68,7 @@ class PointSet:
         object.__setattr__(self, "_origin_radii", radii)
         # 1 ulp of slack for points sampled exactly on the rim
         if len(pts) and radii.max() > self.window_radius * (1 + 1e-12):
-            raise ParameterError("point outside the sampling window")
+            raise ValueError("point outside the sampling window")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -201,16 +200,27 @@ def drop_scenario(cfg: NetworkConfig, trial_index: int, lobes: str = "thinning")
         single = off <= psi_single / 2.0
         split = off <= psi_split / 2.0
     else:
-        raise ParameterError(f"lobes must be 'thinning' or 'explicit', got {lobes!r}")
+        raise ValueError(f"lobes must be 'thinning' or 'explicit', got {lobes!r}")
 
     g = rng.exponential(1.0 / cfg.mu, n_bs)
     f1 = float(rng.exponential(1.0 / cfg.mu))
     h = float(rng.exponential(1.0 / cfg.mu))
 
-    serving, r0 = nearest_point(bs)
-    single[serving] = False
-    split[serving] = False
+    return Scenario(bs_points=bs, ris_points=ris, fades=Fades(g=g, f1=f1, h=h), trial_index=trial_index,
+                    **associate(bs, ris, single, split))
 
+
+def associate(bs: PointSet, ris: PointSet, single: np.ndarray, split: np.ndarray) -> dict:
+    """The :class:`Scenario` fields that association sets, given both point sets and the retention marks.
+
+    The user is served by the nearest base; ``r1`` is the distance from that
+    base to the nearest reflector, which is engaged iff it is closer to the
+    user than the base (``r2 < r0``). The serving base is cleared from copies
+    of both retained sets. With no reflector, ``r2`` and ``r1`` are nan.
+    """
+    serving, r0 = nearest_point(bs)
+    single, split = np.array(single, dtype=bool), np.array(split, dtype=bool)
+    single[serving] = split[serving] = False
     if len(ris):
         nearest_ris, r2 = nearest_point(ris)
         d = bs.points[serving] - ris.points[nearest_ris]
@@ -218,21 +228,8 @@ def drop_scenario(cfg: NetworkConfig, trial_index: int, lobes: str = "thinning")
         engaged = nearest_ris if r2 < r0 else None
     else:
         nearest_ris, r2, r1, engaged = None, math.nan, math.nan, None
-
-    return Scenario(
-        bs_points=bs,
-        ris_points=ris,
-        serving_bs_index=serving,
-        nearest_ris_index=nearest_ris,
-        engaged_ris_index=engaged,
-        r0=r0,
-        r2=r2,
-        r1=r1,
-        fades=Fades(g=g, f1=f1, h=h),
-        retained_single=single,
-        retained_split=split,
-        trial_index=trial_index,
-    )
+    return dict(serving_bs_index=serving, nearest_ris_index=nearest_ris, engaged_ris_index=engaged,
+                r0=r0, r2=r2, r1=r1, retained_single=single, retained_split=split)
 
 
 # ---------------------------------------------------------------------------

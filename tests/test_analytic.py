@@ -631,3 +631,11 @@ class TestMeanReflectedPower:
         limit, limit_underflowed = log_power_times_eps_squared(1e-170)
         assert not series_underflowed and limit_underflowed
         assert math.exp(limit - series) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    def test_subnormal_transmit_power_gives_a_subnormal_power(self):
+        # three times the smallest subnormal p_s has a subnormal power, p_s / 2
+        # times the unit power's; the sweep row [sweep-e_p_ris-smallest-p_s]
+        # in tests/test_cli.py takes the smallest p_s itself, whose power rounds to 0
+        unit = analytic.mean_reflected_power(NetworkConfig(p_s=1.0))
+        power = analytic.mean_reflected_power(NetworkConfig(p_s=1.5e-323))
+        assert power == pytest.approx(unit * 1.5e-323, rel=0, abs=5e-324) and power > 0.0

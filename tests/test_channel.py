@@ -21,7 +21,6 @@ from oracle_helpers import (
     reflection_gain,
 )
 from riscov.config import NetworkConfig
-from riscov.errors import ParameterError
 
 LAM_BS = 2.5e-5
 LAM_RIS = 1e-3
@@ -52,7 +51,7 @@ class TestPathLoss:
     def test_domain_errors(self):
         # r1 is drawn, not configured, so reflection_gain still checks it
         for r1 in (0.0, -1.0, np.array([1.0, 0.0])):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ValueError, match="^r1 must be positive, got "):
                 self.path_loss(r1)
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 import errno
 import importlib.util
@@ -109,113 +110,6 @@ class TestAnalyticCommand:
             checked += 1
         assert checked > 0
 
-    @pytest.mark.parametrize("yaml_text, approx", [
-        # T * rho**alpha underflows to 0 here; the approx1 row used to abort the
-        # command with "T must be positive"
-        pytest.param("alpha: 5000\nthresholds_db: [0]\n", None, id="alpha5000"),
-        pytest.param("thresholds_db: [-3200]\n", None, id="subnormal-threshold"),
-        # the command used to end in an OverflowError (rho**alpha) or a
-        # ZeroDivisionError (E[r1**-2] = 0) traceback with exit 1, the
-        # gate-failed code; to write nan rows (rho = inf); to exit 4 when
-        # pi*lambda_eff*eps**2 overflowed; or, at the tiny floor, to report
-        # E[r1**-2] beyond the float range with exit 4
-        *[pytest.param(f"epsilon_floor: {floor}\n", None, id=f"floor-{case}") for case, floor in (
-            ("rho-overflow", "2.5e+3"), ("rho-inf", "3.0e+3"), ("moment-zero", "1.0e+4"),
-            ("x-overflow", "1.0e+160"), ("moment-log", "1.0e-200"))],
-        # mu**2 used to end in a ZeroDivisionError (tiny mu) or an
-        # OverflowError (huge mu) traceback with exit 1, the gate-failed code;
-        # at alpha 2.01 the intermediate mu**(-4/alpha) overflowed (exit 4)
-        # although kappa, about 1e302, does not
-        pytest.param("mu: 1.0e-300\n", 1.0, id="mu-tiny"),
-        pytest.param("mu: 1.0e+300\n", 0.0, id="mu-huge"),
-        pytest.param("mu: 1.0e-300\nalpha: 2.01\n", 1.0, id="mu-tiny-alpha2.01"),
-        # approx1 and approx2 used to write nan rows with exit 0; kappa is
-        # about 1e-111 and 1e230 here, both inside the float range. Every
-        # converted intensity underflowed to 0, giving 0/0, or the converted
-        # reflector intensity overflowed to inf, giving inf/inf
-        pytest.param("lambda_ris: 1.24e+38\nmu: 9.08e+296\np_s: 1.14e-261\nepsilon_floor: 1.47e-219\n", None,
-                     id="all-underflow"),
-        pytest.param("n_elements: 1\nm_elements: 1" + "0" * 66 + "\nmu: 4.74e-167\nlambda_ris: 5.63e+85\n", None,
-                     id="ris-overflow"),
-        # the floored moment underflowed to 0 in SI units, so approx1 and
-        # approx2 wrote 0 where kappa is about 1e576
-        pytest.param("lambda_bs: 3.0e-318\nlambda_ris: 1.0e+308\nepsilon_floor: 2.8e+162\n"
-                     "mu: 1.0e-308\nm_elements: 1" + "0" * 154 + "\n", "1", id="underflowing-moment"),
-        # log K = log mu - log G - (alpha/2) * log(pi * lambda_bs) overflows
-        # past alpha ~ 4e307: at the defaults kappa is about 1.39, and approx1
-        # and approx2 wrote 0; with dense bases and a huge floor the moment
-        # underflows, and -inf + inf raised
-        pytest.param("alpha: 1.0e+308\n", "1", id="largest-alpha"),
-        pytest.param("alpha: 1.0e+308\nlambda_bs: 1.0e+8\nepsilon_floor: 1.0e+200\n", "0",
-                     id="largest-alpha-dense-bases-huge-floor"),
-    ])
-    def test_edge_config_writes_coverage(self, runner, tmp_path, yaml_text, approx):
-        # each edge config exits 0 with nothing on stderr and writes every
-        # gated engine at every threshold, each value a coverage in [0, 1];
-        # ``approx`` is the text of every approx1 and approx2 value, or the
-        # limit that they take within 1e-9
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml_text)
-        result, caught = _invoke(runner, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == 0 and result.stderr == "" and caught == [], result.output
-        rows = read_rows(tmp_path / "analytic.csv")
-        assert len(rows) == len(cli.GATES) * len(load_config(cfg).thresholds_db)
-        assert all(0.0 <= float(row["value"]) <= 1.0 for row in rows)
-        reflected = [row["value"] for row in rows if row["engine"] in ("approx1", "approx2")]
-        if isinstance(approx, str):
-            assert set(reflected) == {approx}
-        elif approx is not None:
-            assert all(abs(float(value) - approx) < 1e-9 for value in reflected)
-
-    @pytest.mark.parametrize("bits", ["1100", "1000000"])
-    def test_phase_bits_beyond_float_give_ideal_values(self, runner, tmp_path, bits):
-        # pi / (1 << bits) used to end in an OverflowError traceback with exit 1
-        values = {}
-        for name, phase_bits in (("ideal", "ideal"), ("bits", bits)):
-            cfg_path = tmp_path / f"{name}.yaml"
-            cfg_path.write_text(f"phase_bits: {phase_bits}\n")
-            out = tmp_path / name
-            result = runner.invoke(cli.main, ["analytic", "-c", str(cfg_path), "--out", str(out)])
-            assert result.exit_code == 0, result.output
-            values[name] = [row["value"] for row in read_rows(out / "analytic.csv")]
-        assert values["bits"] == values["ideal"]
-
-    @pytest.mark.parametrize("command", ["analytic", "compare"])
-    def test_huge_reflector_bank_gives_numbers(self, runner, tmp_path, command):
-        # M is an unbounded integer whose M**2 leaves the float range; the
-        # engines read log G = 2 log M + ..., so both commands used to exit 4.
-        # compare passes every gate at 20,000 trials
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("m_elements: 1" + "0" * 160 + "\nn_trials: 20000\n")
-        result, caught = _invoke(runner, [command, "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        assert result.stderr == "" and caught == []
-        rows = read_rows(tmp_path / f"{command}.csv")
-        # a bank this large makes every reflected-path approximation 1
-        assert {r["value"] for r in rows if r["engine"] in ("approx1", "approx2")} == {"1"}
-
-    def test_overflowing_interference_leaves_stderr_empty(self, runner, tmp_path):
-        # the interference factor overflows to its limit inf, so the rows of
-        # I(T) itself are 0; numpy's overflow warning used to reach stderr
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("alpha: 2.00000000001\nthresholds_db: [2970]\n")
-        result, caught = _invoke(runner, ["analytic", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == 0 and result.stderr == "" and caught == []
-        rows = {row["engine"]: row["value"] for row in read_rows(tmp_path / "analytic.csv")}
-        assert len(rows) == len(cli.GATES)
-        assert all(rows[engine] == "0" for engine in ("analytic_q2", "analytic_q23", "approx2"))
-        # approx1 reads I at T * kappa**(-a/2), about 8e292, where p * I is
-        # still a float: 1.77e-304 by scipy's hyp2f1, where it read 0 before
-        cfg = load_config(cfg)
-        alpha, T = cfg.alpha, cfg.thresholds_linear[0]
-        scaled = T * math.exp(-0.5 * alpha * analytic.log_reflector_ratio(cfg))
-        delta = 2.0 / alpha
-        i_scaled = 2.0 * scaled / (alpha - 2.0) * special.hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -scaled)
-        _, p_split = cfg.retentions
-        value = float(rows["approx1"])
-        assert value == pytest.approx(1.0 / (1.0 + p_split * i_scaled), rel=1e-9, abs=0)
-        assert value == pytest.approx(1.7735432e-304, rel=1e-7, abs=0)
-
     def test_header_is_exact(self, runner, tmp_path):
         runner.invoke(cli.main, ["analytic", "--out", str(tmp_path)], catch_exceptions=False)
         first = (tmp_path / "analytic.csv").read_text().splitlines()[0]
@@ -238,72 +132,6 @@ class TestSimulateCommand:
         # 2000 trials are 62 lattice points under each of 32 shifts, one block
         assert result.stderr == "pipeline error: lattice points 0-61: a coverage value leaves the float range\n"
         assert not list(tmp_path.glob("*.csv"))
-
-    def test_largest_alpha_takes_the_large_alpha_limit(self, runner, tmp_path):
-        # log q = alpha * L - log f1 overflows at this alpha and the reflected
-        # path's values were nan (exit 4); they are read from log(q) / alpha,
-        # which stays finite, so gamma_b takes its alpha -> inf limit. At
-        # 2000 points it read 0.5163 +- 0.0029 against the limit's 0.5201 +-
-        # 0.0007; it converges there: 0.52015 +- 6e-5 at 2**16 points and
-        # 0.52016 +- 2e-5 at 2**18
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("alpha: 1.7e+308\nn_trials: 20000\n")
-        result, caught = _invoke(runner, ["simulate", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == 0 and caught == [], result.output
-        limit, limit_half_width = gamma_b_large_alpha_limit(load_config(cfg))
-        rows = [r for r in read_rows(tmp_path / "simulate.csv") if r["metric"] == "gamma_b"]
-        assert len(rows) == len(NetworkConfig().thresholds_db)
-        for r in rows:
-            assert abs(float(r["value"]) - limit) <= float(r["ci_half_width"]) + limit_half_width, (r, limit)
-
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_tiny_mu_gives_the_default_direct_paths(self, runner, tmp_path, command):
-        # mu = 1e-320 used to exit 4: its fades overflowed the float range
-        # once drawn in SI units; they are drawn in units of 1/mu now
-        rows = {}
-        for name, yaml_text in (("default", ""), ("tiny-mu", "mu: 1.0e-320\n")):
-            cfg = tmp_path / f"{name}.yaml"
-            cfg.write_text(yaml_text + "n_trials: 2000\n")
-            result = runner.invoke(cli.main, [command, "-c", str(cfg), "--out", str(tmp_path / name)])
-            assert result.exit_code == 0, result.output
-            rows[name] = [
-                (r["metric"], r["T_db"], r["value"], r["ci_half_width"], r["n_trials"])
-                for r in read_rows(tmp_path / name / f"{command}.csv")
-                if r["engine"] == "mc" and r["metric"] in ("gamma_o", "gamma_a")
-            ]
-        assert len(rows["default"]) == 2 * len(NetworkConfig().thresholds_db)
-        assert rows["tiny-mu"] == rows["default"]
-
-    def test_dense_bases_engage_no_reflector(self, runner, tmp_path):
-        # at 1.7e308 bases and 1e-18 reflectors per km^2 the probability of
-        # an engaged reflector underflows to 0 at every point, so gamma_b has
-        # no weight: its gates are null and fail, though every metric counts
-        # every point
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("lambda_bs: 1.7e+308\nlambda_ris: 1.0e-18\nn_trials: 2000\n")
-        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_GATE_FAILED, result.output
-        report = json.loads((tmp_path / "compare_report.json").read_text())
-        failed = [(g["metric"], g["mc"]) for g in report["gates"] if not g["passed"]]
-        assert failed == [("gamma_b", None), ("gamma_b", None)]
-        gamma_b = [r for r in read_rows(tmp_path / "compare.csv") if r["metric"] == "gamma_b" and r["engine"] == "mc"]
-        assert gamma_b and all(r["value"] == "nan" and r["n_trials"] == "1984" for r in gamma_b)
-
-    @pytest.mark.parametrize("yaml_text", ["lambda_bs: 1.0e-300\n", "mu: 1.0e-320\n"], ids=["sparse-bases", "tiny-mu"])
-    def test_extreme_scales_pass_the_direct_path_gates(self, runner, tmp_path, yaml_text):
-        # distances are drawn in units of 1/sqrt(pi*lambda_bs) and fades in
-        # units of 1/mu. At 1e-300 bases per km^2 the serving distance's
-        # alpha-th power left the float range in metres, and gamma_o read
-        # 1.0000 against 0.2138; at mu = 1e-320 the fades did, and compare exited 4
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml_text + "thresholds_db: [20.0]\n")
-        result = runner.invoke(
-            cli.main, ["compare", "-c", str(cfg), "--trials", "20000", "--out", str(tmp_path)]
-        )
-        assert result.exit_code == 0, result.output
-        report = json.loads((tmp_path / "compare_report.json").read_text())
-        assert [g["metric"] for g in report["gates"]] == ["gamma_o", "gamma_a"]
-        assert all(g["passed"] for g in report["gates"])
 
     def test_emits_four_metrics_per_threshold(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -458,26 +286,6 @@ class TestCompare:
             assert labels == ["0", "1e-17"]
         report = json.loads((tmp_path / "compare_report.json").read_text())
         assert {g["t_db"] for g in report["gates"] if g["metric"] == "gamma_o"} == {0.0, 1e-17}
-
-    def test_report_is_strict_json_without_engaged_trials(self, runner, tmp_path):
-        # the probability of an engaged reflector underflows to 0 at every
-        # point, so the gamma_b estimate is NaN; the report used to carry
-        # bare NaN tokens that strict parsers reject
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("lambda_bs: 1.7e+308\nlambda_ris: 1.0e-18\nn_trials: 200\n")
-        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == cli.EXIT_GATE_FAILED
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        report = json.loads((tmp_path / "compare_report.json").read_text(), parse_constant=reject)
-        gamma_b = [g for g in report["gates"] if g["metric"] == "gamma_b"]
-        assert len(gamma_b) == 2
-        for g in gamma_b:
-            assert g["mc"] is None and g["gap"] is None and g["mc_ci_half_width"] is None
-            assert g["passed"] is False and math.isfinite(g["analytic"])
-        assert report["all_passed"] is False
 
     def test_gate_threshold_matches_within_tolerance(self, runner, tmp_path):
         # a threshold a few ULPs off the 5 dB gate point still gets both gates
@@ -662,24 +470,6 @@ class TestSweep:
         vals = [float(r["value"]) for r in rows]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_expected_r1_at_sparse_bases_scales_exactly(self, runner, tmp_path):
-        # per m^2 the quadrature squared distances near 1e155 m: two numpy
-        # warnings, then "did not converge" and exit 4. In units of the base
-        # spacing both points are rho = 100, and E[r1] scales as that spacing
-        values = []
-        for bs, grid in (("1.0e-305", "1.0e-303"), ("1.0", "100")):
-            cfg = tmp_path / "cfg.yaml"
-            cfg.write_text(f"lambda_bs: {bs}\n")
-            argv = ["sweep", "-c", str(cfg), "--out", str(tmp_path), "--axis", "lambda_ris",
-                    "--grid", grid, "--metric", "e_r1"]
-            result = runner.invoke(cli.main, argv, catch_exceptions=False)
-            assert result.exit_code == 0, result.output
-            (row,) = read_rows(tmp_path / "sweep.csv")
-            values.append(float(row["value"]))
-        assert values[0] == pytest.approx(values[1] * 10**152.5, rel=1e-9)
-        # the exact mean 0.5 / sqrt(lambda_eff), the truncated rule's limit
-        assert values[0] == pytest.approx(0.5 / math.sqrt(1e-311 * 100 / 101), rel=1e-5)
-
     @pytest.mark.parametrize("workload,reference", BENCHMARK_REFERENCES,
                              ids=[f"{w}-{r}" for w, r in BENCHMARK_REFERENCES])
     def test_benchmark_references_pass_the_harness_check(self, runner, tmp_path, workload, reference):
@@ -701,25 +491,6 @@ class TestSweep:
         expected = (PERFBENCH / "reference" / workload / f"{reference}.csv").read_text()
         assert checks.ANALYTIC_ABS_TOL == 1e-6
         assert checks.check_analytic_csv((tmp_path / f"{command.kind}.csv").read_text(), expected) == []
-
-    @pytest.mark.parametrize("bs,grid", [
-        ("25.0", "1.0e-306"), ("25.0", "1.0e-310"), ("1.0e-318", "1.0e-3"), ("1.0e+300", "1e-300"),
-        ("1.7e+308", "5.0e-324"), ("5.0e-324", "1.7e+308"),
-    ], ids=["squares-overflow", "subnormal-rho", "infinite-rho", "vanishing-rho", "subnormal-ris", "subnormal-bs"])
-    def test_expected_r1_at_vanishing_density_ratio_is_exact(self, runner, tmp_path, bs, grid):
-        # below rho = 8e-308 a tail radius squared per m**2 left the float
-        # range, and at 1e-310 rho/pi is subnormal; where rho itself leaves it
-        # the sweep exited 4, as it read the densities in units of the base
-        # spacing. In the config's own units every case gives the exact mean
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(f"lambda_bs: {bs}\n")
-        result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path),
-                                          "--axis", "lambda_ris", "--grid", grid, "--metric", "e_r1"],
-                               catch_exceptions=False)
-        assert result.exit_code == 0, result.output
-        (row,) = read_rows(tmp_path / "sweep.csv")
-        exact = 0.5 * math.hypot(float(bs) ** -0.5, float(grid) ** -0.5) / math.sqrt(KM2_TO_M2)
-        assert float(row["value"]) == pytest.approx(exact, rel=1e-5)
 
     @pytest.mark.parametrize("axis,grid,point", [
         ("lambda_ris", "1000,50000", lambda cfg, v: cfg.replace(lambda_ris=v)),
@@ -770,33 +541,6 @@ class TestSweep:
         assert result.exit_code == 0
         rows = read_rows(tmp_path / "sweep.csv")
         assert {r["axis_value"] for r in rows} == {"4", "16"}
-
-    def test_tiny_mu_mean_power_is_a_float(self, runner, tmp_path):
-        # M**2 * beta * P_s / (2 * mu) overflowed to inf for a tiny mu. The
-        # power is a sum of logs now: at mu = 1e-308 it is 6.9e307 W, a
-        # float; at 1e-320 it is not, the typed-exit row [power-tiny-mu]
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("mu: 1.0e-308\n")
-        result = runner.invoke(cli.main, [*_SWEEP, "e_p_ris", "-c", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        value = float(read_rows(tmp_path / "sweep.csv")[0]["value"])
-        expected = 1e308 * analytic.mean_reflected_power(NetworkConfig(lambda_ris=1000.0))
-        assert value == pytest.approx(expected, rel=1e-9)
-
-    def test_smallest_transmit_power_gives_a_mean_power(self, runner, tmp_path):
-        # half of the smallest subnormal p_s rounds to 0, and its log ended
-        # the sweep in a `math domain error` traceback with exit 1; the power
-        # is about 1.7e-324 W, which rounds to 0 in a float
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("p_s: 5.0e-324\n")
-        result = runner.invoke(cli.main, ["sweep", "-c", str(cfg), "--out", str(tmp_path), "--axis", "lambda_ris",
-                                          "--grid", "1000", "--metric", "e_p_ris"])
-        assert result.exit_code == 0, result.output
-        assert float(read_rows(tmp_path / "sweep.csv")[0]["value"]) == 0.0
-        # three times that p_s has a subnormal power, p_s / 2 times the unit power's
-        unit = analytic.mean_reflected_power(NetworkConfig(p_s=1.0))
-        power = analytic.mean_reflected_power(NetworkConfig(p_s=1.5e-323))
-        assert power == pytest.approx(unit * 1.5e-323, rel=0, abs=5e-324) and power > 0.0
 
     @pytest.mark.parametrize("alpha", ["1.0e+9", "6.0e+158"])
     def test_huge_alpha_mean_power_is_bounded_work(self, runner, tmp_path, monkeypatch, alpha):
@@ -855,73 +599,6 @@ class TestHistCommand:
         assert result.stderr.splitlines() == ["config error: bins: must be from 1 to n_trials (1000000000), got 0"]
         assert not (tmp_path / "hist_r0.csv").exists()
 
-    @pytest.mark.parametrize("quantity", ["r1", "p_ris_dbw"])
-    def test_overflowing_near_field_leaves_stderr_empty(self, runner, tmp_path, quantity):
-        # the drawn interferers' power overflows at this density; hist never
-        # reads it, yet numpy's "overflow encountered in power" reached stderr
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("lambda_bs: 1.7e+308\n")
-        result = runner.invoke(
-            cli.main,
-            ["hist", "-c", str(cfg), "--quantity", quantity, "--trials", "2000",
-             "--out", str(tmp_path)],
-        )
-        assert result.exit_code == 0, result.output
-        assert result.stderr == ""
-        assert (tmp_path / f"hist_{quantity}.csv").exists()
-
-    @pytest.mark.parametrize("densities", [
-        "lambda_bs: 3.0e-318\n", "lambda_bs: 1.0e-318\n", "lambda_bs: 1.0e-305\n", "lambda_bs: 1.0e-300\n",
-        "lambda_bs: 1.7e+308\n", "lambda_ris: 1.0e-6\n",
-    ], ids=["bs-3e-318", "bs-1e-318", "bs-1e-305", "bs-1e-300", "bs-1.7e308", "ris-1e-6"])
-    @pytest.mark.parametrize("quantity", ["r0", "r1", "r2"])
-    def test_subnormal_base_density_gives_metres(self, runner, tmp_path, quantity, densities):
-        # 3e-318 bases per km^2 is subnormal per m^2: the serving distance
-        # squared in metres overflowed, so every r0 was inf and the histogram
-        # empty, and the overlay's r**2 overflowed once r0 was finite; the r1
-        # overlay's intensity lambda_bs * lambda_ris / (lambda_bs + lambda_ris)
-        # underflowed in its product, so it read 0 in every bin. The other
-        # extreme densities that the commands must survive join it
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(densities)
-        result = runner.invoke(
-            cli.main,
-            ["hist", "-c", str(cfg), "--quantity", quantity, "--trials", "2000",
-             "--out", str(tmp_path)],
-        )
-        assert result.exit_code == 0, result.output
-        assert result.stderr == ""
-        rows = read_rows(tmp_path / f"hist_{quantity}.csv")
-        assert {r["n_samples"] for r in rows} == {"2000"}
-        widths = [float(r["bin_right"]) - float(r["bin_left"]) for r in rows]
-        mass = sum(float(r["analytic_pdf"]) * w for r, w in zip(rows, widths))
-        assert mass == pytest.approx(1.0, abs=0.01)
-
-    @pytest.mark.parametrize("densities", [
-        "lambda_bs: 1.7e+308\nlambda_ris: 1.0e-3\n",
-        "lambda_bs: 3.0e-318\nlambda_ris: 1.7e+308\n",
-    ], ids=["ratio-overflows", "ratio-underflows"])
-    def test_reflector_distance_at_extreme_density_ratios(self, runner, tmp_path, densities):
-        # the reflector offset's variance lambda_bs / (2 * lambda_ris), in units
-        # of the base spacing, was formed before its root: at an inf variance
-        # every r2 was inf and the histogram empty with exit 0, at a 0 variance
-        # every r2 was 0 and the overlay rejected the negative bin midpoints
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(densities)
-        result = runner.invoke(
-            cli.main,
-            ["hist", "-c", str(cfg), "--quantity", "r2", "--trials", "2000", "--out", str(tmp_path)],
-        )
-        assert result.exit_code == 0, result.output
-        assert result.stderr == ""
-        rows = read_rows(tmp_path / "hist_r2.csv")
-        assert {r["n_samples"] for r in rows} == {"2000"}
-        # the mean of a Rayleigh distance at intensity lam is 1 / (2 * sqrt(lam))
-        mids = [0.5 * (float(r["bin_left"]) + float(r["bin_right"])) for r in rows]
-        mean = sum(m * int(r["count"]) for m, r in zip(mids, rows)) / 2000
-        lambda_ris_m2 = load_config(cfg).lambda_ris * KM2_TO_M2
-        assert mean == pytest.approx(0.5 / math.sqrt(lambda_ris_m2), rel=0.05)
-
     def test_power_bins_spread_over_decibels(self, runner, tmp_path):
         # in watts, 99.97% of the samples fell in the first of 60 bins and
         # only 6 bins held any; the power law spans many decades
@@ -935,33 +612,276 @@ class TestHistCommand:
         assert sum(c > 0 for c in counts) >= 40
         assert max(counts) <= 0.2 * 20000
 
-    @pytest.mark.parametrize("yaml_text,trials", [
-        # the powers in watts overflow: M**2 leaves the float range, or r1**-alpha
-        (f"m_elements: {10**160}\n", "2000"),
-        ("alpha: 1.0e+300\n", "2000"),
-        # every power in watts underflows to 0, and numpy's widening of constant
-        # values by 0.5 wrote 60 bins over [-0.5, 0.5] W
-        ("lambda_bs: 3.0e-318\n", "2000"),
-        # the powers in watts span only 0 to 5e-324: too narrow for finite densities
-        ("beta: 2.85e-202\nmu: 3.25e+79\np_s: 4.19e-44\n", "1000"),
-        # half of this p_s rounds to 0, whose log was a math domain error
-        ("p_s: 5.0e-324\n", "1000"),
-    ], ids=["huge-bank", "huge-alpha", "zero-watts", "subnormal-watts", "subnormal-p_s"])
-    def test_power_beyond_the_watts_range_gives_finite_bins(self, runner, tmp_path, yaml_text, trials):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml_text)
-        result = runner.invoke(
-            cli.main,
-            ["hist", "-c", str(cfg), "--quantity", "p_ris_dbw", "--trials", trials, "--out", str(tmp_path)],
-        )
-        assert result.exit_code == 0, result.output
-        assert result.stderr == ""
-        rows = read_rows(tmp_path / "hist_p_ris_dbw.csv")
-        assert len(rows) == 60 and {r["n_samples"] for r in rows} == {trials}
-        cells = np.array([[float(r[k]) for k in ("bin_left", "bin_right", "density")] for r in rows])
-        assert np.isfinite(cells).all()
-        mass = float(np.dot(cells[:, 1] - cells[:, 0], cells[:, 2]))
-        assert mass == pytest.approx(1.0, abs=1e-6)
+
+def _edge_row(id, config, argv, *checks, exit_code=0, engaged=True):
+    """A row of :meth:`TestEdgeConfigs.test_edge_config_succeeds`.
+
+    ``config`` is the text of the file passed with ``-c``. Each
+    ``check(out_dir, cfg)`` asserts what the row adds to the
+    shared block, where ``cfg`` is the config the command ran.
+    ``engaged=False`` says that no reflector engages at any point, so every
+    simulated gamma_b value is nan.
+    """
+    return pytest.param(config, argv, exit_code, checks, engaged, id=id)
+
+
+def _option(argv, name, default=None):
+    """The value that follows ``name`` in ``argv``, or ``default``."""
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def _values(out_dir, keep=lambda row: True):
+    """The value cells of the rows that ``keep`` selects in the one CSV in ``out_dir``."""
+    [path] = out_dir.glob("*.csv")
+    return [row["value"] for row in read_rows(path) if keep(row)]
+
+
+def _report(out_dir):
+    """compare's report, parsed as strict JSON: a NaN or Infinity token fails."""
+    text = (out_dir / "compare_report.json").read_text()
+    return json.loads(text, parse_constant=lambda token: pytest.fail(f"non-standard JSON constant {token}"))
+
+
+def _values_near(expected, keep=lambda row: True, tol=0.0, rel=0.0):
+    """A check: each value that ``keep`` selects is ``expected`` (called if callable) within ``tol`` or ``rel``."""
+    def check(out_dir, cfg):
+        target = expected() if callable(expected) else expected
+        values = [float(value) for value in _values(out_dir, keep)]
+        assert values and all(value == pytest.approx(target, rel=rel, abs=tol) for value in values), (values, target)
+    return check
+
+
+def _lines_as_at(changes, prefixes=("",)):
+    """A check: the CSV lines that start with one of ``prefixes`` are, but for provenance, those of
+    ``cfg.replace(**changes)``."""
+    def lines(text):  # each line without its config_hash and seed cells
+        return [line.rsplit(",", 2)[0] for line in text.splitlines()[1:] if line.startswith(prefixes)]
+
+    def check(out_dir, cfg):
+        [path] = out_dir.glob("*.csv")
+        run = cli.run_analytic if path.stem == "analytic" else cli.run_simulate
+        assert lines(path.read_text()) == lines(cli.rows_to_csv(run(cfg.replace(**changes)))) != []
+    return check
+
+
+def _approx1_at_overflowing_interference(out_dir, cfg):
+    # approx1 reads I at T * kappa**(-a/2), about 8e292, where p * I is still
+    # a float: 1.77e-304 by scipy's hyp2f1, where it read 0 before
+    [value] = _values(out_dir, lambda row: row["engine"] == "approx1")
+    scaled = cfg.thresholds_linear[0] * math.exp(-0.5 * cfg.alpha * analytic.log_reflector_ratio(cfg))
+    delta = 2.0 / cfg.alpha
+    i_scaled = 2.0 * scaled / (cfg.alpha - 2.0) * special.hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -scaled)
+    assert float(value) == pytest.approx(1.0 / (1.0 + cfg.retentions[1] * i_scaled), rel=1e-9, abs=0)
+    assert float(value) == pytest.approx(1.7735432e-304, rel=1e-7, abs=0)
+
+
+def _gamma_b_at_its_large_alpha_limit(out_dir, cfg):
+    # at 2000 points it read 0.5163 +- 0.0029 against the limit's 0.5201 +-
+    # 0.0007; it converges there: 0.52015 +- 6e-5 at 2**16 points, 0.52016 +- 2e-5 at 2**18
+    limit, limit_half_width = gamma_b_large_alpha_limit(cfg)
+    for row in read_rows(out_dir / "simulate.csv"):
+        if row["metric"] == "gamma_b":
+            assert abs(float(row["value"]) - limit) <= float(row["ci_half_width"]) + limit_half_width, (row, limit)
+
+
+def _direct_gates_only(out_dir, cfg):
+    assert [g["metric"] for g in _report(out_dir)["gates"]] == ["gamma_o", "gamma_a"]
+
+
+def _gamma_b_gates_are_null(out_dir, cfg):
+    # gamma_b has no weight, so its two gates are null and fail, though every metric counts every point
+    gates = _report(out_dir)["gates"]
+    assert [g["metric"] for g in gates if not g["passed"]] == ["gamma_b", "gamma_b"]
+    assert all(g["mc"] is g["gap"] is g["mc_ci_half_width"] is None and math.isfinite(g["analytic"])
+               for g in gates if g["metric"] == "gamma_b")
+    assert {row["n_trials"] for row in read_rows(out_dir / "compare.csv") if row["engine"] == "mc"} == {"1984"}
+
+
+def _rayleigh_r2_mean(out_dir, cfg):
+    # the mean of a Rayleigh distance at intensity lam is 1 / (2 * sqrt(lam))
+    rows = read_rows(out_dir / "hist_r2.csv")
+    mean = sum((float(r["bin_left"]) + float(r["bin_right"])) / 2 * int(r["count"]) for r in rows) / cfg.n_trials
+    assert mean == pytest.approx(0.5 / math.sqrt(cfg.lambda_ris * KM2_TO_M2), rel=0.05)
+
+
+_REFLECTED = lambda row: row["engine"] in ("approx1", "approx2")  # noqa: E731
+_SIMULATE = ["simulate", "--trials", "2000"]
+_HIST = ["hist", "--trials", "2000", "--quantity"]
+_E_R1 = ["sweep", "--axis", "lambda_ris", "--metric", "e_r1", "--grid"]
+_DENSE_BASES = "lambda_bs: 1.7e+308\n"
+
+_EDGE_CONFIGS = [
+    # T * rho**alpha underflows to 0 in the first two; approx1 aborted with "T must be positive"
+    _edge_row("analytic-alpha5000", "alpha: 5000\nthresholds_db: [0]\n", ["analytic"]),
+    _edge_row("analytic-subnormal-threshold", "thresholds_db: [-3200]\n", ["analytic"]),
+    # an OverflowError (rho**alpha) or ZeroDivisionError (E[r1**-2] = 0)
+    # traceback with exit 1, nan rows (rho = inf), exit 4 as pi*lambda_eff*eps**2
+    # overflowed, or E[r1**-2] beyond the float range with exit 4
+    *[_edge_row(f"analytic-floor-{case}", f"epsilon_floor: {floor}\n", ["analytic"]) for case, floor in (
+        ("rho-overflow", "2.5e+3"), ("rho-inf", "3.0e+3"), ("moment-zero", "1.0e+4"),
+        ("x-overflow", "1.0e+160"), ("moment-log", "1.0e-200"))],
+    # mu**2 ended in a ZeroDivisionError or an OverflowError traceback with
+    # exit 1; at alpha 2.01 mu**(-4/alpha) overflowed (exit 4) although kappa,
+    # about 1e302, does not. approx1 and approx2 take their limit within 1e-9
+    *[_edge_row(f"analytic-mu-{case}", text, ["analytic"], _values_near(limit, _REFLECTED, 1e-9))
+      for case, text, limit in (("tiny", "mu: 1.0e-300\n", 1.0), ("huge", "mu: 1.0e+300\n", 0.0),
+                                ("tiny-alpha2.01", "mu: 1.0e-300\nalpha: 2.01\n", 1.0))],
+    # approx1 and approx2 wrote nan rows with exit 0 where kappa, about 1e-111
+    # or 1e230, is a float: every converted intensity underflowed to 0 (0/0),
+    # or the converted reflector intensity overflowed (inf/inf)
+    _edge_row("analytic-all-underflow",
+              "lambda_ris: 1.24e+38\nmu: 9.08e+296\np_s: 1.14e-261\nepsilon_floor: 1.47e-219\n", ["analytic"]),
+    _edge_row("analytic-ris-overflow",
+              "n_elements: 1\nm_elements: 1" + "0" * 66 + "\nmu: 4.74e-167\nlambda_ris: 5.63e+85\n", ["analytic"]),
+    # the floored moment underflowed to 0 in SI units: approx1 and approx2 read 0 where kappa is about 1e576
+    _edge_row("analytic-underflowing-moment", "lambda_bs: 3.0e-318\nlambda_ris: 1.0e+308\nepsilon_floor: 2.8e+162\n"
+              "mu: 1.0e-308\nm_elements: 1" + "0" * 154 + "\n", ["analytic"], _values_near(1.0, _REFLECTED)),
+    # log K = log mu - log G - (alpha/2) * log(pi * lambda_bs) overflows past
+    # alpha ~ 4e307: at the defaults (kappa about 1.39) approx1 and approx2
+    # read 0; with dense bases and a huge floor the moment underflows, and -inf + inf raised
+    _edge_row("analytic-largest-alpha", "alpha: 1.0e+308\n", ["analytic"], _values_near(1.0, _REFLECTED)),
+    _edge_row("analytic-largest-alpha-dense-bases-huge-floor", "alpha: 1.0e+308\nlambda_bs: 1.0e+8\n"
+              "epsilon_floor: 1.0e+200\n", ["analytic"], _values_near(0.0, _REFLECTED)),
+    # pi / (1 << bits) ended in an OverflowError traceback with exit 1
+    *[_edge_row(f"analytic-phase-bits-{bits}", f"phase_bits: {bits}\n", ["analytic"],
+                _lines_as_at({"phase_bits": "ideal"})) for bits in (1100, 1000000)],
+    # M**2 leaves the float range: both exited 4 before the engines read log G.
+    # Every reflected-path approximation is 1; compare passes at 20,000 trials
+    *[_edge_row(f"{command}-huge-bank", "m_elements: 1" + "0" * 160 + "\nn_trials: 20000\n", [command],
+                _values_near(1.0, _REFLECTED)) for command in ("analytic", "compare")],
+    # I(T) overflows to inf, zeroing the others; numpy's warning reached stderr
+    _edge_row("analytic-overflowing-interference", "alpha: 2.00000000001\nthresholds_db: [2970]\n", ["analytic"],
+              _values_near(0.0, lambda row: row["engine"] != "approx1"), _approx1_at_overflowing_interference),
+    # log q = alpha * L - log f1 overflows, and gamma_b was nan (exit 4); read
+    # from log(q) / alpha it takes its alpha -> inf limit
+    _edge_row("simulate-largest-alpha", "alpha: 1.7e+308\nn_trials: 20000\n", ["simulate"],
+              _gamma_b_at_its_large_alpha_limit),
+    # the fades overflowed in SI units (exit 4); in units of 1/mu the direct paths are the default's
+    *[_edge_row(f"{command}-tiny-mu", "mu: 1.0e-320\nn_trials: 2000\n", [command],
+                _lines_as_at({"mu": NetworkConfig().mu}, ("mc,gamma_o,", "mc,gamma_a,")))
+      for command in ("simulate", "compare")],
+    # in metres the serving distance's alpha-th power left the float range at
+    # 1e-300 bases per km^2 (gamma_o read 1.0000 against 0.2138), and the
+    # fades did at mu = 1e-320 (exit 4); both direct-path gates pass
+    *[_edge_row(f"compare-20dB-{case}", text + "thresholds_db: [20.0]\n", ["compare", "--trials", "20000"],
+                _direct_gates_only)
+      for case, text in (("sparse-bases", "lambda_bs: 1.0e-300\n"), ("tiny-mu", "mu: 1.0e-320\n"))],
+    # no reflector engages, so gamma_b is nan and the report carried bare NaN
+    # tokens. The one row that exits 1: its two gamma_b gates fail
+    _edge_row("compare-dense-bases", _DENSE_BASES + "lambda_ris: 1.0e-18\nn_trials: 2000\n", ["compare"],
+              _gamma_b_gates_are_null, exit_code=cli.EXIT_GATE_FAILED, engaged=False),
+    # configs outside the property tests' box. Near alpha = 2 the direct
+    # paths underflow to 0 above -10 dB, where gamma_a is about 1e-109
+    _edge_row("simulate-alpha-near-two", "alpha: 2.0000001\n", _SIMULATE,
+              _values_near(0.0, lambda row: row["metric"] == "gamma_a", 1e-100)),
+    _edge_row("simulate-thresholds-3000dB", "thresholds_db: [-3000, 3000]\n", _SIMULATE,
+              _values_near(1.0, lambda row: row["T_db"] == "-3000"),
+              _values_near(0.0, lambda row: row["T_db"] == "3000")),
+    # every drop engages its reflector, or none does
+    _edge_row("simulate-dense-reflectors-subnormal-bases", "lambda_ris: 1.7e+308\nlambda_bs: 5.0e-324\n", _SIMULATE,
+              _values_near(1.0, lambda row: row["metric"] == "gamma_b")),
+    _edge_row("simulate-dense-bases-subnormal-reflectors", _DENSE_BASES + "lambda_ris: 5.0e-324\n", _SIMULATE,
+              engaged=False),
+    # a retention of 1e-15 leaves no interferer, so every path covers
+    _edge_row("simulate-n-elements-1e30", "n_elements: 1" + "0" * 30 + "\n", _SIMULATE, _values_near(1.0)),
+    # both engines' direct paths take their alpha -> inf limit of 1
+    _edge_row("sweep-with-mc-largest-alpha", "alpha: 1.7e+308\n",
+              ["sweep", "--axis", "lambda_ris", "--grid", "1000", "--with-mc", "--trials", "2000"],
+              _values_near(1.0, lambda row: row["metric"] in ("gamma_o", "gamma_a"))),
+    _edge_row("hist-r1-alpha-1e308", "alpha: 1.0e+308\n", [*_HIST, "r1"]),
+    # each the exact mean 0.5 / sqrt(lambda_eff) in metres. At sparse bases the
+    # quadrature per m^2 warned twice, then exited 4; there rho = 100, as at 1
+    # base per km^2, and E[r1] scales as the base spacing. Below rho = 8e-308 a
+    # tail radius squared per m**2 left the float range, and at 1e-310 rho/pi is
+    # subnormal; where rho itself does the sweep exited 4, in units of the spacing
+    *[_edge_row(f"sweep-e_r1-{case}", f"lambda_bs: {bs}\n", [*_E_R1, grid],
+                _values_near(0.5 * math.hypot(float(bs) ** -0.5, float(grid) ** -0.5) / math.sqrt(KM2_TO_M2),
+                             rel=1e-5), *more)
+      for case, bs, grid, *more in (
+          ("sparse-bases", "1.0e-305", "1.0e-303", _values_near(lambda: 10**152.5 * cli.run_sweep(
+              NetworkConfig(lambda_bs=1.0), "lambda_ris", [100.0], "e_r1")[0].value, rel=1e-9)),
+          ("squares-overflow", "25.0", "1.0e-306"), ("subnormal-rho", "25.0", "1.0e-310"),
+          ("infinite-rho", "1.0e-318", "1.0e-3"), ("vanishing-rho", "1.0e+300", "1e-300"),
+          ("subnormal-ris", "1.7e+308", "5.0e-324"), ("subnormal-bs", "5.0e-324", "1.7e+308"))],
+    # M**2 * beta * P_s / (2 * mu) overflowed to inf; as a sum of logs it is
+    # 6.9e307 W at mu = 1e-308 (at 1e-320 it is the typed-exit row [power-tiny-mu])
+    _edge_row("sweep-e_p_ris-tiny-mu", "mu: 1.0e-308\n", [*_SWEEP, "e_p_ris"],
+              _values_near(lambda: 1e308 * analytic.mean_reflected_power(NetworkConfig(lambda_ris=1000.0)), rel=1e-9)),
+    # log(p_s / 2) was a `math domain error` traceback; the power rounds to 0
+    _edge_row("sweep-e_p_ris-smallest-p_s", "p_s: 5.0e-324\n", [*_SWEEP, "e_p_ris"], _values_near(0.0)),
+    # the unread interferers' power overflowed, and numpy's warning reached stderr
+    *[_edge_row(f"hist-near-field-{quantity}", _DENSE_BASES, [*_HIST, quantity]) for quantity in ("r1", "p_ris_dbw")],
+    # at 3e-318 bases per km^2 r0**2 in metres overflowed (every r0 inf, an
+    # empty histogram), then the overlay's r**2 did, and the r1 overlay's
+    # intensity underflowed to 0 in its product. Other extreme densities join it
+    *[_edge_row(f"hist-{quantity}-{case}", densities, [*_HIST, quantity])
+      for case, densities in (
+          ("bs-3e-318", "lambda_bs: 3.0e-318\n"), ("bs-1e-318", "lambda_bs: 1.0e-318\n"),
+          ("bs-1e-305", "lambda_bs: 1.0e-305\n"), ("bs-1e-300", "lambda_bs: 1.0e-300\n"),
+          ("bs-1.7e308", _DENSE_BASES), ("ris-1e-6", "lambda_ris: 1.0e-6\n"))
+      for quantity in ("r0", "r1", "r2")],
+    # the offset's variance lambda_bs / (2 * lambda_ris) was formed before its
+    # root: at inf every r2 was inf (an empty histogram, exit 0), at 0 every
+    # r2 was 0 and the overlay rejected the negative bin midpoints
+    *[_edge_row(f"hist-r2-{case}", densities, [*_HIST, "r2"], _rayleigh_r2_mean)
+      for case, densities in (("ratio-overflows", _DENSE_BASES + "lambda_ris: 1.0e-3\n"),
+                              ("ratio-underflows", "lambda_bs: 3.0e-318\nlambda_ris: 1.7e+308\n"))],
+    # the powers in watts overflow (M**2 or r1**-alpha), or underflow to 0
+    # (numpy widened them to 60 bins over [-0.5, 0.5] W), or span only 0 to
+    # 5e-324; half of the last p_s rounds to 0, whose log was a math domain error
+    *[_edge_row(f"hist-p_ris_dbw-{case}", text, ["hist", "--trials", trials, "--quantity", "p_ris_dbw"])
+      for case, text, trials in (
+          ("huge-bank", f"m_elements: {10**160}\n", "2000"), ("huge-alpha", "alpha: 1.0e+300\n", "2000"),
+          ("zero-watts", "lambda_bs: 3.0e-318\n", "2000"),
+          ("subnormal-watts", "beta: 2.85e-202\nmu: 3.25e+79\np_s: 4.19e-44\n", "1000"),
+          ("subnormal-p_s", "p_s: 5.0e-324\n", "1000"))],
+]
+
+
+class TestEdgeConfigs:
+    @pytest.mark.parametrize("config, argv, exit_code, checks, engaged", _EDGE_CONFIGS)
+    def test_edge_config_succeeds(self, runner, tmp_path, config, argv, exit_code, checks, engaged):
+        # the success contract: the documented code (0, or 1 where a gate
+        # fails) with an empty stderr and no warning, and numbers of the
+        # command's shape; ``checks`` add what the row itself asserts
+        path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+        path.write_text(config)
+        cfg = load_config(path)
+        cfg = cfg.replace(n_trials=int(_option(argv, "--trials", cfg.n_trials)))
+        result, caught = _invoke(runner, [*argv, "-c", str(path), "--out", str(out)])
+        assert result.exit_code == exit_code and result.stderr == "" and caught == [], result.output
+        command, quantity, points = argv[0], _option(argv, "--quantity"), len(_option(argv, "--grid", "").split(","))
+        if command == "hist":
+            # --bins rows, each counting every trial, all cells finite, and a
+            # density of unit mass; for a distance, an overlay of unit mass
+            rows = read_rows(out / f"hist_{quantity}.csv")
+            assert len(rows) == int(_option(argv, "--bins", 60))
+            assert {row["n_samples"] for row in rows} == {str(cfg.n_trials)}
+            columns = ("bin_left", "bin_right", "count", "density") + ("analytic_pdf",) * (quantity != "p_ris_dbw")
+            cells = np.array([[float(row[k]) for k in columns] for row in rows])
+            assert np.isfinite(cells).all()
+            masses = (cells[:, 1] - cells[:, 0]) @ cells[:, 3:]
+            assert masses[0] == pytest.approx(1.0, abs=1e-6) and masses[-1] == pytest.approx(1.0, abs=0.01)
+        elif _option(argv, "--metric", "coverage") != "coverage":
+            values = [float(value) for value in _values(out)]
+            assert len(values) == points and all(math.isfinite(v) and v >= 0.0 for v in values)
+        else:
+            # len(GATES) analytic and len(METRICS) mc rows per threshold and
+            # grid point, each a coverage in [0, 1], or nan where no reflector engages
+            rows = read_rows(out / f"{command}.csv")
+            groups = points * (1 if _option(argv, "--axis") == "T" else len(cfg.thresholds_db))
+            sizes = collections.Counter((row["engine"] == "mc", row["T_db"], row["axis_value"]) for row in rows)
+            with_mc = command in ("simulate", "compare") or "--with-mc" in argv
+            for mc, size in ((False, len(cli.GATES) * (command != "simulate")),
+                             (True, len(montecarlo.METRICS) * with_mc)):
+                assert [n for (is_mc, *_), n in sizes.items() if is_mc == mc] == [size] * groups * (size > 0)
+            for row in rows:
+                nan = not engaged and row["engine"] == "mc" and row["metric"] == "gamma_b"
+                assert row["value"] == "nan" if nan else 0.0 <= float(row["value"]) <= 1.0, row
+        if command == "compare":
+            assert _report(out)["all_passed"] is (exit_code == 0)
+        for check in checks:
+            check(out, cfg)
 
 
 def _exit_row(id, config, argv, exit_code, stderr, name="cfg.yaml"):

@@ -11,7 +11,7 @@ import reference_engine
 from oracle_helpers import expected_inv_r1_pow, expected_r1_nested, prob_ris_closer, rayleigh_pdf
 from reference_engine import EmptyScenarioError
 from riscov import geometry
-from riscov.errors import NumericalError, ParameterError
+from riscov.errors import NumericalError
 
 LAM_BS = 2.5e-5   # 25 per km^2
 LAM_RIS = 1e-3    # 1000 per km^2
@@ -25,11 +25,11 @@ LAM_EFF = LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)  # the Rayleigh intensity of r1
 class TestSamplePPP:
     def test_rejects_nonpositive_intensity(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^intensity must be positive and finite, got 0.0$"):
             reference_engine.sample_ppp(0.0, 100.0, rng)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^intensity must be positive and finite, got nan$"):
             reference_engine.sample_ppp(math.nan, 100.0, rng)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^window_radius must be positive and finite, got -5.0$"):
             reference_engine.sample_ppp(1.0, -5.0, rng)
 
     def test_mean_count_matches_poisson_intensity(self):

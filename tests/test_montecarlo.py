@@ -84,35 +84,10 @@ def hand_scenario(
     """Assemble a fully specified reference-engine scenario for closed-form SIR checks."""
     bs = ref.PointSet(np.asarray(bs_xy, dtype=float), 1e-4, 1e5)
     ris = ref.PointSet(np.asarray(ris_xy, dtype=float).reshape(-1, 2), 1e-4, 1e5)
-    serving, r0 = ref.nearest_point(bs)
-    if len(ris):
-        nearest_ris, r2 = ref.nearest_point(ris)
-        d = bs.points[serving] - ris.points[nearest_ris]
-        r1 = float(np.hypot(d[0], d[1]))
-        engaged = nearest_ris if r2 < r0 else None
-    else:
-        nearest_ris, r2, r1, engaged = None, math.nan, math.nan, None
-    n = len(bs)
-    single = np.ones(n, bool) if retained_single is None else np.asarray(retained_single, bool)
-    split = np.ones(n, bool) if retained_split is None else np.asarray(retained_split, bool)
-    single = single.copy()
-    split = split.copy()
-    single[serving] = False
-    split[serving] = False
-    return ref.Scenario(
-        bs_points=bs,
-        ris_points=ris,
-        serving_bs_index=serving,
-        nearest_ris_index=nearest_ris,
-        engaged_ris_index=engaged,
-        r0=r0,
-        r2=r2,
-        r1=r1,
-        fades=ref.Fades(g=np.asarray(g, dtype=float), f1=f1, h=h),
-        retained_single=single,
-        retained_split=split,
-        trial_index=0,
-    )
+    single = np.ones(len(bs), bool) if retained_single is None else retained_single
+    split = np.ones(len(bs), bool) if retained_split is None else retained_split
+    return ref.Scenario(bs_points=bs, ris_points=ris, fades=ref.Fades(g=np.asarray(g, dtype=float), f1=f1, h=h),
+                        trial_index=0, **ref.associate(bs, ris, single, split))
 
 
 def assert_value_orderings(cfg, rec, thresholds):
