@@ -111,7 +111,11 @@ holds, per threshold, the ratio of the weighted values to the weights,
 which stays in ``[0, 1]`` (for ``gamma_o`` and ``gamma_a`` the mean of the
 shift means), and a 95% half-width: ``T_QUANTILE``, Student's t with
 ``SHIFTS - 1`` degrees of freedom, times the delta-method standard error of
-that ratio over the shifts.
+that ratio over the shifts. Before they are squared, the per-shift
+residuals of each metric at each threshold are scaled by the power of two of
+their largest magnitude, and the root is scaled back. The scaling is exact,
+so it changes only half-widths whose squares would underflow to 0, as at a
+coverage of 1e-240.
 """
 from __future__ import annotations
 
@@ -315,8 +319,11 @@ def _estimates(sums: np.ndarray, reference: np.ndarray) -> dict[str, Coverage]:
     deviations, weights = sums
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 without weight
         offset = deviations.sum(axis=-1) / weights.sum(axis=-1)
-        spread = np.square(deviations - offset[..., None] * weights).sum(axis=-1) / (SHIFTS * (SHIFTS - 1))
-        half_width = T_QUANTILE * np.sqrt(spread) / weights.mean(axis=-1)
+        residuals = deviations - offset[..., None] * weights
+        # np.max, not np.nanmax: a weightless row is all nan, and frexp gives it the exponent 0
+        _, exponent = np.frexp(np.max(np.abs(residuals), axis=-1))
+        spread = np.square(np.ldexp(residuals, -exponent[..., None])).sum(axis=-1) / (SHIFTS * (SHIFTS - 1))
+        half_width = T_QUANTILE * np.ldexp(np.sqrt(spread), exponent) / weights.mean(axis=-1)
     p = reference + offset
     return {m: Coverage(p[i], half_width[i]) for i, m in enumerate(METRICS)}
 

@@ -1,7 +1,6 @@
 """Closed-form coverage expressions and the interference kernel."""
 from __future__ import annotations
 
-import dataclasses
 import decimal
 import math
 
@@ -21,7 +20,7 @@ from oracle_helpers import (
 )
 from restated_forms import coverage_baseline_general, coverage_path_b_restated
 from riscov import analytic, geometry, montecarlo
-from riscov.config import KM2_TO_M2, ConfigError, NetworkConfig
+from riscov.config import KM2_TO_M2, NetworkConfig
 
 LAM_BS = 2.5e-5
 LAM_RIS = 5e-2
@@ -559,19 +558,6 @@ class TestPathBCoverage:
             analytic.coverage_path_b_approx2(cfg), kappa / (kappa + p_split * i_factor),
             rtol=1e-12, atol=0,
         )
-
-
-class TestQueryValidation:
-    # an invalid config cannot reach a closed form: building it fails, even
-    # through dataclasses.replace
-
-    def test_rejects_alpha_at_two(self):
-        with pytest.raises(ConfigError):
-            analytic.coverage_baseline(dataclasses.replace(make_cfg(), alpha=2.0))
-
-    def test_rejects_fractional_elements(self):
-        with pytest.raises(ConfigError):
-            analytic.coverage_path_b_approx1(NetworkConfig(n_elements=2.5))
 
 
 # the reflection-power deployment: 25 bases and 1000 reflectors per km^2

@@ -195,6 +195,16 @@ class TestSimulateCommand:
 
 
 class TestCompare:
+    def test_tolerances_defaults(self):
+        # the gates are constants here; a config cannot set them
+        assert [(g.engine, g.metric, g.kind, g.tolerance, g.t_db) for g in cli.GATES] == [
+            ("analytic_q2", "gamma_o", "absolute", 0.02, None),
+            ("analytic_q23", "gamma_a", "absolute", 0.02, None),
+            ("approx1", "gamma_b", "absolute", 0.05, 5.0),
+            ("approx2", "gamma_b", "lower_bound", 0.03, 5.0),
+        ]
+        assert cli.GATE_T_DB_ABS_TOL == 1e-9
+
     def test_gate_logic_negative_control(self):
         # an engine evaluated at the wrong path-loss exponent must trip a gate
         cfg = NetworkConfig(n_trials=20_000, thresholds_db=(0.0,), master_seed=3)
@@ -697,6 +707,22 @@ def _gamma_b_gates_are_null(out_dir, cfg):
     assert {row["n_trials"] for row in read_rows(out_dir / "compare.csv") if row["engine"] == "mc"} == {"1984"}
 
 
+def _selection_gains_where_every_reflection_covers(out_dir, cfg):
+    # the estimator reads log q, so every reflected value is 1 with no
+    # spread; selection adds to the direct path
+    mc = {row["metric"]: row for row in read_rows(out_dir / "compare.csv")
+          if row["engine"] == "mc" and row["T_db"] == "0"}
+    assert (mc["gamma_b"]["value"], mc["gamma_b"]["ci_half_width"]) == ("1", "0")
+    assert float(mc["gamma_s"]["value"]) > float(mc["gamma_a"]["value"])
+
+
+def _every_coverage_above_0_has_a_width(out_dir, cfg):
+    # the squares of residuals below about 1e-154 underflowed to 0, so
+    # gamma_o at -5 dB, 7.7e-240, read a half-width of 0
+    for row in read_rows(out_dir / "simulate.csv"):
+        assert float(row["value"]) == 0.0 or float(row["ci_half_width"]) > 0.0, row
+
+
 def _rayleigh_r2_mean(out_dir, cfg):
     # the mean of a Rayleigh distance at intensity lam is 1 / (2 * sqrt(lam))
     rows = read_rows(out_dir / "hist_r2.csv")
@@ -748,7 +774,8 @@ _EDGE_CONFIGS = [
     # M**2 leaves the float range: both exited 4 before the engines read log G.
     # Every reflected-path approximation is 1; compare passes at 20,000 trials
     *[_edge_row(f"{command}-huge-bank", "m_elements: 1" + "0" * 160 + "\nn_trials: 20000\n", [command],
-                _values_near(1.0, _REFLECTED)) for command in ("analytic", "compare")],
+                _values_near(1.0, _REFLECTED), *more)
+      for command, *more in (("analytic",), ("compare", _selection_gains_where_every_reflection_covers))],
     # I(T) overflows to inf, zeroing the others; numpy's warning reached stderr
     _edge_row("analytic-overflowing-interference", "alpha: 2.00000000001\nthresholds_db: [2970]\n", ["analytic"],
               _values_near(0.0, lambda row: row["engine"] != "approx1"), _approx1_at_overflowing_interference),
@@ -773,7 +800,7 @@ _EDGE_CONFIGS = [
     # configs outside the property tests' box. Near alpha = 2 the direct
     # paths underflow to 0 above -10 dB, where gamma_a is about 1e-109
     _edge_row("simulate-alpha-near-two", "alpha: 2.0000001\n", _SIMULATE,
-              _values_near(0.0, lambda row: row["metric"] == "gamma_a", 1e-100)),
+              _values_near(0.0, lambda row: row["metric"] == "gamma_a", 1e-100), _every_coverage_above_0_has_a_width),
     _edge_row("simulate-thresholds-3000dB", "thresholds_db: [-3000, 3000]\n", _SIMULATE,
               _values_near(1.0, lambda row: row["T_db"] == "-3000"),
               _values_near(0.0, lambda row: row["T_db"] == "3000")),
@@ -867,7 +894,8 @@ class TestEdgeConfigs:
             assert len(values) == points and all(math.isfinite(v) and v >= 0.0 for v in values)
         else:
             # len(GATES) analytic and len(METRICS) mc rows per threshold and
-            # grid point, each a coverage in [0, 1], or nan where no reflector engages
+            # grid point, each a coverage in [0, 1], or nan with a nan half-width
+            # where no reflector engages
             rows = read_rows(out / f"{command}.csv")
             groups = points * (1 if _option(argv, "--axis") == "T" else len(cfg.thresholds_db))
             sizes = collections.Counter((row["engine"] == "mc", row["T_db"], row["axis_value"]) for row in rows)
@@ -877,7 +905,10 @@ class TestEdgeConfigs:
                 assert [n for (is_mc, *_), n in sizes.items() if is_mc == mc] == [size] * groups * (size > 0)
             for row in rows:
                 nan = not engaged and row["engine"] == "mc" and row["metric"] == "gamma_b"
-                assert row["value"] == "nan" if nan else 0.0 <= float(row["value"]) <= 1.0, row
+                if nan:
+                    assert (row["value"], row["ci_half_width"]) == ("nan", "nan"), row
+                else:
+                    assert 0.0 <= float(row["value"]) <= 1.0, row
         if command == "compare":
             assert _report(out)["all_passed"] is (exit_code == 0)
         for check in checks:
@@ -909,9 +940,27 @@ _TYPED_EXITS = [
     # alpha = 2 has no interference integral
     _exit_row("alpha-two", "alpha: 2\n", ["analytic"], _CONFIG,
               ["config error: alpha: must be a finite number > 2, got 2"]),
-    # a bare string used to be split into characters: "10" ran at 1 dB and 0 dB
-    _exit_row("string-thresholds", 'thresholds_db: "10"\n', ["analytic"], _CONFIG,
-              ["config error: thresholds_db: must be a list of numbers, got '10'"]),
+    # one line per invalid field, in the order they are checked; no function
+    # below the config re-checks the floor
+    _exit_row("four-fields", "lambda_bs: -1.0\nalpha: 2.0\nn_elements: 0\nepsilon_floor: 0.0\n", ["analytic"], _CONFIG,
+              ["config error: lambda_bs: must be a positive finite number, got -1.0",
+               "config error: epsilon_floor: must be a positive finite number, got 0.0",
+               "config error: alpha: must be a finite number > 2, got 2.0",
+               "config error: n_elements: must be an integer >= 1, got 0"]),
+    *[_exit_row(id, text, ["analytic"], _CONFIG, [f"config error: {message}"]) for id, text, message in (
+        ("beta-above-one", "beta: 1.5\n", "beta: must be a finite number in (0, 1], got 1.5"),
+        ("phase-bits-zero", "phase_bits: 0\n", "phase_bits: must be 'ideal' or an integer >= 1, got 0"),
+        ("orientation-sideways", "orientation: sideways\n",
+         "orientation: must be one of ('thinning', 'explicit'), got 'sideways'"))],
+    *[_exit_row(id, f"thresholds_db: {text}\n", ["analytic"], _CONFIG,
+                [f"config error: thresholds_db: must {problem}"]) for id, text, problem in (
+        # a bare string used to be split into characters: "10" ran at 1 dB and 0 dB
+        ("string-thresholds", '"10"', "be a list of numbers, got '10'"),
+        ("thresholds-bare-number", "5.0", "be a list of numbers, got 5.0"),
+        ("thresholds-nan", "[0, .nan]", _RATIO + "[0, nan]"),
+        # a repeat would collapse into one row of the simulation output; 5 and 5.0 are one threshold
+        ("duplicate-thresholds", "[0, 5, 0]", "not repeat a value, got [0, 5, 0]"),
+        ("duplicate-thresholds-int-float", "[5, 5.0]", "not repeat a value, got [5, 5.0]"))],
     # 4000 dB overflowed 10**(t/10) (a traceback and exit 1, the gate-failed
     # code), -4000 dB reached the closed forms as T = 0 (exit 4), an empty
     # list wrote a header-only CSV or failed compare with exit 4, and true
@@ -923,11 +972,15 @@ _TYPED_EXITS = [
           ("empty", "[]", "hold at least one threshold, got []"), ("overflow", "[4000]", _RATIO + "[4000]"),
           ("underflow", "[-4000]", _RATIO + "[-4000]"), ("bool", "[true]", _RATIO + "[True]"),
           ("string", '["5"]', _RATIO + "['5']"))],
-    # the second alpha won silently: the run went ahead at alpha 3 with exit 0
+    # the second alpha won silently: the run went ahead at alpha 3 with exit 0.
+    # A repeat is rejected even where it agrees with the first value, and in a nested mapping
     *[_exit_row(f"repeated-key-{kind}", text, ["analytic"], _CONFIG,
-                ["config error: cannot parse config file {cfg}: key 'alpha' repeated in one mapping"], name)
-      for kind, name, text in (("yaml", "dup.yaml", "alpha: 4\nalpha: 3\n"),
-                               ("json", "dup.json", '{"alpha": 4, "alpha": 3}'))],
+                [f"config error: cannot parse config file {{cfg}}: key {key!r} repeated in one mapping"], name)
+      for kind, name, text, key in (
+          ("yaml", "dup.yaml", "alpha: 4\nalpha: 3\n", "alpha"),
+          ("json", "dup.json", '{"alpha": 4, "alpha": 3}', "alpha"),
+          ("yaml-same-value", "dup.yaml", "alpha: 4\nthresholds_db: [5]\nalpha: 4\n", "alpha"),
+          ("nested", "dup.yaml", "thresholds_db: {a: 1, a: 2}\n", "a"))],
     # math.isfinite raised OverflowError on these: a traceback and exit 1
     *[_exit_row(f"beyond-float-{field}", f"{field}: {_BEYOND_FLOAT}\n", ["analytic"], _CONFIG,
                 [f"config error: {field}: must be {requirement}, got {_BEYOND_FLOAT}"])
@@ -949,6 +1002,12 @@ _TYPED_EXITS = [
     *[_exit_row(f"{kind}-{depth}-deep", b"[" * depth + b"]" * depth, ["analytic"], _CONFIG,
                 _one_line(r"config error: cannot parse config file \S+: maximum recursion depth exceeded.*"), name)
       for kind, depth, name in (("yaml", 3000, "cfg.yaml"), ("json", 100_000, "cfg.json"))],
+    # Python refuses to parse an int of over 4300 digits: the parser's
+    # ValueError escaped as a traceback. The interpreter words the message
+    *[_exit_row(f"int-digits-{kind}", '{"lambda_bs": 1' + "0" * 5000 + "}\n", ["analytic"], _CONFIG,
+                _one_line(r"config error: cannot parse config file \S+: "
+                          r"Exceeds the limit \(\d+ digits\) for integer string conversion.*"), name)
+      for kind, name in (("yaml", "cfg.yaml"), ("json", "cfg.json"))],
     # PyYAML's message quotes the line and marks the column beneath it: 5 to
     # 7 stderr lines
     *[_exit_row(f"yaml-{case}", text, ["analytic"], _CONFIG,
@@ -969,6 +1028,11 @@ _TYPED_EXITS = [
     # config never finished; the key is gone and the config is rejected
     _exit_row("retired-shared_ris_fade-key", "m_elements: 1000000000000\nshared_ris_fade: false\n", ["simulate"],
               _CONFIG, ["config error: unknown config key: shared_ris_fade"]),
+    # sorting an int or a None key beside a str raised TypeError: a traceback
+    # with exit 1, the code of a failed gate
+    *[_exit_row(f"unknown-{kind}-key", f"{key}: 2\nfoo: 3\n", ["analytic"], _CONFIG,
+                [f"config error: unknown config key: {shown}", "config error: unknown config key: foo"])
+      for kind, key, shown in (("int", "1", "1"), ("null", "null", "None"))],
     # `false` engaged the reflector on every trial; the one rule left is
     # r2 < r0, and the key is rejected whatever its value
     _exit_row("retired-conditional_path_b-key", "conditional_path_b: true\n", ["simulate"], _CONFIG,
@@ -983,6 +1047,9 @@ _TYPED_EXITS = [
     _exit_row("retired-compare_tolerances-key",
               "n_elements: 2\nalpha: 3\nn_trials: 5000\ncompare_tolerances: {gamma_b_gate_t_db: 99}\n", ["compare"],
               _CONFIG, ["config error: unknown config key: compare_tolerances"]),
+    # the schema's minimum, which every command reads
+    _exit_row("zero-trials", None, ["simulate", "--trials", "0"], _CONFIG,
+              ["config error: n_trials: must be an integer >= 1, got 0"]),
     # both minimums used to surface as a pipeline error (exit 4)
     _exit_row("trial-minimum-simulate", None, ["simulate", "--trials", "50"], _CONFIG,
               ["config error: n_trials: must be at least 100 to estimate coverage, got 50"]),
@@ -1146,6 +1213,14 @@ class TestTypedExits:
         assert sorted(path.name for path in out.iterdir()) == ["compare.csv", "compare_report.json"]
         assert sorted(tmp_path.iterdir()) == [tmp_path / "elsewhere", out]
         assert [(path.name, path.read_text()) for path in (tmp_path / "elsewhere").iterdir()] == [("kept.json", "kept\n")]
+
+
+def test_table_ids_are_unique():
+    # pytest renames a repeated explicit id, so a reference to a row by its id could name two rows
+    for table in (_TYPED_EXITS, _EDGE_CONFIGS):
+        ids = [row.id for row in table]
+        assert len(set(ids)) == len(ids), sorted(i for i in ids if ids.count(i) > 1)
+
 
 class TestRowFormatting:
     def test_rows_sorted_and_stable(self):

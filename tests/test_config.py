@@ -1,4 +1,9 @@
-"""Configuration parsing, validation and hashing."""
+"""Configuration parsing, validation and hashing.
+
+A config or file that is rejected is a row of ``tests/test_cli.py``'s exit
+table, which asserts the exact stderr; only what no command reaches is
+tested here.
+"""
 from __future__ import annotations
 
 import json
@@ -6,11 +11,10 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from oracle_helpers import array_factor_from_phases
-from riscov import cli, config
+from riscov import config
 from riscov.config import (
     IDEAL_PHASES, KM2_TO_M2, ConfigError, NetworkConfig, load_config, quantization_efficiency,
 )
@@ -23,16 +27,6 @@ class TestValidation:
     def test_defaults_are_valid(self):
         NetworkConfig()
 
-    def test_field_level_messages(self):
-        with pytest.raises(ConfigError) as exc:
-            NetworkConfig(lambda_bs=-1.0, alpha=2.0, n_elements=0, epsilon_floor=0.0)
-        errs = exc.value.errors
-        assert any(e.startswith("lambda_bs:") for e in errs)
-        assert any(e.startswith("alpha:") for e in errs)
-        assert any(e.startswith("n_elements:") for e in errs)
-        # no function below the config re-checks the floor
-        assert any(e.startswith("epsilon_floor:") for e in errs)
-
     @pytest.mark.parametrize("field", ["lambda_bs", "lambda_ris"])
     def test_density_below_one_per_m2_float_is_accepted(self, field):
         # 1e-320 per km^2 underflows to 0 per m^2, so such a density was
@@ -43,54 +37,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", REAL_FIELDS)
     def test_real_fields_hold_the_float_they_equal(self, field):
-        # alpha: 4 and alpha: 4.0 hashed apart, and an int beyond the float
-        # range raised OverflowError from math.isfinite
+        # alpha: 4 and alpha: 4.0 hashed apart; an int beyond the float range
+        # is the exit row [beyond-float-<field>]
         value = 1 if field == "beta" else 3
         cfg = NetworkConfig(**{field: value})
         assert type(getattr(cfg, field)) is float
         assert cfg.config_hash() == NetworkConfig(**{field: float(value)}).config_hash()
-        with pytest.raises(ConfigError) as exc:
-            NetworkConfig(**{field: 10**400})
-        assert [e.split(":")[0] for e in exc.value.errors] == [field]
-
-    def test_alpha_two_rejected(self):
-        with pytest.raises(ConfigError):
-            NetworkConfig(alpha=2.0)
-
-    def test_beta_above_one_rejected(self):
-        with pytest.raises(ConfigError):
-            NetworkConfig(beta=1.5)
 
     def test_phase_bits_forms(self):
+        # 0 bits is the exit row [phase-bits-zero]
         NetworkConfig(phase_bits="ideal")
         NetworkConfig(phase_bits=3)
-        with pytest.raises(ConfigError):
-            NetworkConfig(phase_bits=0)
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError) as exc:
-            NetworkConfig.from_mapping({"lambda_bss": 10})
-        assert "unknown config key" in str(exc.value)
-
-    def test_duplicate_thresholds_rejected(self):
-        # repeated thresholds would collapse into one row of the simulation output
-        with pytest.raises(ConfigError) as exc:
-            NetworkConfig(thresholds_db=(0.0, 5.0, 0.0))
-        assert any(e.startswith("thresholds_db:") for e in exc.value.errors)
-        with pytest.raises(ConfigError):
-            NetworkConfig.from_mapping({"thresholds_db": [5, 5.0]})
-
-    @pytest.mark.parametrize(
-        "thresholds", [(), (4000.0,), (-4000.0,), (0.0, math.nan), [True], ["5"], "5", 5.0],
-        ids=["empty", "overflow", "underflow", "nan", "bool", "string", "bare-string", "bare-number"],
-    )
-    def test_thresholds_need_a_positive_finite_ratio(self, thresholds):
-        # 4000 dB used to overflow 10**(t/10) in the engines and -4000 dB to
-        # reach them as a zero ratio; an empty list ran with nothing to gate;
-        # from a file, true ran at 1 dB and "5" at 5 dB
-        with pytest.raises(ConfigError) as exc:
-            NetworkConfig(thresholds_db=thresholds)
-        assert [e.split(":")[0] for e in exc.value.errors] == ["thresholds_db"]
 
     def test_thresholds_are_stored_as_a_tuple_of_floats(self):
         # the constructor is the one parse of the thresholds, from a file or not
@@ -101,10 +58,6 @@ class TestValidation:
 
     def test_extreme_finite_ratios_accepted(self):
         assert NetworkConfig(thresholds_db=(-3000.0, 3000)).thresholds_linear == (1e-300, 1e300)
-
-    def test_orientation_values(self):
-        with pytest.raises(ConfigError):
-            NetworkConfig(orientation="sideways")
 
 
 class TestUnits:
@@ -191,81 +144,11 @@ class TestLoading:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
-    def test_malformed_yaml(self, tmp_path):
-        path = tmp_path / "bad.yaml"
-        path.write_text("lambda_ris: [unclosed\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
-
-    @pytest.mark.parametrize("suffix", [".yaml", ".json"])
-    def test_int_beyond_the_string_conversion_limit(self, tmp_path, suffix):
-        # Python refuses to parse an int of over 4300 digits: the parser's
-        # ValueError escaped as a traceback
-        path = tmp_path / f"big{suffix}"
-        path.write_text('{"lambda_bs": 1' + "0" * 5000 + "}\n")
-        with pytest.raises(ConfigError, match="cannot parse config file"):
-            load_config(path)
-
-    @pytest.mark.parametrize("suffix, text", [
-        (".yaml", "alpha: 4\nalpha: 3\n"),
-        (".json", '{"alpha": 4, "alpha": 3}'),
-        (".yaml", "alpha: 4\nthresholds_db: [5]\nalpha: 4\n"),
-    ], ids=["yaml", "json", "yaml-same-value"])
-    def test_repeated_key_rejected(self, tmp_path, suffix, text):
-        # both parsers kept the last value, so alpha 4 then 3 ran at alpha 3;
-        # a repeat is rejected even where it agrees with the first value
-        path = tmp_path / f"dup{suffix}"
-        path.write_text(text)
-        with pytest.raises(ConfigError) as exc:
-            load_config(path)
-        assert exc.value.errors == [f"cannot parse config file {path}: key 'alpha' repeated in one mapping"]
-
-    def test_repeated_key_in_a_nested_mapping_rejected(self, tmp_path):
-        path = tmp_path / "nested.yaml"
-        path.write_text("thresholds_db: {a: 1, a: 2}\n")
-        with pytest.raises(ConfigError, match="key 'a' repeated in one mapping"):
-            load_config(path)
-
-    @pytest.mark.parametrize("text, mapping, keys", [
-        ("1: 2\nfoo: 3\n", {1: 2, "foo": 3}, ["1", "foo"]),
-        ("null: 2\nfoo: 3\n", {None: 2, "foo": 3}, ["None", "foo"]),
-    ], ids=["int", "null"])
-    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path, text, mapping, keys):
-        # sorting an int or a None key beside a str raised TypeError: a
-        # traceback with exit 1, the code of a failed gate
-        messages = [f"unknown config key: {k}" for k in keys]
-        with pytest.raises(ConfigError) as exc:
-            NetworkConfig.from_mapping(mapping)
-        assert exc.value.errors == messages
-        path = tmp_path / "mixed.yaml"
-        path.write_text(text)
-        result = CliRunner().invoke(cli.main, ["analytic", "-c", str(path), "--out", str(tmp_path / "out")])
-        assert result.exit_code == cli.EXIT_CONFIG_ERROR
-        assert result.stderr.splitlines() == [f"config error: {m}" for m in messages]
-
-    def test_unknown_tolerance_key(self, tmp_path):
-        # the compare gates are fixed in riscov.cli; a config cannot set them
-        path = tmp_path / "bad2.yaml"
-        path.write_text("compare_tolerances:\n  gamma_o: 0.5\n")
-        with pytest.raises(ConfigError) as exc:
-            load_config(path)
-        assert exc.value.errors == ["unknown config key: compare_tolerances"]
-
 
 def test_replace_validates():
     with pytest.raises(ConfigError):
         NetworkConfig().replace(alpha=1.0)
     assert NetworkConfig().replace(alpha=3.0).alpha == 3.0
-
-
-def test_tolerances_defaults():
-    assert [(g.engine, g.metric, g.kind, g.tolerance, g.t_db) for g in cli.GATES] == [
-        ("analytic_q2", "gamma_o", "absolute", 0.02, None),
-        ("analytic_q23", "gamma_a", "absolute", 0.02, None),
-        ("approx1", "gamma_b", "absolute", 0.05, 5.0),
-        ("approx2", "gamma_b", "lower_bound", 0.03, 5.0),
-    ]
-    assert cli.GATE_T_DB_ABS_TOL == 1e-9
 
 
 class TestBeamThinning:
@@ -328,7 +211,3 @@ class TestArrayFactor:
         assert quantization_efficiency(IDEAL_PHASES) == 1.0
         for emp, mod in zip(effs, model_effs):
             assert abs(emp - mod) < 0.02
-
-    def test_bad_bits(self):
-        with pytest.raises(ConfigError):
-            NetworkConfig(m_elements=16, phase_bits=0)

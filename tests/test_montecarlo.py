@@ -1,5 +1,14 @@
 """Simulator: the vectorized engine, its conditional estimator, the reference engine's
-per-trial SIRs, determinism."""
+per-trial SIRs, determinism.
+
+Three relations of the engine are each one parametrized table:
+``TestBlockReduction::test_run_matches_its_points_recomputed`` (``run``
+equals its points recomputed by ``oracle_helpers.lattice_estimates``),
+``TestUnmovedBits::test_change_keeps_the_bits`` (a change that must not move
+bits moves none) and ``TestEngineAgreement::test_direct_path_gates_pass``
+(the direct-path compare gates pass). A config or argument that the engine
+rejects is a row of ``tests/test_cli.py``'s exit table, not a test here.
+"""
 from __future__ import annotations
 
 import dataclasses
@@ -110,12 +119,9 @@ def assert_value_orderings(cfg, rec, thresholds):
 
 
 class TestDropScenario:
-    def test_same_seed_and_trial_is_byte_identical(self):
-        cfg = small_cfg()
-        a = montecarlo.draw(cfg)
-        b = montecarlo.draw(cfg)
-        for name in RECORD_FIELDS:
-            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+    def test_drawing_needs_no_minimum(self):
+        # the trial minimum is the estimator's
+        assert len(montecarlo.draw(small_cfg(n_trials=50)).r0) == 50
 
     def test_different_trials_differ(self):
         rec = montecarlo.draw(small_cfg(n_trials=montecarlo.VALUE_BLOCK + 1))
@@ -176,15 +182,12 @@ class TestDropScenario:
         # explicit main lobes keep 1/sqrt(N) of the non-serving bases, as
         # thinning does; the reference engine draws the lobes, and the engine
         # integrates the interferers out at that rate, so it draws the same
-        # trials for both modes
+        # trials for both modes (the row [orientation] of test_change_keeps_the_bits)
         cfg = NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit")
         drops = [ref.drop_scenario(cfg, i, lobes="explicit") for i in range(40)]
         kept = sum(int(s.retained_single.sum()) for s in drops)
         interferers = sum(len(s.bs_points) - 1 for s in drops)
         assert abs(kept / interferers - 0.25) < 0.01
-        explicit, thinning = montecarlo.draw(cfg), montecarlo.draw(cfg.replace(orientation="thinning"))
-        for name in RECORD_FIELDS:
-            assert np.array_equal(getattr(explicit, name), getattr(thinning, name))
 
     def test_engaged_fraction_tracks_density_ratio(self):
         rec = montecarlo.draw(small_cfg(n_trials=10_000, lambda_ris=100.0))
@@ -310,50 +313,58 @@ class TestPerTrialSirs:
         assert ref.sir_selection(s, cfg) == max(a, b)
 
 
-class TestTransmitPowerInvariance:
-    def test_records_bit_identical_under_power_rescale(self):
-        cfg_a, cfg_b = small_cfg(n_trials=1000, p_s=2.0), small_cfg(n_trials=1000, p_s=14.0)
-        rec_a, rec_b = montecarlo.draw(cfg_a), montecarlo.draw(cfg_b)
-        for field in RECORD_FIELDS:
-            assert np.array_equal(getattr(rec_a, field), getattr(rec_b, field))
-        for t in cfg_a.thresholds_linear:
-            values_a = conditional_values(cfg_a, rec_a, t)
-            values_b = conditional_values(cfg_b, rec_b, t)
-            for metric in montecarlo.METRICS:
-                assert np.array_equal(values_a[metric], values_b[metric])
+def _records(cfg):
+    """The arrays of :func:`montecarlo.draw`'s records."""
+    records = montecarlo.draw(cfg)
+    return [getattr(records, name) for name in RECORD_FIELDS]
 
 
-class TestDeploymentInvariance:
-    """The direct paths see the deployment only through alpha and N.
+def _records_and_values(cfg):
+    """The drawn records and every metric's conditional values at every threshold."""
+    records = montecarlo.draw(cfg)
+    return [*(getattr(records, name) for name in RECORD_FIELDS),
+            *(conditional_values(cfg, records, t)[metric]
+              for t in cfg.thresholds_linear for metric in montecarlo.METRICS)]
 
-    Distances are drawn in units of ``1/sqrt(pi * lambda_bs)`` and fades in
-    units of ``1/mu``, so the direct-path estimates are the defaults' to the
-    bit under any change of the densities, mu or the reflector bank,
-    including changes to the edges of the float range.
-    """
 
-    @staticmethod
-    def direct_estimates(**change):
-        cfg = NetworkConfig(n_trials=2000, **change)
-        estimates = montecarlo.run(cfg)
-        return [array.tolist() for metric in ("gamma_o", "gamma_a") for array in estimates[metric]]
+def _direct_estimates(cfg):
+    """The probabilities and half-widths of ``run``'s gamma_o and gamma_a."""
+    estimates = montecarlo.run(cfg)
+    return [array for metric in ("gamma_o", "gamma_a") for array in estimates[metric]]
 
-    @pytest.mark.parametrize("change", [
-        {"lambda_bs": 1e-300},
-        {"lambda_bs": 1.7e308},
-        {"lambda_ris": 1e-3},
-        {"lambda_ris": 1e300},
-        {"mu": 1e-320},
-        {"mu": 1e300},
-        {"m_elements": 10**150},
-        {"beta": 1e-300},
-        {"beta": 5e-324, "phase_bits": 1},  # the bank gain underflows to 0
-        {"p_s": 1e-300},
-        {"epsilon_floor": 1e100},
-        {"phase_bits": 3},
-    ], ids=lambda change: "-".join(f"{k}={v:.3g}" for k, v in change.items()))
-    def test_direct_paths_ignore_the_deployment(self, change):
-        assert self.direct_estimates(**change) == self.direct_estimates()
+
+_DEFAULT_2000 = NetworkConfig(n_trials=2000)
+
+# rows of TestUnmovedBits.test_change_keeps_the_bits: the outputs of both configs agree bit for bit
+_UNMOVED_BITS = [
+    # the same seed and trials draw the same records
+    pytest.param(small_cfg(), small_cfg(), _records, id="repeat"),
+    # explicit lobes are integrated out at the thinning rate
+    pytest.param(NetworkConfig(n_trials=3000, master_seed=5, orientation="explicit"),
+                 NetworkConfig(n_trials=3000, master_seed=5, orientation="thinning"), _records, id="orientation"),
+    # the records hold unit-free distances and fades, and the SIR is a power ratio
+    pytest.param(small_cfg(n_trials=1000, p_s=2.0), small_cfg(n_trials=1000, p_s=14.0), _records_and_values,
+                 id="p_s"),
+    # the direct paths see the deployment only through alpha and N: distances
+    # are drawn in units of 1/sqrt(pi * lambda_bs) and fades in units of 1/mu,
+    # so the densities, mu and the bank, even at the edges of the float range,
+    # leave their estimates as they are
+    *[pytest.param(_DEFAULT_2000.replace(**change), _DEFAULT_2000, _direct_estimates,
+                   id="-".join(f"{k}={v:.3g}" for k, v in change.items()))
+      for change in ({"lambda_bs": 1e-300}, {"lambda_bs": 1.7e308}, {"lambda_ris": 1e-3}, {"lambda_ris": 1e300},
+                     {"mu": 1e-320}, {"mu": 1e300}, {"m_elements": 10**150}, {"beta": 1e-300},
+                     {"beta": 5e-324, "phase_bits": 1},  # the bank gain underflows to 0
+                     {"p_s": 1e-300}, {"epsilon_floor": 1e100}, {"phase_bits": 3})],
+]
+
+
+class TestUnmovedBits:
+    @pytest.mark.parametrize("before, after, outputs", _UNMOVED_BITS)
+    def test_change_keeps_the_bits(self, before, after, outputs):
+        arrays = outputs(before), outputs(after)
+        assert len(arrays[0]) == len(arrays[1]) > 0
+        for k, (a, b) in enumerate(zip(*arrays)):
+            assert a.tobytes() == b.tobytes(), k
 
 
 class TestEstimateCoverage:
@@ -369,43 +380,6 @@ class TestEstimateCoverage:
         cfg = small_cfg(n_trials=500, thresholds_db=(3000.0,))
         ests = montecarlo.run(cfg)
         assert all(e.probability[0] == 0.0 and e.ci_half_width[0] == 0.0 for e in ests.values())
-
-    def test_requires_minimum_trials(self):
-        with pytest.raises(ConfigError):
-            montecarlo.run(small_cfg(n_trials=50))
-        # the minimum is the estimator's: drawing needs none
-        assert len(montecarlo.draw(small_cfg(n_trials=50)).r0) == 50
-
-    def test_estimates_match_the_shift_means(self):
-        # thresholds down to -40 dB, where gamma_s is near 1 and the shift
-        # means agree to about 1e-10: sums of the values themselves would
-        # lose most of the half-width's digits to their rounding
-        cfg = small_cfg(n_trials=20000, thresholds_db=(-40.0, -30.0, -20.0, -10.0, 0.0, 10.0))
-        estimates = montecarlo.run(cfg)
-        # the blocks' summed sums against the values of the whole run at once
-        for j, t in enumerate(cfg.thresholds_linear):
-            for metric, (p, half_width) in lattice_estimates(cfg, t).items():
-                assert estimates[metric].probability[j] == pytest.approx(p, rel=1e-12)
-                assert estimates[metric].ci_half_width[j] == pytest.approx(half_width, rel=1e-9, abs=0.0)
-
-    def test_blocks_without_engaged_trials(self):
-        # at 4e-3 reflectors per km^2 (3.2 engaged points expected among the
-        # unconditioned draws) some blocks hold no engaged point; the
-        # reflector is drawn inside r0 and weighted by Pr[engaged | r0], so
-        # every block weighs in and matches the estimate from all points
-        cfg = small_cfg(n_trials=20000, lambda_ris=4e-3, thresholds_db=(0.0,))
-        (p,), (half_width,) = montecarlo.run(cfg)["gamma_b"]
-        drawn = montecarlo.draw(cfg)
-        per_block = np.add.reduceat(drawn.r2 < drawn.r0, np.arange(0, len(drawn.r0), montecarlo.VALUE_BLOCK))
-        assert (per_block == 0).any() and per_block.any()
-        expected = lattice_estimates(cfg, 1.0)["gamma_b"]
-        assert p == pytest.approx(expected[0], rel=1e-12)
-        assert half_width == pytest.approx(expected[1], rel=1e-9)
-        assert 0.0 < half_width < p
-        # at 1.7e308 bases and 1e-18 reflectors per km^2 Pr[engaged | r0]
-        # underflows to 0 at every point, so gamma_b has no weight
-        (p,), (half_width,) = montecarlo.run(cfg.replace(lambda_bs=1.7e308, lambda_ris=1e-18))["gamma_b"]
-        assert math.isnan(p) and math.isnan(half_width)
 
     def test_sparse_reflectors_give_gamma_b(self):
         # the parent engine counted the engaged points and read nan at these
@@ -491,32 +465,67 @@ class TestEstimateCoverage:
         assert np.all(selection.probability >= direct.probability)
 
 
+def _blocks_without_engaged(cfg, estimates):
+    # at 4e-3 reflectors per km^2 (3.2 engaged points expected among the
+    # unconditioned draws) some blocks hold no engaged point; the reflector
+    # is drawn inside r0 and weighted by Pr[engaged | r0], so every block weighs in
+    drawn = montecarlo.draw(cfg)
+    per_block = np.add.reduceat(drawn.r2 < drawn.r0, np.arange(0, len(drawn.r0), montecarlo.VALUE_BLOCK))
+    assert (per_block == 0).any() and per_block.any()
+    (p,), (half_width,) = estimates["gamma_b"]
+    assert 0.0 < half_width < p
+
+
+def _recomputed(id, *checks, **change):
+    """A row of :meth:`TestBlockReduction.test_run_matches_its_points_recomputed`: ``small_cfg(**change)``.
+
+    Each ``check(cfg, estimates)`` asserts what the row adds.
+    """
+    return pytest.param(change, checks, id=id)
+
+
+_RECOMPUTED_RUNS = [
+    # thresholds down to -40 dB, where gamma_s is near 1 and the shift means
+    # agree to about 1e-10: sums of the values themselves would lose most of
+    # the half-width's digits to their rounding
+    _recomputed("shift-means-near-one", n_trials=20000, thresholds_db=(-40.0, -30.0, -20.0, -10.0, 0.0, 10.0)),
+    # block boundaries; a last block of one lattice index holds one point per shift
+    *[_recomputed(id, n_trials=n_trials, lambda_ris=100.0, thresholds_db=(-40.0, 0.0)) for id, n_trials in (
+        ("part-block", 100),
+        ("one-block", montecarlo.VALUE_BLOCK),
+        ("one-index-over", montecarlo.VALUE_BLOCK + montecarlo.SHIFTS),
+        ("part-block-over", 3 * montecarlo.VALUE_BLOCK + montecarlo.VALUE_BLOCK // 2 - 1))],
+    _recomputed("blocks-without-engaged", _blocks_without_engaged, n_trials=20000, lambda_ris=4e-3,
+                thresholds_db=(0.0,)),
+]
+
+
 class TestBlockReduction:
-    @pytest.mark.parametrize("n_trials", [
-        100,
-        montecarlo.VALUE_BLOCK,
-        montecarlo.VALUE_BLOCK + montecarlo.SHIFTS,
-        3 * montecarlo.VALUE_BLOCK + montecarlo.VALUE_BLOCK // 2 - 1,
-    ], ids=["part-block", "one-block", "one-index-over", "part-block-over"])
-    def test_block_boundaries_match_estimates_from_records(self, n_trials):
-        # a last block of one lattice index holds one point per shift
-        cfg = small_cfg(n_trials=n_trials, lambda_ris=100.0, thresholds_db=(-40.0, 0.0))
+    @pytest.mark.parametrize("change, checks", _RECOMPUTED_RUNS)
+    def test_run_matches_its_points_recomputed(self, change, checks):
+        # the blocks' summed sums against the values of the whole run at once
+        cfg = small_cfg(**change)
         estimates = montecarlo.run(cfg)
         for j, t in enumerate(cfg.thresholds_linear):
             for metric, (p, half_width) in lattice_estimates(cfg, t).items():
                 assert estimates[metric].probability[j] == pytest.approx(p, rel=1e-12)
                 assert estimates[metric].ci_half_width[j] == pytest.approx(half_width, rel=1e-9, abs=0.0)
+        for check in checks:
+            check(cfg, estimates)
 
-    def test_half_width_keeps_its_digits_near_one(self):
-        # shift means within 1e-10 of 1, as at -40 dB, where the means
+    @pytest.mark.parametrize("scale", [1e-10, 1e-200])
+    def test_half_width_keeps_its_digits_near_one(self, scale):
+        # shift means within `scale` of 1, as at -40 dB, where the means
         # themselves have lost digits of their spread, given as deviations
-        # from a reference of 1; their half-width is under 1e-11, so
-        # approx's default abs of 1e-12 is off
-        deviations = -1e-10 * np.random.default_rng(3).random(montecarlo.SHIFTS)
+        # from a reference of 1; their half-width is under scale / 10, so
+        # approx's default abs of 1e-12 is off. At 1e-200 the squared
+        # deviations underflow to 0 unless they are scaled first
+        unit = np.random.default_rng(3).random(montecarlo.SHIFTS)
+        deviations = -scale * unit
         per_shift = 1000
         sums = np.empty((2, len(montecarlo.METRICS), 1, montecarlo.SHIFTS))
         sums[0], sums[1] = per_shift * deviations, per_shift
-        two_pass = montecarlo.T_QUANTILE * float(np.std(deviations, ddof=1)) / math.sqrt(montecarlo.SHIFTS)
+        two_pass = scale * montecarlo.T_QUANTILE * float(np.std(unit, ddof=1)) / math.sqrt(montecarlo.SHIFTS)
         means = 1.0 + deviations
         plain = montecarlo.T_QUANTILE * float(np.std(means, ddof=1)) / math.sqrt(montecarlo.SHIFTS)
         assert abs(plain / two_pass - 1.0) > 1e-9  # the data are where the means' own rounding shows
@@ -739,22 +748,10 @@ class TestHistograms:
         np.testing.assert_allclose(overlay, expected, rtol=1e-9, atol=0)
 
     def test_unknown_quantity_rejected(self, sparse_run):
-        # a config error, as the bins and trial checks beside it are: exit 2, not 4
+        # a config error, as the bins and trial checks are (the exit rows
+        # [bins-*] and [trial-minimum-hist]): exit 2, not 4
         with pytest.raises(ConfigError, match=r"^quantity: must be one of .*, got 'r9'$"):
             montecarlo.empirical_histogram(sparse_run.cfg, "r9")
-
-    def test_requires_enough_trials(self):
-        cfg = small_cfg(n_trials=10)
-        with pytest.raises(ConfigError):
-            montecarlo.empirical_histogram(cfg, "r0")
-
-    @pytest.mark.parametrize("bins", [0, 2001])
-    def test_bins_outside_one_to_trials_is_config_error(self, bins):
-        # a library call with 0 bins raised numpy's untyped ValueError; the
-        # hist command held the rule, which library calls skipped
-        cfg = small_cfg()
-        with pytest.raises(ConfigError, match=rf"bins: must be from 1 to n_trials \(2000\), got {bins}"):
-            montecarlo.empirical_histogram(cfg, "r0", bins=bins)
 
 
 class TestLargeAlpha:
@@ -789,48 +786,25 @@ class TestLargeAlpha:
             assert abs(sampled - limit) <= 0.005, (t, sampled, limit)
 
 
-class TestRunConfig:
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ConfigError):
-            montecarlo.run(NetworkConfig(n_trials=0))
-
-    def test_huge_reflector_bank_gives_numbers(self):
-        # M**2 leaves the float range, log G does not: the estimator reads log q
-        # and gives every reflected value 1, and the power is binned from its log
-        cfg = NetworkConfig(n_trials=1000, m_elements=10**160, thresholds_db=(0.0,))
-        counts, edges, _ = montecarlo.empirical_histogram(cfg, "p_ris_dbw")
-        assert counts.sum() == 1000 and np.isfinite(edges).all()
-        by_metric = montecarlo.run(cfg)
-        assert by_metric["gamma_b"].probability[0] == 1.0
-        assert by_metric["gamma_s"].probability[0] > by_metric["gamma_a"].probability[0]
-
-
 def _ci(p: float, n: int) -> float:
     return 1.96 * math.sqrt(p * (1.0 - p) / n)
 
 
 class TestEngineAgreement:
-    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5])
-    def test_low_alpha_direct_path_gates(self, alpha):
-        # the compare gates of both direct paths, at the default densities;
-        # the far-field tail term is what keeps alpha = 2.5 within them
-        cfg = NetworkConfig(alpha=alpha, n_trials=40_000, master_seed=3)
-        mc_rows = cli.run_simulate(cfg)
-        report = cli.build_comparison(cfg, cli.run_analytic(cfg), mc_rows)
-        gates = [g for g in report["gates"] if g["metric"] in ("gamma_o", "gamma_a")]
-        assert len(gates) == 2 * len(cfg.thresholds_db)
-        failed = [(g["metric"], g["t_db"], round(g["gap"], 4)) for g in gates if not g["passed"]]
-        assert not failed
-
-    def test_single_element_split_beam_gates(self):
+    @pytest.mark.parametrize("cfg, metrics", [
+        # the far-field tail term is what keeps alpha = 2.5 within both gates
+        *[pytest.param(NetworkConfig(alpha=alpha, n_trials=40_000, master_seed=3), ("gamma_o", "gamma_a"),
+                       id=f"alpha-{alpha:g}") for alpha in (2.5, 3.0, 3.5)],
         # N = 1: the split-beam retention sqrt(2/N) exceeds 1 and is capped, in
         # the closed forms exactly as in the simulator
-        cfg = NetworkConfig(n_elements=1, n_trials=20_000, master_seed=3)
-        mc_rows = cli.run_simulate(cfg)
-        report = cli.build_comparison(cfg, cli.run_analytic(cfg), mc_rows)
-        gates = [g for g in report["gates"] if g["metric"] == "gamma_a"]
-        assert len(gates) == len(cfg.thresholds_db)
-        failed = [(g["t_db"], round(g["gap"], 4)) for g in gates if not g["passed"]]
+        pytest.param(NetworkConfig(n_elements=1, n_trials=20_000, master_seed=3), ("gamma_a",), id="n-elements-1"),
+    ])
+    def test_direct_path_gates_pass(self, cfg, metrics):
+        # the compare gates of the direct paths, at the default densities
+        report = cli.build_comparison(cfg, cli.run_analytic(cfg), cli.run_simulate(cfg))
+        gates = [g for g in report["gates"] if g["metric"] in metrics]
+        assert len(gates) == len(metrics) * len(cfg.thresholds_db)
+        failed = [(g["metric"], g["t_db"], round(g["gap"], 4)) for g in gates if not g["passed"]]
         assert not failed
 
     @pytest.mark.parametrize("n_elements, alpha", [(2, 3.0), (1, 4.0)])
