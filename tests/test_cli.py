@@ -951,7 +951,25 @@ _TYPED_EXITS = [
         ("beta-above-one", "beta: 1.5\n", "beta: must be a finite number in (0, 1], got 1.5"),
         ("phase-bits-zero", "phase_bits: 0\n", "phase_bits: must be 'ideal' or an integer >= 1, got 0"),
         ("orientation-sideways", "orientation: sideways\n",
-         "orientation: must be one of ('thinning', 'explicit'), got 'sideways'"))],
+         "orientation: must be one of ('thinning', 'explicit'), got 'sideways'"),
+        # a bool is an int to Python, yet no field reads true as 1; a
+        # string, inf or nan is no number of the range either
+        ("real-bool", "mu: true\n", "mu: must be a positive finite number, got True"),
+        ("real-string", "p_s: '2'\n", "p_s: must be a positive finite number, got '2'"),
+        ("real-inf", "lambda_ris: .inf\n", "lambda_ris: must be a positive finite number, got inf"),
+        ("alpha-nan", "alpha: .nan\n", "alpha: must be a finite number > 2, got nan"),
+        ("beta-zero", "beta: 0\n", "beta: must be a finite number in (0, 1], got 0"),
+        ("n-elements-bool", "n_elements: true\n", "n_elements: must be an integer >= 1, got True"),
+        ("m-elements-zero", "m_elements: 0\n", "m_elements: must be an integer >= 1, got 0"),
+        ("n-trials-fractional", "n_trials: 2.5\n", "n_trials: must be an integer >= 1, got 2.5"),
+        ("master-seed-negative", "master_seed: -1\n", "master_seed: must be a nonnegative integer, got -1"),
+        ("master-seed-bool", "master_seed: true\n", "master_seed: must be a nonnegative integer, got True"),
+        ("phase-bits-bool", "phase_bits: true\n", "phase_bits: must be 'ideal' or an integer >= 1, got True"),
+        ("phase-bits-string", "phase_bits: fine\n", "phase_bits: must be 'ideal' or an integer >= 1, got 'fine'"))],
+    # a file must hold a mapping of keys to values
+    *[_exit_row(f"root-not-mapping-{kind}", text, ["analytic"], _CONFIG,
+                [f"config error: config root must be a mapping, got {shown}"], name)
+      for kind, name, text, shown in (("yaml", "cfg.yaml", "- 1\n- 2\n", "list"), ("json", "cfg.json", "4\n", "int"))],
     *[_exit_row(id, f"thresholds_db: {text}\n", ["analytic"], _CONFIG,
                 [f"config error: thresholds_db: must {problem}"]) for id, text, problem in (
         # a bare string used to be split into characters: "10" ran at 1 dB and 0 dB

@@ -513,13 +513,14 @@ class TestBlockReduction:
         for check in checks:
             check(cfg, estimates)
 
-    @pytest.mark.parametrize("scale", [1e-10, 1e-200])
+    @pytest.mark.parametrize("scale", [1e-10, 1e-160, 1e-200])
     def test_half_width_keeps_its_digits_near_one(self, scale):
         # shift means within `scale` of 1, as at -40 dB, where the means
         # themselves have lost digits of their spread, given as deviations
         # from a reference of 1; their half-width is under scale / 10, so
-        # approx's default abs of 1e-12 is off. At 1e-200 the squared
-        # deviations underflow to 0 unless they are scaled first
+        # approx's default abs of 1e-12 is off. Unless the deviations are
+        # scaled first, their squares are subnormal at 1e-160, which loses
+        # digits of the half-width, and underflow to 0 at 1e-200
         unit = np.random.default_rng(3).random(montecarlo.SHIFTS)
         deviations = -scale * unit
         per_shift = 1000
