@@ -226,7 +226,7 @@ def run_sweep(
     :data:`SWEEP_METRICS`; the ``sweep`` command's choices enforce both.
     Each grid point's rows are those of its config, labelled with the axis.
     """
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+    if not grid or not all(a < b for a, b in zip(grid, grid[1:])):
         raise ConfigError(["grid: must be nonempty and strictly increasing"])
     if metric != "coverage" and (axis == "T" or with_mc):  # a moment has no threshold and is not simulated
         raise ConfigError([f"metric: {metric} is a moment: it takes neither --axis T nor --with-mc"])

@@ -1175,6 +1175,10 @@ _TYPED_EXITS = [
       for axis, field in (("N", "n_elements"), ("M", "m_elements"))],
     _exit_row("nonincreasing-grid", None, ["sweep", "--axis", "M", "--grid", "100,100"], _CONFIG,
               ["config error: grid: must be nonempty and strictly increasing"]),
+    # a comparison with nan is false, so any(b <= a) let 2,nan,1 through to
+    # the config check of its nan
+    _exit_row("grid-nan-not-increasing", None, ["sweep", "--axis", "lambda_ris", "--grid", "2,nan,1"], _CONFIG,
+              ["config error: grid: must be nonempty and strictly increasing"]),
     _exit_row("grid-not-numbers", None, ["sweep", "--axis", "lambda_ris", "--grid", "1,abc"], _CONFIG,
               ["config error: grid: could not parse '1,abc' as numbers"]),
     # E[r1**-alpha] above the float range used to escape as an OverflowError

@@ -1,5 +1,5 @@
-"""Geometry: the reference engine's PPP sampling and nearest-neighbor machinery,
-the nearest-neighbor and r1 distance laws, and the r1 moments.
+"""Geometry: the reference engine's PPP sampler on its window, the
+nearest-neighbor and r1 distance laws, and the r1 moments.
 
 ``expected_r1`` and the floored inverse moments are checked against
 deterministic quadrature, and each one's errors: ``expected_r1`` rejects an
@@ -17,7 +17,6 @@ from scipy import integrate, special, stats
 
 import reference_engine
 from oracle_helpers import expected_inv_r1_pow, expected_r1_nested, prob_ris_closer, rayleigh_pdf
-from reference_engine import EmptyScenarioError
 from riscov import geometry
 from riscov.errors import NumericalError, ParameterError
 
@@ -31,15 +30,6 @@ LAM_EFF = LAM_BS * LAM_RIS / (LAM_BS + LAM_RIS)  # the Rayleigh intensity of r1
 # ---------------------------------------------------------------------------
 
 class TestSamplePPP:
-    def test_rejects_nonpositive_intensity(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="^intensity must be positive and finite, got 0.0$"):
-            reference_engine.sample_ppp(0.0, 100.0, rng)
-        with pytest.raises(ValueError, match="^intensity must be positive and finite, got nan$"):
-            reference_engine.sample_ppp(math.nan, 100.0, rng)
-        with pytest.raises(ValueError, match="^window_radius must be positive and finite, got -5.0$"):
-            reference_engine.sample_ppp(1.0, -5.0, rng)
-
     def test_mean_count_matches_poisson_intensity(self):
         # oracle: E[count] = lam * pi * R^2
         lam, radius, draws = 25e-6, 2000.0, 10_000
@@ -52,68 +42,35 @@ class TestSamplePPP:
     def test_same_seed_same_points(self):
         a = reference_engine.sample_ppp(1e-4, 500.0, np.random.default_rng(42))
         b = reference_engine.sample_ppp(1e-4, 500.0, np.random.default_rng(42))
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
     def test_points_inside_window(self):
-        ps = reference_engine.sample_ppp(1e-3, 300.0, np.random.default_rng(1))
-        assert np.all(ps.radii() <= 300.0)
+        points = reference_engine.sample_ppp(1e-3, 300.0, np.random.default_rng(1))
+        assert np.all(np.hypot(*points.T) <= 300.0)
 
     def test_uniform_positions(self):
         # radius^2 of a uniform disc point is uniform on [0, R^2]
         rng = np.random.default_rng(5)
-        ps = reference_engine.sample_ppp(1.0, 200.0, rng)
-        assert len(ps) > 50_000
-        stat = stats.kstest(ps.radii() ** 2 / 200.0**2, "uniform").statistic
+        points = reference_engine.sample_ppp(1.0, 200.0, rng)
+        assert len(points) > 50_000
+        stat = stats.kstest(np.hypot(*points.T) ** 2 / 200.0**2, "uniform").statistic
         assert stat < 0.02
-
-    def test_nonempty_retry_gives_up(self):
-        # expected count ~ 3e-9; every redraw comes back empty
-        rng = np.random.default_rng(0)
-        with pytest.raises(EmptyScenarioError):
-            reference_engine.sample_ppp_nonempty(1e-12, 1.0, rng, max_redraws=10)
 
 
 class TestNearest:
-    def test_pythagorean(self):
-        ps = reference_engine.PointSet(np.array([[3.0, 4.0], [6.0, 8.0]]), 1e-3, 100.0)
-        assert reference_engine.nearest_distance(ps) == pytest.approx(5.0)
-
-    def test_single_point(self):
-        ps = reference_engine.PointSet(np.array([[0.0, 7.5]]), 1e-3, 100.0)
-        assert reference_engine.nearest_distance(ps) == pytest.approx(7.5)
-
-    def test_empty_raises(self):
-        ps = reference_engine.PointSet(np.empty((0, 2)), 1e-3, 100.0)
-        with pytest.raises(EmptyScenarioError):
-            reference_engine.nearest_distance(ps)
-
-    def test_tie_breaks_to_lowest_index(self):
-        ps = reference_engine.PointSet(np.array([[0.0, 2.0], [2.0, 0.0]]), 1e-3, 100.0)
-        idx, d = reference_engine.nearest_point(ps)
-        assert idx == 0 and d == pytest.approx(2.0)
-
     @pytest.mark.parametrize("lam", [LAM_BS, LAM_RIS])
     def test_nearest_cdf_matches_void_probability(self, lam):
         # oracle: CDF of the nearest distance is 1 - exp(-lam*pi*r^2)
         rng = np.random.default_rng(314)
         radius = reference_engine.window_radius(lam)
         samples = [
-            reference_engine.nearest_distance(reference_engine.sample_ppp(lam, radius, rng))
+            np.hypot(*reference_engine.sample_ppp(lam, radius, rng).T).min()
             for _ in range(10_000)
         ]
         stat = stats.kstest(
             samples, lambda r: 1.0 - np.exp(-lam * math.pi * np.asarray(r) ** 2)
         ).statistic
         assert stat < 0.02
-
-
-def test_window_radius_policy():
-    # the point-count criterion dominates at every intensity
-    for lam in (1e-6, 2.5e-5, 1e-3, 5e-2, 1.0):
-        r = reference_engine.window_radius(lam)
-        assert r == pytest.approx(math.sqrt(2000.0 / (math.pi * lam)))
-        assert lam * math.pi * r**2 >= 2000.0 * (1 - 1e-12)
-        assert r >= 10.0 * 0.5 / math.sqrt(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ def run_command(work: Path, config: dict, name: str, *argv: str):
 
 
 def read_values(path: Path) -> list[float]:
+    """The CSV's ``value`` column."""
     lines = path.read_text().splitlines()
     column = lines[0].split(",").index("value")
     return [float(line.split(",")[column]) for line in lines[1:]]
@@ -112,13 +113,6 @@ def test_physical_configs_meet_the_exact_gates(config, quantity):
     assert len(exact) == len(EXACT_METRICS) * len(config["thresholds_db"])
     for gate in exact:
         assert gate["tolerance"] == 0.02 and gate["passed"], gate
-
-
-def read_coverage(path: Path) -> list[float]:
-    """The CSV's values."""
-    lines = path.read_text().splitlines()
-    value = lines[0].split(",").index("value")
-    return [float(line.split(",")[value]) for line in lines[1:]]
 
 
 @settings(max_examples=300)
@@ -142,7 +136,7 @@ def test_wide_configs_give_finite_closed_forms_or_exit_4(config):
                 assert result.exit_code in (0, cli.EXIT_PIPELINE_ERROR), result.output
             if result.exit_code == cli.EXIT_PIPELINE_ERROR:
                 continue
-            values = read_coverage(out / csv_name)
+            values = read_values(out / csv_name)
             assert values and all(math.isfinite(v) for v in values), (name, values)
             if name in ("analytic", "simulate", "compare"):
                 assert all(0.0 <= v <= 1.0 for v in values), (name, values)
