@@ -56,6 +56,11 @@ class TestSamplePPP:
         stat = stats.kstest(np.hypot(*points.T) ** 2 / 200.0**2, "uniform").statistic
         assert stat < 0.02
 
+    def test_empty_draw_is_a_zero_by_two_array(self):
+        # the expected count is about 3e-12: no point, and still two columns
+        points = reference_engine.sample_ppp(1e-12, 1.0, np.random.default_rng(0))
+        assert points.shape == (0, 2)
+
 
 class TestNearest:
     @pytest.mark.parametrize("lam", [LAM_BS, LAM_RIS])

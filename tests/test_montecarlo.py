@@ -235,6 +235,24 @@ class TestReferenceDrop:
             assert sir_a <= sir_o
             assert math.isnan(sir_b) == (np.hypot(*ris.T).min() >= np.hypot(*bs.T).min())
 
+    def test_marks_keep_the_thinning_rates(self):
+        # one uniform per base keeps it at 1/sqrt(N) single-beam and at
+        # sqrt(2/N) split-beam, the rates the analysis thins at
+        cfg = small_cfg()
+        marks = [ref.drop(cfg, k)[2] for k in range(40)]
+        rates = [np.mean(np.concatenate([m[beam] for m in marks])) for beam in (0, 1)]
+        expected = [1.0 / math.sqrt(cfg.n_elements), math.sqrt(2.0 / cfg.n_elements)]
+        assert np.all(np.abs(np.subtract(rates, expected)) < 0.01), rates
+
+    def test_fades_are_exponential_with_mean_one_over_mu(self):
+        cfg = small_cfg(mu=2.0)
+        fades = [ref.drop(cfg, k)[3] for k in range(200)]
+        g = np.concatenate([f[0] for f in fades])
+        assert stats.kstest(g, "expon", args=(0.0, 1.0 / cfg.mu)).statistic < 0.01
+        # one f1 and one h per drop: 400 draws, 4 standard errors
+        links = [f[i] for f in fades for i in (1, 2)]
+        assert abs(np.mean(links) - 1.0 / cfg.mu) < 4.0 * (1.0 / cfg.mu) / math.sqrt(len(links))
+
 
 class TestPerTrialSirs:
     def test_baseline_single_interferer(self):
@@ -242,6 +260,18 @@ class TestPerTrialSirs:
         sir_o, _, _ = hand_sirs(NetworkConfig(alpha=4.0), bs_xy=[[10.0, 0.0], [20.0, 0.0]], ris_xy=[[0.0, 50.0]],
                                 g=[1.0, 1.0])
         assert sir_o == pytest.approx(16.0, rel=1e-12)
+
+    def test_nearest_base_serves_wherever_it_is_listed(self):
+        # the drop of test_baseline_single_interferer, farther base first
+        sir_o, sir_a, _ = hand_sirs(NetworkConfig(alpha=4.0), bs_xy=[[20.0, 0.0], [10.0, 0.0]], ris_xy=[[0.0, 50.0]],
+                                    g=[1.0, 1.0])
+        assert sir_o == sir_a == pytest.approx(16.0, rel=1e-12)
+
+    def test_baseline_follows_the_path_loss_exponent(self):
+        # the same drop at alpha = 3: SIR = 2^3
+        sir_o, _, _ = hand_sirs(NetworkConfig(alpha=3.0), bs_xy=[[10.0, 0.0], [20.0, 0.0]], ris_xy=[[0.0, 50.0]],
+                                g=[1.0, 1.0])
+        assert sir_o == pytest.approx(8.0, rel=1e-12)
 
     def test_empty_interferer_set_is_covered_sentinel(self):
         sir_o, _, _ = hand_sirs(NetworkConfig(alpha=4.0), bs_xy=[[10.0, 0.0], [20.0, 0.0]], ris_xy=[[0.0, 50.0]],
@@ -261,6 +291,19 @@ class TestPerTrialSirs:
         assert hand_sirs(NetworkConfig(m_elements=1, beta=1.0, alpha=4.0), **drop)[2] == pytest.approx(1.0, rel=1e-9)
         bank = NetworkConfig(m_elements=20, beta=0.5, alpha=4.0)
         assert hand_sirs(bank, **drop)[2] == pytest.approx(200.0, rel=1e-9)
+
+    def test_nearest_reflector_is_engaged_wherever_it_is_listed(self):
+        # the unit drop of test_path_b_unit_configuration with a farther
+        # reflector listed first; it too is closer than the serving base
+        drop = dict(bs_xy=[[0.0, 1.5], [2.0, 0.0]], ris_xy=[[0.0, 1.2], [math.sqrt(1.0 - 0.5625), 0.75]],
+                    g=[1.0, 16.0])
+        assert hand_sirs(NetworkConfig(m_elements=1, beta=1.0, alpha=4.0), **drop)[2] == pytest.approx(1.0, rel=1e-9)
+
+    def test_path_b_without_split_interferers_is_covered_sentinel(self):
+        drop = dict(bs_xy=[[0.0, 1.5], [2.0, 0.0]], ris_xy=[[math.sqrt(1.0 - 0.5625), 0.75]], g=[1.0, 16.0],
+                    retained_split=[False, False])
+        _, sir_a, sir_b = hand_sirs(NetworkConfig(m_elements=1, beta=1.0, alpha=4.0), **drop)
+        assert math.isinf(sir_a) and math.isinf(sir_b)
 
     def test_path_b_element_scaling(self):
         drop = dict(bs_xy=[[30.0, 0.0], [55.0, 12.0]], ris_xy=[[2.0, 3.0]], g=[0.7, 1.3], f1=0.9, h=1.8)
