@@ -27,7 +27,6 @@ no config can loosen or drop a gate.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -37,6 +36,16 @@ from pathlib import Path
 import yaml
 
 from .errors import RiscovError
+
+# CPython's builtin sha256, as ``random`` takes its sha512: ``hashlib`` loads
+# OpenSSL's libcrypto, about 3.5 MB of resident memory that no command needs
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without builtin digests
 
 KM2_TO_M2 = 1e-6
 _LOG_PI_PER_KM2 = math.log(math.pi * KM2_TO_M2)  # log(pi * lambda) per m^2 is this plus log(lambda) per km^2
@@ -224,7 +233,7 @@ class NetworkConfig:
         """Digest of every field and the stream version (comments never enter)."""
         canonical = json.dumps({**dataclasses.asdict(self), "stream_version": STREAM_VERSION},
                                sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        return sha256(canonical.encode()).hexdigest()[:12]
 
     def replace(self, **changes) -> "NetworkConfig":
         return dataclasses.replace(self, **changes)

@@ -341,9 +341,11 @@ def _run_fresh(code: str, *args: str, returncode: int = 0, cwd: Path | None = No
 # what a cold start must not pay for unless it computes: numpy is most of a
 # cold start and the Monte-Carlo engine's alone; numpy.random would cost the
 # engine peak memory, as the lattice's shifts come from the standard library;
-# scipy.special alone is about half of a cold start; and the engine runs in one
-# process, so nothing needs the 10 ms multiprocessing import
-_WATCHED = ("numpy", "numpy.random", "scipy", "multiprocessing")
+# scipy.special alone is about half of a cold start; the engine runs in one
+# process, so nothing needs the 10 ms multiprocessing import; and the config
+# hash takes the builtin sha256, so no command loads OpenSSL's libcrypto
+# through hashlib's _hashlib, about 3.5 MB of peak memory
+_WATCHED = ("numpy", "numpy.random", "scipy", "multiprocessing", "_hashlib")
 # runs the command in sys.argv[1:]; click returns where the script would exit
 _COMMAND = (
     "from riscov import cli\n"
@@ -436,7 +438,7 @@ class TestColdImport:
         (_COMMAND, ["hist", "--quantity", "r1", *_MC_TRIALS], 0, {"numpy"}),
         (_COMMAND, [*_SWEEP, "coverage", "--with-mc", *_MC_TRIALS], 0, {"numpy"}),
         # positive control: the probe sees every package once it is loaded
-        ("import multiprocessing, numpy.random, scipy\n" + _COMMAND, [*_SWEEP, "e_r1"], 0, set(_WATCHED)),
+        ("import hashlib, multiprocessing, numpy.random, scipy\n" + _COMMAND, [*_SWEEP, "e_r1"], 0, set(_WATCHED)),
     ], ids=["import-cli", "import-closed-forms", "help", "version", "config-error", "analytic",
             "sweep-coverage", "sweep-e_p_ris", "sweep-e_r1", "compare", "simulate", "hist-r1", "sweep-with-mc",
             "control"])

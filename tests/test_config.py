@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from riscov.config import (
 )
 
 
+# NetworkConfig().config_hash() at the current stream version, from hashlib.sha256
+DEFAULT_HASH = "7a684ea3d607"
 REAL_FIELDS = ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
 
 
@@ -107,9 +113,20 @@ class TestHashing:
     def test_hash_carries_stream_version(self, monkeypatch):
         cfg = NetworkConfig()
         before = cfg.config_hash()
-        assert config.STREAM_VERSION == 11 and before == "7a684ea3d607"
+        assert config.STREAM_VERSION == 11 and before == DEFAULT_HASH
         monkeypatch.setattr(config, "STREAM_VERSION", 12)
         assert cfg.config_hash() != before
+
+    def test_hash_without_builtin_digests_comes_from_hashlib(self):
+        # a build without _sha2 (3.12+) and _sha256 (3.10, 3.11) falls back
+        # to hashlib, whose sha256 gives the same, pinned, hash
+        code = ('import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+                "from riscov.config import NetworkConfig\n"
+                'print(NetworkConfig().config_hash(), "_hashlib" in sys.modules)')
+        src = Path(config.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == [DEFAULT_HASH, "True"]
 
     def test_comments_do_not_change_hash(self, tmp_path):
         plain = tmp_path / "a.yaml"
