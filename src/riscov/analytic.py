@@ -16,13 +16,19 @@ approximations depend on the deployment only through one power-free ratio
 ``kappa`` itself would leave the float range. approx1 is path-A coverage at
 the scaled threshold ``T * kappa**(-a/2)``.
 
+At ``a = 4``, the default, the factor is elementary: ``I(T, 4) =
+sqrt(T) * atan(sqrt(T))``, which both kernels evaluate as ``r * atan(r)``
+with ``r = exp(2u)``, ``u = log(T) / 4``. Every other ``a`` sums the series
+below.
+
 The hypergeometric function is summed here rather than imported from
 ``scipy.special``, whose import alone costs about half of a cold start. This
 is the one kernel of the package: :func:`_horner` and the branch formulas
 :func:`_below_one` and :func:`_above_one` use operators only, so they take a
 float from this module and, elementwise, a numpy array from
 :func:`riscov.montecarlo.interference_factor_from_log`, which supplies numpy's
-``exp`` and ``expm1`` and splits the elements between the branches.
+``exp`` and ``expm1`` and splits the elements between the branches (and at
+``a = 4`` numpy's ``exp`` and ``arctan``).
 
 With ``b = 1 - 2/a``, the Pfaff transformation (DLMF 15.8.1) gives
 ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with
@@ -131,6 +137,12 @@ def direct_factors(cfg: NetworkConfig) -> tuple[tuple[float, float], ...]:
 def interference_factor_from_log(log_t_per_alpha: float, alpha: float) -> float:
     """``I(T, alpha)`` from ``log(T) / alpha`` (module docstring); nan where that is nan."""
     u = log_t_per_alpha
+    if alpha == 4.0:
+        try:
+            r = math.exp(2.0 * u)  # sqrt(T)
+        except OverflowError:  # I lies beyond the float range
+            return math.inf
+        return r * math.atan(r)
     e = math.exp(-abs(alpha * u))  # min(T, 1/T); log T may overflow to +-inf, where e is 0
     w = e / (1.0 + e)
     if u <= 0.0:

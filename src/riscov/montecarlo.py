@@ -72,7 +72,7 @@ integrates the indicator out (Griewank, Kuo, Leovey & Sloan 2018,
 ``gamma_b``, the coverage given engagement, by ``g``. Every point counts in
 every metric; ``gamma_b`` has no estimate only where every ``g`` is 0.
 
-Points (``riscov.config.STREAM_VERSION`` 11). Each value is a bounded
+Points (``riscov.config.STREAM_VERSION`` 12). Each value is a bounded
 function of the trial's point, so :func:`run` integrates it over the 4-cube
 with a randomly shifted rank-1 lattice rule (Cranley & Patterson 1976;
 L'Ecuyer & Lemieux, "Variance reduction via lattice rules", Management
@@ -149,11 +149,16 @@ def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
 
     The arithmetic is :mod:`riscov.analytic`'s own: its branch helpers take
     an array as they take a float, so an array call matches 0-d calls bit for
-    bit. Only numpy's ``exp`` and ``expm1`` are this module's, and they may
-    differ from ``math``'s in the last ulp, so a value may differ from the
-    ``math`` form by a few ulp.
+    bit. At ``alpha = 4`` both take ``r * atan(r)``. Only numpy's ``exp``,
+    ``expm1`` and ``arctan`` are this module's, and they may differ from
+    ``math``'s in the last ulp, so a value may differ from the ``math`` form
+    by a few ulp.
     """
     u = np.asarray(log_t_per_alpha, dtype=float)
+    if alpha == 4.0:
+        with np.errstate(over="ignore"):  # where I lies beyond the float range, inf
+            r = np.exp(2.0 * u)  # sqrt(T)
+            return np.asarray(r * np.arctan(r))
     with np.errstate(over="ignore"):  # log T may overflow to +-inf, where e is 0
         e = np.exp(-np.abs(alpha * u))  # min(T, 1/T)
     w = e / (1.0 + e)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -129,11 +130,29 @@ class TestInterferenceFactor:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_economized_factor_matches_the_56_term_series_within_8_ulp(self, alpha):
         # the plain 56-term sum in w is the reference; it carries a few ulp of
-        # rounding of its own
+        # rounding of its own. The branch helpers are called directly: at
+        # alpha = 4 the package takes r * atan(r), the more accurate form there
         log_t = np.concatenate([np.linspace(-800.0, 800.0, 1601), [-np.inf, np.inf]])
         for u in log_t / alpha:
-            assert within_ulps(analytic.interference_factor_from_log(u, alpha),
+            assert within_ulps(pfaff_interference_factor_from_log(u, alpha, economized=True),
                                pfaff_interference_factor_from_log(u, alpha), 8), (u, alpha)
+
+    def test_alpha4_closed_form_within_3_ulp_of_40_digits(self):
+        # I(T, 4) = r * atan(r), r = sqrt(T) = exp(2u), in both kernels; the
+        # worst of 60,000 random u in [-10, 30] measured 2.5 ulp. Past 2u of
+        # about 709.8 math.exp overflows and I lies beyond the float range: inf
+        u = np.concatenate([np.linspace(-200.0, 400.0, 6001), [-np.inf, np.inf, np.nan]])
+        in_kernel = montecarlo.interference_factor_from_log(u, 4.0).tolist()
+        for x, array_value in zip(u.tolist(), in_kernel):
+            scalar = analytic.interference_factor_from_log(x, 4.0)
+            if math.isnan(x):
+                assert math.isnan(scalar) and math.isnan(array_value)
+                continue
+            with mpmath.workdps(40):
+                r = mpmath.exp(2 * mpmath.mpf(x))
+                exact = r * mpmath.atan(r)
+                for got in (scalar, array_value):
+                    assert got == float(exact) or abs(got - exact) <= 3 * math.ulp(float(exact)), (x, got)
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_chebyshev_tail_past_the_degree_is_below_double_precision(self, alpha):

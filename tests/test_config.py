@@ -25,7 +25,7 @@ from riscov.config import (
 
 
 # NetworkConfig().config_hash() at the current stream version, from hashlib.sha256
-DEFAULT_HASH = "7a684ea3d607"
+DEFAULT_HASH = "821918cee7ca"
 REAL_FIELDS = ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
 
 
@@ -113,8 +113,8 @@ class TestHashing:
     def test_hash_carries_stream_version(self, monkeypatch):
         cfg = NetworkConfig()
         before = cfg.config_hash()
-        assert config.STREAM_VERSION == 11 and before == DEFAULT_HASH
-        monkeypatch.setattr(config, "STREAM_VERSION", 12)
+        assert config.STREAM_VERSION == 12 and before == DEFAULT_HASH
+        monkeypatch.setattr(config, "STREAM_VERSION", 13)
         assert cfg.config_hash() != before
 
     def test_hash_without_builtin_digests_comes_from_hashlib(self):
