@@ -27,8 +27,7 @@ is the one kernel of the package: :func:`_horner` and the branch formulas
 :func:`_below_one` and :func:`_above_one` use operators only, so they take a
 float from this module and, elementwise, a numpy array from
 :func:`riscov.montecarlo.interference_factor_from_log`, which supplies numpy's
-``exp`` and ``expm1`` and splits the elements between the branches (and at
-``a = 4`` numpy's ``exp`` and ``arctan``).
+``exp`` and ``expm1`` and splits the elements between the branches.
 
 With ``b = 1 - 2/a``, the Pfaff transformation (DLMF 15.8.1) gives
 ``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with

@@ -38,7 +38,7 @@ import yaml
 from .errors import RiscovError
 
 # CPython's builtin sha256, as ``random`` takes its sha512: ``hashlib`` loads
-# OpenSSL's libcrypto, about 3.5 MB of resident memory that no command needs
+# OpenSSL's libcrypto, about 3.6 MB of resident memory that no command needs
 try:
     from _sha2 import sha256  # CPython 3.12 and later
 except ImportError:

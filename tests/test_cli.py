@@ -344,7 +344,7 @@ def _run_fresh(code: str, *args: str, returncode: int = 0, cwd: Path | None = No
 # scipy.special alone is about half of a cold start; the engine runs in one
 # process, so nothing needs the 10 ms multiprocessing import; and the config
 # hash takes the builtin sha256, so no command loads OpenSSL's libcrypto
-# through hashlib's _hashlib, about 3.5 MB of peak memory
+# through hashlib's _hashlib, about 3.6 MB of peak memory
 _WATCHED = ("numpy", "numpy.random", "scipy", "multiprocessing", "_hashlib")
 # runs the command in sys.argv[1:]; click returns where the script would exit
 _COMMAND = (
