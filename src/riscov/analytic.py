@@ -22,8 +22,8 @@ with ``r = exp(2u)``, ``u = log(T) / 4``. Every other ``a`` sums the series
 below.
 
 The hypergeometric function is summed here rather than imported from
-``scipy.special``, whose import alone costs about half of a cold start. This
-is the one kernel of the package: :func:`_horner` and the branch formulas
+``scipy.special``, whose import alone costs about half of a cold start. The
+series has one implementation in the package: :func:`_horner` and the branch formulas
 :func:`_below_one` and :func:`_above_one` use operators only, so they take a
 float from this module and, elementwise, a numpy array from
 :func:`riscov.montecarlo.interference_factor_from_log`, which supplies numpy's

@@ -187,23 +187,18 @@ def _power_sum(coefficients, w):
     return total * w
 
 
-def pfaff_interference_factor_from_log(u, alpha, economized=False):
+def pfaff_interference_factor_from_log(u, alpha):
     """``I(T, alpha)`` from ``u = log(T) / alpha`` by the plain 56-term Pfaff series in ``w``.
 
     The branches are those of :func:`riscov.analytic.interference_factor_from_log`
     (DLMF 15.8.1 for ``T <= 1``, 15.8.2 beyond), and the split-off term is
-    its ``_log_leading``; only the series is summed here term by term. With
-    ``economized``, the package's branch helpers ``_below_one`` and
-    ``_above_one`` sum it instead: the economized series at every ``alpha``,
-    4 included, where the package takes ``r * atan(r)``.
+    its ``_log_leading``; only the series is summed here term by term.
     """
     low, shortfall = pfaff_coefficients(alpha)
     log_t = alpha * u
     if u <= 0.0:
         t = math.exp(log_t)
         w = t / (1.0 + t)
-        if economized:
-            return analytic._below_one(alpha, w)
         return 2.0 / (alpha - 2.0) * w * (1.0 + _power_sum(low, w))
     inverse = math.exp(-log_t)
     w = inverse / (1.0 + inverse)
@@ -211,8 +206,6 @@ def pfaff_interference_factor_from_log(u, alpha, economized=False):
         head = math.expm1(analytic._log_leading(alpha) + 2.0 * u)
     except OverflowError:
         head = math.inf
-    if economized:
-        return analytic._above_one(alpha, head, w)
     return head - (1.0 - w) * _power_sum(shortfall, w)
 
 
