@@ -57,7 +57,7 @@ HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris_dbw")  # what riscov.montecarlo
 # Layout of the Monte-Carlo random streams and of the estimator that reduces
 # them (see riscov.montecarlo). It enters every config hash, so outputs of
 # different stream layouts or estimators never share one.
-STREAM_VERSION = 12
+STREAM_VERSION = 13
 
 
 class ConfigError(RiscovError, ValueError):

@@ -72,7 +72,7 @@ integrates the indicator out (Griewank, Kuo, Leovey & Sloan 2018,
 ``gamma_b``, the coverage given engagement, by ``g``. Every point counts in
 every metric; ``gamma_b`` has no estimate only where every ``g`` is 0.
 
-Points (``riscov.config.STREAM_VERSION`` 12). Each value is a bounded
+Points (``riscov.config.STREAM_VERSION`` 13). Each value is a bounded
 function of the trial's point, so :func:`run` integrates it over the 4-cube
 with a randomly shifted rank-1 lattice rule (Cranley & Patterson 1976;
 L'Ecuyer & Lemieux, "Variance reduction via lattice rules", Management
@@ -90,8 +90,12 @@ index by index, every shift of an index in turn. A run evaluates the first
 ``m = n_trials // SHIFTS`` lattice indices: ``SHIFTS * m`` points, never
 more than ``n_trials``. Each shift's mean is an unbiased estimate, and the
 shifts are independent, so the run's output depends on ``(master_seed,
-n_trials)`` and the config alone. :func:`draw`, which ``hist`` bins, maps
-the first ``n_trials`` of these points with :func:`_trials`.
+n_trials)`` and the config alone. :func:`looks` also yields the estimates
+after the first 4, 8, 16, ... and at most ``2**15`` indices (128 to
+``2**20`` points), each prefix a whole lattice, and they are those of a run
+of that many points; ``compare`` stops at the first of these looks that
+decides every gate. :func:`draw`, which ``hist`` bins, maps the first
+``n_trials`` of these points with :func:`_trials`.
 
 Small fades. :func:`run` maps a point ``v`` to the trial at ``u = (v0, v1 *
 g, v2, v3**2)``, and ``gamma_b`` and ``gamma_s``, which read the fade, weight
@@ -99,8 +103,9 @@ it by the Jacobian ``2 * v3``: at -10 dB and ``alpha = 3``, 90% of
 ``gamma_s``'s variance over independent points comes from fades ``f1``
 below 1e-2, which ``v3**2`` reaches at ten times as many points.
 
-Reduction. :func:`run` walks the lattice indices in blocks of
-``VALUE_BLOCK // SHIFTS``, every shift at once, and sums per shift, for each
+Reduction. :func:`looks` walks the lattice indices in blocks, every shift
+at once: 0-3, 4-7, 8-15, 16-31 and 32-63, then ``VALUE_BLOCK // SHIFTS`` at
+a time, so that a block ends at each look. It sums per shift, for each
 metric at each threshold, the weights and the values' weighted deviations
 from a reference: the first block's weighted mean, which keeps the digits
 in which the shift means differ where they agree to more digits than the
@@ -134,6 +139,10 @@ from .errors import NumericalError
 VALUE_BLOCK = 2048  # points drawn and reduced together; few enough to keep the peak RSS low
 SHIFTS = 32  # random shifts of the lattice: independent estimates, whose spread gives the half-width
 T_QUANTILE = 2.039513446396408  # Student's t at 0.975 with SHIFTS - 1 degrees of freedom
+# looks() yields after 2**2 to 2**15 lattice indices per shift and at the last: at most 15 looks, over
+# which the 5% outside a 95% interval is split evenly (Bonferroni)
+LOOK_QUANTILE = 3.1800181020329155  # Student's t at 1 - 0.025 / 15 with SHIFTS - 1 degrees of freedom
+_LAST_DOUBLING = 1 << 15  # lattice indices per shift at the last look before the cap: 2**20 points
 # generating vector of the embedded lattice, for 2**7 to 2**15 points per
 # shift; tests/lattice_search.py finds it and tests its figure of merit
 LATTICE = (1, 3535, 10303, 6007)
@@ -204,10 +213,10 @@ def _points(shifts: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The tent-transformed points at the lattice indices ``start`` to ``stop - 1``, index-major.
 
     Row ``k`` is index ``start + k // SHIFTS`` under shift ``k % SHIFTS``.
-    ``start`` is a multiple of ``_INDICES`` and the block holds at most
-    ``_INDICES`` indices, so their radical inverses are ``start``'s plus
-    those of ``0`` to ``stop - start - 1``. Products wrap modulo ``2**64``,
-    a multiple of ``2**53``.
+    The block holds at most ``_INDICES`` indices, and ``start`` is 0 or a
+    multiple of a power of two at least their count, so their radical
+    inverses are ``start``'s plus those of ``0`` to ``stop - start - 1``.
+    Products wrap modulo ``2**64``, a multiple of ``2**53``.
     """
     inverses = _LOW_INVERSES[:stop - start] + _radical_inverse(start)
     lattice = (inverses[:, None] * np.array(LATTICE, dtype=np.uint64)) & _MASK
@@ -230,6 +239,19 @@ def _trials(cfg: NetworkConfig, u: np.ndarray) -> TrialRecords:
         log_q_per_alpha = (np.log(r1) + np.log(r2) - 0.5 * np.log(r0_sq) + cfg.log_k_per_alpha
                            - np.log(f1) / cfg.alpha)
     return TrialRecords(log_q_per_alpha=log_q_per_alpha, f1=f1, r0=r0, r1=r1, r2=r2)
+
+
+def _blocks(per_shift: int) -> Iterator[tuple[int, int]]:
+    """The ``(start, stop)`` lattice index ranges of a run of ``per_shift`` indices, in order.
+
+    They are 0-3, 4-7, 8-15, 16-31 and 32-63, then ``_INDICES`` at a time,
+    each cut at ``per_shift``: every block is a valid :func:`_points` range,
+    and one ends at each power of two below ``per_shift``.
+    """
+    start, stop = 0, 4
+    while start < per_shift:
+        yield start, min(stop, per_shift)
+        start, stop = stop, stop + min(stop, _INDICES)
 
 
 def _block_sums(cfg: NetworkConfig, shifts: np.ndarray, start: int, stop: int, direct: tuple,
@@ -345,20 +367,37 @@ def draw(cfg: NetworkConfig) -> TrialRecords:
                                         for start in range(0, per_shift, _INDICES)])[:cfg.n_trials])
 
 
-def run(cfg: NetworkConfig) -> dict[str, Coverage]:
-    """``Pr[SIR > T]`` of the configured run: one :class:`Coverage` per name of :data:`METRICS`.
+def looks(cfg: NetworkConfig) -> Iterator[tuple[int, dict[str, Coverage]]]:
+    """``(points, estimates)`` of the configured run after each doubling of its lattice indices, and at its end.
 
-    Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]`` from all
-    :func:`point_count` lattice points (module docstring); it needs ``n_trials`` of at least 100.
+    The looks come after 4, 8, 16, ... and at most ``2**15`` indices per
+    shift, each below ``n_trials // SHIFTS``, and last at that count: the
+    last look's ``points`` is :func:`point_count`. The blocks of a run are a
+    prefix of those of any longer one, so a look's estimates are those of
+    :func:`run` with ``n_trials = points``, bit for bit. It needs
+    ``n_trials`` of at least 100.
     """
     if cfg.n_trials < 100:
         raise ConfigError([f"n_trials: must be at least 100 to estimate coverage, got {cfg.n_trials}"])
     direct = analytic.direct_factors(cfg)
     shifts, per_shift = _shifts(cfg), cfg.n_trials // SHIFTS
-    total, reference = _block_sums(cfg, shifts, 0, min(_INDICES, per_shift), direct, None)
-    for start in range(_INDICES, per_shift, _INDICES):
-        total += _block_sums(cfg, shifts, start, min(start + _INDICES, per_shift), direct, reference)[0]
-    return _estimates(total, reference)
+    total = reference = None
+    for start, stop in _blocks(per_shift):
+        sums, reference = _block_sums(cfg, shifts, start, stop, direct, reference)
+        total = sums if total is None else total + sums
+        if stop == per_shift or (stop <= _LAST_DOUBLING and stop & (stop - 1) == 0):
+            yield SHIFTS * stop, _estimates(total, reference)
+
+
+def run(cfg: NetworkConfig) -> dict[str, Coverage]:
+    """``Pr[SIR > T]`` of the configured run, the last of :func:`looks`: one :class:`Coverage` per name of :data:`METRICS`.
+
+    Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]`` from all
+    :func:`point_count` lattice points (module docstring); it needs ``n_trials`` of at least 100.
+    """
+    for _, estimates in looks(cfg):
+        pass
+    return estimates
 
 
 def empirical_histogram(cfg: NetworkConfig, quantity: str, bins: int = 60) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

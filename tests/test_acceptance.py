@@ -336,7 +336,7 @@ def test_c13_asymptotics():
 def test_c14_compare_pipeline_determinism(tmp_path):
     runner = CliRunner()
     cfg = tmp_path / "cfg.yaml"
-    # ten blocks of 64 lattice points under each of 32 shifts, the last one partial
+    # capped at 625 lattice points under each of 32 shifts; both runs stop at the same look
     cfg.write_text("n_trials: 20000\nmaster_seed: 321\n")
     outputs = {}
     for sub in ("first", "second"):

@@ -117,8 +117,8 @@ class TestSimulateCommand:
         cfg.write_text("n_trials: 2000\n")
         result, caught = _invoke(runner, [command, "-c", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == cli.EXIT_PIPELINE_ERROR and caught == []
-        # 2000 trials are 62 lattice points under each of 32 shifts, one block
-        assert result.stderr == "pipeline error: lattice points 0-61: a coverage value leaves the float range\n"
+        # the first block of lattice points, 0-3 under each of 32 shifts
+        assert result.stderr == "pipeline error: lattice points 0-3: a coverage value leaves the float range\n"
         assert not list(tmp_path.glob("*.csv"))
 
     def test_emits_four_metrics_per_threshold(self, runner, tmp_path):
@@ -291,7 +291,8 @@ class TestCompare:
                    else "\x1b[" not in line for line in gates), gates
 
     def test_report_counts_the_points_that_compare_csv_counts(self, runner, tmp_path):
-        # 2000 trials evaluate 32 shifts of 62 lattice points
+        # of the cap's 32 shifts of 62 lattice points, the first look, 32
+        # shifts of 4, decides both gates
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("n_trials: 2000\nthresholds_db: [0]\n")
         result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--out", str(tmp_path)], catch_exceptions=False)
@@ -299,7 +300,28 @@ class TestCompare:
         report = json.loads((tmp_path / "compare_report.json").read_text())
         rows = read_rows(tmp_path / "compare.csv")
         counts = {r["n_trials"] for r in rows if r["engine"] == "mc"}
-        assert report["n_trials"] == 1984 and counts == {"1984"}
+        assert report["n_trials"] == 128 and counts == {"128"}
+        assert [g["decided"] for g in report["gates"]] == [True, True]
+
+    def test_defaults_decide_every_gate(self, runner, tmp_path):
+        # the default cap is 1e5 points; the fourth look, 1,024, decides every gate
+        result = runner.invoke(cli.main, ["compare", "--out", str(tmp_path)], catch_exceptions=False)
+        assert result.exit_code == 0
+        report = json.loads((tmp_path / "compare_report.json").read_text())
+        assert report["n_trials"] == 1024 and all(g["decided"] for g in report["gates"])
+
+    def test_gate_undecided_at_the_cap_keeps_its_verdict(self, runner, tmp_path):
+        # approx2 overshoots gamma_b at N = 2, alpha = 3 by more than its
+        # margin, which 256 points cannot tell from their noise: the report
+        # says so, and the gap's own verdict still fails the run
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_elements: 2\nalpha: 3\n")
+        result = runner.invoke(cli.main, ["compare", "-c", str(cfg), "--trials", "256", "--out", str(tmp_path)])
+        assert result.exit_code == cli.EXIT_GATE_FAILED
+        report = json.loads((tmp_path / "compare_report.json").read_text())
+        [approx2] = [g for g in report["gates"] if g["engine"] == "approx2"]
+        assert report["n_trials"] == 256 and (approx2["decided"], approx2["passed"]) == (False, False)
+        assert "[FAIL] gamma_b vs approx2 @ +5.0 dB: " in result.output
 
     def test_thresholds_with_equal_linear_ratio_keep_their_labels(self, runner, tmp_path):
         # 0 dB and 1e-17 dB are distinct in the config but both 1.0 as linear ratios
@@ -743,14 +765,18 @@ def _values_near(expected, keep=lambda row: True, tol=0.0, rel=0.0):
 
 def _lines_as_at(changes, prefixes=("",)):
     """A check: the CSV lines that start with one of ``prefixes`` are, but for provenance, those of
-    ``cfg.replace(**changes)``."""
+    ``cfg.replace(**changes)``; compare's mc lines are those of simulate at the count it stopped at."""
     def lines(text):  # each line without its config_hash and seed cells
         return [line.rsplit(",", 2)[0] for line in text.splitlines()[1:] if line.startswith(prefixes)]
 
     def check(out_dir, cfg):
         [path] = out_dir.glob("*.csv")
         run = cli.run_analytic if path.stem == "analytic" else cli.run_simulate
-        assert lines(path.read_text()) == lines(cli.rows_to_csv(run(cfg.replace(**changes)))) != []
+        at = dict(changes)
+        if path.stem == "compare":
+            [points] = {row["n_trials"] for row in read_rows(path) if row["engine"] == "mc"}
+            at["n_trials"] = int(points)
+        assert lines(path.read_text()) == lines(cli.rows_to_csv(run(cfg.replace(**at)))) != []
     return check
 
 

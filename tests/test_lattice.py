@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import lattice_search
-from riscov import analytic, montecarlo
+from riscov import analytic, cli, montecarlo
 from riscov.config import NetworkConfig
 
 
@@ -41,6 +41,11 @@ class TestGeneratingVector:
 
     def test_t_quantile(self):
         assert montecarlo.T_QUANTILE == pytest.approx(stats.t.ppf(0.975, montecarlo.SHIFTS - 1), rel=1e-14)
+
+    def test_look_quantile(self):
+        # the 2.5% in each tail split over a run's 15 looks at most
+        assert montecarlo.LOOK_QUANTILE == pytest.approx(stats.t.ppf(1 - 0.025 / 15, montecarlo.SHIFTS - 1),
+                                                         rel=1e-14)
 
 
 def tent_lattice_point(i: int, shift: tuple) -> list:
@@ -150,3 +155,28 @@ class TestCoverageHonesty:
         rates = np.array(rates) / len(seeds)
         assert 0.90 <= rates.mean() <= 0.99, rates
         assert rates.min() >= 0.85, rates
+
+
+def _verdicts(report: dict) -> dict:
+    return {(g["engine"], g["t_db"]): g["passed"] for g in report["gates"]}
+
+
+class TestEarlyVerdicts:
+    def test_early_verdicts_match_a_long_run(self):
+        # compare stops at the first look where every gate is decided; over
+        # 20 seeds at the default cap its verdicts must equal those of one
+        # fixed-seed 2**18-point run, failures included. The configs are the
+        # defaults, lambda_ris = 1000 and 1e4, alpha = 3 with N = 2, N = 1,
+        # alpha = 2.5 and alpha = 1000, and lambda_ris = 10**4.5, where the
+        # approx1 gap at 2**12 points lies 1.71 half-widths from its
+        # tolerance (the scan that CHANGES.md records). Configs, seeds and
+        # the bound, equality, were fixed before the first run
+        changes = ({}, {"lambda_ris": 1000.0}, {"lambda_ris": 1e4}, {"alpha": 3.0, "n_elements": 2},
+                   {"n_elements": 1}, {"alpha": 2.5}, {"alpha": 1000.0}, {"lambda_ris": 31622.776602})
+        for change in changes:
+            long_run = NetworkConfig(n_trials=1 << 18, master_seed=10**6, **change)
+            expected = _verdicts(cli.build_comparison(long_run, cli.run_analytic(long_run),
+                                                      cli.run_simulate(long_run)))
+            for seed in range(20):
+                _, report = cli.run_compare(NetworkConfig(master_seed=seed, **change))
+                assert _verdicts(report) == expected, (change, seed, report["n_trials"])

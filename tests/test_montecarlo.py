@@ -42,13 +42,15 @@ SIMULATE_DIGESTS = {
     10: "c13db37aade4e277f7b8b159e29de68ebc6a8167343a9ddaea6364f9e8852aac",
     11: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
     12: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
+    13: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
 }
 
 # sha256 of the probability and ci_half_width bytes of every metric, in METRICS
 # order, of montecarlo.run with 20000 trials at each alpha, by stream version:
 # a last-ulp change that the CSV's 10 digits round away changes it (stream 8
-# moved these bytes at both alphas, and stream 12 at alpha 4, and both left the
-# simulate rows as they were). At
+# moved these bytes at both alphas, stream 12 at alpha 4 and stream 13, whose
+# reference is the mean of a first block of 4 lattice indices, at both; all
+# three left the simulate rows as they were). At
 # alpha 3, unlike 4, the series coefficients computed with math instead of
 # numpy moved these bytes at stream 7. Another numpy or platform may round exp
 # and log differently, so the bytes are pinned for one build only
@@ -76,6 +78,10 @@ RUN_BYTES_DIGESTS = {
     12: {
         4.0: "f7b84ce544c31473693ace2c725681985a035756cb928833cfbae9ce526d97ec",
         3.0: "0a443a89c2432f67a0f9be7e7e37b353f4ae96058f50be9c039f1434fe8538e4",
+    },
+    13: {
+        4.0: "57ff0cc649730983834eb78ae0fb7555af45016d2ee533039177925f4e9ced44",
+        3.0: "4806376060e636dbcf3999b115fe67363b84a83535dce0d9e87c8dfd88b515fc",
     },
 }
 RUN_BYTES_BUILD = ((3, 11), "2.4.6")
@@ -583,10 +589,11 @@ class TestBlockReduction:
         counting(montecarlo)
         counting(analytic)
         thresholds = (-3.0, 0.0, 3.0)
+        # 257 lattice indices: blocks 0-3, 4-7, 8-15, 16-31 and 32-63, three of 64 and one of 1
         montecarlo.run(small_cfg(n_trials=4 * montecarlo.VALUE_BLOCK + montecarlo.SHIFTS, thresholds_db=thresholds))
         assert calls.count(("riscov.analytic", 0)) == len(thresholds)
-        assert calls.count(("riscov.montecarlo", 2)) == 5 * len(thresholds)
-        assert len(calls) == 6 * len(thresholds)
+        assert calls.count(("riscov.montecarlo", 2)) == 9 * len(thresholds)
+        assert len(calls) == 10 * len(thresholds)
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_direct_factor_is_the_closed_forms_own(self, alpha, monkeypatch):
@@ -604,7 +611,7 @@ class TestBlockReduction:
 
         monkeypatch.setattr(montecarlo, "_block_sums", recording)
         montecarlo.run(cfg)
-        assert seen == [table]
+        assert seen == [table, table]  # the blocks of lattice indices 0-3 and 4-5
         p_single, p_split = cfg.retentions
         log_kappa = analytic.log_reflector_ratio(cfg)
         assert analytic.coverage_baseline(cfg) == tuple(1.0 / (1.0 + p_single * f) for _, f in table)
@@ -619,24 +626,48 @@ class TestBlockReduction:
             np.testing.assert_array_equal(values["gamma_a"], np.exp(-p_split * area * factor))
 
     def test_nonfinite_block_names_its_trials(self, monkeypatch):
-        # the third of four blocks turns nan; the blocks before it reduced
-        # cleanly, and the message names its lattice indices
+        # 197 lattice indices are blocks 0-3, 4-7, 8-15, 16-31, 32-63, 64-127,
+        # 128-191 and 192-196; the seventh turns nan, the blocks before it
+        # reduced cleanly, and the message names its lattice indices
         seen = []
         values = montecarlo._values
 
-        def nan_in_third_block(cfg, records, engaged, direct):
+        def nan_in_seventh_block(cfg, records, engaged, direct):
             by_threshold = list(values(cfg, records, engaged, direct))
             seen.append(len(records.r0))
-            if len(seen) == 3:
+            if len(seen) == 7:
                 by_threshold[0]["gamma_a"] = np.full_like(by_threshold[0]["gamma_a"], math.nan)
             return by_threshold
 
-        monkeypatch.setattr(montecarlo, "_values", nan_in_third_block)
+        monkeypatch.setattr(montecarlo, "_values", nan_in_seventh_block)
         block, indices = montecarlo.VALUE_BLOCK, montecarlo._INDICES
         cfg = small_cfg(n_trials=3 * block + 5 * montecarlo.SHIFTS, thresholds_db=(0.0,))
         with pytest.raises(NumericalError, match=f"^lattice points {2 * indices}-{3 * indices - 1}: "):
             montecarlo.run(cfg)
-        assert seen == [block, block, block]
+        assert seen == [128, 128, 256, 512, 1024, block, block]
+
+
+class TestLooks:
+    def test_each_look_is_the_run_of_its_count_and_run_is_the_last(self):
+        # the blocks of a run are a prefix of a longer run's, so a look's
+        # estimates are those of run at its point count, bit for bit
+        cfg = small_cfg(n_trials=5000, lambda_ris=100.0, thresholds_db=(-10.0, 5.0))  # 156 indices per shift
+        looks = list(montecarlo.looks(cfg))
+        assert [points for points, _ in looks] == [128, 256, 512, 1024, 2048, 4096, 4992]
+        runs = [montecarlo.run(cfg.replace(n_trials=points)) for points, _ in looks] + [montecarlo.run(cfg)]
+        for (_, estimates), expected in zip([*looks, looks[-1]], runs):
+            for metric in montecarlo.METRICS:
+                for got, want in zip(estimates[metric], expected[metric]):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_doublings_end_at_2_to_the_20_points(self, monkeypatch):
+        # at most the 15 looks that LOOK_QUANTILE splits the 5% over: each
+        # doubling from 2**7 to 2**20 points, and the cap; the sums are
+        # stubbed, so no point is evaluated
+        monkeypatch.setattr(montecarlo, "_block_sums", lambda cfg, shifts, start, stop, direct, reference: (0, None))
+        monkeypatch.setattr(montecarlo, "_estimates", lambda total, reference: None)
+        cfg = NetworkConfig(n_trials=3 << 20, thresholds_db=(0.0,))
+        assert [points for points, _ in montecarlo.looks(cfg)] == [1 << m for m in range(7, 21)] + [3 << 20]
 
 
 class TestStreamDigest:
