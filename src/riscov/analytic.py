@@ -7,14 +7,15 @@ aligned with its ``thresholds_db``. Every value is a probability in [0, 1].
 
 Every expression is exact and evaluated without quadrature. The interference
 factor is ``I(T, a) = 2T/(a-2) * 2F1(1, 1-2/a; 2-2/a; -T)`` (Andrews, Baccelli
-& Ganti, IEEE TCOM 2011); :func:`direct_factors` holds it at each configured
-threshold, for the direct paths of both engines. The two reflected-path
+& Ganti, IEEE TCOM 2011); :func:`direct_factors` holds it, with ``u =
+log(T)/a``, at each configured threshold: all four closed forms read that
+table, and so do the engine's direct paths. The two reflected-path
 approximations depend on the deployment only through one power-free ratio
 ``kappa``, which holds the floored moment ``E[r1**-2 ; r1 >= eps]`` of
 :func:`riscov.geometry.log_expected_inv_r1_pow`. Both are evaluated from
 ``log(kappa)`` (:func:`log_reflector_ratio`), so they take their limits where
 ``kappa`` itself would leave the float range. approx1 is path-A coverage at
-the scaled threshold ``T * kappa**(-a/2)``.
+the scaled threshold ``T * kappa**(-a/2)``, read at ``u - log(kappa)/2``.
 
 At ``a = 4``, the default, the factor is elementary: ``I(T, 4) =
 sqrt(T) * atan(sqrt(T))``, which both kernels evaluate as ``r * atan(r)``
@@ -236,21 +237,22 @@ def coverage_path_b_approx1(cfg: NetworkConfig) -> tuple[float, ...]:
     path-A coverage at the threshold ``T' = T * kappa**(-a/2)``: ``1 / (1 + p *
     I(T', a))`` with ``p`` the split-beam retention. Where ``p * I(T', a)``
     leaves the float range, ``I(T', a) = pi*d/sin(pi*d) * T**d / kappa - 1``
-    (``d = 2/a``) to double precision, and the coverage is taken from
-    ``log(kappa)``, so that a tiny value keeps its relative accuracy.
+    (``d = 2/a``, ``T**d = exp(2u)`` from :func:`direct_factors`) to double
+    precision, and the coverage is taken from ``log(kappa)``, so that a tiny
+    value keeps its relative accuracy.
     """
     a, p = cfg.alpha, cfg.retentions[1]
     log_kappa = log_reflector_ratio(cfg)
 
-    def at(t: float) -> float:
-        # I(T') is read from log(T') / a, as a subnormal kappa**(-a/2) loses digits and T'
-        # may leave the float range; the sum of logs may overflow to its limit +-inf
-        weighted = p * interference_factor_from_log((math.log(t) - 0.5 * a * log_kappa) / a, a)
+    def at(u: float) -> float:
+        # I(T') is read from log(T') / a = u - log(kappa) / 2, as a subnormal kappa**(-a/2) loses
+        # digits and T' may leave the float range; the difference may overflow to its limit +-inf
+        weighted = p * interference_factor_from_log(u - 0.5 * log_kappa, a)
         if math.isfinite(weighted):
             return 1.0 / (1.0 + weighted)
-        return _reflected_coverage(log_kappa, p * (math.exp(_log_leading(a)) * t ** (2.0 / a) - math.exp(log_kappa)))
+        return _reflected_coverage(log_kappa, p * (math.exp(_log_leading(a)) * math.exp(2.0 * u) - math.exp(log_kappa)))
 
-    return tuple(map(at, cfg.thresholds_linear))
+    return tuple(at(u) for u, _ in direct_factors(cfg))
 
 
 def coverage_path_b_approx2(cfg: NetworkConfig) -> tuple[float, ...]:

@@ -172,7 +172,8 @@ def _mc_rows(cfg: NetworkConfig, points: int, estimates: dict) -> list[ResultRow
 def run_simulate(cfg: NetworkConfig) -> list[ResultRow]:
     """Simulate the configured run and reduce it to coverage rows."""
     from . import montecarlo
-    return _mc_rows(cfg, montecarlo.point_count(cfg), montecarlo.run(cfg))
+    *_, (points, estimates) = montecarlo.looks(cfg)
+    return _mc_rows(cfg, points, estimates)
 
 
 def run_compare(cfg: NetworkConfig) -> tuple[list[ResultRow], dict]:
@@ -196,11 +197,11 @@ def build_comparison(
 ) -> dict:
     """Join analytic and simulated curves and apply the gates of :data:`GATES`.
 
-    A gate passes by its gap. It is decided where the gap's interval, the
-    half-width widened from ``T_QUANTILE`` to ``LOOK_QUANTILE`` of
-    :mod:`riscov.montecarlo`, lies wholly on one side of the tolerance: for
-    an absolute gate inside ``[-tol, tol]`` or beyond one end of it, for a
-    lower bound at or above ``-tol`` or below it.
+    A gate's band is ``[-tol, tol]`` for an absolute gate and ``[-tol, inf)``
+    for a lower bound. It passes where its gap lies in the band. It is
+    decided where the gap's interval, the half-width widened from
+    ``T_QUANTILE`` to ``LOOK_QUANTILE`` of :mod:`riscov.montecarlo`, lies
+    wholly inside the band or wholly outside it.
     """
     from . import montecarlo  # loaded already by whatever made mc_rows
     widen = montecarlo.LOOK_QUANTILE / montecarlo.T_QUANTILE
@@ -215,11 +216,9 @@ def build_comparison(
             an_row = an_by[(g.engine, t_db)]
             gap = float(mc_row.value) - float(an_row.value)
             low, high = gap - widen * mc_row.ci_half_width, gap + widen * mc_row.ci_half_width
-            tol = g.tolerance
-            if g.kind == "absolute":
-                passed, decided = abs(gap) <= tol, -tol <= low and high <= tol or low > tol or high < -tol
-            else:
-                passed, decided = gap >= -tol, low >= -tol or high < -tol
+            bottom, top = -g.tolerance, g.tolerance if g.kind == "absolute" else math.inf  # the gate's band
+            passed = bottom <= gap <= top
+            decided = bottom <= low and high <= top or high < bottom or low > top
             gates.append(
                 {
                     "metric": g.metric,

@@ -355,16 +355,10 @@ def _estimates(sums: np.ndarray, reference: np.ndarray) -> dict[str, Coverage]:
     return {m: Coverage(p[i], half_width[i]) for i, m in enumerate(METRICS)}
 
 
-def point_count(cfg: NetworkConfig) -> int:
-    """The points that :func:`run` evaluates, every metric's count: ``SHIFTS`` shifts of ``n_trials // SHIFTS`` indices."""
-    return SHIFTS * (cfg.n_trials // SHIFTS)
-
-
 def draw(cfg: NetworkConfig) -> TrialRecords:
     """The records of the first ``n_trials`` points of the shifted lattices (module docstring), for histograms."""
-    shifts, per_shift = _shifts(cfg), -(-cfg.n_trials // SHIFTS)
-    return _trials(cfg, np.concatenate([_points(shifts, start, min(start + _INDICES, per_shift))
-                                        for start in range(0, per_shift, _INDICES)])[:cfg.n_trials])
+    shifts, per_shift = _shifts(cfg), -(-cfg.n_trials // SHIFTS)  # the whole indices that hold them
+    return _trials(cfg, np.concatenate([_points(shifts, *block) for block in _blocks(per_shift)])[:cfg.n_trials])
 
 
 def looks(cfg: NetworkConfig) -> Iterator[tuple[int, dict[str, Coverage]]]:
@@ -372,7 +366,8 @@ def looks(cfg: NetworkConfig) -> Iterator[tuple[int, dict[str, Coverage]]]:
 
     The looks come after 4, 8, 16, ... and at most ``2**15`` indices per
     shift, each below ``n_trials // SHIFTS``, and last at that count: the
-    last look's ``points`` is :func:`point_count`. The blocks of a run are a
+    last look's ``points``, ``SHIFTS * (n_trials // SHIFTS)``, never more
+    than ``n_trials``, is the count of a run. The blocks of a run are a
     prefix of those of any longer one, so a look's estimates are those of
     :func:`run` with ``n_trials = points``, bit for bit. It needs
     ``n_trials`` of at least 100.
@@ -393,10 +388,9 @@ def run(cfg: NetworkConfig) -> dict[str, Coverage]:
     """``Pr[SIR > T]`` of the configured run, the last of :func:`looks`: one :class:`Coverage` per name of :data:`METRICS`.
 
     Entry ``j`` of its arrays is the estimate at ``cfg.thresholds_linear[j]`` from all
-    :func:`point_count` lattice points (module docstring); it needs ``n_trials`` of at least 100.
+    the last look's lattice points (module docstring); it needs ``n_trials`` of at least 100.
     """
-    for _, estimates in looks(cfg):
-        pass
+    *_, (_, estimates) = looks(cfg)
     return estimates
 
 

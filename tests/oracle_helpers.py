@@ -525,8 +525,7 @@ def lattice_records(cfg):
     coordinate's Jacobian, and ``engaged`` is ``g``.
     """
     shifts, per_shift = montecarlo._shifts(cfg), cfg.n_trials // montecarlo.SHIFTS
-    u = np.concatenate([montecarlo._points(shifts, start, min(start + montecarlo._INDICES, per_shift))
-                        for start in range(0, per_shift, montecarlo._INDICES)])
+    u = np.concatenate([montecarlo._points(shifts, *block) for block in montecarlo._blocks(per_shift)])
     u = u.reshape(per_shift, montecarlo.SHIFTS, 4).transpose(1, 0, 2).reshape(-1, 4)
     weight = 2.0 * u[:, 3]
     u[:, 3] = u[:, 3] ** 2

@@ -193,6 +193,52 @@ class TestSimulateCommand:
         ).read_bytes()
 
 
+_WIDEN = montecarlo.LOOK_QUANTILE / montecarlo.T_QUANTILE  # build_comparison's widening of a half-width
+
+
+def _half_width_ending_at(gap: float, end: float) -> float:
+    """The half-width whose widened interval around ``gap`` has ``end`` as its nearer end, bit for bit."""
+    sign = 1.0 if end > gap else -1.0
+    half_width = abs(end - gap) / _WIDEN
+    for _ in range(100):
+        reached = gap + sign * (_WIDEN * half_width)
+        if reached == end:
+            return half_width
+        half_width = math.nextafter(half_width, math.inf if sign * (end - reached) > 0.0 else 0.0)
+    raise AssertionError(f"no half-width puts an end of the interval around {gap} at {end}")
+
+
+# rows of TestCompare.test_gate_verdict: analytic_q2 is an absolute gate of
+# tolerance 0.02, approx2 a lower bound of 0.03; a half-width of "-tol" or
+# "+tol" puts the widened interval's nearer end at that tolerance, bit for bit
+_GATE_VERDICTS = [
+    pytest.param("analytic_q2", -0.02, 0.0, True, True, id="absolute-gap-at-minus-tol"),
+    pytest.param("analytic_q2", 0.02, 0.0, True, True, id="absolute-gap-at-plus-tol"),
+    pytest.param("analytic_q2", 0.02, 1e-4, True, False, id="absolute-gap-at-tol-with-noise"),
+    pytest.param("analytic_q2", -0.01, "-tol", True, True, id="absolute-inside-touching-minus-tol"),
+    pytest.param("analytic_q2", 0.01, "+tol", True, True, id="absolute-inside-touching-plus-tol"),
+    pytest.param("analytic_q2", -0.03, "-tol", False, False, id="absolute-outside-touching-minus-tol"),
+    pytest.param("analytic_q2", 0.03, "+tol", False, False, id="absolute-outside-touching-plus-tol"),
+    pytest.param("analytic_q2", -0.04, 1e-3, False, True, id="absolute-wholly-below"),
+    pytest.param("analytic_q2", 0.04, 1e-3, False, True, id="absolute-wholly-above"),
+    pytest.param("analytic_q2", 0.0, math.inf, True, False, id="absolute-half-width-inf"),
+    pytest.param("analytic_q2", 0.0, math.nan, True, False, id="absolute-half-width-nan"),
+    pytest.param("analytic_q2", math.nan, 0.0, False, False, id="absolute-gap-nan"),
+    pytest.param("approx2", -0.03, 0.0, True, True, id="lower-gap-at-minus-tol"),
+    pytest.param("approx2", 0.03, 0.0, True, True, id="lower-gap-at-plus-tol"),
+    pytest.param("approx2", -0.03, 1e-4, True, False, id="lower-gap-at-minus-tol-with-noise"),
+    pytest.param("approx2", -0.02, "-tol", True, True, id="lower-inside-touching-minus-tol"),
+    pytest.param("approx2", 0.02, "+tol", True, True, id="lower-inside-touching-plus-tol"),
+    pytest.param("approx2", 0.04, "+tol", True, True, id="lower-above-touching-plus-tol"),
+    pytest.param("approx2", 0.5, 0.1, True, True, id="lower-far-above"),
+    pytest.param("approx2", -0.04, "-tol", False, False, id="lower-outside-touching-minus-tol"),
+    pytest.param("approx2", -0.05, 1e-3, False, True, id="lower-wholly-below"),
+    pytest.param("approx2", 0.0, math.inf, True, False, id="lower-half-width-inf"),
+    pytest.param("approx2", 0.0, math.nan, True, False, id="lower-half-width-nan"),
+    pytest.param("approx2", math.nan, 0.0, False, False, id="lower-gap-nan"),
+]
+
+
 class TestCompare:
     def test_tolerances_defaults(self):
         # the gates are constants here; a config cannot set them
@@ -219,6 +265,27 @@ class TestCompare:
         cfg = NetworkConfig(n_trials=200, thresholds_db=(0.0,))
         with pytest.raises(KeyError):
             cli.build_comparison(cfg, [], [])
+
+    @pytest.mark.parametrize("engine, gap, half_width, passed, decided", _GATE_VERDICTS)
+    def test_gate_verdict(self, engine, gap, half_width, passed, decided):
+        # one gate's gap and half-width in hand-built rows at 5 dB, where all
+        # four gates apply
+        cfg = NetworkConfig(thresholds_db=(5.0,))
+        gate = next(g for g in cli.GATES if g.engine == engine)
+        if isinstance(half_width, str):
+            half_width = _half_width_ending_at(gap, {"-tol": -gate.tolerance, "+tol": gate.tolerance}[half_width])
+        # one value of each pair is 0, so the gap is exact
+        analytic_value, mc_value = (0.0, gap) if not gap < 0.0 else (-gap, 0.0)
+        row = cli._row_builder(cfg)
+        analytic_rows = [row(engine=g.engine, metric=g.metric, t_db=5.0, value=analytic_value if g is gate else 0.5)
+                         for g in cli.GATES]
+        mc_rows = [row(engine="mc", metric=m, t_db=5.0, value=mc_value if m == gate.metric else 0.5,
+                       ci_half_width=half_width if m == gate.metric else 0.0, n_trials=128)
+                   for m in montecarlo.METRICS]
+        report = cli.build_comparison(cfg, analytic_rows, mc_rows)
+        [verdict] = [g for g in report["gates"] if g["engine"] == engine]
+        assert verdict["gap"] == gap or math.isnan(gap)
+        assert (verdict["passed"], verdict["decided"]) == (passed, decided)
 
     @pytest.mark.parametrize("t_db, gated", [(5.000000004, True), (5.00000001, False)])
     def test_reflected_path_gates_take_thresholds_within_5e_9_db(self, t_db, gated):
@@ -471,6 +538,28 @@ class TestColdImport:
         monkeypatch.setenv("RISCOV_WORKERS", "2")
         out = _run_fresh(_loaded_probe(prelude), *argv, returncode=returncode, cwd=tmp_path)
         assert set(ast.literal_eval(out.splitlines()[-1])) == loaded
+
+    @pytest.mark.parametrize("prelude, loaded", [
+        ("", []),
+        # positive control: the probe sees the engine once it is loaded
+        ("import riscov.montecarlo\n", ["numpy", "riscov.montecarlo"]),
+    ], ids=["compare", "control"])
+    def test_compare_runs_the_closed_forms_before_loading_the_engine(self, tmp_path, prelude, loaded):
+        # loaded before run_analytic, the engine raised compare's peak RSS on
+        # perfbench/configs/mc-dense.yaml by 0.20 MB (median of 9 processes)
+        probe = (
+            "import sys\n"
+            "from riscov import cli\n"
+            + prelude
+            + "run_analytic = cli.run_analytic\n"
+            "def probed(cfg):\n"
+            "    print(sorted(m for m in ('numpy', 'riscov.montecarlo') if m in sys.modules))\n"
+            "    return run_analytic(cfg)\n"
+            "cli.run_analytic = probed\n"
+            + _COMMAND
+        )
+        out = _run_fresh(probe, "compare", "--trials", "2000", cwd=tmp_path)
+        assert ast.literal_eval(out.splitlines()[0]) == loaded
 
     def test_only_the_engine_imports_numpy(self):
         # the table above runs a few commands; this scan covers every code

@@ -99,15 +99,15 @@ class TestPoints:
         assert prefix == lattice
 
     def test_point_count_never_exceeds_the_trial_count(self, monkeypatch):
-        # the points that run maps to trials, counted as they are mapped
+        # the points that a run maps to trials, counted as they are mapped,
+        # and the count its last look states
         mapped = []
         trials = montecarlo._trials
         monkeypatch.setattr(montecarlo, "_trials", lambda cfg, u: mapped.append(len(u)) or trials(cfg, u))
         for n_trials in (100, 131, 40_000, 40_031):
             mapped.clear()
-            cfg = NetworkConfig(n_trials=n_trials, thresholds_db=(0.0,))
-            montecarlo.run(cfg)
-            assert sum(mapped) == montecarlo.point_count(cfg) == montecarlo.SHIFTS * (n_trials // montecarlo.SHIFTS)
+            *_, (points, _) = montecarlo.looks(NetworkConfig(n_trials=n_trials, thresholds_db=(0.0,)))
+            assert sum(mapped) == points == montecarlo.SHIFTS * (n_trials // montecarlo.SHIFTS)
 
 
 class TestCoverageHonesty:

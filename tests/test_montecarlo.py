@@ -32,53 +32,20 @@ from riscov.errors import NumericalError
 RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(montecarlo.TrialRecords))
 
 # sha256 of the metric, T_db, value, ci_half_width and n_trials cells of the
-# CSV rows of `simulate` at the defaults with 20000 trials, by stream version
+# CSV rows of `simulate` at the defaults with 20000 trials, by stream version;
+# CHANGES.md lists the digests of earlier streams
 SIMULATE_DIGESTS = {
-    5: "c665b0e5f4fe64e0018c99197c711db6d376e3e88749154ead3890ff192864cd",
-    6: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
-    7: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
-    8: "ecce084e7fdea4f1bfcd833255db1f02b59aae818caa01d157b09215d14e22bf",
-    9: "aa3a5477a0a527d1eeeebd3bd97b528ae154a3dd6316b85c09921abb8317fc77",
-    10: "c13db37aade4e277f7b8b159e29de68ebc6a8167343a9ddaea6364f9e8852aac",
-    11: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
-    12: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
     13: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
 }
 
 # sha256 of the probability and ci_half_width bytes of every metric, in METRICS
 # order, of montecarlo.run with 20000 trials at each alpha, by stream version:
-# a last-ulp change that the CSV's 10 digits round away changes it (stream 8
-# moved these bytes at both alphas, stream 12 at alpha 4 and stream 13, whose
-# reference is the mean of a first block of 4 lattice indices, at both; all
-# three left the simulate rows as they were). At
-# alpha 3, unlike 4, the series coefficients computed with math instead of
-# numpy moved these bytes at stream 7. Another numpy or platform may round exp
-# and log differently, so the bytes are pinned for one build only
+# a last-ulp change that the CSV's 10 digits round away changes it, as stream
+# 13's reference, the mean of a first block of 4 lattice indices, did at both
+# alphas (CHANGES.md lists the digests of earlier streams). Another numpy or
+# platform may round exp and log differently, so the bytes are pinned for one
+# build only
 RUN_BYTES_DIGESTS = {
-    7: {
-        4.0: "56f735b59ad20d1e47460f2297efccb77521963a50ccd671ce7e744b676b790f",
-        3.0: "14e2d0e7ed0df2c5e5f58137148735e782dd4b778ff5ec733f02f8e2b81550e3",
-    },
-    8: {
-        4.0: "2bbf139d473ef64d2a4c2f31e5d71e8230bdc18cc4c13d23494e2bbc265109df",
-        3.0: "8e331b8b7980077424772fb225248570f9492f659cc148ac19cfa9327d01bc53",
-    },
-    9: {
-        4.0: "3d91d1bb2fed434262cdf119186366fb9e0eb23855d1f6384b85d19db1533fae",
-        3.0: "ce6c72e09da421ef8f7884e8de6ca89fb68de0b6f683a1073bded41c019beb46",
-    },
-    10: {
-        4.0: "a4d540dbf859dbc256f2a782f3709d97e0221c0fd9e435929e9bc9acc6fd0b67",
-        3.0: "1d161887baf449e447b4adc0e33954ce13357c6c61499d2b990dfdf59a48dfc6",
-    },
-    11: {
-        4.0: "852662739e26063844b18b2a40ed29839e2e80872b93b4c4352cc7ceb487b022",
-        3.0: "0a443a89c2432f67a0f9be7e7e37b353f4ae96058f50be9c039f1434fe8538e4",
-    },
-    12: {
-        4.0: "f7b84ce544c31473693ace2c725681985a035756cb928833cfbae9ce526d97ec",
-        3.0: "0a443a89c2432f67a0f9be7e7e37b353f4ae96058f50be9c039f1434fe8538e4",
-    },
     13: {
         4.0: "57ff0cc649730983834eb78ae0fb7555af45016d2ee533039177925f4e9ced44",
         3.0: "4806376060e636dbcf3999b115fe67363b84a83535dce0d9e87c8dfd88b515fc",
@@ -448,10 +415,11 @@ class TestEstimateCoverage:
         # the mean of the shift means and Student's t with SHIFTS - 1 degrees
         # of freedom times their standard error
         cfg = small_cfg(n_trials=1000, thresholds_db=(0.0,))
-        (p,), (half_width,) = montecarlo.run(cfg)["gamma_o"]
+        *_, (points, estimates) = montecarlo.looks(cfg)
+        (p,), (half_width,) = estimates["gamma_o"]
         records, _, _, per_shift = lattice_records(cfg)
         means = conditional_values(cfg, records, 1.0)["gamma_o"].reshape(montecarlo.SHIFTS, per_shift).mean(axis=1)
-        assert montecarlo.point_count(cfg) == 992 == montecarlo.SHIFTS * per_shift
+        assert points == 992 == montecarlo.SHIFTS * per_shift
         assert p == pytest.approx(float(np.mean(means)), rel=1e-12)
         assert half_width == pytest.approx(
             stats.t.ppf(0.975, montecarlo.SHIFTS - 1) * float(np.std(means, ddof=1)) / math.sqrt(montecarlo.SHIFTS))
@@ -462,7 +430,7 @@ class TestEstimateCoverage:
         # further; its half-width is itself an estimate from 32 shifts, yet
         # at the defaults it stays far below the counting half-width
         cfg = NetworkConfig(n_trials=10_000)
-        ests, n = montecarlo.run(cfg), montecarlo.point_count(cfg)
+        *_, (n, ests) = montecarlo.looks(cfg)
         assert list(ests) == list(montecarlo.METRICS)
         for metric, e in ests.items():
             assert all(len(array) == len(cfg.thresholds_db) for array in e)
@@ -483,9 +451,9 @@ class TestEstimateCoverage:
         # engaged reflector, and its per-trial dominance is checked by
         # assert_value_orderings
         cfg = NetworkConfig(n_trials=2000, master_seed=31, thresholds_db=(-3.0, 0.0, 7.0))
-        ests = montecarlo.run(cfg)
+        *_, (points, ests) = montecarlo.looks(cfg)
         selection, direct = ests["gamma_s"], ests["gamma_a"]
-        assert montecarlo.point_count(cfg) == 1984  # 32 shifts of 62 points
+        assert points == 1984  # 32 shifts of 62 points
         assert np.all(selection.probability >= direct.probability)
 
 
