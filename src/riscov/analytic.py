@@ -19,8 +19,12 @@ the scaled threshold ``T * kappa**(-a/2)``, read at ``u - log(kappa)/2``.
 
 At ``a = 4``, the default, the factor is elementary: ``I(T, 4) =
 sqrt(T) * atan(sqrt(T))``, which both kernels evaluate as ``r * atan(r)``
-with ``r = exp(2u)``, ``u = log(T) / 4``. Every other ``a`` sums the series
-below.
+with ``r = exp(2u)``, ``u = log(T) / 4``. So is ``I(T, 3) = 2r**2 * F(r)``
+with ``r = exp(u)`` and ``F(r) = int_0^r ds / (1 + s**3)`` (DLMF 15.6.1):
+``g + h`` for ``r <= 1`` and ``F(inf) - h + g`` beyond, where ``g =
+log1p(3m / (1 - m + m**2)) / 6`` and ``h = atan2(sqrt(3) * m, 2 - m) /
+sqrt(3)`` read ``m = min(r, 1/r)``, so that no term overflows or cancels.
+Every other ``a`` sums the series below.
 
 The hypergeometric function is summed here rather than imported from
 ``scipy.special``, whose import alone costs about half of a cold start. The
@@ -31,21 +35,18 @@ float from this module and, elementwise, a numpy array from
 ``exp`` and ``expm1`` and splits the elements between the branches.
 
 With ``b = 1 - 2/a``, the Pfaff transformation (DLMF 15.8.1) gives
-``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with
-``w = t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2)
-first splits off ``(pi*b/sin(pi*b)) * t**-b`` and leaves the same series
-with ``b`` replaced by ``1-b`` at ``w = 1/(1+t)``. Either way ``w <= 1/2``,
-so 56 terms reach double precision; the one singularity lies at 1, so the
-Chebyshev terms on ``[0, 1/2]`` shrink like ``(3 + sqrt(8))**-n``, and the
-series is economized once per ``a`` (Trefethen, *Approximation Theory and
-Approximation Practice*, SIAM 2013, ch. 8) to degree 24 in ``y = 4w - 1``,
-summed by Horner's rule in ``y``. For ``t > 1`` the two parts tend to 1 as
-``a -> inf``, so each is summed as its difference from 1, and ``I`` keeps its
-relative accuracy where ``I(T, a) -> (2/a) * log(1 + T)``. Both branches read
-``u = log(t) / a`` (:func:`interference_factor_from_log`): ``w`` is a logistic
-function of ``a * u`` and ``t**(2/a)`` is ``exp(2u)``, so ``t`` itself may lie
-beyond the float range. With ``u`` fixed, ``I`` tends to ``max(0, expm1(2u))``
-as ``a -> inf``, and takes that limit. ``math`` raises where numpy returned an
+``2F1(1, b; b+1; -t) = (1+t)**-1 * sum_n n!/(b+1)_n * w**n`` with ``w =
+t/(1+t)``; for ``t > 1`` the ``1/z`` transformation (DLMF 15.8.2) first
+splits off ``(pi*b/sin(pi*b)) * t**-b`` and leaves the same series with
+``b`` replaced by ``1-b`` at ``w = 1/(1+t)``. Either way ``w <= 1/2``, so 56
+terms, summed by Horner's rule in ``w``, reach double precision. For ``t >
+1`` the two parts tend to 1 as ``a -> inf``, so each is summed as its
+difference from 1, and ``I`` keeps its relative accuracy where ``I(T, a) ->
+(2/a) * log(1 + T)``. Both branches read ``u = log(t) / a``
+(:func:`interference_factor_from_log`): ``w`` is a logistic function of
+``a * u`` and ``t**(2/a)`` is ``exp(2u)``, so ``t`` itself may lie beyond
+the float range. With ``u`` fixed, ``I`` tends to ``max(0, expm1(2u))`` as
+``a -> inf``, and takes that limit. ``math`` raises where numpy returned an
 infinity, so each limit is taken explicitly.
 """
 from __future__ import annotations
@@ -59,43 +60,23 @@ from .config import NetworkConfig
 from .errors import NumericalError
 
 
-# Pfaff terms (the tail past them: under 2**-56 of the sum) and economized degree (under 2**-54 of the lead)
-_PFAFF_TERMS, _SERIES_DEGREE = 56, 24
+_PFAFF_TERMS = 56  # the tail past them: under 2**-56 of the sum
+_SQRT3 = math.sqrt(3.0)
+_F_INF_3 = 2.0 * math.pi / (3.0 * _SQRT3)  # int_0^inf ds / (1 + s**3), for I(T, 3)
 
 
 def _horner(coefficients: tuple[float, ...], w):
-    """``w * sum_j coefficients[j] * y**j`` with ``y = 4w - 1``, by Horner's rule, for ``0 <= w <= 1/2``.
+    """``sum_n coefficients[n-1] * w**n`` for ``n = 1 .. len(coefficients)``, by Horner's rule, for ``0 <= w <= 1/2``.
 
     The augmented steps rebind ``total`` for a float ``w`` and update it in
     place for an array, so each element of an array gets the float call's bits.
     """
-    y = 4.0 * w - 1.0
-    total = coefficients[-1] * y + coefficients[-2]
+    total = coefficients[-1] * w + coefficients[-2]
     for a in coefficients[-3::-1]:
-        total *= y
+        total *= w
         total += a
     total *= w
     return total
-
-
-@lru_cache(maxsize=1)
-def _chebyshev_tables() -> tuple[list[list[float]], list[list[float]]]:
-    """The coefficients of ``w**n`` on ``T_i(y)``, and of ``T_i`` on ``y**j``: ``n < 56``, ``i, j <= 24``."""
-    # w**n = 2**-n * cos(t/2)**(2n) with y = cos(t): T_i gets 2**(1-3n) * C(2n, n-i), half that at i = 0
-    onto = [[math.ldexp(math.comb(2 * n, n - i), 1 - 3 * n - (i == 0)) if n >= i else 0.0
-             for n in range(_PFAFF_TERMS)] for i in range(_SERIES_DEGREE + 1)]
-    powers = [[1.0], [0.0, 1.0]]
-    while len(powers) <= _SERIES_DEGREE:  # T_{i+1} = 2y * T_i - T_{i-1}
-        powers.append([2.0 * a - b for a, b in zip([0.0, *powers[-1]], [*powers[-2], 0.0, 0.0])])
-    return onto, powers
-
-
-def _economize(ratios: list[float], scale: float) -> tuple[float, ...]:
-    """``scale`` times the ``y**j`` coefficients of ``sum_n ratios[n] * w**n`` cut to Chebyshev degree 24."""
-    onto, powers = _chebyshev_tables()
-    chebyshev = [math.fsum(a * r for a, r in zip(row, ratios)) for row in onto]
-    return tuple(scale * math.fsum(c * t[j] for c, t in zip(chebyshev[j:], powers[j:]))
-                 for j in range(_SERIES_DEGREE + 1))
 
 
 def _log_leading(alpha: float) -> float:
@@ -113,11 +94,11 @@ def _log_leading(alpha: float) -> float:
 
 @lru_cache(maxsize=64)
 def _series(alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The :func:`_horner` coefficients of ``sum_{n <= 56} c_n * w**n`` for both branches at ``alpha``.
+    """The :func:`_horner` coefficients ``c_1 .. c_56`` of both branches at ``alpha``.
 
-    ``c_n = n!/(b+1)_n`` for ``t <= 1`` and ``n!/(d+1)_n - 1`` beyond (``d = 2/alpha``, ``b = 1 - d``). Each
-    ``r_n = c_n / c_1`` is economized, then scaled by ``c_1``; beyond, ``r_n = (n*r_{n-1} + 1 + d) / (n + d)``
-    stays near 1, so no subnormal enters the fit at large ``alpha``.
+    ``c_n = n!/(b+1)_n`` for ``t <= 1`` and ``n!/(d+1)_n - 1`` beyond (``d = 2/alpha``, ``b = 1 - d``), each
+    ``c_1`` times ``r_n = c_n / c_1``; beyond, ``r_n = (n*r_{n-1} + 1 + d) / (n + d)`` stays near 1, so at
+    large ``alpha`` only the scale ``c_1`` carries the small ``d``.
     """
     delta = 2.0 / alpha
     b = (alpha - 2.0) / alpha  # 1 - delta without the cancellation near alpha = 2
@@ -125,7 +106,7 @@ def _series(alpha: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     for n in range(2, _PFAFF_TERMS + 1):
         low.append(low[-1] * n / (b + n))
         shortfall.append((n * shortfall[-1] + (1.0 + delta)) / (n + delta))
-    return _economize(low, 1.0 / (1.0 + b)), _economize(shortfall, -delta / (1.0 + delta))
+    return tuple(r / (1.0 + b) for r in low), tuple(-delta / (1.0 + delta) * r for r in shortfall)
 
 
 def direct_factors(cfg: NetworkConfig) -> tuple[tuple[float, float], ...]:
@@ -137,12 +118,17 @@ def direct_factors(cfg: NetworkConfig) -> tuple[tuple[float, float], ...]:
 def interference_factor_from_log(log_t_per_alpha: float, alpha: float) -> float:
     """``I(T, alpha)`` from ``log(T) / alpha`` (module docstring); nan where that is nan."""
     u = log_t_per_alpha
-    if alpha == 4.0:
+    if alpha in (3.0, 4.0):  # the elementary forms
         try:
-            r = math.exp(2.0 * u)  # sqrt(T)
+            s = math.exp(2.0 * u)  # T**(2/alpha)
         except OverflowError:  # I lies beyond the float range
             return math.inf
-        return r * math.atan(r)
+        if alpha == 4.0:
+            return s * math.atan(s)
+        m = math.exp(-abs(u))  # min(r, 1/r), r = T**(1/3)
+        g = math.log1p(3.0 * m / (1.0 - m + m * m)) / 6.0
+        h = math.atan2(_SQRT3 * m, 2.0 - m) / _SQRT3
+        return 2.0 * s * (g + h if u <= 0.0 else _F_INF_3 - h + g)
     e = math.exp(-abs(alpha * u))  # min(T, 1/T); log T may overflow to +-inf, where e is 0
     w = e / (1.0 + e)
     if u <= 0.0:
@@ -282,8 +268,7 @@ def mean_reflected_power(cfg: NetworkConfig) -> float:
     """
     log_x = cfg.log_r1_scale + 2.0 * cfg.log_floor  # pi * lambda_eff * eps**2
     log_moment = geometry.log_expected_inv_r1_pow(cfg.alpha, log_x, 0.0)
-    # log(p_s) - log(2): half of a subnormal p_s may round to 0
-    log_power = (math.log(cfg.p_s) - math.log(2.0) + cfg.log_gain - math.log(cfg.mu)
+    log_power = (cfg.log_beam_power + cfg.log_gain - math.log(cfg.mu)
                  + log_moment - cfg.alpha * math.log(cfg.epsilon_floor))
     if log_power > math.log(sys.float_info.max):  # math.exp would overflow, or log_power is inf
         raise NumericalError(f"mean reflected power exceeds the float range: about 1e{log_power / math.log(10):+.0f} W")

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .config import HISTOGRAM_QUANTITIES, KM2_TO_M2, ConfigError, NetworkConfig, load_config
+from .config import HISTOGRAM_BINS, HISTOGRAM_QUANTITIES, KM2_TO_M2, ConfigError, NetworkConfig, load_config
 from .errors import RiscovError
 
 if TYPE_CHECKING:
@@ -446,7 +446,7 @@ def sweep_cmd(cfg, out_dir, axis, grid, metric, with_mc):
 @_config_command
 @click.option("--quantity", required=True, type=click.Choice(list(HISTOGRAM_QUANTITIES)),
               help="r0, r1 or r2 in metres, or p_ris_dbw: the peak reflected power in dBW, 10*log10(P / 1 W).")
-@click.option("--bins", default=60, type=int)
+@click.option("--bins", default=HISTOGRAM_BINS, type=int)
 def hist_cmd(cfg, out_dir, quantity, bins):
     """Emit a normalized histogram of one per-trial quantity."""
     from . import montecarlo

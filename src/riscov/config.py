@@ -53,11 +53,12 @@ _LOG_PI_PER_KM2 = math.log(math.pi * KM2_TO_M2)  # log(pi * lambda) per m^2 is t
 IDEAL_PHASES = "ideal"
 ORIENTATION_MODES = ("thinning", "explicit")
 HISTOGRAM_QUANTITIES = ("r0", "r1", "r2", "p_ris_dbw")  # what riscov.montecarlo.empirical_histogram bins
+HISTOGRAM_BINS = 60  # its default bin count, and hist's
 
 # Layout of the Monte-Carlo random streams and of the estimator that reduces
 # them (see riscov.montecarlo). It enters every config hash, so outputs of
 # different stream layouts or estimators never share one.
-STREAM_VERSION = 13
+STREAM_VERSION = 14
 
 
 class ConfigError(RiscovError, ValueError):
@@ -138,6 +139,11 @@ class NetworkConfig:
         """``log G``, the bank gain ``M**2 * beta`` times the phase efficiency, finite for any ``M``."""
         return (2.0 * math.log(self.m_elements) + math.log(self.beta)
                 + math.log(quantization_efficiency(self.phase_bits)))
+
+    @property
+    def log_beam_power(self) -> float:
+        """``log(p_s / 2)``, the power a base sends per beam, from logs: half of a subnormal ``p_s`` may round to 0."""
+        return math.log(self.p_s) - math.log(2.0)
 
     @property
     def base_spacing_m(self) -> float:

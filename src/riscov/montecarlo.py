@@ -57,7 +57,7 @@ the only places where the densities, ``mu`` and the bank enter, so
 ``N`` alone. ``I`` is read from ``log(x) / alpha``: for the direct paths
 from :func:`riscov.analytic.direct_factors`, the closed forms' own table,
 and for the reflected one by :func:`interference_factor_from_log`, which
-runs that module's series arithmetic on arrays. It stays finite where ``q``
+runs that module's arithmetic on arrays. It stays finite where ``q``
 leaves the float range, as on half the trials at ``alpha = 1000``:
 ``gamma_b`` takes its ``alpha -> inf`` limit there.
 Selection shares the interference of both paths and its two fades are
@@ -72,7 +72,7 @@ integrates the indicator out (Griewank, Kuo, Leovey & Sloan 2018,
 ``gamma_b``, the coverage given engagement, by ``g``. Every point counts in
 every metric; ``gamma_b`` has no estimate only where every ``g`` is 0.
 
-Points (``riscov.config.STREAM_VERSION`` 13). Each value is a bounded
+Points (``riscov.config.STREAM_VERSION`` 14). Each value is a bounded
 function of the trial's point, so :func:`run` integrates it over the 4-cube
 with a randomly shifted rank-1 lattice rule (Cranley & Patterson 1976;
 L'Ecuyer & Lemieux, "Variance reduction via lattice rules", Management
@@ -133,7 +133,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytic
-from .config import HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig
+from .config import HISTOGRAM_BINS, HISTOGRAM_QUANTITIES, ConfigError, NetworkConfig
 from .errors import NumericalError
 
 VALUE_BLOCK = 2048  # points drawn and reduced together; few enough to keep the peak RSS low
@@ -156,18 +156,22 @@ METRICS = ("gamma_o", "gamma_a", "gamma_b", "gamma_s")
 def interference_factor_from_log(log_t_per_alpha, alpha: float) -> np.ndarray:
     """:func:`riscov.analytic.interference_factor_from_log` elementwise, as an array; nan where the input is nan.
 
-    The arithmetic is :mod:`riscov.analytic`'s own: its branch helpers take
-    an array as they take a float, so an array call matches 0-d calls bit for
-    bit. At ``alpha = 4`` both take ``r * atan(r)``. Only numpy's ``exp``,
-    ``expm1`` and ``arctan`` are this module's, and they may differ from
-    ``math``'s in the last ulp, so a value may differ from the ``math`` form
-    by a few ulp.
+    The arithmetic is :mod:`riscov.analytic`'s own, at ``alpha = 3`` and 4
+    term for term: its series helpers take an array as they take a float, so
+    an array call matches 0-d calls bit for bit. Only the numpy functions are
+    this module's; they may differ from ``math``'s in the last ulp, and a
+    value from the ``math`` form by a few ulp.
     """
     u = np.asarray(log_t_per_alpha, dtype=float)
-    if alpha == 4.0:
+    if alpha in (3.0, 4.0):
         with np.errstate(over="ignore"):  # where I lies beyond the float range, inf
-            r = np.exp(2.0 * u)  # sqrt(T)
-            return np.asarray(r * np.arctan(r))
+            s = np.exp(2.0 * u)  # T**(2/alpha)
+            if alpha == 4.0:
+                return np.asarray(s * np.arctan(s))
+            m = np.exp(-np.abs(u))  # min(r, 1/r), r = T**(1/3)
+            g = np.log1p(3.0 * m / (1.0 - m + m * m)) / 6.0
+            h = np.arctan2(analytic._SQRT3 * m, 2.0 - m) / analytic._SQRT3
+            return np.asarray(2.0 * s * np.where(u <= 0.0, g + h, analytic._F_INF_3 - h + g))
     with np.errstate(over="ignore"):  # log T may overflow to +-inf, where e is 0
         e = np.exp(-np.abs(alpha * u))  # min(T, 1/T)
     w = e / (1.0 + e)
@@ -394,7 +398,7 @@ def run(cfg: NetworkConfig) -> dict[str, Coverage]:
     return estimates
 
 
-def empirical_histogram(cfg: NetworkConfig, quantity: str, bins: int = 60) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def empirical_histogram(cfg: NetworkConfig, quantity: str, bins: int = HISTOGRAM_BINS) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``np.histogram``'s ``(counts, edges)`` of a per-trial quantity, in metres or dBW, and its analytic overlay.
 
     It bins :func:`draw`'s records, drawn once the checks pass: distances of
@@ -419,8 +423,7 @@ def empirical_histogram(cfg: NetworkConfig, quantity: str, bins: int = 60) -> tu
     records = draw(cfg)
     with np.errstate(all="ignore"):  # a value beyond the float range fails below
         if quantity == "p_ris_dbw":  # 0.5 * p_s * f1 * r1**-alpha / K, r1 in units of the base spacing
-            # log(p_s) - log(2): half of a subnormal p_s may round to 0
-            values = (math.log(cfg.p_s) - math.log(2.0) + np.log(records.f1)
+            values = (cfg.log_beam_power + np.log(records.f1)
                       - cfg.alpha * (np.log(records.r1) + cfg.log_k_per_alpha)) * (10.0 / math.log(10.0))
         else:
             values = getattr(records, quantity) * cfg.base_spacing_m

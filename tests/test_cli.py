@@ -16,10 +16,10 @@ import warnings
 from pathlib import Path
 
 import click
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from scipy import special
 
 from oracle_helpers import INTERFERENCE_ABS_TOL, gamma_b_large_alpha_limit, interference_quadrature
 import riscov
@@ -869,15 +869,19 @@ def _lines_as_at(changes, prefixes=("",)):
     return check
 
 
-def _approx1_at_overflowing_interference(out_dir, cfg):
-    # approx1 reads I at T * kappa**(-a/2), about 8e292, where p * I is still
-    # a float: 1.77e-304 by scipy's hyp2f1, where it read 0 before
-    [value] = _values(out_dir, lambda row: row["engine"] == "approx1")
-    scaled = cfg.thresholds_linear[0] * math.exp(-0.5 * cfg.alpha * analytic.log_reflector_ratio(cfg))
-    delta = 2.0 / cfg.alpha
-    i_scaled = 2.0 * scaled / (cfg.alpha - 2.0) * special.hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -scaled)
-    assert float(value) == pytest.approx(1.0 / (1.0 + cfg.retentions[1] * i_scaled), rel=1e-9, abs=0)
-    assert float(value) == pytest.approx(1.7735432e-304, rel=1e-7, abs=0)
+def _approx1_at_overflowing_interference(pinned):
+    """A check: approx1 is ``1 / (1 + p * I(T'))`` at ``T' = T * kappa**(-a/2)``, by mpmath's 2F1 at 40
+    digits, and ``pinned``; ``T'`` and ``I(T')`` may lie beyond the float range."""
+    def check(out_dir, cfg):
+        [value] = _values(out_dir, lambda row: row["engine"] == "approx1")
+        with mpmath.workdps(40):
+            a = mpmath.mpf(cfg.alpha)
+            scaled = cfg.thresholds_linear[0] * mpmath.exp(-a / 2 * analytic.log_reflector_ratio(cfg))
+            i_scaled = 2 * scaled / (a - 2) * mpmath.hyp2f1(1, 1 - 2 / a, 2 - 2 / a, -scaled)
+            expected = float(1 / (1 + cfg.retentions[1] * i_scaled))
+        assert float(value) == pytest.approx(expected, rel=1e-9, abs=0)
+        assert float(value) == pytest.approx(pinned, rel=1e-7, abs=0)
+    return check
 
 
 def _gamma_b_at_its_large_alpha_limit(out_dir, cfg):
@@ -979,9 +983,21 @@ _EDGE_CONFIGS = [
     *[_edge_row(f"{command}-huge-bank", "m_elements: 1" + "0" * 160 + "\nn_trials: 20000\n", [command],
                 _values_near(1.0, _REFLECTED), *more)
       for command, *more in (("analytic",), ("compare", _selection_gains_where_every_reflection_covers))],
-    # I(T) overflows to inf, zeroing the others; numpy's warning reached stderr
+    # I(T) overflows to inf, zeroing the others; numpy's warning reached stderr.
+    # approx1 reads I at T * kappa**(-a/2), about 8e292, where p * I is still
+    # a float: 1.77e-304, where it read 0 before
     _edge_row("analytic-overflowing-interference", "alpha: 2.00000000001\nthresholds_db: [2970]\n", ["analytic"],
-              _values_near(0.0, lambda row: row["engine"] != "approx1"), _approx1_at_overflowing_interference),
+              _values_near(0.0, lambda row: row["engine"] != "approx1"),
+              _approx1_at_overflowing_interference(1.7735432e-304)),
+    # at alpha = 3 no threshold's I(T) overflows, but approx1's T * kappa**(-a/2), about
+    # 1e464, does, and with it p * I(T'): the far form gives a subnormal coverage
+    _edge_row("analytic-alpha3-overflowing-interference", "alpha: 3\nmu: 1.0e+168\nthresholds_db: [3000]\n",
+              ["analytic"], _approx1_at_overflowing_interference(6.3654360e-310)),
+    # I(T, 3) in closed form: at -3000 dB every coverage is 1, at 3000 dB below 1e-190
+    *[_edge_row(f"{argv[0]}-alpha3-thresholds-3000dB", "alpha: 3\nthresholds_db: [-3000, 3000]\n", argv,
+                _values_near(1.0, lambda row: row["T_db"] == "-3000"),
+                _values_near(0.0, lambda row: row["T_db"] == "3000", 1e-190))
+      for argv in (["analytic"], _SIMULATE)],
     # log q = alpha * L - log f1 overflows, and gamma_b was nan (exit 4); read
     # from log(q) / alpha it takes its alpha -> inf limit
     _edge_row("simulate-largest-alpha", "alpha: 1.7e+308\nn_trials: 20000\n", ["simulate"],

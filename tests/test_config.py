@@ -25,7 +25,7 @@ from riscov.config import (
 
 
 # NetworkConfig().config_hash() at the current stream version, from hashlib.sha256
-DEFAULT_HASH = "d0973985afcb"
+DEFAULT_HASH = "a66f36db81b2"
 REAL_FIELDS = ["lambda_bs", "lambda_ris", "p_s", "beta", "mu", "epsilon_floor", "alpha"]
 
 
@@ -113,8 +113,8 @@ class TestHashing:
     def test_hash_carries_stream_version(self, monkeypatch):
         cfg = NetworkConfig()
         before = cfg.config_hash()
-        assert config.STREAM_VERSION == 13 and before == DEFAULT_HASH
-        monkeypatch.setattr(config, "STREAM_VERSION", 14)
+        assert config.STREAM_VERSION == 14 and before == DEFAULT_HASH
+        monkeypatch.setattr(config, "STREAM_VERSION", 15)
         assert cfg.config_hash() != before
 
     def test_hash_without_builtin_digests_comes_from_hashlib(self):

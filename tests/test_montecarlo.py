@@ -35,20 +35,19 @@ RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(montecarlo.TrialRecords
 # CSV rows of `simulate` at the defaults with 20000 trials, by stream version;
 # CHANGES.md lists the digests of earlier streams
 SIMULATE_DIGESTS = {
-    13: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
+    14: "054b11a186eeea15dbb2606721cda67811fb15f1a696241f937e1b1bb9e43f4a",
 }
 
 # sha256 of the probability and ci_half_width bytes of every metric, in METRICS
 # order, of montecarlo.run with 20000 trials at each alpha, by stream version:
 # a last-ulp change that the CSV's 10 digits round away changes it, as stream
-# 13's reference, the mean of a first block of 4 lattice indices, did at both
-# alphas (CHANGES.md lists the digests of earlier streams). Another numpy or
-# platform may round exp and log differently, so the bytes are pinned for one
-# build only
+# 14's elementary I(T, 3) did at alpha = 3 (CHANGES.md lists the digests of
+# earlier streams). Another numpy or platform may round exp and log
+# differently, so the bytes are pinned for one build only
 RUN_BYTES_DIGESTS = {
-    13: {
+    14: {
         4.0: "57ff0cc649730983834eb78ae0fb7555af45016d2ee533039177925f4e9ced44",
-        3.0: "4806376060e636dbcf3999b115fe67363b84a83535dce0d9e87c8dfd88b515fc",
+        3.0: "c720ec1cda21519f79919ca6f51387535ac8130ed8e5cc3f91c85c97d1a811be",
     },
 }
 RUN_BYTES_BUILD = ((3, 11), "2.4.6")
