@@ -60,7 +60,7 @@ from .config import NetworkConfig
 from .errors import NumericalError
 
 
-_PFAFF_TERMS = 56  # the tail past them: under 2**-56 of the sum
+_PFAFF_TERMS = 56  # the tail past them: under 2**-54 of I
 _SQRT3 = math.sqrt(3.0)
 _F_INF_3 = 2.0 * math.pi / (3.0 * _SQRT3)  # int_0^inf ds / (1 + s**3), for I(T, 3)
 

@@ -150,6 +150,35 @@ class TestInterferenceFactor:
         for u in log_t / alpha:
             assert within_ulps(factor(u, alpha), pfaff_interference_factor_from_log(u, alpha), 8), (u, alpha)
 
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_series_tail_past_56_terms_is_below_double_precision(self, alpha):
+        # each branch's 56 coefficients against c_n at 40 digits (the worst
+        # measured 20 ulp, at alpha = 7.5), and the terms past them, which the
+        # package drops, against I at w = 1/2, where the tail is largest
+        # relative to I; the worst, 2**-54.26 of I, is beyond T = 1 as alpha
+        # grows, and below T = 1 the tail stays near 2**-57, reached as alpha -> 2
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            delta, b, w = 2 / a, (a - 2) / a, mpmath.mpf(1) / 2
+            low, shortfall, ratio, log_ratio = [], [], mpmath.mpf(1), mpmath.mpf(0)
+            for n in range(1, 301):
+                ratio *= n / (b + n)
+                log_ratio += mpmath.log1p(delta / n)
+                low.append(ratio)
+                shortfall.append(mpmath.expm1(-log_ratio))
+            for exact, fitted in zip((low, shortfall), analytic._series(alpha)):
+                assert len(fitted) == analytic._PFAFF_TERMS == 56
+                for c, got in zip(exact, fitted):
+                    assert abs(got - c) <= 32 * 2.0**-53 * abs(c), (alpha, got, c)
+            def power_sum(coefficients, start):
+                return mpmath.fsum(c * w**n for n, c in enumerate(coefficients[start:], start + 1))
+
+            factor = 2 / (a - 2) * w * (1 + power_sum(low, 0))
+            below_tail = 2 / (a - 2) * w * power_sum(low, 56)
+            above_tail = (1 - w) * power_sum(shortfall, 56)
+            assert abs(below_tail) < 2.0**-56 * factor, alpha
+            assert abs(above_tail) < 2.0**-54 * factor, alpha
+
     def test_alpha4_closed_form_within_3_ulp_of_40_digits(self):
         # I(T, 4) = r * atan(r), r = sqrt(T) = exp(2u), in both kernels; the
         # worst of 60,000 random u in [-10, 30] measured 2.5 ulp. Past 2u of
