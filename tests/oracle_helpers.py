@@ -13,6 +13,21 @@ identities (the reflection gain, peak reflected power, the fractional fade
 moment, the engaged probability, the interference factor at one threshold)
 that only tests evaluate, and the engine's per-trial values at one
 threshold, which only tests read.
+
+The r1 moments keep one route per fact:
+
+- the raw joint law (r0, r2, angle): :func:`floored_inv_sq_nested`, the
+  floored inverse-square moment nested over (r0, r2) through the exact angle
+  antiderivative :func:`conditional_inv_sq_moment`;
+- the Rice marginal: :func:`bessel_marginal`, and its Fubini moment
+  :func:`floored_inv_pow_bessel`;
+- the Rayleigh law of r1 itself: :func:`rayleigh_pdf`, which
+  ``test_geometry.py`` integrates against ``r**-p`` at every power it checks;
+- the truncated mean: :func:`expected_r1_nested`.
+
+The mean reflected power and :func:`reflected_power_raw_moment` are then
+checked as exact compositions of a prefactor and :func:`expected_inv_r1_pow`,
+not sampled.
 """
 from __future__ import annotations
 
@@ -71,44 +86,6 @@ def floored_inv_pow_bessel(power, lam_bs, lam_ris, eps):
         eps, 1500.0, points=[2 * eps, 5 * eps, 50.0, 300.0], limit=300,
     )
     return val
-
-
-def floored_inv_pow_is_oracle(
-    power, lam_bs, lam_ris, eps, seed, n_pairs=200_000, n_angles=128
-):
-    """Importance-sampled Monte-Carlo estimate of ``E[r1**-power ; r1 >= eps]``.
-
-    The moment is dominated by rare near-coincident geometries (both radii
-    small and nearly equal), so plain sampling is hopeless at usable sizes.
-    The proposal mixes the true Rayleigh laws (which bounds every weight by
-    4) with a uniform component over the small-radius region and a band
-    around the diagonal.
-    """
-    rng = np.random.default_rng(seed)
-    sig0 = 1 / math.sqrt(2 * math.pi * lam_bs)
-    sig2 = 1 / math.sqrt(2 * math.pi * lam_ris)
-    cap0 = 12 * sig2 + 20 * eps
-    band = 6 * eps
-    total, done, batch = 0.0, 0, 5_000
-    while done < n_pairs:
-        m = min(batch, n_pairs - done)
-        pick0 = rng.random(m) < 0.5
-        r0 = np.where(pick0, rng.rayleigh(sig0, m), rng.uniform(0, cap0, m))
-        q0 = 0.5 * rayleigh_pdf(r0, lam_bs) + 0.5 * (r0 < cap0) / cap0
-        lo = np.maximum(0.0, r0 - band)
-        hi = r0 + band
-        pick2 = rng.random(m) < 0.5
-        r2 = np.where(pick2, rng.rayleigh(sig2, m), rng.uniform(lo, hi))
-        q2 = 0.5 * rayleigh_pdf(r2, lam_ris) + 0.5 * ((r2 >= lo) & (r2 <= hi)) / (hi - lo)
-        w = rayleigh_pdf(r0, lam_bs) * rayleigh_pdf(r2, lam_ris) / (q0 * q2)
-        phi = rng.uniform(0, math.pi, (m, n_angles))
-        r1 = np.sqrt(
-            r0[:, None] ** 2 + r2[:, None] ** 2 - 2 * (r0 * r2)[:, None] * np.cos(phi)
-        )
-        a = np.where(r1 >= eps, r1**-power, 0.0).mean(axis=1)
-        total += float(np.sum(w * a))
-        done += m
-    return total / n_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +187,8 @@ def pfaff_interference_factor_from_log(u, alpha):
 
 
 # ---------------------------------------------------------------------------
-# floored inverse moments of r1 by nested quadrature over (r0, r2)
+# floored inverse-square moment of r1 by nested quadrature over (r0, r2)
 # ---------------------------------------------------------------------------
-
-# Composite Gauss-Legendre rule with panels refined geometrically toward one
-# endpoint; used for inner angle integrals whose integrand peaks there.
-_PANEL_RATIOS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.6, 1.0)
-
-
-@lru_cache(maxsize=None)
-def _gauss_nodes(order):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _refined_panel_nodes(a, b, order=32):
-    """Nodes/weights covering [a, b] with panels clustered toward ``a``."""
-    x, w = _gauss_nodes(order)
-    edges = a + (b - a) * np.asarray(_PANEL_RATIOS)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    nodes = (0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)).ravel()
-    weights = (0.5 * (hi - lo) * w[None, :]).ravel()
-    return nodes, weights
-
 
 def conditional_inv_sq_moment(r0, r2, eps):
     """``E[r1**-2 * 1{r1 >= eps} | r0, r2]`` via the exact angle antiderivative.
@@ -262,42 +219,17 @@ def conditional_inv_sq_moment(r0, r2, eps):
     return 2.0 * math.atan(z) / (math.pi * math.sqrt(D * S))
 
 
-def conditional_inv_pow_moment(r0, r2, power, eps):
-    """``E[r1**-power * 1{r1 >= eps} | r0, r2]`` by the angle-refined panel rule."""
-    lo, hi = abs(r0 - r2), r0 + r2
-    r_low = max(lo, eps)
-    if r_low >= hi:
-        return 0.0
-    A = r0 * r0 + r2 * r2
-    B = 2.0 * r0 * r2
-    if r_low <= lo:
-        phi_lo = 0.0
-    else:
-        cos_cap = (A - r_low * r_low) / B
-        phi_lo = math.acos(max(-1.0, min(1.0, cos_cap)))
-    phi, w = _refined_panel_nodes(phi_lo, math.pi)
-    vals = (A - B * np.cos(phi)) ** (-0.5 * power)
-    return float(np.dot(w, vals)) / math.pi
+def floored_inv_sq_nested(lam_bs, lam_ris, eps):
+    """``E[r1**-2 ; r1 >= eps]`` by outer (r0, r2) quadrature of the raw joint law.
 
-
-def floored_inv_pow_nested(power, lam_bs, lam_ris, eps):
-    """``E[r1**-power ; r1 >= eps]`` by outer (r0, r2) quadrature.
-
-    The inner angle average is the exact antiderivative for ``power == 2`` and
-    the panel rule otherwise. Returns ``(value, abs_error)``.
+    The inner angle average is :func:`conditional_inv_sq_moment`'s exact
+    antiderivative. Returns ``(value, abs_error)``.
     """
-    if power == 2.0:
-        def inner_moment(r0, r2):
-            return conditional_inv_sq_moment(r0, r2, eps)
-    else:
-        def inner_moment(r0, r2):
-            return conditional_inv_pow_moment(r0, r2, power, eps)
-
     r0_max = math.sqrt(-math.log(TAIL_MASS) / (math.pi * lam_bs))
     r2_max = math.sqrt(-math.log(TAIL_MASS) / (math.pi * lam_ris))
 
     def inner(r2, r0):
-        return rayleigh_pdf(r2, lam_ris) * inner_moment(r0, r2)
+        return rayleigh_pdf(r2, lam_ris) * conditional_inv_sq_moment(r0, r2, eps)
 
     def outer(r0):
         # the integrand ridges along |r0 - r2| ~ eps; flag those breakpoints

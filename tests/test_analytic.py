@@ -12,6 +12,7 @@ from scipy import integrate, optimize, special
 
 from oracle_helpers import (
     INTERFERENCE_ABS_TOL,
+    expected_inv_r1_pow,
     interference_factor,
     interference_quadrature,
     pfaff_interference_factor_from_log,
@@ -642,18 +643,15 @@ class TestMeanReflectedPower:
             analytic.mean_reflected_power(sparse_deployment(m_elements=50, **args))
         assert ratio == pytest.approx(4.0, rel=1e-9)
 
-    def test_matches_importance_sampled_average(self):
-        # oracle: average peak reflected power over scenario draws with the
-        # identical floor; the inverse-distance part needs importance
-        # sampling (rare near-coincident geometries dominate the moment)
-        from oracle_helpers import floored_inv_pow_is_oracle
-        p_s, mu, alpha, eps = 2.0, 1.0, 4.0, 1.0
-        value = analytic.mean_reflected_power(
-            sparse_deployment(m_elements=100, beta=1.0, p_s=p_s, mu=mu, alpha=alpha, epsilon_floor=eps)
-        )
-        inv_moment = floored_inv_pow_is_oracle(alpha, LAM_BS, SPARSE_LAM_RIS, eps, seed=19)
-        oracle = 100**2 * 1.0 * (p_s / 2) * (1.0 / mu) * inv_moment
-        assert abs(value - oracle) / oracle < 0.05
+    def test_composes_prefactor_and_moment(self):
+        # M**2 beta eta (p_s / 2) / mu times E[r1**-alpha ; r1 >= eps] in
+        # metres; a fade rate, a bank loss and a quantized phase each move
+        # one factor
+        cfg = sparse_deployment(m_elements=64, beta=0.8, p_s=3.0, mu=2.5, alpha=3.5,
+                                epsilon_floor=0.5, phase_bits=2)
+        moment = expected_inv_r1_pow(cfg.alpha, LAM_BS, SPARSE_LAM_RIS, cfg.epsilon_floor)
+        expected = math.exp(cfg.log_gain) * (cfg.p_s / 2.0) / cfg.mu * moment
+        assert analytic.mean_reflected_power(cfg) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_underflowed_floor_argument_takes_the_limit(self):
         # below eps = 1e-160 m, x = pi*lambda_eff*eps**2 underflows to 0, and

@@ -2,8 +2,13 @@
 peak reflection power, the fade moment's alpha = 2 limit and the raw moment
 of the reflected power.
 
-The conversion's distributional equivalence and the fade moment at alpha = 4
-are acceptance criteria 7 and 8. The beam retentions and the
+The raw moment is checked at rel 1e-12 as an exact composition of its
+prefactor and the floored inverse-square moment of r1; that moment's own
+routes are in ``test_geometry.py``, the tightest a Rayleigh quadrature at
+rel 1e-9.
+
+The conversion's distributional equivalence and the fade moment at alpha =
+4 are acceptance criteria 7 and 8. The beam retentions and the
 phase-quantization efficiency are tested with :mod:`riscov.config`, the mean
 reflected power with :mod:`riscov.analytic`.
 """
@@ -147,25 +152,3 @@ class TestRawMoment:
             * expected_inv_r1_pow(2.0, LAM_BS, LAM_RIS, 1.0)
         )
         assert val == pytest.approx(expected, rel=1e-12)
-
-    def test_matches_brute_force_raw_moment(self):
-        # oracle: E[(P_RIS/mu)^{2/a}] from scenario draws with the same floor
-        p_s, mu, alpha, eps = 2.0, 1.0, 4.0, 1.0
-        analytic = reflected_power_raw_moment(
-            deployment(m_elements=100, beta=0.9, p_s=p_s, mu=mu, alpha=alpha, epsilon_floor=eps)
-        )
-        rng = np.random.default_rng(17)
-        total, n_pairs, n_angles, batch = 0.0, 100_000, 256, 5_000
-        done = 0
-        while done < n_pairs:
-            m = min(batch, n_pairs - done)
-            r0 = rng.rayleigh(1.0 / math.sqrt(2 * math.pi * LAM_BS), m)[:, None]
-            r2 = rng.rayleigh(1.0 / math.sqrt(2 * math.pi * LAM_RIS), m)[:, None]
-            f1 = rng.exponential(1.0 / mu, m)[:, None]
-            phi = rng.uniform(0, math.pi, (m, n_angles))
-            r1 = np.sqrt(r0**2 + r2**2 - 2 * r0 * r2 * np.cos(phi))
-            p_ris = 100**2 * 0.9 * (p_s / 2) * f1 * r1**-alpha
-            total += float(np.sum(np.where(r1 >= eps, (p_ris / mu) ** (2 / alpha), 0.0))) / n_angles
-            done += m
-        oracle = total / n_pairs
-        assert abs(analytic - oracle) / oracle < 0.05
