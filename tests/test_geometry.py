@@ -89,27 +89,40 @@ class TestNearest:
 # oracles and the histogram tests read
 # ---------------------------------------------------------------------------
 
+# the three Rayleigh laws, with the pinned mean or mode in metres where one
+# is stated
+RAYLEIGH_LAWS = pytest.mark.parametrize("lam,mean,mode", [
+    (LAM_BS, 100.0, None),
+    (LAM_RIS, None, 12.6157),
+    (LAM_EFF, None, None),
+], ids=["r0", "r2", "r1"])
+
+
 class TestNearestNeighborDensities:
-    @pytest.mark.parametrize("lam,mean,mode", [
-        (LAM_BS, 100.0, None),
-        (LAM_RIS, None, 12.6157),
-        (LAM_EFF, None, None),
-    ], ids=["r0", "r2", "r1"])
-    def test_rayleigh_law(self, lam, mean, mode):
-        # unit mass and mean 1/(2 sqrt(lam)) by quadrature; the mode
-        # 1/sqrt(2 pi lam) tops its neighbors; a pinned row value states the
-        # figure in metres
+    @RAYLEIGH_LAWS
+    def test_unit_mass(self, lam, mean, mode):
         mass, _ = integrate.quad(lambda r: rayleigh_pdf(r, lam), 0, np.inf)
         assert mass == pytest.approx(1.0, abs=1e-9)
+
+    @RAYLEIGH_LAWS
+    def test_mean(self, lam, mean, mode):
+        # 1/(2 sqrt(lam)) by quadrature
         first, _ = integrate.quad(lambda r: r * rayleigh_pdf(r, lam), 0, np.inf)
         assert first == pytest.approx(0.5 / math.sqrt(lam), rel=1e-9)
-        peak = 1.0 / math.sqrt(2 * math.pi * lam)
-        assert rayleigh_pdf(peak * 0.999, lam) < rayleigh_pdf(peak, lam) > rayleigh_pdf(peak * 1.001, lam)
-        assert rayleigh_pdf(0.0, lam) == 0.0
         if mean is not None:
             assert first == pytest.approx(mean, rel=1e-9)
+
+    @RAYLEIGH_LAWS
+    def test_mode(self, lam, mean, mode):
+        # 1/sqrt(2 pi lam) tops its neighbors
+        peak = 1.0 / math.sqrt(2 * math.pi * lam)
+        assert rayleigh_pdf(peak * 0.999, lam) < rayleigh_pdf(peak, lam) > rayleigh_pdf(peak * 1.001, lam)
         if mode is not None:
             assert peak == pytest.approx(mode, abs=5e-4)
+
+    @RAYLEIGH_LAWS
+    def test_vanishes_at_zero(self, lam, mean, mode):
+        assert rayleigh_pdf(0.0, lam) == 0.0
 
     def test_prob_ris_closer_closed_form_and_oracles(self):
         closed = prob_ris_closer(LAM_RIS, LAM_BS)
